@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord
-from .io import read_json, write_json
+from .io import read_pack, write_pack
 
 REL_KEYS = ("aa", "ap", "pp")
 TYPE_CODE = {"audiobook": "a", "podcast": "p"}
@@ -36,9 +36,6 @@ class Csr:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
 
 @dataclass
 class HeteroGraph:
@@ -58,9 +55,6 @@ class HeteroGraph:
     def node_types(self) -> tuple[str, ...]:
         return tuple(sorted(self.nodes))
 
-    def has_node(self, item_id: str) -> bool:
-        return any(item_id in idx for idx in self.node_index.values())
-
     def node_ref(self, item_id: str) -> tuple[str, int]:
         for t in self.node_types:
             if item_id in self.node_index[t]:
@@ -71,18 +65,12 @@ class HeteroGraph:
         """All (dst_type, src_type) adjacency directions, in a fixed order."""
         return sorted(self.adj)
 
-    def src_types_for(self, node_type: str) -> list[str]:
-        return sorted(src for dst, src in self.adj if dst == node_type)
-
     def all_neighbors(self, node_type: str, idx: int) -> set[tuple[str, int]]:
         out: set[tuple[str, int]] = set()
         for (dst, src), csr in self.adj.items():
             if dst == node_type:
                 out.update((src, int(j)) for j in csr.neighbors(idx))
         return out
-
-    def n_nodes(self) -> int:
-        return sum(len(ids) for ids in self.nodes.values())
 
 
 @dataclass
@@ -244,60 +232,31 @@ def graph_stats(graph: HeteroGraph) -> GraphStats:
     return GraphStats(node_counts, edge_counts, degree_summary)
 
 
-def graph_to_dict(graph: HeteroGraph) -> dict:
-    feature_dim = 0
-    for mat in graph.features.values():
-        feature_dim = int(mat.shape[1])
-        break
-    return {
-        "version": 1,
-        "relations": list(graph.relations),
-        "feature_dim": feature_dim,
-        "nodes": {t: list(ids) for t, ids in graph.nodes.items()},
-        "features": {t: [[float(x) for x in row] for row in mat] for t, mat in graph.features.items()},
-        "adjacency": {
-            f"{dst}|{src}": {
-                "indptr": [int(x) for x in csr.indptr],
-                "indices": [int(x) for x in csr.indices],
-            }
-            for (dst, src), csr in graph.adj.items()
-        },
-        "edges": {rel: [[int(i), int(j)] for i, j in pairs] for rel, pairs in graph.edges.items()},
-    }
-
-
-def graph_from_dict(obj: dict) -> HeteroGraph:
-    if obj.get("version") != 1:
-        raise ValueError(f"unsupported graph container version {obj.get('version')!r}")
-    nodes = {t: list(ids) for t, ids in obj["nodes"].items()}
-    dim = int(obj["feature_dim"])
-    features = {
-        t: np.array(mat, dtype=np.float64).reshape(len(nodes[t]), dim)
-        for t, mat in obj["features"].items()
-    }
-    adj = {}
-    for key, payload in obj["adjacency"].items():
-        dst, src = key.split("|")
-        adj[(dst, src)] = Csr(
-            np.array(payload["indptr"], dtype=np.int64),
-            np.array(payload["indices"], dtype=np.int64),
-        )
-    edges = {
-        rel: np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        for rel, pairs in obj["edges"].items()
-    }
-    return HeteroGraph(
-        nodes=nodes,
-        features=features,
-        adj=adj,
-        edges=edges,
-        relations=tuple(obj["relations"]),
-    )
-
-
 def save_graph(graph: HeteroGraph, path) -> None:
-    write_json(graph_to_dict(graph), path)
+    """Packed container: node ids and relations in the header; features,
+    adjacency and edge lists as arrays."""
+    arrays = {f"features.{t}": mat for t, mat in graph.features.items()}
+    arrays.update({f"edges.{rel}": pairs for rel, pairs in graph.edges.items()})
+    for (dst, src), csr in graph.adj.items():
+        arrays[f"indptr.{dst}.{src}"] = csr.indptr
+        arrays[f"indices.{dst}.{src}"] = csr.indices
+    meta = {"kind": "graph", "relations": list(graph.relations), "nodes": graph.nodes}
+    write_pack(path, meta, arrays)
 
 
 def load_graph(path) -> HeteroGraph:
-    return graph_from_dict(read_json(path))
+    meta, arrays = read_pack(path)
+    if meta.get("kind") != "graph":
+        raise ValueError(f"{path}: not a graph container")
+
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {n[len(prefix) :]: a for n, a in arrays.items() if n.startswith(prefix)}
+
+    indptr, indices = group("indptr."), group("indices.")
+    return HeteroGraph(
+        nodes={t: list(ids) for t, ids in meta["nodes"].items()},
+        features=group("features."),
+        adj={tuple(key.split(".")): Csr(indptr[key], indices[key]) for key in indptr},
+        edges=group("edges."),
+        relations=tuple(meta["relations"]),
+    )

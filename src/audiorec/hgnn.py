@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graph import Csr, HeteroGraph, rel_key, rel_types
-from .io import read_pack, write_pack
+from .io import dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
 NodeRef = tuple[str, int]
@@ -55,14 +55,6 @@ class HgnnConfig:
 
     def layer_dims(self, feature_dim: int) -> list[int]:
         return [feature_dim] + [self.hidden_dim] * (self.layers - 1) + [self.out_dim]
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "HgnnConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown hgnn config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -144,10 +136,7 @@ class HgnnParams:
             "feature_dim": self.feature_dim,
             "node_types": list(self.node_types),
             "relations": list(self.relations),
-            "config": {
-                f.name: (list(v) if isinstance(v := getattr(self.config, f.name), tuple) else v)
-                for f in fields(self.config)
-            },
+            "config": asdict(self.config),
         }
         write_pack(path, meta, self.weights)
 
@@ -156,7 +145,7 @@ class HgnnParams:
         meta, arrays = read_pack(path)
         if meta.get("kind") != "hgnn_params":
             raise ValueError(f"{path}: not an hgnn parameter checkpoint")
-        config = HgnnConfig.from_dict(meta["config"])
+        config = dataclass_from_dict(HgnnConfig, meta["config"], "hgnn")
         return cls(
             config,
             int(meta["feature_dim"]),
@@ -167,71 +156,8 @@ class HgnnParams:
 
 
 # ---------------------------------------------------------------------------
-# Single-node operators (also used by the per-seed sampled forward pass).
-# ---------------------------------------------------------------------------
-
-
-def aggregate_relation(
-    layer: int, relation: str, params: HgnnParams, neighbor_states: list[np.ndarray]
-) -> np.ndarray:
-    """Elementwise max over relu(W_r h + b) for each neighbor state h.
-
-    An empty neighborhood yields the zero vector of the layer's output width.
-    """
-    w = params.agg_w(layer, relation)
-    b = params.agg_b(layer, relation)
-    if not neighbor_states:
-        return np.zeros(w.shape[0])
-    states = np.stack(neighbor_states)
-    if states.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"neighbor state dimension {states.shape[1]} does not match "
-            f"layer {layer} input dimension {w.shape[1]}"
-        )
-    return np.maximum(states @ w.T + b, 0.0).max(axis=0)
-
-
-def update_node(
-    layer: int,
-    node_type: str,
-    params: HgnnParams,
-    h_prev: np.ndarray,
-    pooled: dict[str, np.ndarray],
-) -> np.ndarray:
-    """relu(W_type h_prev + sum of per-relation pooled vectors)."""
-    w = params.upd_w(layer, node_type)
-    total = w @ h_prev
-    for rel in params.incident_relations(node_type):
-        if rel not in pooled:
-            raise ValueError(f"pooled vectors missing relation {rel!r} for {node_type}")
-        total = total + pooled[rel]
-    return np.maximum(total, 0.0)
-
-
-def hinge_loss(
-    z_a: np.ndarray, z_p: np.ndarray, z_negs: list[np.ndarray], margin: float
-) -> float:
-    """Mean over negatives of max(0, z_a.z_n - z_a.z_p + margin)."""
-    if len(z_negs) == 0:
-        raise ValueError("hinge loss needs at least one negative")
-    s_pos = float(z_a @ z_p)
-    terms = [max(0.0, float(z_a @ z_n) - s_pos + margin) for z_n in z_negs]
-    return float(np.mean(terms))
-
-
-# ---------------------------------------------------------------------------
 # Neighbor sampling.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SampledNeighborhood:
-    """Per layer, the sampled neighbor lists for every node whose state at that
-    layer feeds the seed's output."""
-
-    seed: str
-    seed_ref: NodeRef
-    layers: list[dict[NodeRef, dict[str, np.ndarray]]]
 
 
 def _sample_neighbors(
@@ -244,112 +170,11 @@ def _sample_neighbors(
     return np.sort(neigh[pick])
 
 
-def sample_neighborhood(
-    graph: HeteroGraph,
-    node: str,
-    fanouts: tuple[int, ...],
-    rng: np.random.Generator,
-) -> SampledNeighborhood:
-    """Uniform without-replacement neighbor sample rooted at `node`, one list
-    per (layer, relation), at most fanout[k] neighbors each."""
-    if any(f <= 0 for f in fanouts):
-        raise ValueError("fanouts must be positive")
-    seed_ref = graph.node_ref(node)
-    n_layers = len(fanouts)
-    layers: list[dict[NodeRef, dict[str, np.ndarray]]] = [dict() for _ in range(n_layers)]
-    need: set[NodeRef] = {seed_ref}
-    for k in range(n_layers, 0, -1):
-        layer_map: dict[NodeRef, dict[str, np.ndarray]] = {}
-        next_need: set[NodeRef] = set(need)
-        for ref in sorted(need):
-            node_type, idx = ref
-            per_src: dict[str, np.ndarray] = {}
-            for src in graph.src_types_for(node_type):
-                sample = _sample_neighbors(graph.adj[(node_type, src)], idx, fanouts[k - 1], rng)
-                per_src[src] = sample
-                next_need.update((src, int(j)) for j in sample)
-            layer_map[ref] = per_src
-        layers[k - 1] = layer_map
-        need = next_need
-    return SampledNeighborhood(seed=node, seed_ref=seed_ref, layers=layers)
-
-
-def forward(
-    graph: HeteroGraph,
-    params: HgnnParams,
-    neighborhoods: list[SampledNeighborhood],
-) -> dict[str, np.ndarray]:
-    """Sampled forward pass for each seed; returns unit-norm output vectors
-    keyed by item id. Near-zero final states fall back to the first basis
-    vector (callers can detect this via embed tables, which carry flags)."""
-    out: dict[str, np.ndarray] = {}
-    for nb in neighborhoods:
-        memo: dict[tuple[NodeRef, int], np.ndarray] = {}
-
-        def h_of(ref: NodeRef, k: int) -> np.ndarray:
-            if k == 0:
-                node_type, idx = ref
-                return graph.features[node_type][idx]
-            cached = memo.get((ref, k))
-            if cached is not None:
-                return cached
-            node_type, idx = ref
-            pooled: dict[str, np.ndarray] = {}
-            samples = nb.layers[k - 1].get(ref, {})
-            for rel in params.incident_relations(node_type):
-                other = [t for t in rel_types(rel) if t != node_type] or [node_type]
-                src = other[0]
-                neigh = samples.get(src, np.zeros(0, dtype=np.int64))
-                states = [h_of((src, int(j)), k - 1) for j in neigh]
-                pooled[rel] = aggregate_relation(k, rel, params, states)
-            h = update_node(k, node_type, params, h_of(ref, k - 1), pooled)
-            memo[(ref, k)] = h
-            return h
-
-        h_final = h_of(nb.seed_ref, params.config.layers)
-        norm = float(np.linalg.norm(h_final))
-        if norm < _NORM_FLOOR:
-            z = np.zeros_like(h_final)
-            z[0] = 1.0
-        else:
-            z = h_final / norm
-        out[nb.seed] = z
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Batched forward/backward over a shared per-iteration neighbor plan.
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class NeighborPlan:
     """Per layer, per (dst_type, src_type): CSR of the neighbors used."""
 
     layers: list[dict[tuple[str, str], Csr]]
-
-
-def full_plan(
-    graph: HeteroGraph, layers: int, cap: int | None = None, seed: int = 0
-) -> NeighborPlan:
-    """Full neighborhoods, truncated to `cap` per node with a fixed seed."""
-    per_layer: dict[tuple[str, str], Csr] = {}
-    rng = np.random.default_rng(seed)
-    for direction in graph.directions():
-        csr = graph.adj[direction]
-        if cap is None or np.all(np.diff(csr.indptr) <= cap):
-            per_layer[direction] = csr
-            continue
-        dst_type, _ = direction
-        n_dst = len(graph.nodes[dst_type])
-        chunks = []
-        indptr = [0]
-        for i in range(n_dst):
-            chunks.append(_sample_neighbors(csr, i, cap, rng))
-            indptr.append(indptr[-1] + len(chunks[-1]))
-        indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        per_layer[direction] = Csr(np.array(indptr, dtype=np.int64), indices.astype(np.int64))
-    return NeighborPlan([per_layer] * layers)
 
 
 def sample_plan(
@@ -376,6 +201,19 @@ def sample_plan(
             per_layer[direction] = Csr(np.array(indptr, dtype=np.int64), indices.astype(np.int64))
         layers.append(per_layer)
     return NeighborPlan(layers)
+
+
+def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
+    """Full neighborhoods, deterministically subsampled past the cap; every
+    layer shares the one draw."""
+    rng = np.random.default_rng(cfg.inference_seed)
+    layer = sample_plan(graph, (cfg.full_neighborhood_cap,), rng).layers[0]
+    return NeighborPlan([layer] * cfg.layers)
+
+
+# ---------------------------------------------------------------------------
+# Batched forward/backward over a shared per-iteration neighbor plan.
+# ---------------------------------------------------------------------------
 
 
 def _segment_max(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -735,13 +573,7 @@ class NodeEmbeddingTable:
 def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     """Embed every graph node: full neighborhoods up to the configured cap,
     deterministically subsampled past it."""
-    plan = full_plan(
-        graph,
-        params.config.layers,
-        cap=params.config.full_neighborhood_cap,
-        seed=params.config.inference_seed,
-    )
-    cache = forward_states(graph, params, plan)
+    cache = forward_states(graph, params, _inference_plan(graph, params.config))
     ids: list[str] = []
     types: list[str] = []
     mats: list[np.ndarray] = []
@@ -760,59 +592,49 @@ def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     )
 
 
-def embed_inductive(params: HgnnParams, node_type: str, content_vector: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Content-only embedding for an item outside the training graph.
-
-    For homogeneous parameter sets, items of the missing type are embedded
-    with the single trained type's weights (the feature space is shared).
-    """
-    if node_type not in params.node_types:
-        if len(params.node_types) == 1:
-            node_type = params.node_types[0]
-        else:
-            raise ValueError(f"no trained weights for node type {node_type!r}")
-    h = np.asarray(content_vector, dtype=np.float64)
-    for k in range(1, params.config.layers + 1):
-        pooled = {rel: np.zeros(params.agg_w(k, rel).shape[0]) for rel in params.incident_relations(node_type)}
-        h = update_node(k, node_type, params, h, pooled)
-    norm = float(np.linalg.norm(h))
-    if norm < _NORM_FLOOR:
-        z = np.zeros_like(h)
-        z[0] = 1.0
-        return z, True
-    return h / norm, False
-
-
 def embed_catalog(
     graph: HeteroGraph, params: HgnnParams, catalog: dict
 ) -> NodeEmbeddingTable:
     """Graph-node embeddings plus content-only embeddings for catalog items
-    absent from the graph."""
+    absent from the graph.
+
+    The content-only rows come from one forward pass over the missing items as
+    isolated nodes, so each is the node update applied to its content vector
+    alone. Items are typed by the update weights they use: with homogeneous
+    parameters, items of the missing type use the single trained type's
+    weights (the feature space is shared).
+    """
     table = embed_all(graph, params)
-    extra_ids: list[str] = []
-    extra_types: list[str] = []
-    extra_vecs: list[np.ndarray] = []
-    extra_fallback: list[bool] = []
     homogeneous = len(params.node_types) == 1
-    for item_id in sorted(catalog):
-        if item_id in table.index:
-            continue
-        item = catalog[item_id]
-        if item.item_type not in params.node_types and not homogeneous:
-            continue
-        z, fell_back = embed_inductive(params, item.item_type, item.content_vector)
-        extra_ids.append(item_id)
-        extra_types.append(item.item_type)
-        extra_vecs.append(z)
-        extra_fallback.append(fell_back)
-    if not extra_ids:
+    weight_type = {
+        item_id: params.node_types[0] if homogeneous else item.item_type
+        for item_id, item in sorted(catalog.items())
+        if item_id not in table.index and (homogeneous or item.item_type in params.node_types)
+    }
+    if not weight_type:
         return table
+    nodes = {
+        t: [i for i, wt in weight_type.items() if wt == t]
+        for t in sorted(set(weight_type.values()))
+    }
+    isolated = HeteroGraph(
+        nodes=nodes,
+        features={
+            t: np.array([catalog[i].content_vector for i in ids], dtype=np.float64)
+            for t, ids in nodes.items()
+        },
+        adj={},
+        edges={},
+        relations=(),
+    )
+    cache = forward_states(isolated, params, NeighborPlan([{}] * params.config.layers))
+    refs = [isolated.node_ref(i) for i in weight_type]
     return NodeEmbeddingTable(
-        item_ids=table.item_ids + extra_ids,
-        node_types=table.node_types + extra_types,
-        matrix=np.concatenate([table.matrix, np.stack(extra_vecs)]),
-        inductive=np.concatenate([table.inductive, np.ones(len(extra_ids), dtype=bool)]),
-        fallback=np.concatenate([table.fallback, np.array(extra_fallback, dtype=bool)]),
+        item_ids=table.item_ids + list(weight_type),
+        node_types=table.node_types + [catalog[i].item_type for i in weight_type],
+        matrix=np.concatenate([table.matrix, np.stack([cache.z[t][j] for t, j in refs])]),
+        inductive=np.concatenate([table.inductive, np.ones(len(refs), dtype=bool)]),
+        fallback=np.concatenate([table.fallback, [cache.fallback[t][j] for t, j in refs]]),
     )
 
 
@@ -828,7 +650,6 @@ class EpochLog:
 @dataclass
 class HgnnTrainResult:
     params: HgnnParams
-    table: NodeEmbeddingTable
     log: list[EpochLog]
 
 
@@ -875,7 +696,7 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
             for anchor, pos in ((a, b), (b, a)):
                 val_pairs.append((anchor, pos))
                 val_negs.append(_sample_negative_refs(graph, anchor, cfg.n_negatives, rng))
-    val_plan = full_plan(graph, cfg.layers, cap=cfg.full_neighborhood_cap, seed=cfg.inference_seed)
+    val_plan = _inference_plan(graph, cfg)
 
     adam = Adam(learning_rate=cfg.learning_rate)
     best = params.copy()
@@ -941,5 +762,4 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
             if epochs_since_best >= cfg.patience:
                 break
 
-    table = embed_all(graph, best)
-    return HgnnTrainResult(params=best, table=table, log=log)
+    return HgnnTrainResult(params=best, log=log)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-INDEX_MAGIC = b"RIDX1\n"
+from .io import read_pack, write_pack
 
 
 @dataclass
@@ -81,27 +80,13 @@ def query_topk(
 
 
 def save_index(index: RecIndex, path) -> None:
-    """Packed binary: magic, count, dimension, id table, row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<II", len(index.ids), index.dim))
-        for item_id in index.ids:
-            raw = item_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(index.vectors, dtype=np.float64).tobytes())
+    """Packed container: ids in the header, row-major float64 vectors."""
+    vectors = np.asarray(index.vectors, dtype=np.float64)
+    write_pack(path, {"kind": "index", "ids": index.ids}, {"vectors": vectors})
 
 
 def load_index(path) -> RecIndex:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
-            raise ValueError(f"{path}: not an index file")
-        count, dim = struct.unpack("<II", fh.read(8))
-        ids = []
-        for _ in range(count):
-            (n,) = struct.unpack("<I", fh.read(4))
-            ids.append(fh.read(n).decode("utf-8"))
-        data = fh.read(count * dim * 8)
-        vectors = np.frombuffer(data, dtype=np.float64).reshape(count, dim).copy()
-    return RecIndex(ids=ids, vectors=vectors)
+    meta, arrays = read_pack(path)
+    if meta.get("kind") != "index":
+        raise ValueError(f"{path}: not an index file")
+    return RecIndex(ids=list(meta["ids"]), vectors=arrays["vectors"])

@@ -1,9 +1,12 @@
-"""Shared file plumbing: canonical JSON, JSON lines, packed array containers, hashing."""
+"""Shared file plumbing: canonical JSON, JSON lines, packed array containers,
+hashing, and config-section loading."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +35,15 @@ def sha256_file(path) -> str:
 
 def config_hash(obj) -> str:
     return sha256_bytes(canonical_json(obj).encode("utf-8"))
+
+
+def dataclass_from_dict(cls, obj: dict, section: str):
+    """Build the config dataclass `cls` from one config section, rejecting
+    keys it does not declare."""
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    return cls(**obj)
 
 
 def write_json(obj, path) -> None:
@@ -84,18 +96,36 @@ def write_pack(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_pack(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PACK_MAGIC))
-        if magic != PACK_MAGIC:
-            raise ValueError(f"{path}: not a packed array container")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            data = fh.read(count * dtype.itemsize)
-            arrays[entry["name"]] = (
-                np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
-            )
-    return header["meta"], arrays
+    """Read a `write_pack` container. A damaged file (short header, short
+    payload, bytes after the last array) raises ValueError naming the path."""
+    data = Path(path).read_bytes()
+    if not data.startswith(PACK_MAGIC):
+        raise ValueError(f"{path}: not a packed array container")
+    start = len(PACK_MAGIC) + 4
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated container header")
+    (hlen,) = struct.unpack_from("<I", data, len(PACK_MAGIC))
+    offset = start + hlen
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated container header")
+    try:
+        header = json.loads(data[start:offset].decode("utf-8"))
+        meta = header["meta"]
+        specs = [
+            (e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]))
+            for e in header["arrays"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed container header ({exc})") from exc
+    view = memoryview(data)
+    arrays = {}
+    for name, dtype, shape in specs:
+        nbytes = math.prod(shape) * dtype.itemsize
+        if len(data) - offset < nbytes:
+            raise ValueError(f"{path}: truncated payload for array {name!r}")
+        chunk = view[offset : offset + nbytes]
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+        offset += nbytes
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} unexpected bytes after the last array")
+    return meta, arrays

@@ -61,28 +61,12 @@ class PathsConfig:
     music_vectors: str | None = None
     demographics: str | None = None
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PathsConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise PipelineError(f"unknown paths config keys: {sorted(unknown)}")
-        return cls(**obj)
-
 
 @dataclass
 class SplitSettings:
     holdout_days: int = 14
     split_time: int | None = None
     history_days: int | None = None
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SplitSettings":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise PipelineError(f"unknown split config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 @dataclass
@@ -93,14 +77,6 @@ class GraphSettings:
 
     def __post_init__(self):
         self.relations = tuple(self.relations)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GraphSettings":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise PipelineError(f"unknown graph config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 @dataclass
@@ -119,14 +95,6 @@ class EvalSettings:
 
     def __post_init__(self):
         self.models = tuple(self.models)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvalSettings":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise PipelineError(f"unknown eval config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 @dataclass
@@ -147,16 +115,13 @@ class PipelineConfig:
         if unknown:
             raise PipelineError(f"unknown config sections: {sorted(unknown)}")
         try:
-            return cls(
-                paths=PathsConfig.from_dict(obj.get("paths", {})),
-                split=SplitSettings.from_dict(obj.get("split", {})),
-                graph=GraphSettings.from_dict(obj.get("graph", {})),
-                hgnn=HgnnConfig.from_dict(obj.get("hgnn", {})),
-                two_tower=TwoTowerConfig.from_dict(obj.get("two_tower", {})),
-                synth=SynthConfig.from_dict(obj.get("synth", {})),
-                eval=EvalSettings.from_dict(obj.get("eval", {})),
-                seed=obj.get("seed"),
-            )
+            # every field but the seed is a section whose default factory is its class
+            sections = {
+                f.name: io.dataclass_from_dict(f.default_factory, obj.get(f.name, {}), f.name)
+                for f in fields(cls)
+                if f.name != "seed"
+            }
+            return cls(**sections, seed=obj.get("seed"))
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"config validation failed: {exc}") from exc
 
@@ -165,14 +130,7 @@ class PipelineConfig:
         return cls.from_dict(io.read_json(path))
 
     def to_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            return obj
-
-        return clean(asdict(self))
+        return asdict(self)  # tuples serialize as JSON arrays, so hashes match list-valued files
 
     def hash(self) -> str:
         return io.config_hash(self.to_dict())
@@ -195,7 +153,7 @@ ARTIFACTS = {
     "train": "train.jsonl",
     "holdout": "holdout.jsonl",
     "split_meta": "split_meta.json",
-    "graph": "graph.json",
+    "graph": "graph.bin",
     "graph_stats": "graph_stats.json",
     "hgnn_params": "hgnn_params.bin",
     "hgnn_log": "hgnn_train_log.jsonl",

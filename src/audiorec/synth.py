@@ -12,7 +12,7 @@ the stream-prediction analysis non-degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +44,9 @@ class SynthConfig:
     languages: tuple[str, ...] = ("en", "es", "de")
     genres: tuple[str, ...] = ("g0", "g1", "g2", "g3", "g4", "g5")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        for key in ("languages", "genres"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    def __post_init__(self):
+        self.languages = tuple(self.languages)
+        self.genres = tuple(self.genres)
 
 
 def _draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:

@@ -9,13 +9,13 @@ then L2-normalizes. Gradients are closed-form reverse mode.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import DAY_SECONDS, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord
 from .hgnn import NodeEmbeddingTable
-from .io import read_pack, write_pack
+from .io import dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
 OOV_TOKEN = "<oov>"
@@ -43,14 +43,6 @@ class TwoTowerConfig:
         self.hidden = tuple(self.hidden)
         if len(self.hidden) != 3:
             raise ValueError("towers use exactly three dense layers")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TwoTowerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown two_tower config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 @dataclass
@@ -290,10 +282,7 @@ class TowerParams:
             "dims": self.dims,
             "vocabs": {name: v.to_list() for name, v in self.vocabs.items()},
             "item_freq": self.item_freq,
-            "config": {
-                f.name: (list(v) if isinstance(v := getattr(self.config, f.name), tuple) else v)
-                for f in fields(self.config)
-            },
+            "config": asdict(self.config),
         }
         write_pack(path, meta, self.weights)
 
@@ -302,7 +291,7 @@ class TowerParams:
         meta, arrays = read_pack(path)
         if meta.get("kind") != "tower_params":
             raise ValueError(f"{path}: not a tower parameter checkpoint")
-        config = TwoTowerConfig.from_dict(meta["config"])
+        config = dataclass_from_dict(TwoTowerConfig, meta["config"], "two_tower")
         vocabs = {name: Vocab.from_list(vals) for name, vals in meta["vocabs"].items()}
         return cls(config, vocabs, dict(meta["dims"]), arrays, dict(meta["item_freq"]))
 
@@ -420,22 +409,6 @@ def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarra
 def item_tower_forward(params: TowerParams, features: ItemFeatures) -> np.ndarray:
     cat, dense = _item_inputs(params, [features])
     return _tower_forward(params, "item", cat, dense).out[0]
-
-
-def in_batch_loss(
-    o_u: np.ndarray,
-    o_a: np.ndarray,
-    batch_items: list[tuple[np.ndarray, float]],
-) -> float:
-    """Weighted mean over in-batch negatives of (o_u.o_n - o_u.o_a).
-
-    Callers normalize the weights to mean one over the batch.
-    """
-    if not batch_items:
-        raise ValueError("in-batch loss needs at least one negative")
-    s_pos = float(o_u @ o_a)
-    terms = [w * (float(o_u @ o_n) - s_pos) for o_n, w in batch_items]
-    return float(np.mean(terms))
 
 
 def _batch_loss_and_douts(

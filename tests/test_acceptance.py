@@ -14,7 +14,7 @@ from audiorec import io
 from audiorec.benchmark import run_ordering_benchmark, run_weak_signal_seeds
 from audiorec.data import parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
-from audiorec.graph import build_colisten_graph
+from audiorec.graph import build_colisten_graph, load_graph
 from audiorec.hgnn import NodeEmbeddingTable, balanced_edge_sample
 from audiorec.index import build_index, load_index, query_topk
 from audiorec.pipeline import PipelineConfig, run_pipeline
@@ -255,8 +255,8 @@ def test_criterion_7_inductive_path(full_pipeline):
     holdout = parse_interactions(out / "holdout.jsonl").records
     streamed_in_train = {r.item_id for r in train if r.signal == "stream"}
     graph_nodes = set()
-    graph = io.read_json(out / "graph.json")
-    for ids in graph["nodes"].values():
+    graph = load_graph(out / "graph.bin")
+    for ids in graph.nodes.values():
         graph_nodes.update(ids)
 
     table = NodeEmbeddingTable.load(out / "embeddings.jsonl")

@@ -4,15 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiorec.data import InteractionRecord
-from audiorec.graph import (
-    build_colisten_graph,
-    graph_from_dict,
-    graph_stats,
-    graph_to_dict,
-    load_graph,
-    save_graph,
-)
-from audiorec.io import canonical_json
+from audiorec.graph import build_colisten_graph, graph_stats, load_graph, save_graph
+from audiorec.index import build_index, save_index
 
 from conftest import make_catalog, stream
 
@@ -170,11 +163,13 @@ class TestGraphProperties:
                 for j in csr.neighbors(i):
                     assert i in back.neighbors(int(j))
 
-    def test_idempotent_rebuild(self, small_split, small_synth):
+    def test_idempotent_rebuild(self, small_split, small_synth, tmp_path):
         _, catalog = small_synth
         g1 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
         g2 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
-        assert canonical_json(graph_to_dict(g1)) == canonical_json(graph_to_dict(g2))
+        save_graph(g1, tmp_path / "g1.bin")
+        save_graph(g2, tmp_path / "g2.bin")
+        assert (tmp_path / "g1.bin").read_bytes() == (tmp_path / "g2.bin").read_bytes()
 
     def test_adjacency_in_range(self, small_graph):
         for (dst, src), csr in small_graph.adj.items():
@@ -195,15 +190,15 @@ class TestGraphProperties:
 
 class TestSerialization:
     def test_round_trip_byte_exact(self, small_graph, tmp_path):
-        p1 = tmp_path / "g1.json"
-        p2 = tmp_path / "g2.json"
+        p1 = tmp_path / "g1.bin"
+        p2 = tmp_path / "g2.bin"
         save_graph(small_graph, p1)
         g2 = load_graph(p1)
         save_graph(g2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_content(self, small_graph, tmp_path):
-        p = tmp_path / "g.json"
+        p = tmp_path / "g.bin"
         save_graph(small_graph, p)
         g2 = load_graph(p)
         assert g2.nodes == small_graph.nodes
@@ -213,8 +208,8 @@ class TestSerialization:
             assert np.array_equal(g2.adj[key].indptr, small_graph.adj[key].indptr)
             assert np.array_equal(g2.adj[key].indices, small_graph.adj[key].indices)
 
-    def test_version_check(self, small_graph):
-        d = graph_to_dict(small_graph)
-        d["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            graph_from_dict(d)
+    def test_wrong_kind_rejected(self, tmp_path):
+        p = tmp_path / "index.bin"
+        save_index(build_index({"a": np.array([1.0, 0.0])}), p)
+        with pytest.raises(ValueError, match="not a graph"):
+            load_graph(p)

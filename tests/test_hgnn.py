@@ -7,23 +7,26 @@ from audiorec.graph import Csr, HeteroGraph, build_colisten_graph
 from audiorec.hgnn import (
     HgnnConfig,
     HgnnParams,
-    aggregate_relation,
+    _inference_plan,
     balanced_edge_sample,
     embed_all,
-    embed_inductive,
-    forward,
+    embed_catalog,
     forward_states,
-    full_plan,
-    hinge_loss,
-    sample_neighborhood,
     sample_negatives,
     sample_plan,
     train_hgnn,
-    update_node,
 )
 
 from conftest import make_catalog, stream
 from helpers_gradcheck import check_hgnn_gradients
+from oracles import (
+    aggregate_relation,
+    embed_inductive,
+    forward,
+    hinge_loss,
+    sample_neighborhood,
+    update_node,
+)
 
 
 def toy_params(d_c=2, hidden=2, out=2, layers=2, seed=0, margin=0.4):
@@ -346,7 +349,7 @@ class TestForward:
         sampled = forward_states(
             small_graph, params, sample_plan(small_graph, (big, big), np.random.default_rng(0))
         )
-        full = forward_states(small_graph, params, full_plan(small_graph, 2))
+        full = forward_states(small_graph, params, _inference_plan(small_graph, params.config))
         for t in small_graph.node_types:
             assert np.array_equal(sampled.z[t], full.z[t])  # bit-for-bit
 
@@ -430,6 +433,31 @@ class TestEmbedding:
     def test_unit_norms(self, small_embeddings):
         norms = np.linalg.norm(small_embeddings.matrix, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
+
+    def test_inductive_rows_match_content_only_oracle(self, small_synth, small_embeddings, trained_hgnn):
+        _, catalog = small_synth
+        rows = np.flatnonzero(small_embeddings.inductive)
+        assert len(rows) > 0
+        for i in rows:
+            item = catalog[small_embeddings.item_ids[i]]
+            z, fell_back = embed_inductive(trained_hgnn.params, item.item_type, item.content_vector)
+            assert np.allclose(small_embeddings.matrix[i], z, rtol=0, atol=1e-12)
+            assert small_embeddings.fallback[i] == fell_back
+
+    def test_homogeneous_params_embed_every_type(self):
+        catalog = make_catalog(n_audiobooks=3, n_podcasts=3, d_c=4, seed=5)
+        records = [stream("u1", "p0", catalog), stream("u1", "p1", catalog)]
+        g = build_colisten_graph(records, catalog, relations=("pp",))
+        params = HgnnParams.init(
+            HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2)), 4, g.node_types, g.relations, seed=2
+        )
+        table = embed_catalog(g, params, catalog)
+        assert table.item_ids == ["p0", "p1", "a0", "a1", "a2", "p2"]
+        assert table.node_types == ["podcast"] * 2 + ["audiobook"] * 3 + ["podcast"]
+        for i, item_id in enumerate(table.item_ids[2:], start=2):
+            item = catalog[item_id]
+            z, _ = embed_inductive(params, item.item_type, item.content_vector)
+            assert np.allclose(table.matrix[i], z, rtol=0, atol=1e-12)
 
     def test_table_round_trip(self, small_embeddings, tmp_path):
         p = tmp_path / "emb.jsonl"

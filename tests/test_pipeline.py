@@ -1,9 +1,13 @@
 import json
+import shutil
 
 import pytest
 
 from audiorec import io
 from audiorec.cli import main
+from audiorec.graph import load_graph
+from audiorec.hgnn import HgnnParams
+from audiorec.index import load_index
 from audiorec.pipeline import (
     ABLATION_VARIANTS,
     PipelineConfig,
@@ -11,6 +15,7 @@ from audiorec.pipeline import (
     run_pipeline,
     run_stage,
 )
+from audiorec.two_tower import TowerParams
 
 MODEL_STAGES = (
     "synth",
@@ -100,7 +105,7 @@ class TestStages:
             "catalog.jsonl",
             "train.jsonl",
             "holdout.jsonl",
-            "graph.json",
+            "graph.bin",
             "hgnn_params.bin",
             "embeddings.jsonl",
             "tower_params.bin",
@@ -220,6 +225,32 @@ class TestStages:
         assert "mean" in got
 
 
+BINARY_ARTIFACTS = {
+    "graph.bin": load_graph,
+    "rec_index.bin": load_index,
+    "hgnn_params.bin": HgnnParams.load,
+    "tower_params.bin": TowerParams.load,
+}
+
+
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda b: b[:8], id="header-cut"),
+            pytest.param(lambda b: b[:-1], id="payload-cut"),
+            pytest.param(lambda b: b + b"\0", id="extended"),
+        ],
+    )
+    def test_rejected_naming_the_file(self, pipeline_run, tmp_path, name, damage):
+        _, out = pipeline_run
+        path = tmp_path / name
+        path.write_bytes(damage((out / name).read_bytes()))
+        with pytest.raises(ValueError, match=name):
+            BINARY_ARTIFACTS[name](path)
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical_reports(self, tmp_path):
         digests = []
@@ -259,10 +290,10 @@ class TestAblate:
         csv_text = (out / "ablation_report.csv").read_text()
         assert csv_text.splitlines()[0].startswith("variant,segment")
         # homogeneous variants restrict the graph
-        pp_graph = io.read_json(out / "ablations" / "pp-only-inductive" / "graph.json")
-        assert set(pp_graph["nodes"]) == {"podcast"}
-        aa_graph = io.read_json(out / "ablations" / "aa-only" / "graph.json")
-        assert set(aa_graph["nodes"]) == {"audiobook"}
+        pp_graph = load_graph(out / "ablations" / "pp-only-inductive" / "graph.bin")
+        assert set(pp_graph.nodes) == {"podcast"}
+        aa_graph = load_graph(out / "ablations" / "aa-only" / "graph.bin")
+        assert set(aa_graph.nodes) == {"audiobook"}
         # every variant still evaluates the full model
         for entry in report["variants"].values():
             assert entry["all"]["n_users"] > 0
@@ -301,6 +332,21 @@ class TestCli:
         assert len(err_lines) == 1
         payload = json.loads(err_lines[0])
         assert "error" in payload and payload["stage"] == "evaluate"
+
+    def test_recommend_on_truncated_index_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        damaged = tmp_path / "out"
+        shutil.copytree(out, damaged)
+        index = damaged / "rec_index.bin"
+        index.write_bytes(index.read_bytes()[:8])
+        cfg_path = tmp_path / "config.json"
+        io.write_json(config.to_dict(), cfg_path)
+        code = main(["recommend", "--config", str(cfg_path), "--out", str(damaged), "--user", "u0001"])
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert "rec_index.bin" in payload["error"] and payload["stage"] == "recommend"
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out = tmp_path / "o"

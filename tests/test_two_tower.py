@@ -16,13 +16,13 @@ from audiorec.two_tower import (
     build_feature_set,
     build_training_pairs,
     export_item_vectors,
-    in_batch_loss,
     item_tower_forward,
     train_two_tower,
     user_tower_forward,
 )
 
 from helpers_gradcheck import check_tower_gradients, random_tower_instance
+from oracles import in_batch_loss
 
 
 def toy_table(rows: dict[str, np.ndarray], types: dict[str, str] | None = None):
