@@ -65,13 +65,6 @@ class HeteroGraph:
         """All (dst_type, src_type) adjacency directions, in a fixed order."""
         return sorted(self.adj)
 
-    def all_neighbors(self, node_type: str, idx: int) -> set[tuple[str, int]]:
-        out: set[tuple[str, int]] = set()
-        for (dst, src), csr in self.adj.items():
-            if dst == node_type:
-                out.update((src, int(j)) for j in csr.neighbors(idx))
-        return out
-
 
 @dataclass
 class GraphStats:

@@ -22,8 +22,6 @@ from .graph import Csr, HeteroGraph, rel_key, rel_types
 from .io import dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
-NodeRef = tuple[str, int]
-
 _NORM_FLOOR = 1e-12
 
 
@@ -160,16 +158,6 @@ class HgnnParams:
 # ---------------------------------------------------------------------------
 
 
-def _sample_neighbors(
-    csr: Csr, idx: int, fanout: int, rng: np.random.Generator
-) -> np.ndarray:
-    neigh = csr.neighbors(idx)
-    if len(neigh) <= fanout:
-        return neigh.copy()
-    pick = rng.choice(len(neigh), size=fanout, replace=False)
-    return np.sort(neigh[pick])
-
-
 @dataclass
 class NeighborPlan:
     """Per layer, per (dst_type, src_type): CSR of the neighbors used."""
@@ -177,30 +165,38 @@ class NeighborPlan:
     layers: list[dict[tuple[str, str], Csr]]
 
 
+def _subsample_csr(csr: Csr, fanout: int, rng: np.random.Generator) -> Csr:
+    """Rows longer than `fanout` keep `fanout` neighbors drawn uniformly
+    without replacement (one `rng.choice` per such row, in row order), sorted
+    by neighbor id; shorter rows are kept whole."""
+    degrees = np.diff(csr.indptr)
+    big = degrees > fanout
+    if not np.any(big):
+        return csr
+    picks = np.array(
+        [rng.choice(d, size=fanout, replace=False) for d in degrees[big].tolist()],
+        dtype=np.int64,
+    ).reshape(np.count_nonzero(big), fanout)
+    kept = np.minimum(degrees, fanout)
+    indptr = np.concatenate(([0], np.cumsum(kept))).astype(np.int64)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    chosen = csr.indices[csr.indptr[:-1][big][:, None] + picks]
+    slot_in_big = np.repeat(big, kept)
+    indices[slot_in_big] = np.sort(chosen, axis=1).ravel()
+    indices[~slot_in_big] = csr.indices[np.repeat(~big, degrees)]
+    return Csr(indptr, indices)
+
+
 def sample_plan(
     graph: HeteroGraph, fanouts: tuple[int, ...], rng: np.random.Generator
 ) -> NeighborPlan:
     """Fresh uniform neighbor sample for every node, per layer and relation."""
-    layers = []
-    for fanout in fanouts:
-        per_layer: dict[tuple[str, str], Csr] = {}
-        for direction in graph.directions():
-            csr = graph.adj[direction]
-            dst_type, _ = direction
-            n_dst = len(graph.nodes[dst_type])
-            degrees = np.diff(csr.indptr)
-            if np.all(degrees <= fanout):
-                per_layer[direction] = csr
-                continue
-            chunks = []
-            indptr = [0]
-            for i in range(n_dst):
-                chunks.append(_sample_neighbors(csr, i, fanout, rng))
-                indptr.append(indptr[-1] + len(chunks[-1]))
-            indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-            per_layer[direction] = Csr(np.array(indptr, dtype=np.int64), indices.astype(np.int64))
-        layers.append(per_layer)
-    return NeighborPlan(layers)
+    return NeighborPlan(
+        [
+            {d: _subsample_csr(graph.adj[d], fanout, rng) for d in graph.directions()}
+            for fanout in fanouts
+        ]
+    )
 
 
 def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
@@ -219,28 +215,35 @@ def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
 def _segment_max(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment elementwise max with the first achieving row index.
 
-    Empty segments pool to zero and get argfirst -1.
+    Empty segments pool to zero and get argfirst -1. The segments are walked
+    slot by slot, longest first: slot s folds the s-th row of every segment
+    longer than s into the running max with the same `np.maximum` a
+    sequential reduction applies, and moves argfirst only on a strictly
+    greater value, so a tie keeps the earlier row.
     """
     n = len(indptr) - 1
     d = values.shape[1]
     pooled = np.zeros((n, d))
     argfirst = np.full((n, d), -1, dtype=np.int64)
-    if values.shape[0] == 0:
-        return pooled, argfirst
     seg_len = np.diff(indptr)
-    nz = np.flatnonzero(seg_len > 0)
-    if len(nz) == 0:
+    order = np.argsort(-seg_len, kind="stable")
+    lens = seg_len[order]
+    order = order[lens > 0]
+    if len(order) == 0:
         return pooled, argfirst
-    starts = indptr[nz]
-    pooled[nz] = np.maximum.reduceat(values, starts, axis=0)
-    seg_of_row = np.repeat(np.arange(n), seg_len)
-    sentinel = values.shape[0]
-    candidates = np.where(
-        values == pooled[seg_of_row],
-        np.arange(values.shape[0])[:, None],
-        sentinel,
-    )
-    argfirst[nz] = np.minimum.reduceat(candidates, starts, axis=0)
+    starts = indptr[order]
+    best = values[starts]
+    arg = np.repeat(starts[:, None], d, axis=1)
+    # segments longer than s form a prefix of `order`
+    n_longer = np.searchsorted(-lens, -np.arange(1, lens[0]), side="left")
+    for s, k in enumerate(n_longer.tolist(), start=1):
+        rows = starts[:k] + s
+        v = values[rows]
+        head, head_arg = best[:k], arg[:k]
+        np.copyto(head_arg, rows[:, None], where=v > head)
+        np.maximum(head, v, out=head)
+    pooled[order] = best
+    argfirst[order] = arg
     return pooled, argfirst
 
 
@@ -320,36 +323,73 @@ def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -
     return ForwardCache(h, edge_pre, pooled_all, argfirst_all, upd_pre_all, norms, z, fallback)
 
 
+def _scatter_add_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """`np.add.at(out, rows, vals)` for 2-D `out`, one column at a time: every
+    element still takes its additions in the order of `rows`, and 1-D add.at
+    is several times faster than the row-wise form."""
+    for j in range(out.shape[1]):
+        np.add.at(out[:, j], rows, vals[:, j])
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] for every row, through the same dot kernel as the 1-D
+    product, so each value is bit-identical to it (einsum sums in another
+    order)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def margin_batch_loss(
     cache: ForwardCache,
-    pairs: list[tuple[NodeRef, NodeRef]],
-    negatives: list[list[NodeRef]],
+    pairs: np.ndarray,
+    negatives: np.ndarray,
     margin: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean over (anchor, positive) pairs of the per-pair hinge loss, plus the
-    gradient with respect to every node's output vector."""
-    z = cache.z
-    dz = {t: np.zeros_like(mat) for t, mat in z.items()}
-    n_pairs = len(pairs)
-    total = 0.0
-    for (a_ref, p_ref), negs in zip(pairs, negatives):
-        za = z[a_ref[0]][a_ref[1]]
-        zp = z[p_ref[0]][p_ref[1]]
-        s_pos = za @ zp
-        coef = 1.0 / (n_pairs * len(negs))
-        d_za = np.zeros_like(za)
-        d_sum = 0.0
-        for n_ref in negs:
-            zn = z[n_ref[0]][n_ref[1]]
-            term = zn @ za - s_pos + margin
-            if term > 0.0:
-                total += term / len(negs)
-                d_za += coef * (zn - zp)
-                dz[n_ref[0]][n_ref[1]] += coef * za
-                d_sum += coef
-        dz[a_ref[0]][a_ref[1]] += d_za
-        dz[p_ref[0]][p_ref[1]] += -d_sum * za if d_sum else 0.0
-    return total / n_pairs, dz
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Mean over (anchor, positive) pairs of the per-pair hinge loss, the
+    gradient with respect to every node's output vector, and the mask of
+    active hinge terms.
+
+    `pairs` holds (P, 2) flat (anchor, positive) ids and `negatives` (P, n_neg)
+    flat ids (see `flat_offsets`). Every sum adds its terms in the order of a
+    loop over pairs and, within a pair, over its negatives.
+    """
+    types = sorted(cache.z)
+    z = np.concatenate([cache.z[t] for t in types])
+    n_pairs, n_neg = negatives.shape
+    anchors, positives = pairs[:, 0], pairs[:, 1]
+    za, zp = z[anchors], z[positives]
+    s_pos = _row_dots(za, zp)
+    coef = 1.0 / (n_pairs * n_neg)
+    terms = np.empty((n_pairs, n_neg))
+    d_za = np.zeros_like(za)
+    d_sum = np.zeros(n_pairs)
+    # One negative slot at a time, so d_za and d_sum add coef once per active
+    # term (k * coef is not coef added k times). Adding +0.0 for an inactive
+    # term changes nothing: a sum that starts at +0.0 never becomes -0.0.
+    for j in range(n_neg):
+        zn = z[negatives[:, j]]
+        terms[:, j] = _row_dots(zn, za) - s_pos + margin
+        act = terms[:, j] > 0.0
+        d_za += np.where(act[:, None], coef * (zn - zp), 0.0)
+        d_sum += np.where(act, coef, 0.0)
+    active = terms > 0.0
+    total = np.cumsum(terms[active] / n_neg)[-1] if active.any() else 0.0
+
+    # Scatter in loop order: each pair's active negatives, its anchor, its positive.
+    ends = np.cumsum(active.sum(axis=1) + 2)
+    is_neg = np.ones(ends[-1], dtype=bool)
+    is_neg[ends - 1] = is_neg[ends - 2] = False
+    rows = np.empty(ends[-1], dtype=np.int64)
+    rows[is_neg] = negatives[active]
+    rows[ends - 2] = anchors
+    rows[ends - 1] = positives
+    vals = np.empty((ends[-1], z.shape[1]))
+    vals[is_neg] = coef * za[np.nonzero(active)[0]]
+    vals[ends - 2] = d_za
+    vals[ends - 1] = -d_sum[:, None] * za
+    dz = np.zeros_like(z)
+    _scatter_add_rows(dz, rows, vals)
+    starts = np.cumsum([len(cache.z[t]) for t in types])[:-1]
+    return float(total / n_pairs), dict(zip(types, np.split(dz, starts))), active
 
 
 def backward_states(
@@ -392,41 +432,30 @@ def backward_states(
             d_a = np.zeros_like(m)
             mask = argfirst >= 0
             if np.any(mask):
-                rows = argfirst[mask]
-                cols = np.nonzero(mask)[1]
-                np.add.at(d_a, (rows, cols), d_pool[dst_type][mask])
+                # one first maximizing row per (segment, column): the targets
+                # are distinct, so a store does what an accumulation would
+                d_a[argfirst[mask], np.nonzero(mask)[1]] = d_pool[dst_type][mask]
             d_m = d_a * (m > 0.0)
             w = params.agg_w(k, rel)
             grads[f"agg.W.{k}.{rel}"] += d_m.T @ cache.h[k - 1][src_type][csr.indices]
             grads[f"agg.b.{k}.{rel}"] += d_m.sum(axis=0)
-            np.add.at(d_prev[src_type], csr.indices, d_m @ w)
+            _scatter_add_rows(d_prev[src_type], csr.indices, d_m @ w)
         d_h = d_prev
     return grads
-
-
-def batch_loss(
-    graph: HeteroGraph,
-    params: HgnnParams,
-    plan: NeighborPlan,
-    pairs: list[tuple[NodeRef, NodeRef]],
-    negatives: list[list[NodeRef]],
-) -> float:
-    cache = forward_states(graph, params, plan)
-    loss, _ = margin_batch_loss(cache, pairs, negatives, params.config.margin)
-    return loss
 
 
 def batch_loss_and_grads(
     graph: HeteroGraph,
     params: HgnnParams,
     plan: NeighborPlan,
-    pairs: list[tuple[NodeRef, NodeRef]],
-    negatives: list[list[NodeRef]],
-) -> tuple[float, dict[str, np.ndarray]]:
+    pairs: np.ndarray,
+    negatives: np.ndarray,
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Loss, parameter gradients and the active-hinge mask of one batch."""
     cache = forward_states(graph, params, plan)
-    loss, dz = margin_batch_loss(cache, pairs, negatives, params.config.margin)
+    loss, dz, active = margin_batch_loss(cache, pairs, negatives, params.config.margin)
     grads = backward_states(graph, params, plan, cache, dz)
-    return loss, grads
+    return loss, grads, active
 
 
 # ---------------------------------------------------------------------------
@@ -459,58 +488,92 @@ def balanced_edge_sample(
     return out
 
 
-def sample_negatives(
-    graph: HeteroGraph,
-    anchor: str | NodeRef,
-    n_neg: int,
-    rng: np.random.Generator,
-) -> list[str]:
-    """Uniform draws (with replacement) over all nodes, rejecting the anchor
-    and its direct neighbors."""
-    refs = _sample_negative_refs(graph, anchor, n_neg, rng)
-    return [graph.nodes[t][i] for t, i in refs]
+def flat_offsets(graph: HeteroGraph) -> dict[str, int]:
+    """Where each node type starts in the flat node numbering, which lists
+    the types in `node_types` order."""
+    sizes = [len(graph.nodes[t]) for t in graph.node_types]
+    return dict(zip(graph.node_types, np.cumsum([0] + sizes[:-1]).tolist()))
 
 
-def _flat_node_list(graph: HeteroGraph) -> list[NodeRef]:
-    cached = getattr(graph, "_flat_node_refs", None)
-    if cached is None:
-        cached = [
-            (t, i) for t in graph.node_types for i in range(len(graph.nodes[t]))
-        ]
-        graph._flat_node_refs = cached
-    return cached
+@dataclass
+class ExclusionIndex:
+    """The flat ids a negative for each anchor may not take (the anchor and
+    its direct neighbors), as sorted unique `anchor * n_nodes + id` keys."""
+
+    n_nodes: int
+    keys: np.ndarray
+    n_candidates: np.ndarray  # per anchor: n_nodes minus its excluded ids
+
+    @classmethod
+    def build(cls, graph: HeteroGraph) -> "ExclusionIndex":
+        offsets = flat_offsets(graph)
+        n = sum(len(ids) for ids in graph.nodes.values())
+        parts = [np.arange(n, dtype=np.int64) * (n + 1)]
+        for (dst, src), csr in graph.adj.items():
+            rows = np.repeat(np.arange(len(csr.indptr) - 1), np.diff(csr.indptr))
+            parts.append((rows + offsets[dst]) * n + csr.indices + offsets[src])
+        keys = np.unique(np.concatenate(parts))
+        return cls(n, keys, n - np.bincount(keys // n, minlength=n))
+
+    def allowed(self, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Mask of `candidates[i, :]` that are valid negatives for `anchors[i]`."""
+        query = anchors[:, None] * self.n_nodes + candidates
+        pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
+        return self.keys[pos] != query
 
 
 def _sample_negative_refs(
-    graph: HeteroGraph,
-    anchor: str | NodeRef,
+    index: ExclusionIndex,
+    anchors: np.ndarray,
     n_neg: int,
     rng: np.random.Generator,
-) -> list[NodeRef]:
-    anchor_ref = graph.node_ref(anchor) if isinstance(anchor, str) else anchor
-    excluded = graph.all_neighbors(*anchor_ref)
-    excluded.add(anchor_ref)
-    flat = _flat_node_list(graph)
-    if len(flat) - len(excluded) < 1:
+) -> np.ndarray:
+    """Per anchor, `n_neg` uniform draws (with replacement) over all nodes,
+    rejecting the anchor and its direct neighbors; flat ids in and out.
+
+    Each anchor in turn draws chunks of max(n_neg, 32) candidates until it
+    has n_neg survivors, and fails after 1000 * n_neg draws. The whole batch
+    draws its first chunks in one call, which yields the same numbers as one
+    call per anchor. When an anchor is short of survivors, the generator is
+    rewound to just after that anchor's first chunk, the anchor tops up
+    alone, and the batch draw resumes with the next anchor.
+    """
+    anchors = np.asarray(anchors, dtype=np.int64)
+    out = np.empty((len(anchors), n_neg), dtype=np.int64)
+    dense = np.flatnonzero(index.n_candidates[anchors] < 1)
+    stop = int(dense[0]) if len(dense) else len(anchors)
+    chunk = max(n_neg, 32)
+    row = 0
+    while n_neg and row < stop:
+        state = rng.bit_generator.state
+        draws = rng.integers(0, index.n_nodes, size=(stop - row, chunk))
+        ok = index.allowed(anchors[row:stop], draws)
+        short = np.flatnonzero(ok.sum(axis=1) < n_neg)
+        done = int(short[0]) if len(short) else stop - row
+        first = ok[:done] & (np.cumsum(ok[:done], axis=1) <= n_neg)
+        out[row : row + done] = draws[:done][first].reshape(done, n_neg)
+        if not len(short):
+            break
+        rng.bit_generator.state = state
+        rng.integers(0, index.n_nodes, size=(done + 1, chunk))
+        anchor = anchors[row + done]
+        found = draws[done][ok[done]]
+        n_drawn, limit = chunk, 1000 * n_neg
+        while len(found) < n_neg:
+            budget = min(limit - n_drawn, chunk)
+            if budget <= 0:
+                raise RuntimeError(
+                    f"negative sampling for anchor {anchor} exceeded {limit} draws"
+                )
+            more = rng.integers(0, index.n_nodes, size=budget)
+            n_drawn += budget
+            found = np.concatenate([found, more[index.allowed(anchor[None], more[None])[0]]])
+        out[row + done] = found[:n_neg]
+        row += done + 1
+    if stop < len(anchors):
         raise RuntimeError(
-            f"no negative candidates for anchor {anchor_ref}: graph too dense"
+            f"no negative candidates for anchor {anchors[stop]}: graph too dense"
         )
-    out: list[NodeRef] = []
-    draws = 0
-    limit = 1000 * n_neg
-    while len(out) < n_neg:
-        budget = min(limit - draws, max(n_neg, 32))
-        if budget <= 0:
-            raise RuntimeError(
-                f"negative sampling for anchor {anchor_ref} exceeded {limit} draws"
-            )
-        for c in rng.integers(0, len(flat), size=budget):
-            draws += 1
-            ref = flat[int(c)]
-            if ref not in excluded:
-                out.append(ref)
-                if len(out) == n_neg:
-                    break
     return out
 
 
@@ -645,6 +708,8 @@ class EpochLog:
     val_loss: float
     wall_time: float
     sampled_edges: dict[str, int]
+    hinge_active_share: float  # active hinge terms over all terms of the epoch's batches
+    fallback_nodes: int | None  # zero-norm rows in the validation forward pass
 
 
 @dataclass
@@ -653,9 +718,13 @@ class HgnnTrainResult:
     log: list[EpochLog]
 
 
-def _edge_pairs(rel: str, i: int, j: int, graph: HeteroGraph) -> tuple[NodeRef, NodeRef]:
-    t1, t2 = rel_types(rel)
-    return (t1, i), (t2, j)
+def _directed_pairs(edges: list[tuple[str, int, int]], offsets: dict[str, int]) -> np.ndarray:
+    """(2E, 2) flat (anchor, positive) ids: each edge (i, j) as (i, j), then (j, i)."""
+    flat = np.array(
+        [(offsets[rel_types(rel)[0]] + i, offsets[rel_types(rel)[1]] + j) for rel, i, j in edges],
+        dtype=np.int64,
+    ).reshape(len(edges), 2)
+    return np.stack([flat, flat[:, ::-1]], axis=1).reshape(-1, 2)
 
 
 def _split_validation_edges(
@@ -673,29 +742,40 @@ def _split_validation_edges(
     return train_pool, val_pool
 
 
+def _validate(
+    graph: HeteroGraph,
+    params: HgnnParams,
+    plan: NeighborPlan,
+    pairs: np.ndarray,
+    negatives: np.ndarray,
+) -> tuple[float, int]:
+    """Validation loss and the number of zero-norm (fallback) output rows; the
+    whole-graph forward cache is dropped on return."""
+    cache = forward_states(graph, params, plan)
+    loss, _, _ = margin_batch_loss(cache, pairs, negatives, params.config.margin)
+    return loss, int(sum(f.sum() for f in cache.fallback.values()))
+
+
 def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainResult:
     """Optimize the margin ranking loss over relation-balanced edge batches.
 
     Each epoch redraws the balanced edge sample and every batch redraws its
-    neighbor plan and negatives. The best parameters by validation loss are
-    kept; training stops after `patience` epochs without improvement.
+    negatives, then its neighbor plan. The best parameters by validation loss
+    are kept; training stops after `patience` epochs without improvement.
     """
     cfg = params.config
     rng = np.random.default_rng(seed)
     train_pool, val_pool = _split_validation_edges(graph, cfg.val_fraction, rng)
     if all(len(p) == 0 for p in train_pool.values()):
         raise ValueError("no training edges after validation split")
+    offsets = flat_offsets(graph)
+    exclusion = ExclusionIndex.build(graph)
 
     # Fixed balanced validation set with fixed negatives, comparable across epochs.
-    val_counts = {rel: len(p) for rel, p in val_pool.items() if len(p) > 0}
-    val_pairs: list[tuple[NodeRef, NodeRef]] = []
-    val_negs: list[list[NodeRef]] = []
-    if val_counts:
-        for rel, i, j in balanced_edge_sample(graph, rng, edge_pool=val_pool):
-            a, b = _edge_pairs(rel, i, j, graph)
-            for anchor, pos in ((a, b), (b, a)):
-                val_pairs.append((anchor, pos))
-                val_negs.append(_sample_negative_refs(graph, anchor, cfg.n_negatives, rng))
+    val_pairs = np.zeros((0, 2), dtype=np.int64)
+    if any(len(p) > 0 for p in val_pool.values()):
+        val_pairs = _directed_pairs(balanced_edge_sample(graph, rng, edge_pool=val_pool), offsets)
+        val_negs = _sample_negative_refs(exclusion, val_pairs[:, 0], cfg.n_negatives, rng)
     val_plan = _inference_plan(graph, cfg)
 
     adam = Adam(learning_rate=cfg.learning_rate)
@@ -717,33 +797,31 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
         sampled_counts: dict[str, int] = {}
         for rel, _, _ in epoch_edges:
             sampled_counts[rel] = sampled_counts.get(rel, 0) + 1
+        edge_pairs = _directed_pairs(epoch_edges, offsets).reshape(-1, 2, 2)
         order = rng.permutation(len(epoch_edges))
         epoch_loss = 0.0
+        n_active = n_terms = 0
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [epoch_edges[int(e)] for e in order[start : start + cfg.batch_size]]
-            pairs: list[tuple[NodeRef, NodeRef]] = []
-            negs: list[list[NodeRef]] = []
-            for rel, i, j in batch:
-                a, b = _edge_pairs(rel, i, j, graph)
-                for anchor, pos in ((a, b), (b, a)):
-                    pairs.append((anchor, pos))
-                    negs.append(_sample_negative_refs(graph, anchor, cfg.n_negatives, rng))
+            pairs = edge_pairs[order[start : start + cfg.batch_size]].reshape(-1, 2)
+            negs = _sample_negative_refs(exclusion, pairs[:, 0], cfg.n_negatives, rng)
             plan = sample_plan(graph, cfg.fanouts, rng)
-            loss, grads = batch_loss_and_grads(graph, params, plan, pairs, negs)
+            loss, grads, active = batch_loss_and_grads(graph, params, plan, pairs, negs)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss in epoch {epoch}, batch {n_batches}"
                 )
             adam.step(params.weights, grads)
             epoch_loss += loss * len(pairs)
+            n_active += int(active.sum())
+            n_terms += active.size
             n_batches += 1
         epoch_loss /= max(1, 2 * len(epoch_edges))
 
-        if val_pairs:
-            val_loss = batch_loss(graph, params, val_plan, val_pairs, val_negs)
+        if len(val_pairs):
+            val_loss, fallback_nodes = _validate(graph, params, val_plan, val_pairs, val_negs)
         else:
-            val_loss = epoch_loss
+            val_loss, fallback_nodes = epoch_loss, None
         log.append(
             EpochLog(
                 epoch=epoch,
@@ -751,6 +829,8 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
                 val_loss=float(val_loss),
                 wall_time=time.perf_counter() - t_start,
                 sampled_edges=sampled_counts,
+                hinge_active_share=n_active / max(1, n_terms),
+                fallback_nodes=fallback_nodes,
             )
         )
         if val_loss < best_val:

@@ -224,8 +224,10 @@ def _write_manifest(
     io.write_json(manifest, manifest_dir / f"{stage}.json")
 
 
-def _seed_of(config: PipelineConfig) -> int:
-    return 0 if config.seed is None else int(config.seed)
+def _seed_of(config: PipelineConfig, stage: str) -> int:
+    if config.seed is None:
+        raise PipelineError(f"{stage} requires a seed (config.seed or --seed)")
+    return int(config.seed)
 
 
 def _load_music_vectors(config: PipelineConfig) -> dict[str, np.ndarray]:
@@ -255,9 +257,7 @@ def _load_split(out_dir: Path) -> DatasetSplit:
 
 
 def stage_synth(config: PipelineConfig, out_dir: Path) -> None:
-    if config.seed is None:
-        raise PipelineError("synth requires a seed (config.seed or --seed)")
-    records, catalog = synth_generate(config.synth, config.seed)
+    records, catalog = synth_generate(config.synth, _seed_of(config, "synth"))
     interactions_path = _artifact(out_dir, "interactions")
     catalog_path = _artifact(out_dir, "catalog")
     save_interactions(records, interactions_path)
@@ -333,30 +333,15 @@ def stage_train_hgnn(config: PipelineConfig, out_dir: Path) -> None:
     graph_path = _require(out_dir, "graph", "build-graph")
     graph = load_graph(graph_path)
     feature_dim = next(iter(graph.features.values())).shape[1]
+    seed = _seed_of(config, "train-hgnn")
     params = HgnnParams.init(
-        config.hgnn,
-        int(feature_dim),
-        graph.node_types,
-        graph.relations,
-        seed=_seed_of(config),
+        config.hgnn, int(feature_dim), graph.node_types, graph.relations, seed=seed
     )
-    result = train_hgnn(graph, params, seed=_seed_of(config))
+    result = train_hgnn(graph, params, seed=seed)
     params_path = _artifact(out_dir, "hgnn_params")
     log_path = _artifact(out_dir, "hgnn_log")
     result.params.save(params_path)
-    io.write_jsonl(
-        (
-            {
-                "epoch": e.epoch,
-                "train_loss": e.train_loss,
-                "val_loss": e.val_loss,
-                "wall_time": e.wall_time,
-                "sampled_edges": e.sampled_edges,
-            }
-            for e in result.log
-        ),
-        log_path,
-    )
+    io.write_jsonl((asdict(e) for e in result.log), log_path)
     _write_manifest(
         out_dir, "train-hgnn", config, [graph_path], [params_path], logs=[log_path]
     )
@@ -400,7 +385,7 @@ def stage_train_2t(config: PipelineConfig, out_dir: Path) -> None:
         music_vectors=_load_music_vectors(config),
         demographics=_load_demographics(config),
     )
-    params, log = train_two_tower(pairs, features, cfg, seed=_seed_of(config))
+    params, log = train_two_tower(pairs, features, cfg, seed=_seed_of(config, "train-2t"))
     params_path = _artifact(out_dir, "tower_params")
     log_path = _artifact(out_dir, "tower_log")
     params.save(params_path)
@@ -563,7 +548,7 @@ def stage_probe(config: PipelineConfig, out_dir: Path) -> dict:
             for i, v in ((i, table.get(i)) for i in content)
             if v is not None
         }
-    seed = _seed_of(config)
+    seed = _seed_of(config, "probe")
     report: dict = {"n_pairs": config.eval.probe_pairs, "target_type": target, "results": {}}
     for source_name, vectors in sources.items():
         report["results"][source_name] = {}

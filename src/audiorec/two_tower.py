@@ -542,9 +542,11 @@ def train_two_tower(
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         n_seen = 0
+        skipped = 0
         for start in range(0, len(order), config.batch_size):
             batch = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            if len(batch) < 2:
+            if len(batch) < 2:  # a lone pair has no in-batch negative
+                skipped += 1
                 continue
             user_feats = [features.users[u] for u, _ in batch]
             item_feats = [features.items[i] for _, i in batch]
@@ -572,7 +574,13 @@ def train_two_tower(
             adam.step(params.weights, grads)
             epoch_loss += loss * len(batch)
             n_seen += len(batch)
-        log.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_seen)})
+        log.append(
+            {
+                "epoch": epoch,
+                "train_loss": epoch_loss / max(1, n_seen),
+                "skipped_batches": skipped,
+            }
+        )
     return params, log
 
 

@@ -10,15 +10,16 @@ outcome.
 import numpy as np
 
 from audiorec.data import CatalogItem, InteractionRecord
-from audiorec.graph import build_colisten_graph
+from audiorec.graph import build_colisten_graph, rel_types
 from audiorec.hgnn import (
+    ExclusionIndex,
     HgnnConfig,
     HgnnParams,
-    _edge_pairs,
     _sample_negative_refs,
-    batch_loss,
     batch_loss_and_grads,
+    flat_offsets,
     forward_states,
+    margin_batch_loss,
     sample_plan,
 )
 from audiorec.two_tower import (
@@ -90,16 +91,22 @@ def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4):
     params = HgnnParams.init(config, d_c, graph.node_types, graph.relations, seed=seed + 1)
     plan_rng = np.random.default_rng(seed + 2)
     plan = sample_plan(graph, config.fanouts, plan_rng)
-    pairs, negs = [], []
+    offsets = flat_offsets(graph)
+    pairs = []
+    for rel in sorted(graph.edges):
+        t1, t2 = rel_types(rel)
+        pairs.extend((offsets[t1] + i, offsets[t2] + j) for i, j in graph.edges[rel][:3])
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     try:
-        for rel in sorted(graph.edges):
-            for i, j in graph.edges[rel][:3]:
-                a, b = _edge_pairs(rel, int(i), int(j), graph)
-                pairs.append((a, b))
-                negs.append(_sample_negative_refs(graph, a, 3, plan_rng))
+        negs = _sample_negative_refs(ExclusionIndex.build(graph), pairs[:, 0], 3, plan_rng)
     except RuntimeError:  # anchor adjacent to everything: degenerate instance
-        return graph, params, plan, [], []
+        return graph, params, plan, pairs[:0], np.zeros((0, 3), dtype=np.int64)
     return graph, params, plan, pairs, negs
+
+
+def batch_loss(graph, params, plan, pairs, negs):
+    cache = forward_states(graph, params, plan)
+    return margin_batch_loss(cache, pairs, negs, params.config.margin)[0]
 
 
 def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
@@ -128,12 +135,10 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
         if np.any(cache.fallback[t]):
             return False
     margin = params.config.margin
-    for (a_ref, p_ref), neg in zip(pairs, negs):
-        za = cache.z[a_ref[0]][a_ref[1]]
-        zp = cache.z[p_ref[0]][p_ref[1]]
-        for n_ref in neg:
-            zn = cache.z[n_ref[0]][n_ref[1]]
-            if abs(zn @ za - zp @ za + margin) < KINK_TOL:
+    z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
+    for (a, p), neg in zip(pairs, negs):
+        for n in neg:
+            if abs(z[n] @ z[a] - z[p] @ z[a] + margin) < KINK_TOL:
                 return False
     return True
 
@@ -141,9 +146,9 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
 def check_hgnn_gradients(seed):
     """Returns (screened_ok, max_rel_error_or_None)."""
     graph, params, plan, pairs, negs = random_hgnn_instance(seed)
-    if not pairs or not hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
+    if not len(pairs) or not hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
         return False, None
-    _, grads = batch_loss_and_grads(graph, params, plan, pairs, negs)
+    _, grads, _ = batch_loss_and_grads(graph, params, plan, pairs, negs)
     err = max_rel_error(
         lambda: batch_loss(graph, params, plan, pairs, negs), params.weights, grads
     )

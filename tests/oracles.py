@@ -4,7 +4,11 @@ Each oracle computes per node or per pair, with plain loops, what the library
 computes batched: the per-seed sampled forward pass against `forward_states`,
 the single-node aggregate and update against its layers, the content-only
 embedding against the isolated-node rows of `embed_catalog`, and the scalar
-losses against the batched margin and in-batch losses.
+losses against the batched margin and in-batch losses. The per-node plan
+sampler, the per-anchor negative sampler, the per-pair margin loss, the
+`reduceat` segment max and the row-wise `np.add.at` backward are what the
+batched training step replaced; it must match them bit for bit, random
+stream included.
 """
 
 from __future__ import annotations
@@ -13,8 +17,223 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from audiorec.graph import HeteroGraph, rel_types
-from audiorec.hgnn import _NORM_FLOOR, HgnnParams, NodeRef, _sample_neighbors
+from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
+from audiorec.hgnn import (
+    _NORM_FLOOR,
+    ExclusionIndex,
+    ForwardCache,
+    HgnnParams,
+    NeighborPlan,
+    _sample_negative_refs,
+    flat_offsets,
+)
+
+NodeRef = tuple[str, int]
+
+
+def all_neighbors(graph: HeteroGraph, node_type: str, idx: int) -> set[NodeRef]:
+    out: set[NodeRef] = set()
+    for (dst, src), csr in graph.adj.items():
+        if dst == node_type:
+            out.update((src, int(j)) for j in csr.neighbors(idx))
+    return out
+
+
+def flat_node_list(graph: HeteroGraph) -> list[NodeRef]:
+    return [(t, i) for t in graph.node_types for i in range(len(graph.nodes[t]))]
+
+
+# ---------------------------------------------------------------------------
+# Loops the batched training step replaced.
+# ---------------------------------------------------------------------------
+
+
+def sample_neighbors(csr: Csr, idx: int, fanout: int, rng: np.random.Generator) -> np.ndarray:
+    neigh = csr.neighbors(idx)
+    if len(neigh) <= fanout:
+        return neigh.copy()
+    pick = rng.choice(len(neigh), size=fanout, replace=False)
+    return np.sort(neigh[pick])
+
+
+def sample_plan_loop(
+    graph: HeteroGraph, fanouts: tuple[int, ...], rng: np.random.Generator
+) -> NeighborPlan:
+    """Per-node `sample_plan`: one `sample_neighbors` call per node."""
+    layers = []
+    for fanout in fanouts:
+        per_layer: dict[tuple[str, str], Csr] = {}
+        for direction in graph.directions():
+            csr = graph.adj[direction]
+            n_dst = len(graph.nodes[direction[0]])
+            if np.all(np.diff(csr.indptr) <= fanout):
+                per_layer[direction] = csr
+                continue
+            chunks = []
+            indptr = [0]
+            for i in range(n_dst):
+                chunks.append(sample_neighbors(csr, i, fanout, rng))
+                indptr.append(indptr[-1] + len(chunks[-1]))
+            indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+            per_layer[direction] = Csr(np.array(indptr, dtype=np.int64), indices.astype(np.int64))
+        layers.append(per_layer)
+    return NeighborPlan(layers)
+
+
+def sample_negative_refs_loop(
+    graph: HeteroGraph, anchor_ref: NodeRef, n_neg: int, rng: np.random.Generator
+) -> list[NodeRef]:
+    """Per-anchor negative sampler: chunks of max(n_neg, 32) draws over the
+    flat node list until n_neg survivors, at most 1000 * n_neg draws."""
+    excluded = all_neighbors(graph, *anchor_ref)
+    excluded.add(anchor_ref)
+    flat = flat_node_list(graph)
+    if len(flat) - len(excluded) < 1:
+        raise RuntimeError(f"no negative candidates for anchor {anchor_ref}: graph too dense")
+    out: list[NodeRef] = []
+    draws = 0
+    limit = 1000 * n_neg
+    while len(out) < n_neg:
+        budget = min(limit - draws, max(n_neg, 32))
+        if budget <= 0:
+            raise RuntimeError(f"negative sampling for anchor {anchor_ref} exceeded {limit} draws")
+        for c in rng.integers(0, len(flat), size=budget):
+            draws += 1
+            ref = flat[int(c)]
+            if ref not in excluded:
+                out.append(ref)
+                if len(out) == n_neg:
+                    break
+    return out
+
+
+def sample_negatives_loop(graph: HeteroGraph):
+    """`_sample_negative_refs` with the library's signature, one anchor at a
+    time through `sample_negative_refs_loop`."""
+    flat = flat_node_list(graph)
+    offsets = flat_offsets(graph)
+
+    def sample(index, anchors, n_neg, rng):
+        rows = [sample_negative_refs_loop(graph, flat[int(a)], n_neg, rng) for a in anchors]
+        return np.array(
+            [[offsets[t] + i for t, i in row] for row in rows], dtype=np.int64
+        ).reshape(len(rows), n_neg)
+
+    return sample
+
+
+def sample_negatives(
+    graph: HeteroGraph, anchor: str, n_neg: int, rng: np.random.Generator
+) -> list[str]:
+    """The library sampler for one anchor, by item id."""
+    t, i = graph.node_ref(anchor)
+    flat = flat_node_list(graph)
+    anchors = np.array([flat_offsets(graph)[t] + i])
+    refs = _sample_negative_refs(ExclusionIndex.build(graph), anchors, n_neg, rng)[0]
+    return [graph.nodes[flat[r][0]][flat[r][1]] for r in refs]
+
+
+def margin_batch_loss_loop(
+    cache: ForwardCache, pairs: np.ndarray, negatives: np.ndarray, margin: float
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Per-pair margin loss over flat ids, one negative at a time."""
+    types = sorted(cache.z)
+    refs = [(t, i) for t in types for i in range(len(cache.z[t]))]
+    z = cache.z
+    dz = {t: np.zeros_like(mat) for t, mat in z.items()}
+    n_pairs = len(pairs)
+    active = np.zeros(negatives.shape, dtype=bool)
+    total = 0.0
+    for row, ((a, p), negs) in enumerate(zip(pairs, negatives)):
+        a_ref, p_ref = refs[a], refs[p]
+        za = z[a_ref[0]][a_ref[1]]
+        zp = z[p_ref[0]][p_ref[1]]
+        s_pos = za @ zp
+        coef = 1.0 / (n_pairs * len(negs))
+        d_za = np.zeros_like(za)
+        d_sum = 0.0
+        for j, n in enumerate(negs):
+            n_ref = refs[n]
+            zn = z[n_ref[0]][n_ref[1]]
+            term = zn @ za - s_pos + margin
+            if term > 0.0:
+                active[row, j] = True
+                total += term / len(negs)
+                d_za += coef * (zn - zp)
+                dz[n_ref[0]][n_ref[1]] += coef * za
+                d_sum += coef
+        dz[a_ref[0]][a_ref[1]] += d_za
+        dz[p_ref[0]][p_ref[1]] += -d_sum * za if d_sum else 0.0
+    return float(total / n_pairs), dz, active
+
+
+def segment_max_reduceat(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_segment_max` through `np.maximum.reduceat`, argfirst as the smallest
+    row index equal to the pooled value."""
+    n = len(indptr) - 1
+    d = values.shape[1]
+    pooled = np.zeros((n, d))
+    argfirst = np.full((n, d), -1, dtype=np.int64)
+    seg_len = np.diff(indptr)
+    nz = np.flatnonzero(seg_len > 0)
+    if values.shape[0] == 0 or len(nz) == 0:
+        return pooled, argfirst
+    starts = indptr[nz]
+    pooled[nz] = np.maximum.reduceat(values, starts, axis=0)
+    seg_of_row = np.repeat(np.arange(n), seg_len)
+    candidates = np.where(
+        values == pooled[seg_of_row], np.arange(values.shape[0])[:, None], values.shape[0]
+    )
+    argfirst[nz] = np.minimum.reduceat(candidates, starts, axis=0)
+    return pooled, argfirst
+
+
+def backward_states_add_at(
+    graph: HeteroGraph,
+    params: HgnnParams,
+    plan: NeighborPlan,
+    cache: ForwardCache,
+    dz: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """`backward_states` with both scatters as row-wise `np.add.at`."""
+    n_layers = params.config.layers
+    grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
+    d_h = {t: np.zeros_like(cache.h[n_layers][t]) for t in graph.node_types}
+    for t in graph.node_types:
+        ok = ~cache.fallback[t]
+        if np.any(ok):
+            zt, g = cache.z[t], dz[t]
+            inner = np.sum(zt[ok] * g[ok], axis=1, keepdims=True)
+            d_h[t][ok] = (g[ok] - zt[ok] * inner) / cache.norms[t][ok][:, None]
+    for k in range(n_layers, 0, -1):
+        d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types}
+        d_pool: dict[str, np.ndarray] = {}
+        for t in graph.node_types:
+            r = d_h[t] * (cache.upd_pre[k - 1][t] > 0.0)
+            grads[f"upd.W.{k}.{t}"] += r.T @ cache.h[k - 1][t]
+            d_prev[t] += r @ params.upd_w(k, t)
+            d_pool[t] = r
+        for direction in graph.directions():
+            dst_type, src_type = direction
+            rel = rel_key(dst_type, src_type)
+            csr = plan.layers[k - 1][direction]
+            m = cache.edge_pre[k - 1][direction]
+            argfirst = cache.argfirst[k - 1][direction]
+            d_a = np.zeros_like(m)
+            mask = argfirst >= 0
+            if np.any(mask):
+                np.add.at(d_a, (argfirst[mask], np.nonzero(mask)[1]), d_pool[dst_type][mask])
+            d_m = d_a * (m > 0.0)
+            grads[f"agg.W.{k}.{rel}"] += d_m.T @ cache.h[k - 1][src_type][csr.indices]
+            grads[f"agg.b.{k}.{rel}"] += d_m.sum(axis=0)
+            np.add.at(d_prev[src_type], csr.indices, d_m @ params.agg_w(k, rel))
+        d_h = d_prev
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# Per-seed forward pass and its layers.
+# ---------------------------------------------------------------------------
 
 
 def src_types_for(graph: HeteroGraph, node_type: str) -> list[str]:
@@ -148,7 +367,7 @@ def sample_neighborhood(
             node_type, idx = ref
             per_src: dict[str, np.ndarray] = {}
             for src in src_types_for(graph, node_type):
-                sample = _sample_neighbors(graph.adj[(node_type, src)], idx, fanouts[k - 1], rng)
+                sample = sample_neighbors(graph.adj[(node_type, src)], idx, fanouts[k - 1], rng)
                 per_src[src] = sample
                 next_need.update((src, int(j)) for j in sample)
             layer_map[ref] = per_src

@@ -1,0 +1,252 @@
+"""The batched HGNN training step against the loops it replaced: equal
+arrays, equal losses and the same random stream, checked through the
+generator's state after each call."""
+
+import numpy as np
+import pytest
+
+from audiorec import hgnn
+from audiorec.graph import Csr, HeteroGraph
+from audiorec.hgnn import (
+    ExclusionIndex,
+    ForwardCache,
+    HgnnConfig,
+    HgnnParams,
+    _inference_plan,
+    _sample_negative_refs,
+    _scatter_add_rows,
+    _segment_max,
+    backward_states,
+    forward_states,
+    margin_batch_loss,
+    sample_plan,
+    train_hgnn,
+)
+
+from helpers_gradcheck import random_hgnn_instance
+from oracles import (
+    backward_states_add_at,
+    flat_node_list,
+    margin_batch_loss_loop,
+    sample_negative_refs_loop,
+    sample_negatives_loop,
+    sample_plan_loop,
+    segment_max_reduceat,
+)
+
+
+def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    return a.bit_generator.state == b.bit_generator.state
+
+
+def assert_plans_equal(got, want):
+    assert len(got.layers) == len(want.layers)
+    for g_layer, w_layer in zip(got.layers, want.layers):
+        assert g_layer.keys() == w_layer.keys()
+        for direction in g_layer:
+            assert np.array_equal(g_layer[direction].indptr, w_layer[direction].indptr)
+            assert np.array_equal(g_layer[direction].indices, w_layer[direction].indices)
+            assert g_layer[direction].indices.dtype == np.int64
+
+
+def star_graph(n_leaves: int, hub_degree: int) -> HeteroGraph:
+    """Podcast 0 joined to podcasts 1..hub_degree; podcasts up to n_leaves
+    exist, the ones past hub_degree isolated."""
+    n = n_leaves + 1
+    leaves = np.arange(1, hub_degree + 1)
+    dst = np.concatenate([np.zeros(hub_degree, dtype=np.int64), leaves])
+    src = np.concatenate([leaves, np.zeros(hub_degree, dtype=np.int64)])
+    order = np.lexsort((src, dst))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n)))).astype(np.int64)
+    return HeteroGraph(
+        nodes={"podcast": [f"p{i:05d}" for i in range(n)]},
+        features={"podcast": np.zeros((n, 2))},
+        adj={("podcast", "podcast"): Csr(indptr, src[order].astype(np.int64))},
+        edges={"pp": np.stack([np.zeros(hub_degree, dtype=np.int64), leaves], axis=1)},
+        relations=("pp",),
+    )
+
+
+class TestPlans:
+    @pytest.mark.parametrize("fanouts", [(1, 2), (3, 3), (8, 8), (50, 50)])
+    def test_matches_per_node_loop(self, small_graph, fanouts):
+        degrees = np.concatenate([np.diff(c.indptr) for c in small_graph.adj.values()])
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        assert_plans_equal(
+            sample_plan(small_graph, fanouts, rng), sample_plan_loop(small_graph, fanouts, ref)
+        )
+        assert same_state(rng, ref)
+        if fanouts == (3, 3):  # rows below, at and above the fanout
+            assert {-1, 0, 1} <= set(np.sign(degrees - 3).tolist())
+
+    def test_no_row_above_fanout_keeps_the_adjacency(self):
+        g = star_graph(4, 4)  # hub degree 4, leaves 1
+        rng = np.random.default_rng(0)
+        plan = sample_plan(g, (4,), rng)
+        assert plan.layers[0][("podcast", "podcast")] is g.adj[("podcast", "podcast")]
+        assert same_state(rng, np.random.default_rng(0))
+
+    def test_capped_inference_plan(self, small_graph, small_hgnn_config):
+        cfg = HgnnConfig(**{**vars(small_hgnn_config), "full_neighborhood_cap": 2})
+        assert max(np.diff(c.indptr).max() for c in small_graph.adj.values()) > 2
+        want = sample_plan_loop(small_graph, (2,), np.random.default_rng(cfg.inference_seed))
+        got = _inference_plan(small_graph, cfg)
+        assert_plans_equal(got, type(got)(want.layers * cfg.layers))
+
+
+class TestNegatives:
+    def check(self, graph, anchors, n_neg, seed):
+        """Batched draw against the per-anchor loop; returns the batched rows."""
+        flat = flat_node_list(graph)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_negative_refs(ExclusionIndex.build(graph), np.array(anchors), n_neg, rng)
+        want = [sample_negative_refs_loop(graph, flat[a], n_neg, ref) for a in anchors]
+        assert [[flat[r] for r in row] for row in got.tolist()] == want
+        assert same_state(rng, ref)
+        return got
+
+    def test_batch_matches_per_anchor_loop(self, small_graph):
+        n = len(flat_node_list(small_graph))
+        anchors = np.random.default_rng(1).integers(0, n, size=300).tolist()
+        for n_neg in (1, 4, 10, 40):
+            self.check(small_graph, anchors, n_neg, seed=n_neg)
+
+    def test_anchor_needing_several_chunks(self):
+        # the hub excludes 97 of 100 nodes: about 1 survivor per 32 draws
+        g = star_graph(99, 96)
+        got = self.check(g, [5, 0, 7, 0, 0, 3], n_neg=6, seed=2)
+        assert set(got[1].tolist()) <= {97, 98, 99}
+
+    def test_too_dense_raises_after_earlier_anchors(self):
+        g = star_graph(3, 3)  # the hub is adjacent to every other node
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(RuntimeError, match="too dense"):
+            _sample_negative_refs(ExclusionIndex.build(g), np.array([1, 2, 0, 3]), 2, rng)
+        sample_negative_refs_loop(g, ("podcast", 1), 2, ref)
+        sample_negative_refs_loop(g, ("podcast", 2), 2, ref)
+        with pytest.raises(RuntimeError, match="too dense"):
+            sample_negative_refs_loop(g, ("podcast", 0), 2, ref)
+        assert same_state(rng, ref)
+
+    def test_draw_limit_raises_with_the_same_stream(self):
+        # one candidate among 3,000 nodes, 1,000 draws allowed for n_neg=1
+        g = star_graph(2999, 2998)
+        index = ExclusionIndex.build(g)
+        raised = 0
+        for seed in range(6):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                got = _sample_negative_refs(index, np.array([1, 0, 2]), 1, rng)
+            except RuntimeError as exc:
+                assert "exceeded 1000 draws" in str(exc)
+                with pytest.raises(RuntimeError, match="exceeded 1000 draws"):
+                    for a in (1, 0, 2):
+                        sample_negative_refs_loop(g, ("podcast", a), 1, ref)
+                raised += 1
+            else:
+                want = [sample_negative_refs_loop(g, ("podcast", a), 1, ref) for a in (1, 0, 2)]
+                assert [[("podcast", r)] for r in got[:, 0].tolist()] == want
+            assert same_state(rng, ref)
+        assert 0 < raised < 6
+
+
+class TestSegmentMax:
+    def check(self, values, indptr):
+        got = _segment_max(values, np.asarray(indptr))
+        want = segment_max_reduceat(values, np.asarray(indptr))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_ties_between_positive_values(self):
+        values = np.array([[2.0, 1.0], [2.0, 3.0], [1.0, 3.0], [5.0, 5.0], [5.0, 4.0], [0.0, 5.0]])
+        self.check(values, [0, 3, 6])
+        pooled, argfirst = _segment_max(values, np.array([0, 3, 6]))
+        assert argfirst.tolist() == [[0, 1], [3, 3]]
+
+    def test_empty_segments(self):
+        values = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, -1.0]])
+        for indptr in ([0, 0, 2, 2, 3, 3], [0, 3], [0, 0, 0, 3]):
+            self.check(values, indptr)
+        self.check(np.zeros((0, 2)), [0, 0, 0])
+        pooled, argfirst = _segment_max(np.zeros((0, 2)), np.array([0, 0]))
+        assert pooled.tolist() == [[0.0, 0.0]] and argfirst.tolist() == [[-1, -1]]
+
+    def test_random_segments_with_ties(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            lens = rng.integers(0, 7, size=int(rng.integers(1, 30)))
+            indptr = np.concatenate(([0], np.cumsum(lens)))
+            values = np.maximum(rng.integers(-2, 4, size=(indptr[-1], 3)), 0).astype(float)
+            self.check(values, indptr)
+
+
+class TestMarginLoss:
+    def test_loss_dz_and_mask_match_per_pair_loop(self):
+        rng = np.random.default_rng(5)
+        z = {}
+        for t, n in (("audiobook", 7), ("podcast", 9)):
+            m = rng.normal(size=(n, 6))
+            z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
+        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        pairs = rng.integers(0, 16, size=(40, 2))  # nodes recur as anchors, positives, negatives
+        negs = rng.integers(0, 16, size=(40, 5))
+        shares = []
+        for margin in (0.0, 0.4, 3.0):
+            loss, dz, active = margin_batch_loss(cache, pairs, negs, margin)
+            want_loss, want_dz, want_active = margin_batch_loss_loop(cache, pairs, negs, margin)
+            assert loss == want_loss
+            assert np.array_equal(active, want_active)
+            for t in z:
+                assert np.array_equal(dz[t], want_dz[t])
+            shares.append(active.mean())
+        assert 0 < shares[0] < shares[1] < shares[2] == 1.0
+
+
+class TestBackward:
+    def test_scatter_matches_row_wise_add_at(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(30, 7))
+        rows = rng.integers(0, 30, size=500)
+        vals = rng.normal(size=(500, 7))
+        got, want = base.copy(), base.copy()
+        _scatter_add_rows(got, rows, vals)
+        np.add.at(want, rows, vals)
+        assert np.array_equal(got, want)
+
+    def test_gradients_match_add_at_backward(self):
+        for seed in range(8):
+            graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+            if not len(pairs):
+                continue
+            cache = forward_states(graph, params, plan)
+            _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
+            got = backward_states(graph, params, plan, cache, dz)
+            want = backward_states_add_at(graph, params, plan, cache, dz)
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+
+
+def test_training_matches_loop_oracles(small_graph, monkeypatch):
+    config = HgnnConfig(
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2
+    )
+
+    def run():
+        params = HgnnParams.init(config, 8, small_graph.node_types, small_graph.relations, seed=7)
+        return train_hgnn(small_graph, params, seed=7)
+
+    batched = run()
+    monkeypatch.setattr(hgnn, "sample_plan", sample_plan_loop)
+    monkeypatch.setattr(hgnn, "_sample_negative_refs", sample_negatives_loop(small_graph))
+    monkeypatch.setattr(hgnn, "margin_batch_loss", margin_batch_loss_loop)
+    monkeypatch.setattr(hgnn, "_segment_max", segment_max_reduceat)
+    monkeypatch.setattr(hgnn, "backward_states", backward_states_add_at)
+    looped = run()
+    assert batched.params.checksum() == looped.params.checksum()
+    for a, b in zip(batched.log, looped.log):
+        assert (a.train_loss, a.val_loss, a.hinge_active_share, a.fallback_nodes) == (
+            b.train_loss,
+            b.val_loss,
+            b.hinge_active_share,
+            b.fallback_nodes,
+        )

@@ -136,6 +136,14 @@ class TestStages:
         with pytest.raises(PipelineError, match="seed"):
             run_stage("synth", config, tmp_path)
 
+    @pytest.mark.parametrize("stage", ["train-hgnn", "train-2t", "probe"])
+    def test_seeded_stages_require_seed(self, pipeline_run, tmp_path, stage):
+        _, out = pipeline_run
+        config = tiny_config()
+        config.seed = None
+        with pytest.raises(PipelineError, match=f"^{stage} requires a seed"):
+            run_stage(stage, config, shutil.copytree(out, tmp_path / "run"))
+
     def test_evaluation_report_shape(self, pipeline_run):
         _, out = pipeline_run
         report = io.read_json(out / "evaluation.json")
@@ -332,6 +340,19 @@ class TestCli:
         assert len(err_lines) == 1
         payload = json.loads(err_lines[0])
         assert "error" in payload and payload["stage"] == "evaluate"
+
+    def test_missing_seed_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        _, out = pipeline_run
+        cfg = tiny_config().to_dict()
+        cfg["seed"] = None
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        assert main(["train-hgnn", "--config", str(cfg_path), "--out", str(run)]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err_lines] == [
+            {"error": "train-hgnn requires a seed (config.seed or --seed)", "stage": "train-hgnn"}
+        ]
 
     def test_recommend_on_truncated_index_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run

@@ -265,6 +265,16 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_two_tower([], features, config, seed=0)
 
+    def test_lone_final_batch_counted_as_skipped(self, small_split, small_synth, small_embeddings):
+        pairs, features, config, _ = small_training_setup(
+            small_split, small_synth, small_embeddings, epochs=2, batch_size=16
+        )
+        assert len(pairs) > 3 * 16
+        _, log = train_two_tower(pairs[: 3 * 16 + 1], features, config, seed=0)
+        assert [e["skipped_batches"] for e in log] == [1, 1]
+        _, log = train_two_tower(pairs[: 3 * 16 + 2], features, config, seed=0)
+        assert [e["skipped_batches"] for e in log] == [0, 0]
+
     def test_frequency_table_positive(self, small_split, small_synth, small_embeddings):
         pairs, features, config, _ = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=1
