@@ -603,33 +603,32 @@ class NodeEmbeddingTable:
         return None if i is None else self.matrix[i]
 
     def save(self, path) -> None:
-        from .io import write_jsonl
-
-        rows = [
+        """Packed container: ids and node types in the header; the float64
+        matrix and the bool flags as arrays."""
+        meta = {"kind": "embeddings", "item_ids": self.item_ids, "node_types": self.node_types}
+        write_pack(
+            path,
+            meta,
             {
-                "item_id": self.item_ids[i],
-                "node_type": self.node_types[i],
-                "vector": [float(x) for x in self.matrix[i]],
-                "inductive": bool(self.inductive[i]),
-                "fallback": bool(self.fallback[i]),
-            }
-            for i in range(len(self.item_ids))
-        ]
-        write_jsonl(rows, path)
+                "matrix": np.asarray(self.matrix, dtype=np.float64),
+                "inductive": np.asarray(self.inductive, dtype=bool),
+                "fallback": np.asarray(self.fallback, dtype=bool),
+            },
+        )
 
     @classmethod
     def load(cls, path) -> "NodeEmbeddingTable":
-        from .io import read_jsonl
-
-        rows = read_jsonl(path)
-        if not rows:
+        meta, arrays = read_pack(path)
+        if meta.get("kind") != "embeddings":
+            raise ValueError(f"{path}: not an embedding table")
+        if not meta["item_ids"]:
             raise ValueError(f"{path}: empty embedding table")
         return cls(
-            item_ids=[r["item_id"] for r in rows],
-            node_types=[r["node_type"] for r in rows],
-            matrix=np.array([r["vector"] for r in rows], dtype=np.float64),
-            inductive=np.array([r["inductive"] for r in rows], dtype=bool),
-            fallback=np.array([r["fallback"] for r in rows], dtype=bool),
+            item_ids=list(meta["item_ids"]),
+            node_types=list(meta["node_types"]),
+            matrix=arrays["matrix"],
+            inductive=arrays["inductive"],
+            fallback=arrays["fallback"],
         )
 
 

@@ -61,13 +61,26 @@ def write_jsonl(records: Iterable[dict], path) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
+    """Every non-blank line of a JSON-lines file. A line that is not a JSON
+    object holding every key in `required` raises ValueError naming the file
+    and its 1-based line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{line_no}: record is not an object")
+            for key in required:
+                if key not in obj:
+                    raise ValueError(f"{path}:{line_no}: missing key {key!r}")
+            out.append(obj)
     return out
 
 

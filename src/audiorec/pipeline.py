@@ -15,8 +15,10 @@ from . import io
 from .analysis import PAIRINGS, pair_similarity_probe, weak_signal_analysis
 from .data import (
     DatasetSplit,
+    InteractionRecord,
     parse_catalog,
     parse_interactions,
+    parse_user_history,
     save_catalog,
     save_interactions,
     timeline_split,
@@ -157,7 +159,7 @@ ARTIFACTS = {
     "graph_stats": "graph_stats.json",
     "hgnn_params": "hgnn_params.bin",
     "hgnn_log": "hgnn_train_log.jsonl",
-    "embeddings": "embeddings.jsonl",
+    "embeddings": "embeddings.bin",
     "tower_params": "tower_params.bin",
     "tower_log": "two_tower_train_log.jsonl",
     "index": "rec_index.bin",
@@ -231,24 +233,35 @@ def _seed_of(config: PipelineConfig, stage: str) -> int:
 
 
 def _load_music_vectors(config: PipelineConfig) -> dict[str, np.ndarray]:
-    if not config.paths.music_vectors:
+    path = config.paths.music_vectors
+    if not path:
         return {}
-    rows = io.read_jsonl(config.paths.music_vectors)
-    return {r["user_id"]: np.asarray(r["vector"], dtype=np.float64) for r in rows}
+    vectors = {}
+    for row in io.read_jsonl(path, required=("user_id", "vector")):
+        try:
+            vectors[row["user_id"]] = np.asarray(row["vector"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: vector of user {row['user_id']!r} is not a float array ({exc})"
+            ) from exc
+    return vectors
 
 
 def _load_demographics(config: PipelineConfig) -> dict[str, tuple[str, str]]:
     if not config.paths.demographics:
         return {}
-    rows = io.read_jsonl(config.paths.demographics)
+    rows = io.read_jsonl(config.paths.demographics, required=("user_id", "country", "age_bucket"))
     return {r["user_id"]: (r["country"], r["age_bucket"]) for r in rows}
+
+
+def _split_time(out_dir: Path) -> int:
+    return io.read_json(_require(out_dir, "split_meta", "split"))["split_time"]
 
 
 def _load_split(out_dir: Path) -> DatasetSplit:
     train = parse_interactions(_require(out_dir, "train", "split")).records
     holdout = parse_interactions(_require(out_dir, "holdout", "split")).records
-    meta = io.read_json(_require(out_dir, "split_meta", "split"))
-    return DatasetSplit(train=train, holdout=holdout, split_time=meta["split_time"])
+    return DatasetSplit(train=train, holdout=holdout, split_time=_split_time(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +379,21 @@ def stage_train_2t(config: PipelineConfig, out_dir: Path) -> None:
     train_path = _require(out_dir, "train", "split")
     catalog_path = _input_path(config, out_dir, "catalog", "synth")
     emb_path = _require(out_dir, "embeddings", "embed")
-    split = _load_split(out_dir)
+    train = parse_interactions(train_path).records
+    split_time = _split_time(out_dir)
     catalog = parse_catalog(catalog_path)
     table = NodeEmbeddingTable.load(emb_path)
     cfg = config.two_tower
-    pairs = build_training_pairs(
-        split.train, cfg.target_type, cfg.window_days, as_of=split.split_time
-    )
+    pairs = build_training_pairs(train, cfg.target_type, cfg.window_days, as_of=split_time)
     if not pairs:
         raise PipelineError("no training pairs: no target-type streams in the train window")
     features = build_feature_set(
         {u for u, _ in pairs},
-        split.train,
+        train,
         catalog,
         table,
         cfg,
-        as_of=split.split_time,
+        as_of=split_time,
         music_vectors=_load_music_vectors(config),
         demographics=_load_demographics(config),
     )
@@ -421,28 +433,42 @@ def stage_build_index(config: PipelineConfig, out_dir: Path) -> None:
 
 
 def _two_tower_recommender(
-    config: PipelineConfig, out_dir: Path, name: str = "two_tower_hgnn"
+    config: PipelineConfig,
+    out_dir: Path,
+    train: list[InteractionRecord],
+    table: NodeEmbeddingTable,
+    split_time: int,
 ) -> TwoTowerRecommender:
-    params = TowerParams.load(_require(out_dir, "tower_params", "train-2t"))
-    index = load_index(_require(out_dir, "index", "build-index"))
-    table = NodeEmbeddingTable.load(_require(out_dir, "embeddings", "embed"))
-    split = _load_split(out_dir)
+    """The served model; `train` holds every record of the users it will serve."""
     return TwoTowerRecommender(
-        params,
-        index,
-        split.train,
+        TowerParams.load(_require(out_dir, "tower_params", "train-2t")),
+        load_index(_require(out_dir, "index", "build-index")),
+        train,
         table,
-        as_of=split.split_time,
+        as_of=split_time,
         music_vectors=_load_music_vectors(config),
         demographics=_load_demographics(config),
-        name=name,
     )
 
 
 def stage_recommend(
     config: PipelineConfig, out_dir: Path, user: str, k: int = 10
 ) -> list[tuple[str, float]]:
-    recommender = _two_tower_recommender(config, out_dir)
+    """Serve one user from the tower checkpoint, the index, the embedding table,
+    the split time and that user's own `train.jsonl` lines. The train file is
+    checked against the hash the split manifest recorded for it."""
+    train_path = _require(out_dir, "train", "split")
+    manifest_path = out_dir / "manifests" / "split.json"
+    if not manifest_path.exists():
+        raise PipelineError(f"missing manifest {manifest_path}: run the 'split' stage first")
+    recorded = io.read_json(manifest_path).get("outputs", {}).get(train_path.name)
+    if recorded is None:
+        raise PipelineError(f"{manifest_path} records no hash for {train_path.name}")
+    history = parse_user_history(train_path, user, recorded)
+    table = NodeEmbeddingTable.load(_require(out_dir, "embeddings", "embed"))
+    recommender = _two_tower_recommender(
+        config, out_dir, history, table, _split_time(out_dir)
+    )
     return recommender.recommend_scored(user, k)
 
 
@@ -453,12 +479,19 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
     segments = user_segments(split)
     target = config.two_tower.target_type
     catalog_ids = {i for i, it in catalog.items() if it.item_type == target}
-    table = NodeEmbeddingTable.load(_require(out_dir, "embeddings", "embed"))
+    emb_path = _require(out_dir, "embeddings", "embed")
+    table = NodeEmbeddingTable.load(emb_path)
+    inputs = [catalog_path, emb_path] + [
+        _artifact(out_dir, name) for name in ("train", "holdout", "split_meta")
+    ]
 
     recommenders = {}
     for model in config.eval.models:
         if model == "two_tower_hgnn":
-            recommenders[model] = _two_tower_recommender(config, out_dir)
+            recommenders[model] = _two_tower_recommender(
+                config, out_dir, split.train, table, split.split_time
+            )
+            inputs += [_artifact(out_dir, "tower_params"), _artifact(out_dir, "index")]
         elif model == "popularity":
             recommenders[model] = PopularityRecommender(
                 split.train, catalog, target, config.two_tower.window_days, split.split_time
@@ -514,9 +547,7 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["model", "segment", "k", "n_users", "hr_at_k", "mrr", "coverage"])
         writer.writerows(rows)
-    _write_manifest(
-        out_dir, "evaluate", config, [catalog_path], [eval_path, csv_path]
-    )
+    _write_manifest(out_dir, "evaluate", config, inputs, [eval_path, csv_path])
     return report
 
 

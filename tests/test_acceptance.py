@@ -224,7 +224,7 @@ def full_pipeline(tmp_path_factory):
 
 def test_criterion_6_normalization_invariants(full_pipeline):
     config, out = full_pipeline
-    table = NodeEmbeddingTable.load(out / "embeddings.jsonl")
+    table = NodeEmbeddingTable.load(out / "embeddings.bin")
     emb_norms = np.linalg.norm(table.matrix, axis=1)
     assert np.all(np.abs(emb_norms - 1.0) < 1e-6)
 
@@ -259,7 +259,7 @@ def test_criterion_7_inductive_path(full_pipeline):
     for ids in graph.nodes.values():
         graph_nodes.update(ids)
 
-    table = NodeEmbeddingTable.load(out / "embeddings.jsonl")
+    table = NodeEmbeddingTable.load(out / "embeddings.bin")
     cold_items = [
         i
         for n, i in enumerate(table.item_ids)

@@ -1,12 +1,15 @@
+import builtins
 import json
+import pathlib
 import shutil
 
 import pytest
 
-from audiorec import io
+from audiorec import data, io, pipeline
 from audiorec.cli import main
+from audiorec.data import parse_interactions
 from audiorec.graph import load_graph
-from audiorec.hgnn import HgnnParams
+from audiorec.hgnn import HgnnParams, NodeEmbeddingTable
 from audiorec.index import load_index
 from audiorec.pipeline import (
     ABLATION_VARIANTS,
@@ -15,6 +18,7 @@ from audiorec.pipeline import (
     run_pipeline,
     run_stage,
 )
+from audiorec.recommenders import TwoTowerRecommender
 from audiorec.two_tower import TowerParams
 
 MODEL_STAGES = (
@@ -107,7 +111,7 @@ class TestStages:
             "holdout.jsonl",
             "graph.bin",
             "hgnn_params.bin",
-            "embeddings.jsonl",
+            "embeddings.bin",
             "tower_params.bin",
             "rec_index.bin",
             "evaluation.json",
@@ -124,6 +128,21 @@ class TestStages:
             assert manifest["seed"] == config.seed
             for name, digest in manifest["outputs"].items():
                 assert io.sha256_file(out / name) == digest
+
+    def test_evaluate_manifest_lists_every_input(self, pipeline_run):
+        _, out = pipeline_run
+        manifest = io.read_json(out / "manifests" / "evaluate.json")
+        assert set(manifest["inputs"]) == {
+            "catalog.jsonl",
+            "train.jsonl",
+            "holdout.jsonl",
+            "split_meta.json",
+            "embeddings.bin",
+            "tower_params.bin",
+            "rec_index.bin",
+        }
+        for name, digest in manifest["inputs"].items():
+            assert io.sha256_file(out / name) == digest
 
     def test_missing_dependency_names_stage(self, tmp_path):
         config = tiny_config()
@@ -165,6 +184,20 @@ class TestStages:
         assert all(isinstance(i, str) and isinstance(s, float) for i, s in res)
         cold = run_stage("recommend", config, out, user="nobody-at-all", k=3)
         assert len(cold) == 3
+
+    def test_recommend_matches_full_history_recommender(self, pipeline_run):
+        config, out = pipeline_run
+        train = parse_interactions(out / "train.jsonl").records
+        full = TwoTowerRecommender(
+            TowerParams.load(out / "tower_params.bin"),
+            load_index(out / "rec_index.bin"),
+            train,
+            NodeEmbeddingTable.load(out / "embeddings.bin"),
+            as_of=io.read_json(out / "split_meta.json")["split_time"],
+        )
+        users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
+        for user in users:
+            assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
 
     def test_split_surfaces_malformed_lines(self, tmp_path):
         config = tiny_config()
@@ -234,6 +267,7 @@ class TestStages:
 
 
 BINARY_ARTIFACTS = {
+    "embeddings.bin": NodeEmbeddingTable.load,
     "graph.bin": load_graph,
     "rec_index.bin": load_index,
     "hgnn_params.bin": HgnnParams.load,
@@ -258,6 +292,13 @@ class TestDamagedArtifacts:
         with pytest.raises(ValueError, match=name):
             BINARY_ARTIFACTS[name](path)
 
+    def test_embeddings_loader_refuses_another_kind(self, pipeline_run, tmp_path):
+        _, out = pipeline_run
+        path = tmp_path / "embeddings.bin"
+        shutil.copyfile(out / "rec_index.bin", path)
+        with pytest.raises(ValueError, match="embeddings.bin: not an embedding table"):
+            NodeEmbeddingTable.load(path)
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical_reports(self, tmp_path):
@@ -275,7 +316,7 @@ class TestDeterminism:
             run_stage(stage, config, out)
         before = {
             name: io.sha256_file(out / name)
-            for name in ("embeddings.jsonl", "tower_params.bin", "rec_index.bin", "evaluation.json")
+            for name in ("embeddings.bin", "tower_params.bin", "rec_index.bin", "evaluation.json")
         }
         # delete downstream artifacts, rerun only downstream stages
         for name in before:
@@ -368,6 +409,113 @@ class TestCli:
         assert len(err_lines) == 1
         payload = json.loads(err_lines[0])
         assert "rec_index.bin" in payload["error"] and payload["stage"] == "recommend"
+
+    @staticmethod
+    def _recommend_error(config, out, tmp_path, capsys) -> str:
+        cfg_path = tmp_path / "config.json"
+        io.write_json(config.to_dict(), cfg_path)
+        code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["stage"] == "recommend"
+        return payload["error"]
+
+    def test_recommend_on_changed_train_file_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "out")
+        rows = io.read_jsonl(run / "train.jsonl")
+        # the same records with ", " / ": " separators
+        (run / "train.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), encoding="utf-8"
+        )
+        assert "train.jsonl" in self._recommend_error(config, run, tmp_path, capsys)
+
+    def test_recommend_without_split_manifest_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "out")
+        (run / "manifests" / "split.json").unlink()
+        assert "split.json" in self._recommend_error(config, run, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "field, rows, expected",
+        [
+            pytest.param(
+                "music_vectors",
+                [{"user_id": "u0000", "vector": [0.5] * 8}, {"user": "u0001", "vector": [0.5] * 8}],
+                "music.jsonl:2: missing key 'user_id'",
+                id="music-without-user_id",
+            ),
+            pytest.param(
+                "music_vectors",
+                [{"user_id": "u0001"}],
+                "music.jsonl:1: missing key 'vector'",
+                id="music-without-vector",
+            ),
+            pytest.param(
+                "music_vectors",
+                [{"user_id": "u0001", "vector": {"x": 1}}],
+                "music.jsonl: vector of user 'u0001' is not a float array",
+                id="music-vector-not-an-array",
+            ),
+            pytest.param(
+                "demographics",
+                [{"user_id": "u0000", "country": "SE", "age_bucket": "25-34"}, {"user_id": "u0001", "country": "SE"}],
+                "demo.jsonl:2: missing key 'age_bucket'",
+                id="demographics-without-age_bucket",
+            ),
+            pytest.param(
+                "demographics",
+                [{"user_id": "u0001", "age_bucket": "25-34"}],
+                "demo.jsonl:1: missing key 'country'",
+                id="demographics-without-country",
+            ),
+            pytest.param(
+                "demographics",
+                [{"user_id": "u0000", "country": "SE", "age_bucket": "25-34"}, ["u0001", "SE", "25-34"]],
+                "demo.jsonl:2: record is not an object",
+                id="demographics-row-not-an-object",
+            ),
+        ],
+    )
+    def test_recommend_on_malformed_user_file_names_the_line(
+        self, pipeline_run, tmp_path, capsys, field, rows, expected
+    ):
+        config, out = pipeline_run
+        path = tmp_path / ("music.jsonl" if field == "music_vectors" else "demo.jsonl")
+        io.write_jsonl(rows, path)
+        config = tiny_config()
+        setattr(config.paths, field, str(path))
+        assert expected in self._recommend_error(config, out, tmp_path, capsys)
+
+    def test_recommend_reads_no_holdout_and_no_full_parse(self, pipeline_run, tmp_path, capsys, monkeypatch):
+        config, out = pipeline_run
+        cfg_path = tmp_path / "config.json"
+        io.write_json(config.to_dict(), cfg_path)
+        opened = []
+        real_open, real_path_open = builtins.open, pathlib.Path.open
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(pathlib.Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        def spy_path_open(self, *args, **kwargs):
+            opened.append(self.name)
+            return real_path_open(self, *args, **kwargs)
+
+        def no_full_parse(path):
+            raise AssertionError(f"parse_interactions({path}) called")
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(pathlib.Path, "open", spy_path_open)
+        monkeypatch.setattr(data, "parse_interactions", no_full_parse)
+        monkeypatch.setattr(pipeline, "parse_interactions", no_full_parse)
+        code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
+        monkeypatch.undo()
+        assert code == 0, capsys.readouterr().err
+        assert "train.jsonl" in opened and "embeddings.bin" in opened
+        assert "holdout.jsonl" not in opened
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out = tmp_path / "o"
