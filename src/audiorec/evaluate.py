@@ -121,6 +121,16 @@ def filtered_recommendations(
     return out
 
 
+def holdout_rankings(
+    recommender, split: DatasetSplit, target_type: str, max_rank: int = MAX_RANK
+) -> dict[str, list[str]]:
+    """The filtered ranking of every user with target-type holdout streams,
+    which both `evaluate` and `tiered_metrics` score."""
+    users = sorted(holdout_relevant_items(split, target_type))
+    consumed = train_consumed_items(split, target_type)
+    return filtered_recommendations(recommender, users, consumed, max_rank)
+
+
 def evaluate(
     recommender,
     split: DatasetSplit,
@@ -129,18 +139,21 @@ def evaluate(
     catalog_ids: set[str],
     k: int = 10,
     max_rank: int = MAX_RANK,
+    rankings: dict[str, list[str]] | None = None,
 ) -> dict[str, MetricsReport]:
     """Score a recommender on holdout streams of the target type.
 
     Returns one report per non-empty segment among warm / cold / all. Raises
-    when no user is evaluable at all.
+    when no user is evaluable at all. `rankings`, when given, are the
+    recommender's `holdout_rankings` and are used instead of asking it again.
     """
     relevant = holdout_relevant_items(split, target_type)
     users = sorted(relevant)
     if not users:
         raise ValueError("no evaluable users: holdout has no target-type streams")
-    consumed = train_consumed_items(split, target_type)
-    recs = filtered_recommendations(recommender, users, consumed, max_rank)
+    recs = rankings if rankings is not None else holdout_rankings(
+        recommender, split, target_type, max_rank
+    )
 
     groups = {
         "warm": [u for u in users if u in segments.warm],
@@ -189,10 +202,11 @@ def tiered_metrics(
     k: int = 10,
     max_rank: int = MAX_RANK,
     n_tiers: int = 5,
+    rankings: dict[str, list[str]] | None = None,
 ) -> dict[str, MetricsReport]:
     """Per-popularity-tier metrics; users contribute to every tier containing
     at least one of their relevant items. Tiers 3-5 combine into the reported
-    long tail."""
+    long tail. `rankings` are as in `evaluate`."""
     relevant = holdout_relevant_items(split, target_type)
     active_items = set().union(*relevant.values()) if relevant else set()
     if len(active_items) < n_tiers:
@@ -202,8 +216,9 @@ def tiered_metrics(
         )
     tiers = popularity_tiers(split, catalog_ids, target_type, n_tiers)
     users = sorted(relevant)
-    consumed = train_consumed_items(split, target_type)
-    recs = filtered_recommendations(recommender, users, consumed, max_rank)
+    recs = rankings if rankings is not None else holdout_rankings(
+        recommender, split, target_type, max_rank
+    )
 
     reports: dict[str, MetricsReport] = {}
     tier_sets = [set(t) for t in tiers]

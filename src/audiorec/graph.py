@@ -225,11 +225,28 @@ def graph_stats(graph: HeteroGraph) -> GraphStats:
     return GraphStats(node_counts, edge_counts, degree_summary)
 
 
+def _edges_from_adj(
+    adj: dict[tuple[str, str], Csr], relations: tuple[str, ...]
+) -> dict[str, np.ndarray]:
+    """Each relation's undirected edge list, read off the adjacency in row
+    order: the upper triangle of a same-type CSR, the audiobook rows of `ap`.
+    Node indices follow item-id order, so this is the sorted (id1, id2) order
+    `build_colisten_graph` lists edges in."""
+    edges = {}
+    for rel in relations:
+        t1, t2 = rel_types(rel)
+        csr = adj[(t1, t2)]
+        rows = np.repeat(np.arange(len(csr.indptr) - 1, dtype=np.int64), np.diff(csr.indptr))
+        pairs = np.stack([rows, csr.indices], axis=1)
+        edges[rel] = pairs[pairs[:, 0] < pairs[:, 1]] if t1 == t2 else pairs
+    return edges
+
+
 def save_graph(graph: HeteroGraph, path) -> None:
-    """Packed container: node ids and relations in the header; features,
-    adjacency and edge lists as arrays."""
+    """Packed container: node ids and relations in the header; features and
+    adjacency as arrays. Edge lists are not stored: `load_graph` derives them
+    from the adjacency."""
     arrays = {f"features.{t}": mat for t, mat in graph.features.items()}
-    arrays.update({f"edges.{rel}": pairs for rel, pairs in graph.edges.items()})
     for (dst, src), csr in graph.adj.items():
         arrays[f"indptr.{dst}.{src}"] = csr.indptr
         arrays[f"indices.{dst}.{src}"] = csr.indices
@@ -246,10 +263,12 @@ def load_graph(path) -> HeteroGraph:
         return {n[len(prefix) :]: a for n, a in arrays.items() if n.startswith(prefix)}
 
     indptr, indices = group("indptr."), group("indices.")
+    adj = {tuple(key.split(".")): Csr(indptr[key], indices[key]) for key in indptr}
+    relations = tuple(meta["relations"])
     return HeteroGraph(
         nodes={t: list(ids) for t, ids in meta["nodes"].items()},
         features=group("features."),
-        adj={tuple(key.split(".")): Csr(indptr[key], indices[key]) for key in indptr},
-        edges=group("edges."),
-        relations=tuple(meta["relations"]),
+        adj=adj,
+        edges=_edges_from_adj(adj, relations),
+        relations=relations,
     )

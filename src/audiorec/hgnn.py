@@ -165,37 +165,176 @@ class NeighborPlan:
     layers: list[dict[tuple[str, str], Csr]]
 
 
-def _subsample_csr(csr: Csr, fanout: int, rng: np.random.Generator) -> Csr:
-    """Rows longer than `fanout` keep `fanout` neighbors drawn uniformly
-    without replacement (one `rng.choice` per such row, in row order), sorted
-    by neighbor id; shorter rows are kept whole."""
+# Up to this population `Generator.choice(pop, size, replace=False)` always
+# uses Floyd's algorithm; past it, large sizes take a partial shuffle instead.
+_FLOYD_MAX_POP = 10000
+# Whether `_choice_sets` reproduces this numpy's `Generator.choice`; decided
+# by `_probe_choice_sets` on the first draw, never at import.
+_CHOICE_SETS_OK: bool | None = None
+
+
+def _choice_loop(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """One `rng.choice(pop, size, replace=False)` per row, concatenated."""
+    picks = [rng.choice(d, size=f, replace=False) for d, f in zip(pops.tolist(), sizes.tolist())]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *picks])
+
+
+def _choice_sets(
+    rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray
+) -> np.ndarray | None:
+    """The values `_choice_loop` returns, each row's in Floyd's draw order
+    rather than shuffled, drawn from one block of raw PCG64 output; `rng` ends
+    in exactly the state `_choice_loop` leaves. Requires `pops > sizes`.
+
+    For `pop <= 10000`, numpy's `choice(pop, f, replace=False)` runs Floyd's
+    algorithm: for j = pop-f .. pop-1 one Lemire-bounded 32-bit draw
+    `(u * (j+1)) >> 32`, a value already taken becoming j. A Fisher-Yates
+    shuffle follows with f-1 more Lemire draws, bounds f-1 .. 1; its swaps do
+    not change the set, so only its draws are consumed. A row thus takes
+    2f-1 `next_uint32` values, the low half of each 64-bit word first, the
+    high half buffered in `has_uint32`/`uinteger`. Returns None with `rng`
+    untouched on another bit generator, a population over 10,000 or a Lemire
+    draw numpy would reject and redraw (about 1e-7 per draw here).
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or (len(pops) and pops.max() > _FLOYD_MAX_POP):
+        return None
+    pops, sizes = pops.astype(np.int64), sizes.astype(np.int64)
+    n_draws = np.maximum(2 * sizes - 1, 0)
+    total = int(n_draws.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    pos = np.arange(total) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
+    f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
+    floyd = pos < f
+    excl = (np.where(floyd, base + pos, 2 * f - 1 - pos) + 1).astype(np.uint64)
+
+    saved = bitgen.state
+    has = saved["has_uint32"]
+    raw = bitgen.random_raw((total - has + 1) // 2)
+    u = np.empty(has + 2 * len(raw), dtype=np.uint64)
+    u[:has] = saved["uinteger"]
+    u[has::2] = raw & 0xFFFFFFFF
+    u[has + 1 :: 2] = raw >> 32
+    m = u[:total] * excl
+    low = m & 0xFFFFFFFF
+    near = low < excl  # the rejection threshold (2**32 - excl) % excl is below excl
+    if near.any() and np.any(low[near] < (2**32 - excl[near]) % excl[near]):
+        bitgen.state = saved
+        return None
+    state = bitgen.state
+    state["has_uint32"] = (total - has) % 2
+    if len(raw):  # numpy leaves the last word's high half here even once it is used
+        state["uinteger"] = int(raw[-1] >> 32)
+    bitgen.state = state
+
+    # Draw k of a row yields v_k, or j_k = base + k when v_k is already taken:
+    # when it repeats an earlier draw of the row, or equals j_t for an earlier
+    # t whose own draw was taken. Repeats show up as equal (row, value) prefixes
+    # of sorted (row, value, k) keys.
+    v, k, base = (m[floyd] >> 32).astype(np.int64), pos[floyd], base[floyd]
+    v_bits, k_bits = int(pops.max()).bit_length(), int(sizes.max()).bit_length()
+    key = np.sort((np.repeat(np.arange(len(sizes)), sizes) << v_bits | v) << k_bits | k)
+    repeats = key[1:][(key[1:] >> k_bits) == (key[:-1] >> k_bits)]
+    row_start = np.cumsum(sizes) - sizes
+    seen = np.zeros(len(v), dtype=bool)
+    seen[row_start[repeats >> (v_bits + k_bits)] + (repeats & ((1 << k_bits) - 1))] = True
+    t = v - base
+    linked = np.flatnonzero((t >= 0) & (t < k))
+    target = linked - k[linked] + t[linked]
+    taken = seen.copy()
+    while True:  # each pass settles one more link of every chain
+        again = seen[linked] | taken[target]
+        if np.array_equal(again, taken[linked]):
+            break
+        taken[linked] = again
+    return np.where(taken, base + k, v)
+
+
+def _probe_choice_sets() -> bool:
+    """Whether `_choice_sets` matches `_choice_loop` in values and final
+    generator state on a fixed probe of 300 rows. Generator streams may change
+    between numpy versions, so this is checked once per process."""
+    gen = np.random.default_rng(20240611)
+    pops = gen.integers(2, 700, size=300)
+    sizes = np.minimum(gen.integers(1, 65, size=300), pops - 1)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    # every row takes an odd number of 32-bit draws, so the second call
+    # starts from a buffered half-word
+    for rows in (slice(0, 1), slice(1, None)):
+        got = _choice_sets(rng, pops[rows], sizes[rows])
+        want = _choice_loop(ref, pops[rows], sizes[rows])
+        if got is None or rng.bit_generator.state != ref.bit_generator.state:
+            return False
+        row = np.repeat(np.arange(len(sizes[rows])), sizes[rows])
+        if not np.array_equal(got[np.lexsort((got, row))], want[np.lexsort((want, row))]):
+            return False
+    return True
+
+
+def _draw_choices(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sets one `rng.choice(pop, size, replace=False)` per row draws, in
+    one bulk draw when this numpy's stream allows it, else call by call."""
+    global _CHOICE_SETS_OK
+    if not len(pops):
+        return np.zeros(0, dtype=np.int64)
+    if _CHOICE_SETS_OK is None:
+        _CHOICE_SETS_OK = _probe_choice_sets()
+    picks = _choice_sets(rng, pops, sizes) if _CHOICE_SETS_OK else None
+    return _choice_loop(rng, pops, sizes) if picks is None else picks
+
+
+def _subsample_csr(csr: Csr, fanout: np.ndarray, rng: np.random.Generator) -> Csr:
+    """Rows longer than their `fanout` entry keep that many neighbors drawn
+    uniformly without replacement, sorted by neighbor id; shorter rows are
+    kept whole.
+
+    Stream contract: the draw uses the same numbers, in the same order, as
+    one `rng.choice(degree, fanout, replace=False)` per such row in row
+    order, and leaves `rng` in the state those calls leave it.
+    """
     degrees = np.diff(csr.indptr)
     big = degrees > fanout
-    if not np.any(big):
-        return csr
-    picks = np.array(
-        [rng.choice(d, size=fanout, replace=False) for d in degrees[big].tolist()],
-        dtype=np.int64,
-    ).reshape(np.count_nonzero(big), fanout)
-    kept = np.minimum(degrees, fanout)
-    indptr = np.concatenate(([0], np.cumsum(kept))).astype(np.int64)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    chosen = csr.indices[csr.indptr[:-1][big][:, None] + picks]
+    kept = np.where(big, fanout, degrees)
+    picks = _draw_choices(rng, degrees[big], fanout[big])
+    chosen = csr.indices[np.repeat(csr.indptr[:-1][big], kept[big]) + picks]
+    row = np.repeat(np.flatnonzero(big), kept[big])
     slot_in_big = np.repeat(big, kept)
-    indices[slot_in_big] = np.sort(chosen, axis=1).ravel()
+    indices = np.empty(int(kept.sum()), dtype=np.int64)
+    # node ids are below 2**32, so one sort orders by row, then id
+    indices[slot_in_big] = np.sort(row << 32 | chosen) & 0xFFFFFFFF
     indices[~slot_in_big] = csr.indices[np.repeat(~big, degrees)]
-    return Csr(indptr, indices)
+    return Csr(np.concatenate(([0], np.cumsum(kept))).astype(np.int64), indices)
 
 
 def sample_plan(
     graph: HeteroGraph, fanouts: tuple[int, ...], rng: np.random.Generator
 ) -> NeighborPlan:
-    """Fresh uniform neighbor sample for every node, per layer and relation."""
+    """Fresh uniform neighbor sample for every node, per layer and relation.
+
+    The (layer, direction) adjacencies are stacked into one CSR, so the whole
+    plan is one `_subsample_csr` draw; an adjacency with no row above its
+    fanout comes back as the same object."""
+    directions = graph.directions()
+    parts = [graph.adj[d] for _ in fanouts for d in directions]
+    n_rows = [len(csr.indptr) - 1 for csr in parts]
+    degrees = np.concatenate([np.zeros(0, dtype=np.int64), *(np.diff(c.indptr) for c in parts)])
+    stacked = Csr(
+        np.concatenate(([0], np.cumsum(degrees))),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(c.indices for c in parts)]),
+    )
+    fanout = np.repeat(np.repeat(np.asarray(fanouts, dtype=np.int64), len(directions)), n_rows)
+    sampled = _subsample_csr(stacked, fanout, rng)
+    csrs, start = [], 0
+    for csr, n in zip(parts, n_rows):
+        indptr = sampled.indptr[start : start + n + 1]
+        if indptr[-1] - indptr[0] < len(csr.indices):
+            csr = Csr(indptr - indptr[0], sampled.indices[indptr[0] : indptr[-1]])
+        csrs.append(csr)
+        start += n
+    n_dirs = len(directions)
     return NeighborPlan(
-        [
-            {d: _subsample_csr(graph.adj[d], fanout, rng) for d in graph.directions()}
-            for fanout in fanouts
-        ]
+        [dict(zip(directions, csrs[i : i + n_dirs])) for i in range(0, len(csrs), n_dirs)]
     )
 
 
@@ -338,6 +477,24 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+def _hinge_loss(
+    z: np.ndarray, pairs: np.ndarray, negatives: np.ndarray, margin: float
+) -> tuple[float, np.ndarray]:
+    """Mean over (anchor, positive) pairs of the summed hinge terms
+    `margin + s(a, n) - s(a, p)`, and the (P, n_neg) mask of active terms.
+    Ids are flat rows of `z`; the loss adds the active terms in pair-major
+    order."""
+    n_pairs, n_neg = negatives.shape
+    za = z[pairs[:, 0]]
+    s_pos = _row_dots(za, z[pairs[:, 1]])
+    terms = np.empty((n_pairs, n_neg))
+    for j in range(n_neg):
+        terms[:, j] = _row_dots(z[negatives[:, j]], za) - s_pos + margin
+    active = terms > 0.0
+    total = np.cumsum(terms[active] / n_neg)[-1] if active.any() else 0.0
+    return float(total / n_pairs), active
+
+
 def margin_batch_loss(
     cache: ForwardCache,
     pairs: np.ndarray,
@@ -354,25 +511,20 @@ def margin_batch_loss(
     """
     types = sorted(cache.z)
     z = np.concatenate([cache.z[t] for t in types])
+    loss, active = _hinge_loss(z, pairs, negatives, margin)
     n_pairs, n_neg = negatives.shape
     anchors, positives = pairs[:, 0], pairs[:, 1]
     za, zp = z[anchors], z[positives]
-    s_pos = _row_dots(za, zp)
     coef = 1.0 / (n_pairs * n_neg)
-    terms = np.empty((n_pairs, n_neg))
     d_za = np.zeros_like(za)
     d_sum = np.zeros(n_pairs)
     # One negative slot at a time, so d_za and d_sum add coef once per active
     # term (k * coef is not coef added k times). Adding +0.0 for an inactive
     # term changes nothing: a sum that starts at +0.0 never becomes -0.0.
     for j in range(n_neg):
-        zn = z[negatives[:, j]]
-        terms[:, j] = _row_dots(zn, za) - s_pos + margin
-        act = terms[:, j] > 0.0
-        d_za += np.where(act[:, None], coef * (zn - zp), 0.0)
+        act = active[:, j]
+        d_za += np.where(act[:, None], coef * (z[negatives[:, j]] - zp), 0.0)
         d_sum += np.where(act, coef, 0.0)
-    active = terms > 0.0
-    total = np.cumsum(terms[active] / n_neg)[-1] if active.any() else 0.0
 
     # Scatter in loop order: each pair's active negatives, its anchor, its positive.
     ends = np.cumsum(active.sum(axis=1) + 2)
@@ -389,7 +541,7 @@ def margin_batch_loss(
     dz = np.zeros_like(z)
     _scatter_add_rows(dz, rows, vals)
     starts = np.cumsum([len(cache.z[t]) for t in types])[:-1]
-    return float(total / n_pairs), dict(zip(types, np.split(dz, starts))), active
+    return loss, dict(zip(types, np.split(dz, starts))), active
 
 
 def backward_states(
@@ -751,7 +903,8 @@ def _validate(
     """Validation loss and the number of zero-norm (fallback) output rows; the
     whole-graph forward cache is dropped on return."""
     cache = forward_states(graph, params, plan)
-    loss, _, _ = margin_batch_loss(cache, pairs, negatives, params.config.margin)
+    z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
+    loss, _ = _hinge_loss(z, pairs, negatives, params.config.margin)
     return loss, int(sum(f.sum() for f in cache.fallback.values()))
 
 

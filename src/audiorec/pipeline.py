@@ -25,7 +25,7 @@ from .data import (
     truncate_history,
     user_segments,
 )
-from .evaluate import evaluate, tiered_metrics
+from .evaluate import evaluate, holdout_rankings, tiered_metrics
 from .graph import REL_KEYS, build_colisten_graph, graph_stats, load_graph, save_graph
 from .hgnn import (
     HgnnConfig,
@@ -516,8 +516,10 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
     }
     rows = []
     for model, rec in recommenders.items():
+        rankings = holdout_rankings(rec, split, target, config.eval.max_rank)
         reports = evaluate(
-            rec, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank
+            rec, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank,
+            rankings=rankings,
         )
         entry = {seg: rep.to_dict() for seg, rep in reports.items()}
         for seg in ("warm", "cold", "all"):
@@ -527,7 +529,7 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
             try:
                 tiers = tiered_metrics(
                     rec, split, segments, target, catalog_ids,
-                    config.eval.k, config.eval.max_rank,
+                    config.eval.k, config.eval.max_rank, rankings=rankings,
                 )
                 entry["tiers"] = {name: rep.to_dict() for name, rep in tiers.items()}
             except ValueError:

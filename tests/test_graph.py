@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import InteractionRecord
+from audiorec.data import InteractionRecord, timeline_split
 from audiorec.graph import build_colisten_graph, graph_stats, load_graph, save_graph
 from audiorec.index import build_index, save_index
+from audiorec.io import read_pack
+from audiorec.synth import SynthConfig, synth_generate
 
 from conftest import make_catalog, stream
 
@@ -213,3 +215,57 @@ class TestSerialization:
         save_index(build_index({"a": np.array([1.0, 0.0])}), p)
         with pytest.raises(ValueError, match="not a graph"):
             load_graph(p)
+
+
+# the synthetic data of the wide-catalog benchmark workload
+WIDE_SYNTH = SynthConfig(
+    n_users=2000,
+    n_podcasts=2000,
+    n_audiobooks=1000,
+    podcast_stream_rate=0.001,
+    audiobook_stream_rate=0.0005,
+    n_cold_items=50,
+)
+
+
+class TestEdgesFromAdjacency:
+    """`graph.bin` stores no edge lists: `load_graph` reads them off the CSR
+    adjacency, and must give back the arrays `build_colisten_graph` made."""
+
+    def check(self, graph, tmp_path):
+        save_graph(graph, tmp_path / "g.bin")
+        loaded = load_graph(tmp_path / "g.bin")
+        assert list(loaded.edges) == list(graph.edges)
+        for rel, pairs in graph.edges.items():
+            assert loaded.edges[rel].dtype == np.int64
+            assert loaded.edges[rel].shape == pairs.shape
+            assert np.array_equal(loaded.edges[rel], pairs), rel
+
+    @pytest.mark.parametrize(
+        "synth,settings",
+        [
+            (SynthConfig(), {}),
+            (SynthConfig(), {"relations": ("pp",)}),
+            (SynthConfig(), {"min_co_users": 2}),
+            (WIDE_SYNTH, {}),
+        ],
+        ids=["default", "pp-only", "min-co-users-2", "wide"],
+    )
+    def test_seed_7_graphs(self, synth, settings, tmp_path):
+        records, catalog = synth_generate(synth, seed=7)
+        graph = build_colisten_graph(timeline_split(records).train, catalog, **settings)
+        assert all(len(pairs) for pairs in graph.edges.values())
+        self.check(graph, tmp_path)
+
+    def test_relation_without_edges(self, tmp_path):
+        catalog = make_catalog()
+        records = [stream("u1", "a1", catalog), stream("u1", "p1", catalog)]
+        records += [stream("u2", "p1", catalog), stream("u2", "p2", catalog)]
+        graph = build_colisten_graph(records, catalog)
+        assert len(graph.edges["aa"]) == 0 and len(graph.edges["ap"]) == 1
+        self.check(graph, tmp_path)
+
+    def test_container_holds_no_edge_arrays(self, small_graph, tmp_path):
+        save_graph(small_graph, tmp_path / "g.bin")
+        _, arrays = read_pack(tmp_path / "g.bin")
+        assert not [name for name in arrays if name.startswith("edges.")]

@@ -2,11 +2,18 @@
 arrays, equal losses and the same random stream, checked through the
 generator's state after each call."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiorec import hgnn
-from audiorec.graph import Csr, HeteroGraph
+from audiorec.graph import Csr, HeteroGraph, load_graph
 from audiorec.hgnn import (
     ExclusionIndex,
     ForwardCache,
@@ -22,6 +29,7 @@ from audiorec.hgnn import (
     sample_plan,
     train_hgnn,
 )
+from audiorec.pipeline import PipelineConfig, run_stage
 
 from helpers_gradcheck import random_hgnn_instance
 from oracles import (
@@ -36,7 +44,10 @@ from oracles import (
 
 
 def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
-    return a.bit_generator.state == b.bit_generator.state
+    def plain(state):  # MT19937 keeps its key as an array
+        return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+    return plain(a.bit_generator.state) == plain(b.bit_generator.state)
 
 
 def assert_plans_equal(got, want):
@@ -92,6 +103,134 @@ class TestPlans:
         want = sample_plan_loop(small_graph, (2,), np.random.default_rng(cfg.inference_seed))
         got = _inference_plan(small_graph, cfg)
         assert_plans_equal(got, type(got)(want.layers * cfg.layers))
+
+
+def generator(bit_generator, buffered: bool) -> np.random.Generator:
+    """A fresh generator; `buffered` starts it with a half-word in its
+    32-bit buffer, as after an odd number of `next_uint32` draws."""
+    rng = np.random.Generator(bit_generator)
+    if buffered:
+        state = rng.bit_generator.state
+        state.update(has_uint32=1, uinteger=0x9E3779B9)
+        rng.bit_generator.state = state
+    return rng
+
+
+def degree_graph(audiobook_degrees: list[int], podcast_degrees: list[int]) -> HeteroGraph:
+    """Two adjacency directions whose rows have the given lengths; the
+    neighbor ids are arbitrary, since only the sampler reads them."""
+
+    def csr(degrees, n_src):
+        indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        return Csr(indptr, np.arange(indptr[-1], dtype=np.int64) % n_src)
+
+    n_a, n_p = len(audiobook_degrees), len(podcast_degrees)
+    return HeteroGraph(
+        nodes={"audiobook": [f"a{i}" for i in range(n_a)], "podcast": [f"p{i}" for i in range(n_p)]},
+        features={"audiobook": np.zeros((n_a, 2)), "podcast": np.zeros((n_p, 2))},
+        adj={
+            ("audiobook", "podcast"): csr(audiobook_degrees, n_p),
+            ("podcast", "podcast"): csr(podcast_degrees, n_p),
+        },
+        edges={},
+        relations=("ap", "pp"),
+    )
+
+
+# default_rng(2869) rejects one of the 127 Lemire draws of
+# choice(9999, 64, replace=False), found by a search over seeds
+REJECTING_SEED, REJECTING_POP, REJECTING_FANOUT = 2869, 9999, 64
+
+
+class TestBulkChoice:
+    """`sample_plan` draws every row's neighbors from one block of raw PCG64
+    output; it must reproduce one `rng.choice` per row, state included."""
+
+    def check(self, graph, fanouts, make_rng):
+        rng, ref = make_rng(), make_rng()
+        assert_plans_equal(sample_plan(graph, fanouts, rng), sample_plan_loop(graph, fanouts, ref))
+        assert same_state(rng, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        audiobook_degrees=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+        podcast_degrees=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+        huge_row=st.booleans(),
+        fanouts=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
+    )
+    def test_matches_per_row_choice(
+        self, audiobook_degrees, podcast_degrees, huge_row, fanouts, seed, buffered
+    ):
+        if huge_row:  # a population past Floyd's range sends the plan to the loop
+            podcast_degrees = podcast_degrees + [10_001 + seed % 50]
+        graph = degree_graph(audiobook_degrees, podcast_degrees)
+        self.check(graph, tuple(fanouts), lambda: generator(np.random.PCG64(seed), buffered))
+
+    def test_rejected_lemire_draw_takes_the_loop(self):
+        pops, sizes = np.array([REJECTING_POP]), np.array([REJECTING_FANOUT])
+        probe = np.random.default_rng(REJECTING_SEED)
+        assert hgnn._choice_sets(probe, pops, sizes) is None  # the premise: a rejection
+        assert same_state(probe, np.random.default_rng(REJECTING_SEED))
+        graph = star_graph(REJECTING_POP, REJECTING_POP)
+        self.check(graph, (REJECTING_FANOUT,), lambda: np.random.default_rng(REJECTING_SEED))
+
+    def test_population_past_floyd_takes_the_loop(self):
+        # past 10,000 numpy shuffles a tail instead once size > pop // 50
+        graph = star_graph(10_001, 10_001)
+        assert hgnn._choice_sets(np.random.default_rng(1), np.array([10_001]), np.array([250])) is None
+        for buffered in (False, True):
+            self.check(graph, (250, 3), lambda: generator(np.random.PCG64(1), buffered))
+
+    def test_other_bit_generator_takes_the_loop(self, small_graph):
+        rng = np.random.Generator(np.random.MT19937(3))
+        assert hgnn._choice_sets(rng, np.array([40]), np.array([5])) is None
+        self.check(small_graph, (3, 3), lambda: np.random.Generator(np.random.MT19937(3)))
+
+    def test_probe_passes_on_installed_numpy(self):
+        assert hgnn._probe_choice_sets()
+
+    def test_probe_does_not_run_at_import(self):
+        # `rec recommend` imports hgnn; the probe's cost belongs to the first draw
+        code = "import audiorec.pipeline, audiorec.hgnn as h; print(h._CHOICE_SETS_OK)"
+        env = {**os.environ, "PYTHONPATH": str(Path(hgnn.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "None"
+
+    def test_failed_probe_keeps_the_loop(self, small_graph, monkeypatch):
+        monkeypatch.setattr(hgnn, "_CHOICE_SETS_OK", None)
+        monkeypatch.setattr(hgnn, "_probe_choice_sets", lambda: False)
+
+        def no_bulk(*args):
+            raise AssertionError("bulk draw used after a failed probe")
+
+        monkeypatch.setattr(hgnn, "_choice_sets", no_bulk)
+        for _ in range(2):
+            self.check(small_graph, (3, 3), lambda: np.random.default_rng(5))
+        assert hgnn._CHOICE_SETS_OK is False
+
+    def test_default_graph_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        config = PipelineConfig(seed=7)
+        for stage in ("synth", "split", "build-graph"):
+            run_stage(stage, config, tmp_path)
+        graph = load_graph(tmp_path / "graph.bin")
+        fanouts = config.hgnn.fanouts
+        monkeypatch.setattr(hgnn, "_CHOICE_SETS_OK", None)
+        # the probe runs on the first draw and calls the loop for its reference
+        sample_plan(graph, fanouts, np.random.default_rng(0))
+        assert hgnn._CHOICE_SETS_OK is True
+
+        def no_loop(*args):
+            raise AssertionError("per-row rng.choice called")
+
+        monkeypatch.setattr(hgnn, "_choice_loop", no_loop)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(5):  # consecutive plans continue one stream
+            assert_plans_equal(sample_plan(graph, fanouts, rng), sample_plan_loop(graph, fanouts, ref))
+        assert same_state(rng, ref)
 
 
 class TestNegatives:
@@ -200,6 +339,18 @@ class TestMarginLoss:
                 assert np.array_equal(dz[t], want_dz[t])
             shares.append(active.mean())
         assert 0 < shares[0] < shares[1] < shares[2] == 1.0
+
+
+    def test_validation_loss_is_the_batch_loss(self):
+        # `_validate` takes the loss without building the gradient
+        for seed in range(4):
+            graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+            if not len(pairs):
+                continue
+            cache = forward_states(graph, params, plan)
+            want, _, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
+            n_fallback = int(sum(f.sum() for f in cache.fallback.values()))
+            assert hgnn._validate(graph, params, plan, pairs, negs) == (want, n_fallback)
 
 
 class TestBackward:

@@ -2,6 +2,7 @@ import builtins
 import json
 import pathlib
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -176,6 +177,24 @@ class TestStages:
         assert warm["n_users"] > 0
         for metric in ("hr_at_k", "mrr", "coverage"):
             assert 0.0 <= warm[metric] <= 1.0
+
+    def test_evaluate_ranks_each_two_tower_user_once(self, pipeline_run, tmp_path, monkeypatch):
+        # the segment metrics and the popularity tiers score the same rankings
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        calls = Counter()
+        recommend = TwoTowerRecommender.recommend
+
+        def counted(self, user_id, k=None):
+            calls[user_id] += 1
+            return recommend(self, user_id, k)
+
+        monkeypatch.setattr(TwoTowerRecommender, "recommend", counted)
+        report = run_stage("evaluate", config, run)
+        assert report["models"]["two_tower_hgnn"]["tiers"] is not None
+        assert len(calls) == report["models"]["two_tower_hgnn"]["all"]["n_users"]
+        assert set(calls.values()) == {1}
+        assert (run / "evaluation.json").read_bytes() == (out / "evaluation.json").read_bytes()
 
     def test_recommend_known_and_unknown_user(self, pipeline_run):
         config, out = pipeline_run
