@@ -1,13 +1,14 @@
 """Two-layer heterogeneous max-pool graph encoder trained with a margin
 ranking loss.
 
-Per layer, each relation transforms sampled neighbor states through its own
-dense layer and pools them with an elementwise max; the node update adds the
-summed relation pools to a type-specific transform of the node's own state,
-and the final state is L2-normalized. Training walks relation-balanced edge
-batches with uniformly resampled neighborhoods. All gradients are computed in
-closed form (reverse mode) and checked against finite differences in the test
-suite.
+Per layer, each relation transforms every source node's state once through
+its own dense layer (node-level pre-activations) and each node max-pools the
+rectified rows of its sampled neighbors; the node update adds the summed
+relation pools to a type-specific transform of the node's own state, and the
+final state is L2-normalized. Backward, each pooled gradient goes to the
+neighbor that achieved the max. Training walks relation-balanced edge batches
+with uniformly resampled neighborhoods. All gradients are computed in closed
+form (reverse mode) and checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -44,12 +45,26 @@ class HgnnConfig:
 
     def __post_init__(self):
         self.fanouts = tuple(self.fanouts)
-        if len(self.fanouts) != self.layers:
-            raise ValueError(
-                f"fanouts {self.fanouts} must list one value per layer ({self.layers})"
-            )
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        for name, rule, ok in (
+            ("layers", ">= 1", self.layers >= 1),
+            (
+                "fanouts",
+                f"one value >= 1 per layer ({self.layers})",
+                len(self.fanouts) == self.layers and min(self.fanouts, default=1) >= 1,
+            ),
+            ("full_neighborhood_cap", ">= 1", self.full_neighborhood_cap >= 1),
+            ("hidden_dim", ">= 1", self.hidden_dim >= 1),
+            ("out_dim", ">= 1", self.out_dim >= 1),
+            ("margin", ">= 0", self.margin >= 0),
+            ("n_negatives", ">= 1", self.n_negatives >= 1),
+            ("learning_rate", "> 0", self.learning_rate > 0),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            ("max_epochs", ">= 1", self.max_epochs >= 1),
+            ("patience", ">= 1", self.patience >= 1),
+            ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
+        ):
+            if not ok:
+                raise ValueError(f"hgnn.{name} must be {rule}, got {getattr(self, name)!r}")
 
     def layer_dims(self, feature_dim: int) -> list[int]:
         return [feature_dim] + [self.hidden_dim] * (self.layers - 1) + [self.out_dim]
@@ -351,14 +366,18 @@ def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
 # ---------------------------------------------------------------------------
 
 
-def _segment_max(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _segment_max(
+    values: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment elementwise max with the first achieving row index.
 
-    Empty segments pool to zero and get argfirst -1. The segments are walked
-    slot by slot, longest first: slot s folds the s-th row of every segment
-    longer than s into the running max with the same `np.maximum` a
-    sequential reduction applies, and moves argfirst only on a strictly
-    greater value, so a tie keeps the earlier row.
+    Segment i pools rows `indptr[i]:indptr[i+1]` of `values[indices]` without
+    building that gathered matrix; argfirst counts positions in it, i.e. edge
+    positions of a CSR. Empty segments pool to zero and get argfirst -1. The
+    segments are walked slot by slot, longest first: slot s folds the s-th
+    row of every segment longer than s into the running max with the same
+    `np.maximum` a sequential reduction applies, and moves argfirst only on a
+    strictly greater value, so a tie keeps the earlier row.
     """
     n = len(indptr) - 1
     d = values.shape[1]
@@ -371,13 +390,13 @@ def _segment_max(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np
     if len(order) == 0:
         return pooled, argfirst
     starts = indptr[order]
-    best = values[starts]
+    best = values[indices[starts]]
     arg = np.repeat(starts[:, None], d, axis=1)
     # segments longer than s form a prefix of `order`
     n_longer = np.searchsorted(-lens, -np.arange(1, lens[0]), side="left")
     for s, k in enumerate(n_longer.tolist(), start=1):
         rows = starts[:k] + s
-        v = values[rows]
+        v = values[indices[rows]]
         head, head_arg = best[:k], arg[:k]
         np.copyto(head_arg, rows[:, None], where=v > head)
         np.maximum(head, v, out=head)
@@ -388,8 +407,13 @@ def _segment_max(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np
 
 @dataclass
 class ForwardCache:
+    """Per layer k (list position k-1): `agg_pre[direction]` is every source
+    node's relation transform `h_src @ W.T + b`, one row per node, not per
+    edge; `argfirst[direction]` is the edge position of each (segment,
+    column)'s first maximizing neighbor, -1 for an empty segment."""
+
     h: list[dict[str, np.ndarray]]
-    edge_pre: list[dict[tuple[str, str], np.ndarray]]
+    agg_pre: list[dict[tuple[str, str], np.ndarray]]
     pooled: list[dict[tuple[str, str], np.ndarray]]
     argfirst: list[dict[tuple[str, str], np.ndarray]]
     upd_pre: list[dict[str, np.ndarray]]
@@ -400,74 +424,41 @@ class ForwardCache:
 
 def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -> ForwardCache:
     """Compute all node states through every layer of the plan."""
-    n_layers = params.config.layers
-    h: list[dict[str, np.ndarray]] = [
-        {t: graph.features[t] for t in graph.node_types}
-    ]
-    edge_pre: list[dict] = []
-    pooled_all: list[dict] = []
-    argfirst_all: list[dict] = []
-    upd_pre_all: list[dict] = []
-    for k in range(1, n_layers + 1):
-        layer_edges: dict[tuple[str, str], np.ndarray] = {}
-        layer_pooled: dict[tuple[str, str], np.ndarray] = {}
-        layer_argfirst: dict[tuple[str, str], np.ndarray] = {}
+    features = {t: graph.features[t] for t in graph.node_types}
+    cache = ForwardCache([features], [], [], [], [], {}, {}, {})
+    for k in range(1, params.config.layers + 1):
+        h = cache.h[-1]
+        agg_pre, pooled, argfirst = {}, {}, {}
         pool_sum: dict[str, np.ndarray] = {}
         for direction in graph.directions():
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
             csr = plan.layers[k - 1][direction]
-            w = params.agg_w(k, rel)
-            b = params.agg_b(k, rel)
-            m = h[k - 1][src_type][csr.indices] @ w.T + b
-            a = np.maximum(m, 0.0)
-            pooled, argfirst = _segment_max(a, csr.indptr)
-            layer_edges[direction] = m
-            layer_pooled[direction] = pooled
-            layer_argfirst[direction] = argfirst
+            p = h[src_type] @ params.agg_w(k, rel).T + params.agg_b(k, rel)
+            agg_pre[direction] = p
+            pooled[direction], argfirst[direction] = _segment_max(
+                np.maximum(p, 0.0), csr.indptr, csr.indices
+            )
             if dst_type in pool_sum:
-                pool_sum[dst_type] = pool_sum[dst_type] + pooled
+                pool_sum[dst_type] = pool_sum[dst_type] + pooled[direction]
             else:
-                pool_sum[dst_type] = pooled
-        layer_h: dict[str, np.ndarray] = {}
-        layer_upd_pre: dict[str, np.ndarray] = {}
-        for t in graph.node_types:
-            w = params.upd_w(k, t)
-            pre = h[k - 1][t] @ w.T
-            if t in pool_sum:
-                pre = pre + pool_sum[t]
-            layer_upd_pre[t] = pre
-            layer_h[t] = np.maximum(pre, 0.0)
-        h.append(layer_h)
-        edge_pre.append(layer_edges)
-        pooled_all.append(layer_pooled)
-        argfirst_all.append(layer_argfirst)
-        upd_pre_all.append(layer_upd_pre)
+                pool_sum[dst_type] = pooled[direction]
+        upd_pre = {t: h[t] @ params.upd_w(k, t).T for t in graph.node_types}
+        for t, total in pool_sum.items():
+            upd_pre[t] = upd_pre[t] + total
+        cache.h.append({t: np.maximum(pre, 0.0) for t, pre in upd_pre.items()})
+        cache.agg_pre.append(agg_pre)
+        cache.pooled.append(pooled)
+        cache.argfirst.append(argfirst)
+        cache.upd_pre.append(upd_pre)
 
-    norms: dict[str, np.ndarray] = {}
-    z: dict[str, np.ndarray] = {}
-    fallback: dict[str, np.ndarray] = {}
-    for t in graph.node_types:
-        hf = h[n_layers][t]
+    for t, hf in cache.h[-1].items():
         n = np.linalg.norm(hf, axis=1)
         bad = n < _NORM_FLOOR
-        safe = np.where(bad, 1.0, n)
-        zt = hf / safe[:, None]
-        if np.any(bad):
-            zt[bad] = 0.0
-            zt[bad, 0] = 1.0
-        norms[t] = n
-        z[t] = zt
-        fallback[t] = bad
-    return ForwardCache(h, edge_pre, pooled_all, argfirst_all, upd_pre_all, norms, z, fallback)
-
-
-def _scatter_add_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """`np.add.at(out, rows, vals)` for 2-D `out`, one column at a time: every
-    element still takes its additions in the order of `rows`, and 1-D add.at
-    is several times faster than the row-wise form."""
-    for j in range(out.shape[1]):
-        np.add.at(out[:, j], rows, vals[:, j])
+        zt = hf / np.where(bad, 1.0, n)[:, None]
+        zt[bad] = np.eye(1, zt.shape[1])  # fallback: the first basis vector
+        cache.norms[t], cache.z[t], cache.fallback[t] = n, zt, bad
+    return cache
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -538,8 +529,10 @@ def margin_batch_loss(
     vals[is_neg] = coef * za[np.nonzero(active)[0]]
     vals[ends - 2] = d_za
     vals[ends - 1] = -d_sum[:, None] * za
-    dz = np.zeros_like(z)
-    _scatter_add_rows(dz, rows, vals)
+    # bincount adds each bin's weights in input order, starting from +0.0
+    d = z.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    dz = np.bincount(flat, weights=vals.ravel(), minlength=z.size).reshape(z.shape)
     starts = np.cumsum([len(cache.z[t]) for t in types])[:-1]
     return loss, dict(zip(types, np.split(dz, starts))), active
 
@@ -579,19 +572,21 @@ def backward_states(
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
             csr = plan.layers[k - 1][direction]
-            m = cache.edge_pre[k - 1][direction]
+            p = cache.agg_pre[k - 1][direction]
             argfirst = cache.argfirst[k - 1][direction]
-            d_a = np.zeros_like(m)
-            mask = argfirst >= 0
-            if np.any(mask):
-                # one first maximizing row per (segment, column): the targets
-                # are distinct, so a store does what an accumulation would
-                d_a[argfirst[mask], np.nonzero(mask)[1]] = d_pool[dst_type][mask]
-            d_m = d_a * (m > 0.0)
-            w = params.agg_w(k, rel)
-            grads[f"agg.W.{k}.{rel}"] += d_m.T @ cache.h[k - 1][src_type][csr.indices]
-            grads[f"agg.b.{k}.{rel}"] += d_m.sum(axis=0)
-            _scatter_add_rows(d_prev[src_type], csr.indices, d_m @ w)
+            # each (segment, column) gradient goes to its first maximizing
+            # source node, through relu' of that node's pre-activation
+            seg, col = np.nonzero(argfirst >= 0)
+            src = csr.indices[argfirst[seg, col]]
+            live = p[src, col] > 0.0
+            d_p = np.bincount(
+                src[live] * p.shape[1] + col[live],
+                weights=d_pool[dst_type][seg[live], col[live]],
+                minlength=p.size,
+            ).reshape(p.shape)
+            grads[f"agg.W.{k}.{rel}"] += d_p.T @ cache.h[k - 1][src_type]
+            grads[f"agg.b.{k}.{rel}"] += d_p.sum(axis=0)
+            d_prev[src_type] += d_p @ params.agg_w(k, rel)
         d_h = d_prev
     return grads
 

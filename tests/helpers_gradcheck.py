@@ -117,12 +117,13 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
         for pre in layer.values():
             if pre.size and np.min(np.abs(pre)) < KINK_TOL:
                 return False
-    for k, layer in enumerate(cache.edge_pre):
-        for direction, pre in layer.items():
+    for k, layer in enumerate(cache.agg_pre):
+        for direction, node_pre in layer.items():
+            csr = plan.layers[k][direction]
+            pre = node_pre[csr.indices]  # one row per sampled edge
             if pre.size and np.min(np.abs(pre)) < KINK_TOL:
                 return False
             act = np.maximum(pre, 0.0)
-            csr = plan.layers[k][direction]
             for i in range(len(csr.indptr) - 1):
                 seg = act[csr.indptr[i] : csr.indptr[i + 1]]
                 if seg.shape[0] < 2:

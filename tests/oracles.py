@@ -5,15 +5,20 @@ computes batched: the per-seed sampled forward pass against `forward_states`,
 the single-node aggregate and update against its layers, the content-only
 embedding against the isolated-node rows of `embed_catalog`, and the scalar
 losses against the batched margin and in-batch losses. The per-node plan
-sampler, the per-anchor negative sampler, the per-pair margin loss, the
-`reduceat` segment max and the row-wise `np.add.at` backward are what the
-batched training step replaced; it must match them bit for bit, random
-stream included.
+sampler, the per-anchor negative sampler, the per-pair margin loss and the
+`reduceat` segment max are what the batched training step replaced; it must
+match them bit for bit, random stream included.
+
+The edge-first forward and its row-wise `np.add.at` backward run every
+relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
+where the library transforms each source node once. The two orders round
+differently, so the library matches them within a stated tolerance, and bit
+for bit where every product and sum is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,14 +193,66 @@ def segment_max_reduceat(values: np.ndarray, indptr: np.ndarray) -> tuple[np.nda
     return pooled, argfirst
 
 
+@dataclass
+class EdgeFirstCache(ForwardCache):
+    """`ForwardCache` of `forward_states_edge_first`, whose `agg_pre` is
+    empty: it keeps each (layer, direction)'s pre-activations per edge row."""
+
+    edge_pre: list[dict[tuple[str, str], np.ndarray]] = field(default_factory=list)
+
+
+def forward_states_edge_first(
+    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan
+) -> EdgeFirstCache:
+    """`forward_states` with every relation transform applied to gathered
+    edge rows and pooled by `segment_max_reduceat`."""
+    n_layers = params.config.layers
+    h = [{t: graph.features[t] for t in graph.node_types}]
+    edge_pre, pooled_all, argfirst_all, upd_pre_all = [], [], [], []
+    for k in range(1, n_layers + 1):
+        layer_pre, layer_pooled, layer_argfirst = {}, {}, {}
+        pool_sum: dict[str, np.ndarray] = {}
+        for direction in graph.directions():
+            dst_type, src_type = direction
+            rel = rel_key(dst_type, src_type)
+            csr = plan.layers[k - 1][direction]
+            m = h[k - 1][src_type][csr.indices] @ params.agg_w(k, rel).T + params.agg_b(k, rel)
+            pooled, argfirst = segment_max_reduceat(np.maximum(m, 0.0), csr.indptr)
+            layer_pre[direction], layer_pooled[direction] = m, pooled
+            layer_argfirst[direction] = argfirst
+            pool_sum[dst_type] = pool_sum[dst_type] + pooled if dst_type in pool_sum else pooled
+        layer_h, layer_upd_pre = {}, {}
+        for t in graph.node_types:
+            pre = h[k - 1][t] @ params.upd_w(k, t).T
+            if t in pool_sum:
+                pre = pre + pool_sum[t]
+            layer_upd_pre[t] = pre
+            layer_h[t] = np.maximum(pre, 0.0)
+        h.append(layer_h)
+        edge_pre.append(layer_pre)
+        pooled_all.append(layer_pooled)
+        argfirst_all.append(layer_argfirst)
+        upd_pre_all.append(layer_upd_pre)
+    norms, z, fallback = {}, {}, {}
+    for t in graph.node_types:  # the library's normalization, unchanged
+        norms[t] = np.linalg.norm(h[n_layers][t], axis=1)
+        fallback[t] = norms[t] < _NORM_FLOOR
+        z[t] = h[n_layers][t] / np.where(fallback[t], 1.0, norms[t])[:, None]
+        z[t][fallback[t]] = np.eye(1, z[t].shape[1])
+    return EdgeFirstCache(
+        h, [], pooled_all, argfirst_all, upd_pre_all, norms, z, fallback, edge_pre=edge_pre
+    )
+
+
 def backward_states_add_at(
     graph: HeteroGraph,
     params: HgnnParams,
     plan: NeighborPlan,
-    cache: ForwardCache,
+    cache: EdgeFirstCache,
     dz: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """`backward_states` with both scatters as row-wise `np.add.at`."""
+    """`backward_states` over the edge rows of `forward_states_edge_first`,
+    both scatters as row-wise `np.add.at`."""
     n_layers = params.config.layers
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
     d_h = {t: np.zeros_like(cache.h[n_layers][t]) for t in graph.node_types}

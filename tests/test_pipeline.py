@@ -414,6 +414,42 @@ class TestCli:
             {"error": "train-hgnn requires a seed (config.seed or --seed)", "stage": "train-hgnn"}
         ]
 
+    @pytest.mark.parametrize(
+        "field, settings",
+        [
+            ("n_negatives", {"n_negatives": 0}),  # was a ZeroDivisionError traceback
+            ("batch_size", {"batch_size": 0}),  # was "range() arg 3 must not be zero"
+            ("max_epochs", {"max_epochs": 0}),  # was exit 0 with the untrained weights saved
+            ("patience", {"patience": 0}),
+            ("hidden_dim", {"hidden_dim": 0}),
+            ("out_dim", {"out_dim": 0}),
+            ("learning_rate", {"learning_rate": 0.0}),
+            ("val_fraction", {"val_fraction": 1.0}),
+            ("val_fraction", {"val_fraction": -0.1}),
+            ("layers", {"layers": 0, "fanouts": []}),  # was exit 0, nothing trained
+            ("fanouts", {"fanouts": [0, 10]}),  # was exit 0, layer 1 blind to the graph
+            ("fanouts", {"fanouts": [15]}),
+            ("full_neighborhood_cap", {"full_neighborhood_cap": 0}),
+        ],
+    )
+    def test_bad_hgnn_setting_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys, field, settings
+    ):
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["hgnn"].update(settings)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        params_before = (run / "hgnn_params.bin").read_bytes()
+        assert main(["train-hgnn", "--config", str(cfg_path), "--out", str(run)]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["stage"] == "train-hgnn"
+        assert f"hgnn.{field} must be" in payload["error"]
+        assert (run / "hgnn_params.bin").read_bytes() == params_before
+
     def test_recommend_on_truncated_index_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
         damaged = tmp_path / "out"
