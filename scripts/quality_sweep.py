@@ -6,8 +6,8 @@ MRR per seed as JSON.
     PYTHONPATH=src python scripts/quality_sweep.py --out out/sweep --json sweep.json
     PYTHONPATH=src python scripts/quality_sweep.py --out out/sweep --against sweep.json
 
-`synth`, `split` and `build-graph` run once at the data seed (default 7); each
-HGNN seed then reruns the model stages, seeded with it, in a copy of those
+`synth`, `split` and `build-graph` run once at data seed 7; each HGNN seed
+(1-8) then reruns the model stages, seeded with it, in a copy of those
 artifacts. `--against FILE` prints every value that differs from an earlier
 sweep's JSON (for example one made on the parent commit), then a count.
 """
@@ -22,15 +22,17 @@ from audiorec.pipeline import PipelineConfig, run_stage
 DATA_STAGES = ("synth", "split", "build-graph")
 MODEL_STAGES = ("train-hgnn", "embed", "train-2t", "build-index", "evaluate")
 METRICS = ("hr_at_k", "mrr")
+DATA_SEED = 7
+SEEDS = range(1, 9)
 
 
-def sweep(config: PipelineConfig, out: Path, data_seed: int, seeds: list[int]) -> dict:
-    base = out / f"data-{data_seed}"
-    config.seed = data_seed
+def sweep(config: PipelineConfig, out: Path) -> dict:
+    base = out / f"data-{DATA_SEED}"
+    config.seed = DATA_SEED
     for stage in DATA_STAGES:
         run_stage(stage, config, base)
-    result = {"data_seed": data_seed, "config_hash": config.hash(), "seeds": {}}
-    for seed in seeds:
+    result = {"data_seed": DATA_SEED, "config_hash": config.hash(), "seeds": {}}
+    for seed in SEEDS:
         run_dir = out / f"hgnn-{seed}"
         shutil.rmtree(run_dir, ignore_errors=True)
         shutil.copytree(base, run_dir)
@@ -63,14 +65,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="out/quality_sweep", help="artifact directory")
     parser.add_argument("--config", help="optional JSON config file")
-    parser.add_argument("--data-seed", type=int, default=7)
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 9)))
     parser.add_argument("--json", help="write the sweep here")
     parser.add_argument("--against", help="an earlier sweep's JSON to compare with")
     args = parser.parse_args()
 
     config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    result = sweep(config, Path(args.out), args.data_seed, args.seeds)
+    result = sweep(config, Path(args.out))
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     if args.against:

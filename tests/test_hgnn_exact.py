@@ -372,19 +372,25 @@ class TestMarginLoss:
 
 class TestBackward:
     def test_scatter_matches_row_wise_add_at(self):
-        # the flat bincount `margin_batch_loss` scatters dz with: each element
-        # takes its additions in the order of `rows`, starting from +0.0
+        # `margin_batch_loss` scatters dz with one flat bincount; the loop
+        # oracle adds row by row in the same order. Rows of z spanning
+        # 1e-8..1e8, with signed-zero columns, make any other order or any
+        # other starting value show in the bytes.
         rng = np.random.default_rng(2)
-        rows = rng.integers(0, 30, size=500)
-        vals = rng.normal(size=(500, 7)) * 10.0 ** rng.integers(-8, 9, size=(500, 1))
-        vals[::7] = -0.0
-        d = vals.shape[1]
-        flat = (rows[:, None] * d + np.arange(d)).ravel()
-        got = np.bincount(flat, weights=vals.ravel(), minlength=30 * d).reshape(30, d)
-        want = np.zeros((30, d))
-        np.add.at(want, rows, vals)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros included
+        z = {}
+        for t, n in (("audiobook", 11), ("podcast", 13)):
+            m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            m[:, ::3] = -0.0
+            z[t] = m
+        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        pairs = rng.integers(0, 24, size=(200, 2))
+        negs = rng.integers(0, 24, size=(200, 4))
+        _, dz, active = margin_batch_loss(cache, pairs, negs, 0.5)
+        _, want, want_active = margin_batch_loss_loop(cache, pairs, negs, 0.5)
+        assert np.array_equal(active, want_active)
+        assert 0 < active.mean() < 1
+        for t in z:
+            assert dz[t].tobytes() == want[t].tobytes()  # signed zeros included
 
     def test_gradients_match_add_at_backward(self):
         # Tolerance contract: the node-first layers round differently from
