@@ -8,8 +8,6 @@ import sys
 
 from .pipeline import PipelineConfig, PipelineError, STAGES, run_stage
 
-_STAGE_NAMES = list(STAGES) + ["recommend"]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -17,7 +15,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Co-listening graph + two-tower recommendation pipeline",
     )
     sub = parser.add_subparsers(dest="stage", required=True)
-    for name in _STAGE_NAMES:
+    for name in STAGES:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")

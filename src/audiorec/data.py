@@ -265,6 +265,17 @@ def timeline_split(
     return DatasetSplit(train=train, holdout=holdout, split_time=int(split_time))
 
 
+def feature_window(
+    records: Iterable[InteractionRecord], window_days: int, as_of: int | None = None
+) -> tuple[int, int]:
+    """`(start, as_of)`: the records that feed features and baselines as of
+    `as_of` are those with `start <= timestamp < as_of`, the `window_days`
+    days before it. `as_of` defaults to one second after the last record."""
+    if as_of is None:
+        as_of = max((r.timestamp for r in records), default=0) + 1
+    return as_of - window_days * DAY_SECONDS, as_of
+
+
 def truncate_history(
     records: list[InteractionRecord], history_days: int
 ) -> list[InteractionRecord]:

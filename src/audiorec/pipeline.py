@@ -8,6 +8,7 @@ import csv
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .two_tower import (
 
 
 class PipelineError(Exception):
-    """Raised for config validation failures and missing stage dependencies."""
+    """Raised for config validation failures and missing or stale stage inputs."""
 
 
 @dataclass
@@ -182,48 +183,7 @@ ABLATION_VARIANTS = {
 }
 
 
-def _artifact(out_dir: Path, name: str) -> Path:
-    return out_dir / ARTIFACTS[name]
-
-
-def _require(out_dir: Path, name: str, produced_by: str) -> Path:
-    path = _artifact(out_dir, name)
-    if not path.exists():
-        raise PipelineError(
-            f"missing artifact {path.name!r}: run the {produced_by!r} stage first"
-        )
-    return path
-
-
-def _input_path(config: PipelineConfig, out_dir: Path, name: str, producer: str) -> Path:
-    configured = getattr(config.paths, name, None)
-    if configured:
-        p = Path(configured)
-        if not p.exists():
-            raise PipelineError(f"configured paths.{name} does not exist: {p}")
-        return p
-    return _require(out_dir, name, producer)
-
-
-def _write_manifest(
-    out_dir: Path,
-    stage: str,
-    config: PipelineConfig,
-    inputs: list[Path],
-    outputs: list[Path],
-    logs: list[Path] | None = None,
-) -> None:
-    manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "stage": stage,
-        "config_hash": config.hash(),
-        "seed": config.seed,
-        "inputs": {p.name: io.sha256_file(p) for p in sorted(inputs)},
-        "outputs": {p.name: io.sha256_file(p) for p in sorted(outputs)},
-        "logs": [p.name for p in sorted(logs or [])],
-    }
-    io.write_json(manifest, manifest_dir / f"{stage}.json")
+Files = dict[str, Path]  # a stage's files by ARTIFACTS key or PathsConfig field
 
 
 def _seed_of(config: PipelineConfig, stage: str) -> int:
@@ -232,9 +192,8 @@ def _seed_of(config: PipelineConfig, stage: str) -> int:
     return int(config.seed)
 
 
-def _load_music_vectors(config: PipelineConfig) -> dict[str, np.ndarray]:
-    path = config.paths.music_vectors
-    if not path:
+def _load_music_vectors(path: Path | None) -> dict[str, np.ndarray]:
+    if path is None:
         return {}
     vectors = {}
     for row in io.read_jsonl(path, required=("user_id", "vector")):
@@ -247,39 +206,51 @@ def _load_music_vectors(config: PipelineConfig) -> dict[str, np.ndarray]:
     return vectors
 
 
-def _load_demographics(config: PipelineConfig) -> dict[str, tuple[str, str]]:
-    if not config.paths.demographics:
+def _load_demographics(path: Path | None) -> dict[str, tuple[str, str]]:
+    if path is None:
         return {}
-    rows = io.read_jsonl(config.paths.demographics, required=("user_id", "country", "age_bucket"))
+    rows = io.read_jsonl(path, required=("user_id", "country", "age_bucket"))
     return {r["user_id"]: (r["country"], r["age_bucket"]) for r in rows}
 
 
-def _split_time(out_dir: Path) -> int:
-    return io.read_json(_require(out_dir, "split_meta", "split"))["split_time"]
+def _split_time(files: Files) -> int:
+    return io.read_json(files["split_meta"])["split_time"]
 
 
-def _load_split(out_dir: Path) -> DatasetSplit:
-    train = parse_interactions(_require(out_dir, "train", "split")).records
-    holdout = parse_interactions(_require(out_dir, "holdout", "split")).records
-    return DatasetSplit(train=train, holdout=holdout, split_time=_split_time(out_dir))
+def _load_split(files: Files) -> DatasetSplit:
+    train = parse_interactions(files["train"]).records
+    holdout = parse_interactions(files["holdout"]).records
+    return DatasetSplit(train=train, holdout=holdout, split_time=_split_time(files))
+
+
+_CSV_METRICS = ("k", "n_users", "hr_at_k", "mrr", "coverage")
+
+
+def _write_segment_csv(path: Path, first_column: str, entries: dict[str, dict]) -> None:
+    """One row per entry and segment (warm, cold, all) that has a report."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([first_column, "segment", *_CSV_METRICS])
+        for name, entry in entries.items():
+            for seg in ("warm", "cold", "all"):
+                rep = entry.get(seg)
+                if rep:
+                    writer.writerow([name, seg, *(rep[m] for m in _CSV_METRICS)])
 
 
 # ---------------------------------------------------------------------------
-# Stages.
+# Stages. Each reads and writes only the files `run_stage` resolved for it.
 # ---------------------------------------------------------------------------
 
 
-def stage_synth(config: PipelineConfig, out_dir: Path) -> None:
+def stage_synth(config: PipelineConfig, files: Files) -> None:
     records, catalog = synth_generate(config.synth, _seed_of(config, "synth"))
-    interactions_path = _artifact(out_dir, "interactions")
-    catalog_path = _artifact(out_dir, "catalog")
-    save_interactions(records, interactions_path)
-    save_catalog(catalog, catalog_path)
-    _write_manifest(out_dir, "synth", config, [], [interactions_path, catalog_path])
+    save_interactions(records, files["interactions"])
+    save_catalog(catalog, files["catalog"])
 
 
-def stage_split(config: PipelineConfig, out_dir: Path) -> None:
-    src = _input_path(config, out_dir, "interactions", "synth")
+def stage_split(config: PipelineConfig, files: Files) -> None:
+    src = files["interactions"]
     parsed = parse_interactions(src)
     if parsed.diagnostics:
         first = parsed.diagnostics[0]
@@ -296,11 +267,8 @@ def stage_split(config: PipelineConfig, out_dir: Path) -> None:
         split_time=config.split.split_time,
         holdout_days=config.split.holdout_days,
     )
-    train_path = _artifact(out_dir, "train")
-    holdout_path = _artifact(out_dir, "holdout")
-    meta_path = _artifact(out_dir, "split_meta")
-    save_interactions(split.train, train_path)
-    save_interactions(split.holdout, holdout_path)
+    save_interactions(split.train, files["train"])
+    save_interactions(split.holdout, files["holdout"])
     io.write_json(
         {
             "split_time": split.split_time,
@@ -308,16 +276,13 @@ def stage_split(config: PipelineConfig, out_dir: Path) -> None:
             "n_holdout": len(split.holdout),
             "n_malformed": len(parsed.diagnostics),
         },
-        meta_path,
+        files["split_meta"],
     )
-    _write_manifest(out_dir, "split", config, [src], [train_path, holdout_path, meta_path])
 
 
-def stage_build_graph(config: PipelineConfig, out_dir: Path) -> None:
-    train_path = _require(out_dir, "train", "split")
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    train = parse_interactions(train_path).records
-    catalog = parse_catalog(catalog_path)
+def stage_build_graph(config: PipelineConfig, files: Files) -> None:
+    train = parse_interactions(files["train"]).records
+    catalog = parse_catalog(files["catalog"])
     graph = build_colisten_graph(
         train,
         catalog,
@@ -325,9 +290,7 @@ def stage_build_graph(config: PipelineConfig, out_dir: Path) -> None:
         relations=config.graph.relations,
         include_all_signals=config.graph.edges_from_all_signals,
     )
-    graph_path = _artifact(out_dir, "graph")
-    stats_path = _artifact(out_dir, "graph_stats")
-    save_graph(graph, graph_path)
+    save_graph(graph, files["graph"])
     stats = graph_stats(graph)
     io.write_json(
         {
@@ -335,54 +298,34 @@ def stage_build_graph(config: PipelineConfig, out_dir: Path) -> None:
             "edge_counts": stats.edge_counts,
             "degree_summary": stats.degree_summary,
         },
-        stats_path,
-    )
-    _write_manifest(
-        out_dir, "build-graph", config, [train_path, catalog_path], [graph_path, stats_path]
+        files["graph_stats"],
     )
 
 
-def stage_train_hgnn(config: PipelineConfig, out_dir: Path) -> None:
-    graph_path = _require(out_dir, "graph", "build-graph")
-    graph = load_graph(graph_path)
+def stage_train_hgnn(config: PipelineConfig, files: Files) -> None:
+    graph = load_graph(files["graph"])
     feature_dim = next(iter(graph.features.values())).shape[1]
     seed = _seed_of(config, "train-hgnn")
     params = HgnnParams.init(
         config.hgnn, int(feature_dim), graph.node_types, graph.relations, seed=seed
     )
     result = train_hgnn(graph, params, seed=seed)
-    params_path = _artifact(out_dir, "hgnn_params")
-    log_path = _artifact(out_dir, "hgnn_log")
-    result.params.save(params_path)
-    io.write_jsonl((asdict(e) for e in result.log), log_path)
-    _write_manifest(
-        out_dir, "train-hgnn", config, [graph_path], [params_path], logs=[log_path]
-    )
+    result.params.save(files["hgnn_params"])
+    io.write_jsonl((asdict(e) for e in result.log), files["hgnn_log"])
 
 
-def stage_embed(config: PipelineConfig, out_dir: Path) -> None:
-    graph_path = _require(out_dir, "graph", "build-graph")
-    params_path = _require(out_dir, "hgnn_params", "train-hgnn")
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    graph = load_graph(graph_path)
-    params = HgnnParams.load(params_path)
-    catalog = parse_catalog(catalog_path)
-    table = embed_catalog(graph, params, catalog)
-    emb_path = _artifact(out_dir, "embeddings")
-    table.save(emb_path)
-    _write_manifest(
-        out_dir, "embed", config, [graph_path, params_path, catalog_path], [emb_path]
-    )
+def stage_embed(config: PipelineConfig, files: Files) -> None:
+    graph = load_graph(files["graph"])
+    params = HgnnParams.load(files["hgnn_params"])
+    catalog = parse_catalog(files["catalog"])
+    embed_catalog(graph, params, catalog).save(files["embeddings"])
 
 
-def stage_train_2t(config: PipelineConfig, out_dir: Path) -> None:
-    train_path = _require(out_dir, "train", "split")
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    emb_path = _require(out_dir, "embeddings", "embed")
-    train = parse_interactions(train_path).records
-    split_time = _split_time(out_dir)
-    catalog = parse_catalog(catalog_path)
-    table = NodeEmbeddingTable.load(emb_path)
+def stage_train_2t(config: PipelineConfig, files: Files) -> None:
+    train = parse_interactions(files["train"]).records
+    split_time = _split_time(files)
+    catalog = parse_catalog(files["catalog"])
+    table = NodeEmbeddingTable.load(files["embeddings"])
     cfg = config.two_tower
     pairs = build_training_pairs(train, cfg.target_type, cfg.window_days, as_of=split_time)
     if not pairs:
@@ -394,104 +337,65 @@ def stage_train_2t(config: PipelineConfig, out_dir: Path) -> None:
         table,
         cfg,
         as_of=split_time,
-        music_vectors=_load_music_vectors(config),
-        demographics=_load_demographics(config),
+        music_vectors=_load_music_vectors(files.get("music_vectors")),
+        demographics=_load_demographics(files.get("demographics")),
     )
     params, log = train_two_tower(pairs, features, cfg, seed=_seed_of(config, "train-2t"))
-    params_path = _artifact(out_dir, "tower_params")
-    log_path = _artifact(out_dir, "tower_log")
-    params.save(params_path)
-    io.write_jsonl(log, log_path)
-    _write_manifest(
-        out_dir,
-        "train-2t",
-        config,
-        [train_path, catalog_path, emb_path],
-        [params_path],
-        logs=[log_path],
-    )
+    params.save(files["tower_params"])
+    io.write_jsonl(log, files["tower_log"])
 
 
-def stage_build_index(config: PipelineConfig, out_dir: Path) -> None:
-    params_path = _require(out_dir, "tower_params", "train-2t")
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    emb_path = _require(out_dir, "embeddings", "embed")
-    params = TowerParams.load(params_path)
-    catalog = parse_catalog(catalog_path)
-    table = NodeEmbeddingTable.load(emb_path)
-    vectors = export_item_vectors(params, catalog, table)
-    index = build_index(vectors)
-    index_path = _artifact(out_dir, "index")
-    save_index(index, index_path)
-    _write_manifest(
-        out_dir,
-        "build-index",
-        config,
-        [params_path, catalog_path, emb_path],
-        [index_path],
-    )
+def stage_build_index(config: PipelineConfig, files: Files) -> None:
+    params = TowerParams.load(files["tower_params"])
+    catalog = parse_catalog(files["catalog"])
+    table = NodeEmbeddingTable.load(files["embeddings"])
+    save_index(build_index(export_item_vectors(params, catalog, table)), files["index"])
 
 
 def _two_tower_recommender(
-    config: PipelineConfig,
-    out_dir: Path,
+    files: Files,
     train: list[InteractionRecord],
     table: NodeEmbeddingTable,
     split_time: int,
 ) -> TwoTowerRecommender:
     """The served model; `train` holds every record of the users it will serve."""
     return TwoTowerRecommender(
-        TowerParams.load(_require(out_dir, "tower_params", "train-2t")),
-        load_index(_require(out_dir, "index", "build-index")),
+        TowerParams.load(files["tower_params"]),
+        load_index(files["index"]),
         train,
         table,
         as_of=split_time,
-        music_vectors=_load_music_vectors(config),
-        demographics=_load_demographics(config),
+        music_vectors=_load_music_vectors(files.get("music_vectors")),
+        demographics=_load_demographics(files.get("demographics")),
     )
 
 
 def stage_recommend(
-    config: PipelineConfig, out_dir: Path, user: str, k: int = 10
+    config: PipelineConfig, files: Files, recorded: dict[str, str], user: str, k: int = 10
 ) -> list[tuple[str, float]]:
     """Serve one user from the tower checkpoint, the index, the embedding table,
-    the split time and that user's own `train.jsonl` lines. The train file is
-    checked against the hash the split manifest recorded for it."""
-    train_path = _require(out_dir, "train", "split")
-    manifest_path = out_dir / "manifests" / "split.json"
-    if not manifest_path.exists():
-        raise PipelineError(f"missing manifest {manifest_path}: run the 'split' stage first")
-    recorded = io.read_json(manifest_path).get("outputs", {}).get(train_path.name)
-    if recorded is None:
-        raise PipelineError(f"{manifest_path} records no hash for {train_path.name}")
-    history = parse_user_history(train_path, user, recorded)
-    table = NodeEmbeddingTable.load(_require(out_dir, "embeddings", "embed"))
-    recommender = _two_tower_recommender(
-        config, out_dir, history, table, _split_time(out_dir)
-    )
+    the split time and that user's own `train.jsonl` lines. The train file must
+    hash to the digest the split stage `recorded` for it."""
+    history = parse_user_history(files["train"], user, recorded[files["train"].name])
+    table = NodeEmbeddingTable.load(files["embeddings"])
+    recommender = _two_tower_recommender(files, history, table, _split_time(files))
     return recommender.recommend_scored(user, k)
 
 
-def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    catalog = parse_catalog(catalog_path)
-    split = _load_split(out_dir)
+def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
+    catalog = parse_catalog(files["catalog"])
+    split = _load_split(files)
     segments = user_segments(split)
     target = config.two_tower.target_type
     catalog_ids = {i for i, it in catalog.items() if it.item_type == target}
-    emb_path = _require(out_dir, "embeddings", "embed")
-    table = NodeEmbeddingTable.load(emb_path)
-    inputs = [catalog_path, emb_path] + [
-        _artifact(out_dir, name) for name in ("train", "holdout", "split_meta")
-    ]
+    table = NodeEmbeddingTable.load(files["embeddings"])
 
     recommenders = {}
     for model in config.eval.models:
         if model == "two_tower_hgnn":
             recommenders[model] = _two_tower_recommender(
-                config, out_dir, split.train, table, split.split_time
+                files, split.train, table, split.split_time
             )
-            inputs += [_artifact(out_dir, "tower_params"), _artifact(out_dir, "index")]
         elif model == "popularity":
             recommenders[model] = PopularityRecommender(
                 split.train, catalog, target, config.two_tower.window_days, split.split_time
@@ -514,7 +418,6 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
         "target_type": target,
         "models": {},
     }
-    rows = []
     for model, rec in recommenders.items():
         rankings = holdout_rankings(rec, split, target, config.eval.max_rank)
         reports = evaluate(
@@ -535,47 +438,29 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path) -> dict:
             except ValueError:
                 entry["tiers"] = None
         report["models"][model] = entry
-        for seg in ("warm", "cold", "all"):
-            rep = entry.get(seg)
-            if rep:
-                rows.append(
-                    [model, seg, rep["k"], rep["n_users"], rep["hr_at_k"], rep["mrr"], rep["coverage"]]
-                )
 
-    eval_path = _artifact(out_dir, "evaluation")
-    csv_path = _artifact(out_dir, "evaluation_csv")
-    io.write_json(report, eval_path)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "segment", "k", "n_users", "hr_at_k", "mrr", "coverage"])
-        writer.writerows(rows)
-    _write_manifest(out_dir, "evaluate", config, inputs, [eval_path, csv_path])
+    io.write_json(report, files["evaluation"])
+    _write_segment_csv(files["evaluation_csv"], "model", report["models"])
     return report
 
 
-def stage_weak_signals(config: PipelineConfig, out_dir: Path) -> dict:
-    src = _input_path(config, out_dir, "interactions", "synth")
-    records = parse_interactions(src).records
+def stage_weak_signals(config: PipelineConfig, files: Files) -> dict:
+    records = parse_interactions(files["interactions"]).records
     report = weak_signal_analysis(records).to_dict()
-    path = _artifact(out_dir, "weak_signals")
-    io.write_json(report, path)
-    _write_manifest(out_dir, "weak-signals", config, [src], [path])
+    io.write_json(report, files["weak_signals"])
     return report
 
 
-def stage_probe(config: PipelineConfig, out_dir: Path) -> dict:
-    catalog_path = _input_path(config, out_dir, "catalog", "synth")
-    graph_path = _require(out_dir, "graph", "build-graph")
-    catalog = parse_catalog(catalog_path)
-    graph = load_graph(graph_path)
+def stage_probe(config: PipelineConfig, files: Files) -> dict:
+    catalog = parse_catalog(files["catalog"])
+    graph = load_graph(files["graph"])
     target = config.two_tower.target_type
     content = {
         i: it.content_vector for i, it in catalog.items() if it.item_type == target
     }
     sources = {"content": content}
-    emb_path = _artifact(out_dir, "embeddings")
-    if emb_path.exists():
-        table = NodeEmbeddingTable.load(emb_path)
+    if "embeddings" in files:
+        table = NodeEmbeddingTable.load(files["embeddings"])
         sources["hgnn"] = {
             i: v
             for i, v in ((i, table.get(i)) for i in content)
@@ -593,95 +478,197 @@ def stage_probe(config: PipelineConfig, out_dir: Path) -> dict:
                 report["results"][source_name][pairing] = summary.to_dict()
             except ValueError as exc:
                 report["results"][source_name][pairing] = {"error": str(exc)}
-    path = _artifact(out_dir, "probe")
-    io.write_json(report, path)
-    _write_manifest(out_dir, "probe", config, [catalog_path, graph_path], [path])
+    io.write_json(report, files["probe"])
     return report
 
 
-_MODEL_STAGES = ("split", "build-graph", "train-hgnn", "embed", "train-2t", "build-index")
-
-
-def stage_ablate(config: PipelineConfig, out_dir: Path) -> dict:
-    interactions = _input_path(config, out_dir, "interactions", "synth")
-    catalog = _input_path(config, out_dir, "catalog", "synth")
+def stage_ablate(config: PipelineConfig, files: Files) -> dict:
     if config.eval.ablation_manifest:
         manifest = io.read_json(config.eval.ablation_manifest)
         if not isinstance(manifest, dict):
             raise PipelineError("ablation manifest must map variant names to overrides")
     else:
         manifest = ABLATION_VARIANTS
-    rows = []
     report: dict = {"config_hash": config.hash(), "seed": config.seed, "variants": {}}
     for name, overrides in manifest.items():
         variant_config = config.with_overrides(overrides)
-        variant_config.paths.interactions = str(interactions)
-        variant_config.paths.catalog = str(catalog)
-        variant_dir = out_dir / "ablations" / name
-        variant_dir.mkdir(parents=True, exist_ok=True)
-        io.write_json(variant_config.to_dict(), variant_dir / "resolved_config.json")
-        for stage in _MODEL_STAGES:
-            STAGES[stage](variant_config, variant_dir)
-        result = stage_evaluate(variant_config, variant_dir)
-        entry = result["models"]["two_tower_hgnn"]
-        report["variants"][name] = entry
-        for seg in ("warm", "cold", "all"):
-            rep = entry.get(seg)
-            if rep:
-                rows.append(
-                    [name, seg, rep["k"], rep["n_users"], rep["hr_at_k"], rep["mrr"], rep["coverage"]]
-                )
-    path = _artifact(out_dir, "ablation")
-    csv_path = _artifact(out_dir, "ablation_csv")
-    io.write_json(report, path)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "segment", "k", "n_users", "hr_at_k", "mrr", "coverage"])
-        writer.writerows(rows)
-    _write_manifest(out_dir, "ablate", config, [interactions, catalog], [path, csv_path])
+        variant_config.paths.interactions = str(files["interactions"])
+        variant_config.paths.catalog = str(files["catalog"])
+        variant_dir = files["ablation"].parent / "ablations" / name
+        for stage in _DAILY[1:]:  # split through evaluate, on this run's synth files
+            result = run_stage(stage, variant_config, variant_dir)
+        report["variants"][name] = result["models"]["two_tower_hgnn"]
+    io.write_json(report, files["ablation"])
+    _write_segment_csv(files["ablation_csv"], "variant", report["variants"])
     return report
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A stage function and its files, by `ARTIFACTS` key or, for a file only
+    a config supplies, `PathsConfig` field. `optional` inputs are read when
+    present. `logs` are listed in the manifest but not hashed. A stage
+    without outputs is a query and writes no manifest."""
+
+    run: Callable
+    inputs: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
+    logs: tuple[str, ...] = ()
+
+
+_USER_FILES = ("music_vectors", "demographics")
+
+# In daily-pipeline order: `run_pipeline` runs synth through evaluate.
 STAGES = {
-    "synth": stage_synth,
-    "split": stage_split,
-    "build-graph": stage_build_graph,
-    "train-hgnn": stage_train_hgnn,
-    "embed": stage_embed,
-    "train-2t": stage_train_2t,
-    "build-index": stage_build_index,
-    "evaluate": stage_evaluate,
-    "ablate": stage_ablate,
-    "weak-signals": stage_weak_signals,
-    "probe": stage_probe,
+    "synth": Stage(stage_synth, outputs=("interactions", "catalog")),
+    "split": Stage(stage_split, ("interactions",), outputs=("train", "holdout", "split_meta")),
+    "build-graph": Stage(stage_build_graph, ("train", "catalog"), outputs=("graph", "graph_stats")),
+    "train-hgnn": Stage(
+        stage_train_hgnn, ("graph",), outputs=("hgnn_params",), logs=("hgnn_log",)
+    ),
+    "embed": Stage(stage_embed, ("graph", "hgnn_params", "catalog"), outputs=("embeddings",)),
+    "train-2t": Stage(
+        stage_train_2t,
+        ("train", "split_meta", "catalog", "embeddings"),
+        _USER_FILES,
+        outputs=("tower_params",),
+        logs=("tower_log",),
+    ),
+    "build-index": Stage(
+        stage_build_index, ("tower_params", "catalog", "embeddings"), outputs=("index",)
+    ),
+    "evaluate": Stage(
+        stage_evaluate,
+        ("catalog", "train", "holdout", "split_meta", "embeddings", "tower_params", "index"),
+        _USER_FILES,
+        outputs=("evaluation", "evaluation_csv"),
+    ),
+    "recommend": Stage(
+        stage_recommend,
+        ("train", "split_meta", "embeddings", "tower_params", "index"),
+        _USER_FILES,
+    ),
+    "ablate": Stage(
+        stage_ablate, ("interactions", "catalog"), _USER_FILES, outputs=("ablation", "ablation_csv")
+    ),
+    "weak-signals": Stage(stage_weak_signals, ("interactions",), outputs=("weak_signals",)),
+    "probe": Stage(stage_probe, ("catalog", "graph"), ("embeddings",), outputs=("probe",)),
 }
+
+_DAILY = tuple(STAGES)[: list(STAGES).index("evaluate") + 1]
+_PRODUCER = {key: name for name, stage in STAGES.items() for key in stage.outputs}
+_KEY_OF_FILE = {file: key for key, file in ARTIFACTS.items()}
+
+
+def _stale(name: str, stage: str, why: str) -> PipelineError:
+    return PipelineError(f"stale input {name!r}: {why}; rerun the {stage!r} stage")
+
+
+def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple[Files, dict]:
+    """Resolve a stage's inputs and refuse any that is missing or stale.
+
+    A file given through `paths.*` sits outside the chain: it is only hashed.
+    Any other input must hash to the `outputs` entry of its producer's
+    manifest, and every input that manifest records must equal the `outputs`
+    entry of its own producer's manifest, and so on up the chain; that part
+    compares manifests only, each read once. A query (no outputs) hashes
+    nothing here: `recommend` checks the one file it reads whole itself.
+    Returns the files by key and each input's sha256 by file name.
+    """
+    hashed = bool(spec.outputs)
+    manifest_dir = out_dir / "manifests"
+    manifests: dict[str, dict] = {}
+    current: set[str] = set()
+
+    def manifest(stage: str, name: str) -> dict:
+        if stage not in manifests:
+            try:
+                manifests[stage] = io.read_json(manifest_dir / f"{stage}.json")
+            except FileNotFoundError:
+                raise PipelineError(
+                    f"missing manifest '{stage}.json' for {name!r}: run the {stage!r} stage first"
+                ) from None
+        return manifests[stage]
+
+    def check_upstream(stage: str, name: str) -> None:
+        """Refuse `name` if `stage` or a stage above it read a file that the
+        file's producer has rewritten since."""
+        if stage in current:
+            return
+        for read, digest in manifest(stage, name).get("inputs", {}).items():
+            key = _KEY_OF_FILE.get(read)
+            if key not in _PRODUCER or getattr(config.paths, key, None):
+                continue  # not written in this directory's chain
+            source = _PRODUCER[key]
+            if manifest(source, read).get("outputs", {}).get(read) != digest:
+                raise _stale(
+                    name, stage, f"the {stage!r} stage read a {read!r} that {source!r} has rewritten since"
+                )
+            check_upstream(source, name)
+        current.add(stage)
+
+    files: Files = {}
+    digests: dict[str, str] = {}
+    for key in spec.inputs + spec.optional:
+        configured = getattr(config.paths, key, None)
+        if configured:
+            path = Path(configured)
+            if not path.exists():
+                raise PipelineError(f"configured paths.{key} does not exist: {path}")
+            files[key] = path
+            if hashed:
+                digests[path.name] = io.sha256_file(path)
+            continue
+        if key not in _PRODUCER:
+            continue  # a file only a config supplies, and this one does not
+        path = out_dir / ARTIFACTS[key]
+        source = _PRODUCER[key]
+        if not path.exists():
+            if key in spec.optional:
+                continue
+            raise PipelineError(f"missing artifact {path.name!r}: run the {source!r} stage first")
+        recorded = manifest(source, path.name).get("outputs", {}).get(path.name)
+        digest = io.sha256_file(path) if hashed else recorded
+        if recorded is None or digest != recorded:
+            raise _stale(path.name, source, f"it changed after the {source!r} stage wrote it")
+        check_upstream(source, path.name)
+        files[key] = path
+        digests[path.name] = digest
+    return files, digests
 
 
 def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
-    """Run one pipeline stage, echoing the resolved config for provenance."""
+    """Run one stage on current inputs, echo the resolved config for
+    provenance, and record the stage's input and output hashes in
+    `manifests/<stage>.json`."""
+    spec = STAGES.get(stage)
+    if spec is None:
+        raise PipelineError(f"unknown stage {stage!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if stage == "recommend":  # a query, not an artifact producer
-        return stage_recommend(config, out_dir, **kwargs)
-    if stage not in STAGES:
-        raise PipelineError(f"unknown stage {stage!r}")
+    files, digests = _current_inputs(spec, config, out_dir)
+    if not spec.outputs:
+        return spec.run(config, files, digests, **kwargs)
+    files.update((key, out_dir / ARTIFACTS[key]) for key in spec.outputs + spec.logs)
     io.write_json(config.to_dict(), out_dir / "resolved_config.json")
-    return STAGES[stage](config, out_dir)
+    result = spec.run(config, files)
+    manifest = {
+        "stage": stage,
+        "config_hash": config.hash(),
+        "seed": config.seed,
+        "inputs": digests,
+        "outputs": {files[key].name: io.sha256_file(files[key]) for key in spec.outputs},
+        "logs": sorted(files[key].name for key in spec.logs),
+    }
+    (out_dir / "manifests").mkdir(exist_ok=True)
+    io.write_json(manifest, out_dir / "manifests" / f"{stage}.json")
+    return result
 
 
 def run_pipeline(config: PipelineConfig, out_dir, stages: tuple[str, ...] | None = None):
     """Run the daily pipeline end to end (synth through evaluate)."""
-    ordered = stages or (
-        "synth",
-        "split",
-        "build-graph",
-        "train-hgnn",
-        "embed",
-        "train-2t",
-        "build-index",
-        "evaluate",
-    )
     result = None
-    for stage in ordered:
+    for stage in stages or _DAILY:
         result = run_stage(stage, config, out_dir)
     return result

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DAY_SECONDS, CatalogItem, InteractionRecord
+from .data import CatalogItem, InteractionRecord, feature_window
 from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
     TowerParams,
     TwoTowerConfig,
     UserFeatures,
+    _zeroed_table,
     assemble_user_features,
     user_tower_forward,
 )
@@ -39,9 +40,7 @@ class PopularityRecommender:
     ):
         if not train_records:
             raise ValueError("popularity baseline needs a non-empty training log")
-        if as_of is None:
-            as_of = max(r.timestamp for r in train_records) + 1
-        window_start = as_of - window_days * DAY_SECONDS
+        window_start, as_of = feature_window(train_records, window_days, as_of)
         counts = {
             i: 0 for i, item in catalog.items() if item.item_type == target_type
         }
@@ -85,15 +84,6 @@ class _ProfileKnnRecommender:
         return _ranked_by_dot(self.item_ids, self.item_vectors, profile)
 
 
-def _window_interactions(
-    train_records: list[InteractionRecord], window_days: int, as_of: int | None
-) -> tuple[list[InteractionRecord], int]:
-    if as_of is None:
-        as_of = max((r.timestamp for r in train_records), default=0) + 1
-    window_start = as_of - window_days * DAY_SECONDS
-    return [r for r in train_records if window_start <= r.timestamp < as_of], as_of
-
-
 def content_knn_baseline(
     train_records: list[InteractionRecord],
     catalog: dict[str, CatalogItem],
@@ -104,10 +94,11 @@ def content_knn_baseline(
     """User profile = mean content vector of target-type items the user
     touched (streams plus weak signals) in the window; items ranked by dot
     product with the profile."""
-    windowed, as_of = _window_interactions(train_records, window_days, as_of)
+    window_start, as_of = feature_window(train_records, window_days, as_of)
     per_user: dict[str, set[str]] = {}
-    for r in windowed:
-        if r.item_type == target_type and r.item_id in catalog:
+    for r in train_records:
+        in_window = window_start <= r.timestamp < as_of
+        if in_window and r.item_type == target_type and r.item_id in catalog:
             per_user.setdefault(r.user_id, set()).add(r.item_id)
     profiles = {
         u: np.mean([catalog[i].content_vector for i in sorted(items)], axis=0)
@@ -134,10 +125,10 @@ def hgnn_knn_baseline(
     """User profile = mean graph embedding of every item the user touched in
     the window (any type, streams plus weak signals); target items ranked in
     the same embedding space."""
-    windowed, as_of = _window_interactions(train_records, window_days, as_of)
+    window_start, as_of = feature_window(train_records, window_days, as_of)
     per_user: dict[str, set[str]] = {}
-    for r in windowed:
-        if embeddings.get(r.item_id) is not None:
+    for r in train_records:
+        if window_start <= r.timestamp < as_of and embeddings.get(r.item_id) is not None:
             per_user.setdefault(r.user_id, set()).add(r.item_id)
     profiles = {}
     for u, items in per_user.items():
@@ -180,14 +171,8 @@ class TwoTowerRecommender:
         self.demographics = demographics or {}
         self._user_features = dict(user_features or {})
         self._train_records = train_records
-        self._as_of = (
-            as_of
-            if as_of is not None
-            else max((r.timestamp for r in train_records), default=0) + 1
-        )
+        _, self._as_of = feature_window(train_records, params.config.window_days, as_of)
         if not params.config.use_hgnn_features:
-            from .two_tower import _zeroed_table
-
             self.embeddings = _zeroed_table(embeddings)
 
     def user_vector(self, user_id: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DAY_SECONDS, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord
+from .data import SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
 from .hgnn import NodeEmbeddingTable
 from .io import dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
@@ -109,9 +109,7 @@ def assemble_user_features(
     streams only when weak signals are disabled); podcast means cover streams.
     Users with no qualifying history get zero mean vectors.
     """
-    if as_of is None:
-        as_of = max((r.timestamp for r in train_records), default=0) + 1
-    window_start = as_of - window_days * DAY_SECONDS
+    window_start, as_of = feature_window(train_records, window_days, as_of)
     ab_signals = set(SIGNALS) if use_weak_signals else {"stream"}
 
     ab_items: set[str] = set()
@@ -165,9 +163,7 @@ def assemble_all_user_features(
     demographics: dict[str, tuple[str, str]] | None = None,
 ) -> dict[str, UserFeatures]:
     """Single-pass feature assembly for many users."""
-    if as_of is None:
-        as_of = max((r.timestamp for r in train_records), default=0) + 1
-    window_start = as_of - config.window_days * DAY_SECONDS
+    window_start, as_of = feature_window(train_records, config.window_days, as_of)
     wanted = set(user_ids)
     per_user: dict[str, list[InteractionRecord]] = {u: [] for u in wanted}
     for r in train_records:
@@ -493,9 +489,7 @@ def build_training_pairs(
     as_of: int | None = None,
 ) -> list[tuple[str, str]]:
     """Distinct (user, streamed target item) pairs inside the feature window."""
-    if as_of is None:
-        as_of = max((r.timestamp for r in train_records), default=0) + 1
-    window_start = as_of - window_days * DAY_SECONDS
+    window_start, as_of = feature_window(train_records, window_days, as_of)
     pairs = {
         (r.user_id, r.item_id)
         for r in train_records

@@ -9,6 +9,7 @@ from audiorec.data import (
     DAY_SECONDS,
     SIGNALS,
     InteractionRecord,
+    feature_window,
     parse_catalog,
     parse_interactions,
     parse_user_history,
@@ -214,6 +215,17 @@ class TestTimelineSplit:
         )
         assert all(r.timestamp < split_at for r in split.train)
         assert all(r.timestamp >= split_at for r in split.holdout)
+
+
+class TestFeatureWindow:
+    def test_defaults_to_one_second_after_the_last_record(self):
+        catalog = make_catalog()
+        records = [stream("u1", "a1", catalog, t=5 * DAY_SECONDS), stream("u2", "a2", catalog, t=3)]
+        assert feature_window(records, 2) == (3 * DAY_SECONDS + 1, 5 * DAY_SECONDS + 1)
+        assert feature_window([], 1) == (1 - DAY_SECONDS, 1)
+
+    def test_given_as_of_is_kept(self):
+        assert feature_window([], 3, as_of=10 * DAY_SECONDS) == (7 * DAY_SECONDS, 10 * DAY_SECONDS)
 
 
 class TestUserSegments:

@@ -1,4 +1,6 @@
 import builtins
+import dataclasses
+import importlib.util
 import json
 import pathlib
 import shutil
@@ -221,8 +223,12 @@ class TestStages:
     def test_split_surfaces_malformed_lines(self, tmp_path):
         config = tiny_config()
         run_stage("synth", config, tmp_path)
-        with open(tmp_path / "interactions.jsonl", "a", encoding="utf-8") as fh:
+        # an edited file enters through paths.*; edited in place, split would refuse it as stale
+        edited = tmp_path / "edited.jsonl"
+        shutil.copyfile(tmp_path / "interactions.jsonl", edited)
+        with open(edited, "a", encoding="utf-8") as fh:
             fh.write('{"user_id": "ux", "signal": "purchase"}\n')
+        config.paths.interactions = str(edited)
         with pytest.warns(UserWarning, match="malformed"):
             run_stage("split", config, tmp_path)
         meta = io.read_json(tmp_path / "split_meta.json")
@@ -344,6 +350,91 @@ class TestDeterminism:
             run_stage(stage, config, out)
         after = {name: io.sha256_file(out / name) for name in before}
         assert before == after
+
+
+# every (stage, upstream artifact) pair the table declares for a stage that writes a manifest
+STAGE_INPUTS = [
+    (stage, key)
+    for stage, spec in pipeline.STAGES.items()
+    if spec.outputs
+    for key in spec.inputs + spec.optional
+    if key in pipeline.ARTIFACTS
+]
+
+
+def cli_error(argv, capsys) -> str:
+    """Run the CLI expecting exit 1 and one JSON error line; return the error."""
+    assert main(argv) == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    payload = json.loads(err_lines[0])
+    assert payload["stage"] == argv[0]
+    return payload["error"]
+
+
+def stage_argv(stage, config, run, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    io.write_json(config.to_dict(), cfg_path)
+    argv = [stage, "--config", str(cfg_path), "--out", str(run)]
+    return argv + (["--user", "u0001"] if stage == "recommend" else [])
+
+
+class TestStaleInputs:
+    @pytest.mark.parametrize("stage, key", STAGE_INPUTS, ids=[f"{s}-{k}" for s, k in STAGE_INPUTS])
+    def test_changed_upstream_file_refused(self, pipeline_run, tmp_path, capsys, stage, key):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        name = pipeline.ARTIFACTS[key]
+        (run / name).write_bytes((run / name).read_bytes() + b"\n")
+        before = {p.name: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
+        assert f"stale input {name!r}" in error
+        assert f"rerun the {pipeline._PRODUCER[key]!r} stage" in error
+        assert {p.name: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_retrained_tower_stales_the_index(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        report = (run / "evaluation.json").read_bytes()
+        run_stage("train-2t", tiny_config(seed=12), run)
+        assert (run / "tower_params.bin").read_bytes() != (out / "tower_params.bin").read_bytes()
+        for stage in ("evaluate", "recommend"):
+            error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
+            assert "stale input 'rec_index.bin'" in error and "rerun the 'build-index' stage" in error
+        assert (run / "evaluation.json").read_bytes() == report
+        run_stage("build-index", config, run)
+        assert run_stage("evaluate", config, run)["models"]["two_tower_hgnn"]["all"]["n_users"] > 0
+        assert len(run_stage("recommend", config, run, user="u0001", k=3)) == 3
+
+    def test_retrained_hgnn_stales_the_embeddings(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        run_stage("train-hgnn", tiny_config(seed=12), run)
+        error = cli_error(stage_argv("train-2t", config, run, tmp_path), capsys)
+        assert "stale input 'embeddings.bin'" in error and "rerun the 'embed' stage" in error
+        run_stage("embed", config, run)
+        run_stage("train-2t", config, run)
+
+    def test_synth_rerun(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        run_stage("synth", config, run)  # same seed, same bytes: everything stays current
+        run_stage("evaluate", config, run)
+        run_stage("recommend", config, run, user="u0001", k=3)
+        run_stage("synth", tiny_config(seed=12), run)
+        error = cli_error(stage_argv("build-graph", config, run, tmp_path), capsys)
+        assert "stale input 'train.jsonl'" in error and "rerun the 'split' stage" in error
+
+    def test_quality_sweep_layout(self, tmp_path, monkeypatch):
+        # data stages run once, then each seed reruns the model stages in a copy
+        path = pathlib.Path(__file__).parents[1] / "scripts" / "quality_sweep.py"
+        spec = importlib.util.spec_from_file_location("quality_sweep", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        monkeypatch.setattr(sweep, "SEEDS", (12, 13))
+        result = sweep.sweep(tiny_config(), tmp_path)
+        assert set(result["seeds"]) == {"12", "13"}
+        assert io.read_json(tmp_path / "hgnn-13" / "manifests" / "train-hgnn.json")["seed"] == 13
 
 
 class TestAblate:
@@ -571,6 +662,48 @@ class TestCli:
         assert code == 0, capsys.readouterr().err
         assert "train.jsonl" in opened and "embeddings.bin" in opened
         assert "holdout.jsonl" not in opened
+
+    @pytest.mark.parametrize("stage", [s for s, spec in pipeline.STAGES.items() if spec.outputs])
+    def test_manifest_lists_every_file_the_stage_reads(self, pipeline_run, tmp_path, monkeypatch, stage):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        config = tiny_config()
+        io.write_jsonl([{"user_id": "u0000", "vector": [0.5] * 8}], run / "music.jsonl")
+        io.write_jsonl([{"user_id": "u0000", "country": "SE", "age_bucket": "25-34"}], run / "demo.jsonl")
+        config.paths.music_vectors = str(run / "music.jsonl")
+        config.paths.demographics = str(run / "demo.jsonl")
+        variants = tmp_path / "variants.json"
+        io.write_json({"full": {}}, variants)
+        config.eval.ablation_manifest = str(variants)
+        read = set()
+        real_open, real_path_open = builtins.open, pathlib.Path.open
+
+        def note(file, mode):
+            if pathlib.Path(file).parent == run and not set(mode) & set("wax+"):
+                read.add(pathlib.Path(file).name)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            note(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_path_open(self, mode="r", *args, **kwargs):
+            note(self, mode)
+            return real_path_open(self, mode, *args, **kwargs)
+
+        spec = pipeline.STAGES[stage]
+
+        def spied(*args, **kwargs):  # only the stage's own reads, not the hashing around it
+            with monkeypatch.context() as m:
+                m.setattr(builtins, "open", spy_open)
+                m.setattr(pathlib.Path, "open", spy_path_open)
+                return spec.run(*args, **kwargs)
+
+        monkeypatch.setitem(pipeline.STAGES, stage, dataclasses.replace(spec, run=spied))
+        run_stage(stage, config, run)
+        monkeypatch.undo()
+        assert read <= set(io.read_json(run / "manifests" / f"{stage}.json")["inputs"])
+        if stage in ("train-2t", "evaluate"):
+            assert {"music.jsonl", "demo.jsonl"} <= read
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out = tmp_path / "o"
