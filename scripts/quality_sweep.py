@@ -17,10 +17,9 @@ import json
 import shutil
 from pathlib import Path
 
-from audiorec.pipeline import PipelineConfig, run_stage
+from audiorec.pipeline import DAILY, PipelineConfig, run_stage
 
-DATA_STAGES = ("synth", "split", "build-graph")
-MODEL_STAGES = ("train-hgnn", "embed", "train-2t", "build-index", "evaluate")
+FIRST_MODEL_STAGE = DAILY.index("train-hgnn")
 METRICS = ("hr_at_k", "mrr")
 DATA_SEED = 7
 SEEDS = range(1, 9)
@@ -29,7 +28,7 @@ SEEDS = range(1, 9)
 def sweep(config: PipelineConfig, out: Path) -> dict:
     base = out / f"data-{DATA_SEED}"
     config.seed = DATA_SEED
-    for stage in DATA_STAGES:
+    for stage in DAILY[:FIRST_MODEL_STAGE]:
         run_stage(stage, config, base)
     result = {"data_seed": DATA_SEED, "config_hash": config.hash(), "seeds": {}}
     for seed in SEEDS:
@@ -37,7 +36,7 @@ def sweep(config: PipelineConfig, out: Path) -> dict:
         shutil.rmtree(run_dir, ignore_errors=True)
         shutil.copytree(base, run_dir)
         config.seed = seed
-        for stage in MODEL_STAGES:
+        for stage in DAILY[FIRST_MODEL_STAGE:]:
             report = run_stage(stage, config, run_dir)
         result["seeds"][str(seed)] = {
             model: {m: entry["warm"][m] for m in METRICS} if entry["warm"] else None

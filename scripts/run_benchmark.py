@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the multi-seed ordering benchmark: full model vs popularity,
-graph-feature-free, and weak-signal-free variants on synthetic data."""
+graph-feature-free, and weak-signal-free variants on synthetic data, each
+through the file pipeline in a temporary directory."""
 
 import argparse
 import json
+import tempfile
 
 import numpy as np
 
@@ -17,7 +19,8 @@ def main():
     args = parser.parse_args()
 
     seeds = list(range(args.seeds))
-    results = run_ordering_benchmark(seeds)
+    with tempfile.TemporaryDirectory() as work:
+        results = run_ordering_benchmark(seeds, work)
     print(f"{'seed':>4} {'warm':>5} {'popularity':>11} {'2T-only':>8} {'no-weak':>8} {'full':>7}")
     for r in results:
         d = r.hr_warm

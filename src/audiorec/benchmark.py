@@ -1,47 +1,49 @@
-"""Multi-seed benchmark on the synthetic dataset: trains the full model and
-its ablated variants in memory and compares warm-user hit rates against the
-baselines. Used by the experiment scripts and the acceptance suite."""
+"""Multi-seed benchmark on the synthetic dataset: the ordering gates compare
+the full model's warm-user hit rate with its ablated variants and the
+popularity baseline; the weak-signal fits run per seed. Used by the
+experiment scripts and the acceptance suite.
+
+The ordering gates run the shipped stages through `run_stage`, so they score
+the same files, manifests and stale-input checks as `rec`."""
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .analysis import weak_signal_analysis
-from .data import timeline_split, user_segments
-from .evaluate import evaluate
-from .graph import build_colisten_graph
-from .hgnn import HgnnConfig, HgnnParams, embed_catalog, train_hgnn
-from .index import build_index
-from .recommenders import PopularityRecommender, TwoTowerRecommender
+from .pipeline import DAILY, PipelineConfig, run_stage
 from .synth import SynthConfig, synth_generate
-from .two_tower import (
-    TwoTowerConfig,
-    build_feature_set,
-    build_training_pairs,
-    export_item_vectors,
-    train_two_tower,
-)
 
+# Reduced dimensions, smaller batches, and a hotter HGNN step size so ten
+# seeds fit a desk-scale budget. min_co_users=2 drops single-user coincidence
+# edges, which otherwise saturate the graph at this user count and bury the
+# latent clusters.
+ORDERING_SETTINGS = {
+    "graph": {"min_co_users": 2},
+    "hgnn": {
+        "hidden_dim": 32,
+        "out_dim": 32,
+        "fanouts": [10, 10],
+        "n_negatives": 5,
+        "learning_rate": 5e-3,
+        "batch_size": 64,
+        "max_epochs": 30,
+        "patience": 8,
+    },
+    "two_tower": {"hidden": [128, 64, 32], "epochs": 6},
+    "eval": {"models": ["two_tower_hgnn", "popularity"], "tiers": False},
+}
 
-def fast_hgnn_config() -> HgnnConfig:
-    """Reduced dimensions, smaller batches, and a hotter step size so ten
-    seeds fit a desk-scale budget."""
-    return HgnnConfig(
-        hidden_dim=32,
-        out_dim=32,
-        fanouts=(10, 10),
-        n_negatives=5,
-        learning_rate=5e-3,
-        batch_size=64,
-        max_epochs=30,
-        patience=8,
-    )
+# The two-tower variants the gates compare, as overrides of the seed's config.
+TOWER_VARIANTS = {
+    "two_tower_hgnn": {},
+    "two_tower_only": {"two_tower": {"use_hgnn_features": False}},
+    "no_weak_signals": {"two_tower": {"use_weak_signals": False}},
+}
 
-
-def fast_tower_config(**overrides) -> TwoTowerConfig:
-    kwargs = {"hidden": (128, 64, 32), "epochs": 6}
-    kwargs.update(overrides)
-    return TwoTowerConfig(**kwargs)
+_FIRST_TOWER_STAGE = DAILY.index("train-2t")  # where the variants part
 
 
 @dataclass
@@ -58,103 +60,47 @@ class SeedResult:
         }
 
 
-def run_ordering_seed(
-    seed: int,
-    synth_config: SynthConfig | None = None,
-    hgnn_config: HgnnConfig | None = None,
-    tower_config: TwoTowerConfig | None = None,
-    variants: tuple[str, ...] = ("two_tower_hgnn", "two_tower_only", "no_weak_signals"),
-) -> SeedResult:
-    """Train the model variants on one generated dataset and report warm-user
-    HR@10 for each, plus the popularity baseline."""
-    synth_config = synth_config or SynthConfig()
-    hgnn_config = hgnn_config or fast_hgnn_config()
-    base_tower = tower_config or fast_tower_config()
+def _warm(entry: dict, metric: str):
+    return entry["warm"][metric] if entry["warm"] else 0
 
-    records, catalog = synth_generate(synth_config, seed)
-    split = timeline_split(records)
-    segments = user_segments(split)
-    # min_co_users=2 drops single-user coincidence edges, which otherwise
-    # saturate the graph at this user count and bury the latent clusters.
-    graph = build_colisten_graph(split.train, catalog, min_co_users=2)
-    feature_dim = int(next(iter(graph.features.values())).shape[1])
-    params = HgnnParams.init(
-        hgnn_config, feature_dim, graph.node_types, graph.relations, seed=seed
-    )
-    trained = train_hgnn(graph, params, seed=seed)
-    table = embed_catalog(graph, trained.params, catalog)
 
-    target = base_tower.target_type
-    catalog_ids = {i for i, it in catalog.items() if it.item_type == target}
-    pairs = build_training_pairs(
-        split.train, target, base_tower.window_days, as_of=split.split_time
-    )
-    eval_users = {
-        r.user_id
-        for r in split.holdout
-        if r.signal == "stream" and r.item_type == target
-    }
-
-    tower_variants = {
-        "two_tower_hgnn": base_tower,
-        "two_tower_only": fast_tower_config(
-            hidden=base_tower.hidden, epochs=base_tower.epochs, use_hgnn_features=False
-        ),
-        "no_weak_signals": fast_tower_config(
-            hidden=base_tower.hidden, epochs=base_tower.epochs, use_weak_signals=False
-        ),
-    }
-
-    result = SeedResult(seed=seed, n_warm_users=len(segments.warm & eval_users))
-    pop = PopularityRecommender(
-        split.train, catalog, target, base_tower.window_days, split.split_time
-    )
-    reports = evaluate(pop, split, segments, target, catalog_ids)
-    result.hr_warm["popularity"] = reports["warm"].hr_at_k if "warm" in reports else 0.0
-
-    for name in variants:
-        cfg = tower_variants[name]
-        features = build_feature_set(
-            {u for u, _ in pairs} | eval_users,
-            split.train,
-            catalog,
-            table,
-            cfg,
-            as_of=split.split_time,
-        )
-        tower, _ = train_two_tower(pairs, features, cfg, seed=seed)
-        index = build_index(export_item_vectors(tower, catalog, table))
-        rec = TwoTowerRecommender(
-            tower,
-            index,
-            split.train,
-            table,
-            as_of=split.split_time,
-            user_features=features.users,
-            name=name,
-        )
-        reports = evaluate(rec, split, segments, target, catalog_ids)
-        result.hr_warm[name] = reports["warm"].hr_at_k if "warm" in reports else 0.0
+def run_ordering_seed(config: PipelineConfig, work_dir) -> SeedResult:
+    """Run `synth` through `embed` once in `<work_dir>/base`, then each tower
+    variant's `train-2t`, `build-index` and `evaluate` in a copy of it, and
+    report warm-user HR@k per variant and for the popularity baseline."""
+    work_dir = Path(work_dir)
+    base = work_dir / "base"
+    for stage in DAILY[:_FIRST_TOWER_STAGE]:
+        run_stage(stage, config, base)
+    result = SeedResult(seed=config.seed, n_warm_users=0)
+    for name, overrides in TOWER_VARIANTS.items():
+        run_dir = shutil.copytree(base, work_dir / name)
+        variant = config.with_overrides(overrides)
+        for stage in DAILY[_FIRST_TOWER_STAGE:]:
+            report = run_stage(stage, variant, run_dir)
+        models = report["models"]
+        result.hr_warm[name] = _warm(models["two_tower_hgnn"], "hr_at_k")
+        result.hr_warm["popularity"] = _warm(models["popularity"], "hr_at_k")
+        result.n_warm_users = _warm(models["two_tower_hgnn"], "n_users")
     return result
 
 
-def run_ordering_benchmark(
-    seeds,
-    synth_config: SynthConfig | None = None,
-    hgnn_config: HgnnConfig | None = None,
-    tower_config: TwoTowerConfig | None = None,
-) -> list[SeedResult]:
+def run_ordering_benchmark(seeds, work_dir) -> list[SeedResult]:
+    """The ordering gates' runs, each seed in `<work_dir>/seed-<s>`."""
     return [
-        run_ordering_seed(s, synth_config, hgnn_config, tower_config) for s in seeds
+        run_ordering_seed(
+            PipelineConfig().with_overrides({**ORDERING_SETTINGS, "seed": s}),
+            Path(work_dir) / f"seed-{s}",
+        )
+        for s in seeds
     ]
 
 
-def run_weak_signal_seeds(seeds, synth_config: SynthConfig | None = None) -> list[dict]:
+def run_weak_signal_seeds(seeds) -> list[dict]:
     """Follow-signal logistic fit per seed on freshly generated data."""
-    synth_config = synth_config or SynthConfig()
     out = []
     for seed in seeds:
-        records, _ = synth_generate(synth_config, seed)
+        records, _ = synth_generate(SynthConfig(), seed)
         report = weak_signal_analysis(records)
         fit = report.fits["follow"]
         out.append(

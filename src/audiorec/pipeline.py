@@ -183,7 +183,7 @@ ABLATION_VARIANTS = {
 }
 
 
-Files = dict[str, Path]  # a stage's files by ARTIFACTS key or PathsConfig field
+Files = dict[str, Path]  # a stage's files by ARTIFACTS key or config field
 
 
 def _seed_of(config: PipelineConfig, stage: str) -> int:
@@ -483,8 +483,8 @@ def stage_probe(config: PipelineConfig, files: Files) -> dict:
 
 
 def stage_ablate(config: PipelineConfig, files: Files) -> dict:
-    if config.eval.ablation_manifest:
-        manifest = io.read_json(config.eval.ablation_manifest)
+    if "ablation_manifest" in files:
+        manifest = io.read_json(files["ablation_manifest"])
         if not isinstance(manifest, dict):
             raise PipelineError("ablation manifest must map variant names to overrides")
     else:
@@ -495,7 +495,7 @@ def stage_ablate(config: PipelineConfig, files: Files) -> dict:
         variant_config.paths.interactions = str(files["interactions"])
         variant_config.paths.catalog = str(files["catalog"])
         variant_dir = files["ablation"].parent / "ablations" / name
-        for stage in _DAILY[1:]:  # split through evaluate, on this run's synth files
+        for stage in DAILY[1:]:  # split through evaluate, on this run's synth files
             result = run_stage(stage, variant_config, variant_dir)
         report["variants"][name] = result["models"]["two_tower_hgnn"]
     io.write_json(report, files["ablation"])
@@ -506,9 +506,10 @@ def stage_ablate(config: PipelineConfig, files: Files) -> dict:
 @dataclass(frozen=True)
 class Stage:
     """A stage function and its files, by `ARTIFACTS` key or, for a file only
-    a config supplies, `PathsConfig` field. `optional` inputs are read when
-    present. `logs` are listed in the manifest but not hashed. A stage
-    without outputs is a query and writes no manifest."""
+    a config supplies, the name of its config field (a `PathsConfig` field or
+    `ablation_manifest`). `optional` inputs are read when present. `logs` are
+    listed in the manifest but not hashed. A stage without outputs is a query
+    and writes no manifest."""
 
     run: Callable
     inputs: tuple[str, ...] = ()
@@ -550,15 +551,24 @@ STAGES = {
         _USER_FILES,
     ),
     "ablate": Stage(
-        stage_ablate, ("interactions", "catalog"), _USER_FILES, outputs=("ablation", "ablation_csv")
+        stage_ablate,
+        ("interactions", "catalog"),
+        (*_USER_FILES, "ablation_manifest"),
+        outputs=("ablation", "ablation_csv"),
     ),
     "weak-signals": Stage(stage_weak_signals, ("interactions",), outputs=("weak_signals",)),
     "probe": Stage(stage_probe, ("catalog", "graph"), ("embeddings",), outputs=("probe",)),
 }
 
-_DAILY = tuple(STAGES)[: list(STAGES).index("evaluate") + 1]
+DAILY = tuple(STAGES)[: list(STAGES).index("evaluate") + 1]
 _PRODUCER = {key: name for name, stage in STAGES.items() for key in stage.outputs}
 _KEY_OF_FILE = {file: key for key, file in ARTIFACTS.items()}
+
+
+def _configured(config: PipelineConfig, key: str) -> tuple[str, str | None]:
+    """The config field that may name input `key` from outside the chain, and its value."""
+    section = "eval" if key == "ablation_manifest" else "paths"
+    return f"{section}.{key}", getattr(getattr(config, section), key, None)
 
 
 def _stale(name: str, stage: str, why: str) -> PipelineError:
@@ -568,13 +578,14 @@ def _stale(name: str, stage: str, why: str) -> PipelineError:
 def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple[Files, dict]:
     """Resolve a stage's inputs and refuse any that is missing or stale.
 
-    A file given through `paths.*` sits outside the chain: it is only hashed.
-    Any other input must hash to the `outputs` entry of its producer's
-    manifest, and every input that manifest records must equal the `outputs`
-    entry of its own producer's manifest, and so on up the chain; that part
-    compares manifests only, each read once. A query (no outputs) hashes
-    nothing here: `recommend` checks the one file it reads whole itself.
-    Returns the files by key and each input's sha256 by file name.
+    A file a config names (`paths.*`, `eval.ablation_manifest`) sits outside
+    the chain: it is only hashed. Any other input must hash to the `outputs`
+    entry of its producer's manifest, and every input that manifest records
+    must equal the `outputs` entry of its own producer's manifest, and so on
+    up the chain; that part compares manifests only, each read once. A query
+    (no outputs) hashes nothing here: `recommend` checks the one file it
+    reads whole itself. Returns the files by key and each input's sha256 by
+    file name.
     """
     hashed = bool(spec.outputs)
     manifest_dir = out_dir / "manifests"
@@ -598,7 +609,7 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
             return
         for read, digest in manifest(stage, name).get("inputs", {}).items():
             key = _KEY_OF_FILE.get(read)
-            if key not in _PRODUCER or getattr(config.paths, key, None):
+            if key not in _PRODUCER or _configured(config, key)[1]:
                 continue  # not written in this directory's chain
             source = _PRODUCER[key]
             if manifest(source, read).get("outputs", {}).get(read) != digest:
@@ -611,11 +622,11 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     files: Files = {}
     digests: dict[str, str] = {}
     for key in spec.inputs + spec.optional:
-        configured = getattr(config.paths, key, None)
+        field_name, configured = _configured(config, key)
         if configured:
             path = Path(configured)
             if not path.exists():
-                raise PipelineError(f"configured paths.{key} does not exist: {path}")
+                raise PipelineError(f"configured {field_name} does not exist: {path}")
             files[key] = path
             if hashed:
                 digests[path.name] = io.sha256_file(path)
@@ -669,6 +680,6 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
 def run_pipeline(config: PipelineConfig, out_dir, stages: tuple[str, ...] | None = None):
     """Run the daily pipeline end to end (synth through evaluate)."""
     result = None
-    for stage in stages or _DAILY:
+    for stage in stages or DAILY:
         result = run_stage(stage, config, out_dir)
     return result

@@ -14,6 +14,7 @@ from .two_tower import (
     UserFeatures,
     _zeroed_table,
     assemble_user_features,
+    records_by_user,
     user_tower_forward,
 )
 
@@ -151,6 +152,8 @@ class TwoTowerRecommender:
     querying the item index. Total: users with no history still get a vector
     through the tower."""
 
+    name = "two_tower_hgnn"
+
     def __init__(
         self,
         params: TowerParams,
@@ -160,18 +163,17 @@ class TwoTowerRecommender:
         as_of: int | None = None,
         music_vectors: dict[str, np.ndarray] | None = None,
         demographics: dict[str, tuple[str, str]] | None = None,
-        user_features: dict[str, UserFeatures] | None = None,
-        name: str = "two_tower_hgnn",
     ):
-        self.name = name
         self.params = params
         self.index = index
         self.embeddings = embeddings
         self.music_vectors = music_vectors or {}
         self.demographics = demographics or {}
-        self._user_features = dict(user_features or {})
-        self._train_records = train_records
-        _, self._as_of = feature_window(train_records, params.config.window_days, as_of)
+        self._user_features: dict[str, UserFeatures] = {}
+        window_start, self._as_of = feature_window(
+            train_records, params.config.window_days, as_of
+        )
+        self._history = records_by_user(train_records, window_start, self._as_of)
         if not params.config.use_hgnn_features:
             self.embeddings = _zeroed_table(embeddings)
 
@@ -181,7 +183,7 @@ class TwoTowerRecommender:
             cfg: TwoTowerConfig = self.params.config
             feats = assemble_user_features(
                 user_id,
-                self._train_records,
+                self._history.get(user_id, []),
                 self.embeddings,
                 music_vector=self.music_vectors.get(user_id),
                 window_days=cfg.window_days,

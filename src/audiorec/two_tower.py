@@ -153,6 +153,18 @@ def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable, d: int) 
     return np.mean(rows, axis=0)
 
 
+def records_by_user(
+    train_records: list[InteractionRecord], window_start: int, as_of: int
+) -> dict[str, list[InteractionRecord]]:
+    """Each user's records with `window_start <= timestamp < as_of`, in log order:
+    what `assemble_user_features` reads of a user's history."""
+    per_user: dict[str, list[InteractionRecord]] = {}
+    for r in train_records:
+        if window_start <= r.timestamp < as_of:
+            per_user.setdefault(r.user_id, []).append(r)
+    return per_user
+
+
 def assemble_all_user_features(
     user_ids,
     train_records: list[InteractionRecord],
@@ -164,16 +176,12 @@ def assemble_all_user_features(
 ) -> dict[str, UserFeatures]:
     """Single-pass feature assembly for many users."""
     window_start, as_of = feature_window(train_records, config.window_days, as_of)
-    wanted = set(user_ids)
-    per_user: dict[str, list[InteractionRecord]] = {u: [] for u in wanted}
-    for r in train_records:
-        if r.user_id in wanted and window_start <= r.timestamp < as_of:
-            per_user[r.user_id].append(r)
+    per_user = records_by_user(train_records, window_start, as_of)
     out = {}
-    for u in sorted(wanted):
+    for u in sorted(set(user_ids)):
         out[u] = assemble_user_features(
             u,
-            per_user[u],
+            per_user.get(u, []),
             embeddings,
             music_vector=(music_vectors or {}).get(u),
             window_days=config.window_days,

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The multi-seed benchmark (criteria 8-9) trains the full model and its
-variants on ten generated datasets and is shared through a module fixture.
+lines. The multi-seed benchmark (criteria 8-9) runs the file pipeline for the
+full model and its variants on ten generated datasets and is shared through a
+module fixture.
 """
 
 import time
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 
 from audiorec import io
-from audiorec.benchmark import run_ordering_benchmark, run_weak_signal_seeds
+from audiorec.benchmark import (
+    TOWER_VARIANTS,
+    run_ordering_benchmark,
+    run_ordering_seed,
+    run_weak_signal_seeds,
+)
 from audiorec.data import parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
 from audiorec.graph import build_colisten_graph, load_graph
@@ -297,9 +303,9 @@ def test_criterion_7_inductive_path(full_pipeline):
 
 
 @pytest.fixture(scope="module")
-def benchmark_results():
+def benchmark_results(tmp_path_factory):
     t0 = time.perf_counter()
-    results = run_ordering_benchmark(range(10))
+    results = run_ordering_benchmark(range(10), tmp_path_factory.mktemp("ordering"))
     elapsed = time.perf_counter() - t0
     return results, elapsed
 
@@ -330,6 +336,25 @@ def test_criterion_9_weak_signal_ablation(benchmark_results):
     announce(9, "weak-signal ablation", f"mean HR@10 {full:.3f} > {without:.3f}")
 
 
+def test_ordering_seed_trains_the_hgnn_once_per_seed(tmp_path):
+    config = PipelineConfig.from_dict(TINY_CONFIG)
+    result = run_ordering_seed(config, tmp_path)
+    base_embed = io.read_json(tmp_path / "base" / "manifests" / "embed.json")
+    tower_hashes = set()
+    for name, overrides in TOWER_VARIANTS.items():
+        run = tmp_path / name
+        embed = io.read_json(run / "manifests" / "embed.json")
+        assert embed["outputs"] == base_embed["outputs"]
+        train_2t = io.read_json(run / "manifests" / "train-2t.json")
+        assert train_2t["config_hash"] == config.with_overrides(overrides).hash()
+        tower_hashes.add(train_2t["config_hash"])
+        models = io.read_json(run / "evaluation.json")["models"]
+        assert result.hr_warm[name] == models["two_tower_hgnn"]["warm"]["hr_at_k"]
+        assert result.hr_warm["popularity"] == models["popularity"]["warm"]["hr_at_k"]
+        assert result.n_warm_users == models["two_tower_hgnn"]["warm"]["n_users"]
+    assert len(tower_hashes) == len(TOWER_VARIANTS)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 10: weak-signal analysis on 10 seeds.
 # ---------------------------------------------------------------------------
@@ -351,34 +376,36 @@ def test_criterion_10_weak_signal_analysis():
 # ---------------------------------------------------------------------------
 
 
+TINY_CONFIG = {
+    "synth": {
+        "n_users": 120,
+        "n_podcasts": 50,
+        "n_audiobooks": 24,
+        "n_clusters": 3,
+        "d_c": 8,
+        "audiobook_stream_rate": 0.02,
+        "podcast_stream_rate": 0.015,
+    },
+    "graph": {"min_co_users": 2},
+    "hgnn": {
+        "hidden_dim": 12,
+        "out_dim": 12,
+        "fanouts": [6, 6],
+        "n_negatives": 3,
+        "batch_size": 64,
+        "max_epochs": 3,
+        "patience": 2,
+    },
+    "two_tower": {"hidden": [48, 24, 12], "epochs": 2},
+    "seed": 4,
+}
+
+
 def test_criterion_11_determinism(tmp_path):
-    config_dict = {
-        "synth": {
-            "n_users": 120,
-            "n_podcasts": 50,
-            "n_audiobooks": 24,
-            "n_clusters": 3,
-            "d_c": 8,
-            "audiobook_stream_rate": 0.02,
-            "podcast_stream_rate": 0.015,
-        },
-        "graph": {"min_co_users": 2},
-        "hgnn": {
-            "hidden_dim": 12,
-            "out_dim": 12,
-            "fanouts": [6, 6],
-            "n_negatives": 3,
-            "batch_size": 64,
-            "max_epochs": 3,
-            "patience": 2,
-        },
-        "two_tower": {"hidden": [48, 24, 12], "epochs": 2},
-        "seed": 4,
-    }
     digests = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        run_pipeline(PipelineConfig.from_dict(config_dict), out)
+        run_pipeline(PipelineConfig.from_dict(TINY_CONFIG), out)
         digests.append(io.sha256_file(out / "evaluation.json"))
     assert digests[0] == digests[1]
     announce(11, "determinism", f"evaluation report sha256 {digests[0][:12]}… twice")

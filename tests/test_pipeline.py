@@ -6,6 +6,7 @@ import pathlib
 import shutil
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from audiorec import data, io, pipeline
@@ -16,24 +17,14 @@ from audiorec.hgnn import HgnnParams, NodeEmbeddingTable
 from audiorec.index import load_index
 from audiorec.pipeline import (
     ABLATION_VARIANTS,
+    DAILY,
     PipelineConfig,
     PipelineError,
     run_pipeline,
     run_stage,
 )
 from audiorec.recommenders import TwoTowerRecommender
-from audiorec.two_tower import TowerParams
-
-MODEL_STAGES = (
-    "synth",
-    "split",
-    "build-graph",
-    "train-hgnn",
-    "embed",
-    "train-2t",
-    "build-index",
-    "evaluate",
-)
+from audiorec.two_tower import TowerParams, assemble_user_features, user_tower_forward
 
 
 def tiny_config(seed=11):
@@ -70,7 +61,7 @@ def tiny_config(seed=11):
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     config = tiny_config()
-    for stage in MODEL_STAGES:
+    for stage in DAILY:
         run_stage(stage, config, out)
     return config, out
 
@@ -125,7 +116,7 @@ class TestStages:
 
     def test_manifests_carry_config_hash_and_io_hashes(self, pipeline_run):
         config, out = pipeline_run
-        for stage in MODEL_STAGES:
+        for stage in DAILY:
             manifest = io.read_json(out / "manifests" / f"{stage}.json")
             assert manifest["config_hash"] == config.hash()
             assert manifest["seed"] == config.seed
@@ -209,16 +200,19 @@ class TestStages:
     def test_recommend_matches_full_history_recommender(self, pipeline_run):
         config, out = pipeline_run
         train = parse_interactions(out / "train.jsonl").records
-        full = TwoTowerRecommender(
-            TowerParams.load(out / "tower_params.bin"),
-            load_index(out / "rec_index.bin"),
-            train,
-            NodeEmbeddingTable.load(out / "embeddings.bin"),
-            as_of=io.read_json(out / "split_meta.json")["split_time"],
-        )
+        params = TowerParams.load(out / "tower_params.bin")
+        table = NodeEmbeddingTable.load(out / "embeddings.bin")
+        split_time = io.read_json(out / "split_meta.json")["split_time"]
+        index = load_index(out / "rec_index.bin")
+        full = TwoTowerRecommender(params, index, train, table, as_of=split_time)
         users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
         for user in users:
             assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
+            # the recommender's per-user grouping reads what a scan of every record reads
+            feats = assemble_user_features(
+                user, train, table, as_of=split_time, music_dim=params.config.music_dim
+            )
+            assert np.array_equal(full.user_vector(user), user_tower_forward(params, feats))
 
     def test_split_surfaces_malformed_lines(self, tmp_path):
         config = tiny_config()
@@ -250,7 +244,7 @@ class TestStages:
         config = tiny_config()
         config.two_tower.target_type = "podcast"
         config.eval.tiers = False
-        for stage in MODEL_STAGES:
+        for stage in DAILY:
             run_stage(stage, config, tmp_path)
         report = io.read_json(tmp_path / "evaluation.json")
         assert report["target_type"] == "podcast"
@@ -271,7 +265,7 @@ class TestStages:
         )
         config.paths.music_vectors = str(tmp_path / "music.jsonl")
         config.paths.demographics = str(tmp_path / "demo.jsonl")
-        for stage in MODEL_STAGES[1:]:
+        for stage in DAILY[1:]:
             run_stage(stage, config, tmp_path)
         res = run_stage("recommend", config, tmp_path, user="u0000", k=3)
         assert len(res) == 3
@@ -337,7 +331,7 @@ class TestDeterminism:
     def test_stage_isolation(self, tmp_path):
         config = tiny_config()
         out = tmp_path / "run"
-        for stage in MODEL_STAGES:
+        for stage in DAILY:
             run_stage(stage, config, out)
         before = {
             name: io.sha256_file(out / name)
@@ -446,6 +440,8 @@ class TestAblate:
         assert set(report["variants"]) == set(ABLATION_VARIANTS)
         assert len(report["variants"]) == 7
         assert (out / "ablation_report.json").exists()
+        manifest = io.read_json(out / "manifests" / "ablate.json")
+        assert set(manifest["inputs"]) == {"interactions.jsonl", "catalog.jsonl"}
         csv_text = (out / "ablation_report.csv").read_text()
         assert csv_text.splitlines()[0].startswith("variant,segment")
         # homogeneous variants restrict the graph
@@ -469,13 +465,34 @@ class TestAblate:
         report = run_stage("ablate", config, out)
         assert set(report["variants"]) == {"full", "pp-only"}
 
+    def test_variant_file_is_a_manifest_input(self, tmp_path):
+        config = tiny_config()
+        out = tmp_path / "run"
+        run_stage("synth", config, out)
+        config.eval.ablation_manifest = str(tmp_path / "absent.json")
+        with pytest.raises(PipelineError, match="configured eval.ablation_manifest does not exist"):
+            run_stage("ablate", config, out)
+        inputs = {}
+        for name, variants in (
+            ("a", {"full": {}}),
+            ("b", {"no-weak-signals": {"two_tower": {"use_weak_signals": False}}}),
+        ):
+            path = tmp_path / name / "variants.json"
+            path.parent.mkdir()
+            io.write_json(variants, path)
+            config.eval.ablation_manifest = str(path)
+            run_stage("ablate", config, out)
+            inputs[name] = io.read_json(out / "manifests" / "ablate.json")["inputs"]
+            assert inputs[name]["variants.json"] == io.sha256_file(path)
+        assert inputs["a"] != inputs["b"]
+
 
 class TestCli:
     def test_full_cycle_exit_codes(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         io.write_json(tiny_config().to_dict(), cfg_path)
         out = str(tmp_path / "out")
-        for stage in MODEL_STAGES:
+        for stage in DAILY:
             assert main([stage, "--config", str(cfg_path), "--out", out]) == 0
 
         assert main(["recommend", "--config", str(cfg_path), "--out", out, "--user", "u0001", "--k", "4"]) == 0
