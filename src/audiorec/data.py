@@ -173,52 +173,58 @@ def save_interactions(records: Iterable[InteractionRecord], path) -> None:
     write_jsonl((record_to_dict(r) for r in records), path)
 
 
+def text_field(obj: dict, key: str) -> str:
+    """`obj[key]` when it is a non-empty string; otherwise a ValueError."""
+    value = obj[key]
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def parse_catalog(path) -> dict[str, CatalogItem]:
     """Parse a JSON-lines catalog file into a map keyed by item_id.
 
-    Duplicate ids and inconsistent content-vector dimensions are fatal.
+    A malformed line, a duplicate id or a content-vector dimension unlike
+    the first line's raises ValueError naming the file and the line.
     """
-    catalog: dict[str, CatalogItem] = {}
+    from .io import read_jsonl
+
     first_line: dict[str, int] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            for key in ("item_id", "item_type", "content_vector", "language", "genre"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{line_no}: missing key {key!r}")
-            item_id = obj["item_id"]
-            if item_id in catalog:
-                raise ValueError(
-                    f"{path}: duplicate item_id {item_id!r} "
-                    f"(lines {first_line[item_id]} and {line_no})"
-                )
-            if obj["item_type"] not in ITEM_TYPES:
-                raise ValueError(f"{path}:{line_no}: unknown item_type {obj['item_type']!r}")
-            vec = np.asarray(obj["content_vector"], dtype=np.float64)
-            if vec.ndim != 1:
-                raise ValueError(f"{path}:{line_no}: content_vector must be a flat array")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{line_no}: content_vector has non-finite entries")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ValueError(
-                    f"{path}:{line_no}: content_vector dimension {vec.shape[0]} "
-                    f"does not match earlier dimension {dim}"
-                )
-            catalog[item_id] = CatalogItem(
-                item_id=item_id,
-                item_type=obj["item_type"],
-                content_vector=vec,
-                language=str(obj["language"]),
-                genre=str(obj["genre"]),
+
+    def parse(obj: dict, line_no: int) -> CatalogItem:
+        nonlocal dim
+        item_id = text_field(obj, "item_id")
+        if item_id in first_line:
+            raise ValueError(
+                f"duplicate item_id {item_id!r} (lines {first_line[item_id]} and {line_no})"
             )
-            first_line[item_id] = line_no
-    return catalog
+        if obj["item_type"] not in ITEM_TYPES:
+            raise ValueError(f"unknown item_type {obj['item_type']!r}")
+        vec = np.asarray(obj["content_vector"], dtype=np.float64)
+        if vec.ndim != 1:
+            raise ValueError("content_vector must be a flat array")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("content_vector has non-finite entries")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValueError(
+                f"content_vector dimension {vec.shape[0]} does not match earlier dimension {dim}"
+            )
+        first_line[item_id] = line_no
+        return CatalogItem(
+            item_id=item_id,
+            item_type=obj["item_type"],
+            content_vector=vec,
+            language=str(obj["language"]),
+            genre=str(obj["genre"]),
+        )
+
+    items = read_jsonl(
+        path, ("item_id", "item_type", "content_vector", "language", "genre"), parse
+    )
+    return {item.item_id: item for item in items}
 
 
 def save_catalog(catalog: dict[str, CatalogItem], path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, UserSegments
+from .data import DatasetSplit, InteractionRecord, UserSegments
 
 MAX_RANK = 100
 
@@ -87,22 +87,14 @@ def coverage(
     return len(recommended & catalog) / len(catalog)
 
 
-def holdout_relevant_items(
-    split: DatasetSplit, target_type: str
-) -> dict[str, set[str]]:
-    relevant: dict[str, set[str]] = {}
-    for r in split.holdout:
+def streamed_items(records: list[InteractionRecord], target_type: str) -> dict[str, set[str]]:
+    """Each user's streamed target-type items: the relevant items of a
+    holdout, or the consumed items of a train log."""
+    streamed: dict[str, set[str]] = {}
+    for r in records:
         if r.signal == "stream" and r.item_type == target_type:
-            relevant.setdefault(r.user_id, set()).add(r.item_id)
-    return relevant
-
-
-def train_consumed_items(split: DatasetSplit, target_type: str) -> dict[str, set[str]]:
-    consumed: dict[str, set[str]] = {}
-    for r in split.train:
-        if r.signal == "stream" and r.item_type == target_type:
-            consumed.setdefault(r.user_id, set()).add(r.item_id)
-    return consumed
+            streamed.setdefault(r.user_id, set()).add(r.item_id)
+    return streamed
 
 
 def filtered_recommendations(
@@ -126,55 +118,59 @@ def holdout_rankings(
 ) -> dict[str, list[str]]:
     """The filtered ranking of every user with target-type holdout streams,
     which both `evaluate` and `tiered_metrics` score."""
-    users = sorted(holdout_relevant_items(split, target_type))
-    consumed = train_consumed_items(split, target_type)
+    users = sorted(streamed_items(split.holdout, target_type))
+    consumed = streamed_items(split.train, target_type)
     return filtered_recommendations(recommender, users, consumed, max_rank)
 
 
+def _score(
+    rankings: dict[str, list[str]],
+    groups: dict[str, tuple[dict[str, set[str]], set[str]]],
+    k: int,
+    max_rank: int,
+) -> dict[str, MetricsReport]:
+    """One report per group with users. A group is its users' relevant items
+    and the item set its coverage is over."""
+    reports: dict[str, MetricsReport] = {}
+    for name, (relevant, items) in groups.items():
+        if not relevant:
+            continue
+        recs = {u: rankings[u] for u in relevant}
+        reports[name] = MetricsReport(
+            segment=name,
+            hr_at_k=hit_rate_at_k(recs, relevant, k),
+            mrr=mrr(recs, relevant, max_rank),
+            coverage=coverage(recs, items, max_rank),
+            n_users=len(relevant),
+            k=k,
+        )
+    return reports
+
+
 def evaluate(
-    recommender,
+    rankings: dict[str, list[str]],
     split: DatasetSplit,
     segments: UserSegments,
     target_type: str,
     catalog_ids: set[str],
     k: int = 10,
     max_rank: int = MAX_RANK,
-    rankings: dict[str, list[str]] | None = None,
 ) -> dict[str, MetricsReport]:
-    """Score a recommender on holdout streams of the target type.
+    """Score a recommender's `holdout_rankings` on holdout streams of the
+    target type.
 
     Returns one report per non-empty segment among warm / cold / all. Raises
-    when no user is evaluable at all. `rankings`, when given, are the
-    recommender's `holdout_rankings` and are used instead of asking it again.
+    when no user is evaluable at all.
     """
-    relevant = holdout_relevant_items(split, target_type)
-    users = sorted(relevant)
-    if not users:
+    relevant = streamed_items(split.holdout, target_type)
+    if not relevant:
         raise ValueError("no evaluable users: holdout has no target-type streams")
-    recs = rankings if rankings is not None else holdout_rankings(
-        recommender, split, target_type, max_rank
-    )
-
     groups = {
-        "warm": [u for u in users if u in segments.warm],
-        "cold": [u for u in users if u in segments.cold],
-        "all": users,
+        "warm": ({u: r for u, r in relevant.items() if u in segments.warm}, catalog_ids),
+        "cold": ({u: r for u, r in relevant.items() if u in segments.cold}, catalog_ids),
+        "all": (relevant, catalog_ids),
     }
-    reports: dict[str, MetricsReport] = {}
-    for name, group in groups.items():
-        if not group:
-            continue
-        group_recs = {u: recs[u] for u in group}
-        group_rel = {u: relevant[u] for u in group}
-        reports[name] = MetricsReport(
-            segment=name,
-            hr_at_k=hit_rate_at_k(group_recs, group_rel, k),
-            mrr=mrr(group_recs, group_rel, max_rank),
-            coverage=coverage(group_recs, catalog_ids, max_rank),
-            n_users=len(group),
-            k=k,
-        )
-    return reports
+    return _score(rankings, groups, k, max_rank)
 
 
 def popularity_tiers(
@@ -194,49 +190,29 @@ def popularity_tiers(
 
 
 def tiered_metrics(
-    recommender,
+    rankings: dict[str, list[str]],
     split: DatasetSplit,
-    segments: UserSegments,
     target_type: str,
     catalog_ids: set[str],
     k: int = 10,
     max_rank: int = MAX_RANK,
     n_tiers: int = 5,
-    rankings: dict[str, list[str]] | None = None,
 ) -> dict[str, MetricsReport]:
-    """Per-popularity-tier metrics; users contribute to every tier containing
-    at least one of their relevant items. Tiers 3-5 combine into the reported
-    long tail. `rankings` are as in `evaluate`."""
-    relevant = holdout_relevant_items(split, target_type)
+    """Per-popularity-tier metrics of a recommender's `holdout_rankings`;
+    users contribute to every tier containing at least one of their relevant
+    items. Tiers 3-5 combine into the reported long tail."""
+    relevant = streamed_items(split.holdout, target_type)
     active_items = set().union(*relevant.values()) if relevant else set()
     if len(active_items) < n_tiers:
         raise ValueError(
             f"need at least {n_tiers} distinct items with holdout activity, "
             f"got {len(active_items)}"
         )
-    tiers = popularity_tiers(split, catalog_ids, target_type, n_tiers)
-    users = sorted(relevant)
-    recs = rankings if rankings is not None else holdout_rankings(
-        recommender, split, target_type, max_rank
-    )
-
-    reports: dict[str, MetricsReport] = {}
-    tier_sets = [set(t) for t in tiers]
-    long_tail = set().union(*tier_sets[2:])
-    for label, members in [
-        (f"tier_{i + 1}", tier_sets[i]) for i in range(n_tiers)
-    ] + [("long_tail", long_tail)]:
-        group = [u for u in users if relevant[u] & members]
-        if not group:
-            continue
-        group_recs = {u: recs[u] for u in group}
-        group_rel = {u: relevant[u] & members for u in group}
-        reports[label] = MetricsReport(
-            segment=label,
-            hr_at_k=hit_rate_at_k(group_recs, group_rel, k),
-            mrr=mrr(group_recs, group_rel, max_rank),
-            coverage=coverage(group_recs, members, max_rank),
-            n_users=len(group),
-            k=k,
-        )
-    return reports
+    tiers = [set(t) for t in popularity_tiers(split, catalog_ids, target_type, n_tiers)]
+    members = {f"tier_{i + 1}": tier for i, tier in enumerate(tiers)}
+    members["long_tail"] = set().union(*tiers[2:])
+    groups = {
+        name: ({u: r & items for u, r in relevant.items() if r & items}, items)
+        for name, items in members.items()
+    }
+    return _score(rankings, groups, k, max_rank)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import Csr, HeteroGraph, rel_key, rel_types
-from .io import dataclass_from_dict, read_pack, write_pack
+from .io import check_rules, dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
 _NORM_FLOOR = 1e-12
@@ -45,7 +45,7 @@ class HgnnConfig:
 
     def __post_init__(self):
         self.fanouts = tuple(self.fanouts)
-        for name, rule, ok in (
+        rules = (
             ("layers", ">= 1", self.layers >= 1),
             (
                 "fanouts",
@@ -62,9 +62,8 @@ class HgnnConfig:
             ("max_epochs", ">= 1", self.max_epochs >= 1),
             ("patience", ">= 1", self.patience >= 1),
             ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
-        ):
-            if not ok:
-                raise ValueError(f"hgnn.{name} must be {rule}, got {getattr(self, name)!r}")
+        )
+        check_rules("hgnn", self, rules)
 
     def layer_dims(self, feature_dim: int) -> list[int]:
         return [feature_dim] + [self.hidden_dim] * (self.layers - 1) + [self.out_dim]

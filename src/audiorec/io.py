@@ -9,7 +9,7 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,6 +46,14 @@ def dataclass_from_dict(cls, obj: dict, section: str):
     return cls(**obj)
 
 
+def check_rules(section: str, config, rules) -> None:
+    """Refuse a config section on the first `(field, rule, holds)` rule that
+    does not hold, with a ValueError naming `<section>.<field>`."""
+    for name, rule, holds in rules:
+        if not holds:
+            raise ValueError(f"{section}.{name} must be {rule}, got {getattr(config, name)!r}")
+
+
 def write_json(obj, path) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
@@ -61,10 +69,12 @@ def write_jsonl(records: Iterable[dict], path) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
-    """Every non-blank line of a JSON-lines file. A line that is not a JSON
-    object holding every key in `required` raises ValueError naming the file
-    and its 1-based line."""
+def read_jsonl(path, required: tuple[str, ...] = (), parse: Callable | None = None) -> list:
+    """Every non-blank line of a JSON-lines file: its object, or
+    `parse(obj, line_no)` when `parse` is given. A line that is not a JSON
+    object holding every key in `required`, or whose object `parse` rejects
+    with ValueError or TypeError, raises ValueError naming the file and its
+    1-based line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -73,14 +83,16 @@ def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("record is not an object")
+                for key in required:
+                    if key not in obj:
+                        raise ValueError(f"missing key {key!r}")
+                out.append(obj if parse is None else parse(obj, line_no))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: record is not an object")
-            for key in required:
-                if key not in obj:
-                    raise ValueError(f"{path}:{line_no}: missing key {key!r}")
-            out.append(obj)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return out
 
 

@@ -22,6 +22,7 @@ from .data import (
     parse_user_history,
     save_catalog,
     save_interactions,
+    text_field,
     timeline_split,
     truncate_history,
     user_segments,
@@ -195,22 +196,26 @@ def _seed_of(config: PipelineConfig, stage: str) -> int:
 def _load_music_vectors(path: Path | None) -> dict[str, np.ndarray]:
     if path is None:
         return {}
-    vectors = {}
-    for row in io.read_jsonl(path, required=("user_id", "vector")):
+
+    def parse(row: dict, line_no: int) -> tuple[str, np.ndarray]:
+        user = text_field(row, "user_id")
         try:
-            vectors[row["user_id"]] = np.asarray(row["vector"], dtype=np.float64)
+            return user, np.asarray(row["vector"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{path}: vector of user {row['user_id']!r} is not a float array ({exc})"
-            ) from exc
-    return vectors
+            raise ValueError(f"vector of user {user!r} is not a float array ({exc})") from exc
+
+    return dict(io.read_jsonl(path, ("user_id", "vector"), parse))
 
 
 def _load_demographics(path: Path | None) -> dict[str, tuple[str, str]]:
     if path is None:
         return {}
-    rows = io.read_jsonl(path, required=("user_id", "country", "age_bucket"))
-    return {r["user_id"]: (r["country"], r["age_bucket"]) for r in rows}
+
+    def parse(row: dict, line_no: int) -> tuple[str, tuple[str, str]]:
+        demographics = (text_field(row, "country"), text_field(row, "age_bucket"))
+        return text_field(row, "user_id"), demographics
+
+    return dict(io.read_jsonl(path, ("user_id", "country", "age_bucket"), parse))
 
 
 def _split_time(files: Files) -> int:
@@ -421,8 +426,7 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
     for model, rec in recommenders.items():
         rankings = holdout_rankings(rec, split, target, config.eval.max_rank)
         reports = evaluate(
-            rec, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank,
-            rankings=rankings,
+            rankings, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank
         )
         entry = {seg: rep.to_dict() for seg, rep in reports.items()}
         for seg in ("warm", "cold", "all"):
@@ -431,8 +435,7 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
         if config.eval.tiers and model == "two_tower_hgnn":
             try:
                 tiers = tiered_metrics(
-                    rec, split, segments, target, catalog_ids,
-                    config.eval.k, config.eval.max_rank, rankings=rankings,
+                    rankings, split, target, catalog_ids, config.eval.k, config.eval.max_rank
                 )
                 entry["tiers"] = {name: rep.to_dict() for name, rep in tiers.items()}
             except ValueError:

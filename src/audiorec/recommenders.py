@@ -10,9 +10,7 @@ from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
     TowerParams,
-    TwoTowerConfig,
     UserFeatures,
-    _zeroed_table,
     assemble_user_features,
     records_by_user,
     user_tower_forward,
@@ -174,23 +172,18 @@ class TwoTowerRecommender:
             train_records, params.config.window_days, as_of
         )
         self._history = records_by_user(train_records, window_start, self._as_of)
-        if not params.config.use_hgnn_features:
-            self.embeddings = _zeroed_table(embeddings)
 
     def user_vector(self, user_id: str) -> np.ndarray:
         feats = self._user_features.get(user_id)
         if feats is None:
-            cfg: TwoTowerConfig = self.params.config
             feats = assemble_user_features(
                 user_id,
                 self._history.get(user_id, []),
                 self.embeddings,
-                music_vector=self.music_vectors.get(user_id),
-                window_days=cfg.window_days,
+                self.params.config,
                 as_of=self._as_of,
-                use_weak_signals=cfg.use_weak_signals,
+                music_vector=self.music_vectors.get(user_id),
                 demographics=self.demographics,
-                music_dim=cfg.music_dim,
             )
             self._user_features[user_id] = feats
         return user_tower_forward(self.params, feats)

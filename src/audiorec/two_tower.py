@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
+from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
 from .hgnn import NodeEmbeddingTable
-from .io import dataclass_from_dict, read_pack, write_pack
+from .io import check_rules, dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
 OOV_TOKEN = "<oov>"
@@ -41,8 +41,17 @@ class TwoTowerConfig:
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
-        if len(self.hidden) != 3:
-            raise ValueError("towers use exactly three dense layers")
+        rules = (
+            ("hidden", "three values >= 1", len(self.hidden) == 3 and min(self.hidden) >= 1),
+            ("batch_size", ">= 2", self.batch_size >= 2),  # a batch needs an in-batch negative
+            ("epochs", ">= 1", self.epochs >= 1),
+            ("learning_rate", "> 0", self.learning_rate > 0),
+            ("window_days", ">= 1", self.window_days >= 1),
+            ("cat_embed_dim", ">= 1", self.cat_embed_dim >= 1),
+            ("music_dim", ">= 0", self.music_dim >= 0),
+            ("target_type", f"one of {list(ITEM_TYPES)}", self.target_type in ITEM_TYPES),
+        )
+        check_rules("two_tower", self, rules)
 
 
 @dataclass
@@ -57,12 +66,10 @@ class UserFeatures:
 
 @dataclass
 class ItemFeatures:
-    item_id: str
     language: str
     genre: str
     content_vector: np.ndarray
     hgnn_embedding: np.ndarray
-    inductive: bool
 
 
 @dataclass
@@ -87,38 +94,36 @@ class Vocab:
     def to_list(self) -> list[str]:
         return sorted(self._index)
 
-    @classmethod
-    def from_list(cls, values: list[str]) -> "Vocab":
-        return cls(values)
-
 
 def assemble_user_features(
     user_id: str,
-    train_records: list[InteractionRecord],
+    records: list[InteractionRecord],
     embeddings: NodeEmbeddingTable,
-    music_vector: np.ndarray | None = None,
-    window_days: int = 90,
+    config: TwoTowerConfig,
+    *,
     as_of: int | None = None,
-    use_weak_signals: bool = True,
+    music_vector: np.ndarray | None = None,
     demographics: dict[str, tuple[str, str]] | None = None,
-    music_dim: int = 8,
 ) -> UserFeatures:
-    """Build one user's tower input from their interaction history.
+    """Build one user's tower input from their interaction history, for
+    training and serving alike.
 
-    Mean audiobook embeddings cover every signal type inside the window (or
-    streams only when weak signals are disabled); podcast means cover streams.
-    Users with no qualifying history get zero mean vectors.
+    Mean audiobook embeddings cover every signal type inside the
+    `config.window_days` window (or streams only without
+    `config.use_weak_signals`); podcast means cover streams. Users with no
+    qualifying history, and every user without `config.use_hgnn_features`,
+    get zero mean vectors.
     """
-    window_start, as_of = feature_window(train_records, window_days, as_of)
-    ab_signals = set(SIGNALS) if use_weak_signals else {"stream"}
+    window_start, as_of = feature_window(records, config.window_days, as_of)
+    ab_signals = set(SIGNALS) if config.use_weak_signals else {"stream"}
 
     ab_items: set[str] = set()
     pod_items: set[str] = set()
     counts = {s: 0 for s in SIGNALS}
-    for r in train_records:
+    for r in records:
         if r.user_id != user_id or not (window_start <= r.timestamp < as_of):
             continue
-        if not use_weak_signals and r.signal in WEAK_SIGNALS:
+        if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
             continue
         counts[r.signal] += 1
         if r.item_type == "audiobook" and r.signal in ab_signals:
@@ -126,30 +131,34 @@ def assemble_user_features(
         elif r.item_type == "podcast" and r.signal == "stream":
             pod_items.add(r.item_id)
 
-    d = embeddings.dim
+    if config.use_hgnn_features:
+        ab_mean = _mean_embedding(ab_items, embeddings)
+        pod_mean = _mean_embedding(pod_items, embeddings)
+    else:
+        ab_mean, pod_mean = np.zeros(embeddings.dim), np.zeros(embeddings.dim)
     country, age_bucket = (demographics or {}).get(user_id, (OOV_TOKEN, OOV_TOKEN))
     if music_vector is not None:
         music_vector = np.asarray(music_vector, dtype=np.float64)
-        if music_vector.shape != (music_dim,):
+        if music_vector.shape != (config.music_dim,):
             raise ValueError(
                 f"music vector for {user_id!r} has shape {music_vector.shape}, "
-                f"expected ({music_dim},)"
+                f"expected ({config.music_dim},)"
             )
     return UserFeatures(
         country=country,
         age_bucket=age_bucket,
-        music_vector=np.zeros(music_dim) if music_vector is None else music_vector,
-        mean_audiobook_embedding=_mean_embedding(ab_items, embeddings, d),
-        mean_podcast_embedding=_mean_embedding(pod_items, embeddings, d),
+        music_vector=np.zeros(config.music_dim) if music_vector is None else music_vector,
+        mean_audiobook_embedding=ab_mean,
+        mean_podcast_embedding=pod_mean,
         interaction_counts=counts,
     )
 
 
-def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable, d: int) -> np.ndarray:
+def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.ndarray:
     rows = [embeddings.get(i) for i in sorted(item_ids)]
     rows = [r for r in rows if r is not None]
     if not rows:
-        return np.zeros(d)
+        return np.zeros(embeddings.dim)
     return np.mean(rows, axis=0)
 
 
@@ -165,56 +174,28 @@ def records_by_user(
     return per_user
 
 
-def assemble_all_user_features(
-    user_ids,
-    train_records: list[InteractionRecord],
+def assemble_item_features(
+    catalog: dict[str, CatalogItem],
     embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
-    as_of: int | None = None,
-    music_vectors: dict[str, np.ndarray] | None = None,
-    demographics: dict[str, tuple[str, str]] | None = None,
-) -> dict[str, UserFeatures]:
-    """Single-pass feature assembly for many users."""
-    window_start, as_of = feature_window(train_records, config.window_days, as_of)
-    per_user = records_by_user(train_records, window_start, as_of)
-    out = {}
-    for u in sorted(set(user_ids)):
-        out[u] = assemble_user_features(
-            u,
-            per_user.get(u, []),
-            embeddings,
-            music_vector=(music_vectors or {}).get(u),
-            window_days=config.window_days,
-            as_of=as_of,
-            use_weak_signals=config.use_weak_signals,
-            demographics=demographics,
-            music_dim=config.music_dim,
+) -> dict[str, ItemFeatures]:
+    """Tower inputs of every `config.target_type` catalog item, by id in id
+    order, for training and index export alike. An item without a table row,
+    and every item without `config.use_hgnn_features`, gets a zero embedding
+    input."""
+    items = {}
+    for item_id in sorted(catalog):
+        item = catalog[item_id]
+        if item.item_type != config.target_type:
+            continue
+        vec = embeddings.get(item_id) if config.use_hgnn_features else None
+        items[item_id] = ItemFeatures(
+            language=item.language,
+            genre=item.genre,
+            content_vector=item.content_vector,
+            hgnn_embedding=np.zeros(embeddings.dim) if vec is None else vec,
         )
-    return out
-
-
-def assemble_item_features(
-    item: CatalogItem,
-    embeddings: NodeEmbeddingTable,
-    use_hgnn_features: bool = True,
-) -> ItemFeatures:
-    d = embeddings.dim
-    vec = embeddings.get(item.item_id) if use_hgnn_features else None
-    inductive = False
-    if vec is None:
-        vec = np.zeros(d)
-        inductive = use_hgnn_features
-    else:
-        i = embeddings.index[item.item_id]
-        inductive = bool(embeddings.inductive[i])
-    return ItemFeatures(
-        item_id=item.item_id,
-        language=item.language,
-        genre=item.genre,
-        content_vector=item.content_vector,
-        hgnn_embedding=vec,
-        inductive=inductive,
-    )
+    return items
 
 
 class TowerParams:
@@ -296,7 +277,7 @@ class TowerParams:
         if meta.get("kind") != "tower_params":
             raise ValueError(f"{path}: not a tower parameter checkpoint")
         config = dataclass_from_dict(TwoTowerConfig, meta["config"], "two_tower")
-        vocabs = {name: Vocab.from_list(vals) for name, vals in meta["vocabs"].items()}
+        vocabs = {name: Vocab(vals) for name, vals in meta["vocabs"].items()}
         return cls(config, vocabs, dict(meta["dims"]), arrays, dict(meta["item_freq"]))
 
 
@@ -410,25 +391,21 @@ def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarra
     return _tower_forward(params, "user", cat, dense).out[0]
 
 
-def item_tower_forward(params: TowerParams, features: ItemFeatures) -> np.ndarray:
-    cat, dense = _item_inputs(params, [features])
-    return _tower_forward(params, "item", cat, dense).out[0]
-
-
 def _batch_loss_and_douts(
     out_u: np.ndarray,
     out_a: np.ndarray,
-    item_ids: list[str],
+    items,
     weights: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss over one batch of (user, positive) rows with in-batch negatives.
 
-    Row j serves as a negative for row i when the items differ; duplicates of
-    the positive are excluded. Returns d(loss)/d(out_u) and d(loss)/d(out_a).
+    `items` names each row's positive item (by id or by packed row). Row j
+    serves as a negative for row i when the items differ; duplicates of the
+    positive are excluded. Returns d(loss)/d(out_u) and d(loss)/d(out_a).
     """
     n = out_u.shape[0]
     scores = out_u @ out_a.T
-    ids = np.array(item_ids)
+    ids = np.asarray(items)
     neg_mask = ids[None, :] != ids[:, None]
     n_negs = neg_mask.sum(axis=1)
     if np.any(n_negs == 0):
@@ -447,16 +424,6 @@ def _batch_loss_and_douts(
     return loss, d_u, d_a
 
 
-def _zeroed_table(embeddings: NodeEmbeddingTable) -> NodeEmbeddingTable:
-    return NodeEmbeddingTable(
-        item_ids=list(embeddings.item_ids),
-        node_types=list(embeddings.node_types),
-        matrix=np.zeros_like(embeddings.matrix),
-        inductive=embeddings.inductive.copy(),
-        fallback=embeddings.fallback.copy(),
-    )
-
-
 def build_feature_set(
     user_ids,
     train_records: list[InteractionRecord],
@@ -467,27 +434,23 @@ def build_feature_set(
     music_vectors: dict[str, np.ndarray] | None = None,
     demographics: dict[str, tuple[str, str]] | None = None,
 ) -> FeatureSet:
-    """Assemble user and target-item features for training or serving.
-
-    With graph features disabled, embedding-derived inputs are zeroed on both
-    towers.
-    """
-    table = embeddings if config.use_hgnn_features else _zeroed_table(embeddings)
-    users = assemble_all_user_features(
-        user_ids,
-        train_records,
-        table,
-        config,
-        as_of=as_of,
-        music_vectors=music_vectors,
-        demographics=demographics,
-    )
-    items = {
-        item_id: assemble_item_features(catalog[item_id], table, config.use_hgnn_features)
-        for item_id in sorted(catalog)
-        if catalog[item_id].item_type == config.target_type
+    """The tower inputs of `user_ids` (in id order) and of the target-type
+    catalog, from the same builders serving and index export call."""
+    window_start, as_of = feature_window(train_records, config.window_days, as_of)
+    history = records_by_user(train_records, window_start, as_of)
+    users = {
+        u: assemble_user_features(
+            u,
+            history.get(u, []),
+            embeddings,
+            config,
+            as_of=as_of,
+            music_vector=(music_vectors or {}).get(u),
+            demographics=demographics,
+        )
+        for u in sorted(set(user_ids))
     }
-    return FeatureSet(users=users, items=items)
+    return FeatureSet(users=users, items=assemble_item_features(catalog, embeddings, config))
 
 
 def build_training_pairs(
@@ -516,6 +479,7 @@ def train_two_tower(
 ) -> tuple[TowerParams, list[dict]]:
     """Fit both towers with Adam on in-batch-negative batches.
 
+    Every user and item row is packed once; a batch indexes its pairs' rows.
     Item weights are proportional to inverse training frequency, renormalized
     to mean one within each batch.
     """
@@ -538,7 +502,13 @@ def train_two_tower(
     adam = Adam(learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
 
-    inv_freq = {i: 1.0 / c for i, c in item_freq.items()}
+    u_cat, u_dense = _user_inputs(params, list(features.users.values()))
+    i_cat, i_dense = _item_inputs(params, list(features.items.values()))
+    user_row = {u: r for r, u in enumerate(features.users)}
+    item_row = {i: r for r, i in enumerate(features.items)}
+    pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
+    pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
+    pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))
@@ -546,26 +516,20 @@ def train_two_tower(
         n_seen = 0
         skipped = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [pairs[int(i)] for i in order[start : start + config.batch_size]]
+            batch = order[start : start + config.batch_size]
             if len(batch) < 2:  # a lone pair has no in-batch negative
                 skipped += 1
                 continue
-            user_feats = [features.users[u] for u, _ in batch]
-            item_feats = [features.items[i] for _, i in batch]
-            item_ids = [i for _, i in batch]
-            w_raw = np.array([inv_freq[i] for i in item_ids])
+            users, items = pair_user[batch], pair_item[batch]
+            w_raw = pair_inv_freq[batch]
             if np.all(w_raw == w_raw[0]):
                 weights = np.ones_like(w_raw)  # exact neutrality for uniform items
             else:
                 weights = w_raw / w_raw.mean()
 
-            u_cat, u_dense = _user_inputs(params, user_feats)
-            i_cat, i_dense = _item_inputs(params, item_feats)
-            u_cache = _tower_forward(params, "user", u_cat, u_dense)
-            i_cache = _tower_forward(params, "item", i_cat, i_dense)
-            loss, d_u, d_a = _batch_loss_and_douts(
-                u_cache.out, i_cache.out, item_ids, weights
-            )
+            u_cache = _tower_forward(params, "user", u_cat[users], u_dense[users])
+            i_cache = _tower_forward(params, "item", i_cat[items], i_dense[items])
+            loss, d_u, d_a = _batch_loss_and_douts(u_cache.out, i_cache.out, items, weights)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss in epoch {epoch}, batch {start // config.batch_size}"
@@ -593,12 +557,7 @@ def export_item_vectors(
 ) -> dict[str, np.ndarray]:
     """One output vector per target-type catalog item, including items that
     never appeared in the training graph."""
-    target = params.config.target_type
-    items = [catalog[i] for i in sorted(catalog) if catalog[i].item_type == target]
-    feats = [
-        assemble_item_features(it, embeddings, params.config.use_hgnn_features)
-        for it in items
-    ]
-    cat, dense = _item_inputs(params, feats)
+    feats = assemble_item_features(catalog, embeddings, params.config)
+    cat, dense = _item_inputs(params, list(feats.values()))
     out = _tower_forward(params, "item", cat, dense).out
-    return {it.item_id: out[i] for i, it in enumerate(items)}
+    return dict(zip(feats, out))

@@ -187,12 +187,10 @@ def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4):
         )
         items.append(
             ItemFeatures(
-                f"i{i}",
                 str(rng.choice(["en", "es"])),
                 str(rng.choice(["g0", "g1"])),
                 rng.normal(size=d_c),
                 rng.normal(size=d_embed),
-                False,
             )
         )
         ids.append(f"i{i}")

@@ -243,9 +243,7 @@ def test_criterion_6_normalization_invariants(full_pipeline):
     train = parse_interactions(out / "train.jsonl").records
     users = sorted({r.user_id for r in train})[:30]
     for user in users:
-        feats = assemble_user_features(
-            user, train, table, music_dim=params.config.music_dim
-        )
+        feats = assemble_user_features(user, train, table, params.config)
         o_u = user_tower_forward(params, feats)
         assert abs(np.linalg.norm(o_u) - 1.0) < 1e-6
     announce(

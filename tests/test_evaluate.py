@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import CatalogItem, DatasetSplit, InteractionRecord, UserSegments, user_segments
+from audiorec.data import CatalogItem, DatasetSplit, InteractionRecord, user_segments
 from audiorec.evaluate import (
     coverage,
     evaluate,
     hit_rate_at_k,
+    holdout_rankings,
     mrr,
     popularity_tiers,
+    streamed_items,
     tiered_metrics,
 )
 from audiorec.recommenders import (
@@ -29,6 +31,11 @@ class FixedRecommender:
 
     def recommend(self, user_id):
         return list(self.lists.get(user_id, self.default))
+
+
+def score(rec, split, segments, target_type, catalog_ids):
+    rankings = holdout_rankings(rec, split, target_type)
+    return evaluate(rankings, split, segments, target_type, catalog_ids)
 
 
 class TestHitRate:
@@ -126,29 +133,26 @@ class TestEvaluate:
         oracle = FixedRecommender(
             {"w1": ["a2"], "w2": ["a3"], "c1": ["a4"]}, name="oracle"
         )
-        reports = evaluate(oracle, split, segments, "audiobook", ids)
+        reports = score(oracle, split, segments, "audiobook", ids)
         for seg in ("warm", "cold", "all"):
             assert reports[seg].hr_at_k == 1.0
             assert reports[seg].mrr == 1.0
 
     def test_oracle_dominates_popularity(self, small_split, small_synth):
         _, catalog = small_synth
-        from audiorec.data import user_segments
-        from audiorec.evaluate import holdout_relevant_items
-
         segments = user_segments(small_split)
-        relevant = holdout_relevant_items(small_split, "audiobook")
+        relevant = streamed_items(small_split.holdout, "audiobook")
         oracle = FixedRecommender({u: sorted(items) for u, items in relevant.items()})
         ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
         pop = PopularityRecommender(small_split.train, catalog, "audiobook")
-        oracle_rep = evaluate(oracle, small_split, segments, "audiobook", ids)
-        pop_rep = evaluate(pop, small_split, segments, "audiobook", ids)
+        oracle_rep = score(oracle, small_split, segments, "audiobook", ids)
+        pop_rep = score(pop, small_split, segments, "audiobook", ids)
         assert oracle_rep["all"].hr_at_k > pop_rep["all"].hr_at_k
 
     def test_consumed_items_filtered(self):
         catalog, split, segments, ids = toy_eval_setup()
         rec = FixedRecommender({}, default=["a0", "a1", "a2", "a3", "a4", "a5"])
-        reports = evaluate(rec, split, segments, "audiobook", ids)
+        reports = score(rec, split, segments, "audiobook", ids)
         # w1 must not be shown a0 again; its list starts at a1
         assert reports["warm"].n_users == 2
         # w1 hits a2 at rank 2, w2 hits a3 at rank 3 after filtering a1
@@ -158,12 +162,12 @@ class TestEvaluate:
         catalog, split, segments, ids = toy_eval_setup()
         empty_split = DatasetSplit(train=split.train, holdout=[], split_time=50)
         with pytest.raises(ValueError):
-            evaluate(FixedRecommender({}), empty_split, segments, "audiobook", ids)
+            score(FixedRecommender({}), empty_split, segments, "audiobook", ids)
 
     def test_segment_population(self):
         catalog, split, segments, ids = toy_eval_setup()
         rec = FixedRecommender({}, default=sorted(ids))
-        reports = evaluate(rec, split, segments, "audiobook", ids)
+        reports = score(rec, split, segments, "audiobook", ids)
         assert reports["warm"].n_users == 2
         assert reports["cold"].n_users == 1
         assert reports["all"].n_users == 3
@@ -233,9 +237,10 @@ class TestTiers:
         for j in range(3, 8):  # make >=5 active items
             holdout.append(stream(f"other{j}", f"a{j}", catalog, t=99))
         split = DatasetSplit(train=train, holdout=holdout, split_time=50)
-        segments = UserSegments(warm=set(), cold={r.user_id for r in holdout})
         rec = FixedRecommender({}, default=sorted(catalog))
-        reports = tiered_metrics(rec, split, segments, "audiobook", set(catalog))
+        reports = tiered_metrics(
+            holdout_rankings(rec, split, "audiobook"), split, "audiobook", set(catalog)
+        )
         tiers = popularity_tiers(split, set(catalog), "audiobook")
         assert "a0" in tiers[0] and "a6" in tiers[3]
         # u1 contributes to both tiers
@@ -250,12 +255,10 @@ class TestTiers:
             holdout=[stream("u2", "a1", catalog, t=99)],
             split_time=50,
         )
-        segments = UserSegments(warm=set(), cold={"u2"})
         with pytest.raises(ValueError):
             tiered_metrics(
-                FixedRecommender({}, default=sorted(catalog)),
+                holdout_rankings(FixedRecommender({}, default=sorted(catalog)), split, "audiobook"),
                 split,
-                segments,
                 "audiobook",
                 set(catalog),
             )
@@ -286,7 +289,7 @@ class TestPopularityBaseline:
         segments = user_segments(split)
         rec = PopularityRecommender(train, catalog, "audiobook")
         ids = set(catalog)
-        reports = evaluate(rec, split, segments, "audiobook", ids)
+        reports = score(rec, split, segments, "audiobook", ids)
         # u1's consumed filter shifts its window by one item, so the union is
         # 101 ids; still ~= 100/|catalog|
         assert reports["all"].coverage == pytest.approx(101 / 500, abs=1e-12)
@@ -315,9 +318,9 @@ class TestContentKnn:
         split = DatasetSplit(train=train, holdout=holdout, split_time=50)
         segments = user_segments(split)
         rec = content_knn_baseline(train, catalog, "audiobook")
-        # raw ranking puts the consumed a0 first; evaluate() must filter it
+        # raw ranking puts the consumed a0 first; score() must filter it
         assert rec.recommend("u1")[0] == "a0"
-        reports = evaluate(rec, split, segments, "audiobook", set(catalog))
+        reports = score(rec, split, segments, "audiobook", set(catalog))
         assert reports["all"].mrr == 1.0  # a1 is first after the filter
 
     def test_weak_signals_included_and_fallback(self):

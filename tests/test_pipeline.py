@@ -11,7 +11,7 @@ import pytest
 
 from audiorec import data, io, pipeline
 from audiorec.cli import main
-from audiorec.data import parse_interactions
+from audiorec.data import parse_catalog, parse_interactions
 from audiorec.graph import load_graph
 from audiorec.hgnn import HgnnParams, NodeEmbeddingTable
 from audiorec.index import load_index
@@ -24,7 +24,14 @@ from audiorec.pipeline import (
     run_stage,
 )
 from audiorec.recommenders import TwoTowerRecommender
-from audiorec.two_tower import TowerParams, assemble_user_features, user_tower_forward
+from audiorec.two_tower import (
+    TowerParams,
+    _item_inputs,
+    _user_inputs,
+    assemble_user_features,
+    build_feature_set,
+    user_tower_forward,
+)
 
 
 def tiny_config(seed=11):
@@ -204,15 +211,28 @@ class TestStages:
         table = NodeEmbeddingTable.load(out / "embeddings.bin")
         split_time = io.read_json(out / "split_meta.json")["split_time"]
         index = load_index(out / "rec_index.bin")
+        catalog = parse_catalog(out / "catalog.jsonl")
         full = TwoTowerRecommender(params, index, train, table, as_of=split_time)
         users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
+        # serving and training build a user's row with the same builder
+        packed = build_feature_set(users, train, catalog, table, params.config, as_of=split_time)
         for user in users:
             assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
+            served = full.user_vector(user)
+            assert np.array_equal(served, user_tower_forward(params, packed.users[user]))
             # the recommender's per-user grouping reads what a scan of every record reads
-            feats = assemble_user_features(
-                user, train, table, as_of=split_time, music_dim=params.config.music_dim
-            )
-            assert np.array_equal(full.user_vector(user), user_tower_forward(params, feats))
+            feats = assemble_user_features(user, train, table, params.config, as_of=split_time)
+            assert np.array_equal(served, user_tower_forward(params, feats))
+
+        # without graph features both towers see exactly 0.0 in every embedding column
+        off = dataclasses.replace(params.config, use_hgnn_features=False)
+        zeroed = build_feature_set(users, train, catalog, table, off, as_of=split_time)
+        _, u_dense = _user_inputs(params, list(zeroed.users.values()))
+        _, i_dense = _item_inputs(params, list(zeroed.items.values()))
+        music, d_c, d = off.music_dim, params.dims["d_c"], table.dim
+        assert np.all(u_dense[:, music : music + 2 * d] == 0.0)
+        assert np.all(i_dense[:, d_c:] == 0.0) and i_dense.shape[1] == d_c + d
+        assert np.any(u_dense[:, music + 2 * d :] != 0.0)  # the signal counts stay
 
     def test_split_surfaces_malformed_lines(self, tmp_path):
         config = tiny_config()
@@ -354,6 +374,10 @@ STAGE_INPUTS = [
     for key in spec.inputs + spec.optional
     if key in pipeline.ARTIFACTS
 ]
+
+
+CATALOG_ROW = {"item_id": "x", "item_type": "audiobook", "content_vector": [0.0], "language": "en", "genre": "g"}
+DEMO_ROW = {"user_id": "u1", "country": "SE", "age_bucket": "25-34"}
 
 
 def cli_error(argv, capsys) -> str:
@@ -558,6 +582,77 @@ class TestCli:
         assert f"hgnn.{field} must be" in payload["error"]
         assert (run / "hgnn_params.bin").read_bytes() == params_before
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 1),  # was exit 0: every batch skipped, the tower never trained
+            ("batch_size", 0),  # was "range() arg 3 must not be zero"
+            ("hidden", [0, 4, 2]),  # was exit 0 with a dead layer
+            ("hidden", [8, 4]),
+            ("epochs", 0),  # was exit 0 with the initial weights saved
+            ("learning_rate", -1),  # was exit 0, trained uphill
+            ("window_days", 0),
+            ("cat_embed_dim", 0),
+            ("music_dim", -1),
+            ("target_type", "audiobooks"),  # was "no target-type streams"
+        ],
+    )
+    def test_bad_two_tower_setting_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys, field, value
+    ):
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["two_tower"][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        params_before = (run / "tower_params.bin").read_bytes()
+        error = cli_error(["train-2t", "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert f"two_tower.{field} must be" in error
+        assert (run / "tower_params.bin").read_bytes() == params_before
+
+    def test_shipped_configs_pass_the_config_rules(self):
+        from audiorec.benchmark import ORDERING_SETTINGS, TOWER_VARIANTS
+        from test_acceptance import TINY_CONFIG
+
+        PipelineConfig.from_dict({})
+        PipelineConfig.from_dict(TINY_CONFIG)
+        ordering = PipelineConfig().with_overrides(ORDERING_SETTINGS)
+        for variant in TOWER_VARIANTS.values():
+            ordering.with_overrides(variant)
+        for variant in ABLATION_VARIANTS.values():
+            tiny_config().with_overrides(variant)
+
+    @pytest.mark.parametrize(
+        "field, line, expected",
+        [
+            ("catalog", "5", "record is not an object"),
+            ("catalog", '{"item_id": ', "invalid JSON"),
+            ("catalog", json.dumps({**CATALOG_ROW, "item_id": ["x"]}), "item_id must be a non-empty"),
+            ("catalog", json.dumps({**CATALOG_ROW, "content_vector": ["a"]}), "could not convert"),
+            ("demographics", json.dumps({**DEMO_ROW, "user_id": ["u1"]}), "user_id must be"),
+            ("demographics", json.dumps({**DEMO_ROW, "country": ["SE"]}), "country must be"),
+            ("music_vectors", json.dumps({"user_id": ["u1"], "vector": [0.5]}), "user_id must be"),
+        ],
+    )
+    def test_bad_input_line_is_one_json_line_naming_it(
+        self, pipeline_run, tmp_path, capsys, field, line, expected
+    ):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        source = run / "catalog.jsonl" if field == "catalog" else None
+        path = tmp_path / f"{field}.jsonl"
+        good = source.read_text() if source else ""
+        path.write_text(good + line + "\n")
+        n_line = good.count("\n") + 1
+        cfg = config.to_dict()
+        cfg["paths"][field] = str(path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stage = "build-graph" if field == "catalog" else "train-2t"
+        error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert error.startswith(f"{path}:{n_line}: ") and expected in error
+
     def test_recommend_on_truncated_index_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
         damaged = tmp_path / "out"
@@ -619,7 +714,7 @@ class TestCli:
             pytest.param(
                 "music_vectors",
                 [{"user_id": "u0001", "vector": {"x": 1}}],
-                "music.jsonl: vector of user 'u0001' is not a float array",
+                "music.jsonl:1: vector of user 'u0001' is not a float array",
                 id="music-vector-not-an-array",
             ),
             pytest.param(

@@ -11,12 +11,13 @@ from audiorec.two_tower import (
     TwoTowerConfig,
     UserFeatures,
     Vocab,
+    _item_inputs,
+    _tower_forward,
     assemble_item_features,
     assemble_user_features,
     build_feature_set,
     build_training_pairs,
     export_item_vectors,
-    item_tower_forward,
     train_two_tower,
     user_tower_forward,
 )
@@ -36,6 +37,10 @@ def toy_table(rows: dict[str, np.ndarray], types: dict[str, str] | None = None):
     )
 
 
+def item_tower_forward(params, features):
+    return _tower_forward(params, "item", *_item_inputs(params, [features])).out[0]
+
+
 class TestUserFeatures:
     def test_mean_of_two_embeddings(self):
         table = toy_table({"a1": [1.0, 0.0], "a2": [0.0, 1.0]})
@@ -43,24 +48,24 @@ class TestUserFeatures:
             InteractionRecord("u1", "a1", "audiobook", "stream", 10),
             InteractionRecord("u1", "a2", "audiobook", "stream", 20),
         ]
-        f = assemble_user_features("u1", records, table, as_of=100, music_dim=2)
+        f = assemble_user_features("u1", records, table, TwoTowerConfig(music_dim=2), as_of=100)
         assert np.allclose(f.mean_audiobook_embedding, [0.5, 0.5])
         assert np.array_equal(f.mean_podcast_embedding, [0.0, 0.0])
 
     def test_no_audiobooks_gives_zero_mean(self):
         table = toy_table({"p1": [1.0, 0.0]}, {"p1": "podcast"})
         records = [InteractionRecord("u1", "p1", "podcast", "stream", 10)]
-        f = assemble_user_features("u1", records, table, as_of=100)
+        f = assemble_user_features("u1", records, table, TwoTowerConfig(), as_of=100)
         assert np.array_equal(f.mean_audiobook_embedding, [0.0, 0.0])
         assert np.allclose(f.mean_podcast_embedding, [1.0, 0.0])
 
     def test_follow_only_item_enters_mean(self):
         table = toy_table({"a1": [0.0, 1.0]})
         records = [InteractionRecord("u1", "a1", "audiobook", "follow", 10)]
-        f = assemble_user_features("u1", records, table, as_of=100)
+        f = assemble_user_features("u1", records, table, TwoTowerConfig(), as_of=100)
         assert np.allclose(f.mean_audiobook_embedding, [0.0, 1.0])
         f_no_weak = assemble_user_features(
-            "u1", records, table, as_of=100, use_weak_signals=False
+            "u1", records, table, TwoTowerConfig(use_weak_signals=False), as_of=100
         )
         assert np.array_equal(f_no_weak.mean_audiobook_embedding, [0.0, 0.0])
         assert f_no_weak.interaction_counts["follow"] == 0
@@ -72,13 +77,13 @@ class TestUserFeatures:
             InteractionRecord("u1", "a2", "audiobook", "stream", 95 * DAY_SECONDS),
         ]
         f = assemble_user_features(
-            "u1", records, table, window_days=90, as_of=100 * DAY_SECONDS
+            "u1", records, table, TwoTowerConfig(window_days=90), as_of=100 * DAY_SECONDS
         )
         assert np.allclose(f.mean_audiobook_embedding, [0.0, 1.0])
 
     def test_missing_music_vector_is_zero(self):
         table = toy_table({"a1": [1.0, 0.0]})
-        f = assemble_user_features("u9", [], table, music_dim=5)
+        f = assemble_user_features("u9", [], table, TwoTowerConfig(music_dim=5))
         assert np.array_equal(f.music_vector, np.zeros(5))
         assert f.country == OOV_TOKEN
 
@@ -88,8 +93,8 @@ class TestUserFeatures:
             "u1",
             [],
             table,
+            TwoTowerConfig(music_dim=3),
             music_vector=[0.1, 0.2, 0.3],
-            music_dim=3,
             demographics={"u1": ("SE", "25-34")},
         )
         assert np.allclose(f.music_vector, [0.1, 0.2, 0.3])
@@ -98,7 +103,7 @@ class TestUserFeatures:
     def test_music_vector_dimension_mismatch_fatal(self):
         table = toy_table({"a1": [1.0, 0.0]})
         with pytest.raises(ValueError, match="music vector"):
-            assemble_user_features("u1", [], table, music_vector=[0.1], music_dim=3)
+            assemble_user_features("u1", [], table, TwoTowerConfig(music_dim=3), music_vector=[0.1])
 
 
 class TestTowerForward:
@@ -320,19 +325,14 @@ class TestExport:
         for k in v1:
             assert np.array_equal(v1[k], v2[k])
 
-    def test_inductive_item_flagged(self, trained, small_embeddings):
+    def test_inductive_items_use_their_table_rows(self, trained, small_embeddings):
         params, catalog = trained
-        in_graph_inductive = [
-            (i, small_embeddings.inductive[small_embeddings.index[i]])
-            for i in sorted(catalog)
-            if catalog[i].item_type == "audiobook"
-        ]
-        feats = {
-            i: assemble_item_features(catalog[i], small_embeddings)
-            for i, _ in in_graph_inductive
-        }
-        for item_id, inductive in in_graph_inductive:
-            assert feats[item_id].inductive == inductive
+        feats = assemble_item_features(catalog, small_embeddings, params.config)
+        assert list(feats) == sorted(i for i, it in catalog.items() if it.item_type == "audiobook")
+        rows = [small_embeddings.index[i] for i in feats]
+        assert small_embeddings.inductive[rows].any()  # the table embeds cold items inductively
+        for item_id, row in zip(feats, rows):
+            assert np.array_equal(feats[item_id].hgnn_embedding, small_embeddings.matrix[row])
 
 
 class TestCheckpoint:
