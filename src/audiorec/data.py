@@ -217,8 +217,8 @@ def parse_catalog(path) -> dict[str, CatalogItem]:
             item_id=item_id,
             item_type=obj["item_type"],
             content_vector=vec,
-            language=str(obj["language"]),
-            genre=str(obj["genre"]),
+            language=text_field(obj, "language"),
+            genre=text_field(obj, "genre"),
         )
 
     items = read_jsonl(

@@ -255,9 +255,7 @@ def save_graph(graph: HeteroGraph, path) -> None:
 
 
 def load_graph(path) -> HeteroGraph:
-    meta, arrays = read_pack(path)
-    if meta.get("kind") != "graph":
-        raise ValueError(f"{path}: not a graph container")
+    meta, arrays = read_pack(path, "graph")
 
     def group(prefix: str) -> dict[str, np.ndarray]:
         return {n[len(prefix) :]: a for n, a in arrays.items() if n.startswith(prefix)}

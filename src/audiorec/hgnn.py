@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import Csr, HeteroGraph, rel_key, rel_types
+from .index import row_dots
 from .io import check_rules, dataclass_from_dict, read_pack, write_pack
 from .optim import Adam
 
@@ -44,7 +45,6 @@ class HgnnConfig:
     inference_seed: int = 0
 
     def __post_init__(self):
-        self.fanouts = tuple(self.fanouts)
         rules = (
             ("layers", ">= 1", self.layers >= 1),
             (
@@ -154,9 +154,7 @@ class HgnnParams:
 
     @classmethod
     def load(cls, path) -> "HgnnParams":
-        meta, arrays = read_pack(path)
-        if meta.get("kind") != "hgnn_params":
-            raise ValueError(f"{path}: not an hgnn parameter checkpoint")
+        meta, arrays = read_pack(path, "hgnn_params")
         config = dataclass_from_dict(HgnnConfig, meta["config"], "hgnn")
         return cls(
             config,
@@ -460,13 +458,6 @@ def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -
     return cache
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] @ y[i] for every row, through the same dot kernel as the 1-D
-    product, so each value is bit-identical to it (einsum sums in another
-    order)."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _hinge_loss(
     z: np.ndarray, pairs: np.ndarray, negatives: np.ndarray, margin: float
 ) -> tuple[float, np.ndarray]:
@@ -476,10 +467,10 @@ def _hinge_loss(
     order."""
     n_pairs, n_neg = negatives.shape
     za = z[pairs[:, 0]]
-    s_pos = _row_dots(za, z[pairs[:, 1]])
+    s_pos = row_dots(za, z[pairs[:, 1]])
     terms = np.empty((n_pairs, n_neg))
     for j in range(n_neg):
-        terms[:, j] = _row_dots(z[negatives[:, j]], za) - s_pos + margin
+        terms[:, j] = row_dots(z[negatives[:, j]], za) - s_pos + margin
     active = terms > 0.0
     total = np.cumsum(terms[active] / n_neg)[-1] if active.any() else 0.0
     return float(total / n_pairs), active
@@ -764,9 +755,7 @@ class NodeEmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "NodeEmbeddingTable":
-        meta, arrays = read_pack(path)
-        if meta.get("kind") != "embeddings":
-            raise ValueError(f"{path}: not an embedding table")
+        meta, arrays = read_pack(path, "embeddings")
         if not meta["item_ids"]:
             raise ValueError(f"{path}: empty embedding table")
         return cls(

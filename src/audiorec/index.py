@@ -1,18 +1,30 @@
-"""Exhaustive top-k dot-product retrieval over unit-norm item vectors."""
+"""Exhaustive top-k dot-product retrieval: the one ranker of every model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .io import read_pack, write_pack
 
 
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] for every row, through the same dot kernel as the 1-D
+    product, so each value is bit-identical to it: a pure function of the two
+    rows (einsum sums in another order; a gemv can differ by an ulp between
+    byte-identical rows, by alignment)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 @dataclass
 class RecIndex:
     ids: list[str]
     vectors: np.ndarray
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.id_array = np.array(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -62,21 +74,18 @@ def query_topk(
     exclude: set[str] | frozenset[str] = frozenset(),
 ) -> list[tuple[str, float]]:
     """The k highest dot products among non-excluded items, descending; ties
-    break by ascending item id. Returns fewer than k when the index is small."""
+    break by ascending item id. Returns fewer than k when the index is small.
+    Scores are `row_dots` values, so byte-identical rows tie exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64)
-    # per-row dot keeps scores a pure function of row content; a whole-matrix
-    # gemv can differ by an ulp between byte-identical rows (alignment-
-    # dependent kernels), which would break exact tie behavior
-    scores = np.array([float(np.dot(row, query)) for row in index.vectors])
-    ids_arr = np.array(index.ids)
+    scores = row_dots(index.vectors, np.broadcast_to(query, index.vectors.shape))
+    ids = index.id_array
     if exclude:
-        keep = np.array([i not in exclude for i in index.ids])
-        scores = scores[keep]
-        ids_arr = ids_arr[keep]
-    order = np.lexsort((ids_arr, -scores))[:k]
-    return [(str(ids_arr[i]), float(scores[i])) for i in order]
+        keep = ~np.isin(ids, list(exclude))
+        scores, ids = scores[keep], ids[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return [(str(ids[i]), float(scores[i])) for i in order]
 
 
 def save_index(index: RecIndex, path) -> None:
@@ -86,7 +95,5 @@ def save_index(index: RecIndex, path) -> None:
 
 
 def load_index(path) -> RecIndex:
-    meta, arrays = read_pack(path)
-    if meta.get("kind") != "index":
-        raise ValueError(f"{path}: not an index file")
+    meta, arrays = read_pack(path, "index")
     return RecIndex(ids=list(meta["ids"]), vectors=arrays["vectors"])

@@ -4,10 +4,13 @@ hashing, and config-section loading."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import struct
+import types
+import typing
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -37,13 +40,43 @@ def config_hash(obj) -> str:
     return sha256_bytes(canonical_json(obj).encode("utf-8"))
 
 
+def _admits(hint, value) -> bool:
+    """Whether a JSON value fits a config annotation: bool, int, float, str,
+    None, `tuple[T, ...]` (an array of T) or a union such as `X | None`. An
+    integer fits a float; a bool fits only a bool."""
+    if hint in (bool, int, float, str, types.NoneType):
+        if isinstance(value, bool):
+            return hint is bool
+        return isinstance(value, (int, float) if hint is float else hint)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_admits(args[0], v) for v in value)
+    return any(_admits(h, value) for h in args)
+
+
+def check_json_type(name: str, value, hint) -> None:
+    """Refuse a config value that its annotation `hint` does not admit, with a
+    ValueError naming `name`."""
+    if not _admits(hint, value):
+        what = hint.__name__ if isinstance(hint, type) else hint
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+# get_type_hints evaluates every string annotation anew; once per class is enough
+_field_types = functools.cache(typing.get_type_hints)
+
+
 def dataclass_from_dict(cls, obj: dict, section: str):
     """Build the config dataclass `cls` from one config section, rejecting
-    keys it does not declare."""
+    keys it does not declare and values its field annotations do not admit.
+    JSON arrays become the tuples their fields declare."""
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
-    return cls(**obj)
+    hints = _field_types(cls)
+    for name, value in obj.items():
+        check_json_type(f"{section}.{name}", value, hints[name])
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 def check_rules(section: str, config, rules) -> None:
@@ -120,9 +153,10 @@ def write_pack(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(arrays[n]).tobytes())
 
 
-def read_pack(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a `write_pack` container. A damaged file (short header, short
-    payload, bytes after the last array) raises ValueError naming the path."""
+def read_pack(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a `write_pack` container whose meta names `kind`. A damaged file
+    (short header, short payload, bytes after the last array) or one of
+    another kind raises ValueError naming the path."""
     data = Path(path).read_bytes()
     if not data.startswith(PACK_MAGIC):
         raise ValueError(f"{path}: not a packed array container")
@@ -136,12 +170,15 @@ def read_pack(path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         header = json.loads(data[start:offset].decode("utf-8"))
         meta = header["meta"]
+        found = meta["kind"]
         specs = [
             (e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]))
             for e in header["arrays"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed container header ({exc})") from exc
+    if found != kind:
+        raise ValueError(f"{path}: container kind is {found!r}, expected {kind!r}")
     view = memoryview(data)
     arrays = {}
     for name, dtype, shape in specs:

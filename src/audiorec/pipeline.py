@@ -79,9 +79,6 @@ class GraphSettings:
     relations: tuple[str, ...] = REL_KEYS
     edges_from_all_signals: bool = False
 
-    def __post_init__(self):
-        self.relations = tuple(self.relations)
-
 
 @dataclass
 class EvalSettings:
@@ -96,9 +93,6 @@ class EvalSettings:
     tiers: bool = True
     probe_pairs: int = 2000
     ablation_manifest: str | None = None
-
-    def __post_init__(self):
-        self.models = tuple(self.models)
 
 
 @dataclass
@@ -125,6 +119,7 @@ class PipelineConfig:
                 for f in fields(cls)
                 if f.name != "seed"
             }
+            io.check_json_type("seed", obj.get("seed"), int | None)
             return cls(**sections, seed=obj.get("seed"))
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"config validation failed: {exc}") from exc

@@ -3,6 +3,8 @@ and the popularity / content-profile / graph-profile baselines."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord, feature_window
@@ -15,12 +17,6 @@ from .two_tower import (
     records_by_user,
     user_tower_forward,
 )
-
-
-def _ranked_by_dot(ids: np.ndarray, vectors: np.ndarray, query: np.ndarray) -> list[str]:
-    scores = vectors @ query
-    order = np.lexsort((ids, -scores))
-    return [str(ids[i]) for i in order]
 
 
 class PopularityRecommender:
@@ -58,29 +54,45 @@ class PopularityRecommender:
 
 
 class _ProfileKnnRecommender:
-    """Rank the target catalog by dot product with a per-user profile vector
-    (a mean over interacted items); users without a profile fall back to the
-    popularity order."""
+    """Rank the target-type items that `vector_of` gives a vector by dot
+    product with the user's profile: the mean vector of the items they touched
+    in the window (streams plus weak signals) that have one. Users without a
+    profile get the popularity order."""
 
     def __init__(
         self,
         name: str,
-        profiles: dict[str, np.ndarray],
-        item_ids: list[str],
-        item_vectors: np.ndarray,
-        fallback_ranking: list[str],
+        vector_of: Callable[[str], np.ndarray | None],
+        train_records: list[InteractionRecord],
+        catalog: dict[str, CatalogItem],
+        target_type: str,
+        window_days: int,
+        as_of: int | None,
     ):
         self.name = name
-        self.profiles = profiles
-        self.item_ids = np.array(item_ids)
-        self.item_vectors = item_vectors
-        self.fallback_ranking = fallback_ranking
+        window_start, as_of = feature_window(train_records, window_days, as_of)
+        self.profiles: dict[str, np.ndarray] = {}
+        for user_id, records in records_by_user(train_records, window_start, as_of).items():
+            items = sorted({r.item_id for r in records})
+            rows = [row for row in map(vector_of, items) if row is not None]
+            if rows:
+                self.profiles[user_id] = np.mean(rows, axis=0)
+        item_ids = sorted(
+            i
+            for i, it in catalog.items()
+            if it.item_type == target_type and vector_of(i) is not None
+        )
+        # built directly: content vectors are not unit norm, as build_index demands
+        self.index = RecIndex(item_ids, np.stack([vector_of(i) for i in item_ids]))
+        self.fallback_ranking = PopularityRecommender(
+            train_records, catalog, target_type, window_days, as_of
+        ).ranking
 
     def recommend(self, user_id: str) -> list[str]:
         profile = self.profiles.get(user_id)
         if profile is None:
             return list(self.fallback_ranking)
-        return _ranked_by_dot(self.item_ids, self.item_vectors, profile)
+        return [item_id for item_id, _ in query_topk(self.index, profile, len(self.index))]
 
 
 def content_knn_baseline(
@@ -90,26 +102,11 @@ def content_knn_baseline(
     window_days: int = 90,
     as_of: int | None = None,
 ) -> _ProfileKnnRecommender:
-    """User profile = mean content vector of target-type items the user
-    touched (streams plus weak signals) in the window; items ranked by dot
-    product with the profile."""
-    window_start, as_of = feature_window(train_records, window_days, as_of)
-    per_user: dict[str, set[str]] = {}
-    for r in train_records:
-        in_window = window_start <= r.timestamp < as_of
-        if in_window and r.item_type == target_type and r.item_id in catalog:
-            per_user.setdefault(r.user_id, set()).add(r.item_id)
-    profiles = {
-        u: np.mean([catalog[i].content_vector for i in sorted(items)], axis=0)
-        for u, items in per_user.items()
-    }
-    item_ids = sorted(i for i, it in catalog.items() if it.item_type == target_type)
-    item_vectors = np.stack([catalog[i].content_vector for i in item_ids])
-    fallback = PopularityRecommender(
-        train_records, catalog, target_type, window_days, as_of
-    ).ranking
+    """Profiles and items in the catalog's content-vector space: only
+    target-type catalog items have a vector."""
+    content = {i: it.content_vector for i, it in catalog.items() if it.item_type == target_type}
     return _ProfileKnnRecommender(
-        "content_knn", profiles, item_ids, item_vectors, fallback
+        "content_knn", content.get, train_records, catalog, target_type, window_days, as_of
     )
 
 
@@ -121,28 +118,11 @@ def hgnn_knn_baseline(
     window_days: int = 90,
     as_of: int | None = None,
 ) -> _ProfileKnnRecommender:
-    """User profile = mean graph embedding of every item the user touched in
-    the window (any type, streams plus weak signals); target items ranked in
-    the same embedding space."""
-    window_start, as_of = feature_window(train_records, window_days, as_of)
-    per_user: dict[str, set[str]] = {}
-    for r in train_records:
-        if window_start <= r.timestamp < as_of and embeddings.get(r.item_id) is not None:
-            per_user.setdefault(r.user_id, set()).add(r.item_id)
-    profiles = {}
-    for u, items in per_user.items():
-        rows = [embeddings.get(i) for i in sorted(items)]
-        profiles[u] = np.mean(rows, axis=0)
-    item_ids = sorted(
-        i
-        for i, it in catalog.items()
-        if it.item_type == target_type and embeddings.get(i) is not None
+    """Profiles and items in the graph embedding space: every item with a
+    table row, of any type, has a vector."""
+    return _ProfileKnnRecommender(
+        "hgnn_knn", embeddings.get, train_records, catalog, target_type, window_days, as_of
     )
-    item_vectors = np.stack([embeddings.get(i) for i in item_ids])
-    fallback = PopularityRecommender(
-        train_records, catalog, target_type, window_days, as_of
-    ).ranking
-    return _ProfileKnnRecommender("hgnn_knn", profiles, item_ids, item_vectors, fallback)
 
 
 class TwoTowerRecommender:

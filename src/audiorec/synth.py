@@ -44,10 +44,6 @@ class SynthConfig:
     languages: tuple[str, ...] = ("en", "es", "de")
     genres: tuple[str, ...] = ("g0", "g1", "g2", "g3", "g4", "g5")
 
-    def __post_init__(self):
-        self.languages = tuple(self.languages)
-        self.genres = tuple(self.genres)
-
 
 def _draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:
     names = sorted(mix)

@@ -40,7 +40,6 @@ class TwoTowerConfig:
     target_type: str = "audiobook"
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
         rules = (
             ("hidden", "three values >= 1", len(self.hidden) == 3 and min(self.hidden) >= 1),
             ("batch_size", ">= 2", self.batch_size >= 2),  # a batch needs an in-batch negative
@@ -273,9 +272,7 @@ class TowerParams:
 
     @classmethod
     def load(cls, path) -> "TowerParams":
-        meta, arrays = read_pack(path)
-        if meta.get("kind") != "tower_params":
-            raise ValueError(f"{path}: not a tower parameter checkpoint")
+        meta, arrays = read_pack(path, "tower_params")
         config = dataclass_from_dict(TwoTowerConfig, meta["config"], "two_tower")
         vocabs = {name: Vocab(vals) for name, vals in meta["vocabs"].items()}
         return cls(config, vocabs, dict(meta["dims"]), arrays, dict(meta["item_freq"]))

@@ -14,6 +14,7 @@ from audiorec.evaluate import (
     streamed_items,
     tiered_metrics,
 )
+from audiorec.hgnn import NodeEmbeddingTable
 from audiorec.recommenders import (
     PopularityRecommender,
     content_knn_baseline,
@@ -296,7 +297,33 @@ class TestPopularityBaseline:
         assert abs(reports["all"].coverage - 100 / 500) < 0.01
 
 
+def tied_pair_case(seed):
+    """Ten audiobooks a0-a9 with 16-dim vectors, a9's a byte copy of a3's,
+    and a user who streamed two of them."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(10, 16))
+    vectors[9] = vectors[3]
+    ids = [f"a{i}" for i in range(10)]
+    picks = rng.choice(10, size=2, replace=False)
+    train = [InteractionRecord("u1", ids[j], "audiobook", "stream", t) for t, j in enumerate(picks)]
+    return ids, vectors, train
+
+
+def assert_tied_pair_in_id_order(ranked):
+    assert ranked.index("a3") + 1 == ranked.index("a9")
+
+
+# seeds on which a whole-matrix gemv (OpenBLAS, x86-64) scores a9 an ulp off a3
+TIED_PAIR_SEEDS = [5, 6, 11, 13, 16]
+
+
 class TestContentKnn:
+    @pytest.mark.parametrize("seed", TIED_PAIR_SEEDS)
+    def test_byte_identical_vectors_tie_in_id_order(self, seed):
+        ids, vectors, train = tied_pair_case(seed)
+        catalog = {i: CatalogItem(i, "audiobook", v, "en", "g0") for i, v in zip(ids, vectors)}
+        assert_tied_pair_in_id_order(content_knn_baseline(train, catalog).recommend("u1"))
+
     def test_mean_profile_ranking(self):
         d = {"a0": [1.0, 0.0], "a1": [0.0, 1.0], "a2": [0.707, 0.707]}
         catalog = {
@@ -339,6 +366,14 @@ class TestContentKnn:
 
 
 class TestHgnnKnn:
+    @pytest.mark.parametrize("seed", TIED_PAIR_SEEDS)
+    def test_equal_embedding_rows_tie_in_id_order(self, seed):
+        ids, vectors, train = tied_pair_case(seed)
+        catalog = make_catalog(n_audiobooks=10, n_podcasts=0)  # its content is not read
+        flags = np.zeros(10, dtype=bool)
+        table = NodeEmbeddingTable(ids, ["audiobook"] * 10, vectors, flags, flags)
+        assert_tied_pair_in_id_order(hgnn_knn_baseline(train, catalog, table).recommend("u1"))
+
     def test_profile_in_embedding_space(self, small_split, small_synth, small_embeddings):
         _, catalog = small_synth
         rec = hgnn_knn_baseline(

@@ -213,7 +213,7 @@ class TestSerialization:
     def test_wrong_kind_rejected(self, tmp_path):
         p = tmp_path / "index.bin"
         save_index(build_index({"a": np.array([1.0, 0.0])}), p)
-        with pytest.raises(ValueError, match="not a graph"):
+        with pytest.raises(ValueError, match="kind is 'index', expected 'graph'"):
             load_graph(p)
 
 
@@ -267,5 +267,5 @@ class TestEdgesFromAdjacency:
 
     def test_container_holds_no_edge_arrays(self, small_graph, tmp_path):
         save_graph(small_graph, tmp_path / "g.bin")
-        _, arrays = read_pack(tmp_path / "g.bin")
+        _, arrays = read_pack(tmp_path / "g.bin", "graph")
         assert not [name for name in arrays if name.startswith("edges.")]

@@ -335,7 +335,7 @@ class TestDamagedArtifacts:
         _, out = pipeline_run
         path = tmp_path / "embeddings.bin"
         shutil.copyfile(out / "rec_index.bin", path)
-        with pytest.raises(ValueError, match="embeddings.bin: not an embedding table"):
+        with pytest.raises(ValueError, match="embeddings.bin: container kind is 'index', expected 'embeddings'"):
             NodeEmbeddingTable.load(path)
 
 
@@ -617,11 +617,42 @@ class TestCli:
 
         PipelineConfig.from_dict({})
         PipelineConfig.from_dict(TINY_CONFIG)
+        PipelineConfig.from_dict({"hgnn": {"margin": 1}})  # an integer fills a float field
         ordering = PipelineConfig().with_overrides(ORDERING_SETTINGS)
         for variant in TOWER_VARIANTS.values():
             ordering.with_overrides(variant)
         for variant in ABLATION_VARIANTS.values():
             tiny_config().with_overrides(variant)
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("two_tower", "use_hgnn_features", "false"),  # was loaded, and truthy
+            ("hgnn", "balanced_sampler", "no"),  # was loaded, and truthy
+            ("hgnn", "max_epochs", 2.5),  # was a TypeError traceback in train-hgnn
+            ("hgnn", "layers", True),  # was loaded as one layer
+            ("hgnn", "margin", "0.4"),
+            ("hgnn", "fanouts", [15, 1.5]),
+            ("graph", "relations", "pp"),
+            ("synth", "languages", ["en", 3]),
+            ("paths", "catalog", 5),
+            ("eval", "tiers", 1),
+            (None, "seed", "7"),
+        ],
+    )
+    def test_mistyped_config_value_is_one_json_line(self, tmp_path, capsys, section, field, value):
+        cfg = PipelineConfig().to_dict()
+        if section is None:
+            cfg[field] = value
+        else:
+            cfg[section][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        error = cli_error(["train-hgnn", "--config", str(cfg_path), "--out", str(run)], capsys)
+        name = field if section is None else f"{section}.{field}"
+        assert f"{name} must be" in error
+        assert not run.exists()
 
     @pytest.mark.parametrize(
         "field, line, expected",
@@ -630,6 +661,12 @@ class TestCli:
             ("catalog", '{"item_id": ', "invalid JSON"),
             ("catalog", json.dumps({**CATALOG_ROW, "item_id": ["x"]}), "item_id must be a non-empty"),
             ("catalog", json.dumps({**CATALOG_ROW, "content_vector": ["a"]}), "could not convert"),
+            # was loaded as the genre "['x', 'y']"
+            (
+                "catalog",
+                json.dumps({**CATALOG_ROW, "content_vector": [0.0] * 8, "genre": ["x", "y"]}),
+                "genre must be a non-empty",
+            ),
             ("demographics", json.dumps({**DEMO_ROW, "user_id": ["u1"]}), "user_id must be"),
             ("demographics", json.dumps({**DEMO_ROW, "country": ["SE"]}), "country must be"),
             ("music_vectors", json.dumps({"user_id": ["u1"], "vector": [0.5]}), "user_id must be"),
