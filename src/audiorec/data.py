@@ -117,20 +117,26 @@ def parse_interactions(path) -> ParsedInteractions:
     """Parse a JSON-lines interaction file.
 
     Valid records are returned in file order; malformed lines are skipped and
-    reported with their 1-based line number.
+    reported with their 1-based line number. A file that is not UTF-8 text
+    raises ValueError naming it.
     """
+    from .io import not_utf8
+
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parsed = _parse_line(line)
-            if isinstance(parsed, str):
-                diagnostics.append(ParseDiagnostic(line_no, parsed))
-            else:
-                records.append(parsed)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parsed = _parse_line(line)
+                if isinstance(parsed, str):
+                    diagnostics.append(ParseDiagnostic(line_no, parsed))
+                else:
+                    records.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     return ParsedInteractions(records, diagnostics)
 
 

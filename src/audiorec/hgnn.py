@@ -5,10 +5,16 @@ Per layer, each relation transforms every source node's state once through
 its own dense layer (node-level pre-activations) and each node max-pools the
 rectified rows of its sampled neighbors; the node update adds the summed
 relation pools to a type-specific transform of the node's own state, and the
-final state is L2-normalized. Backward, each pooled gradient goes to the
-neighbor that achieved the max. Training walks relation-balanced edge batches
+final state is L2-normalized. Training walks relation-balanced edge batches
 with uniformly resampled neighborhoods. All gradients are computed in closed
 form (reverse mode) and checked against finite differences in the test suite.
+
+The gradient scatters are byte-exact against per-pair and per-entry loops.
+The loss adds its gradient to the output rows in rounds, one term to every
+row that has one left, so each row sums its terms in loop order. Backward,
+each pooled gradient goes to the neighbor that achieved the max where the
+pooled value is positive: one bincount over every (segment, column), in which
+a dead entry adds +0.0.
 """
 
 from __future__ import annotations
@@ -121,10 +127,6 @@ class HgnnParams:
 
     def upd_w(self, layer: int, node_type: str) -> np.ndarray:
         return self.weights[f"upd.W.{layer}.{node_type}"]
-
-    def incident_relations(self, node_type: str) -> list[str]:
-        code = {"audiobook": "a", "podcast": "p"}[node_type]
-        return [r for r in self.relations if code in r]
 
     def copy(self) -> "HgnnParams":
         return HgnnParams(
@@ -407,7 +409,10 @@ class ForwardCache:
     """Per layer k (list position k-1): `agg_pre[direction]` is every source
     node's relation transform `h_src @ W.T + b`, one row per node, not per
     edge; `argfirst[direction]` is the edge position of each (segment,
-    column)'s first maximizing neighbor, -1 for an empty segment."""
+    column)'s first maximizing neighbor, -1 for an empty segment. Backward
+    sends each (segment, column) gradient to that neighbor where
+    `pooled[direction]` is positive, which is exactly where the neighbor's
+    pre-activation is."""
 
     h: list[dict[str, np.ndarray]]
     agg_pre: list[dict[tuple[str, str], np.ndarray]]
@@ -458,19 +463,23 @@ def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -
     return cache
 
 
-def _hinge_loss(
-    z: np.ndarray, pairs: np.ndarray, negatives: np.ndarray, margin: float
-) -> tuple[float, np.ndarray]:
-    """Mean over (anchor, positive) pairs of the summed hinge terms
-    `margin + s(a, n) - s(a, p)`, and the (P, n_neg) mask of active terms.
-    Ids are flat rows of `z`; the loss adds the active terms in pair-major
-    order."""
-    n_pairs, n_neg = negatives.shape
-    za = z[pairs[:, 0]]
-    s_pos = row_dots(za, z[pairs[:, 1]])
-    terms = np.empty((n_pairs, n_neg))
-    for j in range(n_neg):
-        terms[:, j] = row_dots(z[negatives[:, j]], za) - s_pos + margin
+def _slot_terms(
+    z: np.ndarray, za: np.ndarray, zp: np.ndarray, negatives: np.ndarray, margin: float
+):
+    """Per negative slot j, in order: a fresh copy of the rows of `z` its
+    negatives index (P, d), and its hinge terms `margin + s(a, n) - s(a, p)`
+    (P,), given the anchor rows `za` and positive rows `zp`."""
+    s_pos = row_dots(za, zp)
+    for j in range(negatives.shape[1]):
+        zn = z[negatives[:, j]]
+        yield zn, row_dots(zn, za) - s_pos + margin
+
+
+def _hinge_loss(terms: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over (anchor, positive) pairs of the summed active hinge terms
+    (P, n_neg), and the mask of active terms. The loss adds the active terms
+    in pair-major order."""
+    n_pairs, n_neg = terms.shape
     active = terms > 0.0
     total = np.cumsum(terms[active] / n_neg)[-1] if active.any() else 0.0
     return float(total / n_pairs), active
@@ -492,39 +501,81 @@ def margin_batch_loss(
     """
     types = sorted(cache.z)
     z = np.concatenate([cache.z[t] for t in types])
-    loss, active = _hinge_loss(z, pairs, negatives, margin)
+    za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     n_pairs, n_neg = negatives.shape
-    anchors, positives = pairs[:, 0], pairs[:, 1]
-    za, zp = z[anchors], z[positives]
     coef = 1.0 / (n_pairs * n_neg)
-    d_za = np.zeros_like(za)
+    # The scatter's row sources, stacked: coef * za, d_za, -d_sum * za.
+    sources = np.empty((3, n_pairs, z.shape[1]))
+    np.multiply(za, coef, out=sources[0])
+    d_za = sources[1]
+    d_za.fill(0.0)
     d_sum = np.zeros(n_pairs)
+    terms = np.empty((n_pairs, n_neg))
     # One negative slot at a time, so d_za and d_sum add coef once per active
-    # term (k * coef is not coef added k times). Adding +0.0 for an inactive
-    # term changes nothing: a sum that starts at +0.0 never becomes -0.0.
-    for j in range(n_neg):
-        act = active[:, j]
-        d_za += np.where(act[:, None], coef * (z[negatives[:, j]] - zp), 0.0)
+    # term (k * coef is not coef added k times). Skipping an inactive term, or
+    # adding +0.0 for it, changes nothing: a sum from +0.0 never becomes -0.0.
+    for j, (zn, slot_terms) in enumerate(_slot_terms(z, za, zp, negatives, margin)):
+        terms[:, j] = slot_terms
+        act = slot_terms > 0.0
+        zn -= zp  # in place: each slot's negative rows are gathered once
+        zn *= coef
+        np.add(d_za, zn, out=d_za, where=act[:, None])
         d_sum += np.where(act, coef, 0.0)
+    loss, active = _hinge_loss(terms)
+    np.multiply(-d_sum[:, None], za, out=sources[2])
+    sources = sources.reshape(3 * n_pairs, -1)
 
-    # Scatter in loop order: each pair's active negatives, its anchor, its positive.
-    ends = np.cumsum(active.sum(axis=1) + 2)
-    is_neg = np.ones(ends[-1], dtype=bool)
-    is_neg[ends - 1] = is_neg[ends - 2] = False
-    rows = np.empty(ends[-1], dtype=np.int64)
-    rows[is_neg] = negatives[active]
-    rows[ends - 2] = anchors
-    rows[ends - 1] = positives
-    vals = np.empty((ends[-1], z.shape[1]))
-    vals[is_neg] = coef * za[np.nonzero(active)[0]]
-    vals[ends - 2] = d_za
-    vals[ends - 1] = -d_sum[:, None] * za
-    # bincount adds each bin's weights in input order, starting from +0.0
-    d = z.shape[1]
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
-    dz = np.bincount(flat, weights=vals.ravel(), minlength=z.size).reshape(z.shape)
+    # Terms in loop order: each pair's active negatives, its anchor, its
+    # positive. Term (target row, source row) of `sources`: pair i's negative
+    # terms add row i, its anchor term row P + i, its positive row 2P + i.
+    pair = np.arange(n_pairs)
+    targets = np.column_stack([negatives, pairs])
+    source_ids = np.column_stack(
+        [np.tile(pair[:, None], n_neg), pair + n_pairs, pair + 2 * n_pairs]
+    )
+    kept = np.column_stack([active, np.ones((n_pairs, 2), dtype=bool)])
+    rows, src = targets[kept], source_ids[kept]
+    # Round r adds every row's r-th term, so a row's terms still add one at a
+    # time in loop order, from +0.0; the rows within one round are distinct.
+    by_row = np.argsort(rows, kind="stable")
+    rows, src = rows[by_row], src[by_row]
+    pos = np.arange(len(rows))
+    first = np.concatenate(([True], rows[1:] != rows[:-1]))
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    by_round = np.argsort(rank, kind="stable")
+    rows, src = rows[by_round], src[by_round]
+    dz = np.zeros_like(z)
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        dz[rows[lo:hi]] += sources[src[lo:hi]]
+        lo = hi
     starts = np.cumsum([len(cache.z[t]) for t in types])[:-1]
     return loss, dict(zip(types, np.split(dz, starts))), active
+
+
+def _route_pooled(
+    p: np.ndarray,
+    pooled: np.ndarray,
+    argfirst: np.ndarray,
+    indices: np.ndarray,
+    grad: np.ndarray,
+) -> np.ndarray:
+    """d(loss)/d(p) of one direction's source pre-activations `p`, given
+    d(loss)/d(pooled) in `grad`: each (segment, column) gradient goes to its
+    first maximizing source node where the pooled value is positive, since
+    relu'(p) there is that of the winner's pre-activation.
+
+    One bincount over every (segment, column), in row-major order: a dead
+    entry (an empty segment, or a winner at or below 0) adds +0.0, which
+    changes no bin, as a bin starts at +0.0 and so never holds -0.0.
+    """
+    if not len(indices):
+        return np.zeros_like(p)
+    d = p.shape[1]
+    flat = indices[np.maximum(argfirst, 0)] * d
+    flat += np.arange(d)
+    weights = np.where(pooled > 0.0, grad, 0.0)
+    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=p.size).reshape(p.shape)
 
 
 def backward_states(
@@ -561,19 +612,13 @@ def backward_states(
         for direction in graph.directions():
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
-            csr = plan.layers[k - 1][direction]
-            p = cache.agg_pre[k - 1][direction]
-            argfirst = cache.argfirst[k - 1][direction]
-            # each (segment, column) gradient goes to its first maximizing
-            # source node, through relu' of that node's pre-activation
-            seg, col = np.nonzero(argfirst >= 0)
-            src = csr.indices[argfirst[seg, col]]
-            live = p[src, col] > 0.0
-            d_p = np.bincount(
-                src[live] * p.shape[1] + col[live],
-                weights=d_pool[dst_type][seg[live], col[live]],
-                minlength=p.size,
-            ).reshape(p.shape)
+            d_p = _route_pooled(
+                cache.agg_pre[k - 1][direction],
+                cache.pooled[k - 1][direction],
+                cache.argfirst[k - 1][direction],
+                plan.layers[k - 1][direction].indices,
+                d_pool[dst_type],
+            )
             grads[f"agg.W.{k}.{rel}"] += d_p.T @ cache.h[k - 1][src_type]
             grads[f"agg.b.{k}.{rel}"] += d_p.sum(axis=0)
             d_prev[src_type] += d_p @ params.agg_w(k, rel)
@@ -887,7 +932,9 @@ def _validate(
     whole-graph forward cache is dropped on return."""
     cache = forward_states(graph, params, plan)
     z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
-    loss, _ = _hinge_loss(z, pairs, negatives, params.config.margin)
+    za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
+    slots = _slot_terms(z, za, zp, negatives, params.config.margin)
+    loss, _ = _hinge_loss(np.column_stack([slot_terms for _, slot_terms in slots]))
     return loss, int(sum(f.sum() for f in cache.fallback.values()))
 
 

@@ -91,8 +91,28 @@ def write_json(obj, path) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
+def not_utf8(path) -> ValueError:
+    """The error for a text file that failed to decode as UTF-8, naming the
+    file and the 1-based line of its first bad byte. A text-mode read reports
+    positions within its buffer, so the file is decoded again, whole."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason}")
+    return ValueError(f"{path}: not UTF-8 text")  # it changed since the failed read
+
+
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON document in `path`; text that is not UTF-8 or not JSON raises
+    ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_jsonl(records: Iterable[dict], path) -> None:
@@ -107,25 +127,28 @@ def read_jsonl(path, required: tuple[str, ...] = (), parse: Callable | None = No
     `parse(obj, line_no)` when `parse` is given. A line that is not a JSON
     object holding every key in `required`, or whose object `parse` rejects
     with ValueError or TypeError, raises ValueError naming the file and its
-    1-based line."""
+    1-based line; so does a byte that is not UTF-8."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                for key in required:
-                    if key not in obj:
-                        raise ValueError(f"missing key {key!r}")
-                out.append(obj if parse is None else parse(obj, line_no))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    for key in required:
+                        if key not in obj:
+                            raise ValueError(f"missing key {key!r}")
+                    out.append(obj if parse is None else parse(obj, line_no))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     return out
 
 

@@ -5,9 +5,10 @@ computes batched: the per-seed sampled forward pass against `forward_states`,
 the single-node aggregate and update against its layers, the content-only
 embedding against the isolated-node rows of `embed_catalog`, and the scalar
 losses against the batched margin and in-batch losses. The per-node plan
-sampler, the per-anchor negative sampler, the per-pair margin loss and the
-`reduceat` segment max are what the batched training step replaced; it must
-match them bit for bit, random stream included.
+sampler, the per-anchor negative sampler, the per-pair margin loss, the
+`reduceat` segment max and the nonzero-entry routing of pooled gradients are
+what the batched training step replaced; it must match them bit for bit,
+random stream included.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -193,6 +194,27 @@ def segment_max_reduceat(values: np.ndarray, indptr: np.ndarray) -> tuple[np.nda
     return pooled, argfirst
 
 
+def route_pooled_nonzero(
+    p: np.ndarray,
+    pooled: np.ndarray,
+    argfirst: np.ndarray,
+    indices: np.ndarray,
+    grad: np.ndarray,
+) -> np.ndarray:
+    """`hgnn._route_pooled` over the `np.nonzero` list of (segment, column)
+    entries that have a maximizing neighbor: each looks up its source's
+    pre-activation in `p` and, where that is positive, adds its gradient to
+    the source's row, in row-major entry order. `pooled` is not read."""
+    seg, col = np.nonzero(argfirst >= 0)
+    src = indices[argfirst[seg, col]]
+    live = p[src, col] > 0.0
+    return np.bincount(
+        src[live] * p.shape[1] + col[live],
+        weights=grad[seg[live], col[live]],
+        minlength=p.size,
+    ).reshape(p.shape)
+
+
 @dataclass
 class EdgeFirstCache(ForwardCache):
     """`ForwardCache` of `forward_states_edge_first`, whose `agg_pre` is
@@ -293,6 +315,12 @@ def backward_states_add_at(
 # ---------------------------------------------------------------------------
 
 
+def incident_relations(params: HgnnParams, node_type: str) -> list[str]:
+    """The relations of `params` with `node_type` at either end."""
+    code = {"audiobook": "a", "podcast": "p"}[node_type]
+    return [r for r in params.relations if code in r]
+
+
 def src_types_for(graph: HeteroGraph, node_type: str) -> list[str]:
     return sorted(src for dst, src in graph.adj if dst == node_type)
 
@@ -327,7 +355,7 @@ def update_node(
     """relu(W_type h_prev + sum of per-relation pooled vectors)."""
     w = params.upd_w(layer, node_type)
     total = w @ h_prev
-    for rel in params.incident_relations(node_type):
+    for rel in incident_relations(params, node_type):
         if rel not in pooled:
             raise ValueError(f"pooled vectors missing relation {rel!r} for {node_type}")
         total = total + pooled[rel]
@@ -360,7 +388,7 @@ def embed_inductive(
     for k in range(1, params.config.layers + 1):
         pooled = {
             rel: np.zeros(params.agg_w(k, rel).shape[0])
-            for rel in params.incident_relations(node_type)
+            for rel in incident_relations(params, node_type)
         }
         h = update_node(k, node_type, params, h, pooled)
     return _normalize(h)
@@ -455,7 +483,7 @@ def forward(
             node_type, idx = ref
             pooled: dict[str, np.ndarray] = {}
             samples = nb.layers[k - 1].get(ref, {})
-            for rel in params.incident_relations(node_type):
+            for rel in incident_relations(params, node_type):
                 other = [t for t in rel_types(rel) if t != node_type] or [node_type]
                 src = other[0]
                 neigh = samples.get(src, np.zeros(0, dtype=np.int64))

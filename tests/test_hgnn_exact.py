@@ -20,6 +20,7 @@ from audiorec.hgnn import (
     HgnnConfig,
     HgnnParams,
     _inference_plan,
+    _route_pooled,
     _sample_negative_refs,
     _segment_max,
     backward_states,
@@ -36,6 +37,7 @@ from oracles import (
     flat_node_list,
     forward_states_edge_first,
     margin_batch_loss_loop,
+    route_pooled_nonzero,
     sample_negative_refs_loop,
     sample_negatives_loop,
     sample_plan_loop,
@@ -370,27 +372,138 @@ class TestMarginLoss:
             assert hgnn._validate(graph, params, plan, pairs, negs) == (want, n_fallback)
 
 
+def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
+    """Rows of z spanning 1e-8..1e8, with signed-zero columns: any other
+    summation order or any other starting value shows in the bytes."""
+    z = {}
+    for t, n in (("audiobook", 11), ("podcast", 13)):
+        m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        m[:, ::3] = -0.0
+        z[t] = m
+    return ForwardCache([], [], [], [], [], {}, z, {})
+
+
+def assert_scatter_matches_loop(cache, pairs, negs, margin) -> np.ndarray:
+    _, dz, active = margin_batch_loss(cache, pairs, negs, margin)
+    _, want, want_active = margin_batch_loss_loop(cache, pairs, negs, margin)
+    assert np.array_equal(active, want_active)
+    for t in cache.z:
+        assert dz[t].tobytes() == want[t].tobytes()  # signed zeros included
+    return active
+
+
+def edit_instance(params: HgnnParams, plan, variant: str) -> None:
+    """Make a `random_hgnn_instance` exercise one edge case of the backward
+    routing: the first direction of every layer without edges, every other
+    segment emptied, or column 0 of every relation at or below 0."""
+    for layer in plan.layers:
+        for i, (direction, csr) in enumerate(sorted(layer.items())):
+            n_seg = len(csr.indptr) - 1
+            if variant == "no edges" and i == 0:
+                layer[direction] = Csr(np.zeros(n_seg + 1, dtype=np.int64), csr.indices[:0])
+            elif variant == "empty segments":
+                lens = np.diff(csr.indptr) * (np.arange(n_seg) % 2)
+                keep = np.repeat(np.arange(n_seg) % 2 == 1, np.diff(csr.indptr))
+                indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+                layer[direction] = Csr(indptr, csr.indices[keep])
+    if variant == "dead column":
+        for key, w in params.weights.items():
+            if key.startswith("agg.b."):
+                w[0] = -1e3
+
+
+class TestRoutePooled:
+    """`_route_pooled` against the `np.nonzero` routing it replaced, in bytes."""
+
+    def check(self, p, indptr, indices, grad):
+        pooled, argfirst = _segment_max(np.maximum(p, 0.0), np.asarray(indptr), indices)
+        got = _route_pooled(p, pooled, argfirst, indices, grad)
+        want = route_pooled_nonzero(p, pooled, argfirst, indices, grad)
+        assert got.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(got) & (got == 0.0))  # no bin ends at -0.0
+        return got
+
+    def test_random_segments_with_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            p = rng.integers(-2, 3, size=(int(rng.integers(1, 9)), 3)).astype(float)
+            p[rng.random(p.shape) < 0.2] = -0.0
+            lens = rng.integers(0, 6, size=int(rng.integers(1, 20)))
+            indptr = np.concatenate(([0], np.cumsum(lens)))
+            indices = rng.integers(0, len(p), size=indptr[-1])
+            grad = rng.normal(size=(len(lens), 3))
+            grad[rng.random(grad.shape) < 0.3] = -0.0
+            self.check(p, indptr, indices, grad)
+
+    def test_empty_segments(self):
+        p = np.array([[1.0, 2.0], [3.0, -1.0]])
+        got = self.check(p, [0, 0, 2, 2, 3, 3], np.array([0, 1, 1]), np.arange(10.0).reshape(5, 2))
+        assert got.tolist() == [[0.0, 3.0], [2.0 + 6.0, 0.0]]
+
+    def test_column_at_or_below_zero(self):
+        # the winner of a column that pools to zero is still a valid edge,
+        # but its gradient is dead
+        p = np.array([[1.0, -1.0], [2.0, 0.0], [0.5, -0.0]])
+        got = self.check(p, [0, 2, 3], np.array([0, 1, 2]), np.ones((2, 2)))
+        assert got.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+
+    def test_direction_with_no_edges(self):
+        for n_src in (0, 3):
+            no_edges = np.zeros(0, dtype=np.int64)
+            got = self.check(np.ones((n_src, 2)), [0, 0, 0], no_edges, np.ones((2, 2)))
+            assert got.shape == (n_src, 2) and not got.any()
+
+    def test_signed_zero_gradients(self):
+        # live -0.0 gradients, alone in their bin or beside +0.0 and nonzero ones
+        p = np.array([[1.0, 1.0], [2.0, 3.0]])
+        grad = np.array([[-0.0, -0.0], [-0.0, 0.0], [-0.0, 5.0]])
+        got = self.check(p, [0, 1, 2, 3], np.array([0, 1, 1]), grad)
+        assert got.tolist() == [[0.0, 0.0], [0.0, 5.0]]
+
+
 class TestBackward:
     def test_scatter_matches_row_wise_add_at(self):
-        # `margin_batch_loss` scatters dz with one flat bincount; the loop
-        # oracle adds row by row in the same order. Rows of z spanning
-        # 1e-8..1e8, with signed-zero columns, make any other order or any
-        # other starting value show in the bytes.
+        # `margin_batch_loss` scatters dz in rounds, one term per row per
+        # round; the loop oracle adds row by row in loop order.
         rng = np.random.default_rng(2)
-        z = {}
-        for t, n in (("audiobook", 11), ("podcast", 13)):
-            m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
-            m[:, ::3] = -0.0
-            z[t] = m
-        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        cache = wide_range_cache(rng)
         pairs = rng.integers(0, 24, size=(200, 2))
         negs = rng.integers(0, 24, size=(200, 4))
-        _, dz, active = margin_batch_loss(cache, pairs, negs, 0.5)
-        _, want, want_active = margin_batch_loss_loop(cache, pairs, negs, 0.5)
-        assert np.array_equal(active, want_active)
+        active = assert_scatter_matches_loop(cache, pairs, negs, 0.5)
         assert 0 < active.mean() < 1
-        for t in z:
-            assert dz[t].tobytes() == want[t].tobytes()  # signed zeros included
+
+    def test_scatter_with_a_row_of_many_terms_and_a_row_of_one(self):
+        # node 0 is the first two negatives of every pair, so it takes over a
+        # hundred rounds; node 23 is only the last pair's positive
+        rng = np.random.default_rng(3)
+        cache = wide_range_cache(rng)
+        pairs = rng.integers(1, 23, size=(150, 2))
+        pairs[-1, 1] = 23
+        negs = rng.integers(1, 23, size=(150, 4))
+        negs[:, :2] = 0
+        active = assert_scatter_matches_loop(cache, pairs, negs, 0.5)
+        terms = np.bincount(negs[active], minlength=24) + np.bincount(pairs.ravel(), minlength=24)
+        assert terms[0] > 100 and terms[23] == 1
+        assert 0 < active.mean() < 1
+
+    def test_gradients_match_nonzero_routing(self, monkeypatch):
+        # every gradient byte-equal to routing through the old `np.nonzero`
+        # entry list, on random instances and on each with an edgeless
+        # direction, emptied segments, or a column dead in every relation
+        for seed in range(8):
+            for variant in ("as drawn", "no edges", "empty segments", "dead column"):
+                graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+                if not len(pairs):
+                    continue
+                edit_instance(params, plan, variant)
+                cache = forward_states(graph, params, plan)
+                _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
+                got = backward_states(graph, params, plan, cache, dz)
+                with monkeypatch.context() as patch:
+                    patch.setattr(hgnn, "_route_pooled", route_pooled_nonzero)
+                    want = backward_states(graph, params, plan, cache, dz)
+                for key in want:
+                    assert got[key].tobytes() == want[key].tobytes(), (seed, variant, key)
 
     def test_gradients_match_add_at_backward(self):
         # Tolerance contract: the node-first layers round differently from

@@ -690,6 +690,40 @@ class TestCli:
         error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
         assert error.startswith(f"{path}:{n_line}: ") and expected in error
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (b'{"seed": ', "invalid JSON: Expecting value: line 1 column 10 (char 9)"),
+            (b'{"seed": 7,\n "graph": {"min_co_users": \xff}}', "2: not UTF-8 text"),
+        ],
+    )
+    def test_unreadable_config_is_one_json_line_naming_it(self, tmp_path, capsys, text, expected):
+        # was the bare decoder message, without the file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        argv = ["split", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+        error = cli_error(argv, capsys)
+        assert error.startswith(f"{cfg_path}:") and expected in error
+
+    @pytest.mark.parametrize("field", ["interactions", "music_vectors"])
+    def test_non_utf8_input_is_one_json_line_naming_it(
+        self, pipeline_run, tmp_path, capsys, field
+    ):
+        # was "'utf-8' codec can't decode byte 0xff in position ...", without the file
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        good = (out / "interactions.jsonl").read_bytes() if field == "interactions" else b""
+        path = tmp_path / f"{field}.jsonl"
+        path.write_bytes(good + b'{"user_id": "u\xff"}\n')
+        cfg = config.to_dict()
+        cfg["paths"][field] = str(path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stage = "split" if field == "interactions" else "train-2t"
+        error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+        n_line = good.count(b"\n") + 1
+        assert error.startswith(f"{path}:{n_line}: not UTF-8 text")
+
     def test_recommend_on_truncated_index_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
         damaged = tmp_path / "out"
