@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Run the daily pipeline (`synth` through `evaluate`) at seed 7 on three
+configs and print one sha256 per artifact, so a change meant to keep every
+result byte-identical can be checked against its parent with one `diff`.
+
+    PYTHONPATH=src python scripts/artifact_hashes.py > after.txt
+    PYTHONPATH=src python scripts/artifact_hashes.py --configs default wide
+
+The configs are the defaults, `graph.relations=["pp"]`, and the
+`wide-catalog` benchmark workload (its synth sizes and 3 HGNN epochs, from
+perfbench/workloads.py). Each line is `config file sha256`; manifests are
+listed under `manifests/`. `hgnn_train_log.jsonl` is skipped: its
+`wall_time` field differs from run to run. BLAS runs on one thread, as in
+the benchmark: the bytes of a large matrix product can depend on how many
+threads computed it.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
+
+from audiorec.pipeline import ARTIFACTS, DAILY, PipelineConfig, run_stage  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+SEED = 7
+CONFIGS = {
+    "default": {},
+    "pp-only": {"graph": {"relations": ["pp"]}},
+    "wide": WORKLOADS["wide-catalog"].overrides,
+}
+SKIPPED = {ARTIFACTS["hgnn_log"]}
+
+
+def artifact_hashes(overrides: dict, out: Path) -> dict[str, str]:
+    """sha256 of every file the daily pipeline writes under `out`, by path
+    relative to it, except the skipped logs."""
+    config = PipelineConfig().with_overrides({**overrides, "seed": SEED})
+    for stage in DAILY:
+        run_stage(stage, config, out)
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name not in SKIPPED
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS),
+        help="configs to run (default: all three)",
+    )
+    args = parser.parse_args()
+    for name in args.configs:
+        with tempfile.TemporaryDirectory() as work:
+            for file, digest in artifact_hashes(CONFIGS[name], Path(work)).items():
+                print(f"{name} {file} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -366,8 +366,8 @@ def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
 
 
 def _segment_max(
-    values: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    values: np.ndarray, indptr: np.ndarray, indices: np.ndarray, keep_argfirst: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-segment elementwise max with the first achieving row index.
 
     Segment i pools rows `indptr[i]:indptr[i+1]` of `values[indices]` without
@@ -375,13 +375,17 @@ def _segment_max(
     positions of a CSR. Empty segments pool to zero and get argfirst -1. The
     segments are walked slot by slot, longest first: slot s folds the s-th
     row of every segment longer than s into the running max with the same
-    `np.maximum` a sequential reduction applies, and moves argfirst only on a
-    strictly greater value, so a tie keeps the earlier row.
+    `np.maximum` a sequential reduction applies. The winner is tracked by
+    slot arithmetic: where the s-th row is strictly greater than the running
+    max, `slot` rises to s (`max(slot, s * (v > head))`). Slots only grow, so
+    `slot` ends at the last strict increase, which is the first maximizing
+    row; a tie keeps the earlier row. With `keep_argfirst` false the slot
+    loop is only the gather and the max, and argfirst is None.
     """
     n = len(indptr) - 1
     d = values.shape[1]
     pooled = np.zeros((n, d))
-    argfirst = np.full((n, d), -1, dtype=np.int64)
+    argfirst = np.full((n, d), -1, dtype=np.int64) if keep_argfirst else None
     seg_len = np.diff(indptr)
     order = np.argsort(-seg_len, kind="stable")
     lens = seg_len[order]
@@ -390,17 +394,23 @@ def _segment_max(
         return pooled, argfirst
     starts = indptr[order]
     best = values[indices[starts]]
-    arg = np.repeat(starts[:, None], d, axis=1)
     # segments longer than s form a prefix of `order`
     n_longer = np.searchsorted(-lens, -np.arange(1, lens[0]), side="left")
+    if keep_argfirst:
+        slot = np.zeros(best.shape, dtype=np.int64)
+        gt = np.empty(best.shape, dtype=bool)
+        hit = np.empty(best.shape, dtype=np.int64)
     for s, k in enumerate(n_longer.tolist(), start=1):
-        rows = starts[:k] + s
-        v = values[indices[rows]]
-        head, head_arg = best[:k], arg[:k]
-        np.copyto(head_arg, rows[:, None], where=v > head)
+        v = values[indices[starts[:k] + s]]
+        head = best[:k]
+        if keep_argfirst:
+            np.greater(v, head, out=gt[:k])
+            np.multiply(gt[:k], s, out=hit[:k])
+            np.maximum(slot[:k], hit[:k], out=slot[:k])
         np.maximum(head, v, out=head)
     pooled[order] = best
-    argfirst[order] = arg
+    if keep_argfirst:
+        argfirst[order] = starts[:, None] + slot
     return pooled, argfirst
 
 
@@ -409,10 +419,12 @@ class ForwardCache:
     """Per layer k (list position k-1): `agg_pre[direction]` is every source
     node's relation transform `h_src @ W.T + b`, one row per node, not per
     edge; `argfirst[direction]` is the edge position of each (segment,
-    column)'s first maximizing neighbor, -1 for an empty segment. Backward
-    sends each (segment, column) gradient to that neighbor where
-    `pooled[direction]` is positive, which is exactly where the neighbor's
-    pre-activation is."""
+    column)'s first maximizing neighbor, -1 for an empty segment, as
+    `_segment_max` tracks it by slot arithmetic. Backward sends each
+    (segment, column) gradient to that neighbor where `pooled[direction]` is
+    positive, which is exactly where the neighbor's pre-activation is.
+    `argfirst` is an empty list when the forward pass did not keep it: only
+    training reads it, so validation and embedding forwards skip it."""
 
     h: list[dict[str, np.ndarray]]
     agg_pre: list[dict[tuple[str, str], np.ndarray]]
@@ -424,8 +436,11 @@ class ForwardCache:
     fallback: dict[str, np.ndarray]
 
 
-def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -> ForwardCache:
-    """Compute all node states through every layer of the plan."""
+def forward_states(
+    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_argfirst: bool = True
+) -> ForwardCache:
+    """Compute all node states through every layer of the plan; keep the
+    max-pool winners that `backward_states` reads only when `keep_argfirst`."""
     features = {t: graph.features[t] for t in graph.node_types}
     cache = ForwardCache([features], [], [], [], [], {}, {}, {})
     for k in range(1, params.config.layers + 1):
@@ -439,7 +454,7 @@ def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -
             p = h[src_type] @ params.agg_w(k, rel).T + params.agg_b(k, rel)
             agg_pre[direction] = p
             pooled[direction], argfirst[direction] = _segment_max(
-                np.maximum(p, 0.0), csr.indptr, csr.indices
+                np.maximum(p, 0.0), csr.indptr, csr.indices, keep_argfirst
             )
             if dst_type in pool_sum:
                 pool_sum[dst_type] = pool_sum[dst_type] + pooled[direction]
@@ -451,7 +466,8 @@ def forward_states(graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan) -
         cache.h.append({t: np.maximum(pre, 0.0) for t, pre in upd_pre.items()})
         cache.agg_pre.append(agg_pre)
         cache.pooled.append(pooled)
-        cache.argfirst.append(argfirst)
+        if keep_argfirst:
+            cache.argfirst.append(argfirst)
         cache.upd_pre.append(upd_pre)
 
     for t, hf in cache.h[-1].items():
@@ -587,6 +603,10 @@ def backward_states(
 ) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar loss given d(loss)/d(z)."""
     n_layers = params.config.layers
+    if not cache.argfirst:
+        raise ValueError(
+            "forward cache holds no max-pool winners; build it with keep_argfirst=True"
+        )
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
 
     d_h = {t: np.zeros_like(cache.h[n_layers][t]) for t in graph.node_types}
@@ -634,7 +654,7 @@ def batch_loss_and_grads(
     negatives: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss, parameter gradients and the active-hinge mask of one batch."""
-    cache = forward_states(graph, params, plan)
+    cache = forward_states(graph, params, plan, keep_argfirst=True)
     loss, dz, active = margin_batch_loss(cache, pairs, negatives, params.config.margin)
     grads = backward_states(graph, params, plan, cache, dz)
     return loss, grads, active
@@ -815,7 +835,9 @@ class NodeEmbeddingTable:
 def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     """Embed every graph node: full neighborhoods up to the configured cap,
     deterministically subsampled past it."""
-    cache = forward_states(graph, params, _inference_plan(graph, params.config))
+    cache = forward_states(
+        graph, params, _inference_plan(graph, params.config), keep_argfirst=False
+    )
     ids: list[str] = []
     types: list[str] = []
     mats: list[np.ndarray] = []
@@ -869,7 +891,9 @@ def embed_catalog(
         edges={},
         relations=(),
     )
-    cache = forward_states(isolated, params, NeighborPlan([{}] * params.config.layers))
+    cache = forward_states(
+        isolated, params, NeighborPlan([{}] * params.config.layers), keep_argfirst=False
+    )
     refs = [isolated.node_ref(i) for i in weight_type]
     return NodeEmbeddingTable(
         item_ids=table.item_ids + list(weight_type),
@@ -930,7 +954,7 @@ def _validate(
 ) -> tuple[float, int]:
     """Validation loss and the number of zero-norm (fallback) output rows; the
     whole-graph forward cache is dropped on return."""
-    cache = forward_states(graph, params, plan)
+    cache = forward_states(graph, params, plan, keep_argfirst=False)
     z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
     za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     slots = _slot_terms(z, za, zp, negatives, params.config.margin)

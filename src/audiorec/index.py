@@ -85,7 +85,7 @@ def query_topk(
         keep = ~np.isin(ids, list(exclude))
         scores, ids = scores[keep], ids[keep]
     order = np.lexsort((ids, -scores))[:k]
-    return [(str(ids[i]), float(scores[i])) for i in order]
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def save_index(index: RecIndex, path) -> None:

@@ -8,7 +8,9 @@ losses against the batched margin and in-batch losses. The per-node plan
 sampler, the per-anchor negative sampler, the per-pair margin loss, the
 `reduceat` segment max and the nonzero-entry routing of pooled gradients are
 what the batched training step replaced; it must match them bit for bit,
-random stream included.
+random stream included. So must the plain-expression Adam step and the
+per-item `query_topk` result comprehension, which in-place and bulk-converted
+code replaced.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -33,6 +35,7 @@ from audiorec.hgnn import (
     _sample_negative_refs,
     flat_offsets,
 )
+from audiorec.index import RecIndex, row_dots
 
 NodeRef = tuple[str, int]
 
@@ -224,10 +227,12 @@ class EdgeFirstCache(ForwardCache):
 
 
 def forward_states_edge_first(
-    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan
+    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_argfirst: bool = True
 ) -> EdgeFirstCache:
     """`forward_states` with every relation transform applied to gathered
-    edge rows and pooled by `segment_max_reduceat`."""
+    edge rows and pooled by `segment_max_reduceat`. `keep_argfirst` is
+    accepted so the oracle can stand in for `forward_states`, and ignored:
+    the cache always holds argfirst."""
     n_layers = params.config.layers
     h = [{t: graph.features[t] for t in graph.node_types}]
     edge_pre, pooled_all, argfirst_all, upd_pre_all = [], [], [], []
@@ -308,6 +313,46 @@ def backward_states_add_at(
             np.add.at(d_prev[src_type], csr.indices, d_m @ params.agg_w(k, rel))
         d_h = d_prev
     return grads
+
+
+class AdamExpression:
+    """`optim.Adam` as the plain array expressions its in-place step replaced."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for key in sorted(params):
+            g = grads[key]
+            m = self._m.setdefault(key, np.zeros_like(params[key]))
+            v = self._v.setdefault(key, np.zeros_like(params[key]))
+            m += (1.0 - b1) * (g - m)
+            v += (1.0 - b2) * (g * g - v)
+            m_hat = m / (1.0 - b1**self.t)
+            v_hat = v / (1.0 - b2**self.t)
+            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def query_topk_comprehension(
+    index: RecIndex, query: np.ndarray, k: int, exclude=frozenset()
+) -> list[tuple[str, float]]:
+    """`index.query_topk` building its result one item at a time."""
+    query = np.asarray(query, dtype=np.float64)
+    scores = row_dots(index.vectors, np.broadcast_to(query, index.vectors.shape))
+    ids = index.id_array
+    if exclude:
+        keep = ~np.isin(ids, list(exclude))
+        scores, ids = scores[keep], ids[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return [(str(ids[i]), float(scores[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,9 @@ class TestSegmentMax:
         want = segment_max_reduceat(values[indices], indptr)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+        # the forward pass that skips argfirst pools the same bytes
+        pooled, argfirst = _segment_max(values, indptr, indices, keep_argfirst=False)
+        assert pooled.tobytes() == got[0].tobytes() and argfirst is None
         return got
 
     def test_ties_between_positive_values(self):
@@ -336,6 +339,49 @@ class TestSegmentMax:
             indptr = np.concatenate(([0], np.cumsum(lens)))
             values = np.maximum(rng.integers(-2, 4, size=(indptr[-1], 3)), 0).astype(float)
             self.check(values, indptr)
+
+    def test_winner_at_the_last_slot_and_ties_after_the_winner(self):
+        # segment 0, the longest, rises strictly at its last slot in column 0;
+        # in column 1 its max comes at slot 1 and equal values follow, as in
+        # segment 1's column 1 (slot 2, then a tie at slot 3)
+        values = np.array(
+            [[1.0, 0.0], [1.0, 3.0], [1.0, 3.0], [1.0, 3.0], [2.0, 3.0]]  # segment 0
+            + [[2.0, 1.0], [2.0, 0.0], [2.0, 5.0], [2.0, 5.0]]  # segment 1
+            + [[0.0, 4.0], [0.0, 4.0]]  # segment 2
+        )
+        pooled, argfirst = self.check(values, [0, 5, 9, 11])
+        assert pooled.tolist() == [[2.0, 3.0], [2.0, 5.0], [0.0, 4.0]]
+        assert argfirst.tolist() == [[4, 1], [5, 7], [9, 9]]
+
+    def test_segment_longer_than_300_rows(self):
+        rng = np.random.default_rng(4)
+        lens = np.array([3, 333, 0, 301, 17])
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        values = np.maximum(rng.integers(-2, 4, size=(indptr[-1], 4)), 0).astype(float)
+        values[3 + 310, 0] = 9.0  # a winner at slot 310 of the 333-row segment
+        values[3 + 320, 0] = 9.0  # and a later tie that must not move it
+        values[336 + 300, 1] = 7.0  # the last row of the 301-row segment
+        pooled, argfirst = self.check(values, indptr)
+        assert argfirst[1, 0] == 3 + 310 and argfirst[3, 1] == 336 + 300
+
+    def test_forward_without_argfirst_is_the_same_forward(self):
+        for seed in range(8):
+            graph, params, plan, _, _ = random_hgnn_instance(seed)
+            got = forward_states(graph, params, plan, keep_argfirst=False)
+            want = forward_states(graph, params, plan)
+            assert got.argfirst == [] and len(want.argfirst) == params.config.layers
+            for k in range(params.config.layers):
+                for direction in want.pooled[k]:
+                    assert got.pooled[k][direction].tobytes() == want.pooled[k][direction].tobytes()
+            for t in want.z:
+                assert got.z[t].tobytes() == want.z[t].tobytes()
+
+    def test_backward_refuses_a_cache_without_argfirst(self):
+        graph, params, plan, pairs, negs = random_hgnn_instance(0)
+        cache = forward_states(graph, params, plan, keep_argfirst=False)
+        _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
+        with pytest.raises(ValueError, match="keep_argfirst"):
+            backward_states(graph, params, plan, cache, dz)
 
 
 class TestMarginLoss:

@@ -3,6 +3,8 @@ import pytest
 
 from audiorec.index import build_index, load_index, query_topk, save_index
 
+from oracles import query_topk_comprehension
+
 
 def unit_rows(rng, n, d):
     m = rng.normal(size=(n, d))
@@ -114,6 +116,21 @@ class TestQuery:
             # ranking (incl. exact ties from duplicated rows) and every score
             # equal the full-sort oracle's 1-D dot products exactly
             assert query_topk(idx, q, k, exclude) == expected
+
+    @pytest.mark.parametrize("n_rows", [80, 1000])  # the default and wide-catalog indexes
+    def test_python_pairs_equal_to_per_item_comprehension(self, n_rows):
+        rng = np.random.default_rng(12)
+        base = unit_rows(rng, n_rows, 128)
+        base[1::7] = base[0]  # exact score ties
+        idx = build_index({f"a{i:04d}": row for i, row in enumerate(base)})
+        for trial in range(20):
+            q = rng.normal(size=128)
+            k = n_rows if trial % 2 else 10  # evaluate ranks the whole catalog
+            exclude = {f"a{int(i):04d}" for i in rng.integers(0, n_rows, size=trial)}
+            got = query_topk(idx, q, k, exclude)
+            want = query_topk_comprehension(idx, q, k, exclude)
+            assert [(type(i), type(s)) for i, s in got] == [(str, float)] * len(want)
+            assert [(i, s.hex()) for i, s in got] == [(i, s.hex()) for i, s in want]
 
 
 class TestSerialization:
