@@ -33,7 +33,7 @@ def main(argv=None) -> int:
             PipelineConfig.load(args.config) if args.config else PipelineConfig()
         )
         if args.seed is not None:
-            config.seed = args.seed
+            config = config.with_overrides({"seed": args.seed})
         if args.stage == "recommend":
             results = run_stage(
                 "recommend", config, args.out, user=args.user, k=args.k

@@ -255,17 +255,20 @@ def save_graph(graph: HeteroGraph, path) -> None:
 
 
 def load_graph(path) -> HeteroGraph:
+    """The graph `save_graph` wrote: each node type's features and each
+    relation direction's adjacency are read by name, so a missing array
+    raises ValueError naming the file."""
     meta, arrays = read_pack(path, "graph")
-
-    def group(prefix: str) -> dict[str, np.ndarray]:
-        return {n[len(prefix) :]: a for n, a in arrays.items() if n.startswith(prefix)}
-
-    indptr, indices = group("indptr."), group("indices.")
-    adj = {tuple(key.split(".")): Csr(indptr[key], indices[key]) for key in indptr}
     relations = tuple(meta["relations"])
+    nodes = {t: list(ids) for t, ids in meta["nodes"].items()}
+    directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})
+    adj = {
+        (dst, src): Csr(arrays[f"indptr.{dst}.{src}"], arrays[f"indices.{dst}.{src}"])
+        for dst, src in directions
+    }
     return HeteroGraph(
-        nodes={t: list(ids) for t, ids in meta["nodes"].items()},
-        features=group("features."),
+        nodes=nodes,
+        features={t: arrays[f"features.{t}"] for t in nodes},
         adj=adj,
         edges=_edges_from_adj(adj, relations),
         relations=relations,

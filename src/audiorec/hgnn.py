@@ -68,6 +68,7 @@ class HgnnConfig:
             ("max_epochs", ">= 1", self.max_epochs >= 1),
             ("patience", ">= 1", self.patience >= 1),
             ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
+            ("inference_seed", ">= 0", self.inference_seed >= 0),
         )
         check_rules("hgnn", self, rules)
 
@@ -179,74 +180,32 @@ class NeighborPlan:
     layers: list[dict[tuple[str, str], Csr]]
 
 
-# Up to this population `Generator.choice(pop, size, replace=False)` always
-# uses Floyd's algorithm; past it, large sizes take a partial shuffle instead.
-_FLOYD_MAX_POP = 10000
-# Whether `_choice_sets` reproduces this numpy's `Generator.choice`; decided
-# by `_probe_choice_sets` on the first draw, never at import.
-_CHOICE_SETS_OK: bool | None = None
+def _floyd_picks(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per row, `sizes` distinct values below `pops` (which must exceed
+    them), uniform without replacement by Floyd's algorithm, in draw order;
+    all rows' values concatenated, from one `rng.integers` call.
 
-
-def _choice_loop(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """One `rng.choice(pop, size, replace=False)` per row, concatenated."""
-    picks = [rng.choice(d, size=f, replace=False) for d, f in zip(pops.tolist(), sizes.tolist())]
-    return np.concatenate([np.zeros(0, dtype=np.int64), *picks])
-
-
-def _choice_sets(
-    rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray
-) -> np.ndarray | None:
-    """The values `_choice_loop` returns, each row's in Floyd's draw order
-    rather than shuffled, drawn from one block of raw PCG64 output; `rng` ends
-    in exactly the state `_choice_loop` leaves. Requires `pops > sizes`.
-
-    For `pop <= 10000`, numpy's `choice(pop, f, replace=False)` runs Floyd's
-    algorithm: for j = pop-f .. pop-1 one Lemire-bounded 32-bit draw
-    `(u * (j+1)) >> 32`, a value already taken becoming j. A Fisher-Yates
-    shuffle follows with f-1 more Lemire draws, bounds f-1 .. 1; its swaps do
-    not change the set, so only its draws are consumed. A row thus takes
-    2f-1 `next_uint32` values, the low half of each 64-bit word first, the
-    high half buffered in `has_uint32`/`uinteger`. Returns None with `rng`
-    untouched on another bit generator, a population over 10,000 or a Lemire
-    draw numpy would reject and redraw (about 1e-7 per draw here).
+    Floyd's step k of a row draws v_k below the bound pop-f+k+1 and keeps
+    it, or j_k = pop-f+k when v_k is already taken. After its f picks a row
+    also draws f-1 values, bounds f .. 2, that no pick uses: numpy's
+    `choice(pop, f, replace=False)` spends them on shuffling its picks, so
+    the stream and final state match that call wherever numpy runs Floyd
+    (`pop <= 10000` or `f <= pop // 50`).
     """
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64 or (len(pops) and pops.max() > _FLOYD_MAX_POP):
-        return None
     pops, sizes = pops.astype(np.int64), sizes.astype(np.int64)
-    n_draws = np.maximum(2 * sizes - 1, 0)
-    total = int(n_draws.sum())
-    if total == 0:
+    if not len(sizes):
         return np.zeros(0, dtype=np.int64)
-    pos = np.arange(total) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
+    n_draws = 2 * sizes - 1
+    pos = np.arange(int(n_draws.sum())) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
     f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
     floyd = pos < f
-    excl = (np.where(floyd, base + pos, 2 * f - 1 - pos) + 1).astype(np.uint64)
-
-    saved = bitgen.state
-    has = saved["has_uint32"]
-    raw = bitgen.random_raw((total - has + 1) // 2)
-    u = np.empty(has + 2 * len(raw), dtype=np.uint64)
-    u[:has] = saved["uinteger"]
-    u[has::2] = raw & 0xFFFFFFFF
-    u[has + 1 :: 2] = raw >> 32
-    m = u[:total] * excl
-    low = m & 0xFFFFFFFF
-    near = low < excl  # the rejection threshold (2**32 - excl) % excl is below excl
-    if near.any() and np.any(low[near] < (2**32 - excl[near]) % excl[near]):
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"] = (total - has) % 2
-    if len(raw):  # numpy leaves the last word's high half here even once it is used
-        state["uinteger"] = int(raw[-1] >> 32)
-    bitgen.state = state
+    drawn = rng.integers(0, np.where(floyd, base + pos + 1, 2 * f - pos))
 
     # Draw k of a row yields v_k, or j_k = base + k when v_k is already taken:
     # when it repeats an earlier draw of the row, or equals j_t for an earlier
     # t whose own draw was taken. Repeats show up as equal (row, value) prefixes
     # of sorted (row, value, k) keys.
-    v, k, base = (m[floyd] >> 32).astype(np.int64), pos[floyd], base[floyd]
+    v, k, base = drawn[floyd], pos[floyd], base[floyd]
     v_bits, k_bits = int(pops.max()).bit_length(), int(sizes.max()).bit_length()
     key = np.sort((np.repeat(np.arange(len(sizes)), sizes) << v_bits | v) << k_bits | k)
     repeats = key[1:][(key[1:] >> k_bits) == (key[:-1] >> k_bits)]
@@ -265,52 +224,20 @@ def _choice_sets(
     return np.where(taken, base + k, v)
 
 
-def _probe_choice_sets() -> bool:
-    """Whether `_choice_sets` matches `_choice_loop` in values and final
-    generator state on a fixed probe of 300 rows. Generator streams may change
-    between numpy versions, so this is checked once per process."""
-    gen = np.random.default_rng(20240611)
-    pops = gen.integers(2, 700, size=300)
-    sizes = np.minimum(gen.integers(1, 65, size=300), pops - 1)
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    # every row takes an odd number of 32-bit draws, so the second call
-    # starts from a buffered half-word
-    for rows in (slice(0, 1), slice(1, None)):
-        got = _choice_sets(rng, pops[rows], sizes[rows])
-        want = _choice_loop(ref, pops[rows], sizes[rows])
-        if got is None or rng.bit_generator.state != ref.bit_generator.state:
-            return False
-        row = np.repeat(np.arange(len(sizes[rows])), sizes[rows])
-        if not np.array_equal(got[np.lexsort((got, row))], want[np.lexsort((want, row))]):
-            return False
-    return True
-
-
-def _draw_choices(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The sets one `rng.choice(pop, size, replace=False)` per row draws, in
-    one bulk draw when this numpy's stream allows it, else call by call."""
-    global _CHOICE_SETS_OK
-    if not len(pops):
-        return np.zeros(0, dtype=np.int64)
-    if _CHOICE_SETS_OK is None:
-        _CHOICE_SETS_OK = _probe_choice_sets()
-    picks = _choice_sets(rng, pops, sizes) if _CHOICE_SETS_OK else None
-    return _choice_loop(rng, pops, sizes) if picks is None else picks
-
-
 def _subsample_csr(csr: Csr, fanout: np.ndarray, rng: np.random.Generator) -> Csr:
     """Rows longer than their `fanout` entry keep that many neighbors drawn
     uniformly without replacement, sorted by neighbor id; shorter rows are
     kept whole.
 
-    Stream contract: the draw uses the same numbers, in the same order, as
-    one `rng.choice(degree, fanout, replace=False)` per such row in row
-    order, and leaves `rng` in the state those calls leave it.
+    Stream contract: the rows draw in row order by `_floyd_picks`, so each
+    row uses the same numbers, and leaves `rng` in the same state, as
+    `rng.choice(degree, fanout, replace=False)` wherever numpy runs Floyd's
+    algorithm: degree at most 10,000 or fanout at most degree // 50.
     """
     degrees = np.diff(csr.indptr)
     big = degrees > fanout
     kept = np.where(big, fanout, degrees)
-    picks = _draw_choices(rng, degrees[big], fanout[big])
+    picks = _floyd_picks(rng, degrees[big], fanout[big])
     chosen = csr.indices[np.repeat(csr.indptr[:-1][big], kept[big]) + picks]
     row = np.repeat(np.flatnonzero(big), kept[big])
     slot_in_big = np.repeat(big, kept)
@@ -734,44 +661,53 @@ def _sample_negative_refs(
     rejecting the anchor and its direct neighbors; flat ids in and out.
 
     Each anchor in turn draws chunks of max(n_neg, 32) candidates until it
-    has n_neg survivors, and fails after 1000 * n_neg draws. The whole batch
-    draws its first chunks in one call, which yields the same numbers as one
-    call per anchor. When an anchor is short of survivors, the generator is
-    rewound to just after that anchor's first chunk, the anchor tops up
-    alone, and the batch draw resumes with the next anchor.
+    has n_neg survivors, and fails after 1000 * n_neg draws. Consecutive
+    `integers` calls with one bound yield the same numbers as one call, so
+    the chunks are drawn in blocks, one chunk per remaining anchor, and kept
+    in `pending` in stream order until handed out. A short anchor takes
+    further chunks from `pending` before drawing more; the anchors after it
+    continue with the rest, re-tested, and only the shortfall is drawn. A
+    block holds at most 1000 * n_neg draws, so an anchor that reaches the
+    limit has used every pending chunk, and the stream matches the
+    per-anchor loop up to either error.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     out = np.empty((len(anchors), n_neg), dtype=np.int64)
     dense = np.flatnonzero(index.n_candidates[anchors] < 1)
     stop = int(dense[0]) if len(dense) else len(anchors)
-    chunk = max(n_neg, 32)
+    chunk, limit = max(n_neg, 32), 1000 * n_neg
+    pending = np.zeros((0, chunk), dtype=np.int64)
     row = 0
     while n_neg and row < stop:
-        state = rng.bit_generator.state
-        draws = rng.integers(0, index.n_nodes, size=(stop - row, chunk))
-        ok = index.allowed(anchors[row:stop], draws)
+        if not len(pending):
+            pending = rng.integers(0, index.n_nodes, size=(min(stop - row, limit // chunk), chunk))
+        # one pending chunk per anchor from `row` on; there are never more
+        ok = index.allowed(anchors[row : row + len(pending)], pending)
         short = np.flatnonzero(ok.sum(axis=1) < n_neg)
-        done = int(short[0]) if len(short) else stop - row
+        done = int(short[0]) if len(short) else len(pending)
         first = ok[:done] & (np.cumsum(ok[:done], axis=1) <= n_neg)
-        out[row : row + done] = draws[:done][first].reshape(done, n_neg)
+        out[row : row + done] = pending[:done][first].reshape(done, n_neg)
+        row += done
+        pending = pending[done:]
         if not len(short):
-            break
-        rng.bit_generator.state = state
-        rng.integers(0, index.n_nodes, size=(done + 1, chunk))
-        anchor = anchors[row + done]
-        found = draws[done][ok[done]]
-        n_drawn, limit = chunk, 1000 * n_neg
+            continue
+        anchor = anchors[row]
+        found, pending = pending[0][ok[done]], pending[1:]
+        n_drawn = chunk
         while len(found) < n_neg:
             budget = min(limit - n_drawn, chunk)
             if budget <= 0:
                 raise RuntimeError(
                     f"negative sampling for anchor {anchor} exceeded {limit} draws"
                 )
-            more = rng.integers(0, index.n_nodes, size=budget)
+            if len(pending):  # a full chunk: the block fits within the limit
+                more, pending = pending[0], pending[1:]
+            else:
+                more = rng.integers(0, index.n_nodes, size=budget)
             n_drawn += budget
             found = np.concatenate([found, more[index.allowed(anchor[None], more[None])[0]]])
-        out[row + done] = found[:n_neg]
-        row += done + 1
+        out[row] = found[:n_neg]
+        row += 1
     if stop < len(anchors):
         raise RuntimeError(
             f"no negative candidates for anchor {anchors[stop]}: graph too dense"

@@ -176,10 +176,37 @@ def write_pack(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(arrays[n]).tobytes())
 
 
-def read_pack(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+class PackEntries(dict):
+    """A container's meta or arrays by name; a name the file lacks raises
+    ValueError naming the file instead of KeyError."""
+
+    def __init__(self, path, what: str, entries):
+        super().__init__(entries)
+        self.path, self.what = path, what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: missing {self.what} {key!r}")
+
+
+def _array_spec(entry: dict) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """One header entry's (name, dtype, shape). The dtype must be bool, int,
+    uint or float; the shape a list of non-negative integers."""
+    name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+    if not isinstance(name, str):
+        raise ValueError(f"array name {name!r} is not a string")
+    if not isinstance(dtype, str) or np.dtype(dtype).kind not in "biuf":
+        raise ValueError(f"array {name!r} has dtype {dtype!r}, not bool, int, uint or float")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"array {name!r} has shape {shape!r}, not a list of non-negative integers")
+    return name, np.dtype(dtype), tuple(shape)
+
+
+def read_pack(path, kind: str) -> tuple[PackEntries, PackEntries]:
     """Read a `write_pack` container whose meta names `kind`. A damaged file
-    (short header, short payload, bytes after the last array) or one of
-    another kind raises ValueError naming the path."""
+    (short header, short payload, bytes after the last array, an array entry
+    of another dtype kind or a bad shape, a name listed twice) or one of
+    another kind raises ValueError naming the path; so does reading a meta
+    key or an array the file does not hold."""
     data = Path(path).read_bytes()
     if not data.startswith(PACK_MAGIC):
         raise ValueError(f"{path}: not a packed array container")
@@ -194,17 +221,16 @@ def read_pack(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(data[start:offset].decode("utf-8"))
         meta = header["meta"]
         found = meta["kind"]
-        specs = [
-            (e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]))
-            for e in header["arrays"]
-        ]
+        specs = [_array_spec(e) for e in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed container header ({exc})") from exc
     if found != kind:
         raise ValueError(f"{path}: container kind is {found!r}, expected {kind!r}")
     view = memoryview(data)
-    arrays = {}
+    arrays = PackEntries(path, "array", {})
     for name, dtype, shape in specs:
+        if name in arrays:
+            raise ValueError(f"{path}: array {name!r} listed twice")
         nbytes = math.prod(shape) * dtype.itemsize
         if len(data) - offset < nbytes:
             raise ValueError(f"{path}: truncated payload for array {name!r}")
@@ -213,4 +239,4 @@ def read_pack(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} unexpected bytes after the last array")
-    return meta, arrays
+    return PackEntries(path, "meta key", meta), arrays

@@ -119,8 +119,11 @@ class PipelineConfig:
                 for f in fields(cls)
                 if f.name != "seed"
             }
-            io.check_json_type("seed", obj.get("seed"), int | None)
-            return cls(**sections, seed=obj.get("seed"))
+            seed = obj.get("seed")
+            io.check_json_type("seed", seed, int | None)
+            if seed is not None and seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed!r}")
+            return cls(**sections, seed=seed)
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"config validation failed: {exc}") from exc
 

@@ -8,9 +8,10 @@ losses against the batched margin and in-batch losses. The per-node plan
 sampler, the per-anchor negative sampler, the per-pair margin loss, the
 `reduceat` segment max and the nonzero-entry routing of pooled gradients are
 what the batched training step replaced; it must match them bit for bit,
-random stream included. So must the plain-expression Adam step and the
-per-item `query_topk` result comprehension, which in-place and bulk-converted
-code replaced.
+random stream included; the per-node plan sampler draws each row by
+`floyd_choice`, Floyd's algorithm step by step. So must the plain-expression
+Adam step and the per-item `query_topk` result comprehension, which in-place
+and bulk-converted code replaced.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -57,12 +58,29 @@ def flat_node_list(graph: HeteroGraph) -> list[NodeRef]:
 # ---------------------------------------------------------------------------
 
 
+def floyd_choice(rng: np.random.Generator, pop: int, size: int) -> np.ndarray:
+    """`size` distinct values below `pop` by Floyd's algorithm, one
+    `rng.integers` draw per step, then shuffled by Fisher-Yates as numpy's
+    `rng.choice(pop, size, replace=False)` shuffles them: the same values in
+    the same order, and the same final state, wherever that call runs Floyd
+    (`pop <= 10000` or `size <= pop // 50`)."""
+    picks: list[int] = []
+    taken: set[int] = set()
+    for j in range(pop - size, pop):
+        v = int(rng.integers(0, j + 1))
+        picks.append(j if v in taken else v)
+        taken.add(picks[-1])
+    for i in range(size - 1, 0, -1):
+        k = int(rng.integers(0, i + 1))
+        picks[i], picks[k] = picks[k], picks[i]
+    return np.array(picks, dtype=np.int64)
+
+
 def sample_neighbors(csr: Csr, idx: int, fanout: int, rng: np.random.Generator) -> np.ndarray:
     neigh = csr.neighbors(idx)
     if len(neigh) <= fanout:
         return neigh.copy()
-    pick = rng.choice(len(neigh), size=fanout, replace=False)
-    return np.sort(neigh[pick])
+    return np.sort(neigh[floyd_choice(rng, len(neigh), fanout)])
 
 
 def sample_plan_loop(

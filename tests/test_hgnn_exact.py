@@ -2,9 +2,6 @@
 arrays, equal losses and the same random stream, checked through the
 generator's state after each call."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +32,7 @@ from helpers_gradcheck import random_hgnn_instance
 from oracles import (
     backward_states_add_at,
     flat_node_list,
+    floyd_choice,
     forward_states_edge_first,
     margin_batch_loss_loop,
     route_pooled_nonzero,
@@ -80,6 +78,20 @@ def star_graph(n_leaves: int, hub_degree: int) -> HeteroGraph:
     )
 
 
+def dense_graph(n: int, density: float, seed: int) -> HeteroGraph:
+    """Podcasts 0..n-1, each pair joined with probability `density`."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    dst, src = np.nonzero(upper | upper.T)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n)))).astype(np.int64)
+    return HeteroGraph(
+        nodes={"podcast": [f"p{i:03d}" for i in range(n)]},
+        features={"podcast": np.zeros((n, 2))},
+        adj={("podcast", "podcast"): Csr(indptr, src.astype(np.int64))},
+        edges={"pp": np.argwhere(upper)},
+        relations=("pp",),
+    )
+
+
 class TestPlans:
     @pytest.mark.parametrize("fanouts", [(1, 2), (3, 3), (8, 8), (50, 50)])
     def test_matches_per_node_loop(self, small_graph, fanouts):
@@ -107,14 +119,15 @@ class TestPlans:
         assert_plans_equal(got, type(got)(want.layers * cfg.layers))
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
 def generator(bit_generator, buffered: bool) -> np.random.Generator:
-    """A fresh generator; `buffered` starts it with a half-word in its
-    32-bit buffer, as after an odd number of `next_uint32` draws."""
+    """A fresh generator; `buffered` first draws one 32-bit value, which
+    leaves a 64-bit generator holding the other half-word of its output."""
     rng = np.random.Generator(bit_generator)
     if buffered:
-        state = rng.bit_generator.state
-        state.update(has_uint32=1, uinteger=0x9E3779B9)
-        rng.bit_generator.state = state
+        rng.integers(2**32, dtype=np.uint32)
     return rng
 
 
@@ -143,10 +156,15 @@ def degree_graph(audiobook_degrees: list[int], podcast_degrees: list[int]) -> He
 # choice(9999, 64, replace=False), found by a search over seeds
 REJECTING_SEED, REJECTING_POP, REJECTING_FANOUT = 2869, 9999, 64
 
+# numpy's choice(pop, f, replace=False) runs Floyd's algorithm for pop <= 10000
+# or f <= pop // 50; for a row of 12,000 that is f <= 240
+WIDE_POP, WIDE_FLOYD_MAX = 12_000, 240
+
 
 class TestBulkChoice:
-    """`sample_plan` draws every row's neighbors from one block of raw PCG64
-    output; it must reproduce one `rng.choice` per row, state included."""
+    """`sample_plan` draws every oversized row's neighbors by Floyd's
+    algorithm in one `rng.integers` call; it must match `floyd_choice` row by
+    row, state included, and so `rng.choice` wherever numpy runs Floyd."""
 
     def check(self, graph, fanouts, make_rng):
         rng, ref = make_rng(), make_rng()
@@ -160,79 +178,75 @@ class TestBulkChoice:
         huge_row=st.booleans(),
         fanouts=st.lists(st.integers(1, 64), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
+        bit_generator=st.sampled_from(BIT_GENERATORS),
         buffered=st.booleans(),
     )
     def test_matches_per_row_choice(
-        self, audiobook_degrees, podcast_degrees, huge_row, fanouts, seed, buffered
+        self, audiobook_degrees, podcast_degrees, huge_row, fanouts, seed, bit_generator, buffered
     ):
-        if huge_row:  # a population past Floyd's range sends the plan to the loop
+        if huge_row:  # a population past 10,000, still inside Floyd's range
             podcast_degrees = podcast_degrees + [10_001 + seed % 50]
         graph = degree_graph(audiobook_degrees, podcast_degrees)
-        self.check(graph, tuple(fanouts), lambda: generator(np.random.PCG64(seed), buffered))
+        self.check(graph, tuple(fanouts), lambda: generator(bit_generator(seed), buffered))
 
-    def test_rejected_lemire_draw_takes_the_loop(self):
-        pops, sizes = np.array([REJECTING_POP]), np.array([REJECTING_FANOUT])
-        probe = np.random.default_rng(REJECTING_SEED)
-        assert hgnn._choice_sets(probe, pops, sizes) is None  # the premise: a rejection
-        assert same_state(probe, np.random.default_rng(REJECTING_SEED))
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered"])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_matches_floyd_oracle(self, bit_generator, buffered):
+        # rows past 10,000 on both sides of f = pop // 50, beside short ones
+        graph = degree_graph([700, 3, 0], [WIDE_POP, 40, WIDE_POP, 9])
+        for fanouts in ((WIDE_FLOYD_MAX, 5), (WIDE_FLOYD_MAX + 1, 2)):
+            self.check(graph, fanouts, lambda: generator(bit_generator(11), buffered))
+
+    def test_rejected_lemire_draw(self):
+        # the premise: the row takes 2f - 1 = 127 bounded draws, and one
+        # rejection costs a 128th 32-bit value
+        rng, raw = np.random.default_rng(REJECTING_SEED), np.random.default_rng(REJECTING_SEED)
+        rng.choice(REJECTING_POP, REJECTING_FANOUT, replace=False)
+        raw.integers(2**32, size=2 * REJECTING_FANOUT - 1, dtype=np.uint32)
+        assert not same_state(rng, raw)
+        raw.integers(2**32, dtype=np.uint32)
+        assert same_state(rng, raw)
         graph = star_graph(REJECTING_POP, REJECTING_POP)
         self.check(graph, (REJECTING_FANOUT,), lambda: np.random.default_rng(REJECTING_SEED))
 
-    def test_population_past_floyd_takes_the_loop(self):
-        # past 10,000 numpy shuffles a tail instead once size > pop // 50
-        graph = star_graph(10_001, 10_001)
-        assert hgnn._choice_sets(np.random.default_rng(1), np.array([10_001]), np.array([250])) is None
-        for buffered in (False, True):
-            self.check(graph, (250, 3), lambda: generator(np.random.PCG64(1), buffered))
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered"])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_floyd_oracle_is_choice_where_numpy_runs_floyd(self, bit_generator, buffered):
+        cases = [(2, 1), (40, 5), (REJECTING_POP, REJECTING_FANOUT), (10_000, 9_999)]
+        cases += [(WIDE_POP, WIDE_FLOYD_MAX), (50_000, 3)]
+        for seed in (REJECTING_SEED, 3):
+            for pop, f in cases:
+                rng = generator(bit_generator(seed), buffered)
+                ref = generator(bit_generator(seed), buffered)
+                assert np.array_equal(floyd_choice(rng, pop, f), ref.choice(pop, f, replace=False))
+                assert same_state(rng, ref)
+        # past both limits numpy shuffles a tail instead: another stream
+        rng, ref = generator(bit_generator(3), buffered), generator(bit_generator(3), buffered)
+        floyd_choice(rng, WIDE_POP, WIDE_FLOYD_MAX + 1)
+        ref.choice(WIDE_POP, WIDE_FLOYD_MAX + 1, replace=False)
+        assert not same_state(rng, ref)
 
-    def test_other_bit_generator_takes_the_loop(self, small_graph):
-        rng = np.random.Generator(np.random.MT19937(3))
-        assert hgnn._choice_sets(rng, np.array([40]), np.array([5])) is None
-        self.check(small_graph, (3, 3), lambda: np.random.Generator(np.random.MT19937(3)))
-
-    def test_probe_passes_on_installed_numpy(self):
-        assert hgnn._probe_choice_sets()
-
-    def test_probe_does_not_run_at_import(self):
-        # `rec recommend` imports hgnn; the probe's cost belongs to the first draw
-        code = "import audiorec.pipeline, audiorec.hgnn as h; print(h._CHOICE_SETS_OK)"
-        env = {**os.environ, "PYTHONPATH": str(Path(hgnn.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        )
-        assert out.stdout.strip() == "None"
-
-    def test_failed_probe_keeps_the_loop(self, small_graph, monkeypatch):
-        monkeypatch.setattr(hgnn, "_CHOICE_SETS_OK", None)
-        monkeypatch.setattr(hgnn, "_probe_choice_sets", lambda: False)
-
-        def no_bulk(*args):
-            raise AssertionError("bulk draw used after a failed probe")
-
-        monkeypatch.setattr(hgnn, "_choice_sets", no_bulk)
-        for _ in range(2):
-            self.check(small_graph, (3, 3), lambda: np.random.default_rng(5))
-        assert hgnn._CHOICE_SETS_OK is False
-
-    def test_default_graph_takes_the_bulk_path(self, tmp_path, monkeypatch):
+    def test_consecutive_plans_on_the_default_graph(self, tmp_path):
         config = PipelineConfig(seed=7)
         for stage in ("synth", "split", "build-graph"):
             run_stage(stage, config, tmp_path)
         graph = load_graph(tmp_path / "graph.bin")
         fanouts = config.hgnn.fanouts
-        monkeypatch.setattr(hgnn, "_CHOICE_SETS_OK", None)
-        # the probe runs on the first draw and calls the loop for its reference
-        sample_plan(graph, fanouts, np.random.default_rng(0))
-        assert hgnn._CHOICE_SETS_OK is True
-
-        def no_loop(*args):
-            raise AssertionError("per-row rng.choice called")
-
-        monkeypatch.setattr(hgnn, "_choice_loop", no_loop)
+        assert max(np.diff(c.indptr).max() for c in graph.adj.values()) > max(fanouts)
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(5):  # consecutive plans continue one stream
             assert_plans_equal(sample_plan(graph, fanouts, rng), sample_plan_loop(graph, fanouts, ref))
         assert same_state(rng, ref)
+
+
+def test_library_draws_only_through_the_generator_api():
+    # the streams above are numpy's documented Generator methods; raw words
+    # and saved states tie the library to one bit generator's internals
+    package = Path(hgnn.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("bit_generator", "random_raw"):
+            assert name not in text, f"{path.relative_to(package)} mentions {name}"
 
 
 class TestNegatives:
@@ -251,6 +265,27 @@ class TestNegatives:
         anchors = np.random.default_rng(1).integers(0, n, size=300).tolist()
         for n_neg in (1, 4, 10, 40):
             self.check(small_graph, anchors, n_neg, seed=n_neg)
+
+    def test_mostly_short_batch_matches_per_anchor_loop(self):
+        # each anchor excludes about 93% of the nodes: about 2 survivors per
+        # chunk of 32, so most anchors top up and the chunks after them move
+        g = dense_graph(120, 0.93, seed=5)
+        index = ExclusionIndex.build(g)
+        anchors = np.random.default_rng(2).integers(0, 120, size=300)
+        for n_neg in (3, 10):
+            # most anchors expect fewer than n_neg survivors in a chunk
+            short = index.n_candidates[anchors] * max(n_neg, 32) < n_neg * index.n_nodes
+            assert short.mean() > 0.8
+            self.check(g, anchors.tolist(), n_neg, seed=n_neg)
+
+    def test_anchor_succeeding_in_the_partial_last_chunk(self):
+        # with n_neg 1 the limit of 1,000 draws is 31 chunks of 32, then 8;
+        # at seed 195 the hub's one candidate comes at its 997th draw
+        g = star_graph(2999, 2998)
+        stream = np.random.default_rng(195).integers(0, 3000, size=32 + 1000)
+        assert np.flatnonzero(stream[32:] == 2999)[0] == 996
+        got = self.check(g, [1, 0, 2], n_neg=1, seed=195)
+        assert got[1, 0] == 2999
 
     def test_anchor_needing_several_chunks(self):
         # the hub excludes 97 of 100 nodes: about 1 survivor per 32 draws
@@ -274,21 +309,24 @@ class TestNegatives:
         g = star_graph(2999, 2998)
         index = ExclusionIndex.build(g)
         raised = 0
-        for seed in range(6):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            try:
-                got = _sample_negative_refs(index, np.array([1, 0, 2]), 1, rng)
-            except RuntimeError as exc:
-                assert "exceeded 1000 draws" in str(exc)
-                with pytest.raises(RuntimeError, match="exceeded 1000 draws"):
-                    for a in (1, 0, 2):
-                        sample_negative_refs_loop(g, ("podcast", a), 1, ref)
-                raised += 1
-            else:
-                want = [sample_negative_refs_loop(g, ("podcast", a), 1, ref) for a in (1, 0, 2)]
-                assert [[("podcast", r)] for r in got[:, 0].tolist()] == want
-            assert same_state(rng, ref)
-        assert 0 < raised < 6
+        # the second batch draws more than 1,000 values ahead without a limit
+        # on its blocks
+        for anchors in ([1, 0, 2], [0] + [1] * 40):
+            for seed in range(6):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                try:
+                    got = _sample_negative_refs(index, np.array(anchors), 1, rng)
+                except RuntimeError as exc:
+                    assert "exceeded 1000 draws" in str(exc)
+                    with pytest.raises(RuntimeError, match="exceeded 1000 draws"):
+                        for a in anchors:
+                            sample_negative_refs_loop(g, ("podcast", a), 1, ref)
+                    raised += 1
+                else:
+                    want = [sample_negative_refs_loop(g, ("podcast", a), 1, ref) for a in anchors]
+                    assert [[("podcast", r)] for r in got[:, 0].tolist()] == want
+                assert same_state(rng, ref)
+        assert 0 < raised < 12
 
 
 class TestSegmentMax:

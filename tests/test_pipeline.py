@@ -2,8 +2,11 @@ import builtins
 import dataclasses
 import importlib.util
 import json
+import math
 import pathlib
+import re
 import shutil
+import struct
 from collections import Counter
 
 import numpy as np
@@ -314,6 +317,57 @@ BINARY_ARTIFACTS = {
 }
 
 
+def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
+    """A `write_pack` container damaged in its header, and the text the
+    refusal must hold after the file name. `missing-array` drops the last
+    array's entry and its payload, so the file is otherwise whole."""
+    start = len(io.PACK_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(io.PACK_MAGIC))
+    header, payload = json.loads(data[start : start + hlen]), data[start + hlen :]
+    entries, first = header["arrays"], header["arrays"][0]
+    if how == "missing-array":
+        last = entries.pop()
+        payload = payload[: len(payload) - math.prod(last["shape"]) * np.dtype(last["dtype"]).itemsize]
+        expected = f"missing array {last['name']!r}"
+    elif how == "missing-meta-key":
+        header["meta"] = {"kind": header["meta"]["kind"]}
+        expected = "missing meta key"
+    elif how == "listed-twice":
+        entries.append(dict(first))
+        expected = f"array {first['name']!r} listed twice"
+    else:
+        key, value = {
+            "negative-shape": ("shape", [-2, -4]),
+            "float-shape": ("shape", [1.7]),
+            "bool-shape": ("shape", [True]),
+            "object-dtype": ("dtype", "object"),
+            "void-dtype": ("dtype", "V0"),
+        }[how]
+        first[key] = value
+        expected = f"array {first['name']!r} has {key}"
+    blob = json.dumps(header).encode()
+    return io.PACK_MAGIC + struct.pack("<I", len(blob)) + blob + payload, expected
+
+
+HEADER_DAMAGE = [
+    "missing-array",
+    "missing-meta-key",
+    "listed-twice",
+    "negative-shape",
+    "float-shape",
+    "bool-shape",
+    "object-dtype",
+    "void-dtype",
+]
+
+
+RECOMMEND_CONTAINERS = sorted(
+    name
+    for name in map(pipeline.ARTIFACTS.get, pipeline.STAGES["recommend"].inputs)
+    if name in BINARY_ARTIFACTS
+)
+
+
 class TestDamagedArtifacts:
     @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
     @pytest.mark.parametrize(
@@ -330,6 +384,30 @@ class TestDamagedArtifacts:
         path.write_bytes(damage((out / name).read_bytes()))
         with pytest.raises(ValueError, match=name):
             BINARY_ARTIFACTS[name](path)
+
+    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    @pytest.mark.parametrize("how", HEADER_DAMAGE)
+    def test_damaged_header_rejected_naming_the_file(self, pipeline_run, tmp_path, name, how):
+        _, out = pipeline_run
+        path = tmp_path / name
+        data, expected = damaged_header((out / name).read_bytes(), how)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{name}: .*{re.escape(expected)}"):
+            loaded = BINARY_ARTIFACTS[name](path)
+            if hasattr(loaded, "weights"):  # parameters are read by name as the model runs
+                for key in BINARY_ARTIFACTS[name](out / name).weights:
+                    loaded.weights[key]
+
+    @pytest.mark.parametrize("name", RECOMMEND_CONTAINERS)
+    @pytest.mark.parametrize("how", HEADER_DAMAGE)
+    def test_damaged_recommend_input_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys, name, how
+    ):
+        # `recommend` loads its containers without hashing them first
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
+        assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
 
     def test_embeddings_loader_refuses_another_kind(self, pipeline_run, tmp_path):
         _, out = pipeline_run
@@ -562,6 +640,7 @@ class TestCli:
             ("fanouts", {"fanouts": [0, 10]}),  # was exit 0, layer 1 blind to the graph
             ("fanouts", {"fanouts": [15]}),
             ("full_neighborhood_cap", {"full_neighborhood_cap": 0}),
+            ("inference_seed", {"inference_seed": -3}),  # was numpy's error, no field named
         ],
     )
     def test_bad_hgnn_setting_is_one_json_line(
@@ -638,6 +717,7 @@ class TestCli:
             ("paths", "catalog", 5),
             ("eval", "tiers", 1),
             (None, "seed", "7"),
+            (None, "seed", -1),  # was numpy's error, after the stage's first write
         ],
     )
     def test_mistyped_config_value_is_one_json_line(self, tmp_path, capsys, section, field, value):
@@ -887,6 +967,11 @@ class TestCli:
         assert read <= set(io.read_json(run / "manifests" / f"{stage}.json")["inputs"])
         if stage in ("train-2t", "evaluate"):
             assert {"music.jsonl", "demo.jsonl"} <= read
+
+    def test_negative_seed_flag_refused_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert "seed must be >= 0, got -1" in cli_error(["synth", "--seed", "-1", "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out = tmp_path / "o"
