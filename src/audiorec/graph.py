@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord
-from .io import read_pack, write_pack
+from .io import check_rows, meta_values, read_pack, write_pack
 
 REL_KEYS = ("aa", "ap", "pp")
 TYPE_CODE = {"audiobook": "a", "podcast": "p"}
@@ -259,8 +259,12 @@ def load_graph(path) -> HeteroGraph:
     relation direction's adjacency are read by name, so a missing array
     raises ValueError naming the file."""
     meta, arrays = read_pack(path, "graph")
-    relations = tuple(meta["relations"])
-    nodes = {t: list(ids) for t, ids in meta["nodes"].items()}
+    relations, nodes = meta_values(
+        path, meta, relations=tuple[str, ...], nodes=dict[str, tuple[str, ...]]
+    )
+    relations = tuple(relations)
+    for t, ids in nodes.items():
+        check_rows(path, arrays[f"features.{t}"], **{f"nodes.{t}": ids})
     directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})
     adj = {
         (dst, src): Csr(arrays[f"indptr.{dst}.{src}"], arrays[f"indices.{dst}.{src}"])

@@ -19,7 +19,6 @@ a dead entry adds +0.0.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -27,10 +26,18 @@ import numpy as np
 
 from .graph import Csr, HeteroGraph, rel_key, rel_types
 from .index import row_dots
-from .io import check_rules, dataclass_from_dict, read_pack, write_pack
-from .optim import Adam
-
-_NORM_FLOOR = 1e-12
+from .io import check_rows, check_rules, config_from_meta, meta_values, read_pack, write_pack
+from .optim import (
+    Adam,
+    Layout,
+    check_layout,
+    checksum,
+    glorot,
+    init_weights,
+    l2_normalize,
+    l2_normalize_grad,
+    zeros,
+)
 
 
 @dataclass
@@ -76,11 +83,6 @@ class HgnnConfig:
         return [feature_dim] + [self.hidden_dim] * (self.layers - 1) + [self.out_dim]
 
 
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-
 class HgnnParams:
     """Trainable state: per (layer, relation) aggregation weights and bias,
     per (layer, node type) update weights."""
@@ -108,17 +110,22 @@ class HgnnParams:
         relations: tuple[str, ...],
         seed: int,
     ) -> "HgnnParams":
-        rng = np.random.default_rng(seed)
-        dims = config.layer_dims(feature_dim)
-        weights: dict[str, np.ndarray] = {}
-        for k in range(1, config.layers + 1):
+        params = cls(config, feature_dim, node_types, relations, {})
+        params.weights = init_weights(params.layout(), np.random.default_rng(seed))
+        return params
+
+    def layout(self) -> Layout:
+        """Per layer: each relation's aggregation weights and bias, then each
+        node type's update weights."""
+        dims = self.config.layer_dims(self.feature_dim)
+        layout: Layout = []
+        for k in range(1, self.config.layers + 1):
             d_in, d_out = dims[k - 1], dims[k]
-            for rel in sorted(relations):
-                weights[f"agg.W.{k}.{rel}"] = _glorot(rng, d_out, d_in)
-                weights[f"agg.b.{k}.{rel}"] = np.zeros(d_out)
-            for t in sorted(node_types):
-                weights[f"upd.W.{k}.{t}"] = _glorot(rng, d_out, d_in)
-        return cls(config, feature_dim, tuple(node_types), tuple(relations), weights)
+            for rel in self.relations:
+                layout.append((f"agg.W.{k}.{rel}", (d_out, d_in), glorot))
+                layout.append((f"agg.b.{k}.{rel}", (d_out,), zeros))
+            layout += [(f"upd.W.{k}.{t}", (d_out, d_in), glorot) for t in self.node_types]
+        return layout
 
     def agg_w(self, layer: int, rel: str) -> np.ndarray:
         return self.weights[f"agg.W.{layer}.{rel}"]
@@ -139,11 +146,7 @@ class HgnnParams:
         )
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        for key in sorted(self.weights):
-            h.update(key.encode())
-            h.update(np.ascontiguousarray(self.weights[key]).tobytes())
-        return h.hexdigest()
+        return checksum(self.weights)
 
     def save(self, path) -> None:
         meta = {
@@ -158,14 +161,13 @@ class HgnnParams:
     @classmethod
     def load(cls, path) -> "HgnnParams":
         meta, arrays = read_pack(path, "hgnn_params")
-        config = dataclass_from_dict(HgnnConfig, meta["config"], "hgnn")
-        return cls(
-            config,
-            int(meta["feature_dim"]),
-            tuple(meta["node_types"]),
-            tuple(meta["relations"]),
-            arrays,
+        feature_dim, node_types, relations = meta_values(
+            path, meta, feature_dim=int, node_types=tuple[str, ...], relations=tuple[str, ...]
         )
+        config = config_from_meta(HgnnConfig, path, meta, "hgnn")
+        params = cls(config, feature_dim, node_types, relations, arrays)
+        check_layout(path, params.layout(), arrays)
+        return params
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +400,7 @@ def forward_states(
         cache.upd_pre.append(upd_pre)
 
     for t, hf in cache.h[-1].items():
-        n = np.linalg.norm(hf, axis=1)
-        bad = n < _NORM_FLOOR
-        zt = hf / np.where(bad, 1.0, n)[:, None]
-        zt[bad] = np.eye(1, zt.shape[1])  # fallback: the first basis vector
-        cache.norms[t], cache.z[t], cache.fallback[t] = n, zt, bad
+        cache.z[t], cache.norms[t], cache.fallback[t] = l2_normalize(hf)
     return cache
 
 
@@ -536,16 +534,10 @@ def backward_states(
         )
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
 
-    d_h = {t: np.zeros_like(cache.h[n_layers][t]) for t in graph.node_types}
-    for t in graph.node_types:
-        hf = cache.h[n_layers][t]
-        n = cache.norms[t]
-        zt = cache.z[t]
-        g = dz[t]
-        ok = ~cache.fallback[t]
-        if np.any(ok):
-            inner = np.sum(zt[ok] * g[ok], axis=1, keepdims=True)
-            d_h[t][ok] = (g[ok] - zt[ok] * inner) / n[ok][:, None]
+    d_h = {
+        t: l2_normalize_grad(cache.z[t], cache.norms[t], cache.fallback[t], dz[t])
+        for t in graph.node_types
+    }
 
     for k in range(n_layers, 0, -1):
         d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types}
@@ -757,15 +749,16 @@ class NodeEmbeddingTable:
     @classmethod
     def load(cls, path) -> "NodeEmbeddingTable":
         meta, arrays = read_pack(path, "embeddings")
-        if not meta["item_ids"]:
-            raise ValueError(f"{path}: empty embedding table")
-        return cls(
-            item_ids=list(meta["item_ids"]),
-            node_types=list(meta["node_types"]),
-            matrix=arrays["matrix"],
-            inductive=arrays["inductive"],
-            fallback=arrays["fallback"],
+        item_ids, node_types = meta_values(
+            path, meta, item_ids=tuple[str, ...], node_types=tuple[str, ...]
         )
+        if not item_ids:
+            raise ValueError(f"{path}: empty embedding table")
+        matrix, inductive, fallback = arrays["matrix"], arrays["inductive"], arrays["fallback"]
+        check_rows(
+            path, matrix, item_ids=item_ids, node_types=node_types, inductive=inductive, fallback=fallback
+        )
+        return cls(item_ids, node_types, matrix, inductive, fallback)
 
 
 def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import read_pack, write_pack
+from .io import check_rows, meta_values, read_pack, write_pack
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,4 +96,6 @@ def save_index(index: RecIndex, path) -> None:
 
 def load_index(path) -> RecIndex:
     meta, arrays = read_pack(path, "index")
-    return RecIndex(ids=list(meta["ids"]), vectors=arrays["vectors"])
+    (ids,) = meta_values(path, meta, ids=tuple[str, ...])
+    check_rows(path, arrays["vectors"], ids=ids)
+    return RecIndex(ids=ids, vectors=arrays["vectors"])

@@ -40,26 +40,64 @@ def config_hash(obj) -> str:
     return sha256_bytes(canonical_json(obj).encode("utf-8"))
 
 
+_SCALARS = (bool, int, float, str, types.NoneType)
+
+
+def _fits(hint, kind: type) -> bool:
+    """Whether a JSON value of type `kind` fits the scalar annotation `hint`.
+    An integer fits a float; a bool fits only a bool."""
+    if kind is bool:
+        return hint is bool
+    return issubclass(kind, (int, float) if hint is float else hint)
+
+
 def _admits(hint, value) -> bool:
-    """Whether a JSON value fits a config annotation: bool, int, float, str,
-    None, `tuple[T, ...]` (an array of T) or a union such as `X | None`. An
-    integer fits a float; a bool fits only a bool."""
-    if hint in (bool, int, float, str, types.NoneType):
-        if isinstance(value, bool):
-            return hint is bool
-        return isinstance(value, (int, float) if hint is float else hint)
+    """Whether a JSON value fits an annotation: a scalar, `tuple[T, ...]` (an
+    array of T), `dict[str, T]` (an object of T) or a union such as
+    `X | None`."""
+    if hint in _SCALARS:
+        return _fits(hint, type(value))
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_admits(args[0], v) for v in value)
+        return isinstance(value, (list, tuple)) and _all_admit(args[0], value)
+    if typing.get_origin(hint) is dict:
+        return isinstance(value, dict) and _all_admit(args[1], value.values())
     return any(_admits(h, value) for h in args)
 
 
+def _all_admit(hint, values) -> bool:
+    """Whether each of `values` fits `hint`. A scalar fits by its type alone,
+    so an id list of thousands of strings costs one check per type in it."""
+    if hint in _SCALARS:
+        return all(_fits(hint, kind) for kind in set(map(type, values)))
+    return all(_admits(hint, v) for v in values)
+
+
 def check_json_type(name: str, value, hint) -> None:
-    """Refuse a config value that its annotation `hint` does not admit, with a
+    """Refuse a JSON value that the annotation `hint` does not admit, with a
     ValueError naming `name`."""
     if not _admits(hint, value):
         what = hint.__name__ if isinstance(hint, type) else hint
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def meta_values(path, meta, **hints) -> list:
+    """The container meta values named by `hints`, in its order; a value whose
+    JSON type its annotation does not admit raises ValueError naming the file."""
+    for key, hint in hints.items():
+        check_json_type(f"{path}: meta {key!r}", meta[key], hint)
+    return [meta[key] for key in hints]
+
+
+def check_rows(path, matrix: np.ndarray, **columns) -> None:
+    """Refuse a container whose `matrix` is not 2-D, or whose id lists and
+    per-row arrays `columns` do not hold one entry per matrix row, with a
+    ValueError naming the file."""
+    if matrix.ndim != 2:
+        raise ValueError(f"{path}: matrix has shape {list(matrix.shape)}, not rows x columns")
+    for name, column in columns.items():
+        if len(column) != len(matrix):
+            raise ValueError(f"{path}: {name} has {len(column)} entries for {len(matrix)} matrix rows")
 
 
 # get_type_hints evaluates every string annotation anew; once per class is enough
@@ -70,6 +108,8 @@ def dataclass_from_dict(cls, obj: dict, section: str):
     """Build the config dataclass `cls` from one config section, rejecting
     keys it does not declare and values its field annotations do not admit.
     JSON arrays become the tuples their fields declare."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{section} config must be an object, got {obj!r}")
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
@@ -77,6 +117,17 @@ def dataclass_from_dict(cls, obj: dict, section: str):
     for name, value in obj.items():
         check_json_type(f"{section}.{name}", value, hints[name])
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+
+
+def config_from_meta(cls, path, meta, section: str):
+    """The config dataclass `cls` that a container's meta stores under
+    "config"; a section `dataclass_from_dict` or the class refuses raises
+    ValueError naming the file."""
+    obj = meta["config"]
+    try:
+        return dataclass_from_dict(cls, obj, section)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def check_rules(section: str, config, rules) -> None:

@@ -1,8 +1,83 @@
-"""First-order adaptive-moment optimizer shared by both trainers."""
+"""What the HGNN and the two towers share: the Adam optimizer, weight
+layouts (drawn at init, checked at load), the weight checksum, and the L2
+output normalization with its gradient."""
 
 from __future__ import annotations
 
+import hashlib
+from typing import Callable
+
 import numpy as np
+
+NORM_FLOOR = 1e-12  # a row with a smaller L2 norm normalizes to the first basis vector
+
+# Every weight of a model as (name, shape, init) in draw order; `init(rng, shape)` draws it.
+Layout = list[tuple[str, tuple[int, ...], Callable]]
+
+
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """A (fan_out, fan_in) matrix, uniform within the Glorot bound."""
+    bound = np.sqrt(6.0 / (shape[1] + shape[0]))  # fan_in + fan_out
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros, drawing nothing."""
+    return np.zeros(shape)
+
+
+def init_weights(layout: Layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Every weight of `layout`, drawn in its order."""
+    return {name: init(rng, shape) for name, shape, init in layout}
+
+
+def check_layout(path, layout: Layout, weights) -> None:
+    """Refuse the weights `read_pack` loaded from `path` unless they are those
+    of `layout`, each of its shape: a missing, extra or misshaped weight
+    raises ValueError naming the file and the weight."""
+    for name, shape, _ in layout:
+        if weights[name].shape != shape:  # `read_pack`'s table refuses a missing name
+            raise ValueError(
+                f"{path}: array {name!r} has shape {list(weights[name].shape)}, expected {list(shape)}"
+            )
+    extra = sorted(set(weights) - {name for name, _, _ in layout})
+    if extra:
+        raise ValueError(f"{path}: unexpected array {extra[0]!r}, not a weight of this model")
+
+
+def checksum(weights: dict[str, np.ndarray]) -> str:
+    """sha256 over every weight's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for key in sorted(weights):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(weights[key]).tobytes())
+    return h.hexdigest()
+
+
+def l2_normalize(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of `y` scaled to unit L2 norm, their norms, and the mask of
+    rows whose norm is below `NORM_FLOOR`: those become the first basis
+    vector instead."""
+    norms = np.linalg.norm(y, axis=1)
+    fallback = norms < NORM_FLOOR
+    out = y / np.where(fallback, 1.0, norms)[:, None]
+    if fallback.any():
+        out[fallback] = np.eye(1, y.shape[1])
+    return out, norms, fallback
+
+
+def l2_normalize_grad(
+    out: np.ndarray, norms: np.ndarray, fallback: np.ndarray, d_out: np.ndarray
+) -> np.ndarray:
+    """d(loss)/d(y) of `out, norms, fallback = l2_normalize(y)`, given
+    d(loss)/d(out); a fallback row gets none."""
+    d_y = np.zeros_like(out)
+    ok = ~fallback
+    if np.any(ok):
+        o = out[ok]
+        inner = np.sum(o * d_out[ok], axis=1, keepdims=True)
+        d_y[ok] = (d_out[ok] - o * inner) / norms[ok][:, None]
+    return d_y
 
 
 class Adam:

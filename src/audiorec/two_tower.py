@@ -8,19 +8,26 @@ then L2-normalizes. Gradients are closed-form reverse mode.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
 from .hgnn import NodeEmbeddingTable
-from .io import check_rules, dataclass_from_dict, read_pack, write_pack
-from .optim import Adam
+from .io import PackEntries, check_rules, config_from_meta, meta_values, read_pack, write_pack
+from .optim import (
+    Adam,
+    Layout,
+    check_layout,
+    checksum,
+    glorot,
+    init_weights,
+    l2_normalize,
+    l2_normalize_grad,
+    zeros,
+)
 
 OOV_TOKEN = "<oov>"
-
-_NORM_FLOOR = 1e-12
 
 _USER_CATS = ("country", "age_bucket")
 _ITEM_CATS = ("language", "genre")
@@ -197,6 +204,17 @@ def assemble_item_features(
     return items
 
 
+def _tower_dims(config: TwoTowerConfig, d_c: int, d_embed: int) -> dict[str, int]:
+    """Each tower's input width, given the content and graph embedding widths."""
+    e = config.cat_embed_dim
+    user_in = 2 * e + config.music_dim + 2 * d_embed + len(SIGNALS)
+    return {"user_in": user_in, "item_in": 2 * e + d_c + d_embed, "d_c": d_c, "d_embed": d_embed}
+
+
+def _table_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return 0.05 * rng.normal(size=shape)
+
+
 class TowerParams:
     """Dense-layer weights plus categorical embedding tables for both towers,
     and the item frequency table used for loss weighting."""
@@ -225,40 +243,29 @@ class TowerParams:
         item_freq: dict[str, int],
         seed: int,
     ) -> "TowerParams":
-        rng = np.random.default_rng(seed)
-        e = config.cat_embed_dim
-        user_in = 2 * e + config.music_dim + 2 * d_embed + len(SIGNALS)
-        item_in = 2 * e + d_c + d_embed
-        dims = {"user_in": user_in, "item_in": item_in, "d_c": d_c, "d_embed": d_embed}
-        weights: dict[str, np.ndarray] = {}
-        for name in _USER_CATS:
-            weights[f"user.emb.{name}"] = 0.05 * rng.normal(size=(vocabs[name].size, e))
-        for name in _ITEM_CATS:
-            weights[f"item.emb.{name}"] = 0.05 * rng.normal(size=(vocabs[name].size, e))
-        for tower, d_in in (("user", user_in), ("item", item_in)):
-            prev = d_in
-            for li, width in enumerate(config.hidden, start=1):
-                bound = np.sqrt(6.0 / (prev + width))
-                weights[f"{tower}.W{li}"] = rng.uniform(-bound, bound, size=(width, prev))
-                weights[f"{tower}.b{li}"] = np.zeros(width)
-                prev = width
-        return cls(config, vocabs, dims, weights, dict(item_freq))
+        params = cls(config, vocabs, _tower_dims(config, d_c, d_embed), {}, dict(item_freq))
+        params.weights = init_weights(params.layout(), np.random.default_rng(seed))
+        return params
 
-    def copy(self) -> "TowerParams":
-        return TowerParams(
-            self.config,
-            self.vocabs,
-            dict(self.dims),
-            {k: v.copy() for k, v in self.weights.items()},
-            dict(self.item_freq),
-        )
+    def layout(self) -> Layout:
+        """The categorical tables of the user tower, then of the item tower;
+        then each tower's dense layers."""
+        e = self.config.cat_embed_dim
+        layout: Layout = [
+            (f"{tower}.emb.{name}", (self.vocabs[name].size, e), _table_init)
+            for tower, names in (("user", _USER_CATS), ("item", _ITEM_CATS))
+            for name in names
+        ]
+        for tower in ("user", "item"):
+            prev = self.dims[f"{tower}_in"]
+            for li, width in enumerate(self.config.hidden, start=1):
+                layout.append((f"{tower}.W{li}", (width, prev), glorot))
+                layout.append((f"{tower}.b{li}", (width,), zeros))
+                prev = width
+        return layout
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        for key in sorted(self.weights):
-            h.update(key.encode())
-            h.update(np.ascontiguousarray(self.weights[key]).tobytes())
-        return h.hexdigest()
+        return checksum(self.weights)
 
     def save(self, path) -> None:
         meta = {
@@ -273,9 +280,17 @@ class TowerParams:
     @classmethod
     def load(cls, path) -> "TowerParams":
         meta, arrays = read_pack(path, "tower_params")
-        config = dataclass_from_dict(TwoTowerConfig, meta["config"], "two_tower")
-        vocabs = {name: Vocab(vals) for name, vals in meta["vocabs"].items()}
-        return cls(config, vocabs, dict(meta["dims"]), arrays, dict(meta["item_freq"]))
+        vocabs, dims, item_freq = meta_values(
+            path, meta, vocabs=dict[str, tuple[str, ...]], dims=dict[str, int], item_freq=dict[str, int]
+        )
+        config = config_from_meta(TwoTowerConfig, path, meta, "two_tower")
+        sizes = PackEntries(path, "dims key", dims)
+        if dims != _tower_dims(config, sizes["d_c"], sizes["d_embed"]):
+            raise ValueError(f"{path}: meta 'dims' {dims} does not fit the tower config")
+        vocabs = PackEntries(path, "vocab", {name: Vocab(vals) for name, vals in vocabs.items()})
+        params = cls(config, vocabs, dims, arrays, item_freq)
+        check_layout(path, params.layout(), arrays)
+        return params
 
 
 def _user_inputs(params: TowerParams, feats: list[UserFeatures]) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +337,8 @@ class _TowerCache:
     cat: np.ndarray
     pre: list[np.ndarray]
     act: list[np.ndarray]
-    y: np.ndarray
-    norms: np.ndarray
     out: np.ndarray
+    norms: np.ndarray
     fallback: np.ndarray
 
 
@@ -342,15 +356,7 @@ def _tower_forward(params: TowerParams, tower: str, cat: np.ndarray, dense: np.n
         pre.append(p)
         h = np.maximum(p, 0.0) if li < 3 else p
         act.append(h)
-    y = act[-1]
-    norms = np.linalg.norm(y, axis=1)
-    bad = norms < _NORM_FLOOR
-    safe = np.where(bad, 1.0, norms)
-    out = y / safe[:, None]
-    if np.any(bad):
-        out[bad] = 0.0
-        out[bad, 0] = 1.0
-    return _TowerCache(x, cat, pre, act, y, norms, out, bad)
+    return _TowerCache(x, cat, pre, act, *l2_normalize(act[-1]))
 
 
 def _tower_backward(
@@ -360,13 +366,7 @@ def _tower_backward(
     d_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
-    ok = ~cache.fallback
-    d_y = np.zeros_like(cache.y)
-    if np.any(ok):
-        o = cache.out[ok]
-        inner = np.sum(o * d_out[ok], axis=1, keepdims=True)
-        d_y[ok] = (d_out[ok] - o * inner) / cache.norms[ok][:, None]
-    d_h = d_y
+    d_h = l2_normalize_grad(cache.out, cache.norms, cache.fallback, d_out)
     for li in range(3, 0, -1):
         if li < 3:
             d_h = d_h * (cache.pre[li - 1] > 0.0)

@@ -28,7 +28,6 @@ import numpy as np
 
 from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
 from audiorec.hgnn import (
-    _NORM_FLOOR,
     ExclusionIndex,
     ForwardCache,
     HgnnParams,
@@ -37,6 +36,7 @@ from audiorec.hgnn import (
     flat_offsets,
 )
 from audiorec.index import RecIndex, row_dots
+from audiorec.optim import NORM_FLOOR
 
 NodeRef = tuple[str, int]
 
@@ -281,7 +281,7 @@ def forward_states_edge_first(
     norms, z, fallback = {}, {}, {}
     for t in graph.node_types:  # the library's normalization, unchanged
         norms[t] = np.linalg.norm(h[n_layers][t], axis=1)
-        fallback[t] = norms[t] < _NORM_FLOOR
+        fallback[t] = norms[t] < NORM_FLOOR
         z[t] = h[n_layers][t] / np.where(fallback[t], 1.0, norms[t])[:, None]
         z[t][fallback[t]] = np.eye(1, z[t].shape[1])
     return EdgeFirstCache(
@@ -427,7 +427,7 @@ def update_node(
 
 def _normalize(h: np.ndarray) -> tuple[np.ndarray, bool]:
     norm = float(np.linalg.norm(h))
-    if norm < _NORM_FLOOR:
+    if norm < NORM_FLOOR:
         z = np.zeros_like(h)
         z[0] = 1.0
         return z, True

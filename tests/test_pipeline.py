@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from audiorec import data, io, pipeline
 from audiorec.cli import main
@@ -317,21 +319,68 @@ BINARY_ARTIFACTS = {
 }
 
 
-def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
-    """A `write_pack` container damaged in its header, and the text the
-    refusal must hold after the file name. `missing-array` drops the last
-    array's entry and its payload, so the file is otherwise whole."""
+def _nbytes(entry: dict) -> int:
+    return math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize
+
+
+def _drop_last_id(value):
+    """`value` with the last entry of each list of strings in it dropped, at
+    the top or as an object's values."""
+    if isinstance(value, dict):
+        return {key: _drop_last_id(v) for key, v in value.items()}
+    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+        return value[:-1]
+    return value
+
+
+def split_container(data: bytes) -> tuple[dict, bytes]:
+    """A `write_pack` container's JSON header and its array payload."""
     start = len(io.PACK_MAGIC) + 4
     (hlen,) = struct.unpack_from("<I", data, len(io.PACK_MAGIC))
-    header, payload = json.loads(data[start : start + hlen]), data[start + hlen :]
-    entries, first = header["arrays"], header["arrays"][0]
+    return json.loads(data[start : start + hlen]), data[start + hlen :]
+
+
+def join_container(header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode()
+    return io.PACK_MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
+    """A `write_pack` container damaged in its header, and the text the
+    refusal must hold after the file name. `missing-array` and
+    `missing-first-array` drop the last or the first array's entry and its
+    payload, and `extra-array` adds an entry and its payload, so the file is
+    otherwise whole; `misshaped-array` gives the first array its shape
+    flattened, which holds the same bytes."""
+    header, payload = split_container(data)
+    entries, first, meta = header["arrays"], header["arrays"][0], header["meta"]
     if how == "missing-array":
         last = entries.pop()
-        payload = payload[: len(payload) - math.prod(last["shape"]) * np.dtype(last["dtype"]).itemsize]
+        payload = payload[: len(payload) - _nbytes(last)]
         expected = f"missing array {last['name']!r}"
+    elif how == "missing-first-array":
+        payload = payload[_nbytes(entries.pop(0)) :]
+        expected = f"missing array {first['name']!r}"
+    elif how == "extra-array":
+        entries.append({"name": "zz.extra", "shape": [2], "dtype": "float64"})
+        payload += bytes(16)
+        expected = "unexpected array 'zz.extra'"
+    elif how == "misshaped-array":
+        first["shape"] = [math.prod(first["shape"])]
+        expected = f"array {first['name']!r} has shape"
     elif how == "missing-meta-key":
-        header["meta"] = {"kind": header["meta"]["kind"]}
+        header["meta"] = {"kind": meta["kind"]}
         expected = "missing meta key"
+    elif how in ("meta-number", "meta-list"):  # every meta value but the kind
+        wrong = 7 if how == "meta-number" else [1]
+        header["meta"] = {key: value if key == "kind" else wrong for key, value in meta.items()}
+        expected = "must be"
+    elif how == "short-id-list":
+        header["meta"] = _drop_last_id(meta)
+        # a checkpoint's vocabularies and names fix its weights, a table's ids its rows
+        expected = {"hgnn_params": "unexpected array", "tower_params": "has shape"}.get(
+            meta["kind"], "entries for"
+        )
     elif how == "listed-twice":
         entries.append(dict(first))
         expected = f"array {first['name']!r} listed twice"
@@ -345,8 +394,7 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
         }[how]
         first[key] = value
         expected = f"array {first['name']!r} has {key}"
-    blob = json.dumps(header).encode()
-    return io.PACK_MAGIC + struct.pack("<I", len(blob)) + blob + payload, expected
+    return join_container(header, payload), expected
 
 
 HEADER_DAMAGE = [
@@ -358,7 +406,13 @@ HEADER_DAMAGE = [
     "bool-shape",
     "object-dtype",
     "void-dtype",
+    "meta-number",
+    "meta-list",
+    "short-id-list",
 ]
+
+# a checkpoint holds exactly the weights its config, vocabularies and dims declare
+CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
 
 
 RECOMMEND_CONTAINERS = sorted(
@@ -393,10 +447,7 @@ class TestDamagedArtifacts:
         data, expected = damaged_header((out / name).read_bytes(), how)
         path.write_bytes(data)
         with pytest.raises(ValueError, match=f"{name}: .*{re.escape(expected)}"):
-            loaded = BINARY_ARTIFACTS[name](path)
-            if hasattr(loaded, "weights"):  # parameters are read by name as the model runs
-                for key in BINARY_ARTIFACTS[name](out / name).weights:
-                    loaded.weights[key]
+            BINARY_ARTIFACTS[name](path)
 
     @pytest.mark.parametrize("name", RECOMMEND_CONTAINERS)
     @pytest.mark.parametrize("how", HEADER_DAMAGE)
@@ -408,6 +459,86 @@ class TestDamagedArtifacts:
         run = shutil.copytree(out, tmp_path / "run")
         (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
+
+    @pytest.mark.parametrize(
+        "name, stage", [("hgnn_params.bin", "embed"), ("tower_params.bin", "recommend")]
+    )
+    @pytest.mark.parametrize("how", CHECKPOINT_DAMAGE)
+    def test_checkpoint_off_its_layout_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys, name, stage, how
+    ):
+        # `recommend` reads only the user tower, yet refuses a damaged item tower;
+        # `embed` hashes its inputs, so the damaged file is recorded as current
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        data, expected = damaged_header((out / name).read_bytes(), how)
+        (run / name).write_bytes(data)
+        if pipeline.STAGES[stage].outputs:
+            rerecord(run, name)
+        error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
+        assert re.search(f"{name}: .*{re.escape(expected)}", error), error
+
+    @pytest.mark.parametrize("name", RECOMMEND_CONTAINERS)
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_cut_or_overwritten_recommend_input_never_raises(
+        self, pipeline_run, tmp_path, capsys, name, data
+    ):
+        config, out = pipeline_run
+        run = tmp_path / "run"
+        if not run.exists():
+            shutil.copytree(out, run)
+        whole = (out / name).read_bytes()
+        if data.draw(st.booleans(), label="cut"):
+            damaged = whole[: data.draw(st.integers(0, len(whole) - 1), label="length")]
+        else:
+            (hlen,) = struct.unpack_from("<I", whole, len(io.PACK_MAGIC))
+            at = data.draw(st.integers(0, len(io.PACK_MAGIC) + 3 + hlen), label="header byte")
+            byte = data.draw(st.integers(0, 255), label="value")
+            damaged = whole[:at] + bytes([byte]) + whole[at + 1 :]
+        (run / name).write_bytes(damaged)
+        code = main(stage_argv("recommend", config, run, tmp_path))
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+            rows = [json.loads(line) for line in captured.out.splitlines()]
+            assert len(rows) <= 10
+            assert all(isinstance(r["item_id"], str) and isinstance(r["score"], float) for r in rows)
+        else:
+            assert code == 1 and captured.out == ""
+            (line,) = captured.err.strip().splitlines()
+            assert json.loads(line)["stage"] == "recommend"
+            assert name in json.loads(line)["error"]
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda meta: meta["vocabs"].pop("country"), "missing vocab 'country'"),
+            (lambda meta: meta["dims"].pop("d_c"), "missing dims key 'd_c'"),
+            (lambda meta: meta["dims"].update(user_in=1), "meta 'dims'"),
+            (lambda meta: meta["config"].update(music_dim=3), "meta 'dims'"),
+            (lambda meta: meta["vocabs"].update(genre=["g0", 1]), "meta 'vocabs' must be"),
+            (lambda meta: meta["item_freq"].update(a0=True), "meta 'item_freq' must be"),
+        ],
+        ids=[
+            "vocab-missing",
+            "dims-key-missing",
+            "dims-off",
+            "dims-off-the-config",
+            "vocab-entry-not-a-string",
+            "frequency-not-an-integer",
+        ],
+    )
+    def test_tower_meta_that_does_not_fit_its_weights(self, pipeline_run, tmp_path, edit, expected):
+        _, out = pipeline_run
+        header, payload = split_container((out / "tower_params.bin").read_bytes())
+        edit(header["meta"])
+        path = tmp_path / "tower_params.bin"
+        path.write_bytes(join_container(header, payload))
+        with pytest.raises(ValueError, match=f"tower_params.bin: .*{re.escape(expected)}"):
+            TowerParams.load(path)
 
     def test_embeddings_loader_refuses_another_kind(self, pipeline_run, tmp_path):
         _, out = pipeline_run
@@ -456,6 +587,16 @@ STAGE_INPUTS = [
 
 CATALOG_ROW = {"item_id": "x", "item_type": "audiobook", "content_vector": [0.0], "language": "en", "genre": "g"}
 DEMO_ROW = {"user_id": "u1", "country": "SE", "age_bucket": "25-34"}
+
+
+def rerecord(run, name):
+    """Record the current bytes of `name` in its producer's manifest, so a
+    stage that hashes its inputs takes the file as current."""
+    for path in (run / "manifests").glob("*.json"):
+        manifest = io.read_json(path)
+        if name in manifest["outputs"]:
+            manifest["outputs"][name] = io.sha256_file(run / name)
+            io.write_json(manifest, path)
 
 
 def cli_error(argv, capsys) -> str:
