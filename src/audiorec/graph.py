@@ -50,6 +50,9 @@ class HeteroGraph:
             t: {item_id: i for i, item_id in enumerate(ids)}
             for t, ids in self.nodes.items()
         }
+        # values derived from the adjacency, memoized by the code that
+        # builds them (the HGNN's neighbor-plan layouts)
+        self.memo: dict = {}
 
     @property
     def node_types(self) -> tuple[str, ...]:
@@ -263,6 +266,9 @@ def load_graph(path) -> HeteroGraph:
         path, meta, relations=tuple[str, ...], nodes=dict[str, tuple[str, ...]]
     )
     relations = tuple(relations)
+    unknown = sorted(set(relations) - set(REL_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown relation {unknown[0]!r}; expected one of {REL_KEYS}")
     for t, ids in nodes.items():
         check_rows(path, arrays[f"features.{t}"], **{f"nodes.{t}": ids})
     directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})

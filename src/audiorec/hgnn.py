@@ -182,72 +182,141 @@ class NeighborPlan:
     layers: list[dict[tuple[str, str], Csr]]
 
 
-def _floyd_picks(rng: np.random.Generator, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per row, `sizes` distinct values below `pops` (which must exceed
-    them), uniform without replacement by Floyd's algorithm, in draw order;
-    all rows' values concatenated, from one `rng.integers` call.
+@dataclass
+class _PlanLayout:
+    """What a `sample_plan` draw needs that depends only on the graph and the
+    fanouts, computed once per (graph, fanouts) by `_plan_layout`.
 
-    Floyd's step k of a row draws v_k below the bound pop-f+k+1 and keeps
-    it, or j_k = pop-f+k when v_k is already taken. After its f picks a row
-    also draws f-1 values, bounds f .. 2, that no pick uses: numpy's
-    `choice(pop, f, replace=False)` spends them on shuffling its picks, so
-    the stream and final state match that call wherever numpy runs Floyd
-    (`pop <= 10000` or `f <= pop // 50`).
+    The (layer, direction) adjacencies `parts` are stacked into one CSR.
+    Rows longer than their layer's fanout f keep f neighbors, drawn uniformly
+    without replacement and sorted by neighbor id; shorter rows are kept
+    whole, so their entries sit in `template` from the start.
+
+    Stream contract: each oversized row of population `pop` (its degree)
+    takes 2f - 1 draws from one `rng.integers(0, bounds)` call, in row order.
+    Floyd's step k (k < f) draws v_k below pop - f + k + 1 and keeps it, or
+    j_k = pop - f + k when v_k is already taken. After its f picks the row
+    draws f - 1 values, bounds f .. 2, that no pick uses: numpy's
+    `choice(pop, f, replace=False)` spends them on shuffling its picks. So
+    each row uses the same numbers, and `rng` ends in the same state, as that
+    call wherever numpy runs Floyd (`pop <= 10000` or `f <= pop // 50`).
     """
-    pops, sizes = pops.astype(np.int64), sizes.astype(np.int64)
-    if not len(sizes):
-        return np.zeros(0, dtype=np.int64)
-    n_draws = 2 * sizes - 1
-    pos = np.arange(int(n_draws.sum())) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
-    f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
-    floyd = pos < f
-    drawn = rng.integers(0, np.where(floyd, base + pos + 1, 2 * f - pos))
 
-    # Draw k of a row yields v_k, or j_k = base + k when v_k is already taken:
-    # when it repeats an earlier draw of the row, or equals j_t for an earlier
-    # t whose own draw was taken. Repeats show up as equal (row, value) prefixes
-    # of sorted (row, value, k) keys.
-    v, k, base = drawn[floyd], pos[floyd], base[floyd]
-    v_bits, k_bits = int(pops.max()).bit_length(), int(sizes.max()).bit_length()
-    key = np.sort((np.repeat(np.arange(len(sizes)), sizes) << v_bits | v) << k_bits | k)
-    repeats = key[1:][(key[1:] >> k_bits) == (key[:-1] >> k_bits)]
-    row_start = np.cumsum(sizes) - sizes
-    seen = np.zeros(len(v), dtype=bool)
-    seen[row_start[repeats >> (v_bits + k_bits)] + (repeats & ((1 << k_bits) - 1))] = True
-    t = v - base
-    linked = np.flatnonzero((t >= 0) & (t < k))
-    target = linked - k[linked] + t[linked]
-    taken = seen.copy()
-    while True:  # each pass settles one more link of every chain
-        again = seen[linked] | taken[target]
-        if np.array_equal(again, taken[linked]):
-            break
-        taken[linked] = again
-    return np.where(taken, base + k, v)
+    parts: list[Csr]
+    directions: list[tuple[str, str]]
+    stacked: np.ndarray  # the stacked CSR's indices
+    bounds: np.ndarray  # per draw: its exclusive upper bound
+    floyd_at: np.ndarray  # which draws are Floyd steps
+    step: np.ndarray  # per Floyd step: k
+    base: np.ndarray  # per Floyd step: pop - f of its row
+    row_start: np.ndarray  # per Floyd step: where its row starts in `stacked`
+    j_at: np.ndarray  # per Floyd step: where j_k sits in `stacked`
+    pos_bits: int  # bits of a Floyd step's position in the sort keys
+    template: np.ndarray  # the sampled indices, kept-whole rows filled in
+    slots: np.ndarray  # the positions in `template` that oversized rows fill
+    slot_row: np.ndarray  # per slot: its stacked row << 32
+    sampled: list[tuple[np.ndarray, int, int] | None]  # per part: (indptr, lo, hi)
+
+    @classmethod
+    def build(cls, graph: HeteroGraph, fanouts: tuple[int, ...]) -> "_PlanLayout":
+        directions = graph.directions()
+        parts = [graph.adj[d] for _ in fanouts for d in directions]
+        n_rows = [len(csr.indptr) - 1 for csr in parts]
+        degrees = np.concatenate([np.zeros(0, dtype=np.int64), *(np.diff(c.indptr) for c in parts)])
+        indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        stacked = np.concatenate([np.zeros(0, dtype=np.int64), *(c.indices for c in parts)])
+        fanout = np.repeat(np.repeat(np.asarray(fanouts, dtype=np.int64), len(directions)), n_rows)
+        big = degrees > fanout
+        kept = np.where(big, fanout, degrees)
+        sizes, pops = kept[big], degrees[big]
+
+        n_draws = 2 * sizes - 1
+        pos = np.arange(int(n_draws.sum())) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
+        f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
+        floyd = pos < f
+        floyd_at = np.flatnonzero(floyd)
+        row_start = np.repeat(indptr[:-1][big], n_draws)
+
+        kept_ptr = np.concatenate(([0], np.cumsum(kept))).astype(np.int64)
+        slot_in_big = np.repeat(big, kept)
+        template = np.empty(int(kept_ptr[-1]), dtype=np.int64)
+        template[~slot_in_big] = stacked[np.repeat(~big, degrees)]
+        sampled, row = [], 0
+        for n in n_rows:
+            entry = None
+            if big[row : row + n].any():
+                lo, hi = int(kept_ptr[row]), int(kept_ptr[row + n])
+                part_ptr = kept_ptr[row : row + n + 1] - lo
+                part_ptr.setflags(write=False)  # every plan shares it
+                entry = (part_ptr, lo, hi)
+            sampled.append(entry)
+            row += n
+        return cls(
+            parts=parts,
+            directions=directions,
+            stacked=stacked,
+            bounds=np.where(floyd, base + pos + 1, 2 * f - pos),
+            floyd_at=floyd_at,
+            step=pos[floyd_at],
+            base=base[floyd_at],
+            row_start=row_start[floyd_at],
+            j_at=(row_start + base + pos)[floyd_at],
+            pos_bits=len(floyd_at).bit_length(),
+            template=template,
+            slots=np.flatnonzero(slot_in_big),
+            slot_row=np.repeat(np.flatnonzero(big), sizes) << 32,
+            sampled=sampled,
+        )
+
+    def draw(self, rng: np.random.Generator) -> NeighborPlan:
+        """One plan: a part with no oversized row comes back as the same
+        adjacency object, and a layout with none draws nothing."""
+        indices = self.template
+        if len(self.bounds):
+            v = rng.integers(0, self.bounds)[self.floyd_at]
+            # Step k yields v_k, or j_k when v_k is already taken: when it
+            # repeats an earlier draw of the row, or equals j_t for an earlier
+            # t whose own draw was taken. Repeats show up as equal neighbor
+            # positions in sorted (row start + v, step position) keys.
+            at = self.row_start + v
+            key = np.sort(at << self.pos_bits | np.arange(len(v)))
+            neighbor = key >> self.pos_bits
+            repeats = key[1:][neighbor[1:] == neighbor[:-1]]
+            seen = np.zeros(len(v), dtype=bool)
+            seen[repeats & ((1 << self.pos_bits) - 1)] = True
+            t = v - self.base
+            linked = np.flatnonzero((t >= 0) & (t < self.step))
+            target = linked - self.step[linked] + t[linked]
+            taken, seen_linked = seen.copy(), seen[linked]
+            while True:  # each pass settles one more link of every chain
+                again = seen_linked | taken[target]
+                if np.array_equal(again, taken[linked]):
+                    break
+                taken[linked] = again
+            chosen = self.stacked[np.where(taken, self.j_at, at)]
+            indices = self.template.copy()
+            # node ids are below 2**32, so one sort orders by row, then id
+            indices[self.slots] = np.sort(self.slot_row | chosen) & 0xFFFFFFFF
+        csrs = [
+            part if entry is None else Csr(entry[0], indices[entry[1] : entry[2]])
+            for part, entry in zip(self.parts, self.sampled)
+        ]
+        n = len(self.directions)
+        return NeighborPlan(
+            [dict(zip(self.directions, csrs[i : i + n])) for i in range(0, len(csrs), n)]
+        )
 
 
-def _subsample_csr(csr: Csr, fanout: np.ndarray, rng: np.random.Generator) -> Csr:
-    """Rows longer than their `fanout` entry keep that many neighbors drawn
-    uniformly without replacement, sorted by neighbor id; shorter rows are
-    kept whole.
-
-    Stream contract: the rows draw in row order by `_floyd_picks`, so each
-    row uses the same numbers, and leaves `rng` in the same state, as
-    `rng.choice(degree, fanout, replace=False)` wherever numpy runs Floyd's
-    algorithm: degree at most 10,000 or fanout at most degree // 50.
-    """
-    degrees = np.diff(csr.indptr)
-    big = degrees > fanout
-    kept = np.where(big, fanout, degrees)
-    picks = _floyd_picks(rng, degrees[big], fanout[big])
-    chosen = csr.indices[np.repeat(csr.indptr[:-1][big], kept[big]) + picks]
-    row = np.repeat(np.flatnonzero(big), kept[big])
-    slot_in_big = np.repeat(big, kept)
-    indices = np.empty(int(kept.sum()), dtype=np.int64)
-    # node ids are below 2**32, so one sort orders by row, then id
-    indices[slot_in_big] = np.sort(row << 32 | chosen) & 0xFFFFFFFF
-    indices[~slot_in_big] = csr.indices[np.repeat(~big, degrees)]
-    return Csr(np.concatenate(([0], np.cumsum(kept))).astype(np.int64), indices)
+def _plan_layout(graph: HeteroGraph, fanouts: tuple[int, ...]) -> _PlanLayout:
+    """`sample_plan`'s layout for these fanouts, memoized on the graph. The
+    key holds the adjacency objects' ids, which stay unique while the layout
+    keeps those objects alive, so a graph whose adjacency is replaced gets a
+    new layout."""
+    fanouts = tuple(int(f) for f in fanouts)
+    key = ("plan_layout", fanouts, tuple(id(graph.adj[d]) for d in graph.directions()))
+    if key not in graph.memo:
+        graph.memo[key] = _PlanLayout.build(graph, fanouts)
+    return graph.memo[key]
 
 
 def sample_plan(
@@ -255,30 +324,10 @@ def sample_plan(
 ) -> NeighborPlan:
     """Fresh uniform neighbor sample for every node, per layer and relation.
 
-    The (layer, direction) adjacencies are stacked into one CSR, so the whole
-    plan is one `_subsample_csr` draw; an adjacency with no row above its
-    fanout comes back as the same object."""
-    directions = graph.directions()
-    parts = [graph.adj[d] for _ in fanouts for d in directions]
-    n_rows = [len(csr.indptr) - 1 for csr in parts]
-    degrees = np.concatenate([np.zeros(0, dtype=np.int64), *(np.diff(c.indptr) for c in parts)])
-    stacked = Csr(
-        np.concatenate(([0], np.cumsum(degrees))),
-        np.concatenate([np.zeros(0, dtype=np.int64), *(c.indices for c in parts)]),
-    )
-    fanout = np.repeat(np.repeat(np.asarray(fanouts, dtype=np.int64), len(directions)), n_rows)
-    sampled = _subsample_csr(stacked, fanout, rng)
-    csrs, start = [], 0
-    for csr, n in zip(parts, n_rows):
-        indptr = sampled.indptr[start : start + n + 1]
-        if indptr[-1] - indptr[0] < len(csr.indices):
-            csr = Csr(indptr - indptr[0], sampled.indices[indptr[0] : indptr[-1]])
-        csrs.append(csr)
-        start += n
-    n_dirs = len(directions)
-    return NeighborPlan(
-        [dict(zip(directions, csrs[i : i + n_dirs])) for i in range(0, len(csrs), n_dirs)]
-    )
+    The whole plan is one draw over a layout built on the first call for
+    this graph and these fanouts (`_PlanLayout`); an adjacency with no row
+    above its fanout comes back as the same object."""
+    return _plan_layout(graph, fanouts).draw(rng)
 
 
 def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
@@ -600,12 +649,20 @@ def balanced_edge_sample(
     if not nonzero:
         raise ValueError("graph has no edges to sample")
     n = min(nonzero.values())
+    picked = {
+        rel: pool[rel][np.sort(rng.choice(c, size=n, replace=False))]
+        for rel, c in sorted(nonzero.items())
+    }
+    return _triples(picked)
+
+
+def _triples(pairs_by_rel: dict[str, np.ndarray]) -> list[tuple[str, int, int]]:
+    """(rel, i, j) for each row (i, j) of each relation's pairs, relations
+    in sorted order."""
     out: list[tuple[str, int, int]] = []
-    for rel in sorted(nonzero):
-        pairs = pool[rel]
-        pick = rng.choice(len(pairs), size=n, replace=False)
-        for e in sorted(int(x) for x in pick):
-            out.append((rel, int(pairs[e, 0]), int(pairs[e, 1])))
+    for rel in sorted(pairs_by_rel):
+        pairs = pairs_by_rel[rel]
+        out += zip([rel] * len(pairs), *pairs.T.tolist())
     return out
 
 
@@ -616,31 +673,43 @@ def flat_offsets(graph: HeteroGraph) -> dict[str, int]:
     return dict(zip(graph.node_types, np.cumsum([0] + sizes[:-1]).tolist()))
 
 
+_BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+
+
 @dataclass
 class ExclusionIndex:
     """The flat ids a negative for each anchor may not take (the anchor and
-    its direct neighbors), as sorted unique `anchor * n_nodes + id` keys."""
+    its direct neighbors), as one bit row per anchor: bit `id % 8` of byte
+    `id // 8` in row `anchor` is set when `id` is excluded. The rows take
+    n_nodes * ceil(n_nodes / 8) bytes: 9.7 KB on the default graph's 277
+    nodes, 0.97 MB on the wide-catalog graph's 2,791."""
 
     n_nodes: int
-    keys: np.ndarray
+    bits: np.ndarray  # (n_nodes, ceil(n_nodes / 8)) uint8
     n_candidates: np.ndarray  # per anchor: n_nodes minus its excluded ids
 
     @classmethod
     def build(cls, graph: HeteroGraph) -> "ExclusionIndex":
         offsets = flat_offsets(graph)
         n = sum(len(ids) for ids in graph.nodes.values())
-        parts = [np.arange(n, dtype=np.int64) * (n + 1)]
+        anchors, excluded = [np.arange(n, dtype=np.int64)], [np.arange(n, dtype=np.int64)]
         for (dst, src), csr in graph.adj.items():
             rows = np.repeat(np.arange(len(csr.indptr) - 1), np.diff(csr.indptr))
-            parts.append((rows + offsets[dst]) * n + csr.indices + offsets[src])
-        keys = np.unique(np.concatenate(parts))
-        return cls(n, keys, n - np.bincount(keys // n, minlength=n))
+            anchors.append(rows + offsets[dst])
+            excluded.append(csr.indices + offsets[src])
+        anchor, ids = np.concatenate(anchors), np.concatenate(excluded)
+        bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(bits, (anchor, ids >> 3), (1 << (ids & 7)).astype(np.uint8))
+        return cls(n, bits, n - _BYTE_POPCOUNT[bits].sum(axis=1, dtype=np.int64))
 
     def allowed(self, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Mask of `candidates[i, :]` that are valid negatives for `anchors[i]`."""
-        query = anchors[:, None] * self.n_nodes + candidates
-        pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
-        return self.keys[pos] != query
+        """Mask of `candidates[i, :]` that are valid negatives for `anchors[i]`;
+        a single anchor stands for every row."""
+        if len(anchors) == 1:
+            free = np.unpackbits(~self.bits[anchors[0]], count=self.n_nodes, bitorder="little")
+            return free.view(bool)[candidates]
+        byte = self.bits.ravel().take(anchors[:, None] * self.bits.shape[1] + (candidates >> 3))
+        return (byte >> (candidates & 7).astype(np.uint8)) & 1 == 0
 
 
 def _sample_negative_refs(
@@ -658,48 +727,74 @@ def _sample_negative_refs(
     the chunks are drawn in blocks, one chunk per remaining anchor, and kept
     in `pending` in stream order until handed out. A short anchor takes
     further chunks from `pending` before drawing more; the anchors after it
-    continue with the rest, re-tested, and only the shortfall is drawn. A
-    block holds at most 1000 * n_neg draws, so an anchor that reaches the
-    limit has used every pending chunk, and the stream matches the
-    per-anchor loop up to either error.
+    continue with the rest, and only the shortfall is drawn. A block holds
+    at most 1000 * n_neg draws, so an anchor that reaches the limit has used
+    every pending chunk, and the stream matches the per-anchor loop up to
+    either error.
+
+    Most anchors are settled in windows: one test of the next pending
+    chunks, each against the anchor it goes to if no anchor before it is
+    short. The window doubles while no anchor is short; after a short one it
+    shrinks to the run of anchors before it. The short anchor, and each
+    anchor while the window holds at most one, is tested alone, against as
+    many chunks at a time as it is expected to need, and leaves the chunks
+    after the one that completes it. So a chunk is tested against an anchor
+    it does not go to only in a window that found a short anchor or past a
+    lone anchor's last chunk, and the tests stay linear in the draws however
+    many anchors are short.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     out = np.empty((len(anchors), n_neg), dtype=np.int64)
     dense = np.flatnonzero(index.n_candidates[anchors] < 1)
     stop = int(dense[0]) if len(dense) else len(anchors)
     chunk, limit = max(n_neg, 32), 1000 * n_neg
+    # per anchor: the fewest chunks whose expected survivors reach n_neg
+    expected = np.maximum(index.n_candidates[anchors] * chunk, 1)  # times n_nodes
+    guess = np.clip(-(-n_neg * index.n_nodes // expected), 1, limit // chunk).tolist()
     pending = np.zeros((0, chunk), dtype=np.int64)
-    row = 0
+    row, window = 0, stop
     while n_neg and row < stop:
         if not len(pending):
             pending = rng.integers(0, index.n_nodes, size=(min(stop - row, limit // chunk), chunk))
-        # one pending chunk per anchor from `row` on; there are never more
-        ok = index.allowed(anchors[row : row + len(pending)], pending)
-        short = np.flatnonzero(ok.sum(axis=1) < n_neg)
-        done = int(short[0]) if len(short) else len(pending)
-        first = ok[:done] & (np.cumsum(ok[:done], axis=1) <= n_neg)
-        out[row : row + done] = pending[:done][first].reshape(done, n_neg)
-        row += done
-        pending = pending[done:]
-        if not len(short):
-            continue
-        anchor = anchors[row]
-        found, pending = pending[0][ok[done]], pending[1:]
-        n_drawn = chunk
+        found, n_drawn = np.zeros(0, dtype=np.int64), 0
+        if window > 1:
+            # one pending chunk per anchor from `row` on; there are never more
+            window = min(window, len(pending))
+            ok = index.allowed(anchors[row : row + window], pending[:window])
+            short = np.flatnonzero(ok.sum(axis=1) < n_neg)
+            done = int(short[0]) if len(short) else window
+            first = ok[:done] & (np.cumsum(ok[:done], axis=1) <= n_neg)
+            out[row : row + done] = pending[:done][first].reshape(done, n_neg)
+            row += done
+            pending = pending[done:]
+            if not len(short):
+                window *= 2
+                continue
+            window = done
+            found, pending, n_drawn = pending[0][ok[done]], pending[1:], chunk
+        anchor = anchors[row : row + 1]
         while len(found) < n_neg:
             budget = min(limit - n_drawn, chunk)
             if budget <= 0:
                 raise RuntimeError(
-                    f"negative sampling for anchor {anchor} exceeded {limit} draws"
+                    f"negative sampling for anchor {anchor[0]} exceeded {limit} draws"
                 )
-            if len(pending):  # a full chunk: the block fits within the limit
-                more, pending = pending[0], pending[1:]
+            if len(pending):  # full chunks: the block fits within the limit
+                more = pending[: max(guess[row] - n_drawn // chunk, 1)]
             else:
-                more = rng.integers(0, index.n_nodes, size=budget)
-            n_drawn += budget
-            found = np.concatenate([found, more[index.allowed(anchor[None], more[None])[0]]])
-        out[row] = found[:n_neg]
+                more = rng.integers(0, index.n_nodes, size=(1, budget))
+            need = n_neg - len(found)
+            hits = np.flatnonzero(index.allowed(anchor, more))[:need]
+            used = len(more)  # the chunks up to the one that completes the anchor
+            if len(hits) == need:
+                used = int(hits[-1]) // more.shape[1] + 1
+            found = np.concatenate([found, more.ravel()[hits]])
+            n_drawn += used * more.shape[1]
+            pending = pending[used:]
+        out[row] = found
         row += 1
+        if n_drawn == chunk:  # one chunk was enough: try a window again
+            window = max(2 * window, 2)
     if stop < len(anchors):
         raise RuntimeError(
             f"no negative candidates for anchor {anchors[stop]}: graph too dense"
@@ -850,13 +945,19 @@ class HgnnTrainResult:
     log: list[EpochLog]
 
 
-def _directed_pairs(edges: list[tuple[str, int, int]], offsets: dict[str, int]) -> np.ndarray:
-    """(2E, 2) flat (anchor, positive) ids: each edge (i, j) as (i, j), then (j, i)."""
-    flat = np.array(
-        [(offsets[rel_types(rel)[0]] + i, offsets[rel_types(rel)[1]] + j) for rel, i, j in edges],
-        dtype=np.int64,
-    ).reshape(len(edges), 2)
-    return np.stack([flat, flat[:, ::-1]], axis=1).reshape(-1, 2)
+def _directed_pairs(
+    edges: list[tuple[str, int, int]], offsets: dict[str, int]
+) -> tuple[np.ndarray, dict[str, int]]:
+    """(2E, 2) flat (anchor, positive) ids: each edge (i, j) as (i, j), then
+    (j, i); and the number of edges per relation, relations in sorted order."""
+    rels, i, j = zip(*edges) if edges else ((), (), ())
+    names, rel_at, counts = np.unique(
+        np.array(rels, dtype=str), return_inverse=True, return_counts=True
+    )
+    starts = np.array([[offsets[t] for t in rel_types(str(r))] for r in names], dtype=np.int64)
+    flat = np.array([i, j], dtype=np.int64).T + starts.reshape(-1, 2)[rel_at]
+    counted = {str(r): int(c) for r, c in zip(names, counts)}
+    return np.stack([flat, flat[:, ::-1]], axis=1).reshape(-1, 2), counted
 
 
 def _split_validation_edges(
@@ -909,7 +1010,8 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
     # Fixed balanced validation set with fixed negatives, comparable across epochs.
     val_pairs = np.zeros((0, 2), dtype=np.int64)
     if any(len(p) > 0 for p in val_pool.values()):
-        val_pairs = _directed_pairs(balanced_edge_sample(graph, rng, edge_pool=val_pool), offsets)
+        val_edges = balanced_edge_sample(graph, rng, edge_pool=val_pool)
+        val_pairs, _ = _directed_pairs(val_edges, offsets)
         val_negs = _sample_negative_refs(exclusion, val_pairs[:, 0], cfg.n_negatives, rng)
     val_plan = _inference_plan(graph, cfg)
 
@@ -924,15 +1026,9 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
         if cfg.balanced_sampler:
             epoch_edges = balanced_edge_sample(graph, rng, edge_pool=train_pool)
         else:
-            epoch_edges = [
-                (rel, int(p[0]), int(p[1]))
-                for rel in sorted(train_pool)
-                for p in train_pool[rel]
-            ]
-        sampled_counts: dict[str, int] = {}
-        for rel, _, _ in epoch_edges:
-            sampled_counts[rel] = sampled_counts.get(rel, 0) + 1
-        edge_pairs = _directed_pairs(epoch_edges, offsets).reshape(-1, 2, 2)
+            epoch_edges = _triples(train_pool)
+        edge_pairs, sampled_counts = _directed_pairs(epoch_edges, offsets)
+        edge_pairs = edge_pairs.reshape(-1, 2, 2)
         order = rng.permutation(len(epoch_edges))
         epoch_loss = 0.0
         n_active = n_terms = 0

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from audiorec import io
 from audiorec.data import CatalogItem, InteractionRecord, timeline_split
 from audiorec.graph import build_colisten_graph
 from audiorec.hgnn import HgnnConfig, HgnnParams, embed_catalog, train_hgnn
@@ -19,6 +23,18 @@ def make_catalog(n_audiobooks=4, n_podcasts=3, d_c=4, seed=0):
 
 def stream(user, item, catalog, t=0):
     return InteractionRecord(user, item, catalog[item].item_type, "stream", t)
+
+
+def split_container(data: bytes) -> tuple[dict, bytes]:
+    """A `write_pack` container's JSON header and its array payload."""
+    start = len(io.PACK_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(io.PACK_MAGIC))
+    return json.loads(data[start : start + hlen]), data[start + hlen :]
+
+
+def join_container(header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode()
+    return io.PACK_MAGIC + struct.pack("<I", len(blob)) + blob + payload
 
 
 def random_log(rng, n_users=10, catalog=None, max_items=5):

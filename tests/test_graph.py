@@ -9,7 +9,7 @@ from audiorec.index import build_index, save_index
 from audiorec.io import read_pack
 from audiorec.synth import SynthConfig, synth_generate
 
-from conftest import make_catalog, stream
+from conftest import join_container, make_catalog, split_container, stream
 
 
 def brute_force_edges(records, catalog, min_co_users=1, streams_only=True):
@@ -209,6 +209,17 @@ class TestSerialization:
         for key in small_graph.adj:
             assert np.array_equal(g2.adj[key].indptr, small_graph.adj[key].indptr)
             assert np.array_equal(g2.adj[key].indices, small_graph.adj[key].indices)
+
+    @pytest.mark.parametrize("relations", [["zz"], ["a"], ["pp", "xy"]])
+    def test_unknown_relation_rejected_naming_the_file(self, small_graph, relations, tmp_path):
+        p = tmp_path / "g.bin"
+        save_graph(small_graph, p)
+        header, payload = split_container(p.read_bytes())
+        header["meta"]["relations"] = relations
+        p.write_bytes(join_container(header, payload))
+        unknown = sorted(set(relations) - {"aa", "ap", "pp"})[0]
+        with pytest.raises(ValueError, match=f"g.bin: unknown relation '{unknown}'"):
+            load_graph(p)
 
     def test_wrong_kind_rejected(self, tmp_path):
         p = tmp_path / "index.bin"

@@ -2,6 +2,7 @@
 arrays, equal losses and the same random stream, checked through the
 generator's state after each call."""
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from audiorec.hgnn import (
     HgnnConfig,
     HgnnParams,
     _inference_plan,
+    _plan_layout,
     _route_pooled,
     _sample_negative_refs,
     _segment_max,
@@ -30,6 +32,7 @@ from audiorec.pipeline import PipelineConfig, run_stage
 
 from helpers_gradcheck import random_hgnn_instance
 from oracles import (
+    all_neighbors,
     backward_states_add_at,
     flat_node_list,
     floyd_choice,
@@ -110,6 +113,33 @@ class TestPlans:
         plan = sample_plan(g, (4,), rng)
         assert plan.layers[0][("podcast", "podcast")] is g.adj[("podcast", "podcast")]
         assert same_state(rng, np.random.default_rng(0))
+
+    def test_twenty_consecutive_plans_over_one_layout(self):
+        # fanout 1 is below every nonzero degree, 9 at the largest, 10 above
+        # every degree, so its layer keeps both adjacencies
+        g = degree_graph([0, 1, 2, 5, 9], [3, 9, 1, 4])
+        fanouts = (1, 4, 9, 10)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = [sample_plan(g, fanouts, rng) for _ in range(20)]
+        want = [sample_plan_loop(g, fanouts, ref) for _ in range(20)]
+        for plan, want_plan in zip(got, want):  # earlier plans are not overwritten
+            assert_plans_equal(plan, want_plan)
+            for direction, csr in plan.layers[3].items():
+                assert csr is g.adj[direction]
+        assert same_state(rng, ref)
+        assert _plan_layout(g, fanouts) is _plan_layout(g, fanouts)
+
+    def test_fanout_tuples_do_not_share_a_layout(self):
+        g = degree_graph([0, 1, 2, 5, 9], [3, 9, 1, 4])
+        assert _plan_layout(g, (2, 4)) is not _plan_layout(g, (4, 2))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for fanouts in [(2, 4), (4, 2), (2, 4), (3,), (4, 2)]:
+            assert_plans_equal(sample_plan(g, fanouts, rng), sample_plan_loop(g, fanouts, ref))
+        assert same_state(rng, ref)
+        # a replaced adjacency gets a layout of its own
+        g.adj[("podcast", "podcast")] = degree_graph([1], [2, 2, 2, 2]).adj[("podcast", "podcast")]
+        assert_plans_equal(sample_plan(g, (1,), rng), sample_plan_loop(g, (1,), ref))
+        assert same_state(rng, ref)
 
     def test_capped_inference_plan(self, small_graph, small_hgnn_config):
         cfg = HgnnConfig(**{**vars(small_hgnn_config), "full_neighborhood_cap": 2})
@@ -249,6 +279,53 @@ def test_library_draws_only_through_the_generator_api():
             assert name not in text, f"{path.relative_to(package)} mentions {name}"
 
 
+class CountingGenerator:
+    """Forwards `integers` to a generator and counts the values drawn."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.drawn = rng, 0
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.drawn += out.size
+        return out
+
+
+class TestExclusionIndex:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            star_graph(0, 0),  # one isolated node
+            star_graph(6, 4),  # 7 nodes, 2 isolated
+            star_graph(7, 7),  # 8 nodes: one full byte per row
+            star_graph(8, 5),  # 9 nodes: a second byte with one bit
+            dense_graph(120, 0.3, seed=4),
+            star_graph(119, 119),  # a hub joined to every other node
+        ],
+        ids=["n1", "n7", "n8", "n9", "n120", "n120-hub"],
+    )
+    def test_every_pair_matches_the_neighbor_sets(self, graph):
+        self.check(graph)
+
+    def test_two_node_types(self, small_graph):
+        self.check(small_graph)
+
+    def check(self, graph):
+        index = ExclusionIndex.build(graph)
+        flat = flat_node_list(graph)
+        n = len(flat)
+        assert index.n_nodes == n
+        ids = np.arange(n)
+        allowed = index.allowed(ids, np.tile(ids, (n, 1)))
+        for a, ref in enumerate(flat):
+            excluded = all_neighbors(graph, *ref) | {ref}
+            want = [r not in excluded for r in flat]
+            assert allowed[a].tolist() == want
+            # a single anchor stands for every row
+            assert index.allowed(ids[a : a + 1], np.tile(ids, (2, 1))).tolist() == [want, want]
+            assert index.n_candidates[a] == n - len(excluded)
+
+
 class TestNegatives:
     def check(self, graph, anchors, n_neg, seed):
         """Batched draw against the per-anchor loop; returns the batched rows."""
@@ -277,6 +354,31 @@ class TestNegatives:
             short = index.n_candidates[anchors] * max(n_neg, 32) < n_neg * index.n_nodes
             assert short.mean() > 0.8
             self.check(g, anchors.tolist(), n_neg, seed=n_neg)
+
+    def test_dense_batch_of_1000_anchors(self):
+        # each anchor excludes about 80% of the 277 nodes, so most anchors
+        # are short in their first chunk of 32 draws
+        g = dense_graph(277, 0.8, seed=3)
+        anchors = np.random.default_rng(6).integers(0, 277, size=1000)
+        self.check(g, anchors.tolist(), n_neg=10, seed=9)
+
+    def test_tests_stay_linear_in_the_draws(self, monkeypatch):
+        g = dense_graph(277, 0.8, seed=3)
+        index = ExclusionIndex.build(g)
+        anchors = np.random.default_rng(6).integers(0, 277, size=1000)
+        assert (index.n_candidates[anchors] * 32 < 10 * 277).mean() > 0.8
+        tested = 0
+        allowed = index.allowed
+
+        def counted(a, candidates):
+            nonlocal tested
+            tested += candidates.size
+            return allowed(a, candidates)
+
+        monkeypatch.setattr(index, "allowed", counted)
+        rng = CountingGenerator(np.random.default_rng(9))
+        _sample_negative_refs(index, anchors, 10, rng)
+        assert rng.drawn <= tested <= 2 * rng.drawn
 
     def test_anchor_succeeding_in_the_partial_last_chunk(self):
         # with n_neg 1 the limit of 1,000 draws is 31 chunks of 32, then 8;
@@ -625,6 +727,33 @@ class TestBackward:
             for t in got.z:
                 assert np.array_equal(got.z[t], want.z[t])
                 assert np.array_equal(got.fallback[t], want.fallback[t])
+
+
+def test_training_draws_through_the_module_samplers(small_graph, monkeypatch):
+    # oracle substitution and the benchmark's spans replace these module
+    # names, so training must call them once per batch
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hgnn, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("sample_plan", "_sample_negative_refs"):
+        monkeypatch.setattr(hgnn, name, counted(name))
+    config = HgnnConfig(
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2
+    )
+    params = HgnnParams.init(config, 8, small_graph.node_types, small_graph.relations, seed=7)
+    log = train_hgnn(small_graph, params, seed=7).log
+    batches = sum(-(-sum(e.sampled_edges.values()) // 64) for e in log)
+    assert batches > len(log)
+    # plus the validation set's negatives and its plan
+    assert calls == {"sample_plan": batches + 1, "_sample_negative_refs": batches + 1}
 
 
 def test_training_matches_loop_oracles(small_graph, monkeypatch):

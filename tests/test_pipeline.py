@@ -38,6 +38,8 @@ from audiorec.two_tower import (
     user_tower_forward,
 )
 
+from conftest import join_container, split_container
+
 
 def tiny_config(seed=11):
     return PipelineConfig.from_dict(
@@ -331,18 +333,6 @@ def _drop_last_id(value):
     if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
         return value[:-1]
     return value
-
-
-def split_container(data: bytes) -> tuple[dict, bytes]:
-    """A `write_pack` container's JSON header and its array payload."""
-    start = len(io.PACK_MAGIC) + 4
-    (hlen,) = struct.unpack_from("<I", data, len(io.PACK_MAGIC))
-    return json.loads(data[start : start + hlen]), data[start + hlen :]
-
-
-def join_container(header: dict, payload: bytes) -> bytes:
-    blob = json.dumps(header).encode()
-    return io.PACK_MAGIC + struct.pack("<I", len(blob)) + blob + payload
 
 
 def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
