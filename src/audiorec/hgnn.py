@@ -705,9 +705,6 @@ class ExclusionIndex:
     def allowed(self, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Mask of `candidates[i, :]` that are valid negatives for `anchors[i]`;
         a single anchor stands for every row."""
-        if len(anchors) == 1:
-            free = np.unpackbits(~self.bits[anchors[0]], count=self.n_nodes, bitorder="little")
-            return free.view(bool)[candidates]
         byte = self.bits.ravel().take(anchors[:, None] * self.bits.shape[1] + (candidates >> 3))
         return (byte >> (candidates & 7).astype(np.uint8)) & 1 == 0
 
@@ -736,21 +733,16 @@ def _sample_negative_refs(
     chunks, each against the anchor it goes to if no anchor before it is
     short. The window doubles while no anchor is short; after a short one it
     shrinks to the run of anchors before it. The short anchor, and each
-    anchor while the window holds at most one, is tested alone, against as
-    many chunks at a time as it is expected to need, and leaves the chunks
-    after the one that completes it. So a chunk is tested against an anchor
-    it does not go to only in a window that found a short anchor or past a
-    lone anchor's last chunk, and the tests stay linear in the draws however
-    many anchors are short.
+    anchor while the window holds at most one, is tested alone, one chunk
+    at a time. So a chunk is tested against an anchor it does not go to only
+    in a window that found a short anchor, and the tests stay linear in the
+    draws however many anchors are short.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     out = np.empty((len(anchors), n_neg), dtype=np.int64)
     dense = np.flatnonzero(index.n_candidates[anchors] < 1)
     stop = int(dense[0]) if len(dense) else len(anchors)
     chunk, limit = max(n_neg, 32), 1000 * n_neg
-    # per anchor: the fewest chunks whose expected survivors reach n_neg
-    expected = np.maximum(index.n_candidates[anchors] * chunk, 1)  # times n_nodes
-    guess = np.clip(-(-n_neg * index.n_nodes // expected), 1, limit // chunk).tolist()
     pending = np.zeros((0, chunk), dtype=np.int64)
     row, window = 0, stop
     while n_neg and row < stop:
@@ -779,19 +771,13 @@ def _sample_negative_refs(
                 raise RuntimeError(
                     f"negative sampling for anchor {anchor[0]} exceeded {limit} draws"
                 )
-            if len(pending):  # full chunks: the block fits within the limit
-                more = pending[: max(guess[row] - n_drawn // chunk, 1)]
+            if len(pending):  # a full chunk: the block fits within the limit
+                more, pending = pending[0], pending[1:]
             else:
-                more = rng.integers(0, index.n_nodes, size=(1, budget))
-            need = n_neg - len(found)
-            hits = np.flatnonzero(index.allowed(anchor, more))[:need]
-            used = len(more)  # the chunks up to the one that completes the anchor
-            if len(hits) == need:
-                used = int(hits[-1]) // more.shape[1] + 1
-            found = np.concatenate([found, more.ravel()[hits]])
-            n_drawn += used * more.shape[1]
-            pending = pending[used:]
-        out[row] = found
+                more = rng.integers(0, index.n_nodes, size=budget)
+            n_drawn += budget
+            found = np.concatenate([found, more[index.allowed(anchor, more[None])[0]]])
+        out[row] = found[:n_neg]
         row += 1
         if n_drawn == chunk:  # one chunk was enough: try a window again
             window = max(2 * window, 2)
