@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the daily pipeline (`synth` through `evaluate`) at seed 7 on three
-configs and print one sha256 per artifact, so a change meant to keep every
-result byte-identical can be checked against its parent with one `diff`.
+configs and print one sha256 per artifact, and one of what `rec recommend`
+serves, so a change meant to keep every result byte-identical can be checked
+against its parent with one `diff`.
 
     PYTHONPATH=src python scripts/artifact_hashes.py > after.txt
     PYTHONPATH=src python scripts/artifact_hashes.py --configs default wide
@@ -9,7 +10,9 @@ result byte-identical can be checked against its parent with one `diff`.
 The configs are the defaults, `graph.relations=["pp"]`, and the
 `wide-catalog` benchmark workload (its synth sizes and 3 HGNN epochs, from
 perfbench/workloads.py). Each line is `config file sha256`; manifests are
-listed under `manifests/`. `hgnn_train_log.jsonl` is skipped: its
+listed under `manifests/`. The `recommend@10` line hashes the `recommend`
+stage's ids and scores (k=10) for the first 20 train users by id and two
+unseen ids. `hgnn_train_log.jsonl` is skipped: its
 `wall_time` field differs from run to run. BLAS runs on one thread, as in
 the benchmark: the bytes of a large matrix product can depend on how many
 threads computed it.
@@ -25,6 +28,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is first imported
 
+from audiorec.data import parse_interactions  # noqa: E402
+from audiorec.io import canonical_json, sha256_bytes  # noqa: E402
 from audiorec.pipeline import ARTIFACTS, DAILY, PipelineConfig, run_stage  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -37,19 +42,25 @@ CONFIGS = {
     "wide": WORKLOADS["wide-catalog"].overrides,
 }
 SKIPPED = {ARTIFACTS["hgnn_log"]}
+SERVED_USERS, UNSEEN = 20, ["unseen-0", "unseen-1"]
 
 
 def artifact_hashes(overrides: dict, out: Path) -> dict[str, str]:
     """sha256 of every file the daily pipeline writes under `out`, by path
-    relative to it, except the skipped logs."""
+    relative to it, except the skipped logs; then of the served rankings."""
     config = PipelineConfig().with_overrides({**overrides, "seed": SEED})
     for stage in DAILY:
         run_stage(stage, config, out)
-    return {
+    digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name not in SKIPPED
     }
+    train = parse_interactions(out / ARTIFACTS["train"]).records
+    users = sorted({r.user_id for r in train})[:SERVED_USERS] + UNSEEN
+    served = {user: run_stage("recommend", config, out, user=user, k=10) for user in users}
+    digests["recommend@10"] = sha256_bytes(canonical_json(served).encode("utf-8"))
+    return digests
 
 
 def main():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord
-from .io import check_rows, meta_values, read_pack, write_pack
+from .io import PackEntries, check_rows, meta_values, read_pack, write_pack
 
 REL_KEYS = ("aa", "ap", "pp")
 TYPE_CODE = {"audiobook": "a", "podcast": "p"}
@@ -257,10 +257,27 @@ def save_graph(graph: HeteroGraph, path) -> None:
     write_pack(path, meta, arrays)
 
 
+def _check_csr(path, dst: str, src: str, csr: Csr, n_dst: int, n_src: int) -> None:
+    """Refuse a loaded adjacency unless its row pointers rise from 0 to its
+    entry count, one per `dst` node and one more, and each entry is a `src`
+    node, with a ValueError naming the file."""
+    indptr, indices = csr.indptr, csr.indices
+    name = f"{dst}.{src}"
+    if indptr.dtype.kind not in "iu" or indptr.shape != (n_dst + 1,):
+        raise ValueError(f"{path}: indptr.{name} is {indptr.dtype} {list(indptr.shape)}, not {n_dst + 1} integers")
+    if indices.dtype.kind not in "iu" or indices.ndim != 1:
+        raise ValueError(f"{path}: indices.{name} is {indices.dtype} {list(indices.shape)}, not integers")
+    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError(f"{path}: indptr.{name} does not rise from 0 to {len(indices)}")
+    if len(indices) and not (indices.min() >= 0 and indices.max() < n_src):
+        raise ValueError(f"{path}: indices.{name} names a node outside the {n_src} {src} nodes")
+
+
 def load_graph(path) -> HeteroGraph:
     """The graph `save_graph` wrote: each node type's features and each
     relation direction's adjacency are read by name, so a missing array
-    raises ValueError naming the file."""
+    raises ValueError naming the file; so does an adjacency that is not a
+    CSR over the node lists."""
     meta, arrays = read_pack(path, "graph")
     relations, nodes = meta_values(
         path, meta, relations=tuple[str, ...], nodes=dict[str, tuple[str, ...]]
@@ -270,12 +287,15 @@ def load_graph(path) -> HeteroGraph:
     if unknown:
         raise ValueError(f"{path}: unknown relation {unknown[0]!r}; expected one of {REL_KEYS}")
     for t, ids in nodes.items():
-        check_rows(path, arrays[f"features.{t}"], **{f"nodes.{t}": ids})
+        check_rows(path, arrays.shapes[f"features.{t}"], **{f"nodes.{t}": ids})
     directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})
     adj = {
         (dst, src): Csr(arrays[f"indptr.{dst}.{src}"], arrays[f"indices.{dst}.{src}"])
         for dst, src in directions
     }
+    counts = PackEntries(path, "node list", {t: len(ids) for t, ids in nodes.items()})
+    for (dst, src), csr in adj.items():
+        _check_csr(path, dst, src, csr, counts[dst], counts[src])
     return HeteroGraph(
         nodes=nodes,
         features={t: arrays[f"features.{t}"] for t in nodes},

@@ -97,5 +97,5 @@ def save_index(index: RecIndex, path) -> None:
 def load_index(path) -> RecIndex:
     meta, arrays = read_pack(path, "index")
     (ids,) = meta_values(path, meta, ids=tuple[str, ...])
-    check_rows(path, arrays["vectors"], ids=ids)
+    check_rows(path, arrays.shapes["vectors"], ids=ids)
     return RecIndex(ids=ids, vectors=arrays["vectors"])

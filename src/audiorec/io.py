@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
 import types
 import typing
@@ -89,15 +90,15 @@ def meta_values(path, meta, **hints) -> list:
     return [meta[key] for key in hints]
 
 
-def check_rows(path, matrix: np.ndarray, **columns) -> None:
-    """Refuse a container whose `matrix` is not 2-D, or whose id lists and
-    per-row arrays `columns` do not hold one entry per matrix row, with a
-    ValueError naming the file."""
-    if matrix.ndim != 2:
-        raise ValueError(f"{path}: matrix has shape {list(matrix.shape)}, not rows x columns")
+def check_rows(path, shape: tuple[int, ...], **columns) -> None:
+    """Refuse a container whose matrix, of header shape `shape`, is not 2-D,
+    or whose id lists and per-row arrays `columns` do not hold one entry per
+    matrix row, with a ValueError naming the file."""
+    if len(shape) != 2:
+        raise ValueError(f"{path}: matrix has shape {list(shape)}, not rows x columns")
     for name, column in columns.items():
-        if len(column) != len(matrix):
-            raise ValueError(f"{path}: {name} has {len(column)} entries for {len(matrix)} matrix rows")
+        if len(column) != shape[0]:
+            raise ValueError(f"{path}: {name} has {len(column)} entries for {shape[0]} matrix rows")
 
 
 # get_type_hints evaluates every string annotation anew; once per class is enough
@@ -239,6 +240,15 @@ class PackEntries(dict):
         raise ValueError(f"{self.path}: missing {self.what} {key!r}")
 
 
+class PackArrays(PackEntries):
+    """The arrays `read_pack` read, by name, and in `shapes` the header shape
+    of every array the container lists, whether read or skipped."""
+
+    def __init__(self, path, shapes: dict[str, tuple[int, ...]]):
+        super().__init__(path, "array", {})
+        self.shapes = PackEntries(path, "array", shapes)
+
+
 def _array_spec(entry: dict) -> tuple[str, np.dtype, tuple[int, ...]]:
     """One header entry's (name, dtype, shape). The dtype must be bool, int,
     uint or float; the shape a list of non-negative integers."""
@@ -252,42 +262,77 @@ def _array_spec(entry: dict) -> tuple[str, np.dtype, tuple[int, ...]]:
     return name, np.dtype(dtype), tuple(shape)
 
 
-def read_pack(path, kind: str) -> tuple[PackEntries, PackEntries]:
+def _read_exactly(path, fh, offset: int, out: np.ndarray, name: str) -> None:
+    """Fill the bytes `out` from `fh` at `offset`."""
+    fh.seek(offset)
+    if fh.readinto(out) != len(out):  # the file shrank after its size was checked
+        raise ValueError(f"{path}: truncated payload for array {name!r}")
+
+
+def read_pack(
+    path, kind: str, select: Callable[[PackEntries, PackEntries], dict] | None = None
+) -> tuple[PackEntries, PackArrays]:
     """Read a `write_pack` container whose meta names `kind`. A damaged file
     (short header, short payload, bytes after the last array, an array entry
     of another dtype kind or a bad shape, a name listed twice) or one of
     another kind raises ValueError naming the path; so does reading a meta
-    key or an array the file does not hold."""
-    data = Path(path).read_bytes()
-    if not data.startswith(PACK_MAGIC):
-        raise ValueError(f"{path}: not a packed array container")
-    start = len(PACK_MAGIC) + 4
-    if len(data) < start:
-        raise ValueError(f"{path}: truncated container header")
-    (hlen,) = struct.unpack_from("<I", data, len(PACK_MAGIC))
-    offset = start + hlen
-    if len(data) < offset:
-        raise ValueError(f"{path}: truncated container header")
-    try:
-        header = json.loads(data[start:offset].decode("utf-8"))
-        meta = header["meta"]
-        found = meta["kind"]
-        specs = [_array_spec(e) for e in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed container header ({exc})") from exc
-    if found != kind:
-        raise ValueError(f"{path}: container kind is {found!r}, expected {kind!r}")
-    view = memoryview(data)
-    arrays = PackEntries(path, "array", {})
-    for name, dtype, shape in specs:
-        if name in arrays:
-            raise ValueError(f"{path}: array {name!r} listed twice")
-        nbytes = math.prod(shape) * dtype.itemsize
-        if len(data) - offset < nbytes:
-            raise ValueError(f"{path}: truncated payload for array {name!r}")
-        chunk = view[offset : offset + nbytes]
-        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} unexpected bytes after the last array")
-    return PackEntries(path, "meta key", meta), arrays
+    key or an array the file does not hold. Every size is checked against
+    the file's size before any payload byte is read.
+
+    `select(meta, shapes)`, when given, sees the meta and every array's
+    header shape once the file passed those checks, and may refuse it by
+    raising. It returns, by array name, `None` to skip that array or the
+    row indices along its first axis to read; an array it leaves out is
+    read whole. Each array is read straight into its own writable buffer,
+    so no later rewrite of the file can change it.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        start = len(PACK_MAGIC) + 4
+        head = fh.read(start)
+        if not head.startswith(PACK_MAGIC):
+            raise ValueError(f"{path}: not a packed array container")
+        if len(head) < start:
+            raise ValueError(f"{path}: truncated container header")
+        (hlen,) = struct.unpack_from("<I", head, len(PACK_MAGIC))
+        offset = start + hlen
+        if size < offset:
+            raise ValueError(f"{path}: truncated container header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            meta = header["meta"]
+            found = meta["kind"]
+            specs = [_array_spec(e) for e in header["arrays"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed container header ({exc})") from exc
+        if found != kind:
+            raise ValueError(f"{path}: container kind is {found!r}, expected {kind!r}")
+        shapes, offsets = {}, []
+        for name, dtype, shape in specs:
+            if name in shapes:
+                raise ValueError(f"{path}: array {name!r} listed twice")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if size - offset < nbytes:
+                raise ValueError(f"{path}: truncated payload for array {name!r}")
+            shapes[name] = shape
+            offsets.append(offset)
+            offset += nbytes
+        if offset != size:
+            raise ValueError(f"{path}: {size - offset} unexpected bytes after the last array")
+        meta = PackEntries(path, "meta key", meta)
+        arrays = PackArrays(path, shapes)
+        picks = select(meta, arrays.shapes) if select else {}
+        for (name, dtype, shape), offset in zip(specs, offsets):
+            if name not in picks:
+                arrays[name] = np.empty(shape, dtype)
+                _read_exactly(path, fh, offset, arrays[name].reshape(-1).view(np.uint8), name)
+                continue
+            rows = picks[name]
+            if rows is None:
+                continue
+            arrays[name] = np.empty((len(rows), *shape[1:]), dtype)
+            out = arrays[name].reshape(-1).view(np.uint8)
+            row = math.prod(shape[1:]) * dtype.itemsize
+            for i, r in enumerate(rows):
+                _read_exactly(path, fh, offset + r * row, out[i * row : (i + 1) * row], name)
+    return meta, arrays

@@ -5,6 +5,7 @@ from (config, seed)."""
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -148,6 +149,10 @@ class PipelineConfig:
             merged[section].update(values)
         return PipelineConfig.from_dict(merged)
 
+
+# The bytes of a large matrix product can depend on how many BLAS threads
+# computed it, so each manifest records these as the stage's process saw them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 ARTIFACTS = {
     "interactions": "interactions.jsonl",
@@ -361,9 +366,11 @@ def _two_tower_recommender(
     table: NodeEmbeddingTable,
     split_time: int,
 ) -> TwoTowerRecommender:
-    """The served model; `train` holds every record of the users it will serve."""
+    """The served model; `train` holds every record of the users it will
+    serve, and `table` at least the rows of the items in it. Serving runs the
+    user tower alone, so the item tower's weights are not read."""
     return TwoTowerRecommender(
-        TowerParams.load(files["tower_params"]),
+        TowerParams.load(files["tower_params"], towers=("user",)),
         load_index(files["index"]),
         train,
         table,
@@ -376,11 +383,11 @@ def _two_tower_recommender(
 def stage_recommend(
     config: PipelineConfig, files: Files, recorded: dict[str, str], user: str, k: int = 10
 ) -> list[tuple[str, float]]:
-    """Serve one user from the tower checkpoint, the index, the embedding table,
-    the split time and that user's own `train.jsonl` lines. The train file must
-    hash to the digest the split stage `recorded` for it."""
+    """Serve one user from the user tower, the index, the embedding rows of
+    the items in that user's own `train.jsonl` lines, and the split time. The
+    train file must hash to the digest the split stage `recorded` for it."""
     history = parse_user_history(files["train"], user, recorded[files["train"].name])
-    table = NodeEmbeddingTable.load(files["embeddings"])
+    table = NodeEmbeddingTable.load(files["embeddings"], items={r.item_id for r in history})
     recommender = _two_tower_recommender(files, history, table, _split_time(files))
     return recommender.recommend_scored(user, k)
 
@@ -672,6 +679,7 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
         "inputs": digests,
         "outputs": {files[key].name: io.sha256_file(files[key]) for key in spec.outputs},
         "logs": sorted(files[key].name for key in spec.logs),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     (out_dir / "manifests").mkdir(exist_ok=True)
     io.write_json(manifest, out_dir / "manifests" / f"{stage}.json")

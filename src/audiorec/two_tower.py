@@ -278,8 +278,15 @@ class TowerParams:
         write_pack(path, meta, self.weights)
 
     @classmethod
-    def load(cls, path) -> "TowerParams":
-        meta, arrays = read_pack(path, "tower_params")
+    def load(cls, path, towers: tuple[str, ...] = ("user", "item")) -> "TowerParams":
+        """The checkpoint `save` wrote, holding the weights of `towers` only;
+        the others are never read, yet the layout check covers every weight
+        by the header's shapes."""
+        meta, arrays = read_pack(
+            path,
+            "tower_params",
+            lambda meta, shapes: {n: None for n in shapes if n.split(".")[0] not in towers},
+        )
         vocabs, dims, item_freq = meta_values(
             path, meta, vocabs=dict[str, tuple[str, ...]], dims=dict[str, int], item_freq=dict[str, int]
         )
@@ -289,7 +296,7 @@ class TowerParams:
             raise ValueError(f"{path}: meta 'dims' {dims} does not fit the tower config")
         vocabs = PackEntries(path, "vocab", {name: Vocab(vals) for name, vals in vocabs.items()})
         params = cls(config, vocabs, dims, arrays, item_freq)
-        check_layout(path, params.layout(), arrays)
+        check_layout(path, params.layout(), arrays.shapes)
         return params
 
 

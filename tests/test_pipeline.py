@@ -137,6 +137,22 @@ class TestStages:
             for name, digest in manifest["outputs"].items():
                 assert io.sha256_file(out / name) == digest
 
+    def test_manifest_records_the_blas_thread_variables(self, pipeline_run, tmp_path, monkeypatch):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_stage("split", config, run)
+        manifest = io.read_json(run / "manifests" / "split.json")
+        expected = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+        assert manifest["blas_threads"] == expected
+        # outside the hashes that decide whether an input is current
+        before = io.read_json(out / "manifests" / "split.json")
+        assert {k: v for k, v in manifest.items() if k != "blas_threads"} == {
+            k: v for k, v in before.items() if k != "blas_threads"
+        }
+
     def test_evaluate_manifest_lists_every_input(self, pipeline_run):
         _, out = pipeline_run
         manifest = io.read_json(out / "manifests" / "evaluate.json")
@@ -405,6 +421,44 @@ HEADER_DAMAGE = [
 CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
 
 
+def header_length(data: bytes) -> int:
+    """The bytes of a `write_pack` container before its first array."""
+    (hlen,) = struct.unpack_from("<I", data, len(io.PACK_MAGIC))
+    return len(io.PACK_MAGIC) + 4 + hlen
+
+
+def cut_or_overwritten(whole: bytes, data, header_only: bool) -> bytes:
+    """`whole` cut at a drawn length, or with one drawn byte overwritten: in
+    the header, or (unless `header_only`) as often in the payload."""
+    if data.draw(st.booleans(), label="cut"):
+        return whole[: data.draw(st.integers(0, len(whole) - 1), label="length")]
+    head = header_length(whole)
+    if header_only or head == len(whole) or data.draw(st.booleans(), label="in header"):
+        at = data.draw(st.integers(0, head - 1), label="header byte")
+    else:
+        at = data.draw(st.integers(head, len(whole) - 1), label="payload byte")
+    byte = data.draw(st.integers(0, 255), label="value")
+    return whole[:at] + bytes([byte]) + whole[at + 1 :]
+
+
+def array_spans(header: dict) -> dict[str, tuple[int, int]]:
+    """Each array's (start, end) within a container's payload, by name."""
+    spans, start = {}, 0
+    for entry in header["arrays"]:
+        spans[entry["name"]] = (start, start + _nbytes(entry))
+        start += _nbytes(entry)
+    return spans
+
+
+def load_outcome(load, path) -> str | None:
+    """The refusal text of `load(path)`, or None if it loads."""
+    try:
+        load(path)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 RECOMMEND_CONTAINERS = sorted(
     name
     for name in map(pipeline.ARTIFACTS.get, pipeline.STAGES["recommend"].inputs)
@@ -480,15 +534,7 @@ class TestDamagedArtifacts:
         run = tmp_path / "run"
         if not run.exists():
             shutil.copytree(out, run)
-        whole = (out / name).read_bytes()
-        if data.draw(st.booleans(), label="cut"):
-            damaged = whole[: data.draw(st.integers(0, len(whole) - 1), label="length")]
-        else:
-            (hlen,) = struct.unpack_from("<I", whole, len(io.PACK_MAGIC))
-            at = data.draw(st.integers(0, len(io.PACK_MAGIC) + 3 + hlen), label="header byte")
-            byte = data.draw(st.integers(0, 255), label="value")
-            damaged = whole[:at] + bytes([byte]) + whole[at + 1 :]
-        (run / name).write_bytes(damaged)
+        (run / name).write_bytes(cut_or_overwritten((out / name).read_bytes(), data, header_only=True))
         code = main(stage_argv("recommend", config, run, tmp_path))
         captured = capsys.readouterr()
         if code == 0:
@@ -501,6 +547,20 @@ class TestDamagedArtifacts:
             (line,) = captured.err.strip().splitlines()
             assert json.loads(line)["stage"] == "recommend"
             assert name in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_cut_or_overwritten_container_is_loaded_or_refused(self, pipeline_run, tmp_path, name, data):
+        _, out = pipeline_run
+        path = tmp_path / name
+        path.write_bytes(cut_or_overwritten((out / name).read_bytes(), data, header_only=False))
+        try:
+            BINARY_ARTIFACTS[name](path)
+        except ValueError as exc:
+            assert name in str(exc)
 
     @pytest.mark.parametrize(
         "edit, expected",
@@ -536,6 +596,192 @@ class TestDamagedArtifacts:
         shutil.copyfile(out / "rec_index.bin", path)
         with pytest.raises(ValueError, match="embeddings.bin: container kind is 'index', expected 'embeddings'"):
             NodeEmbeddingTable.load(path)
+
+
+class TestSelectiveReads:
+    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_selection_changes_only_which_bytes_are_read(self, pipeline_run, name, data):
+        _, out = pipeline_run
+        path = out / name
+        kind = split_container(path.read_bytes())[0]["meta"]["kind"]
+        meta, full = io.read_pack(path, kind)
+        picks = {}
+        for array, value in full.items():
+            how = data.draw(st.sampled_from(["whole", "skip", "rows"]), label=array)
+            if how == "skip":
+                picks[array] = None
+            elif how == "rows" and value.ndim and len(value):
+                picks[array] = data.draw(st.lists(st.integers(0, len(value) - 1), max_size=8), label="rows")
+        seen = []
+        picked_meta, picked = io.read_pack(
+            path, kind, lambda m, shapes: seen.append((dict(m), dict(shapes))) or picks
+        )
+        assert seen == [(meta, {a: v.shape for a, v in full.items()})]
+        assert picked_meta == meta and picked.shapes == full.shapes
+        assert set(picked) == {a for a in full if picks.get(a, ...) is not None}
+        for array, value in picked.items():
+            expected = full[array] if array not in picks else full[array][picks[array]]
+            assert value.dtype == expected.dtype and value.shape == expected.shape
+            assert np.array_equal(value, expected)
+        for value in [*full.values(), *picked.values()]:
+            assert value.flags.owndata and value.flags.writeable
+
+    @pytest.mark.parametrize(
+        "name, select",
+        [
+            ("tower_params.bin", lambda path: TowerParams.load(path, towers=("user",))),
+            ("embeddings.bin", lambda path: NodeEmbeddingTable.load(path, items=["a0001", "p0003", "x"])),
+            ("embeddings.bin", lambda path: NodeEmbeddingTable.load(path, items=[])),
+        ],
+        ids=["user-tower", "embedding-rows", "no-embedding-rows"],
+    )
+    @pytest.mark.parametrize(
+        "how", [*HEADER_DAMAGE, *CHECKPOINT_DAMAGE, "header-cut", "payload-cut", "extended"]
+    )
+    def test_selective_load_refuses_what_a_full_load_refuses(
+        self, pipeline_run, tmp_path, name, select, how
+    ):
+        _, out = pipeline_run
+        whole = (out / name).read_bytes()
+        path = tmp_path / name
+        damaged = {"header-cut": whole[:8], "payload-cut": whole[:-1], "extended": whole + b"\0"}
+        path.write_bytes(damaged[how] if how in damaged else damaged_header(whole, how)[0])
+        refused = load_outcome(BINARY_ARTIFACTS[name], path)
+        assert load_outcome(select, path) == refused
+        if how not in CHECKPOINT_DAMAGE:
+            assert refused is not None and name in refused
+
+    def test_selected_embedding_rows_are_those_of_the_full_table(self, pipeline_run):
+        _, out = pipeline_run
+        full = NodeEmbeddingTable.load(out / "embeddings.bin")
+        items = [full.item_ids[-1], "not-an-item", full.item_ids[3], full.item_ids[3]]
+        table = NodeEmbeddingTable.load(out / "embeddings.bin", items=items)
+        assert table.item_ids == [full.item_ids[3], full.item_ids[-1]]  # file order, once each
+        rows = [3, len(full.item_ids) - 1]
+        assert table.node_types == [full.node_types[r] for r in rows]
+        assert np.array_equal(table.matrix, full.matrix[rows])
+        assert np.array_equal(table.inductive, full.inductive[rows])
+        assert np.array_equal(table.fallback, full.fallback[rows])
+        empty = NodeEmbeddingTable.load(out / "embeddings.bin", items=[])
+        assert empty.matrix.shape == (0, full.dim) and empty.dim == full.dim
+
+    @pytest.mark.parametrize(
+        "prefix, value, expected",
+        [
+            ("indptr.", 1 << 40, "does not rise from 0"),
+            ("indices.", -1, "names a node outside"),
+        ],
+    )
+    def test_graph_adjacency_off_its_node_lists_refused(self, pipeline_run, tmp_path, prefix, value, expected):
+        _, out = pipeline_run
+        header, payload = split_container((out / "graph.bin").read_bytes())
+        array = next(e["name"] for e in header["arrays"] if e["name"].startswith(prefix))
+        start, _ = array_spans(header)[array]
+        payload = payload[:start] + struct.pack("<q", value) + payload[start + 8 :]
+        path = tmp_path / "graph.bin"
+        path.write_bytes(join_container(header, payload))
+        with pytest.raises(ValueError, match=f"graph.bin: {re.escape(array)} {expected}"):
+            load_graph(path)
+
+
+class TestServedBytes:
+    """`rec recommend` reads the user tower and the embedding rows of the
+    user's history items, and no other payload byte of either file."""
+
+    @staticmethod
+    def _nan_outside(run, name: str, keep) -> None:
+        """Overwrite with float64 NaN bit patterns, in `run/name`, each row of
+        each array that `keep(entry, header)`, given the array's header entry,
+        does not list among the rows it keeps."""
+        header, payload = split_container((run / name).read_bytes())
+        payload = bytearray(payload)
+        for entry in header["arrays"]:
+            start, end = array_spans(header)[entry["name"]]
+            row = (end - start) // entry["shape"][0]
+            nan = (np.full(row // 8 + 1, np.nan).tobytes())[:row]
+            kept = keep(entry, header)
+            for r in set(range(entry["shape"][0])) - set(kept):
+                payload[start + r * row : start + (r + 1) * row] = nan
+        (run / name).write_bytes(join_container(header, bytes(payload)))
+
+    @pytest.mark.parametrize("user", ["u0001", "u9999", 'unseen "id" \u00e9'])
+    def test_recommend_output_ignores_every_unserved_byte(self, pipeline_run, tmp_path, capsys, user):
+        config, out = pipeline_run
+        cfg_path = tmp_path / "config.json"
+        io.write_json(config.to_dict(), cfg_path)
+        argv = ["recommend", "--config", str(cfg_path), "--user", user, "--out"]
+        assert main([*argv, str(out)]) == 0
+        served = capsys.readouterr().out
+        history = {r.item_id for r in parse_interactions(out / "train.jsonl").records if r.user_id == user}
+        assert bool(history) == (user == "u0001")
+        run = shutil.copytree(out, tmp_path / "run")
+
+        def user_tower(entry, header):
+            return range(entry["shape"][0]) if entry["name"].startswith("user.") else ()
+
+        def history_rows(entry, header):
+            return [r for r, item_id in enumerate(header["meta"]["item_ids"]) if item_id in history]
+
+        self._nan_outside(run, "tower_params.bin", user_tower)
+        self._nan_outside(run, "embeddings.bin", history_rows)
+        assert main([*argv, str(run)]) == 0
+        assert capsys.readouterr().out == served
+
+    def test_recommend_reads_the_tower_header_and_the_user_tower_only(
+        self, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        config, out = pipeline_run
+        cfg_path = tmp_path / "config.json"
+        io.write_json(config.to_dict(), cfg_path)
+        delivered = Counter()
+        real_open = builtins.open
+
+        class Counted:
+            """A binary file that counts the bytes it hands out."""
+
+            def __init__(self, fh, name):
+                self.fh, self.name = fh, name
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def read(self, *args):
+                data = self.fh.read(*args)
+                delivered[self.name] += len(data)
+                return data
+
+            def readinto(self, buffer):
+                n = self.fh.readinto(buffer)
+                delivered[self.name] += n
+                return n
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return Counted(fh, pathlib.Path(file).name) if "b" in mode and "r" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
+        monkeypatch.undo()
+        assert code == 0, capsys.readouterr().err
+        whole = (out / "tower_params.bin").read_bytes()
+        header = split_container(whole)[0]
+        user_tower = sum(_nbytes(e) for e in header["arrays"] if e["name"].startswith("user."))
+        assert 0 < delivered["tower_params.bin"] <= header_length(whole) + user_tower < len(whole)
+        table = split_container((out / "embeddings.bin").read_bytes())[0]
+        history = {r.item_id for r in parse_interactions(out / "train.jsonl").records if r.user_id == "u0001"}
+        rows = sum(item_id in history for item_id in table["meta"]["item_ids"])
+        row = sum(_nbytes(e) for e in table["arrays"]) // len(table["meta"]["item_ids"])
+        assert delivered["embeddings.bin"] <= header_length((out / "embeddings.bin").read_bytes()) + rows * row
 
 
 class TestDeterminism:
