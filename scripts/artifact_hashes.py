@@ -13,9 +13,12 @@ perfbench/workloads.py). Each line is `config file sha256`; manifests are
 listed under `manifests/`. The `recommend@10` line hashes the `recommend`
 stage's ids and scores (k=10) for the first 20 train users by id and two
 unseen ids. `hgnn_train_log.jsonl` is skipped: its
-`wall_time` field differs from run to run. BLAS runs on one thread, as in
-the benchmark: the bytes of a large matrix product can depend on how many
-threads computed it.
+`wall_time` field differs from run to run. BLAS runs on `--blas-threads`
+threads, one by default as in the benchmark: the bytes of a large matrix
+product can depend on how many threads computed it, so compare runs made
+with the same count.
+
+    PYTHONPATH=src python scripts/artifact_hashes.py --blas-threads 2
 """
 
 import argparse
@@ -25,8 +28,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+
+# BLAS reads its thread count once, when numpy is first imported
+_early = argparse.ArgumentParser(add_help=False)
+_early.add_argument("--blas-threads", type=int, default=1)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is first imported
+    os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
 
 from audiorec.data import parse_interactions  # noqa: E402
 from audiorec.io import canonical_json, sha256_bytes  # noqa: E402
@@ -69,7 +76,13 @@ def main():
         "--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS),
         help="configs to run (default: all three)",
     )
+    parser.add_argument(
+        "--blas-threads", type=int, default=1,
+        help="BLAS threads, set before numpy is imported (default: 1)",
+    )
     args = parser.parse_args()
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be >= 1, got {args.blas_threads}")
     for name in args.configs:
         with tempfile.TemporaryDirectory() as work:
             for file, digest in artifact_hashes(CONFIGS[name], Path(work)).items():

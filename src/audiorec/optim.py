@@ -98,23 +98,22 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
         self._scratch = np.empty(0)
 
-    def _buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch arrays shaped like `like`, views of one buffer kept
+    def _buffer(self, like: np.ndarray) -> np.ndarray:
+        """A scratch array shaped like `like`, a view of one buffer kept
         across steps and grown to the largest parameter, so a step allocates
         no temporaries."""
-        size = like.size
-        if self._scratch.size < 2 * size:
-            self._scratch = np.empty(2 * size)
-        return (
-            self._scratch[:size].reshape(like.shape),
-            self._scratch[size : 2 * size].reshape(like.shape),
-        )
+        if self._scratch.size < like.size:
+            self._scratch = np.empty(like.size)
+        return self._scratch[: like.size].reshape(like.shape)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update params in place. Raises if any parameter becomes non-finite.
 
-        Each operation writes into scratch buffers, in the order and with the
-        operands of `m += (1 - b1) * (g - m)`, `v += (1 - b2) * (g * g - v)`,
+        Consumes `grads`: once `g * g` is formed, each gradient array is
+        overwritten with `sqrt(v_hat) + eps`, so a caller must not read it
+        afterwards. Each operation writes into the scratch buffer or the
+        spent gradient, in the order and with the operands of
+        `m += (1 - b1) * (g - m)`, `v += (1 - b2) * (g * g - v)`,
         `p -= lr * m_hat / (sqrt(v_hat) + eps)`, so the bytes are those of the
         plain expressions."""
         self.t += 1
@@ -123,7 +122,7 @@ class Adam:
             g = grads[key]
             m = self._m.setdefault(key, np.zeros_like(params[key]))
             v = self._v.setdefault(key, np.zeros_like(params[key]))
-            a, b = self._buffers(m)
+            a = self._buffer(m)
             np.subtract(g, m, out=a)
             a *= 1.0 - b1
             m += a
@@ -133,10 +132,10 @@ class Adam:
             v += a
             np.divide(m, 1.0 - b1**self.t, out=a)  # m_hat
             a *= self.learning_rate
-            np.divide(v, 1.0 - b2**self.t, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
+            np.divide(v, 1.0 - b2**self.t, out=g)  # v_hat, over the spent gradient
+            np.sqrt(g, out=g)
+            g += self.eps
+            a /= g
             params[key] -= a
             if not np.all(np.isfinite(params[key])):
                 raise RuntimeError(f"parameter {key!r} became non-finite after step {self.t}")

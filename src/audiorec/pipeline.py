@@ -96,6 +96,12 @@ class EvalSettings:
     ablation_manifest: str | None = None
 
 
+# what `json.loads` returns for each JSON type but objects
+_JSON_TYPES = {
+    list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
+}
+
+
 @dataclass
 class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
@@ -109,6 +115,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
+        if not isinstance(obj, dict):
+            kind = _JSON_TYPES.get(type(obj), type(obj).__name__)
+            raise PipelineError(f"config must be a JSON object, got {kind}")
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:

@@ -11,7 +11,9 @@ what the batched training step replaced; it must match them bit for bit,
 random stream included; the per-node plan sampler draws each row by
 `floyd_choice`, Floyd's algorithm step by step. So must the plain-expression
 Adam step and the per-item `query_topk` result comprehension, which in-place
-and bulk-converted code replaced.
+and bulk-converted code replaced, and the serial two-tower loop, one Adam over
+both towers and a fresh gradient dict per batch, which the side-by-side tower
+training replaced.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -36,7 +38,18 @@ from audiorec.hgnn import (
     flat_offsets,
 )
 from audiorec.index import RecIndex, row_dots
-from audiorec.optim import NORM_FLOOR
+from audiorec.optim import NORM_FLOOR, Adam
+from audiorec.two_tower import (
+    FeatureSet,
+    TowerParams,
+    TwoTowerConfig,
+    Vocab,
+    _batch_loss_and_douts,
+    _item_inputs,
+    _tower_backward,
+    _tower_forward,
+    _user_inputs,
+)
 
 NodeRef = tuple[str, int]
 
@@ -371,6 +384,82 @@ def query_topk_comprehension(
         scores, ids = scores[keep], ids[keep]
     order = np.lexsort((ids, -scores))[:k]
     return [(str(ids[i]), float(scores[i])) for i in order]
+
+
+def train_two_tower_serial(
+    pairs: list[tuple[str, str]],
+    features: FeatureSet,
+    config: TwoTowerConfig,
+    seed: int,
+) -> tuple[TowerParams, list[dict]]:
+    """`two_tower.train_two_tower` running the towers one after the other:
+    one Adam steps both towers' weights in name order, from a fresh gradient
+    dict per batch."""
+    if not pairs:
+        raise ValueError("no training pairs")
+    item_freq: dict[str, int] = {}
+    for _, item_id in pairs:
+        item_freq[item_id] = item_freq.get(item_id, 0) + 1
+
+    vocabs = {
+        "country": Vocab(f.country for f in features.users.values()),
+        "age_bucket": Vocab(f.age_bucket for f in features.users.values()),
+        "language": Vocab(f.language for f in features.items.values()),
+        "genre": Vocab(f.genre for f in features.items.values()),
+    }
+    some_item = next(iter(features.items.values()))
+    d_c = int(some_item.content_vector.shape[0])
+    d_embed = int(some_item.hgnn_embedding.shape[0])
+    params = TowerParams.init(config, vocabs, d_c, d_embed, item_freq, seed)
+    adam = Adam(learning_rate=config.learning_rate)
+    rng = np.random.default_rng(seed)
+
+    u_cat, u_dense = _user_inputs(params, list(features.users.values()))
+    i_cat, i_dense = _item_inputs(params, list(features.items.values()))
+    user_row = {u: r for r, u in enumerate(features.users)}
+    item_row = {i: r for r, i in enumerate(features.items)}
+    pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
+    pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
+    pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])
+    log: list[dict] = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(pairs))
+        epoch_loss = 0.0
+        n_seen = 0
+        skipped = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            if len(batch) < 2:
+                skipped += 1
+                continue
+            users, items = pair_user[batch], pair_item[batch]
+            w_raw = pair_inv_freq[batch]
+            if np.all(w_raw == w_raw[0]):
+                weights = np.ones_like(w_raw)
+            else:
+                weights = w_raw / w_raw.mean()
+
+            u_cache = _tower_forward(params, "user", u_cat[users], u_dense[users])
+            i_cache = _tower_forward(params, "item", i_cat[items], i_dense[items])
+            loss, d_u, d_a = _batch_loss_and_douts(u_cache.out, i_cache.out, items, weights)
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite loss in epoch {epoch}, batch {start // config.batch_size}"
+                )
+            grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
+            _tower_backward(params, "user", u_cache, d_u, grads)
+            _tower_backward(params, "item", i_cache, d_a, grads)
+            adam.step(params.weights, grads)
+            epoch_loss += loss * len(batch)
+            n_seen += len(batch)
+        log.append(
+            {
+                "epoch": epoch,
+                "train_loss": epoch_loss / max(1, n_seen),
+                "skipped_batches": skipped,
+            }
+        )
+    return params, log
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def test_in_place_steps_match_expressions(make_weights):
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=w.shape)
             g[rng.random(w.shape) < 0.2] = 0.0  # rows and columns without gradient
             grads[key] = g
-        adam.step(got, grads)
         oracle.step(want, grads)
+        adam.step(got, grads)  # last: the in-place step consumes `grads`
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), (step, key)
 

@@ -835,6 +835,62 @@ def rerecord(run, name):
             io.write_json(manifest, path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_SECTIONS = [f for f in dataclasses.fields(PipelineConfig) if f.name != "seed"]
+# arbitrary JSON, and objects whose keys are mostly the config's own section
+# and field names, so that drawn values reach the per-field checks
+CONFIG_VALUES = JSON_VALUES | st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]) | st.text(max_size=8),
+    JSON_VALUES
+    | st.dictionaries(
+        st.sampled_from(
+            sorted({f.name for s in _SECTIONS for f in dataclasses.fields(s.default_factory)})
+        ),
+        JSON_VALUES,
+        max_size=3,
+    ),
+    max_size=4,
+)
+
+
+def damaged_jsonl(whole: bytes, data) -> bytes:
+    """A JSON-lines file cut at a drawn length, with one drawn byte
+    overwritten, or with one field of one line set to a value of another JSON
+    type or deleted."""
+    how = data.draw(st.sampled_from(["cut", "byte", "retyped", "deleted"]), label="damage")
+    if how == "cut":
+        return whole[: data.draw(st.integers(0, len(whole) - 1), label="length")]
+    if how == "byte":
+        at = data.draw(st.integers(0, len(whole) - 1), label="at")
+        return whole[:at] + bytes([data.draw(st.integers(0, 255), label="value")]) + whole[at + 1 :]
+    lines = whole.decode("utf-8").splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    row = json.loads(lines[at])
+    key = data.draw(st.sampled_from(sorted(row)), label="field")
+    if how == "retyped":
+        row[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(row[key])), label="value")
+    else:
+        del row[key]
+    lines[at] = json.dumps(row)
+    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+def run_or_one_json_line(argv, capsys) -> int:
+    """Run the CLI in process; it must exit 0, or exit 1 with one JSON error
+    line naming the stage on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert json.loads(line)["stage"] == argv[0]
+    return code
+
+
 def cli_error(argv, capsys) -> str:
     """Run the CLI expecting exit 1 and one JSON error line; return the error."""
     assert main(argv) == 1
@@ -1344,6 +1400,45 @@ class TestCli:
         assert read <= set(io.read_json(run / "manifests" / f"{stage}.json")["inputs"])
         if stage in ("train-2t", "evaluate"):
             assert {"music.jsonl", "demo.jsonl"} <= read
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("5", "number"), ("null", "null"), ("true", "boolean"), ('"abc"', "string"), ("[1]", "array")],
+    )
+    def test_config_that_is_not_an_object_is_one_json_line(self, tmp_path, capsys, text, kind):
+        # 5, null and true were a TypeError traceback; "abc" was
+        # "unknown config sections: ['a', 'b', 'c']"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        error = cli_error(["split", "--config", str(cfg_path), "--out", str(tmp_path / "o")], capsys)
+        assert error == f"config must be a JSON object, got {kind}"
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(value=CONFIG_VALUES)
+    def test_any_json_config_runs_or_is_one_json_line(self, pipeline_run, tmp_path, capsys, value):
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        if not run.exists():
+            shutil.copytree(out, run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(value))
+        run_or_one_json_line(["split", "--config", str(cfg_path), "--out", str(run)], capsys)
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_damaged_interactions_split_or_one_json_line(self, pipeline_run, tmp_path, capsys, data):
+        config, out = pipeline_run
+        path = tmp_path / "interactions.jsonl"
+        path.write_bytes(damaged_jsonl((out / "interactions.jsonl").read_bytes(), data))
+        cfg = config.to_dict()
+        cfg["paths"]["interactions"] = str(path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run_or_one_json_line(["split", "--config", str(cfg_path), "--out", str(tmp_path / "run")], capsys)
 
     def test_negative_seed_flag_refused_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "o"

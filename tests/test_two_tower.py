@@ -1,8 +1,13 @@
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiorec import two_tower
 from audiorec.data import DAY_SECONDS, InteractionRecord
 from audiorec.hgnn import NodeEmbeddingTable
 from audiorec.two_tower import (
@@ -23,7 +28,8 @@ from audiorec.two_tower import (
 )
 
 from helpers_gradcheck import check_tower_gradients, random_tower_instance
-from oracles import in_batch_loss
+import oracles
+from oracles import in_batch_loss, train_two_tower_serial
 
 
 def toy_table(rows: dict[str, np.ndarray], types: dict[str, str] | None = None):
@@ -287,6 +293,69 @@ class TestTraining:
         params, _ = train_two_tower(pairs, features, config, seed=0)
         assert all(c > 0 for c in params.item_freq.values())
         assert set(params.item_freq) == {i for _, i in pairs}
+
+
+class TestSideBySideTowers:
+    """`train_two_tower` trains the item tower on a worker thread beside the
+    user tower; it must give the serial loop's bytes, errors and threads."""
+
+    @pytest.mark.parametrize("use_hgnn_features", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_serial_loop(
+        self, small_split, small_synth, small_embeddings, seed, use_hgnn_features
+    ):
+        pairs, features, config, _ = small_training_setup(
+            small_split, small_synth, small_embeddings,
+            epochs=2, batch_size=16, use_hgnn_features=use_hgnn_features,
+        )
+        pairs = pairs[: 4 * 16 + 1]  # a lone final batch each epoch
+        assert len(set(Counter(i for _, i in pairs).values())) > 1  # non-uniform item weights
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads often
+        try:
+            got, got_log = train_two_tower(pairs, features, config, seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        want, want_log = train_two_tower_serial(pairs, features, config, seed=seed)
+        assert [e["skipped_batches"] for e in want_log] == [1, 1]
+        assert got_log == want_log
+        assert got.weights.keys() == want.weights.keys()
+        for key in want.weights:
+            assert np.array_equal(got.weights[key], want.weights[key]), key
+        assert got.checksum() == want.checksum()
+
+    # with both towers damaged, the serial loop's name-ordered step meets the item weight first
+    @pytest.mark.parametrize(
+        "towers, raised", [(("user",), "user"), (("item",), "item"), (("user", "item"), "item")]
+    )
+    def test_non_finite_parameter_raises_as_serial_loop(
+        self, small_split, small_synth, small_embeddings, monkeypatch, towers, raised
+    ):
+        pairs, features, config, _ = small_training_setup(
+            small_split, small_synth, small_embeddings, epochs=1, batch_size=16
+        )
+        real_backward = two_tower._tower_backward
+        calls = {"user": 0, "item": 0}
+
+        def damaged_backward(params, tower, cache, d_out, grads):
+            real_backward(params, tower, cache, d_out, grads)
+            calls[tower] += 1
+            if tower in towers and calls[tower] == 3:
+                grads[f"{tower}.W2"][0, 0] = np.nan
+
+        messages = []
+        for module, train in ((oracles, train_two_tower_serial), (two_tower, train_two_tower)):
+            monkeypatch.setattr(module, "_tower_backward", damaged_backward)
+            calls.update(user=0, item=0)
+            threads = threading.active_count()
+            with pytest.raises(RuntimeError) as err:
+                train(pairs, features, config, seed=0)
+            assert threading.active_count() == threads
+            messages.append(str(err.value))
+        assert messages[0] == f"parameter '{raised}.W2' became non-finite after step 3"
+        assert messages[1] == messages[0]
 
 
 @pytest.fixture(scope="module")
