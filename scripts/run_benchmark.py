@@ -36,8 +36,16 @@ def main():
           f"no-weak {np.mean([r.hr_warm['no_weak_signals'] for r in results]):.3f}")
 
     weak = run_weak_signal_seeds(seeds)
-    ors = [w["odds_ratio"] for w in weak]
-    print(f"follow odds ratios: min {min(ors):.2f}, mean {np.mean(ors):.2f}, max {max(ors):.2f}")
+    # a skipped fit reads odds ratio 1, which is no estimate: leave it out
+    for w in weak:
+        if w["skipped_reason"] is not None:
+            print(f"follow fit skipped on seed {w['seed']}: {w['skipped_reason']}")
+    ors = [w["odds_ratio"] for w in weak if w["skipped_reason"] is None]
+    if ors:
+        print(
+            f"follow odds ratios over {len(ors)} fitted seeds: min {min(ors):.2f}, "
+            f"mean {np.mean(ors):.2f}, max {max(ors):.2f}"
+        )
 
     if args.out:
         payload = {

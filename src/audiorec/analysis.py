@@ -48,35 +48,78 @@ class WeakSignalReport:
         }
 
 
-def logistic_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> tuple[float, float, bool]:
-    """Univariate logistic regression (intercept + slope) by plain gradient
-    descent on the mean negative log likelihood.
+# Newton's method converges quadratically once near the optimum; a fit whose
+# classes overlap needs well under this many steps.
+_NEWTON_STEPS = 50
+_GRAD_TOL = 1e-10
 
-    The step size is set from the curvature bound of the design's second
-    moment matrix. Returns (intercept, slope, converged); on separable data
-    the loop runs to max_iter with a large finite slope.
+
+def _mean_gradient(design: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """Gradient of the mean negative log likelihood at `theta`, and the fitted
+    probabilities (a sigmoid written with tanh, which cannot overflow)."""
+    p = 0.5 * (1.0 + np.tanh(0.5 * (design @ theta)))
+    return design.T @ (p - y) / len(y), p
+
+
+def _newton(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """(intercept, slope) where the mean gradient vanishes, or None if
+    `_NEWTON_STEPS` steps do not get there. Each step is halved until it
+    lowers the gradient norm, which a Newton step always does once short
+    enough: along it, the squared norm falls at rate twice its own value."""
+    design = np.column_stack([np.ones_like(x), x])
+    theta = np.zeros(2)
+    grad, p = _mean_gradient(design, y, theta)
+    for _ in range(_NEWTON_STEPS):
+        if np.abs(grad).max() < _GRAD_TOL:
+            return theta
+        hessian = design.T @ (design * (p * (1.0 - p))[:, None]) / len(y)
+        step = np.linalg.solve(hessian, grad)
+        norm = np.linalg.norm(grad)
+        t = 1.0
+        while True:
+            trial = theta - t * step
+            trial_grad, trial_p = _mean_gradient(design, y, trial)
+            if np.linalg.norm(trial_grad) < norm or t < 2.0**-30:
+                break
+            t /= 2.0
+        theta, grad, p = trial, trial_grad, trial_p
+    return None
+
+
+def logistic_fit(signal: str, x: np.ndarray, y: np.ndarray) -> LogisticFit:
+    """Univariate logistic regression of 0/1 labels `y` on counts `x`
+    (intercept + slope), fitted by Newton's method on the mean negative log
+    likelihood.
+
+    A unique finite maximum exists exactly when the two classes overlap in x
+    (Albert & Anderson, Biometrika 1984). Every case without one is skipped
+    with its reason: no nonzero count, labels of one class, a constant count
+    (the Hessian is singular), and (quasi-)separation, where the likelihood
+    keeps rising as the slope grows. A skipped fit reads coefficient 0, odds
+    ratio 1 and not converged.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    design = np.column_stack([np.ones_like(x), x])
-    moment = design.T @ design / len(x)
-    eig_max = float(np.linalg.eigvalsh(moment)[-1])
-    lr = 3.6 / eig_max  # below the 4/eig_max stability bound for logistic NLL
-    theta = np.zeros(2)
-    converged = False
-    for _ in range(max_iter):
-        p = 1.0 / (1.0 + np.exp(-(design @ theta)))
-        grad = design.T @ (p - y) / len(x)
-        if np.max(np.abs(grad)) < tol:
-            converged = True
-            break
-        theta -= lr * grad
-    return float(theta[0]), float(theta[1]), converged
+    pos, neg = x[y == 1], x[y == 0]
+    if not x.any():
+        reason = "no pre-stream occurrences of this signal"
+    elif len(pos) == 0 or len(neg) == 0:
+        reason = "degenerate labels (all positive or all negative)"
+    elif x.min() == x.max():
+        reason = "constant predictor: every example has the same count"
+    elif pos.min() >= neg.max():
+        reason = "positive separation: no positive has a lower count than any negative"
+    elif pos.max() <= neg.min():
+        reason = "negative separation: no positive has a higher count than any negative"
+    else:
+        theta = _newton(x, y)
+        if theta is not None:
+            slope = float(theta[1])
+            return LogisticFit(
+                signal, slope, float(theta[0]), float(np.exp(slope)), len(x), len(pos), True
+            )
+        reason = f"no convergence in {_NEWTON_STEPS} Newton steps"
+    return LogisticFit(signal, 0.0, 0.0, 1.0, len(x), len(pos), False, reason)
 
 
 def _audiobook_pair_events(
@@ -97,8 +140,8 @@ def weak_signal_analysis(records: list[InteractionRecord]) -> WeakSignalReport:
     streamed from the count of that signal seen before the first stream.
 
     Rows for signals with no occurrences keep a unit diagonal and zero
-    off-diagonal entries. A fit is skipped when its labels or counts are
-    degenerate.
+    off-diagonal entries. `logistic_fit` skips each fit that has no unique
+    finite slope, and says why.
     """
     pairs = _audiobook_pair_events(records)
     present = {s for events in pairs.values() for s in events}
@@ -128,28 +171,7 @@ def weak_signal_analysis(records: list[InteractionRecord]) -> WeakSignalReport:
                 count = sum(1 for t in times if t < first_stream)
             xs.append(count)
             ys.append(1 if streams else 0)
-        x = np.array(xs, dtype=np.float64)
-        y = np.array(ys, dtype=np.float64)
-        skipped = None
-        if x.max(initial=0.0) == 0.0:
-            skipped = "no pre-stream occurrences of this signal"
-        elif y.min() == y.max():
-            skipped = "degenerate labels (all positive or all negative)"
-        if skipped:
-            fits[signal] = LogisticFit(
-                signal, 0.0, 0.0, 1.0, len(x), int(y.sum()), False, skipped
-            )
-            continue
-        intercept, slope, converged = logistic_fit(x, y)
-        fits[signal] = LogisticFit(
-            signal=signal,
-            coefficient=slope,
-            intercept=intercept,
-            odds_ratio=float(np.exp(slope)),
-            n_examples=len(x),
-            n_positive=int(y.sum()),
-            converged=converged,
-        )
+        fits[signal] = logistic_fit(signal, np.array(xs), np.array(ys))
     return WeakSignalReport(signals=SIGNALS, cooccurrence=matrix, fits=fits)
 
 

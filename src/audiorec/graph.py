@@ -110,6 +110,8 @@ def build_colisten_graph(
     if min_co_users < 1:
         raise ValueError("min_co_users must be >= 1")
     relations = tuple(sorted(relations))
+    if not relations:
+        raise ValueError(f"relations must name one or more of {list(REL_KEYS)}, got none")
     for rel in relations:
         if rel not in REL_KEYS:
             raise ValueError(f"unknown relation {rel!r}")

@@ -95,11 +95,28 @@ class EvalSettings:
     probe_pairs: int = 2000
     ablation_manifest: str | None = None
 
+    def __post_init__(self):
+        rules = (
+            ("k", ">= 1", self.k >= 1),
+            ("max_rank", f">= k ({self.k})", self.max_rank >= self.k),
+            (
+                "models",
+                f"one or more of {list(MODELS)}",
+                len(self.models) >= 1 and set(self.models) <= set(MODELS),
+            ),
+            ("probe_pairs", ">= 1", self.probe_pairs >= 1),
+        )
+        io.check_rules("eval", self, rules)
+
 
 # what `json.loads` returns for each JSON type but objects
 _JSON_TYPES = {
     list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
 }
+
+
+def _json_kind(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 @dataclass
@@ -116,8 +133,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         if not isinstance(obj, dict):
-            kind = _JSON_TYPES.get(type(obj), type(obj).__name__)
-            raise PipelineError(f"config must be a JSON object, got {kind}")
+            raise PipelineError(f"config must be a JSON object, got {_json_kind(obj)}")
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -401,6 +417,24 @@ def stage_recommend(
     return recommender.recommend_scored(user, k)
 
 
+# Each `eval.models` name, with how `evaluate` builds its recommender from the
+# run's files, split, catalog, embedding table and two-tower settings.
+MODELS: dict[str, Callable] = {
+    "two_tower_hgnn": lambda files, split, catalog, table, tower: _two_tower_recommender(
+        files, split.train, table, split.split_time
+    ),
+    "popularity": lambda files, split, catalog, table, tower: PopularityRecommender(
+        split.train, catalog, tower.target_type, tower.window_days, split.split_time
+    ),
+    "content_knn": lambda files, split, catalog, table, tower: content_knn_baseline(
+        split.train, catalog, tower.target_type, tower.window_days, split.split_time
+    ),
+    "hgnn_knn": lambda files, split, catalog, table, tower: hgnn_knn_baseline(
+        split.train, catalog, table, tower.target_type, tower.window_days, split.split_time
+    ),
+}
+
+
 def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
     catalog = parse_catalog(files["catalog"])
     split = _load_split(files)
@@ -409,26 +443,10 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
     catalog_ids = {i for i, it in catalog.items() if it.item_type == target}
     table = NodeEmbeddingTable.load(files["embeddings"])
 
-    recommenders = {}
-    for model in config.eval.models:
-        if model == "two_tower_hgnn":
-            recommenders[model] = _two_tower_recommender(
-                files, split.train, table, split.split_time
-            )
-        elif model == "popularity":
-            recommenders[model] = PopularityRecommender(
-                split.train, catalog, target, config.two_tower.window_days, split.split_time
-            )
-        elif model == "content_knn":
-            recommenders[model] = content_knn_baseline(
-                split.train, catalog, target, config.two_tower.window_days, split.split_time
-            )
-        elif model == "hgnn_knn":
-            recommenders[model] = hgnn_knn_baseline(
-                split.train, catalog, table, target, config.two_tower.window_days, split.split_time
-            )
-        else:
-            raise PipelineError(f"unknown model {model!r} in eval.models")
+    recommenders = {
+        model: MODELS[model](files, split, catalog, table, config.two_tower)
+        for model in config.eval.models
+    }
 
     report = {
         "config_hash": config.hash(),
@@ -499,16 +517,36 @@ def stage_probe(config: PipelineConfig, files: Files) -> dict:
     return report
 
 
+def _ablation_variants(config: PipelineConfig, manifest) -> dict[str, PipelineConfig]:
+    """Each variant's config, refusing the whole manifest before any variant
+    runs if one entry is not an object of overrides or leaves out the model
+    the report reads."""
+    if not isinstance(manifest, dict):
+        raise PipelineError("ablation manifest must map variant names to overrides")
+    variants = {}
+    for name, overrides in manifest.items():
+        if not isinstance(overrides, dict):
+            raise PipelineError(
+                f"ablation variant {name!r} must be an object of overrides, got {_json_kind(overrides)}"
+            )
+        variant = config.with_overrides(overrides)
+        if "two_tower_hgnn" not in variant.eval.models:
+            raise PipelineError(
+                f"ablation variant {name!r}: eval.models must include 'two_tower_hgnn', "
+                "the model the ablation report compares"
+            )
+        variants[name] = variant
+    return variants
+
+
 def stage_ablate(config: PipelineConfig, files: Files) -> dict:
     if "ablation_manifest" in files:
         manifest = io.read_json(files["ablation_manifest"])
-        if not isinstance(manifest, dict):
-            raise PipelineError("ablation manifest must map variant names to overrides")
     else:
         manifest = ABLATION_VARIANTS
+    variants = _ablation_variants(config, manifest)
     report: dict = {"config_hash": config.hash(), "seed": config.seed, "variants": {}}
-    for name, overrides in manifest.items():
-        variant_config = config.with_overrides(overrides)
+    for name, variant_config in variants.items():
         variant_config.paths.interactions = str(files["interactions"])
         variant_config.paths.catalog = str(files["catalog"])
         variant_dir = files["ablation"].parent / "ablations" / name
@@ -667,9 +705,9 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
 
 
 def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
-    """Run one stage on current inputs, echo the resolved config for
-    provenance, and record the stage's input and output hashes in
-    `manifests/<stage>.json`."""
+    """Run one stage on current inputs and, once it has succeeded, echo the
+    resolved config for provenance and record the stage's input and output
+    hashes in `manifests/<stage>.json`."""
     spec = STAGES.get(stage)
     if spec is None:
         raise PipelineError(f"unknown stage {stage!r}")
@@ -679,8 +717,8 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     if not spec.outputs:
         return spec.run(config, files, digests, **kwargs)
     files.update((key, out_dir / ARTIFACTS[key]) for key in spec.outputs + spec.logs)
-    io.write_json(config.to_dict(), out_dir / "resolved_config.json")
     result = spec.run(config, files)
+    io.write_json(config.to_dict(), out_dir / "resolved_config.json")
     manifest = {
         "stage": stage,
         "config_hash": config.hash(),

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DAY_SECONDS, CatalogItem, InteractionRecord
+from .io import check_rules
 
 # Signal-type mixes: follows dominate pre-stream signals but are rarely
 # abandoned, so follow counts are the strongest stream predictor.
@@ -44,6 +45,34 @@ class SynthConfig:
     languages: tuple[str, ...] = ("en", "es", "de")
     genres: tuple[str, ...] = ("g0", "g1", "g2", "g3", "g4", "g5")
 
+    def __post_init__(self):
+        smaller = min(self.n_users, self.n_audiobooks)
+        rules = (
+            ("n_users", ">= 1", self.n_users >= 1),
+            ("n_podcasts", ">= 1", self.n_podcasts >= 1),
+            ("n_audiobooks", ">= 1", self.n_audiobooks >= 1),
+            ("n_clusters", ">= 1", self.n_clusters >= 1),
+            ("n_clusters", f"<= min(n_users, n_audiobooks) ({smaller})", self.n_clusters <= smaller),
+            ("d_c", ">= 1", self.d_c >= 1),
+            ("days", ">= 1", self.days >= 1),
+            (
+                "n_cold_items",
+                f"in [0, n_audiobooks] ([0, {self.n_audiobooks}])",
+                0 <= self.n_cold_items <= self.n_audiobooks,
+            ),
+            ("podcast_stream_rate", ">= 0", self.podcast_stream_rate >= 0),
+            ("audiobook_stream_rate", ">= 0", self.audiobook_stream_rate >= 0),
+            ("cluster_affinity", ">= 0", self.cluster_affinity >= 0),
+            ("content_noise", ">= 0", self.content_noise >= 0),
+            ("weak_signal_prob", "in [0, 1]", 0 <= self.weak_signal_prob <= 1),
+            ("weak_extra_count", ">= 0", self.weak_extra_count >= 0),
+            ("abandoned_rate", ">= 0", self.abandoned_rate >= 0),
+            ("abandoned_extra_count", ">= 0", self.abandoned_extra_count >= 0),
+            ("languages", "one or more names", len(self.languages) >= 1),
+            ("genres", "one or more names", len(self.genres) >= 1),
+        )
+        check_rules("synth", self, rules)
+
 
 def _draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:
     names = sorted(mix)
@@ -68,11 +97,6 @@ def synth_generate_with_meta(
 ) -> tuple[list[InteractionRecord], dict[str, CatalogItem], dict]:
     """As synth_generate, also returning the latent cluster assignments
     (useful for validating planted structure)."""
-    if config.n_clusters > min(config.n_users, config.n_audiobooks):
-        raise ValueError(
-            f"n_clusters={config.n_clusters} exceeds "
-            f"min(n_users, n_audiobooks)={min(config.n_users, config.n_audiobooks)}"
-        )
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_SECONDS
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from audiorec import analysis
 from audiorec.analysis import (
     logistic_fit,
     pair_similarity_probe,
@@ -73,25 +74,72 @@ class TestLogisticFit:
             lo0, hi0 = b0 - span0, b0 + span0
             lo1, hi1 = b1 - span1, b1 + span1
             best = (b0, b1)
-        intercept, slope, converged = logistic_fit(x, y)
-        assert converged
-        assert abs(slope - best[1]) < 1e-3
-        assert abs(intercept - best[0]) < 1e-3
+        fit = logistic_fit("s", x, y)
+        assert fit.converged and fit.skipped_reason is None
+        assert abs(fit.coefficient - best[1]) < 1e-3
+        assert abs(fit.intercept - best[0]) < 1e-3
+        assert fit.odds_ratio == np.exp(fit.coefficient)
+        assert (fit.n_examples, fit.n_positive) == (6, 4)
 
-    def test_separable_data_runs_to_large_positive_slope(self):
+    @pytest.mark.parametrize(
+        "x, y, direction",
+        [
+            ([0, 0, 1, 2, 3, 4], [1, 1, 0, 0, 0, 0], "negative"),
+            # quasi-separation: the classes share only the boundary value 1
+            ([0, 1, 1, 1, 2, 3], [0, 0, 1, 0, 1, 1], "positive"),
+            ([0, 1, 1, 1, 2, 3], [1, 1, 0, 1, 0, 0], "negative"),
+        ],
+    )
+    def test_separated_data_skipped_naming_the_direction(self, x, y, direction):
+        # no finite slope maximizes the likelihood, so none is reported
+        fit = logistic_fit("s", np.array(x, dtype=float), np.array(y, dtype=float))
+        assert fit.skipped_reason.startswith(f"{direction} separation")
+        assert (fit.coefficient, fit.intercept, fit.odds_ratio) == (0.0, 0.0, 1.0)
+        assert not fit.converged
+        assert (fit.n_examples, fit.n_positive) == (6, sum(y))
+
+    def test_separable_data_skipped_as_positive_separation(self):
         x = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
         y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-        _, slope, converged = logistic_fit(x, y, max_iter=5000)
-        assert slope > 1.0
-        assert not converged  # no finite optimum to converge to
+        fit = logistic_fit("s", x, y)
+        assert fit.skipped_reason.startswith("positive separation")
+        assert fit.coefficient == 0.0
+        assert not fit.converged  # no finite optimum to converge to
+
+    def test_constant_nonzero_predictor_skipped(self):
+        # the Hessian is singular: the intercept alone explains the labels
+        fit = logistic_fit("s", np.full(4, 2.0), np.array([0.0, 1.0, 1.0, 0.0]))
+        assert fit.skipped_reason.startswith("constant predictor")
+        assert (fit.coefficient, fit.odds_ratio, fit.converged) == (0.0, 1.0, False)
+
+    @pytest.mark.parametrize(
+        "x, y, reason",
+        [
+            ([0, 0, 0], [0, 1, 1], "no pre-stream occurrences"),
+            ([0, 1, 2], [1, 1, 1], "degenerate labels"),
+            ([0, 1, 2], [0, 0, 0], "degenerate labels"),
+        ],
+    )
+    def test_degenerate_inputs_skipped(self, x, y, reason):
+        fit = logistic_fit("s", np.array(x, dtype=float), np.array(y, dtype=float))
+        assert fit.skipped_reason.startswith(reason)
+        assert (fit.coefficient, fit.odds_ratio, fit.converged) == (0.0, 1.0, False)
+
+    def test_step_cap_skips_rather_than_reports_a_slope(self, monkeypatch):
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 3.0])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        monkeypatch.setattr(analysis, "_NEWTON_STEPS", 1)
+        fit = logistic_fit("s", x, y)
+        assert fit.skipped_reason == "no convergence in 1 Newton steps"
+        assert (fit.coefficient, fit.odds_ratio, fit.converged) == (0.0, 1.0, False)
 
     def test_balanced_coin_has_zero_slope(self):
         x = np.array([0.0, 1.0, 0.0, 1.0])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        intercept, slope, converged = logistic_fit(x, y)
-        assert converged
-        assert abs(slope) < 1e-6
-        assert abs(intercept) < 1e-6
+        fit = logistic_fit("s", x, y)
+        assert fit.converged
+        assert abs(fit.coefficient) < 1e-6
+        assert abs(fit.intercept) < 1e-6
 
 
 class TestWeakSignalFits:
@@ -107,7 +155,14 @@ class TestWeakSignalFits:
             records.append(ev(f"w{j}", f"b{j}", "stream", 5))
         report = weak_signal_analysis(records)
         fit = report.fits["follow"]
-        assert fit.skipped_reason is None
+        # only streamed pairs have follows: the direction is positive, but
+        # the data are separated, so there is no finite slope to report
+        assert fit.skipped_reason.startswith("positive separation")
+        assert (fit.coefficient, fit.odds_ratio) == (0.0, 1.0)
+        # one abandoned follow makes the classes overlap: a finite fit
+        records.append(ev("v0", "a0", "follow", 0))
+        fit = weak_signal_analysis(records).fits["follow"]
+        assert fit.skipped_reason is None and fit.converged
         assert fit.coefficient > 0
         assert fit.odds_ratio > 1
 
@@ -128,8 +183,9 @@ class TestWeakSignalFits:
             ev("u3", "a3", "intent_to_pay", 0),
         ]
         report = weak_signal_analysis(records)
-        assert report.fits["follow"].skipped_reason is not None
-        assert report.fits["preview"].skipped_reason is None
+        assert report.fits["follow"].skipped_reason.startswith("no pre-stream occurrences")
+        # preview: u1 (x=1, y=1), u2 (x=0, y=1), u3 (x=0, y=0) is quasi-separated
+        assert report.fits["preview"].skipped_reason.startswith("positive separation")
 
     def test_only_pre_stream_events_counted(self):
         # follows after the first stream do not count toward the predictor
@@ -145,6 +201,8 @@ class TestWeakSignalFits:
         # pairs: u1 (x=0,y=1), u2 (x=1,y=1), u3 (x=0,y=0)
         assert fit.n_examples == 3
         assert fit.n_positive == 2
+        # had u1's late follow counted, the classes would overlap at x=1
+        assert fit.skipped_reason.startswith("positive separation")
 
 
 class TestProbe:

@@ -7,6 +7,7 @@ import pathlib
 import re
 import shutil
 import struct
+import sys
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,20 @@ from audiorec.two_tower import (
 )
 
 from conftest import join_container, split_container
+
+
+ROOT = pathlib.Path(__file__).parents[1]
+
+
+def load_script(path: pathlib.Path):
+    """Import a file that is not part of the package, such as a script. It is
+    registered under a name of its own, since dataclasses look their module up."""
+    name = f"{path.parent.name}_{path.stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def tiny_config(seed=11):
@@ -891,6 +906,11 @@ def run_or_one_json_line(argv, capsys) -> int:
     return code
 
 
+def tree_bytes(root: pathlib.Path) -> dict:
+    """Every file under `root`, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def cli_error(argv, capsys) -> str:
     """Run the CLI expecting exit 1 and one JSON error line; return the error."""
     assert main(argv) == 1
@@ -956,10 +976,7 @@ class TestStaleInputs:
 
     def test_quality_sweep_layout(self, tmp_path, monkeypatch):
         # data stages run once, then each seed reruns the model stages in a copy
-        path = pathlib.Path(__file__).parents[1] / "scripts" / "quality_sweep.py"
-        spec = importlib.util.spec_from_file_location("quality_sweep", path)
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
+        sweep = load_script(ROOT / "scripts" / "quality_sweep.py")
         monkeypatch.setattr(sweep, "SEEDS", (12, 13))
         result = sweep.sweep(tiny_config(), tmp_path)
         assert set(result["seeds"]) == {"12", "13"}
@@ -1020,6 +1037,40 @@ class TestAblate:
             inputs[name] = io.read_json(out / "manifests" / "ablate.json")["inputs"]
             assert inputs[name]["variants.json"] == io.sha256_file(path)
         assert inputs["a"] != inputs["b"]
+
+
+    @pytest.mark.parametrize(
+        "variants, settings, expected",
+        [
+            # was an AttributeError traceback
+            ({"full": {}, "x": 5}, {}, "ablation variant 'x' must be an object of overrides, got number"),
+            # was a KeyError traceback, after the first variant had run
+            (
+                {"full": {}, "no-tower": {"eval": {"models": ["popularity"]}}},
+                {},
+                "ablation variant 'no-tower': eval.models must include 'two_tower_hgnn'",
+            ),
+            (None, {"models": ["popularity"]}, "ablation variant 'full': eval.models must include"),
+            ({"full": {}, "typo": {"grpah": {}}}, {}, "bad override section 'grpah'"),
+        ],
+    )
+    def test_bad_variant_refused_before_any_runs(self, tmp_path, capsys, variants, settings, expected):
+        config = tiny_config()
+        out = tmp_path / "run"
+        run_stage("synth", config, out)
+        cfg = config.to_dict()
+        cfg["eval"].update(settings)
+        if variants is not None:
+            manifest_path = tmp_path / "variants.json"
+            io.write_json(variants, manifest_path)
+            cfg["eval"]["ablation_manifest"] = str(manifest_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        before = tree_bytes(out)
+        error = cli_error(["ablate", "--config", str(cfg_path), "--out", str(out)], capsys)
+        assert expected in error
+        assert tree_bytes(out) == before
+        assert not (out / "ablations").exists()
 
 
 class TestCli:
@@ -1123,6 +1174,64 @@ class TestCli:
         assert f"two_tower.{field} must be" in error
         assert (run / "tower_params.bin").read_bytes() == params_before
 
+    @pytest.mark.parametrize(
+        "stage, section, field, value",
+        [
+            ("evaluate", "eval", "k", -1),  # was exit 0, warm HR@k 0.947 from `[:-1]`
+            ("evaluate", "eval", "k", 0),  # was exit 0, HR@k 0.0
+            ("evaluate", "eval", "max_rank", 0),  # was exit 0, HR, MRR and coverage 0
+            ("evaluate", "eval", "max_rank", 5),
+            ("probe", "eval", "probe_pairs", 0),  # was a traceback: a NaN mean is not JSON
+            ("train-hgnn", "eval", "models", ["two_tower_hgnn", "popular"]),  # was refused by evaluate only
+            ("evaluate", "eval", "models", []),
+            ("synth", "synth", "n_users", 0),
+            ("synth", "synth", "n_podcasts", 0),
+            ("synth", "synth", "n_audiobooks", 0),
+            ("synth", "synth", "n_clusters", 0),  # was numpy's "high <= 0", no field named
+            ("synth", "synth", "n_clusters", 81),
+            ("synth", "synth", "d_c", 0),
+            ("synth", "synth", "days", 0),  # was numpy's "high <= 0", no field named
+            ("synth", "synth", "n_cold_items", -1),  # was quietly no cold items
+            ("synth", "synth", "n_cold_items", 81),
+            ("synth", "synth", "podcast_stream_rate", -0.1),
+            ("synth", "synth", "audiobook_stream_rate", -0.1),
+            ("synth", "synth", "cluster_affinity", -1.0),
+            ("synth", "synth", "content_noise", -0.5),
+            ("synth", "synth", "weak_extra_count", -1.0),
+            ("synth", "synth", "abandoned_rate", -1.0),
+            ("synth", "synth", "abandoned_extra_count", -1.0),
+            ("synth", "synth", "weak_signal_prob", 2.0),  # was quietly taken as 1
+            ("synth", "synth", "weak_signal_prob", -0.1),
+            ("synth", "synth", "languages", []),
+            ("synth", "synth", "genres", []),
+        ],
+    )
+    def test_out_of_range_setting_is_one_json_line(
+        self, tmp_path, capsys, stage, section, field, value
+    ):
+        cfg = PipelineConfig().to_dict()
+        cfg["seed"] = 7
+        cfg[section][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert f"{section}.{field} must be" in error
+        assert not run.exists()
+
+    def test_empty_graph_relations_refused_before_any_write(self, pipeline_run, tmp_path, capsys):
+        # was an empty graph from build-graph, then a StopIteration traceback in train-hgnn
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["graph"]["relations"] = []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        before = tree_bytes(run)
+        error = cli_error(["build-graph", "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert "relations must name one or more of ['aa', 'ap', 'pp']" in error
+        assert tree_bytes(run) == before
+
     def test_shipped_configs_pass_the_config_rules(self):
         from audiorec.benchmark import ORDERING_SETTINGS, TOWER_VARIANTS
         from test_acceptance import TINY_CONFIG
@@ -1135,6 +1244,9 @@ class TestCli:
             ordering.with_overrides(variant)
         for variant in ABLATION_VARIANTS.values():
             tiny_config().with_overrides(variant)
+        workloads = load_script(ROOT / "perfbench" / "workloads.py")
+        for workload in workloads.WORKLOADS.values():
+            PipelineConfig().with_overrides(workload.overrides)
 
     @pytest.mark.parametrize(
         "section, field, value",
