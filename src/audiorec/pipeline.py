@@ -5,6 +5,7 @@ from (config, seed)."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -704,10 +705,21 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     return files, digests
 
 
+# glibc's malloc_trim, where the C library has one. glibc keeps freed heap
+# memory for reuse and trims it only from the top of the heap, so how much of
+# a stage's numpy scratch stays resident after it depends on the order of
+# earlier allocations; the next stage's peak would sit on top of that.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     """Run one stage on current inputs and, once it has succeeded, echo the
-    resolved config for provenance and record the stage's input and output
-    hashes in `manifests/<stage>.json`."""
+    resolved config for provenance, record the stage's input and output
+    hashes in `manifests/<stage>.json`, and hand the memory the stage freed
+    back to the operating system."""
     spec = STAGES.get(stage)
     if spec is None:
         raise PipelineError(f"unknown stage {stage!r}")
@@ -730,6 +742,8 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     }
     (out_dir / "manifests").mkdir(exist_ok=True)
     io.write_json(manifest, out_dir / "manifests" / f"{stage}.json")
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     return result
 
 

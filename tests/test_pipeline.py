@@ -188,6 +188,17 @@ class TestStages:
         with pytest.raises(PipelineError, match="split"):
             run_stage("build-graph", config, tmp_path)
 
+    def test_only_a_stage_that_wrote_its_outputs_trims_the_heap(self, pipeline_run, tmp_path, monkeypatch):
+        config, out = pipeline_run
+        calls = []
+        monkeypatch.setattr(pipeline, "_malloc_trim", calls.append)
+        run_stage("synth", config, tmp_path)
+        assert calls == [0]
+        with pytest.raises(PipelineError, match="split"):
+            run_stage("build-graph", config, tmp_path)
+        run_stage("recommend", config, out, user="u0000", k=5)  # a query writes nothing
+        assert calls == [0]
+
     def test_synth_requires_seed(self, tmp_path):
         config = tiny_config()
         config.seed = None
