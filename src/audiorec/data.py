@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -138,39 +137,6 @@ def parse_interactions(path) -> ParsedInteractions:
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
     return ParsedInteractions(records, diagnostics)
-
-
-def parse_user_history(path, user_id: str, expected_sha256: str) -> list[InteractionRecord]:
-    """The valid records of one user, in file order, from a file written by
-    `save_interactions`: equal to filtering `parse_interactions(path)` by user.
-
-    Only lines holding the user's canonical key text (`"user_id":` followed
-    by the JSON-encoded id, as `canonical_json` writes it) are decoded. That
-    scan is exact only for the bytes `save_interactions` wrote, so the file
-    must hash to `expected_sha256`, recorded when it was written; otherwise
-    this raises ValueError naming the path.
-    """
-    from .io import sha256_bytes
-
-    data = Path(path).read_bytes()
-    digest = sha256_bytes(data)
-    if digest != expected_sha256:
-        raise ValueError(
-            f"{path}: sha256 {digest} does not match the recorded {expected_sha256}"
-        )
-    needle = ('"user_id":' + json.dumps(user_id)).encode("ascii")
-    records: list[InteractionRecord] = []
-    pos = data.find(needle)
-    while pos != -1:
-        start = data.rfind(b"\n", 0, pos) + 1
-        end = data.find(b"\n", pos)
-        if end == -1:
-            end = len(data)
-        parsed = _parse_line(data[start:end].decode("utf-8").strip())
-        if isinstance(parsed, InteractionRecord) and parsed.user_id == user_id:
-            records.append(parsed)
-        pos = data.find(needle, end)
-    return records
 
 
 def save_interactions(records: Iterable[InteractionRecord], path) -> None:

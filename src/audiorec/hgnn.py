@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -829,36 +828,19 @@ class NodeEmbeddingTable:
         )
 
     @classmethod
-    def load(cls, path, items: Iterable[str] | None = None) -> "NodeEmbeddingTable":
-        """The table `save` wrote. With `items`, it holds only the rows of
-        those of `items` the file lists, in file order, and no other row is
-        read; the checks still cover the file's whole id lists and the
-        header's shapes, so a damaged file is refused either way."""
-        rows = None
-
-        def check(meta, shapes) -> dict:
-            nonlocal rows
-            item_ids, node_types = meta_values(
-                path, meta, item_ids=tuple[str, ...], node_types=tuple[str, ...]
-            )
-            if not item_ids:
-                raise ValueError(f"{path}: empty embedding table")
-            check_rows(path, shapes["matrix"], item_ids=item_ids, node_types=node_types)
-            for name in ("inductive", "fallback"):
-                if shapes[name] != (len(item_ids),):
-                    raise ValueError(
-                        f"{path}: {name} has shape {list(shapes[name])} for {len(item_ids)} matrix rows"
-                    )
-            if items is None:
-                return {}
-            wanted = set(items)
-            rows = [row for row, item_id in enumerate(item_ids) if item_id in wanted]
-            return dict.fromkeys(("matrix", "inductive", "fallback"), rows)
-
-        meta, arrays = read_pack(path, "embeddings", check)
-        item_ids, node_types = meta["item_ids"], meta["node_types"]
-        if rows is not None:
-            item_ids, node_types = [item_ids[r] for r in rows], [node_types[r] for r in rows]
+    def load(cls, path) -> "NodeEmbeddingTable":
+        meta, arrays = read_pack(path, "embeddings")
+        item_ids, node_types = meta_values(
+            path, meta, item_ids=tuple[str, ...], node_types=tuple[str, ...]
+        )
+        if not item_ids:
+            raise ValueError(f"{path}: empty embedding table")
+        check_rows(path, arrays.shapes["matrix"], item_ids=item_ids, node_types=node_types)
+        for name in ("inductive", "fallback"):
+            if arrays.shapes[name] != (len(item_ids),):
+                raise ValueError(
+                    f"{path}: {name} has shape {list(arrays.shapes[name])} for {len(item_ids)} matrix rows"
+                )
         return cls(item_ids, node_types, arrays["matrix"], arrays["inductive"], arrays["fallback"])
 
 

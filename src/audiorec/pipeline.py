@@ -18,10 +18,8 @@ from . import io
 from .analysis import PAIRINGS, pair_similarity_probe, weak_signal_analysis
 from .data import (
     DatasetSplit,
-    InteractionRecord,
     parse_catalog,
     parse_interactions,
-    parse_user_history,
     save_catalog,
     save_interactions,
     text_field,
@@ -38,7 +36,7 @@ from .hgnn import (
     embed_catalog,
     train_hgnn,
 )
-from .index import build_index, load_index, save_index
+from .index import build_index, load_index, query_topk, save_index
 from .recommenders import (
     PopularityRecommender,
     TwoTowerRecommender,
@@ -49,10 +47,14 @@ from .synth import SynthConfig, synth_generate
 from .two_tower import (
     TowerParams,
     TwoTowerConfig,
+    UserHistoryTable,
     build_feature_set,
     build_training_pairs,
     export_item_vectors,
     train_two_tower,
+    user_features,
+    user_histories,
+    user_tower_forward,
 )
 
 
@@ -192,6 +194,7 @@ ARTIFACTS = {
     "hgnn_log": "hgnn_train_log.jsonl",
     "embeddings": "embeddings.bin",
     "tower_params": "tower_params.bin",
+    "user_features": "user_features.bin",
     "tower_log": "two_tower_train_log.jsonl",
     "index": "rec_index.bin",
     "evaluation": "evaluation.json",
@@ -364,13 +367,14 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
     pairs = build_training_pairs(train, cfg.target_type, cfg.window_days, as_of=split_time)
     if not pairs:
         raise PipelineError("no training pairs: no target-type streams in the train window")
+    # every train user's history, for serving; the pairs' users train on theirs
+    histories = user_histories({r.user_id for r in train}, train, table, cfg, as_of=split_time)
+    UserHistoryTable.build(histories).save(files["user_features"])
     features = build_feature_set(
-        {u for u, _ in pairs},
-        train,
+        {u: histories[u] for u, _ in pairs},
         catalog,
         table,
         cfg,
-        as_of=split_time,
         music_vectors=_load_music_vectors(files.get("music_vectors")),
         demographics=_load_demographics(files.get("demographics")),
     )
@@ -387,42 +391,50 @@ def stage_build_index(config: PipelineConfig, files: Files) -> None:
 
 
 def _two_tower_recommender(
-    files: Files,
-    train: list[InteractionRecord],
-    table: NodeEmbeddingTable,
-    split_time: int,
+    files: Files, split: DatasetSplit, table: NodeEmbeddingTable
 ) -> TwoTowerRecommender:
-    """The served model; `train` holds every record of the users it will
-    serve, and `table` at least the rows of the items in it. Serving runs the
-    user tower alone, so the item tower's weights are not read."""
+    """The served model, for `evaluate`. Serving runs the user tower alone,
+    so the item tower's weights are not read."""
     return TwoTowerRecommender(
         TowerParams.load(files["tower_params"], towers=("user",)),
         load_index(files["index"]),
-        train,
+        split.train,
         table,
-        as_of=split_time,
+        as_of=split.split_time,
         music_vectors=_load_music_vectors(files.get("music_vectors")),
         demographics=_load_demographics(files.get("demographics")),
     )
 
 
 def stage_recommend(
-    config: PipelineConfig, files: Files, recorded: dict[str, str], user: str, k: int = 10
+    config: PipelineConfig, files: Files, user: str, k: int = 10
 ) -> list[tuple[str, float]]:
-    """Serve one user from the user tower, the index, the embedding rows of
-    the items in that user's own `train.jsonl` lines, and the split time. The
-    train file must hash to the digest the split stage `recorded` for it."""
-    history = parse_user_history(files["train"], user, recorded[files["train"].name])
-    table = NodeEmbeddingTable.load(files["embeddings"], items={r.item_id for r in history})
-    recommender = _two_tower_recommender(files, history, table, _split_time(files))
-    return recommender.recommend_scored(user, k)
+    """Serve one user from the user tower, the index and the user's row of
+    `user_features.bin`, which `train-2t` built with the builder training
+    used; the profile part of the tower input comes from the `paths.*`
+    files through the same code. No interaction file is read."""
+    params = TowerParams.load(files["tower_params"], towers=("user",))
+    histories = UserHistoryTable.load(files["user_features"], user=user)
+    if histories.dim != params.dims["d_embed"]:
+        raise ValueError(
+            f"{files['user_features']}: rows of {histories.dim} embedding entries "
+            f"for a user tower that reads {params.dims['d_embed']}"
+        )
+    feats = user_features(
+        user,
+        histories.get(user),
+        params.config,
+        music_vector=_load_music_vectors(files.get("music_vectors")).get(user),
+        demographics=_load_demographics(files.get("demographics")),
+    )
+    return query_topk(load_index(files["index"]), user_tower_forward(params, feats), k)
 
 
 # Each `eval.models` name, with how `evaluate` builds its recommender from the
 # run's files, split, catalog, embedding table and two-tower settings.
 MODELS: dict[str, Callable] = {
     "two_tower_hgnn": lambda files, split, catalog, table, tower: _two_tower_recommender(
-        files, split.train, table, split.split_time
+        files, split, table
     ),
     "popularity": lambda files, split, catalog, table, tower: PopularityRecommender(
         split.train, catalog, tower.target_type, tower.window_days, split.split_time
@@ -589,7 +601,7 @@ STAGES = {
         stage_train_2t,
         ("train", "split_meta", "catalog", "embeddings"),
         _USER_FILES,
-        outputs=("tower_params",),
+        outputs=("tower_params", "user_features"),
         logs=("tower_log",),
     ),
     "build-index": Stage(
@@ -601,11 +613,7 @@ STAGES = {
         _USER_FILES,
         outputs=("evaluation", "evaluation_csv"),
     ),
-    "recommend": Stage(
-        stage_recommend,
-        ("train", "split_meta", "embeddings", "tower_params", "index"),
-        _USER_FILES,
-    ),
+    "recommend": Stage(stage_recommend, ("user_features", "tower_params", "index"), _USER_FILES),
     "ablate": Stage(
         stage_ablate,
         ("interactions", "catalog"),
@@ -639,9 +647,9 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     entry of its producer's manifest, and every input that manifest records
     must equal the `outputs` entry of its own producer's manifest, and so on
     up the chain; that part compares manifests only, each read once. A query
-    (no outputs) hashes nothing here: `recommend` checks the one file it
-    reads whole itself. Returns the files by key and each input's sha256 by
-    file name.
+    (no outputs) hashes nothing: its containers are checked from their
+    headers as they load. Returns the files by key and each input's sha256
+    by file name.
     """
     hashed = bool(spec.outputs)
     manifest_dir = out_dir / "manifests"
@@ -727,7 +735,7 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     out_dir.mkdir(parents=True, exist_ok=True)
     files, digests = _current_inputs(spec, config, out_dir)
     if not spec.outputs:
-        return spec.run(config, files, digests, **kwargs)
+        return spec.run(config, files, **kwargs)
     files.update((key, out_dir / ARTIFACTS[key]) for key in spec.outputs + spec.logs)
     result = spec.run(config, files)
     io.write_json(config.to_dict(), out_dir / "resolved_config.json")

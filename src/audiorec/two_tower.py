@@ -8,6 +8,8 @@ then L2-normalizes. Gradients are closed-form reverse mode.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -16,7 +18,15 @@ import numpy as np
 
 from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
 from .hgnn import NodeEmbeddingTable
-from .io import PackEntries, check_rules, config_from_meta, meta_values, read_pack, write_pack
+from .io import (
+    PackEntries,
+    check_rows,
+    check_rules,
+    config_from_meta,
+    meta_values,
+    read_pack,
+    write_pack,
+)
 from .optim import (
     Adam,
     Layout,
@@ -73,6 +83,16 @@ class UserFeatures:
 
 
 @dataclass
+class UserHistory:
+    """The part of a user's tower input that their interaction history
+    fixes; demographics and the music vector make up the rest."""
+
+    mean_audiobook_embedding: np.ndarray
+    mean_podcast_embedding: np.ndarray
+    interaction_counts: dict[str, int]
+
+
+@dataclass
 class ItemFeatures:
     language: str
     genre: str
@@ -103,18 +123,16 @@ class Vocab:
         return sorted(self._index)
 
 
-def assemble_user_features(
+def user_history(
     user_id: str,
     records: list[InteractionRecord],
     embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
     *,
     as_of: int | None = None,
-    music_vector: np.ndarray | None = None,
-    demographics: dict[str, tuple[str, str]] | None = None,
-) -> UserFeatures:
-    """Build one user's tower input from their interaction history, for
-    training and serving alike.
+) -> UserHistory:
+    """The part of one user's tower input that their interaction history
+    fixes, for training and serving alike.
 
     Mean audiobook embeddings cover every signal type inside the
     `config.window_days` window (or streams only without
@@ -144,6 +162,21 @@ def assemble_user_features(
         pod_mean = _mean_embedding(pod_items, embeddings)
     else:
         ab_mean, pod_mean = np.zeros(embeddings.dim), np.zeros(embeddings.dim)
+    return UserHistory(ab_mean, pod_mean, counts)
+
+
+def user_features(
+    user_id: str,
+    history: UserHistory,
+    config: TwoTowerConfig,
+    *,
+    music_vector: np.ndarray | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
+) -> UserFeatures:
+    """One user's tower input: `history` plus the profile part. A user
+    without demographics gets the out-of-vocabulary token for both, and one
+    without a music vector a zero vector; a music vector must have
+    `config.music_dim` entries."""
     country, age_bucket = (demographics or {}).get(user_id, (OOV_TOKEN, OOV_TOKEN))
     if music_vector is not None:
         music_vector = np.asarray(music_vector, dtype=np.float64)
@@ -156,9 +189,27 @@ def assemble_user_features(
         country=country,
         age_bucket=age_bucket,
         music_vector=np.zeros(config.music_dim) if music_vector is None else music_vector,
-        mean_audiobook_embedding=ab_mean,
-        mean_podcast_embedding=pod_mean,
-        interaction_counts=counts,
+        mean_audiobook_embedding=history.mean_audiobook_embedding,
+        mean_podcast_embedding=history.mean_podcast_embedding,
+        interaction_counts=history.interaction_counts,
+    )
+
+
+def assemble_user_features(
+    user_id: str,
+    records: list[InteractionRecord],
+    embeddings: NodeEmbeddingTable,
+    config: TwoTowerConfig,
+    *,
+    as_of: int | None = None,
+    music_vector: np.ndarray | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
+) -> UserFeatures:
+    """Build one user's tower input from their interaction history and
+    profile: `user_history`, then `user_features`."""
+    history = user_history(user_id, records, embeddings, config, as_of=as_of)
+    return user_features(
+        user_id, history, config, music_vector=music_vector, demographics=demographics
     )
 
 
@@ -174,12 +225,115 @@ def records_by_user(
     train_records: list[InteractionRecord], window_start: int, as_of: int
 ) -> dict[str, list[InteractionRecord]]:
     """Each user's records with `window_start <= timestamp < as_of`, in log order:
-    what `assemble_user_features` reads of a user's history."""
+    what `user_history` reads of a user's history."""
     per_user: dict[str, list[InteractionRecord]] = {}
     for r in train_records:
         if window_start <= r.timestamp < as_of:
             per_user.setdefault(r.user_id, []).append(r)
     return per_user
+
+
+def user_histories(
+    user_ids,
+    train_records: list[InteractionRecord],
+    embeddings: NodeEmbeddingTable,
+    config: TwoTowerConfig,
+    as_of: int | None = None,
+) -> dict[str, UserHistory]:
+    """The `user_history` of each of `user_ids`, by id in id order, each
+    built from that user's own window records."""
+    window_start, as_of = feature_window(train_records, config.window_days, as_of)
+    history = records_by_user(train_records, window_start, as_of)
+    return {
+        u: user_history(u, history.get(u, []), embeddings, config, as_of=as_of)
+        for u in sorted(set(user_ids))
+    }
+
+
+_HISTORY_ARRAYS = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
+
+
+@dataclass
+class UserHistoryTable:
+    """One `UserHistory` row per user, ids rising strictly and counts in
+    `SIGNALS` order: what `train-2t` writes to `user_features.bin` for every
+    user in `train.jsonl`, so that serving builds no history."""
+
+    user_ids: list[str]
+    mean_audiobook_embedding: np.ndarray
+    mean_podcast_embedding: np.ndarray
+    interaction_counts: np.ndarray
+
+    @classmethod
+    def build(cls, histories: dict[str, UserHistory]) -> "UserHistoryTable":
+        """The rows of `histories`, which hold at least one user."""
+        ids = sorted(histories)
+        rows = [histories[u] for u in ids]
+        return cls(
+            ids,
+            np.array([h.mean_audiobook_embedding for h in rows], np.float64),
+            np.array([h.mean_podcast_embedding for h in rows], np.float64),
+            np.array([[h.interaction_counts[s] for s in SIGNALS] for h in rows], np.int64),
+        )
+
+    @property
+    def dim(self) -> int:
+        return int(self.mean_audiobook_embedding.shape[1])
+
+    def get(self, user_id: str) -> UserHistory:
+        """The user's row; an id the table lacks gets the zero history of a
+        user without window records."""
+        row = bisect.bisect_left(self.user_ids, user_id)
+        if row == len(self.user_ids) or self.user_ids[row] != user_id:
+            return UserHistory(np.zeros(self.dim), np.zeros(self.dim), dict.fromkeys(SIGNALS, 0))
+        return UserHistory(
+            self.mean_audiobook_embedding[row],
+            self.mean_podcast_embedding[row],
+            dict(zip(SIGNALS, self.interaction_counts[row].tolist())),
+        )
+
+    def save(self, path) -> None:
+        """Packed container: ids and the signal order in the header; the
+        float64 means and int64 counts as arrays."""
+        meta = {"kind": "user_features", "user_ids": self.user_ids, "signals": list(SIGNALS)}
+        write_pack(path, meta, {name: getattr(self, name) for name in _HISTORY_ARRAYS})
+
+    @classmethod
+    def load(cls, path, user: str | None = None) -> "UserHistoryTable":
+        """The table `save` wrote. With `user`, it holds only that user's
+        row, found by bisecting the ids, or none for an id the file lacks,
+        and no other row is read. Either way the whole header is checked:
+        every array holds one row per id, the ids rise strictly (bisection
+        would silently pick a wrong row otherwise), and the signal order is
+        `SIGNALS`."""
+        rows = None
+
+        def check(meta, shapes) -> dict:
+            nonlocal rows
+            user_ids, signals = meta_values(
+                path, meta, user_ids=tuple[str, ...], signals=tuple[str, ...]
+            )
+            means = shapes["mean_audiobook_embedding"]
+            check_rows(path, means, user_ids=user_ids)
+            counts = (means[0], len(SIGNALS))
+            for name, shape in (("mean_podcast_embedding", means), ("interaction_counts", counts)):
+                if shapes[name] != shape:
+                    raise ValueError(f"{path}: {name} has shape {list(shapes[name])}, not {list(shape)}")
+            if not all(map(operator.lt, user_ids, user_ids[1:])):
+                raise ValueError(f"{path}: user_ids do not rise strictly")
+            if signals != list(SIGNALS):
+                raise ValueError(
+                    f"{path}: meta 'signals' {signals} is not the signal order {list(SIGNALS)}"
+                )
+            if user is None:
+                return {}
+            row = bisect.bisect_left(user_ids, user)
+            rows = [row] if row < len(user_ids) and user_ids[row] == user else []
+            return dict.fromkeys(_HISTORY_ARRAYS, rows)
+
+        meta, arrays = read_pack(path, "user_features", check)
+        user_ids = meta["user_ids"] if rows is None else [meta["user_ids"][r] for r in rows]
+        return cls(user_ids, *(arrays[name] for name in _HISTORY_ARRAYS))
 
 
 def assemble_item_features(
@@ -431,30 +585,25 @@ def _batch_loss_and_douts(
 
 
 def build_feature_set(
-    user_ids,
-    train_records: list[InteractionRecord],
+    histories: dict[str, UserHistory],
     catalog: dict[str, CatalogItem],
     embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
-    as_of: int | None = None,
     music_vectors: dict[str, np.ndarray] | None = None,
     demographics: dict[str, tuple[str, str]] | None = None,
 ) -> FeatureSet:
-    """The tower inputs of `user_ids` (in id order) and of the target-type
-    catalog, from the same builders serving and index export call."""
-    window_start, as_of = feature_window(train_records, config.window_days, as_of)
-    history = records_by_user(train_records, window_start, as_of)
+    """The tower inputs of the users in `histories` (in id order), each its
+    history plus its profile, and of the target-type catalog, from the same
+    builders serving and index export call."""
     users = {
-        u: assemble_user_features(
+        u: user_features(
             u,
-            history.get(u, []),
-            embeddings,
+            histories[u],
             config,
-            as_of=as_of,
             music_vector=(music_vectors or {}).get(u),
             demographics=demographics,
         )
-        for u in sorted(set(user_ids))
+        for u in sorted(histories)
     }
     return FeatureSet(users=users, items=assemble_item_features(catalog, embeddings, config))
 

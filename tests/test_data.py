@@ -2,23 +2,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiorec.data import (
     DAY_SECONDS,
-    SIGNALS,
     InteractionRecord,
     feature_window,
     parse_catalog,
     parse_interactions,
-    parse_user_history,
     save_interactions,
     timeline_split,
     truncate_history,
     user_segments,
 )
-from audiorec.io import canonical_json, sha256_file
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
 
 from conftest import make_catalog, stream
@@ -74,68 +71,6 @@ class TestParseInteractions:
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
             parse_interactions(tmp_path / "missing.jsonl")
-
-
-# ids that are prefixes of each other, non-ASCII, or hold quotes and backslashes
-USER_IDS = ["u1", "u10", "u", "ü", "用户", 'say "hi"', "back\\slash", '\\"', "u1 "]
-
-records_st = st.builds(
-    InteractionRecord,
-    user_id=st.sampled_from(USER_IDS),
-    item_id=st.sampled_from(["a1", "p1"] + USER_IDS),  # an item named like another user
-    item_type=st.sampled_from(["audiobook", "podcast", "video"]),
-    signal=st.sampled_from(list(SIGNALS) + ["purchase"]),
-    timestamp=st.integers(min_value=-2, max_value=5),
-)
-
-
-def _damaged_line(rec: InteractionRecord) -> str:
-    """A line holding `rec`'s canonical user key that parse_interactions skips
-    or reads as another user."""
-    text = canonical_json(
-        {"item_id": rec.item_id, "item_type": "audiobook", "signal": "stream",
-         "timestamp": 0, "user_id": rec.user_id}
-    )
-    return text[:-1]  # cut JSON
-
-
-class TestParseUserHistory:
-    @given(
-        records=st.lists(records_st, max_size=30),
-        extra=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from(["blank", "cut", "dup", "array"]),
-                      records_st),
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_equals_filtered_full_parse(self, tmp_path, records, extra):
-        p = tmp_path / "train.jsonl"
-        save_interactions(records, p)
-        lines = p.read_text(encoding="utf-8").splitlines()
-        for at, kind, rec in extra:
-            if kind == "blank":
-                line = "   "
-            elif kind == "cut":
-                line = _damaged_line(rec)
-            elif kind == "dup":  # duplicate key: json keeps the last user_id
-                line = _damaged_line(rec) + ',"user_id":"u10"}'
-            else:
-                line = "[" + canonical_json({"user_id": rec.user_id}) + "]"
-            lines.insert(at, line)
-        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        full = parse_interactions(p).records
-        digest = sha256_file(p)
-        for user in USER_IDS + ["nobody"]:
-            assert parse_user_history(p, user, digest) == [r for r in full if r.user_id == user]
-
-    def test_changed_bytes_rejected_naming_the_file(self, tmp_path):
-        p = tmp_path / "train.jsonl"
-        save_interactions([InteractionRecord("u1", "a1", "audiobook", "stream", 3)], p)
-        digest = sha256_file(p)
-        p.write_text(rec_line(t=3) + "\n", encoding="utf-8")  # same record, other separators
-        with pytest.raises(ValueError, match="train.jsonl"):
-            parse_user_history(p, "u1", digest)
 
 
 def cat_line(item="a1", item_type="audiobook", vec=(1.0, 0.0, 0.0, 0.0), lang="en", genre="g0"):

@@ -32,10 +32,12 @@ from audiorec.pipeline import (
 from audiorec.recommenders import TwoTowerRecommender
 from audiorec.two_tower import (
     TowerParams,
+    UserHistoryTable,
     _item_inputs,
     _user_inputs,
     assemble_user_features,
     build_feature_set,
+    user_histories,
     user_tower_forward,
 )
 
@@ -253,29 +255,51 @@ class TestStages:
         cold = run_stage("recommend", config, out, user="nobody-at-all", k=3)
         assert len(cold) == 3
 
-    def test_recommend_matches_full_history_recommender(self, pipeline_run):
+    @pytest.mark.parametrize(
+        "tower",
+        [{}, {"use_weak_signals": False}, {"use_hgnn_features": False}, {"target_type": "podcast"}],
+        ids=["default", "no-weak-signals", "no-hgnn-features", "podcast-target"],
+    )
+    def test_recommend_matches_full_history_recommender(self, pipeline_run, tmp_path, tower):
         config, out = pipeline_run
+        if tower:  # these settings are first read by train-2t, so its inputs stay current
+            config = config.with_overrides({"two_tower": tower})
+            out = shutil.copytree(out, tmp_path / "run")
+            for stage in ("train-2t", "build-index"):
+                run_stage(stage, config, out)
         train = parse_interactions(out / "train.jsonl").records
         params = TowerParams.load(out / "tower_params.bin")
+        assert params.config == config.two_tower
         table = NodeEmbeddingTable.load(out / "embeddings.bin")
         split_time = io.read_json(out / "split_meta.json")["split_time"]
         index = load_index(out / "rec_index.bin")
         catalog = parse_catalog(out / "catalog.jsonl")
         full = TwoTowerRecommender(params, index, train, table, as_of=split_time)
-        users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
-        # serving and training build a user's row with the same builder
-        packed = build_feature_set(users, train, catalog, table, params.config, as_of=split_time)
+        train_users = sorted({r.user_id for r in train})
+        # unseen ids sort before, between and after the train users'
+        users = train_users + ["a", "u0000x", "zzz", 'odd "id" \u00e9']
+        # serving and training build a user's row with the same builders
+        histories = user_histories(users, train, table, params.config, as_of=split_time)
+        packed = build_feature_set(histories, catalog, table, params.config)
+        stored = UserHistoryTable.load(out / "user_features.bin")
+        assert stored.user_ids == train_users
         for user in users:
             assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
             served = full.user_vector(user)
             assert np.array_equal(served, user_tower_forward(params, packed.users[user]))
+            row, built = stored.get(user), histories[user]
+            assert row.interaction_counts == built.interaction_counts
+            assert np.array_equal(row.mean_audiobook_embedding, built.mean_audiobook_embedding)
+            assert np.array_equal(row.mean_podcast_embedding, built.mean_podcast_embedding)
             # the recommender's per-user grouping reads what a scan of every record reads
             feats = assemble_user_features(user, train, table, params.config, as_of=split_time)
             assert np.array_equal(served, user_tower_forward(params, feats))
 
         # without graph features both towers see exactly 0.0 in every embedding column
         off = dataclasses.replace(params.config, use_hgnn_features=False)
-        zeroed = build_feature_set(users, train, catalog, table, off, as_of=split_time)
+        zeroed = build_feature_set(
+            user_histories(users, train, table, off, as_of=split_time), catalog, table, off
+        )
         _, u_dense = _user_inputs(params, list(zeroed.users.values()))
         _, i_dense = _item_inputs(params, list(zeroed.items.values()))
         music, d_c, d = off.music_dim, params.dims["d_c"], table.dim
@@ -360,6 +384,7 @@ BINARY_ARTIFACTS = {
     "rec_index.bin": load_index,
     "hgnn_params.bin": HgnnParams.load,
     "tower_params.bin": TowerParams.load,
+    "user_features.bin": UserHistoryTable.load,
 }
 
 
@@ -493,6 +518,13 @@ RECOMMEND_CONTAINERS = sorted(
 
 
 class TestDamagedArtifacts:
+    def test_every_container_is_damage_tested(self):
+        containers = {name for name in pipeline.ARTIFACTS.values() if name.endswith(".bin")}
+        assert containers == set(BINARY_ARTIFACTS)
+        spec = pipeline.STAGES["recommend"]
+        served = {pipeline.ARTIFACTS.get(key, "") for key in spec.inputs + spec.optional}
+        assert {name for name in served if name.endswith(".bin")} == set(RECOMMEND_CONTAINERS)
+
     @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
     @pytest.mark.parametrize(
         "damage",
@@ -616,6 +648,28 @@ class TestDamagedArtifacts:
         with pytest.raises(ValueError, match=f"tower_params.bin: .*{re.escape(expected)}"):
             TowerParams.load(path)
 
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda meta: meta["user_ids"].reverse(), "user_ids do not rise strictly"),
+            (lambda meta: meta["user_ids"].__setitem__(1, meta["user_ids"][0]), "user_ids do not rise strictly"),
+            (lambda meta: meta["signals"].reverse(), "is not the signal order"),
+            (lambda meta: meta["signals"].append("share"), "is not the signal order"),
+            (lambda meta: meta["user_ids"].pop(), "user_ids has"),
+            (lambda meta: meta["user_ids"].append("zzz"), "user_ids has"),
+        ],
+        ids=["ids-falling", "id-repeated", "signals-reordered", "signal-added", "id-missing", "id-added"],
+    )
+    def test_user_features_header_that_does_not_fit_its_rows(self, pipeline_run, tmp_path, edit, expected):
+        _, out = pipeline_run
+        header, payload = split_container((out / "user_features.bin").read_bytes())
+        edit(header["meta"])
+        path = tmp_path / "user_features.bin"
+        path.write_bytes(join_container(header, payload))
+        for user in (None, "u0001", "nobody"):
+            with pytest.raises(ValueError, match=f"user_features.bin: .*{re.escape(expected)}"):
+                UserHistoryTable.load(path, user=user)
+
     def test_embeddings_loader_refuses_another_kind(self, pipeline_run, tmp_path):
         _, out = pipeline_run
         path = tmp_path / "embeddings.bin"
@@ -660,10 +714,10 @@ class TestSelectiveReads:
         "name, select",
         [
             ("tower_params.bin", lambda path: TowerParams.load(path, towers=("user",))),
-            ("embeddings.bin", lambda path: NodeEmbeddingTable.load(path, items=["a0001", "p0003", "x"])),
-            ("embeddings.bin", lambda path: NodeEmbeddingTable.load(path, items=[])),
+            ("user_features.bin", lambda path: UserHistoryTable.load(path, user="u0001")),
+            ("user_features.bin", lambda path: UserHistoryTable.load(path, user="nobody")),
         ],
-        ids=["user-tower", "embedding-rows", "no-embedding-rows"],
+        ids=["user-tower", "user-row", "no-user-row"],
     )
     @pytest.mark.parametrize(
         "how", [*HEADER_DAMAGE, *CHECKPOINT_DAMAGE, "header-cut", "payload-cut", "extended"]
@@ -681,19 +735,25 @@ class TestSelectiveReads:
         if how not in CHECKPOINT_DAMAGE:
             assert refused is not None and name in refused
 
-    def test_selected_embedding_rows_are_those_of_the_full_table(self, pipeline_run):
+    def test_selected_user_row_is_that_of_the_full_table(self, pipeline_run):
         _, out = pipeline_run
-        full = NodeEmbeddingTable.load(out / "embeddings.bin")
-        items = [full.item_ids[-1], "not-an-item", full.item_ids[3], full.item_ids[3]]
-        table = NodeEmbeddingTable.load(out / "embeddings.bin", items=items)
-        assert table.item_ids == [full.item_ids[3], full.item_ids[-1]]  # file order, once each
-        rows = [3, len(full.item_ids) - 1]
-        assert table.node_types == [full.node_types[r] for r in rows]
-        assert np.array_equal(table.matrix, full.matrix[rows])
-        assert np.array_equal(table.inductive, full.inductive[rows])
-        assert np.array_equal(table.fallback, full.fallback[rows])
-        empty = NodeEmbeddingTable.load(out / "embeddings.bin", items=[])
-        assert empty.matrix.shape == (0, full.dim) and empty.dim == full.dim
+        full = UserHistoryTable.load(out / "user_features.bin")
+        arrays = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
+        for row in (0, 3, len(full.user_ids) - 1):
+            user = full.user_ids[row]
+            table = UserHistoryTable.load(out / "user_features.bin", user=user)
+            assert table.user_ids == [user]
+            for name in arrays:
+                assert np.array_equal(getattr(table, name), getattr(full, name)[[row]])
+        # ids before the first, between two and after the last
+        for user in ("", full.user_ids[0] + "x", "zzz"):
+            table = UserHistoryTable.load(out / "user_features.bin", user=user)
+            assert table.user_ids == [] and table.dim == full.dim
+            for source in (table, full):
+                history = source.get(user)
+                assert history.interaction_counts == dict.fromkeys(data.SIGNALS, 0)
+                assert np.array_equal(history.mean_audiobook_embedding, np.zeros(full.dim))
+                assert np.array_equal(history.mean_podcast_embedding, np.zeros(full.dim))
 
     @pytest.mark.parametrize(
         "prefix, value, expected",
@@ -715,8 +775,8 @@ class TestSelectiveReads:
 
 
 class TestServedBytes:
-    """`rec recommend` reads the user tower and the embedding rows of the
-    user's history items, and no other payload byte of either file."""
+    """`rec recommend` reads the user tower and the user's row of
+    `user_features.bin`, and no other payload byte of either file."""
 
     @staticmethod
     def _nan_outside(run, name: str, keep) -> None:
@@ -742,18 +802,22 @@ class TestServedBytes:
         argv = ["recommend", "--config", str(cfg_path), "--user", user, "--out"]
         assert main([*argv, str(out)]) == 0
         served = capsys.readouterr().out
-        history = {r.item_id for r in parse_interactions(out / "train.jsonl").records if r.user_id == user}
-        assert bool(history) == (user == "u0001")
         run = shutil.copytree(out, tmp_path / "run")
 
         def user_tower(entry, header):
             return range(entry["shape"][0]) if entry["name"].startswith("user.") else ()
 
-        def history_rows(entry, header):
-            return [r for r, item_id in enumerate(header["meta"]["item_ids"]) if item_id in history]
+        def user_row(entry, header):
+            users = header["meta"]["user_ids"]
+            return [users.index(user)] if user in users else []
 
+        assert bool(user_row(None, split_container((out / "user_features.bin").read_bytes())[0])) == (
+            user == "u0001"
+        )
         self._nan_outside(run, "tower_params.bin", user_tower)
-        self._nan_outside(run, "embeddings.bin", history_rows)
+        self._nan_outside(run, "user_features.bin", user_row)
+        for name in ("train.jsonl", "holdout.jsonl", "split_meta.json", "embeddings.bin"):
+            (run / name).unlink()
         assert main([*argv, str(run)]) == 0
         assert capsys.readouterr().out == served
 
@@ -799,15 +863,15 @@ class TestServedBytes:
         code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
         monkeypatch.undo()
         assert code == 0, capsys.readouterr().err
+        assert set(delivered) == set(RECOMMEND_CONTAINERS)
         whole = (out / "tower_params.bin").read_bytes()
         header = split_container(whole)[0]
         user_tower = sum(_nbytes(e) for e in header["arrays"] if e["name"].startswith("user."))
         assert 0 < delivered["tower_params.bin"] <= header_length(whole) + user_tower < len(whole)
-        table = split_container((out / "embeddings.bin").read_bytes())[0]
-        history = {r.item_id for r in parse_interactions(out / "train.jsonl").records if r.user_id == "u0001"}
-        rows = sum(item_id in history for item_id in table["meta"]["item_ids"])
-        row = sum(_nbytes(e) for e in table["arrays"]) // len(table["meta"]["item_ids"])
-        assert delivered["embeddings.bin"] <= header_length((out / "embeddings.bin").read_bytes()) + rows * row
+        whole = (out / "user_features.bin").read_bytes()
+        header = split_container(whole)[0]
+        row = sum(_nbytes(e) for e in header["arrays"]) // len(header["meta"]["user_ids"])
+        assert delivered["user_features.bin"] == header_length(whole) + row
 
 
 class TestDeterminism:
@@ -1387,15 +1451,35 @@ class TestCli:
         assert payload["stage"] == "recommend"
         return payload["error"]
 
-    def test_recommend_on_changed_train_file_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+    def test_reformatted_train_file_changes_no_served_byte_and_stales_its_readers(
+        self, pipeline_run, tmp_path, capsys
+    ):
         config, out = pipeline_run
         run = shutil.copytree(out, tmp_path / "out")
+        argv = stage_argv("recommend", config, run, tmp_path)
+        assert main(argv) == 0
+        served = capsys.readouterr().out
+        assert served
         rows = io.read_jsonl(run / "train.jsonl")
         # the same records with ", " / ": " separators
         (run / "train.jsonl").write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), encoding="utf-8"
         )
-        assert "train.jsonl" in self._recommend_error(config, run, tmp_path, capsys)
+        assert main(argv) == 0  # recommend does not read train.jsonl
+        assert capsys.readouterr().out == served
+        for stage in ("build-graph", "train-2t", "evaluate"):
+            error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
+            assert "stale input 'train.jsonl'" in error and "rerun the 'split' stage" in error
+
+    def test_recommend_on_user_features_of_another_width_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "out")
+        table = UserHistoryTable.load(run / "user_features.bin")
+        table.mean_audiobook_embedding = table.mean_audiobook_embedding[:, 1:]
+        table.mean_podcast_embedding = table.mean_podcast_embedding[:, 1:]
+        table.save(run / "user_features.bin")
+        error = self._recommend_error(config, run, tmp_path, capsys)
+        assert "user_features.bin: rows of 11 embedding entries for a user tower that reads 12" in error
 
     def test_recommend_without_split_manifest_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
@@ -1454,10 +1538,9 @@ class TestCli:
         setattr(config.paths, field, str(path))
         assert expected in self._recommend_error(config, out, tmp_path, capsys)
 
-    def test_recommend_reads_no_holdout_and_no_full_parse(self, pipeline_run, tmp_path, capsys, monkeypatch):
+    def test_recommend_opens_its_containers_and_manifests_only(self, pipeline_run, tmp_path, capsys, monkeypatch):
         config, out = pipeline_run
-        cfg_path = tmp_path / "config.json"
-        io.write_json(config.to_dict(), cfg_path)
+        argv = stage_argv("recommend", config, out, tmp_path)
         opened = []
         real_open, real_path_open = builtins.open, pathlib.Path.open
 
@@ -1469,18 +1552,18 @@ class TestCli:
             opened.append(self.name)
             return real_path_open(self, *args, **kwargs)
 
-        def no_full_parse(path):
-            raise AssertionError(f"parse_interactions({path}) called")
+        def no_hash(*args):
+            raise AssertionError("recommend hashed a file")
 
         monkeypatch.setattr(builtins, "open", spy_open)
         monkeypatch.setattr(pathlib.Path, "open", spy_path_open)
-        monkeypatch.setattr(data, "parse_interactions", no_full_parse)
-        monkeypatch.setattr(pipeline, "parse_interactions", no_full_parse)
-        code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
+        monkeypatch.setattr(io.hashlib, "sha256", no_hash)
+        code = main(argv)
         monkeypatch.undo()
         assert code == 0, capsys.readouterr().err
-        assert "train.jsonl" in opened and "embeddings.bin" in opened
-        assert "holdout.jsonl" not in opened
+        manifests = {f"{stage}.json" for stage in pipeline.STAGES}
+        # no train.jsonl, holdout.jsonl, split_meta.json or embeddings.bin
+        assert set(opened) - manifests == {"config.json", *RECOMMEND_CONTAINERS}
 
     @pytest.mark.parametrize("stage", [s for s, spec in pipeline.STAGES.items() if spec.outputs])
     def test_manifest_lists_every_file_the_stage_reads(self, pipeline_run, tmp_path, monkeypatch, stage):
@@ -1547,6 +1630,9 @@ class TestCli:
             shutil.copytree(out, run)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(value))
+        # recommend writes nothing, so it may read the shared run
+        recommend = ["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"]
+        run_or_one_json_line(recommend, capsys)
         run_or_one_json_line(["split", "--config", str(cfg_path), "--out", str(run)], capsys)
 
     @settings(

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiorec import two_tower
-from audiorec.data import DAY_SECONDS, InteractionRecord
+from audiorec.data import DAY_SECONDS, SIGNALS, InteractionRecord
 from audiorec.hgnn import NodeEmbeddingTable
 from audiorec.two_tower import (
     OOV_TOKEN,
     TowerParams,
     TwoTowerConfig,
     UserFeatures,
+    UserHistoryTable,
     Vocab,
     _item_inputs,
     _tower_forward,
@@ -24,6 +25,7 @@ from audiorec.two_tower import (
     build_training_pairs,
     export_item_vectors,
     train_two_tower,
+    user_histories,
     user_tower_forward,
 )
 
@@ -110,6 +112,30 @@ class TestUserFeatures:
         table = toy_table({"a1": [1.0, 0.0]})
         with pytest.raises(ValueError, match="music vector"):
             assemble_user_features("u1", [], table, TwoTowerConfig(music_dim=3), music_vector=[0.1])
+
+
+class TestUserHistoryTable:
+    def test_saved_rows_load_back_and_unknown_ids_get_the_empty_history(self, tmp_path):
+        table = toy_table({"a1": [1.0, 0.0], "a2": [0.0, 1.0], "p1": [0.5, 0.5]}, {"p1": "podcast"})
+        records = [
+            InteractionRecord("u2", "a1", "audiobook", "stream", 10),
+            InteractionRecord("u2", "a2", "audiobook", "follow", 20),
+            InteractionRecord("u1", "p1", "podcast", "stream", 30),
+        ]
+        config = TwoTowerConfig()
+        histories = user_histories(["u2", "u1", "u3"], records, table, config, as_of=100)
+        path = tmp_path / "user_features.bin"
+        UserHistoryTable.build(histories).save(path)
+        loaded = UserHistoryTable.load(path)
+        assert loaded.user_ids == ["u1", "u2", "u3"]
+        for user in ["u1", "u2", "u3", "u0", "u20", "u9"]:
+            row = loaded.get(user)
+            built = histories.get(user) or two_tower.user_history(user, [], table, config, as_of=100)
+            assert row.interaction_counts == built.interaction_counts
+            assert np.array_equal(row.mean_audiobook_embedding, built.mean_audiobook_embedding)
+            assert np.array_equal(row.mean_podcast_embedding, built.mean_podcast_embedding)
+            assert UserHistoryTable.load(path, user=user).user_ids == ([user] if user in histories else [])
+        assert loaded.get("u0").interaction_counts == {s: 0 for s in SIGNALS}
 
 
 class TestTowerForward:
@@ -242,14 +268,10 @@ def small_training_setup(small_split, small_synth, small_embeddings, **cfg_overr
     pairs = build_training_pairs(
         small_split.train, "audiobook", config.window_days, as_of=small_split.split_time
     )
-    features = build_feature_set(
-        {u for u, _ in pairs},
-        small_split.train,
-        catalog,
-        small_embeddings,
-        config,
-        as_of=small_split.split_time,
+    histories = user_histories(
+        {u for u, _ in pairs}, small_split.train, small_embeddings, config, as_of=small_split.split_time
     )
+    features = build_feature_set(histories, catalog, small_embeddings, config)
     return pairs, features, config, catalog
 
 
