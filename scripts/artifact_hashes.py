@@ -12,7 +12,10 @@ The configs are the defaults, `graph.relations=["pp"]`, and the
 perfbench/workloads.py). Each line is `config file sha256`; manifests are
 listed under `manifests/`. The `recommend@10` line hashes the `recommend`
 stage's ids and scores (k=10) for the first 20 train users by id and two
-unseen ids. `hgnn_train_log.jsonl` is skipped: its
+unseen ids. The `rankings` line hashes every `eval.models` model's
+`holdout_rankings`, built through `pipeline.MODELS` as `evaluate` builds
+them: each ranked list `evaluate` scores, not only the metrics, which can
+hide a change below a user's first hit. `hgnn_train_log.jsonl` is skipped: its
 `wall_time` field differs from run to run. BLAS runs on `--blas-threads`
 threads, one by default as in the benchmark: the bytes of a large matrix
 product can depend on how many threads computed it, so compare runs made
@@ -35,9 +38,11 @@ _early.add_argument("--blas-threads", type=int, default=1)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
 
-from audiorec.data import parse_interactions  # noqa: E402
-from audiorec.io import canonical_json, sha256_bytes  # noqa: E402
-from audiorec.pipeline import ARTIFACTS, DAILY, PipelineConfig, run_stage  # noqa: E402
+from audiorec.data import DatasetSplit, parse_catalog, parse_interactions  # noqa: E402
+from audiorec.evaluate import holdout_rankings  # noqa: E402
+from audiorec.hgnn import NodeEmbeddingTable  # noqa: E402
+from audiorec.io import canonical_json, read_json, sha256_bytes  # noqa: E402
+from audiorec.pipeline import ARTIFACTS, DAILY, MODELS, PipelineConfig, run_stage  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import WORKLOADS  # noqa: E402
@@ -52,9 +57,34 @@ SKIPPED = {ARTIFACTS["hgnn_log"]}
 SERVED_USERS, UNSEEN = 20, ["unseen-0", "unseen-1"]
 
 
+def ranking_digest(config: PipelineConfig, out: Path) -> str:
+    """sha256 of each `eval.models` model's `holdout_rankings` over the
+    pipeline's files under `out`."""
+    files = {key: out / name for key, name in ARTIFACTS.items()}
+    split = DatasetSplit(
+        train=parse_interactions(files["train"]).records,
+        holdout=parse_interactions(files["holdout"]).records,
+        split_time=read_json(files["split_meta"])["split_time"],
+    )
+    catalog = parse_catalog(files["catalog"])
+    table = NodeEmbeddingTable.load(files["embeddings"])
+    tower = config.two_tower
+    rankings = {
+        model: holdout_rankings(
+            MODELS[model](files, split, catalog, table, tower),
+            split,
+            tower.target_type,
+            config.eval.max_rank,
+        )
+        for model in config.eval.models
+    }
+    return sha256_bytes(canonical_json(rankings).encode("utf-8"))
+
+
 def artifact_hashes(overrides: dict, out: Path) -> dict[str, str]:
     """sha256 of every file the daily pipeline writes under `out`, by path
-    relative to it, except the skipped logs; then of the served rankings."""
+    relative to it, except the skipped logs; then of the served rankings and
+    of the rankings `evaluate` scores."""
     config = PipelineConfig().with_overrides({**overrides, "seed": SEED})
     for stage in DAILY:
         run_stage(stage, config, out)
@@ -67,6 +97,7 @@ def artifact_hashes(overrides: dict, out: Path) -> dict[str, str]:
     users = sorted({r.user_id for r in train})[:SERVED_USERS] + UNSEEN
     served = {user: run_stage("recommend", config, out, user=user, k=10) for user in users}
     digests["recommend@10"] = sha256_bytes(canonical_json(served).encode("utf-8"))
+    digests["rankings"] = ranking_digest(config, out)
     return digests
 
 

@@ -2,8 +2,9 @@
 popularity-tier breakdown.
 
 Recommenders produce a ranked id list per user; the harness removes items the
-user already streamed in the training window, truncates to the top 100, and
-scores hit rate, reciprocal rank, and catalog coverage.
+user already streamed in the training window, truncates to `eval.max_rank`
+(`MAX_RANK` by default), and scores hit rate, reciprocal rank, and catalog
+coverage.
 """
 
 from __future__ import annotations
@@ -104,11 +105,13 @@ def filtered_recommendations(
     max_rank: int = MAX_RANK,
 ) -> dict[str, list[str]]:
     """Ask the recommender for each user's ranking, drop train-consumed items,
-    truncate to `max_rank`."""
+    truncate to `max_rank`. Dropping removes at most one item per consumed
+    one, so the first `max_rank + len(consumed)` items of a ranking are all
+    that is asked for."""
     out: dict[str, list[str]] = {}
     for u in users:
-        ranked = recommender.recommend(u)
         drop = consumed.get(u, set())
+        ranked = recommender.recommend(u, max_rank + len(drop))
         out[u] = [i for i in ranked if i not in drop][:max_rank]
     return out
 

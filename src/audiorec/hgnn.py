@@ -26,7 +26,15 @@ import numpy as np
 
 from .graph import Csr, HeteroGraph, rel_key, rel_types
 from .index import row_dots
-from .io import check_rows, check_rules, config_from_meta, meta_values, read_pack, write_pack
+from .io import (
+    check_distinct,
+    check_rows,
+    check_rules,
+    config_from_meta,
+    meta_values,
+    read_pack,
+    write_pack,
+)
 from .optim import (
     Adam,
     Layout,
@@ -836,6 +844,7 @@ class NodeEmbeddingTable:
         if not item_ids:
             raise ValueError(f"{path}: empty embedding table")
         check_rows(path, arrays.shapes["matrix"], item_ids=item_ids, node_types=node_types)
+        check_distinct(path, item_ids=item_ids)
         for name in ("inductive", "fallback"):
             if arrays.shapes[name] != (len(item_ids),):
                 raise ValueError(

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import check_rows, meta_values, read_pack, write_pack
+from .io import check_distinct, check_rows, meta_values, read_pack, write_pack
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -75,7 +75,12 @@ def query_topk(
 ) -> list[tuple[str, float]]:
     """The k highest dot products among non-excluded items, descending; ties
     break by ascending item id. Returns fewer than k when the index is small.
-    Scores are `row_dots` values, so byte-identical rows tie exactly."""
+    Scores are `row_dots` values, so byte-identical rows tie exactly.
+
+    Below the whole index, only the rows whose sort key `-score` is not above
+    the k-th smallest key are sorted: every tie at that key stays, and so does
+    every NaN row, which the sort puts last. The result is the first k of the
+    full sort."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64)
@@ -84,7 +89,11 @@ def query_topk(
     if exclude:
         keep = ~np.isin(ids, list(exclude))
         scores, ids = scores[keep], ids[keep]
-    order = np.lexsort((ids, -scores))[:k]
+    key = -scores
+    if k < len(key):
+        near = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
+        key, scores, ids = key[near], scores[near], ids[near]
+    order = np.lexsort((ids, key))[:k]
     return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
@@ -98,4 +107,5 @@ def load_index(path) -> RecIndex:
     meta, arrays = read_pack(path, "index")
     (ids,) = meta_values(path, meta, ids=tuple[str, ...])
     check_rows(path, arrays.shapes["vectors"], ids=ids)
+    check_distinct(path, ids=ids)
     return RecIndex(ids=ids, vectors=arrays["vectors"])

@@ -3,6 +3,7 @@ hashing, and config-section loading."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -99,6 +100,15 @@ def check_rows(path, shape: tuple[int, ...], **columns) -> None:
     for name, column in columns.items():
         if len(column) != shape[0]:
             raise ValueError(f"{path}: {name} has {len(column)} entries for {shape[0]} matrix rows")
+
+
+def check_distinct(path, **id_lists) -> None:
+    """Refuse a container whose id lists `id_lists` repeat an id, with a
+    ValueError naming the file and the id."""
+    for name, ids in id_lists.items():
+        if len(set(ids)) != len(ids):
+            repeat = next(i for i, n in collections.Counter(ids).items() if n > 1)
+            raise ValueError(f"{path}: {name} lists {repeat!r} twice")
 
 
 # get_type_hints evaluates every string annotation anew; once per class is enough

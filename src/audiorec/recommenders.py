@@ -1,5 +1,8 @@
 """Recommenders scored by the evaluation harness: the trained two-tower model
-and the popularity / content-profile / graph-profile baselines."""
+and the popularity / content-profile / graph-profile baselines.
+
+Each one's `recommend(user_id, k=None)` returns the first k ids of its
+ranking for the user, the whole ranking when k is None."""
 
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
     TowerParams,
-    UserFeatures,
     assemble_user_features,
     records_by_user,
-    user_tower_forward,
+    user_tower_input,
+    user_tower_output,
 )
 
 
@@ -49,8 +52,8 @@ class PopularityRecommender:
                 counts[r.item_id] += 1
         self.ranking = sorted(counts, key=lambda i: (-counts[i], i))
 
-    def recommend(self, user_id: str) -> list[str]:
-        return list(self.ranking)
+    def recommend(self, user_id: str, k: int | None = None) -> list[str]:
+        return self.ranking[:k]
 
 
 class _ProfileKnnRecommender:
@@ -88,11 +91,12 @@ class _ProfileKnnRecommender:
             train_records, catalog, target_type, window_days, as_of
         ).ranking
 
-    def recommend(self, user_id: str) -> list[str]:
+    def recommend(self, user_id: str, k: int | None = None) -> list[str]:
         profile = self.profiles.get(user_id)
         if profile is None:
-            return list(self.fallback_ranking)
-        return [item_id for item_id, _ in query_topk(self.index, profile, len(self.index))]
+            return self.fallback_ranking[:k]
+        k = len(self.index) if k is None else k
+        return [item_id for item_id, _ in query_topk(self.index, profile, k)]
 
 
 def content_knn_baseline(
@@ -128,7 +132,8 @@ def hgnn_knn_baseline(
 class TwoTowerRecommender:
     """Serve recommendations by running the user tower and exhaustively
     querying the item index. Total: users with no history still get a vector
-    through the tower."""
+    through the tower. Each user's packed tower input is built once and kept,
+    so a repeat query runs only the user tower and the ranking."""
 
     name = "two_tower_hgnn"
 
@@ -147,15 +152,15 @@ class TwoTowerRecommender:
         self.embeddings = embeddings
         self.music_vectors = music_vectors or {}
         self.demographics = demographics or {}
-        self._user_features: dict[str, UserFeatures] = {}
+        self._inputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         window_start, self._as_of = feature_window(
             train_records, params.config.window_days, as_of
         )
         self._history = records_by_user(train_records, window_start, self._as_of)
 
     def user_vector(self, user_id: str) -> np.ndarray:
-        feats = self._user_features.get(user_id)
-        if feats is None:
+        inputs = self._inputs.get(user_id)
+        if inputs is None:
             feats = assemble_user_features(
                 user_id,
                 self._history.get(user_id, []),
@@ -165,8 +170,8 @@ class TwoTowerRecommender:
                 music_vector=self.music_vectors.get(user_id),
                 demographics=self.demographics,
             )
-            self._user_features[user_id] = feats
-        return user_tower_forward(self.params, feats)
+            inputs = self._inputs[user_id] = user_tower_input(self.params, feats)
+        return user_tower_output(self.params, inputs)
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
         q = self.user_vector(user_id)

@@ -529,14 +529,17 @@ def _tower_backward(
     d_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
+    """Put one tower's gradients in `grads`: each dense layer's weight and
+    bias gradient is written over its buffer, and each embedding table's is
+    added to its buffer, which the caller zeroes."""
     d_h = l2_normalize_grad(cache.out, cache.norms, cache.fallback, d_out)
     for li in range(3, 0, -1):
         if li < 3:
             d_h = d_h * (cache.pre[li - 1] > 0.0)
         w = params.weights[f"{tower}.W{li}"]
         h_in = cache.x if li == 1 else cache.act[li - 2]
-        grads[f"{tower}.W{li}"] += d_h.T @ h_in
-        grads[f"{tower}.b{li}"] += d_h.sum(axis=0)
+        np.matmul(d_h.T, h_in, out=grads[f"{tower}.W{li}"])
+        np.sum(d_h, axis=0, out=grads[f"{tower}.b{li}"])
         d_h = d_h @ w
     # d_h is now the gradient of the concatenated input
     e = params.config.cat_embed_dim
@@ -546,9 +549,18 @@ def _tower_backward(
         np.add.at(grads[f"{tower}.emb.{name}"], cache.cat[:, i], seg)
 
 
+def user_tower_input(params: TowerParams, features: UserFeatures) -> tuple[np.ndarray, np.ndarray]:
+    """One user's packed tower input: the (cat, dense) rows the user tower reads."""
+    return _user_inputs(params, [features])
+
+
+def user_tower_output(params: TowerParams, inputs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The user tower's unit vector for one packed input."""
+    return _tower_forward(params, "user", *inputs).out[0]
+
+
 def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarray:
-    cat, dense = _user_inputs(params, [features])
-    return _tower_forward(params, "user", cat, dense).out[0]
+    return user_tower_output(params, user_tower_input(params, features))
 
 
 def _batch_loss_and_douts(
@@ -717,21 +729,23 @@ def train_two_tower(
 
 class _TowerStep:
     """One tower's share of a training step: its packed input rows, its own
-    Adam over its own weights, and one gradient buffer per weight, zeroed in
-    place before each backward pass."""
+    Adam over its own weights, and one gradient buffer per weight. The
+    backward pass writes the dense layers' buffers; the embedding tables'
+    buffers, which it adds into, are zeroed in place before it."""
 
     def __init__(self, params: TowerParams, tower: str, cat: np.ndarray, dense: np.ndarray):
         self.params, self.tower, self.cat, self.dense = params, tower, cat, dense
         self.weights = {k: w for k, w in params.weights.items() if k.startswith(f"{tower}.")}
         self.grads = {k: np.zeros_like(w) for k, w in self.weights.items()}
+        self.tables = [g for k, g in self.grads.items() if k.startswith(f"{tower}.emb.")]
         self.adam = Adam(learning_rate=params.config.learning_rate)
 
     def forward(self, rows: np.ndarray) -> _TowerCache:
         return _tower_forward(self.params, self.tower, self.cat[rows], self.dense[rows])
 
     def backward(self, cache: _TowerCache, d_out: np.ndarray) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)  # adding a product to +0.0 gives the bytes of a fresh zeros array
+        for g in self.tables:
+            g.fill(0.0)
         _tower_backward(self.params, self.tower, cache, d_out, self.grads)
         self.adam.step(self.weights, self.grads)
 

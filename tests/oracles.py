@@ -13,7 +13,9 @@ random stream included; the per-node plan sampler draws each row by
 Adam step and the per-item `query_topk` result comprehension, which in-place
 and bulk-converted code replaced, and the serial two-tower loop, one Adam over
 both towers and a fresh gradient dict per batch, which the side-by-side tower
-training replaced.
+training replaced. The comprehension sorts every row, where `query_topk`
+sorts only those it may keep, and `filtered_recommendations_full` asks for
+each user's whole ranking, where the harness asks for the part it can keep.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -384,6 +386,17 @@ def query_topk_comprehension(
         scores, ids = scores[keep], ids[keep]
     order = np.lexsort((ids, -scores))[:k]
     return [(str(ids[i]), float(scores[i])) for i in order]
+
+
+def filtered_recommendations_full(
+    recommender, users: list[str], consumed: dict[str, set[str]], max_rank: int
+) -> dict[str, list[str]]:
+    """`evaluate.filtered_recommendations` filtering each user's whole ranking."""
+    out: dict[str, list[str]] = {}
+    for u in users:
+        drop = consumed.get(u, set())
+        out[u] = [i for i in recommender.recommend(u) if i not in drop][:max_rank]
+    return out
 
 
 def train_two_tower_serial(

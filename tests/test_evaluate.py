@@ -30,8 +30,8 @@ class FixedRecommender:
         self.name = name
         self.default = list(default)
 
-    def recommend(self, user_id):
-        return list(self.lists.get(user_id, self.default))
+    def recommend(self, user_id, k=None):
+        return list(self.lists.get(user_id, self.default))[:k]
 
 
 def score(rec, split, segments, target_type, catalog_ids):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from audiorec.index import build_index, load_index, query_topk, save_index
+from audiorec.index import RecIndex, build_index, load_index, query_topk, save_index
 
 from oracles import query_topk_comprehension
 
@@ -125,12 +125,30 @@ class TestQuery:
         idx = build_index({f"a{i:04d}": row for i, row in enumerate(base)})
         for trial in range(20):
             q = rng.normal(size=128)
-            k = n_rows if trial % 2 else 10  # evaluate ranks the whole catalog
+            k = n_rows if trial % 2 else 10  # the whole index, and a served top 10
             exclude = {f"a{int(i):04d}" for i in rng.integers(0, n_rows, size=trial)}
             got = query_topk(idx, q, k, exclude)
             want = query_topk_comprehension(idx, q, k, exclude)
             assert [(type(i), type(s)) for i, s in got] == [(str, float)] * len(want)
             assert [(i, s.hex()) for i, s in got] == [(i, s.hex()) for i, s in want]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_selection_equals_full_sort_on_ties_zeros_and_nans(self, dim):
+        # entries from a few values: most scores tie, rows and queries hold
+        # -0.0 and +0.0, and a NaN entry makes a NaN score, which sorts last
+        rng = np.random.default_rng(dim)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.nan])
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            idx = RecIndex([f"i{i:02d}" for i in rng.permutation(n)], rng.choice(values, (n, dim)))
+            q = rng.choice(values, dim)
+            exclude = set(rng.choice(idx.ids, int(rng.integers(0, n))).tolist()) if trial % 2 else set()
+            for k in {1, int(rng.integers(1, n + 1)), n - 1, n, n + 3} - {0}:
+                got = query_topk(idx, q, k, exclude)
+                want = query_topk_comprehension(idx, q, k, exclude)
+                assert [(i, np.float64(s).tobytes()) for i, s in got] == [
+                    (i, np.float64(s).tobytes()) for i, s in want
+                ]
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from audiorec import data, io, pipeline
 from audiorec.cli import main
 from audiorec.data import parse_catalog, parse_interactions
+from audiorec.evaluate import holdout_rankings, streamed_items
 from audiorec.graph import load_graph
 from audiorec.hgnn import HgnnParams, NodeEmbeddingTable
 from audiorec.index import load_index
@@ -42,6 +43,7 @@ from audiorec.two_tower import (
 )
 
 from conftest import join_container, split_container
+from oracles import filtered_recommendations_full
 
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -247,6 +249,44 @@ class TestStages:
         assert set(calls.values()) == {1}
         assert (run / "evaluation.json").read_bytes() == (out / "evaluation.json").read_bytes()
 
+    @pytest.mark.parametrize("model", sorted(pipeline.MODELS))
+    def test_holdout_rankings_equal_whole_rankings_filtered(self, pipeline_run, model):
+        # evaluate asks each model for only the part of its ranking it can keep
+        config, out = pipeline_run
+        files = {key: out / name for key, name in pipeline.ARTIFACTS.items()}
+        split = data.DatasetSplit(
+            parse_interactions(files["train"]).records,
+            parse_interactions(files["holdout"]).records,
+            io.read_json(files["split_meta"])["split_time"],
+        )
+        catalog = parse_catalog(files["catalog"])
+        table = NodeEmbeddingTable.load(files["embeddings"])
+        rec = pipeline.MODELS[model](files, split, catalog, table, config.two_tower)
+        target = config.two_tower.target_type
+        users = sorted(streamed_items(split.holdout, target))
+        consumed = streamed_items(split.train, target)
+        # below, near and above the 24-audiobook catalog
+        for max_rank in (1, 5, 20, config.eval.max_rank):
+            got = holdout_rankings(rec, split, target, max_rank)
+            assert got == filtered_recommendations_full(rec, users, consumed, max_rank)
+
+    def test_user_vector_is_the_tower_output_on_first_and_repeat_calls(self, pipeline_run):
+        _, out = pipeline_run
+        train = parse_interactions(out / "train.jsonl").records
+        params = TowerParams.load(out / "tower_params.bin", towers=("user",))
+        table = NodeEmbeddingTable.load(out / "embeddings.bin")
+        split_time = io.read_json(out / "split_meta.json")["split_time"]
+        rec = TwoTowerRecommender(params, load_index(out / "rec_index.bin"), train, table, as_of=split_time)
+        users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
+        want = {
+            u: user_tower_forward(
+                params, assemble_user_features(u, train, table, params.config, as_of=split_time)
+            ).tobytes()
+            for u in users
+        }
+        for _ in range(2):  # the second pass runs the tower on each user's kept input
+            assert {u: rec.user_vector(u).tobytes() for u in users} == want
+
     def test_recommend_known_and_unknown_user(self, pipeline_run):
         config, out = pipeline_run
         res = run_stage("recommend", config, out, user="u0000", k=5)
@@ -441,6 +481,10 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
     elif how == "listed-twice":
         entries.append(dict(first))
         expected = f"array {first['name']!r} listed twice"
+    elif how == "repeated-id":  # the second id of a table's id list set to the first
+        key = ID_LISTS[meta["kind"]]
+        meta[key][1] = meta[key][0]
+        expected = f"{key} lists {meta[key][0]!r} twice"
     else:
         key, value = {
             "negative-shape": ("shape", [-2, -4]),
@@ -470,6 +514,9 @@ HEADER_DAMAGE = [
 
 # a checkpoint holds exactly the weights its config, vocabularies and dims declare
 CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
+
+# the id list of each container whose rows are looked up by id in any order
+ID_LISTS = {"embeddings": "item_ids", "index": "ids"}
 
 
 def header_length(data: bytes) -> int:
@@ -561,6 +608,24 @@ class TestDamagedArtifacts:
         run = shutil.copytree(out, tmp_path / "run")
         (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
+
+    @pytest.mark.parametrize("name", ["embeddings.bin", "rec_index.bin"])
+    def test_id_list_that_repeats_an_id_rejected_naming_the_file(self, pipeline_run, tmp_path, name):
+        # a repeated index id would be served twice by one query
+        _, out = pipeline_run
+        path = tmp_path / name
+        data, expected = damaged_header((out / name).read_bytes(), "repeated-id")
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{name}: {re.escape(expected)}"):
+            BINARY_ARTIFACTS[name](path)
+
+    def test_index_that_repeats_an_id_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        data, expected = damaged_header((out / "rec_index.bin").read_bytes(), "repeated-id")
+        (run / "rec_index.bin").write_bytes(data)
+        error = cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
+        assert error == f"{run / 'rec_index.bin'}: {expected}"
 
     @pytest.mark.parametrize(
         "name, stage", [("hgnn_params.bin", "embed"), ("tower_params.bin", "recommend")]
@@ -945,6 +1010,17 @@ CONFIG_VALUES = JSON_VALUES | st.dictionaries(
     ),
     max_size=4,
 )
+
+
+def sizes_within(value, bound: float) -> bool:
+    """Whether every number in a drawn config, its seed aside, lies within
+    `bound` of zero: a size or epoch count up to it trains at the fixture's
+    scale, where a drawn 10**7 would allocate gigabytes or train for hours."""
+    if isinstance(value, dict):
+        return all(sizes_within(v, bound) for k, v in value.items() if k != "seed")
+    if isinstance(value, list):
+        return all(sizes_within(v, bound) for v in value)
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) <= bound
 
 
 def damaged_jsonl(whole: bytes, data) -> bytes:
@@ -1634,6 +1710,17 @@ class TestCli:
         recommend = ["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"]
         run_or_one_json_line(recommend, capsys)
         run_or_one_json_line(["split", "--config", str(cfg_path), "--out", str(run)], capsys)
+        if not sizes_within(value, 16):
+            return
+        # each later daily stage on its own copy of the fixture run, so that
+        # none reads what another wrote; `--seed` lets a config without one
+        # reach the training stages, which refuse to run unseeded
+        for stage in DAILY[DAILY.index("build-graph") :]:
+            own = tmp_path / stage
+            shutil.rmtree(own, ignore_errors=True)
+            shutil.copytree(out, own)
+            argv = [stage, "--config", str(cfg_path), "--seed", "11", "--out", str(own)]
+            run_or_one_json_line(argv, capsys)
 
     @settings(
         max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
