@@ -42,7 +42,7 @@ def main(argv=None) -> int:
                 print(json.dumps({"item_id": item_id, "score": score}))
         else:
             run_stage(args.stage, config, args.out)
-    except (PipelineError, ValueError, RuntimeError, OSError) as exc:
+    except (PipelineError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "stage": args.stage}), file=sys.stderr)
         return 1
     return 0

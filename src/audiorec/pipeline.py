@@ -713,13 +713,40 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     return files, digests
 
 
-# glibc's malloc_trim, where the C library has one. glibc keeps freed heap
-# memory for reuse and trims it only from the top of the heap, so how much of
-# a stage's numpy scratch stays resident after it depends on the order of
-# earlier allocations; the next stage's peak would sit on top of that.
+# glibc's heap thresholds, fixed once per process. By default glibc raises its
+# mmap threshold (and twice that, its trim threshold) to the size of the
+# largest block it has freed, so a stage's per-batch scratch of a few MB is
+# mapped and unmapped on every batch, or reused from the heap, depending on
+# what ran earlier in the process. Fixing only the mmap threshold switches
+# that adjustment off and leaves the trim threshold at 128 KiB, which unmaps
+# the scratch just the same; so both are set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _tune_heap(libc):
+    """Fix the C library's mmap and trim thresholds where it has `mallopt`,
+    and return its `malloc_trim`, or None where it has none. A threshold
+    `mallopt` refuses (returns 0) stays as it was; nothing else changes."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    malloc_trim = getattr(libc, "malloc_trim", None)
+    if malloc_trim is not None:
+        malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return malloc_trim
+
+
+# glibc keeps freed heap memory for reuse and trims it only from the top of
+# the heap, so how much of a stage's numpy scratch stays resident after it
+# depends on the order of earlier allocations; the next stage's peak would
+# sit on top of that. `run_stage` trims after each stage that writes.
 try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
+    _malloc_trim = _tune_heap(ctypes.CDLL(None))
+except (OSError, TypeError):
     _malloc_trim = None
 
 

@@ -74,6 +74,37 @@ class SynthConfig:
         check_rules("synth", self, rules)
 
 
+# Users per block of stream-count draws: a block's rates and counts take a few
+# MB on a 2,000-item catalog, where one user x item array takes 32 MB.
+_STREAM_BLOCK_USERS = 256
+
+
+def _stream_counts(
+    rng: np.random.Generator,
+    user_cluster: np.ndarray,
+    item_cluster: np.ndarray,
+    base_rate: float,
+    affinity: float,
+    n_zero: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson stream counts for every (user, item) pair, at `base_rate`
+    times `affinity` where the clusters match, as the `(user, item, count)`
+    triples of the nonzero counts in row-major order. The last `n_zero` items
+    are drawn and then dropped. The draw goes a block of users at a time;
+    a Generator fills an array in C order, so the counts and the generator's
+    state equal one draw over the whole user x item array."""
+    keep = len(item_cluster) - n_zero
+    users, items, counts = [], [], []
+    for start in range(0, len(user_cluster), _STREAM_BLOCK_USERS):
+        match = user_cluster[start : start + _STREAM_BLOCK_USERS, None] == item_cluster[None, :]
+        block = rng.poisson(np.where(match, base_rate * affinity, base_rate))[:, :keep]
+        u, i = np.nonzero(block)
+        users.append(u + start)
+        items.append(i)
+        counts.append(block[u, i])
+    return np.concatenate(users), np.concatenate(items), np.concatenate(counts)
+
+
 def _draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:
     names = sorted(mix)
     probs = np.array([mix[n] for n in names])
@@ -132,25 +163,23 @@ def synth_generate_with_meta(
                 genre=str(rng.choice(list(config.genres))),
             )
 
-    def stream_counts(item_cluster: np.ndarray, base_rate: float) -> np.ndarray:
-        match = user_cluster[:, None] == item_cluster[None, :]
-        rates = np.where(match, base_rate * config.cluster_affinity, base_rate)
-        return rng.poisson(rates)
-
-    pod_counts = stream_counts(pod_cluster, config.podcast_stream_rate)
-    ab_counts = stream_counts(ab_cluster, config.audiobook_stream_rate)
-    if config.n_cold_items > 0:
-        # Designated audiobooks never get streamed, so they stay out of any
-        # co-listening graph and exercise the content-only embedding path.
-        ab_counts[:, config.n_audiobooks - config.n_cold_items :] = 0
+    affinity = config.cluster_affinity
+    pod_streams = _stream_counts(rng, user_cluster, pod_cluster, config.podcast_stream_rate, affinity, 0)
+    # Designated audiobooks never get streamed, so they stay out of any
+    # co-listening graph and exercise the content-only embedding path.
+    ab_streams = _stream_counts(
+        rng, user_cluster, ab_cluster, config.audiobook_stream_rate, affinity, config.n_cold_items
+    )
+    streamed = np.zeros((config.n_users, config.n_audiobooks), dtype=bool)
+    streamed[ab_streams[0], ab_streams[1]] = True
 
     records: list[InteractionRecord] = []
 
-    def emit_streams(counts: np.ndarray, ids: list[str], item_type: str) -> dict:
+    def emit_streams(streams: tuple, ids: list[str], item_type: str) -> dict:
         first_stream: dict[tuple[int, int], int] = {}
-        for u, i in np.argwhere(counts > 0):
-            times = rng.integers(0, horizon, size=counts[u, i])
-            first_stream[(int(u), int(i))] = int(times.min())
+        for u, i, count in zip(*(a.tolist() for a in streams)):
+            times = rng.integers(0, horizon, size=count)
+            first_stream[(u, i)] = int(times.min())
             for t in times:
                 records.append(
                     InteractionRecord(
@@ -163,8 +192,8 @@ def synth_generate_with_meta(
                 )
         return first_stream
 
-    emit_streams(pod_counts, pod_ids, "podcast")
-    ab_first_stream = emit_streams(ab_counts, ab_ids, "audiobook")
+    emit_streams(pod_streams, pod_ids, "podcast")
+    ab_first_stream = emit_streams(ab_streams, ab_ids, "audiobook")
 
     # Pre-stream weak signals: a share of first audiobook streams is preceded,
     # 1-14 days earlier, by one or more weak signals of a single type.
@@ -191,7 +220,7 @@ def synth_generate_with_meta(
         n_abandoned = rng.poisson(config.abandoned_rate)
         if n_abandoned == 0:
             continue
-        unstreamed = np.flatnonzero(ab_counts[u] == 0)
+        unstreamed = np.flatnonzero(~streamed[u])
         if len(unstreamed) == 0:
             continue
         weights = np.where(

@@ -16,6 +16,9 @@ both towers and a fresh gradient dict per batch, which the side-by-side tower
 training replaced. The comprehension sorts every row, where `query_topk`
 sorts only those it may keep, and `filtered_recommendations_full` asks for
 each user's whole ranking, where the harness asks for the part it can keep.
+`stream_counts_dense` draws synth's stream counts in one call over the whole
+user x item array, where the generator draws them a block of users at a
+time; the triples and the generator state must match exactly.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -397,6 +400,24 @@ def filtered_recommendations_full(
         drop = consumed.get(u, set())
         out[u] = [i for i in recommender.recommend(u) if i not in drop][:max_rank]
     return out
+
+
+def stream_counts_dense(
+    rng: np.random.Generator,
+    user_cluster: np.ndarray,
+    item_cluster: np.ndarray,
+    base_rate: float,
+    affinity: float,
+    n_zero: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`synth._stream_counts` as one Poisson draw over the whole user x item
+    rate array, its last `n_zero` items zeroed, returned as the nonzero
+    `(user, item, count)` triples."""
+    match = user_cluster[:, None] == item_cluster[None, :]
+    counts = rng.poisson(np.where(match, base_rate * affinity, base_rate))
+    counts[:, len(item_cluster) - n_zero :] = 0
+    users, items = np.nonzero(counts)
+    return users, items, counts[users, items]
 
 
 def train_two_tower_serial(

@@ -16,9 +16,11 @@ from audiorec.data import (
     truncate_history,
     user_segments,
 )
+from audiorec import synth
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
 
 from conftest import make_catalog, stream
+from oracles import stream_counts_dense
 
 
 def write_lines(path, lines):
@@ -320,6 +322,61 @@ class TestSynth:
         cold = set(ab_ids[-small_synth_config.n_cold_items :])
         streamed = {r.item_id for r in records if r.signal == "stream"}
         assert streamed & cold == set()
+
+
+class TestStreamCountBlocks:
+    @pytest.mark.parametrize("block", [1, 7, synth._STREAM_BLOCK_USERS])
+    @pytest.mark.parametrize(
+        "n_users, n_items, n_zero, base_rate",
+        [
+            (20, 9, 0, 0.3),
+            (23, 9, 2, 0.3),  # 23 users: no block size above 1 divides it
+            (23, 9, 9, 0.3),  # every item zeroed
+            (300, 40, 3, 0.05),
+            (23, 9, 0, 0.0),  # zero rates draw zeros
+        ],
+    )
+    def test_block_draw_equals_the_dense_draw(self, monkeypatch, block, n_users, n_items, n_zero, base_rate):
+        monkeypatch.setattr(synth, "_STREAM_BLOCK_USERS", block)
+        clusters = np.random.default_rng(n_users)
+        user_cluster = clusters.integers(0, 3, size=n_users)
+        item_cluster = clusters.integers(0, 3, size=n_items)
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = synth._stream_counts(got_rng, user_cluster, item_cluster, base_rate, 8.0, n_zero)
+            want = stream_counts_dense(want_rng, user_cluster, item_cluster, base_rate, 8.0, n_zero)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if n_zero == n_items or base_rate == 0:
+            assert len(got[0]) == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SynthConfig(),
+            SynthConfig(  # the synth section of the wide-catalog benchmark workload
+                n_users=2000,
+                n_podcasts=2000,
+                n_audiobooks=1000,
+                podcast_stream_rate=0.001,
+                audiobook_stream_rate=0.0005,
+                n_cold_items=50,
+            ),
+        ],
+        ids=["default", "wide"],
+    )
+    def test_generated_data_equals_the_dense_path(self, monkeypatch, config):
+        records, catalog, meta = synth_generate_with_meta(config, seed=7)
+        monkeypatch.setattr(synth, "_stream_counts", stream_counts_dense)
+        dense_records, dense_catalog, dense_meta = synth_generate_with_meta(config, seed=7)
+        assert records == dense_records
+        assert meta == dense_meta
+        assert list(catalog) == list(dense_catalog)
+        for item_id, item in catalog.items():
+            other = dense_catalog[item_id]
+            assert np.array_equal(item.content_vector, other.content_vector)
+            assert (item.item_type, item.language, item.genre) == (other.item_type, other.language, other.genre)
 
 
 def test_truncate_history():

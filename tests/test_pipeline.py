@@ -9,6 +9,7 @@ import shutil
 import struct
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestStages:
             run_stage("build-graph", config, tmp_path)
         run_stage("recommend", config, out, user="u0000", k=5)  # a query writes nothing
         assert calls == [0]
+
+    def test_heap_tuning_sets_both_thresholds_and_returns_the_trim(self):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0  # refused: neither the other threshold nor the trim hook changes
+
+        def malloc_trim(pad):
+            return 1
+
+        assert pipeline._tune_heap(SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)) is malloc_trim
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_c_library_without_heap_functions_runs_stages_untrimmed(self, tmp_path, monkeypatch):
+        assert pipeline._tune_heap(object()) is None
+        monkeypatch.setattr(pipeline, "_malloc_trim", None)
+        run_stage("synth", tiny_config(), tmp_path)
+        assert (tmp_path / "manifests" / "synth.json").exists()
 
     def test_synth_requires_seed(self, tmp_path):
         config = tiny_config()
@@ -1325,6 +1345,20 @@ class TestCli:
         assert f"two_tower.{field} must be" in error
         assert (run / "tower_params.bin").read_bytes() == params_before
 
+    def test_tower_that_cannot_be_allocated_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        # was a MemoryError traceback out of init_weights; numpy refuses the
+        # size before it touches memory
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["two_tower"]["hidden"] = [10**12, 1, 1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        before = tree_bytes(run)
+        error = cli_error(["train-2t", "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert "Unable to allocate" in error
+        assert tree_bytes(run) == before
+
     @pytest.mark.parametrize(
         "stage, section, field, value",
         [
@@ -1720,6 +1754,26 @@ class TestCli:
             shutil.rmtree(own, ignore_errors=True)
             shutil.copytree(out, own)
             argv = [stage, "--config", str(cfg_path), "--seed", "11", "--out", str(own)]
+            run_or_one_json_line(argv, capsys)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(value=CONFIG_VALUES)
+    def test_any_json_config_probe_and_weak_signals_run_or_are_one_json_line(
+        self, pipeline_run, tmp_path, capsys, value
+    ):
+        # both write only their own report, so every example may share one copy
+        _, out = pipeline_run
+        run = tmp_path / "run"
+        if not run.exists():
+            shutil.copytree(out, run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(value))
+        for stage in ("weak-signals", "probe"):
+            run_or_one_json_line([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+        if sizes_within(value, 16):
+            argv = ["probe", "--config", str(cfg_path), "--seed", "11", "--out", str(run)]
             run_or_one_json_line(argv, capsys)
 
     @settings(
