@@ -76,10 +76,11 @@ def _check_interaction(obj: dict) -> str | None:
     for key in ("user_id", "item_id", "item_type", "signal", "timestamp"):
         if key not in obj:
             return f"missing key {key!r}"
-    if not isinstance(obj["user_id"], str) or not obj["user_id"]:
-        return "user_id must be a non-empty string"
-    if not isinstance(obj["item_id"], str) or not obj["item_id"]:
-        return "item_id must be a non-empty string"
+    for key in ("user_id", "item_id"):
+        if not isinstance(obj[key], str) or not obj[key]:
+            return f"{key} must be a non-empty string"
+        if "\x00" in obj[key]:
+            return f"{key} holds a NUL character"
     if obj["item_type"] not in ITEM_TYPES:
         return f"unknown item_type {obj['item_type']!r}"
     if obj["signal"] not in SIGNALS:
@@ -156,8 +157,9 @@ def text_field(obj: dict, key: str) -> str:
 def parse_catalog(path) -> dict[str, CatalogItem]:
     """Parse a JSON-lines catalog file into a map keyed by item_id.
 
-    A malformed line, a duplicate id or a content-vector dimension unlike
-    the first line's raises ValueError naming the file and the line.
+    A malformed line, a duplicate id, an id holding a NUL character or a
+    content-vector dimension unlike the first line's raises ValueError
+    naming the file and the line.
     """
     from .io import read_jsonl
 
@@ -167,6 +169,8 @@ def parse_catalog(path) -> dict[str, CatalogItem]:
     def parse(obj: dict, line_no: int) -> CatalogItem:
         nonlocal dim
         item_id = text_field(obj, "item_id")
+        if "\x00" in item_id:  # ids are stored NUL-padded (`io.id_column`)
+            raise ValueError(f"item_id {item_id!r} holds a NUL character")
         if item_id in first_line:
             raise ValueError(
                 f"duplicate item_id {item_id!r} (lines {first_line[item_id]} and {line_no})"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import check_distinct, check_rows, meta_values, read_pack, write_pack
+from .io import check_rising, check_rows, column_ids, id_column, read_pack, write_pack
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -19,12 +19,17 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RecIndex:
+    """Item ids and their unit vectors, row by row. `id_array` holds the ids
+    as one fixed-width numpy string array, which `query_topk` ranks with;
+    it is built from `ids` unless given."""
+
     ids: list[str]
     vectors: np.ndarray
-    id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    id_array: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.id_array = np.array(self.ids)
+        if self.id_array is None:
+            self.id_array = np.array(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -38,7 +43,8 @@ def build_index(vectors) -> RecIndex:
     """Build an index from an id -> vector mapping (or iterable of pairs).
 
     Ids are stored in lexicographic order. Rows must be unit norm within 1e-6
-    and share one dimension; duplicate ids are fatal.
+    and share one dimension; duplicate ids, and ids holding a NUL character
+    (a fixed-width string array drops trailing NULs), are fatal.
     """
     pairs = list(vectors.items()) if hasattr(vectors, "items") else list(vectors)
     if not pairs:
@@ -47,6 +53,8 @@ def build_index(vectors) -> RecIndex:
     for item_id, _ in pairs:
         if item_id in seen:
             raise ValueError(f"duplicate item id {item_id!r}")
+        if "\x00" in item_id:
+            raise ValueError(f"item id {item_id!r} holds a NUL character")
         seen.add(item_id)
     pairs.sort(key=lambda p: p[0])
     ids = [p[0] for p in pairs]
@@ -98,14 +106,17 @@ def query_topk(
 
 
 def save_index(index: RecIndex, path) -> None:
-    """Packed container: ids in the header, row-major float64 vectors."""
+    """Packed container: the ids as an `io.id_column`, row-major float64
+    vectors."""
     vectors = np.asarray(index.vectors, dtype=np.float64)
-    write_pack(path, {"kind": "index", "ids": index.ids}, {"vectors": vectors})
+    write_pack(path, {"kind": "index"}, {"ids": id_column(index.ids), "vectors": vectors})
 
 
 def load_index(path) -> RecIndex:
-    meta, arrays = read_pack(path, "index")
-    (ids,) = meta_values(path, meta, ids=tuple[str, ...])
+    """The index `save_index` wrote. Its ids must rise strictly, as
+    `build_index` orders them, one per vector row."""
+    _, arrays = read_pack(path, "index")
+    ids = column_ids(path, "ids", arrays["ids"])
     check_rows(path, arrays.shapes["vectors"], ids=ids)
-    check_distinct(path, ids=ids)
-    return RecIndex(ids=ids, vectors=arrays["vectors"])
+    check_rising(path, "ids", ids)
+    return RecIndex(ids=ids.tolist(), vectors=arrays["vectors"], id_array=ids)

@@ -273,14 +273,19 @@ def _array_spec(entry: dict) -> tuple[str, np.dtype, tuple[int, ...]]:
 
 
 def _read_exactly(path, fh, offset: int, out: np.ndarray, name: str) -> None:
-    """Fill the bytes `out` from `fh` at `offset`."""
+    """Fill the contiguous array `out` with the bytes of `fh` at `offset`."""
     fh.seek(offset)
-    if fh.readinto(out) != len(out):  # the file shrank after its size was checked
+    if fh.readinto(out) != out.nbytes:  # the file shrank after its size was checked
         raise ValueError(f"{path}: truncated payload for array {name!r}")
 
 
+RowReader = Callable[[str, Iterable[int]], np.ndarray]
+
+
 def read_pack(
-    path, kind: str, select: Callable[[PackEntries, PackEntries], dict] | None = None
+    path,
+    kind: str,
+    select: Callable[[PackEntries, PackEntries, RowReader], dict] | None = None,
 ) -> tuple[PackEntries, PackArrays]:
     """Read a `write_pack` container whose meta names `kind`. A damaged file
     (short header, short payload, bytes after the last array, an array entry
@@ -289,12 +294,16 @@ def read_pack(
     key or an array the file does not hold. Every size is checked against
     the file's size before any payload byte is read.
 
-    `select(meta, shapes)`, when given, sees the meta and every array's
-    header shape once the file passed those checks, and may refuse it by
-    raising. It returns, by array name, `None` to skip that array or the
-    row indices along its first axis to read; an array it leaves out is
-    read whole. Each array is read straight into its own writable buffer,
-    so no later rewrite of the file can change it.
+    `select(meta, shapes, read_rows)`, when given, sees the meta and every
+    array's header shape once the file passed those checks, and may refuse
+    it by raising. `read_rows(name, rows)` reads the given rows along the
+    first axis of one array, and nothing else, so the hook can search a
+    sorted column by reading a few of its rows. The hook returns, by array
+    name, `None` to skip that array or the row indices along its first axis
+    to read; an array it leaves out is read whole. A row index outside an
+    array raises IndexError. Each array is read
+    straight into its own writable buffer, so no later rewrite of the file
+    can change it.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -317,7 +326,7 @@ def read_pack(
             raise ValueError(f"{path}: malformed container header ({exc})") from exc
         if found != kind:
             raise ValueError(f"{path}: container kind is {found!r}, expected {kind!r}")
-        shapes, offsets = {}, []
+        shapes, placed = {}, {}
         for name, dtype, shape in specs:
             if name in shapes:
                 raise ValueError(f"{path}: array {name!r} listed twice")
@@ -325,24 +334,73 @@ def read_pack(
             if size - offset < nbytes:
                 raise ValueError(f"{path}: truncated payload for array {name!r}")
             shapes[name] = shape
-            offsets.append(offset)
+            placed[name] = (dtype, shape, offset)
             offset += nbytes
         if offset != size:
             raise ValueError(f"{path}: {size - offset} unexpected bytes after the last array")
-        meta = PackEntries(path, "meta key", meta)
-        arrays = PackArrays(path, shapes)
-        picks = select(meta, arrays.shapes) if select else {}
-        for (name, dtype, shape), offset in zip(specs, offsets):
-            if name not in picks:
-                arrays[name] = np.empty(shape, dtype)
-                _read_exactly(path, fh, offset, arrays[name].reshape(-1).view(np.uint8), name)
-                continue
-            rows = picks[name]
-            if rows is None:
-                continue
-            arrays[name] = np.empty((len(rows), *shape[1:]), dtype)
-            out = arrays[name].reshape(-1).view(np.uint8)
+
+        def read_rows(name: str, rows) -> np.ndarray:
+            dtype, shape, offset = placed[name]
+            rows = list(rows)
+            out = np.empty((len(rows), *shape[1:]), dtype)
             row = math.prod(shape[1:]) * dtype.itemsize
             for i, r in enumerate(rows):
-                _read_exactly(path, fh, offset + r * row, out[i * row : (i + 1) * row], name)
+                if not 0 <= r < shape[0]:  # it would read the bytes of a neighbouring array
+                    raise IndexError(f"{path}: row {r} of array {name!r}, which has {shape[0]}")
+                _read_exactly(path, fh, offset + r * row, out[i : i + 1], name)
+            return out
+
+        meta = PackEntries(path, "meta key", meta)
+        arrays = PackArrays(path, shapes)
+        picks = select(meta, arrays.shapes, read_rows) if select else {}
+        for name, (dtype, shape, offset) in placed.items():
+            if name not in picks:
+                arrays[name] = np.empty(shape, dtype)
+                _read_exactly(path, fh, offset, arrays[name], name)
+            elif picks[name] is not None:
+                arrays[name] = read_rows(name, picks[name])
     return meta, arrays
+
+
+def id_column(ids) -> np.ndarray:
+    """The ids as an `(n, width)` uint32 array: each row one id's code
+    points, padded with NUL to the longest id (width at least 1), which
+    `column_ids` reads back. An id holding a NUL character would lose its
+    trailing NULs to the padding, so it raises ValueError."""
+    ids = list(ids)
+    for i in ids:
+        if "\x00" in i:
+            raise ValueError(f"id {i!r} holds a NUL character")
+    width = max(1, max(map(len, ids), default=0))
+    return np.array(ids, dtype=f"U{width}").view(np.uint32).reshape(len(ids), width)
+
+
+def column_ids(path, name: str, col: np.ndarray) -> np.ndarray:
+    """The ids of an `id_column` array `name` of the container `path`, as a
+    zero-copy `<U{width}` view of `col`. A column that is not a 2-D uint32
+    array at least one wide, a value above U+10FFFF, or a NUL before a
+    non-NUL code point in a row (an id holding a NUL) raises ValueError
+    naming the file."""
+    if col.ndim != 2 or col.dtype != np.uint32 or col.shape[1] < 1:
+        raise ValueError(
+            f"{path}: {name} is a {col.ndim}-D {col.dtype} array, "
+            "not a 2-D uint32 id column at least one code point wide"
+        )
+    if col.size and col.max() > 0x10FFFF:
+        raise ValueError(f"{path}: {name} holds a value above U+10FFFF, not a code point")
+    ids = col.view(f"U{col.shape[1]}").reshape(len(col))
+    # a string's length counts every code point up to its last non-NUL one
+    if np.char.str_len(ids).sum() != np.count_nonzero(col):
+        raise ValueError(f"{path}: {name} holds an id with a NUL character")
+    return ids
+
+
+def check_rising(path, name: str, ids: np.ndarray) -> None:
+    """Refuse the ids `column_ids` read from the container `path` unless they
+    rise strictly, with a ValueError naming the file and a repeated id."""
+    rise = ids[1:] > ids[:-1]
+    if not rise.all():
+        at = int(rise.argmin())
+        if ids[at] == ids[at + 1]:
+            raise ValueError(f"{path}: {name} lists {str(ids[at])!r} twice")
+        raise ValueError(f"{path}: {name} do not rise strictly")

@@ -9,10 +9,10 @@ then L2-normalizes. Gradients are closed-form reverse mode.
 from __future__ import annotations
 
 import bisect
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -20,9 +20,12 @@ from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRec
 from .hgnn import NodeEmbeddingTable
 from .io import (
     PackEntries,
+    check_rising,
     check_rows,
     check_rules,
+    column_ids,
     config_from_meta,
+    id_column,
     meta_values,
     read_pack,
     write_pack,
@@ -253,6 +256,24 @@ def user_histories(
 _HISTORY_ARRAYS = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
 
 
+def _find_user(path, n: int, id_at: Callable[[int], str], user: str) -> int | None:
+    """The row of `user` among `n` ids that should rise strictly, or None, by
+    bisection that reads the id of each probed row through `id_at`. A probed
+    id must lie strictly between the nearest ids probed below and above it:
+    otherwise ValueError names the file."""
+    lo, hi, below, above = 0, n, None, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = id_at(mid)
+        if (below is not None and probe <= below) or (above is not None and probe >= above):
+            raise ValueError(f"{path}: user_ids do not rise strictly")
+        if probe < user:
+            lo, below = mid + 1, probe
+        else:
+            hi, above = mid, probe
+    return lo if lo < n and above == user else None
+
+
 @dataclass
 class UserHistoryTable:
     """One `UserHistory` row per user, ids rising strictly and counts in
@@ -293,46 +314,56 @@ class UserHistoryTable:
         )
 
     def save(self, path) -> None:
-        """Packed container: ids and the signal order in the header; the
-        float64 means and int64 counts as arrays."""
-        meta = {"kind": "user_features", "user_ids": self.user_ids, "signals": list(SIGNALS)}
-        write_pack(path, meta, {name: getattr(self, name) for name in _HISTORY_ARRAYS})
+        """Packed container: the signal order in the header; the ids as an
+        `io.id_column`, the float64 means and int64 counts as arrays."""
+        arrays = {name: getattr(self, name) for name in _HISTORY_ARRAYS}
+        arrays["user_ids"] = id_column(self.user_ids)
+        write_pack(path, {"kind": "user_features", "signals": list(SIGNALS)}, arrays)
 
     @classmethod
     def load(cls, path, user: str | None = None) -> "UserHistoryTable":
-        """The table `save` wrote. With `user`, it holds only that user's
-        row, found by bisecting the ids, or none for an id the file lacks,
-        and no other row is read. Either way the whole header is checked:
-        every array holds one row per id, the ids rise strictly (bisection
-        would silently pick a wrong row otherwise), and the signal order is
-        `SIGNALS`."""
-        rows = None
+        """The table `save` wrote. Either way the header is checked: every
+        array holds one row per id, and the signal order is `SIGNALS`.
 
-        def check(meta, shapes) -> dict:
-            nonlocal rows
-            user_ids, signals = meta_values(
-                path, meta, user_ids=tuple[str, ...], signals=tuple[str, ...]
-            )
+        With `user`, the table holds only that user's row, or none for an id
+        the file lacks. The row is found by bisecting the id column, reading
+        one id row per probe, and each probed id must rise consistently with
+        the ids probed before it (bisection would silently pick a wrong row
+        otherwise); then that row of each array is read and no other. A full
+        load reads every id and checks that they all rise strictly."""
+        found = None
+
+        def check(meta, shapes, read_rows) -> dict:
+            nonlocal found
+            (signals,) = meta_values(path, meta, signals=tuple[str, ...])
             means = shapes["mean_audiobook_embedding"]
-            check_rows(path, means, user_ids=user_ids)
+            n = shapes["user_ids"][0] if shapes["user_ids"] else 0  # `column_ids` refuses a 0-D one
+            check_rows(path, means, user_ids=range(n))
             counts = (means[0], len(SIGNALS))
             for name, shape in (("mean_podcast_embedding", means), ("interaction_counts", counts)):
                 if shapes[name] != shape:
                     raise ValueError(f"{path}: {name} has shape {list(shapes[name])}, not {list(shape)}")
-            if not all(map(operator.lt, user_ids, user_ids[1:])):
-                raise ValueError(f"{path}: user_ids do not rise strictly")
             if signals != list(SIGNALS):
                 raise ValueError(
                     f"{path}: meta 'signals' {signals} is not the signal order {list(SIGNALS)}"
                 )
             if user is None:
                 return {}
-            row = bisect.bisect_left(user_ids, user)
-            rows = [row] if row < len(user_ids) and user_ids[row] == user else []
-            return dict.fromkeys(_HISTORY_ARRAYS, rows)
 
-        meta, arrays = read_pack(path, "user_features", check)
-        user_ids = meta["user_ids"] if rows is None else [meta["user_ids"][r] for r in rows]
+            def id_at(row: int) -> str:
+                return column_ids(path, "user_ids", read_rows("user_ids", [row])).item()
+
+            found = _find_user(path, n, id_at, user)
+            rows = [] if found is None else [found]
+            return {"user_ids": None, **dict.fromkeys(_HISTORY_ARRAYS, rows)}
+
+        _, arrays = read_pack(path, "user_features", check)
+        if user is not None:
+            user_ids = [] if found is None else [user]
+        else:
+            ids = column_ids(path, "user_ids", arrays["user_ids"])
+            check_rising(path, "user_ids", ids)
+            user_ids = ids.tolist()
         return cls(user_ids, *(arrays[name] for name in _HISTORY_ARRAYS))
 
 
@@ -371,9 +402,15 @@ def _table_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return 0.05 * rng.normal(size=shape)
 
 
+# the arrays of `tower_params.bin` that hold `TowerParams.item_freq`: not
+# weights, yet under the item tower's prefix, so that a user-tower load skips them
+_FREQ_IDS, _FREQ_COUNTS = "item.freq_ids", "item.freq_counts"
+
+
 class TowerParams:
     """Dense-layer weights plus categorical embedding tables for both towers,
-    and the item frequency table used for loss weighting."""
+    and the item frequency table used for loss weighting (None when the item
+    tower was not loaded)."""
 
     def __init__(
         self,
@@ -381,7 +418,7 @@ class TowerParams:
         vocabs: dict[str, Vocab],
         dims: dict[str, int],
         weights: dict[str, np.ndarray],
-        item_freq: dict[str, int],
+        item_freq: dict[str, int] | None,
     ):
         self.config = config
         self.vocabs = vocabs
@@ -424,36 +461,57 @@ class TowerParams:
         return checksum(self.weights)
 
     def save(self, path) -> None:
+        """Packed container: config, dims and vocabularies in the header; the
+        weights, and `item_freq` as an id column and int64 counts in id
+        order, as arrays."""
         meta = {
             "kind": "tower_params",
             "dims": self.dims,
             "vocabs": {name: v.to_list() for name, v in self.vocabs.items()},
-            "item_freq": self.item_freq,
             "config": asdict(self.config),
         }
-        write_pack(path, meta, self.weights)
+        items = sorted(self.item_freq)
+        freq = {
+            _FREQ_IDS: id_column(items),
+            _FREQ_COUNTS: np.array([self.item_freq[i] for i in items], np.int64),
+        }
+        write_pack(path, meta, {**self.weights, **freq})
 
     @classmethod
     def load(cls, path, towers: tuple[str, ...] = ("user", "item")) -> "TowerParams":
-        """The checkpoint `save` wrote, holding the weights of `towers` only;
-        the others are never read, yet the layout check covers every weight
-        by the header's shapes."""
+        """The checkpoint `save` wrote, holding the weights of `towers` only,
+        and `item_freq` with the item tower; the others are never read, yet
+        the layout check covers every weight by the header's shapes."""
         meta, arrays = read_pack(
             path,
             "tower_params",
-            lambda meta, shapes: {n: None for n in shapes if n.split(".")[0] not in towers},
+            lambda meta, shapes, read_rows: {n: None for n in shapes if n.split(".")[0] not in towers},
         )
-        vocabs, dims, item_freq = meta_values(
-            path, meta, vocabs=dict[str, tuple[str, ...]], dims=dict[str, int], item_freq=dict[str, int]
-        )
+        vocabs, dims = meta_values(path, meta, vocabs=dict[str, tuple[str, ...]], dims=dict[str, int])
         config = config_from_meta(TwoTowerConfig, path, meta, "two_tower")
         sizes = PackEntries(path, "dims key", dims)
         if dims != _tower_dims(config, sizes["d_c"], sizes["d_embed"]):
             raise ValueError(f"{path}: meta 'dims' {dims} does not fit the tower config")
         vocabs = PackEntries(path, "vocab", {name: Vocab(vals) for name, vals in vocabs.items()})
-        params = cls(config, vocabs, dims, arrays, item_freq)
-        check_layout(path, params.layout(), arrays.shapes)
+        freq = {name: arrays.pop(name, None) for name in (_FREQ_IDS, _FREQ_COUNTS)}
+        params = cls(config, vocabs, dims, arrays, None)
+        check_layout(path, params.layout(), arrays.shapes, others=tuple(freq))
+        if "item" in towers:
+            params.item_freq = _item_freq(path, freq[_FREQ_IDS], freq[_FREQ_COUNTS])
         return params
+
+
+def _item_freq(path, ids: np.ndarray, counts: np.ndarray) -> dict[str, int]:
+    """`TowerParams.item_freq` from its two arrays in `path`: strictly rising
+    ids, one int64 count each."""
+    ids = column_ids(path, _FREQ_IDS, ids)
+    if counts.dtype != np.int64 or counts.shape != ids.shape:
+        raise ValueError(
+            f"{path}: {_FREQ_COUNTS} is {counts.dtype} of shape {list(counts.shape)}, "
+            f"not int64 of shape {list(ids.shape)}"
+        )
+    check_rising(path, _FREQ_IDS, ids)
+    return dict(zip(ids.tolist(), counts.tolist()))
 
 
 def _user_inputs(params: TowerParams, feats: list[UserFeatures]) -> tuple[np.ndarray, np.ndarray]:

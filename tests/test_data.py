@@ -50,6 +50,17 @@ class TestParseInteractions:
         assert parsed.diagnostics[0].line_no == 2
         assert "purchase" in parsed.diagnostics[0].message
 
+    @pytest.mark.parametrize("key", ["user", "item"])
+    def test_id_holding_a_nul_skipped_with_a_reason(self, tmp_path, key):
+        p = tmp_path / "x.jsonl"
+        write_lines(p, [rec_line(), rec_line(**{key: "a\x00"}), rec_line(**{key: "\x00b"})])
+        parsed = parse_interactions(p)
+        assert len(parsed.records) == 1
+        assert [(d.line_no, d.message) for d in parsed.diagnostics] == [
+            (2, f"{key}_id holds a NUL character"),
+            (3, f"{key}_id holds a NUL character"),
+        ]
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "x.jsonl"
         p.write_text("", encoding="utf-8")
@@ -93,6 +104,12 @@ class TestParseCatalog:
         p = tmp_path / "c.jsonl"
         write_lines(p, [cat_line("a1"), cat_line("p1", "podcast"), cat_line("a1")])
         with pytest.raises(ValueError, match=r"lines 1 and 3"):
+            parse_catalog(p)
+
+    def test_id_holding_a_nul_names_the_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [cat_line("a1"), cat_line("a\x00")])
+        with pytest.raises(ValueError, match=r"c.jsonl:2: item_id 'a\\x00' holds a NUL character"):
             parse_catalog(p)
 
     def test_dimension_mismatch(self, tmp_path):

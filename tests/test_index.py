@@ -29,6 +29,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="duplicate"):
             build_index(pairs)
 
+    def test_id_holding_a_nul_fatal(self):
+        # a fixed-width string array drops trailing NULs: 'a\x00' would be served as 'a'
+        with pytest.raises(ValueError, match="NUL"):
+            build_index({"a\x00": TOY["A"], "b": TOY["B"], "c": TOY["C"]})
+
     def test_dimension_mismatch_fatal(self):
         with pytest.raises(ValueError, match="shape"):
             build_index({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 0.0, 1.0])})
@@ -164,6 +169,20 @@ class TestSerialization:
         p2 = tmp_path / "y.bin"
         save_index(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_loaded_id_array_is_that_of_the_built_index(self, tmp_path):
+        idx = build_index({"b\u00e9": TOY["A"], "a": TOY["B"], "\U0001f600": TOY["C"]})
+        save_index(idx, tmp_path / "x.bin")
+        loaded = load_index(tmp_path / "x.bin")
+        assert loaded.id_array.dtype == idx.id_array.dtype
+        assert loaded.id_array.tolist() == idx.id_array.tolist() == loaded.ids == idx.ids
+        assert query_topk(loaded, np.array([1.0, 0.0]), 3) == query_topk(idx, np.array([1.0, 0.0]), 3)
+
+    def test_ids_out_of_order_refused(self, tmp_path):
+        # `build_index` orders its ids; the query path relies on no repeat
+        save_index(RecIndex(["b", "a"], np.eye(2)), tmp_path / "x.bin")
+        with pytest.raises(ValueError, match="x.bin: ids do not rise strictly"):
+            load_index(tmp_path / "x.bin")
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -448,6 +449,10 @@ BINARY_ARTIFACTS = {
 }
 
 
+# the arrays of `user_features.bin` besides its id column
+HISTORY_ARRAYS = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
+
+
 def _nbytes(entry: dict) -> int:
     return math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize
 
@@ -462,13 +467,30 @@ def _drop_last_id(value):
     return value
 
 
+def id_columns(header: dict) -> list[str]:
+    """The names of a container's `io.id_column` arrays: its 2-D uint32 ones."""
+    return [e["name"] for e in header["arrays"] if e["dtype"] == "uint32" and len(e["shape"]) == 2]
+
+
+def edit_id_column(header: dict, payload: bytes, name: str, edit) -> bytes:
+    """`payload` with the id column `name` replaced by `edit(column)`, a 2-D
+    uint32 array; its header entry takes the new shape."""
+    entry = array_entry(header, name)
+    start, end = array_spans(header)[name]
+    column = np.frombuffer(payload[start:end], np.uint32).reshape(entry["shape"])
+    column = np.ascontiguousarray(edit(column))
+    entry["shape"] = list(column.shape)
+    return payload[:start] + column.astype(np.uint32).tobytes() + payload[end:]
+
+
 def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
     """A `write_pack` container damaged in its header, and the text the
     refusal must hold after the file name. `missing-array` and
     `missing-first-array` drop the last or the first array's entry and its
     payload, and `extra-array` adds an entry and its payload, so the file is
     otherwise whole; `misshaped-array` gives the first array its shape
-    flattened, which holds the same bytes."""
+    flattened, which holds the same bytes. `short-id-list` and `repeated-id`
+    damage the id lists in the meta and the id columns in the payload."""
     header, payload = split_container(data)
     entries, first, meta = header["arrays"], header["arrays"][0], header["meta"]
     if how == "missing-array":
@@ -494,6 +516,8 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
         expected = "must be"
     elif how == "short-id-list":
         header["meta"] = _drop_last_id(meta)
+        for name in id_columns(header):
+            payload = edit_id_column(header, payload, name, lambda column: column[:-1])
         # a checkpoint's vocabularies and names fix its weights, a table's ids its rows
         expected = {"hgnn_params": "unexpected array", "tower_params": "has shape"}.get(
             meta["kind"], "entries for"
@@ -501,10 +525,15 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
     elif how == "listed-twice":
         entries.append(dict(first))
         expected = f"array {first['name']!r} listed twice"
-    elif how == "repeated-id":  # the second id of a table's id list set to the first
+    elif how == "repeated-id":  # the second id of a table's id list or column set to the first
         key = ID_LISTS[meta["kind"]]
-        meta[key][1] = meta[key][0]
-        expected = f"{key} lists {meta[key][0]!r} twice"
+        if key in meta:
+            meta[key][1] = meta[key][0]
+            repeated = meta[key][0]
+        else:
+            payload = edit_id_column(header, payload, key, lambda c: c[[0, 0, *range(2, len(c))]])
+            repeated = read_id_column(header, payload, key)[0]
+        expected = f"{key} lists {repeated!r} twice"
     else:
         key, value = {
             "negative-shape": ("shape", [-2, -4]),
@@ -516,6 +545,19 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
         first[key] = value
         expected = f"array {first['name']!r} has {key}"
     return join_container(header, payload), expected
+
+
+def array_entry(header: dict, name: str) -> dict:
+    """The header entry of the array `name`."""
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+def read_id_column(header: dict, payload: bytes, name: str) -> list[str]:
+    """The ids of the id column `name`, decoded without `io`."""
+    entry = array_entry(header, name)
+    start, end = array_spans(header)[name]
+    rows = np.frombuffer(payload[start:end], np.uint32).reshape(entry["shape"])
+    return ["".join(map(chr, row)).rstrip("\0") for row in rows.tolist()]
 
 
 HEADER_DAMAGE = [
@@ -532,11 +574,26 @@ HEADER_DAMAGE = [
     "short-id-list",
 ]
 
+# damage to the meta values besides the kind, which the index's meta holds alone
+META_DAMAGE = {"missing-meta-key", "meta-number", "meta-list"}
+
+
+def header_damage_cases(names) -> list:
+    """`(name, how)` for each container of `names` and each `HEADER_DAMAGE`
+    that applies to it, with the ids `how-name`."""
+    return [
+        pytest.param(name, how, id=f"{how}-{name}")
+        for how in HEADER_DAMAGE
+        for name in names
+        if not (how in META_DAMAGE and name == "rec_index.bin")
+    ]
+
+
 # a checkpoint holds exactly the weights its config, vocabularies and dims declare
 CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
 
-# the id list of each container whose rows are looked up by id in any order
-ID_LISTS = {"embeddings": "item_ids", "index": "ids"}
+# the id list or column of each container that `load` checks for a repeated id
+ID_LISTS = {"embeddings": "item_ids", "index": "ids", "user_features": "user_ids"}
 
 
 def header_length(data: bytes) -> int:
@@ -584,6 +641,13 @@ RECOMMEND_CONTAINERS = sorted(
 )
 
 
+def middle_id_repeated(ids: np.ndarray) -> np.ndarray:
+    """An id column with its middle id, a bisection's first probe, also a
+    quarter in, the second probe of a search below the middle."""
+    n = len(ids)
+    return ids[[*range(n // 4), n // 2, *range(n // 4 + 1, n)]]
+
+
 class TestDamagedArtifacts:
     def test_every_container_is_damage_tested(self):
         containers = {name for name in pipeline.ARTIFACTS.values() if name.endswith(".bin")}
@@ -608,8 +672,7 @@ class TestDamagedArtifacts:
         with pytest.raises(ValueError, match=name):
             BINARY_ARTIFACTS[name](path)
 
-    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
-    @pytest.mark.parametrize("how", HEADER_DAMAGE)
+    @pytest.mark.parametrize("name, how", header_damage_cases(sorted(BINARY_ARTIFACTS)))
     def test_damaged_header_rejected_naming_the_file(self, pipeline_run, tmp_path, name, how):
         _, out = pipeline_run
         path = tmp_path / name
@@ -618,8 +681,7 @@ class TestDamagedArtifacts:
         with pytest.raises(ValueError, match=f"{name}: .*{re.escape(expected)}"):
             BINARY_ARTIFACTS[name](path)
 
-    @pytest.mark.parametrize("name", RECOMMEND_CONTAINERS)
-    @pytest.mark.parametrize("how", HEADER_DAMAGE)
+    @pytest.mark.parametrize("name, how", header_damage_cases(RECOMMEND_CONTAINERS))
     def test_damaged_recommend_input_is_one_json_line(
         self, pipeline_run, tmp_path, capsys, name, how
     ):
@@ -629,9 +691,10 @@ class TestDamagedArtifacts:
         (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
 
-    @pytest.mark.parametrize("name", ["embeddings.bin", "rec_index.bin"])
+    @pytest.mark.parametrize("name", ["embeddings.bin", "rec_index.bin", "user_features.bin"])
     def test_id_list_that_repeats_an_id_rejected_naming_the_file(self, pipeline_run, tmp_path, name):
-        # a repeated index id would be served twice by one query
+        # a repeated index id would be served twice by one query; a full load
+        # checks every pair of adjacent ids
         _, out = pipeline_run
         path = tmp_path / name
         data, expected = damaged_header((out / name).read_bytes(), "repeated-id")
@@ -708,12 +771,15 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (lambda meta: meta["vocabs"].pop("country"), "missing vocab 'country'"),
-            (lambda meta: meta["dims"].pop("d_c"), "missing dims key 'd_c'"),
-            (lambda meta: meta["dims"].update(user_in=1), "meta 'dims'"),
-            (lambda meta: meta["config"].update(music_dim=3), "meta 'dims'"),
-            (lambda meta: meta["vocabs"].update(genre=["g0", 1]), "meta 'vocabs' must be"),
-            (lambda meta: meta["item_freq"].update(a0=True), "meta 'item_freq' must be"),
+            (lambda header: header["meta"]["vocabs"].pop("country"), "missing vocab 'country'"),
+            (lambda header: header["meta"]["dims"].pop("d_c"), "missing dims key 'd_c'"),
+            (lambda header: header["meta"]["dims"].update(user_in=1), "meta 'dims'"),
+            (lambda header: header["meta"]["config"].update(music_dim=3), "meta 'dims'"),
+            (lambda header: header["meta"]["vocabs"].update(genre=["g0", 1]), "meta 'vocabs' must be"),
+            (
+                lambda header: array_entry(header, "item.freq_counts").update(dtype="float64"),
+                "item.freq_counts is float64",
+            ),
         ],
         ids=[
             "vocab-missing",
@@ -724,36 +790,58 @@ class TestDamagedArtifacts:
             "frequency-not-an-integer",
         ],
     )
-    def test_tower_meta_that_does_not_fit_its_weights(self, pipeline_run, tmp_path, edit, expected):
-        _, out = pipeline_run
+    def test_tower_meta_that_does_not_fit_its_weights(
+        self, pipeline_run, tmp_path, capsys, edit, expected
+    ):
+        # the item frequencies are item-tower arrays: `build-index` reads them, `recommend` does not
+        config, out = pipeline_run
         header, payload = split_container((out / "tower_params.bin").read_bytes())
-        edit(header["meta"])
+        edit(header)
         path = tmp_path / "tower_params.bin"
         path.write_bytes(join_container(header, payload))
         with pytest.raises(ValueError, match=f"tower_params.bin: .*{re.escape(expected)}"):
             TowerParams.load(path)
+        run = shutil.copytree(out, tmp_path / "run")
+        shutil.copyfile(path, run / "tower_params.bin")
+        rerecord(run, "tower_params.bin")
+        error = cli_error(stage_argv("build-index", config, run, tmp_path), capsys)
+        assert re.search(f"tower_params.bin: .*{re.escape(expected)}", error), error
 
     @pytest.mark.parametrize(
-        "edit, expected",
+        "damage, expected",
         [
-            (lambda meta: meta["user_ids"].reverse(), "user_ids do not rise strictly"),
-            (lambda meta: meta["user_ids"].__setitem__(1, meta["user_ids"][0]), "user_ids do not rise strictly"),
-            (lambda meta: meta["signals"].reverse(), "is not the signal order"),
-            (lambda meta: meta["signals"].append("share"), "is not the signal order"),
-            (lambda meta: meta["user_ids"].pop(), "user_ids has"),
-            (lambda meta: meta["user_ids"].append("zzz"), "user_ids has"),
+            (lambda ids: ids[::-1], "user_ids do not rise strictly"),
+            (middle_id_repeated, "user_ids do not rise strictly"),
+            ("signals-reordered", "is not the signal order"),
+            ("signal-added", "is not the signal order"),
+            (lambda ids: ids[:-1], "user_ids has"),
+            (
+                lambda ids: np.vstack([ids, np.array(["zzz"], f"U{ids.shape[1]}").view(np.uint32)]),
+                "user_ids has",
+            ),
         ],
         ids=["ids-falling", "id-repeated", "signals-reordered", "signal-added", "id-missing", "id-added"],
     )
-    def test_user_features_header_that_does_not_fit_its_rows(self, pipeline_run, tmp_path, edit, expected):
-        _, out = pipeline_run
+    def test_user_features_header_that_does_not_fit_its_rows(
+        self, pipeline_run, tmp_path, capsys, damage, expected
+    ):
+        config, out = pipeline_run
         header, payload = split_container((out / "user_features.bin").read_bytes())
-        edit(header["meta"])
+        if damage == "signals-reordered":
+            header["meta"]["signals"].reverse()
+        elif damage == "signal-added":
+            header["meta"]["signals"].append("share")
+        else:
+            payload = edit_id_column(header, payload, "user_ids", damage)
         path = tmp_path / "user_features.bin"
         path.write_bytes(join_container(header, payload))
         for user in (None, "u0001", "nobody"):
             with pytest.raises(ValueError, match=f"user_features.bin: .*{re.escape(expected)}"):
                 UserHistoryTable.load(path, user=user)
+        run = shutil.copytree(out, tmp_path / "run")
+        shutil.copyfile(path, run / "user_features.bin")
+        error = cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
+        assert re.search(f"user_features.bin: .*{re.escape(expected)}", error), error
 
     def test_embeddings_loader_refuses_another_kind(self, pipeline_run, tmp_path):
         _, out = pipeline_run
@@ -781,14 +869,21 @@ class TestSelectiveReads:
                 picks[array] = None
             elif how == "rows" and value.ndim and len(value):
                 picks[array] = data.draw(st.lists(st.integers(0, len(value) - 1), max_size=8), label="rows")
-        seen = []
-        picked_meta, picked = io.read_pack(
-            path, kind, lambda m, shapes: seen.append((dict(m), dict(shapes))) or picks
-        )
+        seen, read_by_hook = [], {}
+
+        def select(m, shapes, read_rows):
+            seen.append((dict(m), dict(shapes)))
+            for array, rows in picks.items():
+                if rows is not None:
+                    read_by_hook[array] = read_rows(array, rows)
+            return picks
+
+        picked_meta, picked = io.read_pack(path, kind, select)
         assert seen == [(meta, {a: v.shape for a, v in full.items()})]
         assert picked_meta == meta and picked.shapes == full.shapes
         assert set(picked) == {a for a in full if picks.get(a, ...) is not None}
-        for array, value in picked.items():
+        assert set(read_by_hook) == {a for a, rows in picks.items() if rows is not None}
+        for array, value in [*picked.items(), *read_by_hook.items()]:
             expected = full[array] if array not in picks else full[array][picks[array]]
             assert value.dtype == expected.dtype and value.shape == expected.shape
             assert np.array_equal(value, expected)
@@ -823,12 +918,11 @@ class TestSelectiveReads:
     def test_selected_user_row_is_that_of_the_full_table(self, pipeline_run):
         _, out = pipeline_run
         full = UserHistoryTable.load(out / "user_features.bin")
-        arrays = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
         for row in (0, 3, len(full.user_ids) - 1):
             user = full.user_ids[row]
             table = UserHistoryTable.load(out / "user_features.bin", user=user)
             assert table.user_ids == [user]
-            for name in arrays:
+            for name in HISTORY_ARRAYS:
                 assert np.array_equal(getattr(table, name), getattr(full, name)[[row]])
         # ids before the first, between two and after the last
         for user in ("", full.user_ids[0] + "x", "zzz"):
@@ -859,23 +953,77 @@ class TestSelectiveReads:
             load_graph(path)
 
 
+def bisection_probes(ids: list[str], user: str) -> list[int]:
+    """The rows whose ids a bisection for `user` in the sorted `ids` compares
+    with, in order: the id rows a single-user load of `user_features.bin`
+    reads."""
+    lo, hi, probes = 0, len(ids), []
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        lo, hi = (mid + 1, hi) if ids[mid] < user else (lo, mid)
+    return probes
+
+
+@contextlib.contextmanager
+def bytes_read():
+    """Count, by file name, the bytes each binary file opened for reading
+    within the block hands out."""
+    delivered = Counter()
+    real_open = builtins.open
+
+    class Counted:
+        """A binary file that counts the bytes it hands out."""
+
+        def __init__(self, fh, name):
+            self.fh, self.name = fh, name
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def read(self, *args):
+            data = self.fh.read(*args)
+            delivered[self.name] += len(data)
+            return data
+
+        def readinto(self, buffer):
+            n = self.fh.readinto(buffer)
+            delivered[self.name] += n
+            return n
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Counted(fh, pathlib.Path(file).name) if "b" in mode and "r" in mode else fh
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "open", spy_open)
+        yield delivered
+
+
 class TestServedBytes:
-    """`rec recommend` reads the user tower and the user's row of
-    `user_features.bin`, and no other payload byte of either file."""
+    """`rec recommend` reads the user tower, the id rows of
+    `user_features.bin` its bisection probes and the user's row of each other
+    array, and no other payload byte of either file."""
 
     @staticmethod
     def _nan_outside(run, name: str, keep) -> None:
         """Overwrite with float64 NaN bit patterns, in `run/name`, each row of
-        each array that `keep(entry, header)`, given the array's header entry,
-        does not list among the rows it keeps."""
+        each array that `keep(entry)`, given the array's header entry, does
+        not list among the rows it keeps. In an id column such a row holds
+        values above U+10FFFF."""
         header, payload = split_container((run / name).read_bytes())
         payload = bytearray(payload)
         for entry in header["arrays"]:
             start, end = array_spans(header)[entry["name"]]
             row = (end - start) // entry["shape"][0]
             nan = (np.full(row // 8 + 1, np.nan).tobytes())[:row]
-            kept = keep(entry, header)
-            for r in set(range(entry["shape"][0])) - set(kept):
+            for r in set(range(entry["shape"][0])) - set(keep(entry)):
                 payload[start + r * row : start + (r + 1) * row] = nan
         (run / name).write_bytes(join_container(header, bytes(payload)))
 
@@ -888,75 +1036,71 @@ class TestServedBytes:
         assert main([*argv, str(out)]) == 0
         served = capsys.readouterr().out
         run = shutil.copytree(out, tmp_path / "run")
+        ids = UserHistoryTable.load(out / "user_features.bin").user_ids
+        assert (user in ids) == (user == "u0001")
 
-        def user_tower(entry, header):
+        def user_tower(entry):
             return range(entry["shape"][0]) if entry["name"].startswith("user.") else ()
 
-        def user_row(entry, header):
-            users = header["meta"]["user_ids"]
-            return [users.index(user)] if user in users else []
+        def user_rows(entry):
+            if entry["name"] == "user_ids":
+                return bisection_probes(ids, user)
+            return [ids.index(user)] if user in ids else []
 
-        assert bool(user_row(None, split_container((out / "user_features.bin").read_bytes())[0])) == (
-            user == "u0001"
-        )
         self._nan_outside(run, "tower_params.bin", user_tower)
-        self._nan_outside(run, "user_features.bin", user_row)
+        self._nan_outside(run, "user_features.bin", user_rows)
         for name in ("train.jsonl", "holdout.jsonl", "split_meta.json", "embeddings.bin"):
             (run / name).unlink()
         assert main([*argv, str(run)]) == 0
         assert capsys.readouterr().out == served
 
     def test_recommend_reads_the_tower_header_and_the_user_tower_only(
-        self, pipeline_run, tmp_path, capsys, monkeypatch
+        self, pipeline_run, tmp_path, capsys
     ):
         config, out = pipeline_run
         cfg_path = tmp_path / "config.json"
         io.write_json(config.to_dict(), cfg_path)
-        delivered = Counter()
-        real_open = builtins.open
-
-        class Counted:
-            """A binary file that counts the bytes it hands out."""
-
-            def __init__(self, fh, name):
-                self.fh, self.name = fh, name
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def __getattr__(self, attr):
-                return getattr(self.fh, attr)
-
-            def read(self, *args):
-                data = self.fh.read(*args)
-                delivered[self.name] += len(data)
-                return data
-
-            def readinto(self, buffer):
-                n = self.fh.readinto(buffer)
-                delivered[self.name] += n
-                return n
-
-        def spy_open(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            return Counted(fh, pathlib.Path(file).name) if "b" in mode and "r" in mode else fh
-
-        monkeypatch.setattr(builtins, "open", spy_open)
-        code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
-        monkeypatch.undo()
+        with bytes_read() as delivered:
+            code = main(["recommend", "--config", str(cfg_path), "--out", str(out), "--user", "u0001"])
         assert code == 0, capsys.readouterr().err
         assert set(delivered) == set(RECOMMEND_CONTAINERS)
         whole = (out / "tower_params.bin").read_bytes()
         header = split_container(whole)[0]
         user_tower = sum(_nbytes(e) for e in header["arrays"] if e["name"].startswith("user."))
         assert 0 < delivered["tower_params.bin"] <= header_length(whole) + user_tower < len(whole)
+        # the header, the id rows the bisection probes, and the user's row of each other array
         whole = (out / "user_features.bin").read_bytes()
         header = split_container(whole)[0]
-        row = sum(_nbytes(e) for e in header["arrays"]) // len(header["meta"]["user_ids"])
-        assert delivered["user_features.bin"] == header_length(whole) + row
+        rows = {e["name"]: _nbytes(e) // e["shape"][0] for e in header["arrays"]}
+        probes = bisection_probes(UserHistoryTable.load(out / "user_features.bin").user_ids, "u0001")
+        served = len(probes) * rows["user_ids"] + sum(rows[name] for name in HISTORY_ARRAYS)
+        assert delivered["user_features.bin"] == header_length(whole) + served
+
+    def test_single_user_load_reads_a_logarithmic_number_of_id_rows(self, tmp_path):
+        # built with the table's writer; the cost is counted in bytes, not timed
+        n, dim = 100_000, 2
+        rng = np.random.default_rng(0)
+        table = UserHistoryTable(
+            [f"u{i:06d}" for i in range(n)],
+            rng.normal(size=(n, dim)),
+            rng.normal(size=(n, dim)),
+            rng.integers(0, 5, size=(n, len(data.SIGNALS))),
+        )
+        path = tmp_path / "user_features.bin"
+        table.save(path)
+        whole = path.read_bytes()
+        rows = {e["name"]: _nbytes(e) // n for e in split_container(whole)[0]["arrays"]}
+        probed = header_length(whole) + (math.ceil(math.log2(n)) + 1) * rows["user_ids"]
+        # an id that is present, one below the first id and one above the last
+        for user, row in [("u031415", 31415), ("u", None), ("v", None)]:
+            with bytes_read() as delivered:
+                loaded = UserHistoryTable.load(path, user=user)
+            kept = [] if row is None else [row]
+            served = sum(rows[name] for name in HISTORY_ARRAYS) * len(kept)
+            assert 0 < delivered[path.name] <= probed + served
+            assert loaded.user_ids == [user] * len(kept)
+            for name in HISTORY_ARRAYS:
+                assert np.array_equal(getattr(loaded, name), getattr(table, name)[kept])
 
 
 class TestDeterminism:
