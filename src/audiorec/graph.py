@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord
-from .io import PackEntries, check_rows, meta_values, read_pack, write_pack
+from .io import (
+    PackEntries,
+    check_distinct,
+    check_rising,
+    check_rows,
+    meta_values,
+    read_pack,
+    write_pack,
+)
 
 REL_KEYS = ("aa", "ap", "pp")
 TYPE_CODE = {"audiobook": "a", "podcast": "p"}
@@ -279,7 +287,9 @@ def load_graph(path) -> HeteroGraph:
     """The graph `save_graph` wrote: each node type's features and each
     relation direction's adjacency are read by name, so a missing array
     raises ValueError naming the file; so does an adjacency that is not a
-    CSR over the node lists."""
+    CSR over the node lists, and a node list whose ids do not rise strictly
+    (the id order `_edges_from_adj` lists edges in) or that repeats an id of
+    another type (`node_ref` would find only one)."""
     meta, arrays = read_pack(path, "graph")
     relations, nodes = meta_values(
         path, meta, relations=tuple[str, ...], nodes=dict[str, tuple[str, ...]]
@@ -290,6 +300,8 @@ def load_graph(path) -> HeteroGraph:
         raise ValueError(f"{path}: unknown relation {unknown[0]!r}; expected one of {REL_KEYS}")
     for t, ids in nodes.items():
         check_rows(path, arrays.shapes[f"features.{t}"], **{f"nodes.{t}": ids})
+        check_rising(path, f"nodes.{t}", np.array(ids, dtype=str))
+    check_distinct(path, nodes=[i for ids in nodes.values() for i in ids])
     directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})
     adj = {
         (dst, src): Csr(arrays[f"indptr.{dst}.{src}"], arrays[f"indices.{dst}.{src}"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +19,11 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RecIndex:
-    """Item ids and their unit vectors, row by row. `id_array` holds the ids
-    as one fixed-width numpy string array, which `query_topk` ranks with;
-    it is built from `ids` unless given."""
+    """Item ids and their unit vectors, row by row. The ids are one
+    fixed-width numpy string array, which `query_topk` ranks with."""
 
-    ids: list[str]
+    ids: np.ndarray
     vectors: np.ndarray
-    id_array: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.id_array is None:
-            self.id_array = np.array(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -72,7 +66,7 @@ def build_index(vectors) -> RecIndex:
         raise ValueError(
             f"vector for {ids[int(off[0])]!r} is not unit norm (|v|={norms[int(off[0])]:.8f})"
         )
-    return RecIndex(ids=ids, vectors=mat)
+    return RecIndex(ids=np.array(ids), vectors=mat)
 
 
 def query_topk(
@@ -93,7 +87,7 @@ def query_topk(
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64)
     scores = row_dots(index.vectors, np.broadcast_to(query, index.vectors.shape))
-    ids = index.id_array
+    ids = index.ids
     if exclude:
         keep = ~np.isin(ids, list(exclude))
         scores, ids = scores[keep], ids[keep]
@@ -119,4 +113,4 @@ def load_index(path) -> RecIndex:
     ids = column_ids(path, "ids", arrays["ids"])
     check_rows(path, arrays.shapes["vectors"], ids=ids)
     check_rising(path, "ids", ids)
-    return RecIndex(ids=ids.tolist(), vectors=arrays["vectors"], id_array=ids)
+    return RecIndex(ids=ids, vectors=arrays["vectors"])

@@ -36,7 +36,7 @@ from .hgnn import (
     embed_catalog,
     train_hgnn,
 )
-from .index import build_index, load_index, query_topk, save_index
+from .index import build_index, load_index, save_index
 from .recommenders import (
     PopularityRecommender,
     TwoTowerRecommender,
@@ -52,9 +52,7 @@ from .two_tower import (
     build_training_pairs,
     export_item_vectors,
     train_two_tower,
-    user_features,
     user_histories,
-    user_tower_forward,
 )
 
 
@@ -390,29 +388,12 @@ def stage_build_index(config: PipelineConfig, files: Files) -> None:
     save_index(build_index(export_item_vectors(params, catalog, table)), files["index"])
 
 
-def _two_tower_recommender(
-    files: Files, split: DatasetSplit, table: NodeEmbeddingTable
-) -> TwoTowerRecommender:
-    """The served model, for `evaluate`. Serving runs the user tower alone,
-    so the item tower's weights are not read."""
-    return TwoTowerRecommender(
-        TowerParams.load(files["tower_params"], towers=("user",)),
-        load_index(files["index"]),
-        split.train,
-        table,
-        as_of=split.split_time,
-        music_vectors=_load_music_vectors(files.get("music_vectors")),
-        demographics=_load_demographics(files.get("demographics")),
-    )
-
-
-def stage_recommend(
-    config: PipelineConfig, files: Files, user: str, k: int = 10
-) -> list[tuple[str, float]]:
-    """Serve one user from the user tower, the index and the user's row of
-    `user_features.bin`, which `train-2t` built with the builder training
-    used; the profile part of the tower input comes from the `paths.*`
-    files through the same code. No interaction file is read."""
+def _two_tower_recommender(files: Files, user: str | None = None) -> TwoTowerRecommender:
+    """The served model over `user_features.bin`, which `train-2t` built with
+    the builder training used: every row for `evaluate`, only `user`'s for
+    `recommend`. Serving runs the user tower alone, so the item tower's
+    weights are not read; the profile part of the tower input comes from the
+    `paths.*` files. No interaction file is read."""
     params = TowerParams.load(files["tower_params"], towers=("user",))
     histories = UserHistoryTable.load(files["user_features"], user=user)
     if histories.dim != params.dims["d_embed"]:
@@ -420,22 +401,24 @@ def stage_recommend(
             f"{files['user_features']}: rows of {histories.dim} embedding entries "
             f"for a user tower that reads {params.dims['d_embed']}"
         )
-    feats = user_features(
-        user,
-        histories.get(user),
-        params.config,
-        music_vector=_load_music_vectors(files.get("music_vectors")).get(user),
-        demographics=_load_demographics(files.get("demographics")),
+    music_vectors = _load_music_vectors(files.get("music_vectors"))
+    demographics = _load_demographics(files.get("demographics"))
+    return TwoTowerRecommender.from_table(
+        params, load_index(files["index"]), histories, music_vectors, demographics
     )
-    return query_topk(load_index(files["index"]), user_tower_forward(params, feats), k)
+
+
+def stage_recommend(
+    config: PipelineConfig, files: Files, user: str, k: int = 10
+) -> list[tuple[str, float]]:
+    """Serve one user as `evaluate` scores every holdout user."""
+    return _two_tower_recommender(files, user).recommend_scored(user, k)
 
 
 # Each `eval.models` name, with how `evaluate` builds its recommender from the
 # run's files, split, catalog, embedding table and two-tower settings.
 MODELS: dict[str, Callable] = {
-    "two_tower_hgnn": lambda files, split, catalog, table, tower: _two_tower_recommender(
-        files, split, table
-    ),
+    "two_tower_hgnn": lambda files, split, catalog, table, tower: _two_tower_recommender(files),
     "popularity": lambda files, split, catalog, table, tower: PopularityRecommender(
         split.train, catalog, tower.target_type, tower.window_days, split.split_time
     ),
@@ -609,7 +592,7 @@ STAGES = {
     ),
     "evaluate": Stage(
         stage_evaluate,
-        ("catalog", "train", "holdout", "split_meta", "embeddings", "tower_params", "index"),
+        ("catalog", "train", "holdout", "split_meta", "embeddings", "tower_params", "user_features", "index"),
         _USER_FILES,
         outputs=("evaluation", "evaluation_csv"),
     ),

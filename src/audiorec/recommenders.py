@@ -15,8 +15,10 @@ from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
     TowerParams,
-    assemble_user_features,
+    UserHistoryTable,
     records_by_user,
+    user_features,
+    user_histories,
     user_tower_input,
     user_tower_output,
 )
@@ -86,7 +88,7 @@ class _ProfileKnnRecommender:
             if it.item_type == target_type and vector_of(i) is not None
         )
         # built directly: content vectors are not unit norm, as build_index demands
-        self.index = RecIndex(item_ids, np.stack([vector_of(i) for i in item_ids]))
+        self.index = RecIndex(np.array(item_ids), np.stack([vector_of(i) for i in item_ids]))
         self.fallback_ranking = PopularityRecommender(
             train_records, catalog, target_type, window_days, as_of
         ).ranking
@@ -131,9 +133,11 @@ def hgnn_knn_baseline(
 
 class TwoTowerRecommender:
     """Serve recommendations by running the user tower and exhaustively
-    querying the item index. Total: users with no history still get a vector
-    through the tower. Each user's packed tower input is built once and kept,
-    so a repeat query runs only the user tower and the ranking."""
+    querying the item index. A user's tower input is their row of a
+    `UserHistoryTable`, the zero history for an id it lacks, plus their
+    demographics and music vector, so users with no history still get a
+    vector. Each user's packed tower input is built once and kept, so a
+    repeat query runs only the user tower and the ranking."""
 
     name = "two_tower_hgnn"
 
@@ -147,26 +151,44 @@ class TwoTowerRecommender:
         music_vectors: dict[str, np.ndarray] | None = None,
         demographics: dict[str, tuple[str, str]] | None = None,
     ):
+        """The recommender over the table `train-2t` writes for
+        `train_records`: one row per user in them, as of `as_of`."""
+        if not train_records:
+            raise ValueError("two-tower recommender needs a non-empty training log")
+        users = {r.user_id for r in train_records}
+        histories = user_histories(users, train_records, embeddings, params.config, as_of)
+        self._setup(params, index, UserHistoryTable.build(histories), music_vectors, demographics)
+
+    @classmethod
+    def from_table(
+        cls,
+        params: TowerParams,
+        index: RecIndex,
+        histories: UserHistoryTable,
+        music_vectors: dict[str, np.ndarray] | None = None,
+        demographics: dict[str, tuple[str, str]] | None = None,
+    ) -> "TwoTowerRecommender":
+        """The recommender over rows `train-2t` already built, such as those
+        `UserHistoryTable.load` reads from `user_features.bin`."""
+        recommender = cls.__new__(cls)
+        recommender._setup(params, index, histories, music_vectors, demographics)
+        return recommender
+
+    def _setup(self, params, index, histories, music_vectors, demographics) -> None:
         self.params = params
         self.index = index
-        self.embeddings = embeddings
+        self.histories = histories
         self.music_vectors = music_vectors or {}
         self.demographics = demographics or {}
         self._inputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        window_start, self._as_of = feature_window(
-            train_records, params.config.window_days, as_of
-        )
-        self._history = records_by_user(train_records, window_start, self._as_of)
 
     def user_vector(self, user_id: str) -> np.ndarray:
         inputs = self._inputs.get(user_id)
         if inputs is None:
-            feats = assemble_user_features(
+            feats = user_features(
                 user_id,
-                self._history.get(user_id, []),
-                self.embeddings,
+                self.histories.get(user_id),
                 self.params.config,
-                as_of=self._as_of,
                 music_vector=self.music_vectors.get(user_id),
                 demographics=self.demographics,
             )

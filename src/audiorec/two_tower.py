@@ -198,24 +198,6 @@ def user_features(
     )
 
 
-def assemble_user_features(
-    user_id: str,
-    records: list[InteractionRecord],
-    embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
-    *,
-    as_of: int | None = None,
-    music_vector: np.ndarray | None = None,
-    demographics: dict[str, tuple[str, str]] | None = None,
-) -> UserFeatures:
-    """Build one user's tower input from their interaction history and
-    profile: `user_history`, then `user_features`."""
-    history = user_history(user_id, records, embeddings, config, as_of=as_of)
-    return user_features(
-        user_id, history, config, music_vector=music_vector, demographics=demographics
-    )
-
-
 def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.ndarray:
     rows = [embeddings.get(i) for i in sorted(item_ids)]
     rows = [r for r in rows if r is not None]
@@ -615,10 +597,6 @@ def user_tower_input(params: TowerParams, features: UserFeatures) -> tuple[np.nd
 def user_tower_output(params: TowerParams, inputs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The user tower's unit vector for one packed input."""
     return _tower_forward(params, "user", *inputs).out[0]
-
-
-def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarray:
-    return user_tower_output(params, user_tower_input(params, features))
 
 
 def _batch_loss_and_douts(

@@ -16,6 +16,9 @@ both towers and a fresh gradient dict per batch, which the side-by-side tower
 training replaced. The comprehension sorts every row, where `query_topk`
 sorts only those it may keep, and `filtered_recommendations_full` asks for
 each user's whole ranking, where the harness asks for the part it can keep.
+`assemble_user_features` builds one user's tower input from a scan of every
+train record, where serving reads the user's row of `user_features.bin`; the
+served vector must equal the tower's output on it bit for bit.
 `stream_counts_dense` draws synth's stream counts in one call over the whole
 user x item array, where the generator draws them a block of users at a
 time; the triples and the generator state must match exactly.
@@ -33,12 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from audiorec.data import InteractionRecord
 from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
 from audiorec.hgnn import (
     ExclusionIndex,
     ForwardCache,
     HgnnParams,
     NeighborPlan,
+    NodeEmbeddingTable,
     _sample_negative_refs,
     flat_offsets,
 )
@@ -48,12 +53,17 @@ from audiorec.two_tower import (
     FeatureSet,
     TowerParams,
     TwoTowerConfig,
+    UserFeatures,
     Vocab,
     _batch_loss_and_douts,
     _item_inputs,
     _tower_backward,
     _tower_forward,
     _user_inputs,
+    user_features,
+    user_history,
+    user_tower_input,
+    user_tower_output,
 )
 
 NodeRef = tuple[str, int]
@@ -383,7 +393,7 @@ def query_topk_comprehension(
     """`index.query_topk` building its result one item at a time."""
     query = np.asarray(query, dtype=np.float64)
     scores = row_dots(index.vectors, np.broadcast_to(query, index.vectors.shape))
-    ids = index.id_array
+    ids = index.ids
     if exclude:
         keep = ~np.isin(ids, list(exclude))
         scores, ids = scores[keep], ids[keep]
@@ -400,6 +410,31 @@ def filtered_recommendations_full(
         drop = consumed.get(u, set())
         out[u] = [i for i in recommender.recommend(u) if i not in drop][:max_rank]
     return out
+
+
+def assemble_user_features(
+    user_id: str,
+    records: list[InteractionRecord],
+    embeddings: NodeEmbeddingTable,
+    config: TwoTowerConfig,
+    *,
+    as_of: int | None = None,
+    music_vector: np.ndarray | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
+) -> UserFeatures:
+    """One user's tower input from a scan of every record in `records`:
+    `user_history`, then `user_features`, where the library reads the user's
+    row of the table `train-2t` built for every train user at once."""
+    history = user_history(user_id, records, embeddings, config, as_of=as_of)
+    return user_features(
+        user_id, history, config, music_vector=music_vector, demographics=demographics
+    )
+
+
+def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarray:
+    """The user tower's unit vector for one user's features, packed on the
+    spot, where the recommender keeps each user's packed input."""
+    return user_tower_output(params, user_tower_input(params, features))
 
 
 def stream_counts_dense(

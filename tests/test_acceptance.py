@@ -25,10 +25,11 @@ from audiorec.hgnn import NodeEmbeddingTable, balanced_edge_sample
 from audiorec.index import build_index, load_index, query_topk
 from audiorec.pipeline import PipelineConfig, run_pipeline
 from audiorec.recommenders import TwoTowerRecommender
-from audiorec.two_tower import TowerParams, assemble_user_features, user_tower_forward
+from audiorec.two_tower import TowerParams, UserHistoryTable
 
 from conftest import make_catalog, stream
 from helpers_gradcheck import check_hgnn_gradients, check_tower_gradients
+from oracles import assemble_user_features, user_tower_forward
 from test_hgnn import graph_with_edge_counts
 
 
@@ -280,10 +281,8 @@ def test_criterion_7_inductive_path(full_pipeline):
     assert target in index.ids
 
     params = TowerParams.load(out / "tower_params.bin")
-    split_meta = io.read_json(out / "split_meta.json")
-    recommender = TwoTowerRecommender(
-        params, index, train, table, as_of=split_meta["split_time"]
-    )
+    histories = UserHistoryTable.load(out / "user_features.bin")
+    recommender = TwoTowerRecommender.from_table(params, index, histories)
     eval_users = sorted({r.user_id for r in holdout})
     found_in = None
     for user in eval_users:

@@ -38,14 +38,12 @@ from audiorec.two_tower import (
     UserHistoryTable,
     _item_inputs,
     _user_inputs,
-    assemble_user_features,
     build_feature_set,
     user_histories,
-    user_tower_forward,
 )
 
 from conftest import join_container, split_container
-from oracles import filtered_recommendations_full
+from oracles import assemble_user_features, filtered_recommendations_full, user_tower_forward
 
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -184,6 +182,7 @@ class TestStages:
             "split_meta.json",
             "embeddings.bin",
             "tower_params.bin",
+            "user_features.bin",
             "rec_index.bin",
         }
         for name, digest in manifest["inputs"].items():
@@ -297,7 +296,8 @@ class TestStages:
         params = TowerParams.load(out / "tower_params.bin", towers=("user",))
         table = NodeEmbeddingTable.load(out / "embeddings.bin")
         split_time = io.read_json(out / "split_meta.json")["split_time"]
-        rec = TwoTowerRecommender(params, load_index(out / "rec_index.bin"), train, table, as_of=split_time)
+        histories = UserHistoryTable.load(out / "user_features.bin")
+        rec = TwoTowerRecommender.from_table(params, load_index(out / "rec_index.bin"), histories)
         users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
         want = {
             u: user_tower_forward(
@@ -307,6 +307,14 @@ class TestStages:
         }
         for _ in range(2):  # the second pass runs the tower on each user's kept input
             assert {u: rec.user_vector(u).tobytes() for u in users} == want
+
+    def test_records_constructor_refuses_an_empty_log(self, pipeline_run):
+        # a table needs one row to know its width
+        _, out = pipeline_run
+        params = TowerParams.load(out / "tower_params.bin", towers=("user",))
+        table = NodeEmbeddingTable.load(out / "embeddings.bin")
+        with pytest.raises(ValueError, match="non-empty training log"):
+            TwoTowerRecommender(params, load_index(out / "rec_index.bin"), [], table)
 
     def test_recommend_known_and_unknown_user(self, pipeline_run):
         config, out = pipeline_run
@@ -337,12 +345,17 @@ class TestStages:
         catalog = parse_catalog(out / "catalog.jsonl")
         full = TwoTowerRecommender(params, index, train, table, as_of=split_time)
         train_users = sorted({r.user_id for r in train})
+        # the records constructor builds the table train-2t wrote, array for array
+        stored = UserHistoryTable.load(out / "user_features.bin")
+        assert full.histories.user_ids == stored.user_ids
+        for name in HISTORY_ARRAYS:
+            built, loaded = getattr(full.histories, name), getattr(stored, name)
+            assert built.dtype == loaded.dtype and np.array_equal(built, loaded)
         # unseen ids sort before, between and after the train users'
         users = train_users + ["a", "u0000x", "zzz", 'odd "id" \u00e9']
         # serving and training build a user's row with the same builders
         histories = user_histories(users, train, table, params.config, as_of=split_time)
         packed = build_feature_set(histories, catalog, table, params.config)
-        stored = UserHistoryTable.load(out / "user_features.bin")
         assert stored.user_ids == train_users
         for user in users:
             assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
@@ -352,7 +365,7 @@ class TestStages:
             assert row.interaction_counts == built.interaction_counts
             assert np.array_equal(row.mean_audiobook_embedding, built.mean_audiobook_embedding)
             assert np.array_equal(row.mean_podcast_embedding, built.mean_podcast_embedding)
-            # the recommender's per-user grouping reads what a scan of every record reads
+            # the served row holds what a scan of every record reads
             feats = assemble_user_features(user, train, table, params.config, as_of=split_time)
             assert np.array_equal(served, user_tower_forward(params, feats))
 
@@ -527,9 +540,11 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
         expected = f"array {first['name']!r} listed twice"
     elif how == "repeated-id":  # the second id of a table's id list or column set to the first
         key = ID_LISTS[meta["kind"]]
-        if key in meta:
-            meta[key][1] = meta[key][0]
-            repeated = meta[key][0]
+        field, _, node_type = key.partition(".")  # a graph lists its ids by node type
+        if field in meta:
+            ids = meta[field][node_type] if node_type else meta[field]
+            ids[1] = ids[0]
+            repeated = ids[0]
         else:
             payload = edit_id_column(header, payload, key, lambda c: c[[0, 0, *range(2, len(c))]])
             repeated = read_id_column(header, payload, key)[0]
@@ -593,7 +608,12 @@ def header_damage_cases(names) -> list:
 CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
 
 # the id list or column of each container that `load` checks for a repeated id
-ID_LISTS = {"embeddings": "item_ids", "index": "ids", "user_features": "user_ids"}
+ID_LISTS = {
+    "embeddings": "item_ids",
+    "graph": "nodes.audiobook",
+    "index": "ids",
+    "user_features": "user_ids",
+}
 
 
 def header_length(data: bytes) -> int:
@@ -691,7 +711,7 @@ class TestDamagedArtifacts:
         (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
 
-    @pytest.mark.parametrize("name", ["embeddings.bin", "rec_index.bin", "user_features.bin"])
+    @pytest.mark.parametrize("name", ["embeddings.bin", "graph.bin", "rec_index.bin", "user_features.bin"])
     def test_id_list_that_repeats_an_id_rejected_naming_the_file(self, pipeline_run, tmp_path, name):
         # a repeated index id would be served twice by one query; a full load
         # checks every pair of adjacent ids
@@ -709,6 +729,30 @@ class TestDamagedArtifacts:
         (run / "rec_index.bin").write_bytes(data)
         error = cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
         assert error == f"{run / 'rec_index.bin'}: {expected}"
+
+    @pytest.mark.parametrize("how", ["repeated-id", "swapped-ids", "id-of-two-types"])
+    def test_graph_off_its_node_id_order_is_one_json_line(self, pipeline_run, tmp_path, capsys, how):
+        # a node's row is its rank in id order: `_edges_from_adj` lists edges by
+        # it, and `node_ref` finds an id under one type only
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        whole = (out / "graph.bin").read_bytes()
+        if how == "repeated-id":
+            data, expected = damaged_header(whole, how)
+        else:
+            header, payload = split_container(whole)
+            nodes = header["meta"]["nodes"]
+            if how == "swapped-ids":
+                nodes["audiobook"][:2] = nodes["audiobook"][1::-1]
+                expected = "nodes.audiobook do not rise strictly"
+            else:  # an audiobook id sorts before every podcast id
+                nodes["podcast"][0] = nodes["audiobook"][0]
+                expected = f"nodes lists {nodes['audiobook'][0]!r} twice"
+            data = join_container(header, payload)
+        (run / "graph.bin").write_bytes(data)
+        rerecord(run, "graph.bin")  # train-hgnn hashes its inputs
+        error = cli_error(stage_argv("train-hgnn", config, run, tmp_path), capsys)
+        assert error == f"{run / 'graph.bin'}: {expected}"
 
     @pytest.mark.parametrize(
         "name, stage", [("hgnn_params.bin", "embed"), ("tower_params.bin", "recommend")]
@@ -1256,6 +1300,20 @@ class TestStaleInputs:
         assert f"rerun the {pipeline._PRODUCER[key]!r} stage" in error
         assert {p.name: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_user_features_rewritten_after_train_2t_stales_evaluate(self, pipeline_run, tmp_path, capsys):
+        # evaluate scores the rows recommend serves, as train-2t wrote them
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        table = UserHistoryTable.load(run / "user_features.bin")
+        table.interaction_counts = table.interaction_counts + 1
+        table.save(run / "user_features.bin")
+        error = cli_error(stage_argv("evaluate", config, run, tmp_path), capsys)
+        assert error == (
+            "stale input 'user_features.bin': it changed after the 'train-2t' stage wrote it; "
+            "rerun the 'train-2t' stage"
+        )
+        assert (run / "evaluation.json").read_bytes() == (out / "evaluation.json").read_bytes()
+
     def test_retrained_tower_stales_the_index(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
         run = shutil.copytree(out, tmp_path / "run")
@@ -1734,6 +1792,9 @@ class TestCli:
         table.save(run / "user_features.bin")
         error = self._recommend_error(config, run, tmp_path, capsys)
         assert "user_features.bin: rows of 11 embedding entries for a user tower that reads 12" in error
+        # evaluate hashes its inputs, so the rewritten table is recorded as current
+        rerecord(run, "user_features.bin")
+        assert cli_error(stage_argv("evaluate", config, run, tmp_path), capsys) == error
 
     def test_recommend_without_split_manifest_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run

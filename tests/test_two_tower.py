@@ -20,18 +20,16 @@ from audiorec.two_tower import (
     _item_inputs,
     _tower_forward,
     assemble_item_features,
-    assemble_user_features,
     build_feature_set,
     build_training_pairs,
     export_item_vectors,
     train_two_tower,
     user_histories,
-    user_tower_forward,
 )
 
 from helpers_gradcheck import check_tower_gradients, random_tower_instance
 import oracles
-from oracles import in_batch_loss, train_two_tower_serial
+from oracles import assemble_user_features, in_batch_loss, train_two_tower_serial, user_tower_forward
 
 
 def toy_table(rows: dict[str, np.ndarray], types: dict[str, str] | None = None):
