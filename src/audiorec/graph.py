@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CatalogItem, InteractionRecord
-from .io import (
-    PackEntries,
-    check_distinct,
-    check_rising,
-    check_rows,
-    meta_values,
-    read_pack,
-    write_pack,
-)
+from .io import check_rising, check_rows, column_ids, id_column, meta_values, read_pack, write_pack
 
 REL_KEYS = ("aa", "ap", "pp")
 TYPE_CODE = {"audiobook": "a", "podcast": "p"}
@@ -123,6 +115,8 @@ def build_colisten_graph(
     for rel in relations:
         if rel not in REL_KEYS:
             raise ValueError(f"unknown relation {rel!r}")
+        if relations.count(rel) > 1:
+            raise ValueError(f"relation {rel!r} is listed twice")
     included_types = _types_for_relations(relations)
 
     user_items: dict[str, set[str]] = {}
@@ -256,15 +250,15 @@ def _edges_from_adj(
 
 
 def save_graph(graph: HeteroGraph, path) -> None:
-    """Packed container: node ids and relations in the header; features and
-    adjacency as arrays. Edge lists are not stored: `load_graph` derives them
-    from the adjacency."""
+    """Packed container: the relations in the header; each node type's ids
+    as an `io.id_column`, its features and the adjacency as arrays. Edge
+    lists are not stored: `load_graph` derives them from the adjacency."""
     arrays = {f"features.{t}": mat for t, mat in graph.features.items()}
+    arrays.update({f"nodes.{t}": id_column(ids) for t, ids in graph.nodes.items()})
     for (dst, src), csr in graph.adj.items():
         arrays[f"indptr.{dst}.{src}"] = csr.indptr
         arrays[f"indices.{dst}.{src}"] = csr.indices
-    meta = {"kind": "graph", "relations": list(graph.relations), "nodes": graph.nodes}
-    write_pack(path, meta, arrays)
+    write_pack(path, {"kind": "graph", "relations": list(graph.relations)}, arrays)
 
 
 def _check_csr(path, dst: str, src: str, csr: Csr, n_dst: int, n_src: int) -> None:
@@ -284,34 +278,39 @@ def _check_csr(path, dst: str, src: str, csr: Csr, n_dst: int, n_src: int) -> No
 
 
 def load_graph(path) -> HeteroGraph:
-    """The graph `save_graph` wrote: each node type's features and each
-    relation direction's adjacency are read by name, so a missing array
-    raises ValueError naming the file; so does an adjacency that is not a
-    CSR over the node lists, and a node list whose ids do not rise strictly
-    (the id order `_edges_from_adj` lists edges in) or that repeats an id of
-    another type (`node_ref` would find only one)."""
+    """The graph `save_graph` wrote, over the node types its relations name:
+    each type's ids, features and each relation direction's adjacency are
+    read by name, so a missing array raises ValueError naming the file; so
+    does a relation list that is empty or repeats a relation, an adjacency
+    that is not a CSR over the node lists, and a node list whose ids do not
+    rise strictly (the id order `_edges_from_adj` lists edges in) or that
+    repeats an id of another type (`node_ref` would find only one)."""
     meta, arrays = read_pack(path, "graph")
-    relations, nodes = meta_values(
-        path, meta, relations=tuple[str, ...], nodes=dict[str, tuple[str, ...]]
-    )
+    (relations,) = meta_values(path, meta, relations=tuple[str, ...])
     relations = tuple(relations)
     unknown = sorted(set(relations) - set(REL_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown relation {unknown[0]!r}; expected one of {REL_KEYS}")
-    for t, ids in nodes.items():
-        check_rows(path, arrays.shapes[f"features.{t}"], **{f"nodes.{t}": ids})
-        check_rising(path, f"nodes.{t}", np.array(ids, dtype=str))
-    check_distinct(path, nodes=[i for ids in nodes.values() for i in ids])
+    if not relations:
+        raise ValueError(f"{path}: relations lists none of {REL_KEYS}")
+    check_rising(path, "relations", np.sort(relations))
+    nodes = {}
+    for t in _types_for_relations(relations):
+        name = f"nodes.{t}"
+        nodes[t] = column_ids(path, name, arrays[name])
+        check_rows(path, arrays.shapes[f"features.{t}"], **{name: nodes[t]})
+        check_rising(path, name, nodes[t])
+    # each node list already rises, and numpy's stable sort merges sorted runs
+    check_rising(path, "nodes", np.sort(np.concatenate(list(nodes.values())), kind="stable"))
     directions = sorted({d for rel in relations for d in (rel_types(rel), rel_types(rel)[::-1])})
     adj = {
         (dst, src): Csr(arrays[f"indptr.{dst}.{src}"], arrays[f"indices.{dst}.{src}"])
         for dst, src in directions
     }
-    counts = PackEntries(path, "node list", {t: len(ids) for t, ids in nodes.items()})
     for (dst, src), csr in adj.items():
-        _check_csr(path, dst, src, csr, counts[dst], counts[src])
+        _check_csr(path, dst, src, csr, len(nodes[dst]), len(nodes[src]))
     return HeteroGraph(
-        nodes=nodes,
+        nodes={t: ids.tolist() for t, ids in nodes.items()},
         features={t: arrays[f"features.{t}"] for t in nodes},
         adj=adj,
         edges=_edges_from_adj(adj, relations),

@@ -27,10 +27,12 @@ import numpy as np
 from .graph import Csr, HeteroGraph, rel_key, rel_types
 from .index import row_dots
 from .io import (
-    check_distinct,
+    check_rising,
     check_rows,
     check_rules,
+    column_ids,
     config_from_meta,
+    id_column,
     meta_values,
     read_pack,
     write_pack,
@@ -804,7 +806,6 @@ def _sample_negative_refs(
 @dataclass
 class NodeEmbeddingTable:
     item_ids: list[str]
-    node_types: list[str]
     matrix: np.ndarray
     inductive: np.ndarray
     fallback: np.ndarray
@@ -822,13 +823,13 @@ class NodeEmbeddingTable:
         return None if i is None else self.matrix[i]
 
     def save(self, path) -> None:
-        """Packed container: ids and node types in the header; the float64
-        matrix and the bool flags as arrays."""
-        meta = {"kind": "embeddings", "item_ids": self.item_ids, "node_types": self.node_types}
+        """Packed container: the ids as an `io.id_column`, the float64 matrix
+        and the bool flags as arrays."""
         write_pack(
             path,
-            meta,
+            {"kind": "embeddings"},
             {
+                "item_ids": id_column(self.item_ids),
                 "matrix": np.asarray(self.matrix, dtype=np.float64),
                 "inductive": np.asarray(self.inductive, dtype=bool),
                 "fallback": np.asarray(self.fallback, dtype=bool),
@@ -837,20 +838,22 @@ class NodeEmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "NodeEmbeddingTable":
-        meta, arrays = read_pack(path, "embeddings")
-        item_ids, node_types = meta_values(
-            path, meta, item_ids=tuple[str, ...], node_types=tuple[str, ...]
-        )
-        if not item_ids:
+        """The table `save` wrote: one or more distinct ids, in the table's
+        row order, one per row of each array."""
+        _, arrays = read_pack(path, "embeddings")
+        item_ids = column_ids(path, "item_ids", arrays["item_ids"])
+        if not len(item_ids):
             raise ValueError(f"{path}: empty embedding table")
-        check_rows(path, arrays.shapes["matrix"], item_ids=item_ids, node_types=node_types)
-        check_distinct(path, item_ids=item_ids)
+        check_rows(path, arrays.shapes["matrix"], item_ids=item_ids)
+        # ids rise within each node type and among the inductive rows, and
+        # numpy's stable sort merges sorted runs
+        check_rising(path, "item_ids", np.sort(item_ids, kind="stable"))
         for name in ("inductive", "fallback"):
             if arrays.shapes[name] != (len(item_ids),):
                 raise ValueError(
                     f"{path}: {name} has shape {list(arrays.shapes[name])} for {len(item_ids)} matrix rows"
                 )
-        return cls(item_ids, node_types, arrays["matrix"], arrays["inductive"], arrays["fallback"])
+        return cls(item_ids.tolist(), arrays["matrix"], arrays["inductive"], arrays["fallback"])
 
 
 def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
@@ -860,17 +863,14 @@ def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
         graph, params, _inference_plan(graph, params.config), keep_argfirst=False
     )
     ids: list[str] = []
-    types: list[str] = []
     mats: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     for t in graph.node_types:
         ids.extend(graph.nodes[t])
-        types.extend([t] * len(graph.nodes[t]))
         mats.append(cache.z[t])
         flags.append(cache.fallback[t])
     return NodeEmbeddingTable(
         item_ids=ids,
-        node_types=types,
         matrix=np.concatenate(mats) if mats else np.zeros((0, params.config.out_dim)),
         inductive=np.zeros(len(ids), dtype=bool),
         fallback=np.concatenate(flags) if flags else np.zeros(0, dtype=bool),
@@ -918,7 +918,6 @@ def embed_catalog(
     refs = [isolated.node_ref(i) for i in weight_type]
     return NodeEmbeddingTable(
         item_ids=table.item_ids + list(weight_type),
-        node_types=table.node_types + [catalog[i].item_type for i in weight_type],
         matrix=np.concatenate([table.matrix, np.stack([cache.z[t][j] for t, j in refs])]),
         inductive=np.concatenate([table.inductive, np.ones(len(refs), dtype=bool)]),
         fallback=np.concatenate([table.fallback, [cache.fallback[t][j] for t, j in refs]]),

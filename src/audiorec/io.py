@@ -3,7 +3,6 @@ hashing, and config-section loading."""
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import hashlib
@@ -93,22 +92,13 @@ def meta_values(path, meta, **hints) -> list:
 
 def check_rows(path, shape: tuple[int, ...], **columns) -> None:
     """Refuse a container whose matrix, of header shape `shape`, is not 2-D,
-    or whose id lists and per-row arrays `columns` do not hold one entry per
+    or whose id columns and per-row arrays `columns` do not hold one entry per
     matrix row, with a ValueError naming the file."""
     if len(shape) != 2:
         raise ValueError(f"{path}: matrix has shape {list(shape)}, not rows x columns")
     for name, column in columns.items():
         if len(column) != shape[0]:
             raise ValueError(f"{path}: {name} has {len(column)} entries for {shape[0]} matrix rows")
-
-
-def check_distinct(path, **id_lists) -> None:
-    """Refuse a container whose id lists `id_lists` repeat an id, with a
-    ValueError naming the file and the id."""
-    for name, ids in id_lists.items():
-        if len(set(ids)) != len(ids):
-            repeat = next(i for i, n in collections.Counter(ids).items() if n > 1)
-            raise ValueError(f"{path}: {name} lists {repeat!r} twice")
 
 
 # get_type_hints evaluates every string annotation anew; once per class is enough

@@ -18,7 +18,7 @@ from audiorec.benchmark import (
     run_ordering_seed,
     run_weak_signal_seeds,
 )
-from audiorec.data import parse_interactions
+from audiorec.data import parse_catalog, parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
 from audiorec.graph import build_colisten_graph, load_graph
 from audiorec.hgnn import NodeEmbeddingTable, balanced_edge_sample
@@ -265,10 +265,9 @@ def test_criterion_7_inductive_path(full_pipeline):
         graph_nodes.update(ids)
 
     table = NodeEmbeddingTable.load(out / "embeddings.bin")
+    catalog = parse_catalog(out / "catalog.jsonl")
     cold_items = [
-        i
-        for n, i in enumerate(table.item_ids)
-        if table.node_types[n] == "audiobook" and i not in graph_nodes
+        i for i in table.item_ids if catalog[i].item_type == "audiobook" and i not in graph_nodes
     ]
     assert cold_items, "generator must plant never-streamed audiobooks"
     target = cold_items[0]

@@ -371,7 +371,7 @@ class TestHgnnKnn:
         ids, vectors, train = tied_pair_case(seed)
         catalog = make_catalog(n_audiobooks=10, n_podcasts=0)  # its content is not read
         flags = np.zeros(10, dtype=bool)
-        table = NodeEmbeddingTable(ids, ["audiobook"] * 10, vectors, flags, flags)
+        table = NodeEmbeddingTable(ids, vectors, flags, flags)
         assert_tied_pair_in_id_order(hgnn_knn_baseline(train, catalog, table).recommend("u1"))
 
     def test_profile_in_embedding_space(self, small_split, small_synth, small_embeddings):

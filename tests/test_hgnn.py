@@ -454,14 +454,15 @@ class TestEmbedding:
         )
         table = embed_catalog(g, params, catalog)
         assert table.item_ids == ["p0", "p1", "a0", "a1", "a2", "p2"]
-        assert table.node_types == ["podcast"] * 2 + ["audiobook"] * 3 + ["podcast"]
+        types = [catalog[i].item_type for i in table.item_ids]
+        assert types == ["podcast"] * 2 + ["audiobook"] * 3 + ["podcast"]
         for i, item_id in enumerate(table.item_ids[2:], start=2):
             item = catalog[item_id]
             z, _ = embed_inductive(params, item.item_type, item.content_vector)
             assert np.allclose(table.matrix[i], z, rtol=0, atol=1e-12)
 
     def test_table_round_trip(self, small_embeddings, tmp_path):
-        p = tmp_path / "emb.jsonl"
+        p = tmp_path / "emb.bin"
         small_embeddings.save(p)
         from audiorec.hgnn import NodeEmbeddingTable
 

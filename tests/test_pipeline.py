@@ -480,6 +480,14 @@ def _drop_last_id(value):
     return value
 
 
+def meta_lists(value) -> list[list]:
+    """Every list in a container meta value: the value itself, or one
+    nested in its objects."""
+    if isinstance(value, dict):
+        return [found for v in value.values() for found in meta_lists(v)]
+    return [value] if isinstance(value, list) else []
+
+
 def id_columns(header: dict) -> list[str]:
     """The names of a container's `io.id_column` arrays: its 2-D uint32 ones."""
     return [e["name"] for e in header["arrays"] if e["dtype"] == "uint32" and len(e["shape"]) == 2]
@@ -496,14 +504,16 @@ def edit_id_column(header: dict, payload: bytes, name: str, edit) -> bytes:
     return payload[:start] + column.astype(np.uint32).tobytes() + payload[end:]
 
 
-def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
+def damaged_header(data: bytes, how: str, column: str | None = None) -> tuple[bytes, str]:
     """A `write_pack` container damaged in its header, and the text the
     refusal must hold after the file name. `missing-array` and
     `missing-first-array` drop the last or the first array's entry and its
     payload, and `extra-array` adds an entry and its payload, so the file is
     otherwise whole; `misshaped-array` gives the first array its shape
-    flattened, which holds the same bytes. `short-id-list` and `repeated-id`
-    damage the id lists in the meta and the id columns in the payload."""
+    flattened, which holds the same bytes. `short-id-list` drops the last
+    entry of each list of names in the meta and the last id of every id
+    column; `repeated-id` repeats an id in the id column `column`, by default
+    the container's first."""
     header, payload = split_container(data)
     entries, first, meta = header["arrays"], header["arrays"][0], header["meta"]
     if how == "missing-array":
@@ -538,17 +548,10 @@ def damaged_header(data: bytes, how: str) -> tuple[bytes, str]:
     elif how == "listed-twice":
         entries.append(dict(first))
         expected = f"array {first['name']!r} listed twice"
-    elif how == "repeated-id":  # the second id of a table's id list or column set to the first
-        key = ID_LISTS[meta["kind"]]
-        field, _, node_type = key.partition(".")  # a graph lists its ids by node type
-        if field in meta:
-            ids = meta[field][node_type] if node_type else meta[field]
-            ids[1] = ids[0]
-            repeated = ids[0]
-        else:
-            payload = edit_id_column(header, payload, key, lambda c: c[[0, 0, *range(2, len(c))]])
-            repeated = read_id_column(header, payload, key)[0]
-        expected = f"{key} lists {repeated!r} twice"
+    elif how == "repeated-id":  # the column's second id set to its first
+        column = column or id_columns(header)[0]
+        payload = edit_id_column(header, payload, column, lambda c: c[[0, 0, *range(2, len(c))]])
+        expected = f"{column} lists {read_id_column(header, payload, column)[0]!r} twice"
     else:
         key, value = {
             "negative-shape": ("shape", [-2, -4]),
@@ -589,8 +592,10 @@ HEADER_DAMAGE = [
     "short-id-list",
 ]
 
-# damage to the meta values besides the kind, which the index's meta holds alone
+# damage to the meta values besides the kind, which the meta of an index or an
+# embedding table holds alone
 META_DAMAGE = {"missing-meta-key", "meta-number", "meta-list"}
+KIND_ONLY = {"embeddings.bin", "rec_index.bin"}
 
 
 def header_damage_cases(names) -> list:
@@ -600,20 +605,12 @@ def header_damage_cases(names) -> list:
         pytest.param(name, how, id=f"{how}-{name}")
         for how in HEADER_DAMAGE
         for name in names
-        if not (how in META_DAMAGE and name == "rec_index.bin")
+        if not (how in META_DAMAGE and name in KIND_ONLY)
     ]
 
 
 # a checkpoint holds exactly the weights its config, vocabularies and dims declare
 CHECKPOINT_DAMAGE = ["missing-first-array", "extra-array", "misshaped-array"]
-
-# the id list or column of each container that `load` checks for a repeated id
-ID_LISTS = {
-    "embeddings": "item_ids",
-    "graph": "nodes.audiobook",
-    "index": "ids",
-    "user_features": "user_ids",
-}
 
 
 def header_length(data: bytes) -> int:
@@ -711,16 +708,22 @@ class TestDamagedArtifacts:
         (run / name).write_bytes(damaged_header((out / name).read_bytes(), how)[0])
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
 
-    @pytest.mark.parametrize("name", ["embeddings.bin", "graph.bin", "rec_index.bin", "user_features.bin"])
+    @pytest.mark.parametrize(
+        "name", ["embeddings.bin", "graph.bin", "rec_index.bin", "tower_params.bin", "user_features.bin"]
+    )
     def test_id_list_that_repeats_an_id_rejected_naming_the_file(self, pipeline_run, tmp_path, name):
         # a repeated index id would be served twice by one query; a full load
-        # checks every pair of adjacent ids
+        # checks every pair of adjacent ids, in each of the container's id columns
         _, out = pipeline_run
         path = tmp_path / name
-        data, expected = damaged_header((out / name).read_bytes(), "repeated-id")
-        path.write_bytes(data)
-        with pytest.raises(ValueError, match=f"{name}: {re.escape(expected)}"):
-            BINARY_ARTIFACTS[name](path)
+        whole = (out / name).read_bytes()
+        columns = id_columns(split_container(whole)[0])
+        assert columns
+        for column in columns:
+            data, expected = damaged_header(whole, "repeated-id", column)
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=f"{name}: {re.escape(expected)}"):
+                BINARY_ARTIFACTS[name](path)
 
     def test_index_that_repeats_an_id_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
@@ -741,18 +744,51 @@ class TestDamagedArtifacts:
             data, expected = damaged_header(whole, how)
         else:
             header, payload = split_container(whole)
-            nodes = header["meta"]["nodes"]
             if how == "swapped-ids":
-                nodes["audiobook"][:2] = nodes["audiobook"][1::-1]
+                payload = edit_id_column(
+                    header, payload, "nodes.audiobook", lambda c: c[[1, 0, *range(2, len(c))]]
+                )
                 expected = "nodes.audiobook do not rise strictly"
             else:  # an audiobook id sorts before every podcast id
-                nodes["podcast"][0] = nodes["audiobook"][0]
-                expected = f"nodes lists {nodes['audiobook'][0]!r} twice"
+                first = read_id_column(header, payload, "nodes.audiobook")[0]
+                podcasts = read_id_column(header, payload, "nodes.podcast")
+                payload = edit_id_column(
+                    header, payload, "nodes.podcast", lambda c: io.id_column([first, *podcasts[1:]])
+                )
+                expected = f"nodes lists {first!r} twice"
             data = join_container(header, payload)
         (run / "graph.bin").write_bytes(data)
         rerecord(run, "graph.bin")  # train-hgnn hashes its inputs
         error = cli_error(stage_argv("train-hgnn", config, run, tmp_path), capsys)
         assert error == f"{run / 'graph.bin'}: {expected}"
+
+    @pytest.mark.parametrize(
+        "relations, expected",
+        [
+            ([], "relations lists none of ('aa', 'ap', 'pp')"),  # was a StopIteration traceback
+            (["aa", "aa", "pp"], "relations lists 'aa' twice"),  # trained 'aa' twice
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_graph_relations_empty_or_repeated_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys, relations, expected
+    ):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        header, payload = split_container((out / "graph.bin").read_bytes())
+        header["meta"]["relations"] = relations
+        (run / "graph.bin").write_bytes(join_container(header, payload))
+        rerecord(run, "graph.bin")  # train-hgnn hashes its inputs
+        error = cli_error(stage_argv("train-hgnn", config, run, tmp_path), capsys)
+        assert error == f"{run / 'graph.bin'}: {expected}"
+
+    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    def test_meta_holds_no_list_with_one_entry_per_row(self, pipeline_run, name):
+        # per-row ids live in id columns; a header holds what the config sizes
+        _, out = pipeline_run
+        header, _ = split_container((out / name).read_bytes())
+        rows = {entry["shape"][0] for entry in header["arrays"] if entry["shape"]}
+        assert not [values for values in meta_lists(header["meta"]) if len(values) in rows]
 
     @pytest.mark.parametrize(
         "name, stage", [("hgnn_params.bin", "embed"), ("tower_params.bin", "recommend")]
@@ -1617,6 +1653,19 @@ class TestCli:
         before = tree_bytes(run)
         error = cli_error(["build-graph", "--config", str(cfg_path), "--out", str(run)], capsys)
         assert "relations must name one or more of ['aa', 'ap', 'pp']" in error
+        assert tree_bytes(run) == before
+
+    def test_repeated_graph_relation_refused_before_any_write(self, pipeline_run, tmp_path, capsys):
+        # was a checkpoint listing the relation twice, its weights drawn twice
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["graph"]["relations"] = ["aa", "aa", "pp"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        before = tree_bytes(run)
+        error = cli_error(["build-graph", "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert "relation 'aa' is listed twice" in error
         assert tree_bytes(run) == before
 
     def test_shipped_configs_pass_the_config_rules(self):

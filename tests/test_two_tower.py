@@ -32,11 +32,10 @@ import oracles
 from oracles import assemble_user_features, in_batch_loss, train_two_tower_serial, user_tower_forward
 
 
-def toy_table(rows: dict[str, np.ndarray], types: dict[str, str] | None = None):
+def toy_table(rows: dict[str, np.ndarray]):
     ids = sorted(rows)
     return NodeEmbeddingTable(
         item_ids=ids,
-        node_types=[(types or {}).get(i, "audiobook") for i in ids],
         matrix=np.stack([np.asarray(rows[i], dtype=np.float64) for i in ids]),
         inductive=np.zeros(len(ids), dtype=bool),
         fallback=np.zeros(len(ids), dtype=bool),
@@ -59,7 +58,7 @@ class TestUserFeatures:
         assert np.array_equal(f.mean_podcast_embedding, [0.0, 0.0])
 
     def test_no_audiobooks_gives_zero_mean(self):
-        table = toy_table({"p1": [1.0, 0.0]}, {"p1": "podcast"})
+        table = toy_table({"p1": [1.0, 0.0]})
         records = [InteractionRecord("u1", "p1", "podcast", "stream", 10)]
         f = assemble_user_features("u1", records, table, TwoTowerConfig(), as_of=100)
         assert np.array_equal(f.mean_audiobook_embedding, [0.0, 0.0])
@@ -114,7 +113,7 @@ class TestUserFeatures:
 
 class TestUserHistoryTable:
     def test_saved_rows_load_back_and_unknown_ids_get_the_empty_history(self, tmp_path):
-        table = toy_table({"a1": [1.0, 0.0], "a2": [0.0, 1.0], "p1": [0.5, 0.5]}, {"p1": "podcast"})
+        table = toy_table({"a1": [1.0, 0.0], "a2": [0.0, 1.0], "p1": [0.5, 0.5]})
         records = [
             InteractionRecord("u2", "a1", "audiobook", "stream", 10),
             InteractionRecord("u2", "a2", "audiobook", "follow", 20),
