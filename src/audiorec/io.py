@@ -10,6 +10,7 @@ import json
 import math
 import os
 import struct
+import sys
 import types
 import typing
 from pathlib import Path
@@ -44,6 +45,7 @@ def config_hash(obj) -> str:
 _SCALARS = (bool, int, float, str, types.NoneType)
 
 
+@functools.cache
 def _fits(hint, kind: type) -> bool:
     """Whether a JSON value of type `kind` fits the scalar annotation `hint`.
     An integer fits a float; a bool fits only a bool."""
@@ -52,16 +54,24 @@ def _fits(hint, kind: type) -> bool:
     return issubclass(kind, (int, float) if hint is float else hint)
 
 
+@functools.cache
+def _parts(hint) -> tuple | None:
+    """`typing.get_origin` and `typing.get_args` of an annotation, or None
+    for a scalar one, worked out once per annotation."""
+    return None if hint in _SCALARS else (typing.get_origin(hint), typing.get_args(hint))
+
+
 def _admits(hint, value) -> bool:
     """Whether a JSON value fits an annotation: a scalar, `tuple[T, ...]` (an
     array of T), `dict[str, T]` (an object of T) or a union such as
     `X | None`."""
-    if hint in _SCALARS:
+    parts = _parts(hint)
+    if parts is None:
         return _fits(hint, type(value))
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
+    origin, args = parts
+    if origin is tuple:
         return isinstance(value, (list, tuple)) and _all_admit(args[0], value)
-    if typing.get_origin(hint) is dict:
+    if origin is dict:
         return isinstance(value, dict) and _all_admit(args[1], value.values())
     return any(_admits(h, value) for h in args)
 
@@ -74,12 +84,16 @@ def _all_admit(hint, values) -> bool:
     return all(_admits(hint, v) for v in values)
 
 
+def _wrong_type(name: str, value, hint) -> ValueError:
+    what = hint.__name__ if isinstance(hint, type) else hint
+    return ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def check_json_type(name: str, value, hint) -> None:
     """Refuse a JSON value that the annotation `hint` does not admit, with a
     ValueError naming `name`."""
     if not _admits(hint, value):
-        what = hint.__name__ if isinstance(hint, type) else hint
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise _wrong_type(name, value, hint)
 
 
 def meta_values(path, meta, **hints) -> list:
@@ -105,18 +119,24 @@ def check_rows(path, shape: tuple[int, ...], **columns) -> None:
 _field_types = functools.cache(typing.get_type_hints)
 
 
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls))
+
+
 def dataclass_from_dict(cls, obj: dict, section: str):
     """Build the config dataclass `cls` from one config section, rejecting
     keys it does not declare and values its field annotations do not admit.
     JSON arrays become the tuples their fields declare."""
     if not isinstance(obj, dict):
         raise ValueError(f"{section} config must be an object, got {obj!r}")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    unknown = obj.keys() - _field_names(cls)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
     hints = _field_types(cls)
     for name, value in obj.items():
-        check_json_type(f"{section}.{name}", value, hints[name])
+        if not _admits(hints[name], value):
+            raise _wrong_type(f"{section}.{name}", value, hints[name])
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
@@ -160,7 +180,8 @@ def read_json(path):
     """The JSON document in `path`; text that is not UTF-8 or not JSON raises
     ValueError naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
     except json.JSONDecodeError as exc:
@@ -249,17 +270,22 @@ class PackArrays(PackEntries):
         self.shapes = PackEntries(path, "array", shapes)
 
 
+# a container names a few dtypes over and over; a string numpy refuses raises
+# anew on every read, since `lru_cache` keeps only returned values
+_dtype = functools.lru_cache(maxsize=64)(np.dtype)
+
+
 def _array_spec(entry: dict) -> tuple[str, np.dtype, tuple[int, ...]]:
     """One header entry's (name, dtype, shape). The dtype must be bool, int,
     uint or float; the shape a list of non-negative integers."""
     name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
     if not isinstance(name, str):
         raise ValueError(f"array name {name!r} is not a string")
-    if not isinstance(dtype, str) or np.dtype(dtype).kind not in "biuf":
+    if not isinstance(dtype, str) or _dtype(dtype).kind not in "biuf":
         raise ValueError(f"array {name!r} has dtype {dtype!r}, not bool, int, uint or float")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"array {name!r} has shape {shape!r}, not a list of non-negative integers")
-    return name, np.dtype(dtype), tuple(shape)
+    return name, _dtype(dtype), tuple(shape)
 
 
 def _read_exactly(path, fh, offset: int, out: np.ndarray, name: str) -> None:
@@ -269,7 +295,55 @@ def _read_exactly(path, fh, offset: int, out: np.ndarray, name: str) -> None:
         raise ValueError(f"{path}: truncated payload for array {name!r}")
 
 
-RowReader = Callable[[str, Iterable[int]], np.ndarray]
+# the codec of an `id_column` row's bytes: native-order uint32 code points
+_ID_CODEC = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
+class RowReader:
+    """Reads rows along the first axis of one array of a container that
+    `read_pack` holds open, and nothing else. A row outside the array raises
+    IndexError instead of reading a neighbouring array's bytes."""
+
+    def __init__(self, path, fh, placed: dict[str, tuple[np.dtype, tuple[int, ...], int]]):
+        self.path, self._fh, self._placed = path, fh, placed
+
+    def _row(self, name: str, r: int) -> tuple[int, int]:
+        """The file offset and byte size of row `r` of array `name`."""
+        dtype, shape, offset = self._placed[name]
+        if not 0 <= r < shape[0]:
+            raise IndexError(f"{self.path}: row {r} of array {name!r}, which has {shape[0]}")
+        size = math.prod(shape[1:]) * dtype.itemsize
+        return offset + r * size, size
+
+    def __call__(self, name: str, rows: Iterable[int]) -> np.ndarray:
+        """The given rows of array `name`, in their order."""
+        dtype, shape, _ = self._placed[name]
+        rows = list(rows)
+        out = np.empty((len(rows), *shape[1:]), dtype)
+        for i, r in enumerate(rows):
+            _read_exactly(self.path, self._fh, self._row(name, r)[0], out[i : i + 1], name)
+        return out
+
+    def id_at(self, name: str, row: int) -> str:
+        """The id that `column_ids` reads in row `row` of the id column
+        `name`, decoded straight from the row's bytes. A column or a row that
+        `column_ids` refuses goes through it, so it is refused with the same
+        message."""
+        dtype, shape, _ = self._placed[name]
+        if dtype != np.uint32 or len(shape) != 2 or shape[1] < 1:
+            return column_ids(self.path, name, self(name, [row])).item()
+        start, size = self._row(name, row)
+        self._fh.seek(start)
+        raw = self._fh.read(size)
+        if len(raw) != size:  # the file shrank after its size was checked
+            raise ValueError(f"{self.path}: truncated payload for array {name!r}")
+        try:
+            found = raw.decode(_ID_CODEC, "surrogatepass").rstrip("\x00")
+        except UnicodeDecodeError:  # a value above U+10FFFF
+            found = "\x00"
+        if "\x00" in found:  # the row as an array of the bytes read, not of the file
+            return column_ids(self.path, name, np.frombuffer(raw, dtype).reshape(1, -1)).item()
+        return found
 
 
 def read_pack(
@@ -286,12 +360,12 @@ def read_pack(
 
     `select(meta, shapes, read_rows)`, when given, sees the meta and every
     array's header shape once the file passed those checks, and may refuse
-    it by raising. `read_rows(name, rows)` reads the given rows along the
-    first axis of one array, and nothing else, so the hook can search a
-    sorted column by reading a few of its rows. The hook returns, by array
-    name, `None` to skip that array or the row indices along its first axis
-    to read; an array it leaves out is read whole. A row index outside an
-    array raises IndexError. Each array is read
+    it by raising. `read_rows`, a `RowReader`, reads the given rows along
+    the first axis of one array, or one id of an id column, and nothing
+    else, so the hook can search a sorted column by reading a few of its
+    rows. The hook returns, by array name, `None` to skip that array or the
+    row indices along its first axis to read; an array it leaves out is read
+    whole. A row index outside an array raises IndexError. Each array is read
     straight into its own writable buffer, so no later rewrite of the file
     can change it.
     """
@@ -329,19 +403,9 @@ def read_pack(
         if offset != size:
             raise ValueError(f"{path}: {size - offset} unexpected bytes after the last array")
 
-        def read_rows(name: str, rows) -> np.ndarray:
-            dtype, shape, offset = placed[name]
-            rows = list(rows)
-            out = np.empty((len(rows), *shape[1:]), dtype)
-            row = math.prod(shape[1:]) * dtype.itemsize
-            for i, r in enumerate(rows):
-                if not 0 <= r < shape[0]:  # it would read the bytes of a neighbouring array
-                    raise IndexError(f"{path}: row {r} of array {name!r}, which has {shape[0]}")
-                _read_exactly(path, fh, offset + r * row, out[i : i + 1], name)
-            return out
-
         meta = PackEntries(path, "meta key", meta)
         arrays = PackArrays(path, shapes)
+        read_rows = RowReader(path, fh, placed)
         picks = select(meta, arrays.shapes, read_rows) if select else {}
         for name, (dtype, shape, offset) in placed.items():
             if name not in picks:

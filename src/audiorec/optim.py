@@ -123,8 +123,9 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for key in sorted(params):
             g = grads[key]
-            m = self._m.setdefault(key, np.zeros_like(params[key]))
-            v = self._v.setdefault(key, np.zeros_like(params[key]))
+            if key not in self._m:  # the moments start at zero on a weight's first step
+                self._m[key], self._v[key] = np.zeros_like(params[key]), np.zeros_like(params[key])
+            m, v = self._m[key], self._v[key]
             a = self._buffer(m)
             np.subtract(g, m, out=a)
             a *= 1.0 - b1

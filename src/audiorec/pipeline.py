@@ -609,13 +609,15 @@ STAGES = {
 
 DAILY = tuple(STAGES)[: list(STAGES).index("evaluate") + 1]
 _PRODUCER = {key: name for name, stage in STAGES.items() for key in stage.outputs}
-_KEY_OF_FILE = {file: key for key, file in ARTIFACTS.items()}
+# the config fields that may name an input from outside the chain, as (section, key)
+_CONFIG_FIELDS = (*(("paths", f.name) for f in fields(PathsConfig)), ("eval", "ablation_manifest"))
 
 
-def _configured(config: PipelineConfig, key: str) -> tuple[str, str | None]:
-    """The config field that may name input `key` from outside the chain, and its value."""
-    section = "eval" if key == "ablation_manifest" else "paths"
-    return f"{section}.{key}", getattr(getattr(config, section), key, None)
+def _configured(config: PipelineConfig) -> dict[str, tuple[str, str]]:
+    """The inputs `config` names from outside the chain, by key: the config
+    field that names each and the path it gives."""
+    named = ((section, key, getattr(getattr(config, section), key)) for section, key in _CONFIG_FIELDS)
+    return {key: (f"{section}.{key}", value) for section, key, value in named if value}
 
 
 def _stale(name: str, stage: str, why: str) -> PipelineError:
@@ -635,6 +637,9 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     by file name.
     """
     hashed = bool(spec.outputs)
+    configured = _configured(config)
+    # each file written in this directory's chain, by name: the stage that writes it
+    chained = {ARTIFACTS[key]: stage for key, stage in _PRODUCER.items() if key not in configured}
     manifest_dir = out_dir / "manifests"
     manifests: dict[str, dict] = {}
     current: set[str] = set()
@@ -642,7 +647,7 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     def manifest(stage: str, name: str) -> dict:
         if stage not in manifests:
             try:
-                manifests[stage] = io.read_json(manifest_dir / f"{stage}.json")
+                manifests[stage] = io.read_json(f"{manifest_dir}/{stage}.json")
             except FileNotFoundError:
                 raise PipelineError(
                     f"missing manifest '{stage}.json' for {name!r}: run the {stage!r} stage first"
@@ -655,10 +660,9 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
         if stage in current:
             return
         for read, digest in manifest(stage, name).get("inputs", {}).items():
-            key = _KEY_OF_FILE.get(read)
-            if key not in _PRODUCER or _configured(config, key)[1]:
+            source = chained.get(read)
+            if source is None:
                 continue  # not written in this directory's chain
-            source = _PRODUCER[key]
             if manifest(source, read).get("outputs", {}).get(read) != digest:
                 raise _stale(
                     name, stage, f"the {stage!r} stage read a {read!r} that {source!r} has rewritten since"
@@ -669,9 +673,9 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
     files: Files = {}
     digests: dict[str, str] = {}
     for key in spec.inputs + spec.optional:
-        field_name, configured = _configured(config, key)
-        if configured:
-            path = Path(configured)
+        if key in configured:
+            field_name, value = configured[key]
+            path = Path(value)
             if not path.exists():
                 raise PipelineError(f"configured {field_name} does not exist: {path}")
             files[key] = path
@@ -680,19 +684,19 @@ def _current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple
             continue
         if key not in _PRODUCER:
             continue  # a file only a config supplies, and this one does not
-        path = out_dir / ARTIFACTS[key]
-        source = _PRODUCER[key]
+        name, source = ARTIFACTS[key], _PRODUCER[key]
+        path = out_dir / name
         if not path.exists():
             if key in spec.optional:
                 continue
-            raise PipelineError(f"missing artifact {path.name!r}: run the {source!r} stage first")
-        recorded = manifest(source, path.name).get("outputs", {}).get(path.name)
+            raise PipelineError(f"missing artifact {name!r}: run the {source!r} stage first")
+        recorded = manifest(source, name).get("outputs", {}).get(name)
         digest = io.sha256_file(path) if hashed else recorded
         if recorded is None or digest != recorded:
-            raise _stale(path.name, source, f"it changed after the {source!r} stage wrote it")
-        check_upstream(source, path.name)
+            raise _stale(name, source, f"it changed after the {source!r} stage wrote it")
+        check_upstream(source, name)
         files[key] = path
-        digests[path.name] = digest
+        digests[name] = digest
     return files, digests
 
 
@@ -742,10 +746,10 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     if spec is None:
         raise PipelineError(f"unknown stage {stage!r}")
     out_dir = Path(out_dir)
+    if not spec.outputs:  # a query: it creates nothing, not even `out_dir`
+        return spec.run(config, _current_inputs(spec, config, out_dir)[0], **kwargs)
     out_dir.mkdir(parents=True, exist_ok=True)
     files, digests = _current_inputs(spec, config, out_dir)
-    if not spec.outputs:
-        return spec.run(config, files, **kwargs)
     files.update((key, out_dir / ARTIFACTS[key]) for key in spec.outputs + spec.logs)
     result = spec.run(config, files)
     io.write_json(config.to_dict(), out_dir / "resolved_config.json")

@@ -309,10 +309,12 @@ class UserHistoryTable:
 
         With `user`, the table holds only that user's row, or none for an id
         the file lacks. The row is found by bisecting the id column, reading
-        one id row per probe, and each probed id must rise consistently with
-        the ids probed before it (bisection would silently pick a wrong row
-        otherwise); then that row of each array is read and no other. A full
-        load reads every id and checks that they all rise strictly."""
+        one id row per probe and decoding it from its bytes (a row that
+        `column_ids` refuses is refused with its message), and each probed
+        id must rise consistently with the ids probed before it (bisection
+        would silently pick a wrong row otherwise); then that row of each
+        array is read and no other. A full load reads every id and checks
+        that they all rise strictly."""
         found = None
 
         def check(meta, shapes, read_rows) -> dict:
@@ -332,10 +334,7 @@ class UserHistoryTable:
             if user is None:
                 return {}
 
-            def id_at(row: int) -> str:
-                return column_ids(path, "user_ids", read_rows("user_ids", [row])).item()
-
-            found = _find_user(path, n, id_at, user)
+            found = _find_user(path, n, partial(read_rows.id_at, "user_ids"), user)
             rows = [] if found is None else [found]
             return {"user_ids": None, **dict.fromkeys(_HISTORY_ARRAYS, rows)}
 

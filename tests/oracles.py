@@ -22,6 +22,10 @@ served vector must equal the tower's output on it bit for bit.
 `stream_counts_dense` draws synth's stream counts in one call over the whole
 user x item array, where the generator draws them a block of users at a
 time; the triples and the generator state must match exactly.
+`current_inputs` walks the manifest chain asking the config, for every input
+every manifest records, whether a config field names it; the library works
+that set out once per walk. Both must resolve the same files and digests, or
+refuse with the same text.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -33,9 +37,11 @@ for bit where every product and sum is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from audiorec import io
 from audiorec.data import InteractionRecord
 from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
 from audiorec.hgnn import (
@@ -49,6 +55,7 @@ from audiorec.hgnn import (
 )
 from audiorec.index import RecIndex, row_dots
 from audiorec.optim import NORM_FLOOR, Adam
+from audiorec.pipeline import _PRODUCER, ARTIFACTS, PipelineConfig, PipelineError, Stage, _stale
 from audiorec.two_tower import (
     FeatureSet,
     TowerParams,
@@ -716,3 +723,75 @@ def forward(
 
         out[nb.seed] = _normalize(h_of(nb.seed_ref, params.config.layers))[0]
     return out
+
+
+_KEY_OF_FILE = {file: key for key, file in ARTIFACTS.items()}
+
+
+def _configured(config: PipelineConfig, key: str) -> tuple[str, str | None]:
+    """The config field that may name input `key` from outside the chain, and its value."""
+    section = "eval" if key == "ablation_manifest" else "paths"
+    return f"{section}.{key}", getattr(getattr(config, section), key, None)
+
+
+def current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple[dict, dict]:
+    """`pipeline._current_inputs`, asking `_configured` about every input of
+    every manifest it reads."""
+    hashed = bool(spec.outputs)
+    manifest_dir = out_dir / "manifests"
+    manifests: dict[str, dict] = {}
+    current: set[str] = set()
+
+    def manifest(stage: str, name: str) -> dict:
+        if stage not in manifests:
+            try:
+                manifests[stage] = io.read_json(manifest_dir / f"{stage}.json")
+            except FileNotFoundError:
+                raise PipelineError(
+                    f"missing manifest '{stage}.json' for {name!r}: run the {stage!r} stage first"
+                ) from None
+        return manifests[stage]
+
+    def check_upstream(stage: str, name: str) -> None:
+        if stage in current:
+            return
+        for read, digest in manifest(stage, name).get("inputs", {}).items():
+            key = _KEY_OF_FILE.get(read)
+            if key not in _PRODUCER or _configured(config, key)[1]:
+                continue
+            source = _PRODUCER[key]
+            if manifest(source, read).get("outputs", {}).get(read) != digest:
+                raise _stale(
+                    name, stage, f"the {stage!r} stage read a {read!r} that {source!r} has rewritten since"
+                )
+            check_upstream(source, name)
+        current.add(stage)
+
+    files: dict[str, Path] = {}
+    digests: dict[str, str] = {}
+    for key in spec.inputs + spec.optional:
+        field_name, configured = _configured(config, key)
+        if configured:
+            path = Path(configured)
+            if not path.exists():
+                raise PipelineError(f"configured {field_name} does not exist: {path}")
+            files[key] = path
+            if hashed:
+                digests[path.name] = io.sha256_file(path)
+            continue
+        if key not in _PRODUCER:
+            continue
+        path = out_dir / ARTIFACTS[key]
+        source = _PRODUCER[key]
+        if not path.exists():
+            if key in spec.optional:
+                continue
+            raise PipelineError(f"missing artifact {path.name!r}: run the {source!r} stage first")
+        recorded = manifest(source, path.name).get("outputs", {}).get(path.name)
+        digest = io.sha256_file(path) if hashed else recorded
+        if recorded is None or digest != recorded:
+            raise _stale(path.name, source, f"it changed after the {source!r} stage wrote it")
+        check_upstream(source, path.name)
+        files[key] = path
+        digests[path.name] = digest
+    return files, digests

@@ -1,11 +1,13 @@
 """`optim.Adam`'s in-place step against the plain expressions it replaced:
-the same bytes after every step, for both trainers' weight shapes."""
+the same bytes after every step, for both trainers' weight shapes, with each
+weight's moments allocated on its first step only."""
 
 import numpy as np
 import pytest
 
 from audiorec.graph import REL_KEYS
 from audiorec.hgnn import HgnnConfig, HgnnParams
+from audiorec import optim
 from audiorec.optim import Adam
 from audiorec.two_tower import TowerParams, TwoTowerConfig, Vocab
 
@@ -42,6 +44,31 @@ def test_in_place_steps_match_expressions(make_weights):
         adam.step(got, grads)  # last: the in-place step consumes `grads`
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), (step, key)
+
+
+def test_moments_are_allocated_on_a_weight_first_step_only(monkeypatch):
+    got, want = tower_weights(), tower_weights()
+    adam, oracle = Adam(), AdamExpression()
+    rng = np.random.default_rng(1)
+    steps = [{key: rng.normal(size=w.shape) for key, w in want.items()} for _ in range(3)]
+    for grads in steps:
+        oracle.step(want, {key: g.copy() for key, g in grads.items()})
+    zeroed, zeros_like = [], optim.np.zeros_like
+
+    def counted(a, *args, **kwargs):
+        zeroed.append(a.shape)
+        return zeros_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(optim.np, "zeros_like", counted)
+    adam.step(got, steps[0])
+    assert len(zeroed) == 2 * len(got)  # m and v of each weight
+    zeroed.clear()
+    for grads in steps[1:]:
+        adam.step(got, grads)
+    assert zeroed == []
+    monkeypatch.undo()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 def test_non_finite_parameter_raises():

@@ -43,7 +43,7 @@ from audiorec.two_tower import (
 )
 
 from conftest import join_container, split_container
-from oracles import assemble_user_features, filtered_recommendations_full, user_tower_forward
+from oracles import assemble_user_features, current_inputs, filtered_recommendations_full, user_tower_forward
 
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -1182,6 +1182,66 @@ class TestServedBytes:
             for name in HISTORY_ARRAYS:
                 assert np.array_equal(getattr(loaded, name), getattr(table, name)[kept])
 
+    # (damage, the id row the bisection probes, the user it looks up); a row
+    # that `column_ids` refuses is the first one probed, an id it accepts is
+    # the row the lookup ends on
+    PROBED_IDS = [
+        ("above-U+10FFFF", 500, "u000123"),
+        ("NUL-inside", 500, "u000123"),
+        ("lone-surrogate", 999, "\ud800"),
+        ("all-NUL", 0, ""),
+    ]
+
+    @pytest.mark.parametrize("damage, row, user", PROBED_IDS, ids=[d for d, _, _ in PROBED_IDS])
+    def test_single_user_load_decodes_a_probed_id_as_column_ids_does(self, tmp_path, damage, row, user):
+        n, dim = 1000, 2
+        rng = np.random.default_rng(0)
+        ids = [f"u{i:06d}" for i in range(n)]
+        if damage in ("lone-surrogate", "all-NUL"):
+            ids[row] = user  # still rising: a surrogate sorts above 'u', the empty id below all
+        table = UserHistoryTable(
+            ids,
+            rng.normal(size=(n, dim)),
+            rng.normal(size=(n, dim)),
+            rng.integers(0, 5, size=(n, len(data.SIGNALS))),
+        )
+        path = tmp_path / "user_features.bin"
+        table.save(path)
+        header, payload = split_container(path.read_bytes())
+        code_points = {"above-U+10FFFF": [0x110000, 0x75], "NUL-inside": [0x75, 0, 0x78]}
+        if damage in code_points:
+
+            def overwrite(column):
+                column = column.copy()
+                column[row, : len(code_points[damage])] = code_points[damage]
+                return column
+
+            payload = edit_id_column(header, payload, "user_ids", overwrite)
+            path.write_bytes(join_container(header, payload))
+        whole = path.read_bytes()
+        rows = {e["name"]: _nbytes(e) // n for e in split_container(whole)[0]["arrays"]}
+        probed = header_length(whole) + (math.ceil(math.log2(n)) + 1) * rows["user_ids"]
+        start = header_length(whole) + array_spans(header)["user_ids"][0] + row * rows["user_ids"]
+        probed_row = np.frombuffer(whole[start : start + rows["user_ids"]], np.uint32).reshape(1, -1)
+        try:
+            want = io.column_ids(path, "user_ids", probed_row).item()
+        except ValueError as exc:
+            assert damage in code_points
+            with bytes_read() as delivered, pytest.raises(ValueError) as refused:
+                UserHistoryTable.load(path, user=user)
+            assert str(refused.value) == str(exc)
+            kept = []
+        else:
+            assert want == user and damage not in code_points
+            with bytes_read() as delivered:
+                loaded = UserHistoryTable.load(path, user=user)
+            kept = [row]
+            assert loaded.user_ids == [user]
+            for name in HISTORY_ARRAYS:
+                assert np.array_equal(getattr(loaded, name), getattr(table, name)[kept])
+        served = sum(rows[name] for name in HISTORY_ARRAYS) * len(kept)
+        assert 0 < delivered[path.name] <= probed + served
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical_reports(self, tmp_path):
@@ -1390,6 +1450,83 @@ class TestStaleInputs:
         result = sweep.sweep(tiny_config(), tmp_path)
         assert set(result["seeds"]) == {"12", "13"}
         assert io.read_json(tmp_path / "hgnn-13" / "manifests" / "train-hgnn.json")["seed"] == 13
+
+
+# chains the manifest walk must judge as its oracle does: (damage, what it hits)
+CHAIN_CASES = [
+    ("intact", None),
+    *(("rerun", stage) for stage in DAILY),
+    *(("rewrite", key) for key in sorted({key for _, key in STAGE_INPUTS})),
+    *(("no-manifest", stage) for stage in DAILY),
+    ("not-utf8", "train-2t"),
+    ("not-json", "split"),
+    ("configured", "catalog"),
+    ("configured-missing", "music_vectors"),
+]
+
+
+def damage_chain(run, tmp_path, damage: str, what) -> PipelineConfig:
+    """Apply one `CHAIN_CASES` damage to the run copy `run`; return the config to walk it with."""
+    config = tiny_config()
+    manifest = run / "manifests" / f"{what}.json"
+    if damage == "rerun":
+        run_stage(what, tiny_config(seed=12), run)
+    elif damage == "rewrite":
+        name = pipeline.ARTIFACTS[what]
+        (run / name).write_bytes((run / name).read_bytes() + b"\n")
+    elif damage == "no-manifest":
+        manifest.unlink()
+    elif damage == "not-utf8":
+        manifest.write_bytes(b'{"outputs": "\xff"}')
+    elif damage == "not-json":
+        manifest.write_text("{")
+    elif damage == "configured":  # a catalog other than the chain's, which the stages read
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_bytes((run / "catalog.jsonl").read_bytes() + b"\n")
+        for path in (run / "manifests").glob("*.json"):
+            recorded = io.read_json(path)
+            if "catalog.jsonl" in recorded["inputs"]:
+                recorded["inputs"]["catalog.jsonl"] = io.sha256_file(catalog)
+                io.write_json(recorded, path)
+        io.write_jsonl([{"user_id": "u0001", "vector": [0.5] * 8}], tmp_path / "music.jsonl")
+        io.write_jsonl([DEMO_ROW], tmp_path / "demo.jsonl")
+        io.write_json({"full": {}}, tmp_path / "variants.json")
+        config.paths.catalog = str(catalog)
+        config.paths.music_vectors = str(tmp_path / "music.jsonl")
+        config.paths.demographics = str(tmp_path / "demo.jsonl")
+        config.eval.ablation_manifest = str(tmp_path / "variants.json")
+    elif damage == "configured-missing":
+        setattr(config.paths, what, str(tmp_path / "missing.jsonl"))
+    return config
+
+
+def walk_outcome(walk, spec, config, run):
+    """What a chain walk gives: its files and digests, or the text of its refusal."""
+    try:
+        return walk(spec, config, run)
+    except (PipelineError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize("damage, what", CHAIN_CASES, ids=[f"{d}-{w}" for d, w in CHAIN_CASES])
+    def test_walk_matches_its_oracle(self, pipeline_run, tmp_path, damage, what):
+        _, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        config = damage_chain(run, tmp_path, damage, what)
+        outcomes = {}
+        for stage, spec in pipeline.STAGES.items():
+            want = walk_outcome(current_inputs, spec, config, run)
+            assert walk_outcome(pipeline._current_inputs, spec, config, run) == want, stage
+            outcomes[stage] = want
+        refused = {stage for stage, outcome in outcomes.items() if isinstance(outcome, str)}
+        if damage == "rerun":  # a stage that draws nothing writes the same bytes under any seed
+            outputs = [io.read_json(r / "manifests" / f"{what}.json")["outputs"] for r in (out, run)]
+            stale = outputs[0] != outputs[1]
+        else:
+            stale = damage not in ("intact", "configured")
+        # no stage reads what `evaluate` writes, its manifest included
+        assert bool(refused) == (stale and what != "evaluate"), refused
 
 
 class TestAblate:
@@ -1844,6 +1981,13 @@ class TestCli:
         # evaluate hashes its inputs, so the rewritten table is recorded as current
         rerecord(run, "user_features.bin")
         assert cli_error(stage_argv("evaluate", config, run, tmp_path), capsys) == error
+
+    def test_recommend_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
+        # the query used to create its --out directory before refusing
+        out = tmp_path / "nodir" / "typo"
+        error = cli_error(["recommend", "--out", str(out), "--user", "u1", "--seed", "7"], capsys)
+        assert error == "missing artifact 'user_features.bin': run the 'train-2t' stage first"
+        assert not (tmp_path / "nodir").exists()
 
     def test_recommend_without_split_manifest_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run
