@@ -48,7 +48,6 @@ from .two_tower import (
     TowerParams,
     TwoTowerConfig,
     UserHistoryTable,
-    build_feature_set,
     build_training_pairs,
     export_item_vectors,
     train_two_tower,
@@ -367,16 +366,17 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
         raise PipelineError("no training pairs: no target-type streams in the train window")
     # every train user's history, for serving; the pairs' users train on theirs
     histories = user_histories({r.user_id for r in train}, train, table, cfg, as_of=split_time)
-    UserHistoryTable.build(histories).save(files["user_features"])
-    features = build_feature_set(
-        {u: histories[u] for u, _ in pairs},
+    histories.save(files["user_features"])
+    params, log = train_two_tower(
+        pairs,
+        histories,
         catalog,
         table,
         cfg,
+        seed=_seed_of(config, "train-2t"),
         music_vectors=_load_music_vectors(files.get("music_vectors")),
         demographics=_load_demographics(files.get("demographics")),
     )
-    params, log = train_two_tower(pairs, features, cfg, seed=_seed_of(config, "train-2t"))
     params.save(files["tower_params"])
     io.write_jsonl(log, files["tower_log"])
 

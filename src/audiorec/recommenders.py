@@ -17,9 +17,8 @@ from .two_tower import (
     TowerParams,
     UserHistoryTable,
     records_by_user,
-    user_features,
     user_histories,
-    user_tower_input,
+    user_inputs,
     user_tower_output,
 )
 
@@ -157,7 +156,7 @@ class TwoTowerRecommender:
             raise ValueError("two-tower recommender needs a non-empty training log")
         users = {r.user_id for r in train_records}
         histories = user_histories(users, train_records, embeddings, params.config, as_of)
-        self._setup(params, index, UserHistoryTable.build(histories), music_vectors, demographics)
+        self._setup(params, index, histories, music_vectors, demographics)
 
     @classmethod
     def from_table(
@@ -185,14 +184,9 @@ class TwoTowerRecommender:
     def user_vector(self, user_id: str) -> np.ndarray:
         inputs = self._inputs.get(user_id)
         if inputs is None:
-            feats = user_features(
-                user_id,
-                self.histories.get(user_id),
-                self.params.config,
-                music_vector=self.music_vectors.get(user_id),
-                demographics=self.demographics,
+            inputs = self._inputs[user_id] = user_inputs(
+                self.params, self.histories, [user_id], self.music_vectors, self.demographics
             )
-            inputs = self._inputs[user_id] = user_tower_input(self.params, feats)
         return user_tower_output(self.params, inputs)
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:

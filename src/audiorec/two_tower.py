@@ -1,4 +1,4 @@
-"""User and item towers: feature assembly, forward passes, the in-batch
+"""User and item towers: their packed inputs, forward passes, the in-batch
 negative loss with inverse-frequency weighting, training, and vector export.
 
 Each tower concatenates learned categorical embeddings with dense features and
@@ -75,40 +75,6 @@ class TwoTowerConfig:
         check_rules("two_tower", self, rules)
 
 
-@dataclass
-class UserFeatures:
-    country: str
-    age_bucket: str
-    music_vector: np.ndarray
-    mean_audiobook_embedding: np.ndarray
-    mean_podcast_embedding: np.ndarray
-    interaction_counts: dict[str, int]
-
-
-@dataclass
-class UserHistory:
-    """The part of a user's tower input that their interaction history
-    fixes; demographics and the music vector make up the rest."""
-
-    mean_audiobook_embedding: np.ndarray
-    mean_podcast_embedding: np.ndarray
-    interaction_counts: dict[str, int]
-
-
-@dataclass
-class ItemFeatures:
-    language: str
-    genre: str
-    content_vector: np.ndarray
-    hgnn_embedding: np.ndarray
-
-
-@dataclass
-class FeatureSet:
-    users: dict[str, UserFeatures]
-    items: dict[str, ItemFeatures]
-
-
 class Vocab:
     """Categorical value table; unseen values map to the reserved slot 0."""
 
@@ -126,78 +92,6 @@ class Vocab:
         return sorted(self._index)
 
 
-def user_history(
-    user_id: str,
-    records: list[InteractionRecord],
-    embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
-    *,
-    as_of: int | None = None,
-) -> UserHistory:
-    """The part of one user's tower input that their interaction history
-    fixes, for training and serving alike.
-
-    Mean audiobook embeddings cover every signal type inside the
-    `config.window_days` window (or streams only without
-    `config.use_weak_signals`); podcast means cover streams. Users with no
-    qualifying history, and every user without `config.use_hgnn_features`,
-    get zero mean vectors.
-    """
-    window_start, as_of = feature_window(records, config.window_days, as_of)
-    ab_signals = set(SIGNALS) if config.use_weak_signals else {"stream"}
-
-    ab_items: set[str] = set()
-    pod_items: set[str] = set()
-    counts = {s: 0 for s in SIGNALS}
-    for r in records:
-        if r.user_id != user_id or not (window_start <= r.timestamp < as_of):
-            continue
-        if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
-            continue
-        counts[r.signal] += 1
-        if r.item_type == "audiobook" and r.signal in ab_signals:
-            ab_items.add(r.item_id)
-        elif r.item_type == "podcast" and r.signal == "stream":
-            pod_items.add(r.item_id)
-
-    if config.use_hgnn_features:
-        ab_mean = _mean_embedding(ab_items, embeddings)
-        pod_mean = _mean_embedding(pod_items, embeddings)
-    else:
-        ab_mean, pod_mean = np.zeros(embeddings.dim), np.zeros(embeddings.dim)
-    return UserHistory(ab_mean, pod_mean, counts)
-
-
-def user_features(
-    user_id: str,
-    history: UserHistory,
-    config: TwoTowerConfig,
-    *,
-    music_vector: np.ndarray | None = None,
-    demographics: dict[str, tuple[str, str]] | None = None,
-) -> UserFeatures:
-    """One user's tower input: `history` plus the profile part. A user
-    without demographics gets the out-of-vocabulary token for both, and one
-    without a music vector a zero vector; a music vector must have
-    `config.music_dim` entries."""
-    country, age_bucket = (demographics or {}).get(user_id, (OOV_TOKEN, OOV_TOKEN))
-    if music_vector is not None:
-        music_vector = np.asarray(music_vector, dtype=np.float64)
-        if music_vector.shape != (config.music_dim,):
-            raise ValueError(
-                f"music vector for {user_id!r} has shape {music_vector.shape}, "
-                f"expected ({config.music_dim},)"
-            )
-    return UserFeatures(
-        country=country,
-        age_bucket=age_bucket,
-        music_vector=np.zeros(config.music_dim) if music_vector is None else music_vector,
-        mean_audiobook_embedding=history.mean_audiobook_embedding,
-        mean_podcast_embedding=history.mean_podcast_embedding,
-        interaction_counts=history.interaction_counts,
-    )
-
-
 def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.ndarray:
     rows = [embeddings.get(i) for i in sorted(item_ids)]
     rows = [r for r in rows if r is not None]
@@ -210,7 +104,7 @@ def records_by_user(
     train_records: list[InteractionRecord], window_start: int, as_of: int
 ) -> dict[str, list[InteractionRecord]]:
     """Each user's records with `window_start <= timestamp < as_of`, in log order:
-    what `user_history` reads of a user's history."""
+    what `user_histories` reads of a user's history."""
     per_user: dict[str, list[InteractionRecord]] = {}
     for r in train_records:
         if window_start <= r.timestamp < as_of:
@@ -224,15 +118,43 @@ def user_histories(
     embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
     as_of: int | None = None,
-) -> dict[str, UserHistory]:
-    """The `user_history` of each of `user_ids`, by id in id order, each
-    built from that user's own window records."""
+) -> "UserHistoryTable":
+    """The part of each of `user_ids`' tower input that their interaction
+    history fixes, one row per distinct id, for training and serving alike;
+    each row is built from that user's own records in the
+    `config.window_days` window.
+
+    Mean audiobook embeddings cover every signal type inside the window (or
+    streams only without `config.use_weak_signals`, which also leaves weak
+    signals out of the counts); podcast means cover streams. Users with no
+    qualifying history, and every user without `config.use_hgnn_features`,
+    get zero mean vectors."""
     window_start, as_of = feature_window(train_records, config.window_days, as_of)
-    history = records_by_user(train_records, window_start, as_of)
-    return {
-        u: user_history(u, history.get(u, []), embeddings, config, as_of=as_of)
-        for u in sorted(set(user_ids))
-    }
+    per_user = records_by_user(train_records, window_start, as_of)
+    ids = sorted(set(user_ids))
+    table = UserHistoryTable(
+        ids,
+        np.zeros((len(ids), embeddings.dim)),
+        np.zeros((len(ids), embeddings.dim)),
+        np.zeros((len(ids), len(SIGNALS)), np.int64),
+    )
+    for row, user in enumerate(ids):
+        ab_items: set[str] = set()
+        pod_items: set[str] = set()
+        counts = dict.fromkeys(SIGNALS, 0)
+        for r in per_user.get(user, []):
+            if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
+                continue
+            counts[r.signal] += 1
+            if r.item_type == "audiobook":
+                ab_items.add(r.item_id)
+            elif r.item_type == "podcast" and r.signal == "stream":
+                pod_items.add(r.item_id)
+        table.interaction_counts[row] = list(counts.values())
+        if config.use_hgnn_features:
+            table.mean_audiobook_embedding[row] = _mean_embedding(ab_items, embeddings)
+            table.mean_podcast_embedding[row] = _mean_embedding(pod_items, embeddings)
+    return table
 
 
 _HISTORY_ARRAYS = ("mean_audiobook_embedding", "mean_podcast_embedding", "interaction_counts")
@@ -258,42 +180,19 @@ def _find_user(path, n: int, id_at: Callable[[int], str], user: str) -> int | No
 
 @dataclass
 class UserHistoryTable:
-    """One `UserHistory` row per user, ids rising strictly and counts in
-    `SIGNALS` order: what `train-2t` writes to `user_features.bin` for every
-    user in `train.jsonl`, so that serving builds no history."""
+    """The history part of the user-tower input, one row per user, ids
+    rising strictly and counts in `SIGNALS` order: what `train-2t` writes to
+    `user_features.bin` for every user in `train.jsonl`, so that serving
+    builds no history. `user_inputs` packs its rows."""
 
     user_ids: list[str]
     mean_audiobook_embedding: np.ndarray
     mean_podcast_embedding: np.ndarray
     interaction_counts: np.ndarray
 
-    @classmethod
-    def build(cls, histories: dict[str, UserHistory]) -> "UserHistoryTable":
-        """The rows of `histories`, which hold at least one user."""
-        ids = sorted(histories)
-        rows = [histories[u] for u in ids]
-        return cls(
-            ids,
-            np.array([h.mean_audiobook_embedding for h in rows], np.float64),
-            np.array([h.mean_podcast_embedding for h in rows], np.float64),
-            np.array([[h.interaction_counts[s] for s in SIGNALS] for h in rows], np.int64),
-        )
-
     @property
     def dim(self) -> int:
         return int(self.mean_audiobook_embedding.shape[1])
-
-    def get(self, user_id: str) -> UserHistory:
-        """The user's row; an id the table lacks gets the zero history of a
-        user without window records."""
-        row = bisect.bisect_left(self.user_ids, user_id)
-        if row == len(self.user_ids) or self.user_ids[row] != user_id:
-            return UserHistory(np.zeros(self.dim), np.zeros(self.dim), dict.fromkeys(SIGNALS, 0))
-        return UserHistory(
-            self.mean_audiobook_embedding[row],
-            self.mean_podcast_embedding[row],
-            dict(zip(SIGNALS, self.interaction_counts[row].tolist())),
-        )
 
     def save(self, path) -> None:
         """Packed container: the signal order in the header; the ids as an
@@ -346,30 +245,6 @@ class UserHistoryTable:
             check_rising(path, "user_ids", ids)
             user_ids = ids.tolist()
         return cls(user_ids, *(arrays[name] for name in _HISTORY_ARRAYS))
-
-
-def assemble_item_features(
-    catalog: dict[str, CatalogItem],
-    embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
-) -> dict[str, ItemFeatures]:
-    """Tower inputs of every `config.target_type` catalog item, by id in id
-    order, for training and index export alike. An item without a table row,
-    and every item without `config.use_hgnn_features`, gets a zero embedding
-    input."""
-    items = {}
-    for item_id in sorted(catalog):
-        item = catalog[item_id]
-        if item.item_type != config.target_type:
-            continue
-        vec = embeddings.get(item_id) if config.use_hgnn_features else None
-        items[item_id] = ItemFeatures(
-            language=item.language,
-            genre=item.genre,
-            content_vector=item.content_vector,
-            hgnn_embedding=np.zeros(embeddings.dim) if vec is None else vec,
-        )
-    return items
 
 
 def _tower_dims(config: TwoTowerConfig, d_c: int, d_embed: int) -> dict[str, int]:
@@ -495,42 +370,71 @@ def _item_freq(path, ids: np.ndarray, counts: np.ndarray) -> dict[str, int]:
     return dict(zip(ids.tolist(), counts.tolist()))
 
 
-def _user_inputs(params: TowerParams, feats: list[UserFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    cat = np.array(
-        [
-            [params.vocabs["country"].lookup(f.country), params.vocabs["age_bucket"].lookup(f.age_bucket)]
-            for f in feats
-        ],
-        dtype=np.int64,
-    ).reshape(len(feats), 2)
-    dense = np.stack(
-        [
-            np.concatenate(
-                [
-                    f.music_vector,
-                    f.mean_audiobook_embedding,
-                    f.mean_podcast_embedding,
-                    np.log1p([f.interaction_counts[s] for s in SIGNALS]),
-                ]
-            )
-            for f in feats
-        ]
-    )
-    return cat, dense
+def user_inputs(
+    params: TowerParams,
+    table: UserHistoryTable,
+    user_ids: list[str],
+    music_vectors: dict[str, np.ndarray] | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The user tower's packed input `(cat, dense)` for `user_ids`, one row
+    each, in order: the user's `table` row, or the zero history of a user
+    without window records for an id the table lacks, plus the profile
+    part. A user without demographics gets the out-of-vocabulary token for
+    both, and one without a music vector a zero vector; a music vector must
+    have `config.music_dim` entries."""
+    config, vocabs = params.config, params.vocabs
+    music_vectors, demographics = music_vectors or {}, demographics or {}
+    cat = np.zeros((len(user_ids), len(_USER_CATS)), np.int64)
+    music = np.zeros((len(user_ids), config.music_dim))
+    found, rows = [], []
+    for i, user in enumerate(user_ids):
+        country, age_bucket = demographics.get(user, (OOV_TOKEN, OOV_TOKEN))
+        cat[i] = vocabs["country"].lookup(country), vocabs["age_bucket"].lookup(age_bucket)
+        vector = music_vectors.get(user)
+        if vector is not None:
+            vector = np.asarray(vector, dtype=np.float64)
+            if vector.shape != (config.music_dim,):
+                raise ValueError(
+                    f"music vector for {user!r} has shape {vector.shape}, "
+                    f"expected ({config.music_dim},)"
+                )
+            music[i] = vector
+        row = bisect.bisect_left(table.user_ids, user)
+        if row < len(table.user_ids) and table.user_ids[row] == user:
+            found.append(i)
+            rows.append(row)
+    history = []
+    for name in _HISTORY_ARRAYS:
+        array = getattr(table, name)
+        part = np.zeros((len(user_ids), array.shape[1]), array.dtype)
+        part[found] = array[rows]
+        history.append(part)
+    ab, pod, counts = history
+    return cat, np.hstack([music, ab, pod, np.log1p(counts)])
 
 
-def _item_inputs(params: TowerParams, feats: list[ItemFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    cat = np.array(
-        [
-            [params.vocabs["language"].lookup(f.language), params.vocabs["genre"].lookup(f.genre)]
-            for f in feats
-        ],
-        dtype=np.int64,
-    ).reshape(len(feats), 2)
-    dense = np.stack(
-        [np.concatenate([f.content_vector, f.hgnn_embedding]) for f in feats]
-    )
-    return cat, dense
+def _target_items(catalog: dict[str, CatalogItem], config: TwoTowerConfig) -> list[str]:
+    return sorted(i for i, item in catalog.items() if item.item_type == config.target_type)
+
+
+def item_inputs(
+    params: TowerParams, catalog: dict[str, CatalogItem], embeddings: NodeEmbeddingTable
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids of every `config.target_type` catalog item, in id order, and
+    the item tower's packed input `(cat, dense)` for them, one row each, for
+    training and index export alike. An item without a table row, and every
+    item without `config.use_hgnn_features`, gets a zero embedding input."""
+    config, vocabs = params.config, params.vocabs
+    ids = _target_items(catalog, config)
+    cat = np.zeros((len(ids), len(_ITEM_CATS)), np.int64)
+    rows = []
+    for i, item_id in enumerate(ids):
+        item = catalog[item_id]
+        cat[i] = vocabs["language"].lookup(item.language), vocabs["genre"].lookup(item.genre)
+        vec = embeddings.get(item_id) if config.use_hgnn_features else None
+        rows.append(np.concatenate([item.content_vector, np.zeros(embeddings.dim) if vec is None else vec]))
+    return ids, cat, np.stack(rows)
 
 
 @dataclass
@@ -588,11 +492,6 @@ def _tower_backward(
         np.add.at(grads[f"{tower}.emb.{name}"], cache.cat[:, i], seg)
 
 
-def user_tower_input(params: TowerParams, features: UserFeatures) -> tuple[np.ndarray, np.ndarray]:
-    """One user's packed tower input: the (cat, dense) rows the user tower reads."""
-    return _user_inputs(params, [features])
-
-
 def user_tower_output(params: TowerParams, inputs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The user tower's unit vector for one packed input."""
     return _tower_forward(params, "user", *inputs).out[0]
@@ -631,30 +530,6 @@ def _batch_loss_and_douts(
     return loss, d_u, d_a
 
 
-def build_feature_set(
-    histories: dict[str, UserHistory],
-    catalog: dict[str, CatalogItem],
-    embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
-    music_vectors: dict[str, np.ndarray] | None = None,
-    demographics: dict[str, tuple[str, str]] | None = None,
-) -> FeatureSet:
-    """The tower inputs of the users in `histories` (in id order), each its
-    history plus its profile, and of the target-type catalog, from the same
-    builders serving and index export call."""
-    users = {
-        u: user_features(
-            u,
-            histories[u],
-            config,
-            music_vector=(music_vectors or {}).get(u),
-            demographics=demographics,
-        )
-        for u in sorted(histories)
-    }
-    return FeatureSet(users=users, items=assemble_item_features(catalog, embeddings, config))
-
-
 def build_training_pairs(
     train_records: list[InteractionRecord],
     target_type: str = "audiobook",
@@ -675,15 +550,22 @@ def build_training_pairs(
 
 def train_two_tower(
     pairs: list[tuple[str, str]],
-    features: FeatureSet,
+    table: UserHistoryTable,
+    catalog: dict[str, CatalogItem],
+    embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
     seed: int,
+    music_vectors: dict[str, np.ndarray] | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
 ) -> tuple[TowerParams, list[dict]]:
     """Fit both towers with Adam on in-batch-negative batches.
 
-    Every user and item row is packed once; a batch indexes its pairs' rows.
-    Item weights are proportional to inverse training frequency, renormalized
-    to mean one within each batch.
+    The user tower trains on the `user_inputs` rows of the pairs' users, the
+    item tower on the `item_inputs` rows of the target-type catalog. Every
+    row is packed once; a batch indexes its pairs' rows. The vocabularies
+    hold the pairs' users' demographics and the target items' metadata.
+    Item weights are proportional to inverse training frequency,
+    renormalized to mean one within each batch.
 
     The item tower's forward, backward and Adam step run on one worker thread
     while this thread runs the user tower's; the two join at the loss and at
@@ -697,22 +579,26 @@ def train_two_tower(
     for _, item_id in pairs:
         item_freq[item_id] = item_freq.get(item_id, 0) + 1
 
+    items = [catalog[i] for i in _target_items(catalog, config)]
+    unknown = sorted(item_freq.keys() - {item.item_id for item in items})
+    if unknown:  # a record that gives an item another type than the catalog does
+        raise ValueError(f"training pair item {unknown[0]!r} has no catalog entry of type {config.target_type!r}")
+    users = sorted({u for u, _ in pairs})
+    profiles = [(demographics or {}).get(u, (OOV_TOKEN, OOV_TOKEN)) for u in users]
     vocabs = {
-        "country": Vocab(f.country for f in features.users.values()),
-        "age_bucket": Vocab(f.age_bucket for f in features.users.values()),
-        "language": Vocab(f.language for f in features.items.values()),
-        "genre": Vocab(f.genre for f in features.items.values()),
+        "country": Vocab(country for country, _ in profiles),
+        "age_bucket": Vocab(age_bucket for _, age_bucket in profiles),
+        "language": Vocab(item.language for item in items),
+        "genre": Vocab(item.genre for item in items),
     }
-    some_item = next(iter(features.items.values()))
-    d_c = int(some_item.content_vector.shape[0])
-    d_embed = int(some_item.hgnn_embedding.shape[0])
-    params = TowerParams.init(config, vocabs, d_c, d_embed, item_freq, seed)
+    d_c = int(items[0].content_vector.shape[0])
+    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, item_freq, seed)
     rng = np.random.default_rng(seed)
 
-    u_cat, u_dense = _user_inputs(params, list(features.users.values()))
-    i_cat, i_dense = _item_inputs(params, list(features.items.values()))
-    user_row = {u: r for r, u in enumerate(features.users)}
-    item_row = {i: r for r, i in enumerate(features.items)}
+    u_cat, u_dense = user_inputs(params, table, users, music_vectors, demographics)
+    item_ids, i_cat, i_dense = item_inputs(params, catalog, embeddings)
+    user_row = {u: r for r, u in enumerate(users)}
+    item_row = {i: r for r, i in enumerate(item_ids)}
     pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
     pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
     pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])
@@ -806,7 +692,5 @@ def export_item_vectors(
 ) -> dict[str, np.ndarray]:
     """One output vector per target-type catalog item, including items that
     never appeared in the training graph."""
-    feats = assemble_item_features(catalog, embeddings, params.config)
-    cat, dense = _item_inputs(params, list(feats.values()))
-    out = _tower_forward(params, "item", cat, dense).out
-    return dict(zip(feats, out))
+    ids, cat, dense = item_inputs(params, catalog, embeddings)
+    return dict(zip(ids, _tower_forward(params, "item", cat, dense).out))

@@ -9,12 +9,13 @@ outcome.
 
 import numpy as np
 
-from audiorec.data import CatalogItem, InteractionRecord
+from audiorec.data import SIGNALS, CatalogItem, InteractionRecord
 from audiorec.graph import build_colisten_graph, rel_types
 from audiorec.hgnn import (
     ExclusionIndex,
     HgnnConfig,
     HgnnParams,
+    NodeEmbeddingTable,
     _sample_negative_refs,
     batch_loss_and_grads,
     flat_offsets,
@@ -23,16 +24,15 @@ from audiorec.hgnn import (
     sample_plan,
 )
 from audiorec.two_tower import (
-    ItemFeatures,
     TowerParams,
     TwoTowerConfig,
-    UserFeatures,
+    UserHistoryTable,
     Vocab,
     _batch_loss_and_douts,
-    _item_inputs,
     _tower_backward,
     _tower_forward,
-    _user_inputs,
+    item_inputs,
+    user_inputs,
 )
 
 EPS = 1e-4
@@ -161,7 +161,12 @@ def check_hgnn_gradients(seed):
 # ---------------------------------------------------------------------------
 
 
-def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4):
+def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4, country=None, age_bucket=None):
+    """Tower params plus `n_pairs` random users and items, as the packed
+    `(cat, dense)` inputs `user_inputs` and `item_inputs` build for them, the
+    item ids and the batch weights. Some users' drawn country is out of
+    vocabulary. A given `country` or `age_bucket` replaces every user's drawn
+    one; the draws still happen, so the rest of the instance stays the same."""
     rng = np.random.default_rng(seed)
     config = TwoTowerConfig(hidden=(8, 4, 2), cat_embed_dim=3, music_dim=2)
     vocabs = {
@@ -170,42 +175,37 @@ def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4):
         "language": Vocab(["en", "es"]),
         "genre": Vocab(["g0", "g1"]),
     }
-    users, items, ids = [], [], []
-    for i in range(n_pairs):
-        users.append(
-            UserFeatures(
-                country=str(rng.choice(["US", "SE", "XX"])),
-                age_bucket=str(rng.choice(["18-24", "25-34"])),
-                music_vector=rng.normal(size=2),
-                mean_audiobook_embedding=rng.normal(size=d_embed),
-                mean_podcast_embedding=rng.normal(size=d_embed),
-                interaction_counts={
-                    s: int(rng.integers(0, 5))
-                    for s in ("stream", "follow", "preview", "intent_to_pay")
-                },
-            )
+    users = [f"u{i}" for i in range(n_pairs)]
+    ids = [f"i{i}" for i in range(n_pairs)]
+    demographics, music, histories, catalog, embeddings = {}, {}, [], {}, []
+    for user, item in zip(users, ids):
+        drawn = (str(rng.choice(["US", "SE", "XX"])), str(rng.choice(["18-24", "25-34"])))
+        demographics[user] = (
+            drawn[0] if country is None else country,
+            drawn[1] if age_bucket is None else age_bucket,
         )
-        items.append(
-            ItemFeatures(
-                str(rng.choice(["en", "es"])),
-                str(rng.choice(["g0", "g1"])),
-                rng.normal(size=d_c),
-                rng.normal(size=d_embed),
-            )
-        )
-        ids.append(f"i{i}")
+        music[user] = rng.normal(size=2)
+        ab, pod = rng.normal(size=d_embed), rng.normal(size=d_embed)
+        counts = {s: int(rng.integers(0, 5)) for s in ("stream", "follow", "preview", "intent_to_pay")}
+        histories.append((ab, pod, [counts[s] for s in SIGNALS]))
+        language, genre = str(rng.choice(["en", "es"])), str(rng.choice(["g0", "g1"]))
+        catalog[item] = CatalogItem(item, "audiobook", rng.normal(size=d_c), language, genre)
+        embeddings.append(rng.normal(size=d_embed))
     freq = {f"i{i}": int(rng.integers(1, 4)) for i in range(n_pairs)}
     params = TowerParams.init(config, vocabs, d_c, d_embed, freq, seed)
+    ab, pod, counts = (np.array(column) for column in zip(*histories))
+    table = UserHistoryTable(users, ab, pod, counts)
+    flags = np.zeros(n_pairs, bool)
+    item_table = NodeEmbeddingTable(ids, np.array(embeddings), flags, flags)
     w_raw = np.array([1.0 / freq[i] for i in ids])
     weights = w_raw / w_raw.mean()
-    return params, users, items, ids, weights
+    user_in = user_inputs(params, table, users, music, demographics)
+    return params, user_in, item_inputs(params, catalog, item_table)[1:], ids, weights
 
 
-def tower_loss_and_caches(params, users, items, ids, weights):
-    u_cat, u_dense = _user_inputs(params, users)
-    i_cat, i_dense = _item_inputs(params, items)
-    u_cache = _tower_forward(params, "user", u_cat, u_dense)
-    i_cache = _tower_forward(params, "item", i_cat, i_dense)
+def tower_loss_and_caches(params, user_in, item_in, ids, weights):
+    u_cache = _tower_forward(params, "user", *user_in)
+    i_cache = _tower_forward(params, "item", *item_in)
     loss, d_u, d_a = _batch_loss_and_douts(u_cache.out, i_cache.out, ids, weights)
     return loss, u_cache, i_cache, d_u, d_a
 
@@ -223,10 +223,8 @@ def tower_instance_is_smooth(u_cache, i_cache):
 
 
 def check_tower_gradients(seed):
-    params, users, items, ids, weights = random_tower_instance(seed)
-    loss, u_cache, i_cache, d_u, d_a = tower_loss_and_caches(
-        params, users, items, ids, weights
-    )
+    params, user_in, item_in, ids, weights = random_tower_instance(seed)
+    loss, u_cache, i_cache, d_u, d_a = tower_loss_and_caches(params, user_in, item_in, ids, weights)
     if not tower_instance_is_smooth(u_cache, i_cache):
         return False, None
     grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
@@ -234,6 +232,6 @@ def check_tower_gradients(seed):
     _tower_backward(params, "item", i_cache, d_a, grads)
 
     def loss_only():
-        return tower_loss_and_caches(params, users, items, ids, weights)[0]
+        return tower_loss_and_caches(params, user_in, item_in, ids, weights)[0]
 
     return True, max_rel_error(loss_only, params.weights, grads)

@@ -16,9 +16,10 @@ both towers and a fresh gradient dict per batch, which the side-by-side tower
 training replaced. The comprehension sorts every row, where `query_topk`
 sorts only those it may keep, and `filtered_recommendations_full` asks for
 each user's whole ranking, where the harness asks for the part it can keep.
-`assemble_user_features` builds one user's tower input from a scan of every
-train record, where serving reads the user's row of `user_features.bin`; the
-served vector must equal the tower's output on it bit for bit.
+`scan_user_inputs` packs one user's tower input from a scan of every train
+record on its own, where serving packs the user's row of `user_features.bin`
+through `user_inputs`; the rows must match byte for byte, and the served
+vector must equal the tower's output on the scanned row bit for bit.
 `stream_counts_dense` draws synth's stream counts in one call over the whole
 user x item array, where the generator draws them a block of users at a
 time; the triples and the generator state must match exactly.
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from audiorec import io
-from audiorec.data import InteractionRecord
+from audiorec.data import DAY_SECONDS, SIGNALS, WEAK_SIGNALS, InteractionRecord
 from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
 from audiorec.hgnn import (
     ExclusionIndex,
@@ -57,20 +58,16 @@ from audiorec.index import RecIndex, row_dots
 from audiorec.optim import NORM_FLOOR, Adam
 from audiorec.pipeline import _PRODUCER, ARTIFACTS, PipelineConfig, PipelineError, Stage, _stale
 from audiorec.two_tower import (
-    FeatureSet,
+    OOV_TOKEN,
     TowerParams,
     TwoTowerConfig,
-    UserFeatures,
+    UserHistoryTable,
     Vocab,
     _batch_loss_and_douts,
-    _item_inputs,
     _tower_backward,
     _tower_forward,
-    _user_inputs,
-    user_features,
-    user_history,
-    user_tower_input,
-    user_tower_output,
+    item_inputs,
+    user_inputs,
 )
 
 NodeRef = tuple[str, int]
@@ -419,29 +416,54 @@ def filtered_recommendations_full(
     return out
 
 
-def assemble_user_features(
+def scan_user_inputs(
+    params: TowerParams,
     user_id: str,
     records: list[InteractionRecord],
     embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
     *,
     as_of: int | None = None,
     music_vector: np.ndarray | None = None,
     demographics: dict[str, tuple[str, str]] | None = None,
-) -> UserFeatures:
-    """One user's tower input from a scan of every record in `records`:
-    `user_history`, then `user_features`, where the library reads the user's
-    row of the table `train-2t` built for every train user at once."""
-    history = user_history(user_id, records, embeddings, config, as_of=as_of)
-    return user_features(
-        user_id, history, config, music_vector=music_vector, demographics=demographics
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """One user's packed user-tower input `(cat, dense)`, one row each, from
+    a scan of every record in `records`, where the library packs the user's
+    row of the table `train-2t` built for every train user at once.
 
-
-def user_tower_forward(params: TowerParams, features: UserFeatures) -> np.ndarray:
-    """The user tower's unit vector for one user's features, packed on the
-    spot, where the recommender keeps each user's packed input."""
-    return user_tower_output(params, user_tower_input(params, features))
+    A record counts when it is the user's, inside the `window_days` before
+    `as_of` (one second after the last record by default), and not a weak
+    signal while weak signals are off. The dense row is the music vector
+    (zeros without one), the mean graph embedding of the counted audiobooks
+    and of the streamed podcasts that have a table row, in id order (zeros
+    without graph features), and `log1p` of the per-signal counts. The
+    categorical row looks up the user's country and age bucket, the
+    out-of-vocabulary token for both without demographics."""
+    config = params.config
+    if as_of is None:
+        as_of = max((r.timestamp for r in records), default=0) + 1
+    start = as_of - config.window_days * DAY_SECONDS
+    counts = {s: 0 for s in SIGNALS}
+    listened = {"audiobook": set(), "podcast": set()}
+    for r in records:
+        if r.user_id != user_id or r.timestamp < start or r.timestamp >= as_of:
+            continue
+        if r.signal in WEAK_SIGNALS and not config.use_weak_signals:
+            continue
+        counts[r.signal] += 1
+        if r.item_type == "audiobook" or r.signal == "stream":
+            listened[r.item_type].add(r.item_id)
+    means = []
+    for item_type in ("audiobook", "podcast"):
+        ids = [i for i in sorted(listened[item_type]) if i in embeddings.index]
+        if ids and config.use_hgnn_features:
+            means.append(np.mean([embeddings.matrix[embeddings.index[i]] for i in ids], axis=0))
+        else:
+            means.append(np.zeros(embeddings.dim))
+    music = np.zeros(config.music_dim) if music_vector is None else np.asarray(music_vector, float)
+    country, age_bucket = (demographics or {}).get(user_id, (OOV_TOKEN, OOV_TOKEN))
+    cat = [params.vocabs["country"].lookup(country), params.vocabs["age_bucket"].lookup(age_bucket)]
+    dense = np.concatenate([music, *means, np.log1p([counts[s] for s in SIGNALS])])
+    return np.array([cat], dtype=np.int64), dense[None, :]
 
 
 def stream_counts_dense(
@@ -464,9 +486,13 @@ def stream_counts_dense(
 
 def train_two_tower_serial(
     pairs: list[tuple[str, str]],
-    features: FeatureSet,
+    table: UserHistoryTable,
+    catalog: dict,
+    embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
     seed: int,
+    music_vectors: dict[str, np.ndarray] | None = None,
+    demographics: dict[str, tuple[str, str]] | None = None,
 ) -> tuple[TowerParams, list[dict]]:
     """`two_tower.train_two_tower` running the towers one after the other:
     one Adam steps both towers' weights in name order, from a fresh gradient
@@ -477,23 +503,24 @@ def train_two_tower_serial(
     for _, item_id in pairs:
         item_freq[item_id] = item_freq.get(item_id, 0) + 1
 
+    users = sorted({u for u, _ in pairs})
+    profiles = [(demographics or {}).get(u, (OOV_TOKEN, OOV_TOKEN)) for u in users]
+    items = [catalog[i] for i in sorted(catalog) if catalog[i].item_type == config.target_type]
     vocabs = {
-        "country": Vocab(f.country for f in features.users.values()),
-        "age_bucket": Vocab(f.age_bucket for f in features.users.values()),
-        "language": Vocab(f.language for f in features.items.values()),
-        "genre": Vocab(f.genre for f in features.items.values()),
+        "country": Vocab(p[0] for p in profiles),
+        "age_bucket": Vocab(p[1] for p in profiles),
+        "language": Vocab(item.language for item in items),
+        "genre": Vocab(item.genre for item in items),
     }
-    some_item = next(iter(features.items.values()))
-    d_c = int(some_item.content_vector.shape[0])
-    d_embed = int(some_item.hgnn_embedding.shape[0])
-    params = TowerParams.init(config, vocabs, d_c, d_embed, item_freq, seed)
+    d_c = int(items[0].content_vector.shape[0])
+    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, item_freq, seed)
     adam = Adam(learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
 
-    u_cat, u_dense = _user_inputs(params, list(features.users.values()))
-    i_cat, i_dense = _item_inputs(params, list(features.items.values()))
-    user_row = {u: r for r, u in enumerate(features.users)}
-    item_row = {i: r for r, i in enumerate(features.items)}
+    u_cat, u_dense = user_inputs(params, table, users, music_vectors, demographics)
+    item_ids, i_cat, i_dense = item_inputs(params, catalog, embeddings)
+    user_row = {u: r for r, u in enumerate(users)}
+    item_row = {i: r for r, i in enumerate(item_ids)}
     pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
     pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
     pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])

@@ -25,11 +25,11 @@ from audiorec.hgnn import NodeEmbeddingTable, balanced_edge_sample
 from audiorec.index import build_index, load_index, query_topk
 from audiorec.pipeline import PipelineConfig, run_pipeline
 from audiorec.recommenders import TwoTowerRecommender
-from audiorec.two_tower import TowerParams, UserHistoryTable
+from audiorec.two_tower import TowerParams, UserHistoryTable, user_tower_output
 
 from conftest import make_catalog, stream
 from helpers_gradcheck import check_hgnn_gradients, check_tower_gradients
-from oracles import assemble_user_features, user_tower_forward
+from oracles import scan_user_inputs
 from test_hgnn import graph_with_edge_counts
 
 
@@ -244,8 +244,7 @@ def test_criterion_6_normalization_invariants(full_pipeline):
     train = parse_interactions(out / "train.jsonl").records
     users = sorted({r.user_id for r in train})[:30]
     for user in users:
-        feats = assemble_user_features(user, train, table, params.config)
-        o_u = user_tower_forward(params, feats)
+        o_u = user_tower_output(params, scan_user_inputs(params, user, train, table))
         assert abs(np.linalg.norm(o_u) - 1.0) < 1e-6
     announce(
         6,

@@ -33,17 +33,19 @@ from audiorec.pipeline import (
     run_stage,
 )
 from audiorec.recommenders import TwoTowerRecommender
+from audiorec import two_tower
 from audiorec.two_tower import (
     TowerParams,
     UserHistoryTable,
-    _item_inputs,
-    _user_inputs,
-    build_feature_set,
+    export_item_vectors,
+    item_inputs,
     user_histories,
+    user_inputs,
+    user_tower_output,
 )
 
 from conftest import join_container, split_container
-from oracles import assemble_user_features, current_inputs, filtered_recommendations_full, user_tower_forward
+from oracles import current_inputs, filtered_recommendations_full, scan_user_inputs
 
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -299,12 +301,10 @@ class TestStages:
         histories = UserHistoryTable.load(out / "user_features.bin")
         rec = TwoTowerRecommender.from_table(params, load_index(out / "rec_index.bin"), histories)
         users = sorted({r.user_id for r in train}) + ["unseen-0", "unseen-1"]
-        want = {
-            u: user_tower_forward(
-                params, assemble_user_features(u, train, table, params.config, as_of=split_time)
-            ).tobytes()
-            for u in users
-        }
+        want = {}
+        for u in users:
+            scanned = scan_user_inputs(params, u, train, table, as_of=split_time)
+            want[u] = user_tower_output(params, scanned).tobytes()
         for _ in range(2):  # the second pass runs the tower on each user's kept input
             assert {u: rec.user_vector(u).tobytes() for u in users} == want
 
@@ -329,7 +329,7 @@ class TestStages:
         [{}, {"use_weak_signals": False}, {"use_hgnn_features": False}, {"target_type": "podcast"}],
         ids=["default", "no-weak-signals", "no-hgnn-features", "podcast-target"],
     )
-    def test_recommend_matches_full_history_recommender(self, pipeline_run, tmp_path, tower):
+    def test_recommend_matches_full_history_recommender(self, pipeline_run, tmp_path, monkeypatch, tower):
         config, out = pipeline_run
         if tower:  # these settings are first read by train-2t, so its inputs stay current
             config = config.with_overrides({"two_tower": tower})
@@ -347,35 +347,49 @@ class TestStages:
         train_users = sorted({r.user_id for r in train})
         # the records constructor builds the table train-2t wrote, array for array
         stored = UserHistoryTable.load(out / "user_features.bin")
-        assert full.histories.user_ids == stored.user_ids
+        assert full.histories.user_ids == stored.user_ids == train_users
         for name in HISTORY_ARRAYS:
             built, loaded = getattr(full.histories, name), getattr(stored, name)
             assert built.dtype == loaded.dtype and np.array_equal(built, loaded)
         # unseen ids sort before, between and after the train users'
         users = train_users + ["a", "u0000x", "zzz", 'odd "id" \u00e9']
-        # serving and training build a user's row with the same builders
-        histories = user_histories(users, train, table, params.config, as_of=split_time)
-        packed = build_feature_set(histories, catalog, table, params.config)
-        assert stored.user_ids == train_users
-        for user in users:
+        # one packing of every id gives each id the row it gets alone
+        cat, dense = user_inputs(params, stored, users)
+        assert cat.dtype == np.int64 and cat.shape == (len(users), 2) and dense.shape[0] == len(users)
+        for row, user in enumerate(users):
             assert run_stage("recommend", config, out, user=user, k=5) == full.recommend_scored(user, 5)
-            served = full.user_vector(user)
-            assert np.array_equal(served, user_tower_forward(params, packed.users[user]))
-            row, built = stored.get(user), histories[user]
-            assert row.interaction_counts == built.interaction_counts
-            assert np.array_equal(row.mean_audiobook_embedding, built.mean_audiobook_embedding)
-            assert np.array_equal(row.mean_podcast_embedding, built.mean_podcast_embedding)
+            alone = user_inputs(params, stored, [user])
+            assert alone[0].tobytes() == cat[row].tobytes() and alone[1].tobytes() == dense[row].tobytes()
             # the served row holds what a scan of every record reads
-            feats = assemble_user_features(user, train, table, params.config, as_of=split_time)
-            assert np.array_equal(served, user_tower_forward(params, feats))
+            scanned = scan_user_inputs(params, user, train, table, as_of=split_time)
+            assert scanned[0].tobytes() == alone[0].tobytes() and scanned[1].tobytes() == alone[1].tobytes()
+            assert np.array_equal(full.user_vector(user), user_tower_output(params, scanned))
+
+        # index export feeds the item tower the rows item_inputs packs: the
+        # target catalog in id order, its metadata, content vector and graph embedding
+        ids, i_cat, i_dense = item_inputs(params, catalog, table)
+        fed = []
+        forward = two_tower._tower_forward
+        monkeypatch.setattr(two_tower, "_tower_forward", lambda *args: fed.append(args) or forward(*args))
+        vectors = export_item_vectors(params, catalog, table)
+        ((_, tower, fed_cat, fed_dense),) = fed
+        assert tower == "item" and list(vectors) == ids
+        assert fed_cat.tobytes() == i_cat.tobytes() and fed_dense.tobytes() == i_dense.tobytes()
+        assert ids == sorted(i for i, it in catalog.items() if it.item_type == params.config.target_type)
+        language, genre = params.vocabs["language"], params.vocabs["genre"]
+        for row, item_id in enumerate(ids):
+            item = catalog[item_id]
+            assert list(i_cat[row]) == [language.lookup(item.language), genre.lookup(item.genre)]
+            graph = table.get(item_id) if params.config.use_hgnn_features else None
+            graph = np.zeros(table.dim) if graph is None else graph
+            assert np.array_equal(i_dense[row], np.concatenate([item.content_vector, graph]))
 
         # without graph features both towers see exactly 0.0 in every embedding column
         off = dataclasses.replace(params.config, use_hgnn_features=False)
-        zeroed = build_feature_set(
-            user_histories(users, train, table, off, as_of=split_time), catalog, table, off
-        )
-        _, u_dense = _user_inputs(params, list(zeroed.users.values()))
-        _, i_dense = _item_inputs(params, list(zeroed.items.values()))
+        off_params = TowerParams(off, params.vocabs, params.dims, params.weights, None)
+        zeroed = user_histories(users, train, table, off, as_of=split_time)
+        _, u_dense = user_inputs(off_params, zeroed, users)
+        _, _, i_dense = item_inputs(off_params, catalog, table)
         music, d_c, d = off.music_dim, params.dims["d_c"], table.dim
         assert np.all(u_dense[:, music : music + 2 * d] == 0.0)
         assert np.all(i_dense[:, d_c:] == 0.0) and i_dense.shape[1] == d_c + d
@@ -997,6 +1011,7 @@ class TestSelectiveReads:
 
     def test_selected_user_row_is_that_of_the_full_table(self, pipeline_run):
         _, out = pipeline_run
+        params = TowerParams.load(out / "tower_params.bin", towers=("user",))
         full = UserHistoryTable.load(out / "user_features.bin")
         for row in (0, 3, len(full.user_ids) - 1):
             user = full.user_ids[row]
@@ -1009,10 +1024,10 @@ class TestSelectiveReads:
             table = UserHistoryTable.load(out / "user_features.bin", user=user)
             assert table.user_ids == [] and table.dim == full.dim
             for source in (table, full):
-                history = source.get(user)
-                assert history.interaction_counts == dict.fromkeys(data.SIGNALS, 0)
-                assert np.array_equal(history.mean_audiobook_embedding, np.zeros(full.dim))
-                assert np.array_equal(history.mean_podcast_embedding, np.zeros(full.dim))
+                # the packed history part: both means and log1p of every count
+                _, dense = user_inputs(params, source, [user])
+                history = dense[:, params.config.music_dim :]
+                assert np.array_equal(history, np.zeros((1, 2 * full.dim + len(data.SIGNALS))))
 
     @pytest.mark.parametrize(
         "prefix, value, expected",
@@ -1451,6 +1466,18 @@ class TestStaleInputs:
         assert set(result["seeds"]) == {"12", "13"}
         assert io.read_json(tmp_path / "hgnn-13" / "manifests" / "train-hgnn.json")["seed"] == 13
 
+
+    def test_query_scaling_runs(self, pipeline_run, capsys):
+        # the script writes its tables through the UserHistoryTable constructor
+        scaling = load_script(ROOT / "scripts" / "query_scaling.py")
+        scaling.table_scaling([64], 1, 0)
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[0] == "users" and row.split()[0] == "64"
+        _, out = pipeline_run
+        scaling.query_parts(out, "u0001", 1)
+        parts = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert parts == ["run_stage", "_current_inputs", "TowerParams.load", "UserHistoryTable.load",
+                         "load_index", "recommend_scored"]
 
 # chains the manifest walk must judge as its oracle does: (damage, what it hits)
 CHAIN_CASES = [
@@ -2187,6 +2214,34 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         run_or_one_json_line(["split", "--config", str(cfg_path), "--out", str(tmp_path / "run")], capsys)
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_damaged_interactions_every_stage_or_one_json_line(self, pipeline_run, tmp_path, capsys, data):
+        # every stage after split reads what split kept of a damaged or thinned log
+        config, out = pipeline_run
+        whole = (out / "interactions.jsonl").read_bytes()
+        if data.draw(st.booleans(), label="thinned"):
+            lines = whole.splitlines(keepends=True)
+            share = data.draw(st.floats(0.0, 1.0), label="share")
+            kept = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).random(len(lines))
+            whole = b"".join(line for line, draw in zip(lines, kept) if draw < share)
+        else:
+            whole = damaged_jsonl(whole, data)
+        path = tmp_path / "interactions.jsonl"
+        path.write_bytes(whole)
+        cfg = config.to_dict()
+        cfg["paths"].update(interactions=str(path), catalog=str(out / "catalog.jsonl"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        shutil.rmtree(run, ignore_errors=True)
+        for stage in DAILY[DAILY.index("split") :]:
+            run_or_one_json_line([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+        argv = ["recommend", "--config", str(cfg_path), "--out", str(run), "--user", "u0001"]
+        run_or_one_json_line(argv, capsys)
 
     def test_negative_seed_flag_refused_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,22 +15,21 @@ from audiorec.two_tower import (
     OOV_TOKEN,
     TowerParams,
     TwoTowerConfig,
-    UserFeatures,
     UserHistoryTable,
     Vocab,
-    _item_inputs,
     _tower_forward,
-    assemble_item_features,
-    build_feature_set,
     build_training_pairs,
     export_item_vectors,
+    item_inputs,
     train_two_tower,
     user_histories,
+    user_inputs,
+    user_tower_output,
 )
 
 from helpers_gradcheck import check_tower_gradients, random_tower_instance
 import oracles
-from oracles import assemble_user_features, in_batch_loss, train_two_tower_serial, user_tower_forward
+from oracles import in_batch_loss, scan_user_inputs, train_two_tower_serial
 
 
 def toy_table(rows: dict[str, np.ndarray]):
@@ -42,8 +42,43 @@ def toy_table(rows: dict[str, np.ndarray]):
     )
 
 
-def item_tower_forward(params, features):
-    return _tower_forward(params, "item", *_item_inputs(params, [features])).out[0]
+def profile_params(config: TwoTowerConfig) -> TowerParams:
+    """Params that hold only what `user_inputs` reads: the config and the
+    demographic vocabularies, "SE" and "25-34" in slot 2 of theirs."""
+    vocabs = {"country": Vocab(["DE", "SE"]), "age_bucket": Vocab(["18-24", "25-34"])}
+    return TowerParams(config, vocabs, {}, {}, None)
+
+
+def user_row(user, records, table, config, *, as_of=None, music_vector=None, demographics=None):
+    """`user`'s packed user-tower input as the library builds it, a history
+    row then `user_inputs`, split into its parts. The scan in `oracles` must
+    pack the same bytes."""
+    params = profile_params(config)
+    music = None if music_vector is None else {user: music_vector}
+    history = user_histories([user], records, table, config, as_of)
+    cat, dense = user_inputs(params, history, [user], music, demographics)
+    scanned = scan_user_inputs(
+        params, user, records, table, as_of=as_of, music_vector=music_vector, demographics=demographics
+    )
+    assert cat.tobytes() == scanned[0].tobytes() and dense.tobytes() == scanned[1].tobytes()
+    m, d = config.music_dim, table.dim
+    return SimpleNamespace(
+        country=cat[0, 0],
+        age_bucket=cat[0, 1],
+        music=dense[0, :m],
+        mean_audiobook=dense[0, m : m + d],
+        mean_podcast=dense[0, m + d : m + 2 * d],
+        log1p_counts=dict(zip(SIGNALS, dense[0, m + 2 * d :])),
+    )
+
+
+def first_row(inputs):
+    """The first row of packed `(cat, dense)` tower inputs."""
+    return inputs[0][:1], inputs[1][:1]
+
+
+def item_tower_forward(params, inputs):
+    return _tower_forward(params, "item", *inputs).out[0]
 
 
 class TestUserFeatures:
@@ -53,27 +88,26 @@ class TestUserFeatures:
             InteractionRecord("u1", "a1", "audiobook", "stream", 10),
             InteractionRecord("u1", "a2", "audiobook", "stream", 20),
         ]
-        f = assemble_user_features("u1", records, table, TwoTowerConfig(music_dim=2), as_of=100)
-        assert np.allclose(f.mean_audiobook_embedding, [0.5, 0.5])
-        assert np.array_equal(f.mean_podcast_embedding, [0.0, 0.0])
+        f = user_row("u1", records, table, TwoTowerConfig(music_dim=2), as_of=100)
+        assert np.allclose(f.mean_audiobook, [0.5, 0.5])
+        assert np.array_equal(f.mean_podcast, [0.0, 0.0])
 
     def test_no_audiobooks_gives_zero_mean(self):
         table = toy_table({"p1": [1.0, 0.0]})
         records = [InteractionRecord("u1", "p1", "podcast", "stream", 10)]
-        f = assemble_user_features("u1", records, table, TwoTowerConfig(), as_of=100)
-        assert np.array_equal(f.mean_audiobook_embedding, [0.0, 0.0])
-        assert np.allclose(f.mean_podcast_embedding, [1.0, 0.0])
+        f = user_row("u1", records, table, TwoTowerConfig(), as_of=100)
+        assert np.array_equal(f.mean_audiobook, [0.0, 0.0])
+        assert np.allclose(f.mean_podcast, [1.0, 0.0])
 
     def test_follow_only_item_enters_mean(self):
         table = toy_table({"a1": [0.0, 1.0]})
         records = [InteractionRecord("u1", "a1", "audiobook", "follow", 10)]
-        f = assemble_user_features("u1", records, table, TwoTowerConfig(), as_of=100)
-        assert np.allclose(f.mean_audiobook_embedding, [0.0, 1.0])
-        f_no_weak = assemble_user_features(
-            "u1", records, table, TwoTowerConfig(use_weak_signals=False), as_of=100
-        )
-        assert np.array_equal(f_no_weak.mean_audiobook_embedding, [0.0, 0.0])
-        assert f_no_weak.interaction_counts["follow"] == 0
+        f = user_row("u1", records, table, TwoTowerConfig(), as_of=100)
+        assert np.allclose(f.mean_audiobook, [0.0, 1.0])
+        assert f.log1p_counts["follow"] == np.log1p(1)
+        f_no_weak = user_row("u1", records, table, TwoTowerConfig(use_weak_signals=False), as_of=100)
+        assert np.array_equal(f_no_weak.mean_audiobook, [0.0, 0.0])
+        assert f_no_weak.log1p_counts["follow"] == 0.0
 
     def test_window_excludes_old_events(self):
         table = toy_table({"a1": [1.0, 0.0], "a2": [0.0, 1.0]})
@@ -81,20 +115,19 @@ class TestUserFeatures:
             InteractionRecord("u1", "a1", "audiobook", "stream", 0),
             InteractionRecord("u1", "a2", "audiobook", "stream", 95 * DAY_SECONDS),
         ]
-        f = assemble_user_features(
-            "u1", records, table, TwoTowerConfig(window_days=90), as_of=100 * DAY_SECONDS
-        )
-        assert np.allclose(f.mean_audiobook_embedding, [0.0, 1.0])
+        f = user_row("u1", records, table, TwoTowerConfig(window_days=90), as_of=100 * DAY_SECONDS)
+        assert np.allclose(f.mean_audiobook, [0.0, 1.0])
+        assert f.log1p_counts["stream"] == np.log1p(1)
 
     def test_missing_music_vector_is_zero(self):
         table = toy_table({"a1": [1.0, 0.0]})
-        f = assemble_user_features("u9", [], table, TwoTowerConfig(music_dim=5))
-        assert np.array_equal(f.music_vector, np.zeros(5))
-        assert f.country == OOV_TOKEN
+        f = user_row("u9", [], table, TwoTowerConfig(music_dim=5))
+        assert np.array_equal(f.music, np.zeros(5))
+        assert (f.country, f.age_bucket) == (0, 0)  # the out-of-vocabulary slot
 
     def test_supplied_music_vector_and_demographics(self):
         table = toy_table({"a1": [1.0, 0.0]})
-        f = assemble_user_features(
+        f = user_row(
             "u1",
             [],
             table,
@@ -102,13 +135,15 @@ class TestUserFeatures:
             music_vector=[0.1, 0.2, 0.3],
             demographics={"u1": ("SE", "25-34")},
         )
-        assert np.allclose(f.music_vector, [0.1, 0.2, 0.3])
-        assert (f.country, f.age_bucket) == ("SE", "25-34")
+        assert np.allclose(f.music, [0.1, 0.2, 0.3])
+        assert (f.country, f.age_bucket) == (2, 2)
 
     def test_music_vector_dimension_mismatch_fatal(self):
         table = toy_table({"a1": [1.0, 0.0]})
-        with pytest.raises(ValueError, match="music vector"):
-            assemble_user_features("u1", [], table, TwoTowerConfig(music_dim=3), music_vector=[0.1])
+        config = TwoTowerConfig(music_dim=3)
+        history = user_histories(["u1"], [], table, config)
+        with pytest.raises(ValueError, match=r"music vector for 'u1' has shape \(1,\), expected \(3,\)"):
+            user_inputs(profile_params(config), history, ["u1"], {"u1": [0.1]})
 
 
 class TestUserHistoryTable:
@@ -120,79 +155,67 @@ class TestUserHistoryTable:
             InteractionRecord("u1", "p1", "podcast", "stream", 30),
         ]
         config = TwoTowerConfig()
+        params = profile_params(config)
         histories = user_histories(["u2", "u1", "u3"], records, table, config, as_of=100)
         path = tmp_path / "user_features.bin"
-        UserHistoryTable.build(histories).save(path)
+        histories.save(path)
         loaded = UserHistoryTable.load(path)
-        assert loaded.user_ids == ["u1", "u2", "u3"]
+        assert loaded.user_ids == histories.user_ids == ["u1", "u2", "u3"]
         for user in ["u1", "u2", "u3", "u0", "u20", "u9"]:
-            row = loaded.get(user)
-            built = histories.get(user) or two_tower.user_history(user, [], table, config, as_of=100)
-            assert row.interaction_counts == built.interaction_counts
-            assert np.array_equal(row.mean_audiobook_embedding, built.mean_audiobook_embedding)
-            assert np.array_equal(row.mean_podcast_embedding, built.mean_podcast_embedding)
-            assert UserHistoryTable.load(path, user=user).user_ids == ([user] if user in histories else [])
-        assert loaded.get("u0").interaction_counts == {s: 0 for s in SIGNALS}
+            # a row of the loaded table, or the empty history for an id it lacks, is what a scan reads
+            row = user_inputs(params, loaded, [user])
+            scanned = scan_user_inputs(params, user, records, table, as_of=100)
+            for want in (user_inputs(params, histories, [user]), scanned):
+                assert row[0].tobytes() == want[0].tobytes() and row[1].tobytes() == want[1].tobytes()
+            selected = UserHistoryTable.load(path, user=user)
+            assert selected.user_ids == ([user] if user in loaded.user_ids else [])
+        _, dense = user_inputs(params, loaded, ["u0"])
+        assert np.array_equal(dense, np.zeros((1, config.music_dim + 2 * table.dim + len(SIGNALS))))
 
 
 class TestTowerForward:
     def test_output_unit_norm_and_deterministic(self):
         params, users, items, _, _ = random_tower_instance(1)
-        for f in users:
-            o1 = user_tower_forward(params, f)
-            o2 = user_tower_forward(params, f)
+        for r in range(len(users[0])):
+            row = (users[0][r : r + 1], users[1][r : r + 1])
+            o1 = user_tower_output(params, row)
+            o2 = user_tower_output(params, row)
             assert abs(np.linalg.norm(o1) - 1.0) < 1e-6
             assert np.array_equal(o1, o2)
-        for f in items:
-            o = item_tower_forward(params, f)
+        for r in range(len(items[0])):
+            o = item_tower_forward(params, (items[0][r : r + 1], items[1][r : r + 1]))
             assert abs(np.linalg.norm(o) - 1.0) < 1e-6
 
     def test_unseen_category_equals_oov_token(self):
-        params, users, _, _, _ = random_tower_instance(2)
-        f = users[0]
-        f_unseen = UserFeatures(
-            "ZZ-never-seen", f.age_bucket, f.music_vector,
-            f.mean_audiobook_embedding, f.mean_podcast_embedding, f.interaction_counts,
-        )
-        f_oov = UserFeatures(
-            OOV_TOKEN, f.age_bucket, f.music_vector,
-            f.mean_audiobook_embedding, f.mean_podcast_embedding, f.interaction_counts,
-        )
+        params, unseen, _, _, _ = random_tower_instance(2, country="ZZ-never-seen")
+        _, oov, _, _, _ = random_tower_instance(2, country=OOV_TOKEN)
+        assert np.array_equal(unseen[0], oov[0]) and np.array_equal(unseen[1], oov[1])
         assert np.array_equal(
-            user_tower_forward(params, f_unseen), user_tower_forward(params, f_oov)
+            user_tower_output(params, first_row(unseen)), user_tower_output(params, first_row(oov))
         )
 
     @given(st.text(max_size=12), st.text(max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_oov_totality(self, country, age):
-        params, users, _, _, _ = random_tower_instance(3)
-        f = users[0]
-        out = user_tower_forward(
-            params,
-            UserFeatures(country, age, f.music_vector, f.mean_audiobook_embedding,
-                         f.mean_podcast_embedding, f.interaction_counts),
-        )
+        params, users, _, _, _ = random_tower_instance(3, country=country, age_bucket=age)
+        out = user_tower_output(params, first_row(users))
         assert np.all(np.isfinite(out))
 
     def test_feature_locality(self):
         params, users, items, _, _ = random_tower_instance(4)
-        item_out_before = [item_tower_forward(params, f) for f in items]
-        changed_user = UserFeatures(
-            users[0].country, users[0].age_bucket, users[0].music_vector,
-            users[0].mean_audiobook_embedding,
-            users[0].mean_podcast_embedding + 5.0,
-            users[0].interaction_counts,
-        )
-        user_tower_forward(params, changed_user)
-        item_out_after = [item_tower_forward(params, f) for f in items]
-        for a, b in zip(item_out_before, item_out_after):
-            assert np.array_equal(a, b)
+        item_out_before = _tower_forward(params, "item", *items).out
+        # the mean podcast embedding columns of the first user
+        music, d_embed = params.config.music_dim, params.dims["d_embed"]
+        changed_dense = users[1].copy()
+        changed_dense[0, music + d_embed : music + 2 * d_embed] += 5.0
+        _tower_forward(params, "user", users[0], changed_dense)
+        assert np.array_equal(item_out_before, _tower_forward(params, "item", *items).out)
         # and item metadata never reaches user outputs
-        user_out_before = user_tower_forward(params, users[0])
-        changed_item = items[0]
-        changed_item.genre = "brand-new-genre"
-        item_tower_forward(params, changed_item)
-        assert np.array_equal(user_out_before, user_tower_forward(params, users[0]))
+        user_out_before = _tower_forward(params, "user", *users).out
+        changed_cat = items[0].copy()
+        changed_cat[0, 1] = 0  # the first item's genre, now one the vocabulary lacks
+        _tower_forward(params, "item", changed_cat, items[1])
+        assert np.array_equal(user_out_before, _tower_forward(params, "user", *users).out)
 
 
 class TestLoss:
@@ -265,51 +288,57 @@ def small_training_setup(small_split, small_synth, small_embeddings, **cfg_overr
     pairs = build_training_pairs(
         small_split.train, "audiobook", config.window_days, as_of=small_split.split_time
     )
-    histories = user_histories(
+    table = user_histories(
         {u for u, _ in pairs}, small_split.train, small_embeddings, config, as_of=small_split.split_time
     )
-    features = build_feature_set(histories, catalog, small_embeddings, config)
-    return pairs, features, config, catalog
+    return pairs, (table, catalog, small_embeddings), config
 
 
 class TestTraining:
     def test_loss_decreases(self, small_split, small_synth, small_embeddings):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=6
         )
-        params, log = train_two_tower(pairs, features, config, seed=0)
+        params, log = train_two_tower(pairs, *inputs, config, seed=0)
         assert log[-1]["train_loss"] < log[0]["train_loss"]
 
     def test_deterministic_checksum(self, small_split, small_synth, small_embeddings):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=2
         )
-        p1, _ = train_two_tower(pairs, features, config, seed=3)
-        p2, _ = train_two_tower(pairs, features, config, seed=3)
+        p1, _ = train_two_tower(pairs, *inputs, config, seed=3)
+        p2, _ = train_two_tower(pairs, *inputs, config, seed=3)
         assert p1.checksum() == p2.checksum()
 
     def test_no_pairs_fatal(self, small_split, small_synth, small_embeddings):
-        _, features, config, _ = small_training_setup(
+        _, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings
         )
         with pytest.raises(ValueError):
-            train_two_tower([], features, config, seed=0)
+            train_two_tower([], *inputs, config, seed=0)
+
+    def test_pair_item_outside_the_target_catalog_refused(self, small_split, small_synth, small_embeddings):
+        # a record may give an item another type than the catalog does
+        pairs, inputs, config = small_training_setup(small_split, small_synth, small_embeddings, epochs=1)
+        podcast = min(i for i, it in inputs[1].items() if it.item_type == "podcast")
+        with pytest.raises(ValueError, match=f"pair item '{podcast}' has no catalog entry of type 'audiobook'"):
+            train_two_tower(pairs + [(pairs[0][0], podcast)], *inputs, config, seed=0)
 
     def test_lone_final_batch_counted_as_skipped(self, small_split, small_synth, small_embeddings):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=2, batch_size=16
         )
         assert len(pairs) > 3 * 16
-        _, log = train_two_tower(pairs[: 3 * 16 + 1], features, config, seed=0)
+        _, log = train_two_tower(pairs[: 3 * 16 + 1], *inputs, config, seed=0)
         assert [e["skipped_batches"] for e in log] == [1, 1]
-        _, log = train_two_tower(pairs[: 3 * 16 + 2], features, config, seed=0)
+        _, log = train_two_tower(pairs[: 3 * 16 + 2], *inputs, config, seed=0)
         assert [e["skipped_batches"] for e in log] == [0, 0]
 
     def test_frequency_table_positive(self, small_split, small_synth, small_embeddings):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=1
         )
-        params, _ = train_two_tower(pairs, features, config, seed=0)
+        params, _ = train_two_tower(pairs, *inputs, config, seed=0)
         assert all(c > 0 for c in params.item_freq.values())
         assert set(params.item_freq) == {i for _, i in pairs}
 
@@ -323,7 +352,7 @@ class TestSideBySideTowers:
     def test_matches_serial_loop(
         self, small_split, small_synth, small_embeddings, seed, use_hgnn_features
     ):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings,
             epochs=2, batch_size=16, use_hgnn_features=use_hgnn_features,
         )
@@ -333,11 +362,11 @@ class TestSideBySideTowers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads often
         try:
-            got, got_log = train_two_tower(pairs, features, config, seed=seed)
+            got, got_log = train_two_tower(pairs, *inputs, config, seed=seed)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        want, want_log = train_two_tower_serial(pairs, features, config, seed=seed)
+        want, want_log = train_two_tower_serial(pairs, *inputs, config, seed=seed)
         assert [e["skipped_batches"] for e in want_log] == [1, 1]
         assert got_log == want_log
         assert got.weights.keys() == want.weights.keys()
@@ -352,7 +381,7 @@ class TestSideBySideTowers:
     def test_non_finite_parameter_raises_as_serial_loop(
         self, small_split, small_synth, small_embeddings, monkeypatch, towers, raised
     ):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=1, batch_size=16
         )
         real_backward = two_tower._tower_backward
@@ -370,7 +399,7 @@ class TestSideBySideTowers:
             calls.update(user=0, item=0)
             threads = threading.active_count()
             with pytest.raises(RuntimeError) as err:
-                train(pairs, features, config, seed=0)
+                train(pairs, *inputs, config, seed=0)
             assert threading.active_count() == threads
             messages.append(str(err.value))
         assert messages[0] == f"parameter '{raised}.W2' became non-finite after step 3"
@@ -379,11 +408,11 @@ class TestSideBySideTowers:
 
 @pytest.fixture(scope="module")
 def trained(small_split, small_synth, small_embeddings):
-    pairs, features, config, catalog = small_training_setup(
+    pairs, inputs, config = small_training_setup(
         small_split, small_synth, small_embeddings, epochs=2
     )
-    params, _ = train_two_tower(pairs, features, config, seed=1)
-    return params, catalog
+    params, _ = train_two_tower(pairs, *inputs, config, seed=1)
+    return params, inputs[1]
 
 
 class TestExport:
@@ -415,20 +444,21 @@ class TestExport:
 
     def test_inductive_items_use_their_table_rows(self, trained, small_embeddings):
         params, catalog = trained
-        feats = assemble_item_features(catalog, small_embeddings, params.config)
-        assert list(feats) == sorted(i for i, it in catalog.items() if it.item_type == "audiobook")
-        rows = [small_embeddings.index[i] for i in feats]
+        ids, _, dense = item_inputs(params, catalog, small_embeddings)
+        assert ids == sorted(i for i, it in catalog.items() if it.item_type == "audiobook")
+        rows = [small_embeddings.index[i] for i in ids]
         assert small_embeddings.inductive[rows].any()  # the table embeds cold items inductively
-        for item_id, row in zip(feats, rows):
-            assert np.array_equal(feats[item_id].hgnn_embedding, small_embeddings.matrix[row])
+        d_c = params.dims["d_c"]
+        assert np.array_equal(dense[:, d_c:], small_embeddings.matrix[rows])
+        assert np.array_equal(dense[:, :d_c], np.stack([catalog[i].content_vector for i in ids]))
 
 
 class TestCheckpoint:
     def test_round_trip(self, small_split, small_synth, small_embeddings, tmp_path):
-        pairs, features, config, _ = small_training_setup(
+        pairs, inputs, config = small_training_setup(
             small_split, small_synth, small_embeddings, epochs=1
         )
-        params, _ = train_two_tower(pairs, features, config, seed=2)
+        params, _ = train_two_tower(pairs, *inputs, config, seed=2)
         p1, p2 = tmp_path / "t1.bin", tmp_path / "t2.bin"
         params.save(p1)
         loaded = TowerParams.load(p1)
