@@ -186,10 +186,58 @@ class HgnnParams:
 
 
 @dataclass
+class PoolOrder:
+    """How `_segment_max` walks the segments of one CSR, which depends only
+    on its row lengths: the nonempty segments `order`, longest first (stable),
+    and where they start (`starts`); per slot s, the `bounds` (lo, hi) of its
+    rows in `positions`, which holds every edge position slot-major, slot s
+    of each segment longer than s in `order`. Segments longer than s form a
+    prefix of `order`, so slot s covers the first hi - lo of them."""
+
+    indptr: np.ndarray  # the row pointers it was derived from
+    order: np.ndarray
+    starts: np.ndarray
+    positions: np.ndarray
+    bounds: list[tuple[int, int]]
+
+    @classmethod
+    def of(cls, indptr: np.ndarray) -> "PoolOrder":
+        seg_len = np.diff(indptr)
+        order = np.argsort(-seg_len, kind="stable")
+        lens = seg_len[order]
+        order = order[lens > 0]
+        starts = indptr[order]
+        longest = int(lens[0]) if len(order) else 0
+        counts = np.searchsorted(-lens, -np.arange(longest), side="left").tolist()
+        ends = np.cumsum(counts).tolist()
+        return cls(
+            indptr=indptr,
+            order=order,
+            starts=starts,
+            positions=np.concatenate(
+                [np.zeros(0, dtype=np.int64)] + [starts[:k] + s for s, k in enumerate(counts)]
+            ),
+            bounds=[(hi - k, hi) for k, hi in zip(counts, ends)],
+        )
+
+
+@dataclass
 class NeighborPlan:
-    """Per layer, per (dst_type, src_type): CSR of the neighbors used."""
+    """Per layer, per (dst_type, src_type): CSR of the neighbors used. A plan
+    drawn from a `_PlanLayout` also carries the layout's `PoolOrder` of each
+    CSR in `orders`; a plan built any other way derives them on use."""
 
     layers: list[dict[tuple[str, str], Csr]]
+    orders: list[dict[tuple[str, str], PoolOrder]] | None = None
+
+    def pool_order(self, layer: int, direction: tuple[str, str]) -> PoolOrder:
+        """The `PoolOrder` of `layers[layer][direction]`: the carried one
+        while that CSR still has the row pointers it was derived from."""
+        indptr = self.layers[layer][direction].indptr
+        order = self.orders[layer][direction] if self.orders else None
+        if order is None or order.indptr is not indptr:
+            order = PoolOrder.of(indptr)
+        return order
 
 
 @dataclass
@@ -226,6 +274,7 @@ class _PlanLayout:
     slots: np.ndarray  # the positions in `template` that oversized rows fill
     slot_row: np.ndarray  # per slot: its stacked row << 32
     sampled: list[tuple[np.ndarray, int, int] | None]  # per part: (indptr, lo, hi)
+    orders: list[dict[tuple[str, str], PoolOrder]]  # per layer: each part's PoolOrder
 
     @classmethod
     def build(cls, graph: HeteroGraph, fanouts: tuple[int, ...]) -> "_PlanLayout":
@@ -261,6 +310,11 @@ class _PlanLayout:
                 entry = (part_ptr, lo, hi)
             sampled.append(entry)
             row += n
+        orders = [
+            PoolOrder.of(part.indptr if entry is None else entry[0])
+            for part, entry in zip(parts, sampled)
+        ]
+        n_dir = len(directions)
         return cls(
             parts=parts,
             directions=directions,
@@ -276,6 +330,10 @@ class _PlanLayout:
             slots=np.flatnonzero(slot_in_big),
             slot_row=np.repeat(np.flatnonzero(big), sizes) << 32,
             sampled=sampled,
+            orders=[
+                dict(zip(directions, orders[i : i + n_dir]))
+                for i in range(0, len(orders), n_dir)
+            ],
         )
 
     def draw(self, rng: np.random.Generator) -> NeighborPlan:
@@ -313,7 +371,8 @@ class _PlanLayout:
         ]
         n = len(self.directions)
         return NeighborPlan(
-            [dict(zip(self.directions, csrs[i : i + n])) for i in range(0, len(csrs), n)]
+            [dict(zip(self.directions, csrs[i : i + n])) for i in range(0, len(csrs), n)],
+            self.orders,
         )
 
 
@@ -344,8 +403,8 @@ def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
     """Full neighborhoods, deterministically subsampled past the cap; every
     layer shares the one draw."""
     rng = np.random.default_rng(cfg.inference_seed)
-    layer = sample_plan(graph, (cfg.full_neighborhood_cap,), rng).layers[0]
-    return NeighborPlan([layer] * cfg.layers)
+    plan = sample_plan(graph, (cfg.full_neighborhood_cap,), rng)
+    return NeighborPlan(plan.layers * cfg.layers, plan.orders and plan.orders * cfg.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -354,51 +413,52 @@ def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
 
 
 def _segment_max(
-    values: np.ndarray, indptr: np.ndarray, indices: np.ndarray, keep_argfirst: bool = True
+    values: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    keep_argfirst: bool = True,
+    order: PoolOrder | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-segment elementwise max with the first achieving row index.
 
     Segment i pools rows `indptr[i]:indptr[i+1]` of `values[indices]` without
     building that gathered matrix; argfirst counts positions in it, i.e. edge
     positions of a CSR. Empty segments pool to zero and get argfirst -1. The
-    segments are walked slot by slot, longest first: slot s folds the s-th
-    row of every segment longer than s into the running max with the same
-    `np.maximum` a sequential reduction applies. The winner is tracked by
-    slot arithmetic: where the s-th row is strictly greater than the running
-    max, `slot` rises to s (`max(slot, s * (v > head))`). Slots only grow, so
-    `slot` ends at the last strict increase, which is the first maximizing
-    row; a tie keeps the earlier row. With `keep_argfirst` false the slot
-    loop is only the gather and the max, and argfirst is None.
+    segments are walked slot by slot in the `PoolOrder` of `indptr` (derived
+    here when `order` is None): slot s folds the s-th row of every segment
+    longer than s into the running max with the same `np.maximum` a
+    sequential reduction applies. Where the s-th row is strictly greater than
+    the running max, slot s sets a one-byte flag. After the walk each
+    (segment, column) takes the last slot that rose, which is the first
+    maximizing row; a tie keeps the earlier row. With `keep_argfirst` false
+    the slot loop is only the gather and the max, and argfirst is None.
     """
+    if order is None:
+        order = PoolOrder.of(indptr)
     n = len(indptr) - 1
     d = values.shape[1]
     pooled = np.zeros((n, d))
     argfirst = np.full((n, d), -1, dtype=np.int64) if keep_argfirst else None
-    seg_len = np.diff(indptr)
-    order = np.argsort(-seg_len, kind="stable")
-    lens = seg_len[order]
-    order = order[lens > 0]
-    if len(order) == 0:
+    if not order.bounds:
         return pooled, argfirst
-    starts = indptr[order]
-    best = values[indices[starts]]
-    # segments longer than s form a prefix of `order`
-    n_longer = np.searchsorted(-lens, -np.arange(1, lens[0]), side="left")
+    neighbors = indices[order.positions]
+    best = values[neighbors[: len(order.order)]]
+    slots = order.bounds[1:]
     if keep_argfirst:
-        slot = np.zeros(best.shape, dtype=np.int64)
-        gt = np.empty(best.shape, dtype=bool)
-        hit = np.empty(best.shape, dtype=np.int64)
-    for s, k in enumerate(n_longer.tolist(), start=1):
-        v = values[indices[starts[:k] + s]]
-        head = best[:k]
+        rose = np.zeros((len(slots), *best.shape), dtype=bool)
+    for s, (lo, hi) in enumerate(slots):
+        v = values[neighbors[lo:hi]]
+        head = best[: hi - lo]
         if keep_argfirst:
-            np.greater(v, head, out=gt[:k])
-            np.multiply(gt[:k], s, out=hit[:k])
-            np.maximum(slot[:k], hit[:k], out=slot[:k])
+            np.greater(v, head, out=rose[s, : hi - lo])
         np.maximum(head, v, out=head)
-    pooled[order] = best
+    pooled[order.order] = best
     if keep_argfirst:
-        argfirst[order] = starts[:, None] + slot
+        # each flag times its slot number: one byte each below 256 slots
+        rank_type = np.min_scalar_type(len(slots))
+        rank = rose.view(np.uint8) if rank_type == np.uint8 else rose.astype(rank_type)
+        rank *= np.arange(1, len(slots) + 1, dtype=rank.dtype)[:, None, None]
+        argfirst[order.order] = order.starts[:, None] + rank.max(axis=0, initial=0)
     return pooled, argfirst
 
 
@@ -408,7 +468,7 @@ class ForwardCache:
     node's relation transform `h_src @ W.T + b`, one row per node, not per
     edge; `argfirst[direction]` is the edge position of each (segment,
     column)'s first maximizing neighbor, -1 for an empty segment, as
-    `_segment_max` tracks it by slot arithmetic. Backward sends each
+    `_segment_max` finds it from its slot flags. Backward sends each
     (segment, column) gradient to that neighbor where `pooled[direction]` is
     positive, which is exactly where the neighbor's pre-activation is.
     `argfirst` is an empty list when the forward pass did not keep it: only
@@ -442,7 +502,11 @@ def forward_states(
             p = h[src_type] @ params.agg_w(k, rel).T + params.agg_b(k, rel)
             agg_pre[direction] = p
             pooled[direction], argfirst[direction] = _segment_max(
-                np.maximum(p, 0.0), csr.indptr, csr.indices, keep_argfirst
+                np.maximum(p, 0.0),
+                csr.indptr,
+                csr.indices,
+                keep_argfirst,
+                plan.pool_order(k - 1, direction),
             )
             if dst_type in pool_sum:
                 pool_sum[dst_type] = pool_sum[dst_type] + pooled[direction]
@@ -537,12 +601,15 @@ def margin_batch_loss(
     rows, src = targets[kept], source_ids[kept]
     # Round r adds every row's r-th term, so a row's terms still add one at a
     # time in loop order, from +0.0; the rows within one round are distinct.
-    by_row = np.argsort(rows, kind="stable")
+    # Both sorts take their keys in the smallest unsigned type that holds
+    # them (node ids below len(z), ranks below the term count), where
+    # numpy's stable sort is a radix sort and gives the same permutation.
+    by_row = np.argsort(rows.astype(np.min_scalar_type(len(z))), kind="stable")
     rows, src = rows[by_row], src[by_row]
     pos = np.arange(len(rows))
     first = np.concatenate(([True], rows[1:] != rows[:-1]))
     rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    by_round = np.argsort(rank, kind="stable")
+    by_round = np.argsort(rank.astype(np.min_scalar_type(len(rank))), kind="stable")
     rows, src = rows[by_round], src[by_round]
     dz = np.zeros_like(z)
     lo = 0
@@ -599,13 +666,15 @@ def backward_states(
     }
 
     for k in range(n_layers, 0, -1):
-        d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types}
+        # layer 1's input is the fixed content features: no gradient flows on
+        inner = k > 1
+        d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types} if inner else {}
         d_pool: dict[str, np.ndarray] = {}
         for t in graph.node_types:
             r = d_h[t] * (cache.upd_pre[k - 1][t] > 0.0)
-            w = params.upd_w(k, t)
             grads[f"upd.W.{k}.{t}"] += r.T @ cache.h[k - 1][t]
-            d_prev[t] += r @ w
+            if inner:
+                d_prev[t] += r @ params.upd_w(k, t)
             d_pool[t] = r
         for direction in graph.directions():
             dst_type, src_type = direction
@@ -619,7 +688,8 @@ def backward_states(
             )
             grads[f"agg.W.{k}.{rel}"] += d_p.T @ cache.h[k - 1][src_type]
             grads[f"agg.b.{k}.{rel}"] += d_p.sum(axis=0)
-            d_prev[src_type] += d_p @ params.agg_w(k, rel)
+            if inner:
+                d_prev[src_type] += d_p @ params.agg_w(k, rel)
         d_h = d_prev
     return grads
 

@@ -17,6 +17,8 @@ from audiorec.hgnn import (
     ForwardCache,
     HgnnConfig,
     HgnnParams,
+    NeighborPlan,
+    PoolOrder,
     _inference_plan,
     _plan_layout,
     _route_pooled,
@@ -504,6 +506,23 @@ class TestSegmentMax:
         pooled, argfirst = self.check(values, indptr)
         assert argfirst[1, 0] == 3 + 310 and argfirst[3, 1] == 336 + 300
 
+    @pytest.mark.parametrize("n_rows", [255, 256, 257])
+    def test_flag_type_at_256_slots(self, n_rows):
+        # slots after the first number n_rows - 1: one byte holds them up to
+        # 256 rows, two bytes from 257 on; column 0 rises at the last slot,
+        # column 1 at slot 100 with a tie at the last slot
+        rng = np.random.default_rng(n_rows)
+        values = np.maximum(rng.integers(-2, 4, size=(n_rows + 4, 3)), 0).astype(float)
+        values[n_rows - 1, 0] = 9.0
+        values[100, 1] = values[n_rows - 1, 1] = 8.0
+        for indptr in ([0, n_rows], [0, n_rows, n_rows + 4]):
+            pooled, argfirst = self.check(values, indptr)
+            assert argfirst[0].tolist()[:2] == [n_rows - 1, 100]
+        # beside a longer segment the walk has more slots than this one
+        values = np.concatenate([values[:n_rows], np.ones((300, 3))])
+        pooled, argfirst = self.check(values, [0, n_rows, n_rows + 300])
+        assert argfirst[0].tolist()[:2] == [n_rows - 1, 100]
+
     def test_forward_without_argfirst_is_the_same_forward(self):
         for seed in range(8):
             graph, params, plan, _, _ = random_hgnn_instance(seed)
@@ -522,6 +541,86 @@ class TestSegmentMax:
         _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
         with pytest.raises(ValueError, match="keep_argfirst"):
             backward_states(graph, params, plan, cache, dz)
+
+
+class TestPoolOrder:
+    """The `PoolOrder` a layout hands its plans against the one derived from
+    each CSR alone, and the forward over either."""
+
+    @staticmethod
+    def assert_orders_equal(got: PoolOrder, want: PoolOrder):
+        for name in ("order", "starts", "positions"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert got.bounds == want.bounds
+
+    @staticmethod
+    def plain(plan: NeighborPlan) -> NeighborPlan:
+        """The plan rebuilt from copies of its CSRs, as `sample_plan_loop`
+        returns them: no orders."""
+        return NeighborPlan(
+            [
+                {d: Csr(csr.indptr.copy(), csr.indices.copy()) for d, csr in layer.items()}
+                for layer in plan.layers
+            ]
+        )
+
+    def plans(self, seed):
+        graph, params, plan, _, _ = random_hgnn_instance(seed)
+        rng = np.random.default_rng(seed)
+        yield graph, params, plan
+        for fanouts in ((1, 2), (4, 4)):
+            yield graph, params, sample_plan(graph, fanouts, rng)
+        yield graph, params, _inference_plan(graph, HgnnConfig(full_neighborhood_cap=3))
+        yield graph, params, _inference_plan(graph, params.config)
+
+    def test_layout_orders_are_the_orders_of_the_csrs(self):
+        kept = sampled = 0
+        for seed in range(8):
+            for graph, _, plan in self.plans(seed):
+                assert len(plan.orders) == len(plan.layers)
+                for k, layer in enumerate(plan.layers):
+                    for direction, csr in layer.items():
+                        got = plan.orders[k][direction]
+                        assert got.indptr is csr.indptr
+                        assert plan.pool_order(k, direction) is got
+                        self.assert_orders_equal(got, PoolOrder.of(csr.indptr.copy()))
+                        if csr is graph.adj[direction]:
+                            kept += 1
+                        else:
+                            sampled += 1
+        assert kept > 0 and sampled > 0
+
+    def test_plain_plans_derive_the_same_order(self):
+        graph, _, plan, _, _ = random_hgnn_instance(1)
+        plain = self.plain(plan)
+        assert plain.orders is None
+        for k, layer in enumerate(plan.layers):
+            for direction in layer:
+                self.assert_orders_equal(
+                    plain.pool_order(k, direction), plan.pool_order(k, direction)
+                )
+        # a CSR replaced after the draw gets the order of its own rows
+        direction = graph.directions()[0]
+        csr = plan.layers[0][direction]
+        lens = np.diff(csr.indptr)[::-1]
+        replaced = Csr(np.concatenate(([0], np.cumsum(lens))), csr.indices)
+        plan.layers[0][direction] = replaced
+        self.assert_orders_equal(plan.pool_order(0, direction), PoolOrder.of(replaced.indptr))
+
+    def test_forward_over_plain_plans_is_byte_equal(self):
+        for seed in range(8):
+            for graph, params, plan in self.plans(seed):
+                for keep in (True, False):
+                    got = forward_states(graph, params, plan, keep_argfirst=keep)
+                    want = forward_states(graph, params, self.plain(plan), keep_argfirst=keep)
+                    for k in range(params.config.layers):
+                        for d in plan.layers[k]:
+                            assert got.pooled[k][d].tobytes() == want.pooled[k][d].tobytes()
+                            if keep:
+                                assert np.array_equal(got.argfirst[k][d], want.argfirst[k][d])
+                    for t in want.z:
+                        assert got.z[t].tobytes() == want.z[t].tobytes()
 
 
 class TestMarginLoss:
@@ -544,6 +643,28 @@ class TestMarginLoss:
                 assert np.array_equal(dz[t], want_dz[t])
             shares.append(active.mean())
         assert 0 < shares[0] < shares[1] < shares[2] == 1.0
+
+    def test_sort_keys_past_one_byte(self):
+        # 300 nodes, and node 0 takes 300 terms: both sorts' keys need two
+        # bytes; node 299 is only the last pair's positive
+        rng = np.random.default_rng(6)
+        z = {}
+        for t, n in (("audiobook", 140), ("podcast", 160)):
+            m = rng.normal(size=(n, 6))
+            z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
+        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        pairs = rng.integers(1, 299, size=(150, 2))
+        pairs[-1, 1] = 299
+        negs = rng.integers(1, 299, size=(150, 4))
+        negs[:, :2] = 0
+        for margin in (0.4, 3.0):
+            loss, dz, active = margin_batch_loss(cache, pairs, negs, margin)
+            want_loss, want_dz, want_active = margin_batch_loss_loop(cache, pairs, negs, margin)
+            assert loss == want_loss
+            assert np.array_equal(active, want_active)
+            for t in z:
+                assert dz[t].tobytes() == want_dz[t].tobytes()
+        assert active.all()  # margin 3: node 0 has all 300 of its terms
 
 
     def test_validation_loss_is_the_batch_loss(self):
