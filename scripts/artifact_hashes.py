@@ -32,11 +32,12 @@ import tempfile
 from pathlib import Path
 
 
-# BLAS reads its thread count once, when numpy is first imported
-_early = argparse.ArgumentParser(add_help=False)
-_early.add_argument("--blas-threads", type=int, default=1)
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
+if __name__ == "__main__":  # imported, it leaves the environment as it is
+    # BLAS reads its thread count once, when numpy is first imported
+    _early = argparse.ArgumentParser(add_help=False)
+    _early.add_argument("--blas-threads", type=int, default=1)
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
 
 from audiorec.data import DatasetSplit, parse_catalog, parse_interactions  # noqa: E402
 from audiorec.evaluate import holdout_rankings  # noqa: E402

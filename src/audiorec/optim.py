@@ -31,20 +31,17 @@ def init_weights(layout: Layout, rng: np.random.Generator) -> dict[str, np.ndarr
     return {name: init(rng, shape) for name, shape, init in layout}
 
 
-def check_layout(path, layout: Layout, shapes, others: tuple[str, ...] = ()) -> None:
+def check_layout(path, layout: Layout, shapes) -> None:
     """Refuse the container `path` unless its arrays, by the header `shapes`
     `read_pack` gives whether it read them or not, are the weights of
-    `layout`, each of its shape, and the arrays `others` that are not
-    weights: a missing, extra or misshaped weight, or a missing other array,
-    raises ValueError naming the file and the array."""
-    for name in others:
-        shapes[name]  # `read_pack`'s table refuses a missing name
+    `layout`, each of its shape: a missing, extra or misshaped weight raises
+    ValueError naming the file and the array."""
     for name, shape, _ in layout:
         if shapes[name] != shape:  # `read_pack`'s table refuses a missing name
             raise ValueError(
                 f"{path}: array {name!r} has shape {list(shapes[name])}, expected {list(shape)}"
             )
-    extra = sorted(set(shapes) - {name for name, _, _ in layout} - set(others))
+    extra = sorted(set(shapes) - {name for name, _, _ in layout})
     if extra:
         raise ValueError(f"{path}: unexpected array {extra[0]!r}, not a weight of this model")
 

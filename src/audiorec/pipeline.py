@@ -515,12 +515,15 @@ def stage_probe(config: PipelineConfig, files: Files) -> dict:
 
 def _ablation_variants(config: PipelineConfig, manifest) -> dict[str, PipelineConfig]:
     """Each variant's config, refusing the whole manifest before any variant
-    runs if one entry is not an object of overrides or leaves out the model
-    the report reads."""
+    runs if one entry's name is not a plain directory name under
+    `ablations/`, or its entry is not an object of overrides or leaves out
+    the model the report reads."""
     if not isinstance(manifest, dict):
         raise PipelineError("ablation manifest must map variant names to overrides")
     variants = {}
     for name, overrides in manifest.items():
+        if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
+            raise PipelineError(f"ablation variant {name!r} must be a plain directory name")
         if not isinstance(overrides, dict):
             raise PipelineError(
                 f"ablation variant {name!r} must be an object of overrides, got {_json_kind(overrides)}"

@@ -258,15 +258,8 @@ def _table_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return 0.05 * rng.normal(size=shape)
 
 
-# the arrays of `tower_params.bin` that hold `TowerParams.item_freq`: not
-# weights, yet under the item tower's prefix, so that a user-tower load skips them
-_FREQ_IDS, _FREQ_COUNTS = "item.freq_ids", "item.freq_counts"
-
-
 class TowerParams:
-    """Dense-layer weights plus categorical embedding tables for both towers,
-    and the item frequency table used for loss weighting (None when the item
-    tower was not loaded)."""
+    """Dense-layer weights plus categorical embedding tables for both towers."""
 
     def __init__(
         self,
@@ -274,13 +267,11 @@ class TowerParams:
         vocabs: dict[str, Vocab],
         dims: dict[str, int],
         weights: dict[str, np.ndarray],
-        item_freq: dict[str, int] | None,
     ):
         self.config = config
         self.vocabs = vocabs
         self.dims = dims
         self.weights = weights
-        self.item_freq = item_freq
 
     @classmethod
     def init(
@@ -289,10 +280,9 @@ class TowerParams:
         vocabs: dict[str, Vocab],
         d_c: int,
         d_embed: int,
-        item_freq: dict[str, int],
         seed: int,
     ) -> "TowerParams":
-        params = cls(config, vocabs, _tower_dims(config, d_c, d_embed), {}, dict(item_freq))
+        params = cls(config, vocabs, _tower_dims(config, d_c, d_embed), {})
         params.weights = init_weights(params.layout(), np.random.default_rng(seed))
         return params
 
@@ -318,26 +308,20 @@ class TowerParams:
 
     def save(self, path) -> None:
         """Packed container: config, dims and vocabularies in the header; the
-        weights, and `item_freq` as an id column and int64 counts in id
-        order, as arrays."""
+        weights as arrays."""
         meta = {
             "kind": "tower_params",
             "dims": self.dims,
             "vocabs": {name: v.to_list() for name, v in self.vocabs.items()},
             "config": asdict(self.config),
         }
-        items = sorted(self.item_freq)
-        freq = {
-            _FREQ_IDS: id_column(items),
-            _FREQ_COUNTS: np.array([self.item_freq[i] for i in items], np.int64),
-        }
-        write_pack(path, meta, {**self.weights, **freq})
+        write_pack(path, meta, self.weights)
 
     @classmethod
     def load(cls, path, towers: tuple[str, ...] = ("user", "item")) -> "TowerParams":
-        """The checkpoint `save` wrote, holding the weights of `towers` only,
-        and `item_freq` with the item tower; the others are never read, yet
-        the layout check covers every weight by the header's shapes."""
+        """The checkpoint `save` wrote, holding the weights of `towers` only;
+        the others are never read, yet the layout check covers every weight
+        by the header's shapes."""
         meta, arrays = read_pack(
             path,
             "tower_params",
@@ -349,25 +333,9 @@ class TowerParams:
         if dims != _tower_dims(config, sizes["d_c"], sizes["d_embed"]):
             raise ValueError(f"{path}: meta 'dims' {dims} does not fit the tower config")
         vocabs = PackEntries(path, "vocab", {name: Vocab(vals) for name, vals in vocabs.items()})
-        freq = {name: arrays.pop(name, None) for name in (_FREQ_IDS, _FREQ_COUNTS)}
-        params = cls(config, vocabs, dims, arrays, None)
-        check_layout(path, params.layout(), arrays.shapes, others=tuple(freq))
-        if "item" in towers:
-            params.item_freq = _item_freq(path, freq[_FREQ_IDS], freq[_FREQ_COUNTS])
+        params = cls(config, vocabs, dims, arrays)
+        check_layout(path, params.layout(), arrays.shapes)
         return params
-
-
-def _item_freq(path, ids: np.ndarray, counts: np.ndarray) -> dict[str, int]:
-    """`TowerParams.item_freq` from its two arrays in `path`: strictly rising
-    ids, one int64 count each."""
-    ids = column_ids(path, _FREQ_IDS, ids)
-    if counts.dtype != np.int64 or counts.shape != ids.shape:
-        raise ValueError(
-            f"{path}: {_FREQ_COUNTS} is {counts.dtype} of shape {list(counts.shape)}, "
-            f"not int64 of shape {list(ids.shape)}"
-        )
-    check_rising(path, _FREQ_IDS, ids)
-    return dict(zip(ids.tolist(), counts.tolist()))
 
 
 def user_inputs(
@@ -575,12 +543,12 @@ def train_two_tower(
     """
     if not pairs:
         raise ValueError("no training pairs")
-    item_freq: dict[str, int] = {}
+    item_counts: dict[str, int] = {}
     for _, item_id in pairs:
-        item_freq[item_id] = item_freq.get(item_id, 0) + 1
+        item_counts[item_id] = item_counts.get(item_id, 0) + 1
 
     items = [catalog[i] for i in _target_items(catalog, config)]
-    unknown = sorted(item_freq.keys() - {item.item_id for item in items})
+    unknown = sorted(item_counts.keys() - {item.item_id for item in items})
     if unknown:  # a record that gives an item another type than the catalog does
         raise ValueError(f"training pair item {unknown[0]!r} has no catalog entry of type {config.target_type!r}")
     users = sorted({u for u, _ in pairs})
@@ -592,7 +560,7 @@ def train_two_tower(
         "genre": Vocab(item.genre for item in items),
     }
     d_c = int(items[0].content_vector.shape[0])
-    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, item_freq, seed)
+    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, seed)
     rng = np.random.default_rng(seed)
 
     u_cat, u_dense = user_inputs(params, table, users, music_vectors, demographics)
@@ -601,7 +569,7 @@ def train_two_tower(
     item_row = {i: r for r, i in enumerate(item_ids)}
     pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
     pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
-    pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])
+    pair_inv_freq = np.array([1.0 / item_counts[i] for _, i in pairs])
     user_step = _TowerStep(params, "user", u_cat, u_dense)
     item_step = _TowerStep(params, "item", i_cat, i_dense)
     log: list[dict] = []

@@ -192,7 +192,7 @@ def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4, country=None, age_b
         catalog[item] = CatalogItem(item, "audiobook", rng.normal(size=d_c), language, genre)
         embeddings.append(rng.normal(size=d_embed))
     freq = {f"i{i}": int(rng.integers(1, 4)) for i in range(n_pairs)}
-    params = TowerParams.init(config, vocabs, d_c, d_embed, freq, seed)
+    params = TowerParams.init(config, vocabs, d_c, d_embed, seed)
     ab, pod, counts = (np.array(column) for column in zip(*histories))
     table = UserHistoryTable(users, ab, pod, counts)
     flags = np.zeros(n_pairs, bool)

@@ -499,9 +499,9 @@ def train_two_tower_serial(
     dict per batch."""
     if not pairs:
         raise ValueError("no training pairs")
-    item_freq: dict[str, int] = {}
+    item_counts: dict[str, int] = {}
     for _, item_id in pairs:
-        item_freq[item_id] = item_freq.get(item_id, 0) + 1
+        item_counts[item_id] = item_counts.get(item_id, 0) + 1
 
     users = sorted({u for u, _ in pairs})
     profiles = [(demographics or {}).get(u, (OOV_TOKEN, OOV_TOKEN)) for u in users]
@@ -513,7 +513,7 @@ def train_two_tower_serial(
         "genre": Vocab(item.genre for item in items),
     }
     d_c = int(items[0].content_vector.shape[0])
-    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, item_freq, seed)
+    params = TowerParams.init(config, vocabs, d_c, embeddings.dim, seed)
     adam = Adam(learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
 
@@ -523,7 +523,7 @@ def train_two_tower_serial(
     item_row = {i: r for r, i in enumerate(item_ids)}
     pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
     pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
-    pair_inv_freq = np.array([1.0 / item_freq[i] for _, i in pairs])
+    pair_inv_freq = np.array([1.0 / item_counts[i] for _, i in pairs])
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))

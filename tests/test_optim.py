@@ -26,7 +26,7 @@ def tower_weights() -> dict[str, np.ndarray]:
         "genre": Vocab([f"g{i}" for i in range(6)]),
     }
     config = TwoTowerConfig()
-    return TowerParams.init(config, vocabs, 16, 64, {"a0": 1}, seed=3).weights
+    return TowerParams.init(config, vocabs, 16, 64, seed=3).weights
 
 
 @pytest.mark.parametrize("make_weights", [hgnn_weights, tower_weights])

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
@@ -90,6 +91,15 @@ def tiny_config(seed=11):
             "seed": seed,
         }
     )
+
+
+@pytest.fixture(scope="module")
+def synth_run(tmp_path_factory):
+    """A tiny config and a run directory holding only what `synth` wrote."""
+    out = tmp_path_factory.mktemp("synth")
+    config = tiny_config()
+    run_stage("synth", config, out)
+    return config, out
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +396,7 @@ class TestStages:
 
         # without graph features both towers see exactly 0.0 in every embedding column
         off = dataclasses.replace(params.config, use_hgnn_features=False)
-        off_params = TowerParams(off, params.vocabs, params.dims, params.weights, None)
+        off_params = TowerParams(off, params.vocabs, params.dims, params.weights)
         zeroed = user_histories(users, train, table, off, as_of=split_time)
         _, u_dense = user_inputs(off_params, zeroed, users)
         _, _, i_dense = item_inputs(off_params, catalog, table)
@@ -723,7 +733,7 @@ class TestDamagedArtifacts:
         assert name in cli_error(stage_argv("recommend", config, run, tmp_path), capsys)
 
     @pytest.mark.parametrize(
-        "name", ["embeddings.bin", "graph.bin", "rec_index.bin", "tower_params.bin", "user_features.bin"]
+        "name", ["embeddings.bin", "graph.bin", "rec_index.bin", "user_features.bin"]
     )
     def test_id_list_that_repeats_an_id_rejected_naming_the_file(self, pipeline_run, tmp_path, name):
         # a repeated index id would be served twice by one query; a full load
@@ -870,10 +880,6 @@ class TestDamagedArtifacts:
             (lambda header: header["meta"]["dims"].update(user_in=1), "meta 'dims'"),
             (lambda header: header["meta"]["config"].update(music_dim=3), "meta 'dims'"),
             (lambda header: header["meta"]["vocabs"].update(genre=["g0", 1]), "meta 'vocabs' must be"),
-            (
-                lambda header: array_entry(header, "item.freq_counts").update(dtype="float64"),
-                "item.freq_counts is float64",
-            ),
         ],
         ids=[
             "vocab-missing",
@@ -881,13 +887,11 @@ class TestDamagedArtifacts:
             "dims-off",
             "dims-off-the-config",
             "vocab-entry-not-a-string",
-            "frequency-not-an-integer",
         ],
     )
     def test_tower_meta_that_does_not_fit_its_weights(
         self, pipeline_run, tmp_path, capsys, edit, expected
     ):
-        # the item frequencies are item-tower arrays: `build-index` reads them, `recommend` does not
         config, out = pipeline_run
         header, payload = split_container((out / "tower_params.bin").read_bytes())
         edit(header)
@@ -1479,6 +1483,19 @@ class TestStaleInputs:
         assert parts == ["run_stage", "_current_inputs", "TowerParams.load", "UserHistoryTable.load",
                          "load_index", "recommend_scored"]
 
+    def test_artifact_hashes_runs_and_leaves_the_environment(self, tmp_path, monkeypatch):
+        # `run_stage` records the BLAS thread variables in every manifest, so
+        # importing the script must not set them; only running it does
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        hashes = load_script(ROOT / "scripts" / "artifact_hashes.py")
+        assert dict(os.environ) == before
+        digests = hashes.artifact_hashes(tiny_config().to_dict(), tmp_path)
+        wanted = {"tower_params.bin", "rec_index.bin", "manifests/train-2t.json", "recommend@10", "rankings"}
+        assert wanted <= set(digests)
+        assert "hgnn_train_log.jsonl" not in digests
+
 # chains the manifest walk must judge as its oracle does: (damage, what it hits)
 CHAIN_CASES = [
     ("intact", None),
@@ -1625,6 +1642,14 @@ class TestAblate:
             ),
             (None, {"models": ["popularity"]}, "ablation variant 'full': eval.models must include"),
             ({"full": {}, "typo": {"grpah": {}}}, {}, "bad override section 'grpah'"),
+            # ".." ran split through evaluate in the run itself, over its artifacts
+            ({"full": {}, "..": {"hgnn": {"max_epochs": 1}}}, {}, "ablation variant '..' must be a plain"),
+            ({"full": {}, ".": {}}, {}, "ablation variant '.' must be a plain directory name"),
+            ({"full": {}, "": {}}, {}, "ablation variant '' must be a plain directory name"),
+            ({"full": {}, "a/b": {}}, {}, "ablation variant 'a/b' must be a plain directory name"),
+            ({"full": {}, "a\0b": {}}, {}, "ablation variant 'a\\x00b' must be a plain directory name"),
+            # an absolute name wrote outside the run altogether
+            ("absolute", {}, "outside' must be a plain directory name"),
         ],
     )
     def test_bad_variant_refused_before_any_runs(self, tmp_path, capsys, variants, settings, expected):
@@ -1633,15 +1658,38 @@ class TestAblate:
         run_stage("synth", config, out)
         cfg = config.to_dict()
         cfg["eval"].update(settings)
+        if variants == "absolute":
+            variants = {"full": {}, str(tmp_path / "outside"): {}}
         if variants is not None:
             manifest_path = tmp_path / "variants.json"
             io.write_json(variants, manifest_path)
             cfg["eval"]["ablation_manifest"] = str(manifest_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        before = tree_bytes(out)
+        before = tree_bytes(tmp_path)
         error = cli_error(["ablate", "--config", str(cfg_path), "--out", str(out)], capsys)
         assert expected in error
+        assert tree_bytes(tmp_path) == before
+        assert not (out / "ablations").exists()
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(manifest=JSON_VALUES | st.dictionaries(st.text(max_size=8), CONFIG_VALUES, max_size=3))
+    def test_any_json_manifest_refused_is_one_json_line(self, synth_run, tmp_path, capsys, manifest):
+        # an object gets one entry whose name is always refused, so every
+        # example is refused, and must be before any variant runs
+        config, out = synth_run
+        if isinstance(manifest, dict):
+            manifest[".."] = {"hgnn": {"max_epochs": 1}}
+        manifest_path = tmp_path / "variants.json"
+        manifest_path.write_text(json.dumps(manifest))
+        cfg = config.to_dict()
+        cfg["eval"]["ablation_manifest"] = str(manifest_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        before = tree_bytes(out)
+        cli_error(["ablate", "--config", str(cfg_path), "--out", str(out)], capsys)
         assert tree_bytes(out) == before
         assert not (out / "ablations").exists()
 

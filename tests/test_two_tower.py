@@ -46,7 +46,7 @@ def profile_params(config: TwoTowerConfig) -> TowerParams:
     """Params that hold only what `user_inputs` reads: the config and the
     demographic vocabularies, "SE" and "25-34" in slot 2 of theirs."""
     vocabs = {"country": Vocab(["DE", "SE"]), "age_bucket": Vocab(["18-24", "25-34"])}
-    return TowerParams(config, vocabs, {}, {}, None)
+    return TowerParams(config, vocabs, {}, {})
 
 
 def user_row(user, records, table, config, *, as_of=None, music_vector=None, demographics=None):
@@ -334,14 +334,6 @@ class TestTraining:
         _, log = train_two_tower(pairs[: 3 * 16 + 2], *inputs, config, seed=0)
         assert [e["skipped_batches"] for e in log] == [0, 0]
 
-    def test_frequency_table_positive(self, small_split, small_synth, small_embeddings):
-        pairs, inputs, config = small_training_setup(
-            small_split, small_synth, small_embeddings, epochs=1
-        )
-        params, _ = train_two_tower(pairs, *inputs, config, seed=0)
-        assert all(c > 0 for c in params.item_freq.values())
-        assert set(params.item_freq) == {i for _, i in pairs}
-
 
 class TestSideBySideTowers:
     """`train_two_tower` trains the item tower on a worker thread beside the
@@ -464,7 +456,6 @@ class TestCheckpoint:
         loaded = TowerParams.load(p1)
         assert loaded.checksum() == params.checksum()
         assert loaded.config == params.config
-        assert loaded.item_freq == params.item_freq
         assert {n: v.to_list() for n, v in loaded.vocabs.items()} == {
             n: v.to_list() for n, v in params.vocabs.items()
         }
