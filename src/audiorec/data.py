@@ -258,14 +258,16 @@ def feature_window(
     return as_of - window_days * DAY_SECONDS, as_of
 
 
-def truncate_history(
-    records: list[InteractionRecord], history_days: int
-) -> list[InteractionRecord]:
-    """Drop records older than `history_days` before the most recent timestamp."""
-    if not records:
-        return []
-    cutoff = max(r.timestamp for r in records) - history_days * DAY_SECONDS
-    return [r for r in records if r.timestamp >= cutoff]
+def popularity_ranking(
+    records: Iterable[InteractionRecord], item_ids: Iterable[str], target_type: str
+) -> list[str]:
+    """`item_ids` by their count of target-type streams in `records`,
+    descending, ties by id."""
+    counts = dict.fromkeys(item_ids, 0)
+    for r in records:
+        if r.signal == "stream" and r.item_type == target_type and r.item_id in counts:
+            counts[r.item_id] += 1
+    return sorted(counts, key=lambda i: (-counts[i], i))
 
 
 def user_segments(split: DatasetSplit) -> UserSegments:

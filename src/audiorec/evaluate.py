@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, InteractionRecord, UserSegments
+from .data import DatasetSplit, InteractionRecord, UserSegments, popularity_ranking
 
 MAX_RANK = 100
+N_TIERS = 5  # tiers 3-5 form the reported long tail
 
 
 @dataclass
@@ -177,19 +178,12 @@ def evaluate(
 
 
 def popularity_tiers(
-    split: DatasetSplit,
-    catalog_ids: set[str],
-    target_type: str,
-    n_tiers: int = 5,
+    split: DatasetSplit, catalog_ids: set[str], target_type: str
 ) -> list[list[str]]:
-    """Bucket target items into equal-count tiers by train stream count
-    (descending, id ascending); tier 1 holds the most-streamed items."""
-    counts = {i: 0 for i in catalog_ids}
-    for r in split.train:
-        if r.signal == "stream" and r.item_type == target_type and r.item_id in counts:
-            counts[r.item_id] += 1
-    ranked = sorted(counts, key=lambda i: (-counts[i], i))
-    return [list(chunk) for chunk in np.array_split(np.array(ranked), n_tiers)]
+    """Bucket target items into `N_TIERS` equal-count tiers by train stream
+    count (descending, id ascending); tier 1 holds the most-streamed items."""
+    ranked = popularity_ranking(split.train, catalog_ids, target_type)
+    return [list(chunk) for chunk in np.array_split(np.array(ranked), N_TIERS)]
 
 
 def tiered_metrics(
@@ -199,19 +193,18 @@ def tiered_metrics(
     catalog_ids: set[str],
     k: int = 10,
     max_rank: int = MAX_RANK,
-    n_tiers: int = 5,
 ) -> dict[str, MetricsReport]:
     """Per-popularity-tier metrics of a recommender's `holdout_rankings`;
     users contribute to every tier containing at least one of their relevant
     items. Tiers 3-5 combine into the reported long tail."""
     relevant = streamed_items(split.holdout, target_type)
     active_items = set().union(*relevant.values()) if relevant else set()
-    if len(active_items) < n_tiers:
+    if len(active_items) < N_TIERS:
         raise ValueError(
-            f"need at least {n_tiers} distinct items with holdout activity, "
+            f"need at least {N_TIERS} distinct items with holdout activity, "
             f"got {len(active_items)}"
         )
-    tiers = [set(t) for t in popularity_tiers(split, catalog_ids, target_type, n_tiers)]
+    tiers = [set(t) for t in popularity_tiers(split, catalog_ids, target_type)]
     members = {f"tier_{i + 1}": tier for i, tier in enumerate(tiers)}
     members["long_tail"] = set().union(*tiers[2:])
     groups = {

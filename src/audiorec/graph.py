@@ -97,13 +97,12 @@ def build_colisten_graph(
     catalog: dict[str, CatalogItem],
     min_co_users: int = 1,
     relations: tuple[str, ...] = REL_KEYS,
-    include_all_signals: bool = False,
 ) -> HeteroGraph:
     """Build the co-listening graph from training interactions.
 
-    Only stream signals create nodes and edges unless `include_all_signals`
-    is set. Edges supported by fewer than `min_co_users` distinct users are
-    dropped. Node ordering is lexicographic by item_id within each type.
+    Only stream signals create nodes and edges. Edges supported by fewer
+    than `min_co_users` distinct users are dropped. Node ordering is
+    lexicographic by item_id within each type.
     """
     if not train:
         raise ValueError("cannot build a graph from an empty training log")
@@ -126,7 +125,7 @@ def build_colisten_graph(
                 f"interaction references item {rec.item_id!r} absent from the catalog "
                 f"(user {rec.user_id!r}, t={rec.timestamp})"
             )
-        if rec.signal != "stream" and not include_all_signals:
+        if rec.signal != "stream":
             continue
         if catalog[rec.item_id].item_type not in included_types:
             continue

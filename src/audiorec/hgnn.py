@@ -52,7 +52,6 @@ from .optim import (
 
 @dataclass
 class HgnnConfig:
-    layers: int = 2
     hidden_dim: int = 64
     out_dim: int = 64
     margin: float = 0.4
@@ -65,16 +64,10 @@ class HgnnConfig:
     val_fraction: float = 0.1
     full_neighborhood_cap: int = 500
     balanced_sampler: bool = True
-    inference_seed: int = 0
 
     def __post_init__(self):
         rules = (
-            ("layers", ">= 1", self.layers >= 1),
-            (
-                "fanouts",
-                f"one value >= 1 per layer ({self.layers})",
-                len(self.fanouts) == self.layers and min(self.fanouts, default=1) >= 1,
-            ),
+            ("fanouts", "one or more values >= 1", min(self.fanouts, default=0) >= 1),
             ("full_neighborhood_cap", ">= 1", self.full_neighborhood_cap >= 1),
             ("hidden_dim", ">= 1", self.hidden_dim >= 1),
             ("out_dim", ">= 1", self.out_dim >= 1),
@@ -85,9 +78,13 @@ class HgnnConfig:
             ("max_epochs", ">= 1", self.max_epochs >= 1),
             ("patience", ">= 1", self.patience >= 1),
             ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
-            ("inference_seed", ">= 0", self.inference_seed >= 0),
         )
         check_rules("hgnn", self, rules)
+
+    @property
+    def layers(self) -> int:
+        """One layer per `fanouts` entry."""
+        return len(self.fanouts)
 
     def layer_dims(self, feature_dim: int) -> list[int]:
         return [feature_dim] + [self.hidden_dim] * (self.layers - 1) + [self.out_dim]
@@ -402,8 +399,7 @@ def sample_plan(
 def _inference_plan(graph: HeteroGraph, cfg: HgnnConfig) -> NeighborPlan:
     """Full neighborhoods, deterministically subsampled past the cap; every
     layer shares the one draw."""
-    rng = np.random.default_rng(cfg.inference_seed)
-    plan = sample_plan(graph, (cfg.full_neighborhood_cap,), rng)
+    plan = sample_plan(graph, (cfg.full_neighborhood_cap,), np.random.default_rng(0))
     return NeighborPlan(plan.layers * cfg.layers, plan.orders and plan.orders * cfg.layers)
 
 
@@ -877,8 +873,6 @@ def _sample_negative_refs(
 class NodeEmbeddingTable:
     item_ids: list[str]
     matrix: np.ndarray
-    inductive: np.ndarray
-    fallback: np.ndarray
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -893,23 +887,21 @@ class NodeEmbeddingTable:
         return None if i is None else self.matrix[i]
 
     def save(self, path) -> None:
-        """Packed container: the ids as an `io.id_column`, the float64 matrix
-        and the bool flags as arrays."""
+        """Packed container: the ids as an `io.id_column` and the float64
+        matrix."""
         write_pack(
             path,
             {"kind": "embeddings"},
             {
                 "item_ids": id_column(self.item_ids),
                 "matrix": np.asarray(self.matrix, dtype=np.float64),
-                "inductive": np.asarray(self.inductive, dtype=bool),
-                "fallback": np.asarray(self.fallback, dtype=bool),
             },
         )
 
     @classmethod
     def load(cls, path) -> "NodeEmbeddingTable":
         """The table `save` wrote: one or more distinct ids, in the table's
-        row order, one per row of each array."""
+        row order, one per matrix row."""
         _, arrays = read_pack(path, "embeddings")
         item_ids = column_ids(path, "item_ids", arrays["item_ids"])
         if not len(item_ids):
@@ -918,12 +910,7 @@ class NodeEmbeddingTable:
         # ids rise within each node type and among the inductive rows, and
         # numpy's stable sort merges sorted runs
         check_rising(path, "item_ids", np.sort(item_ids, kind="stable"))
-        for name in ("inductive", "fallback"):
-            if arrays.shapes[name] != (len(item_ids),):
-                raise ValueError(
-                    f"{path}: {name} has shape {list(arrays.shapes[name])} for {len(item_ids)} matrix rows"
-                )
-        return cls(item_ids.tolist(), arrays["matrix"], arrays["inductive"], arrays["fallback"])
+        return cls(item_ids.tolist(), arrays["matrix"])
 
 
 def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
@@ -934,16 +921,12 @@ def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     )
     ids: list[str] = []
     mats: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
     for t in graph.node_types:
         ids.extend(graph.nodes[t])
         mats.append(cache.z[t])
-        flags.append(cache.fallback[t])
     return NodeEmbeddingTable(
         item_ids=ids,
         matrix=np.concatenate(mats) if mats else np.zeros((0, params.config.out_dim)),
-        inductive=np.zeros(len(ids), dtype=bool),
-        fallback=np.concatenate(flags) if flags else np.zeros(0, dtype=bool),
     )
 
 
@@ -989,8 +972,6 @@ def embed_catalog(
     return NodeEmbeddingTable(
         item_ids=table.item_ids + list(weight_type),
         matrix=np.concatenate([table.matrix, np.stack([cache.z[t][j] for t, j in refs])]),
-        inductive=np.concatenate([table.inductive, np.ones(len(refs), dtype=bool)]),
-        fallback=np.concatenate([table.fallback, [cache.fallback[t][j] for t, j in refs]]),
     )
 
 

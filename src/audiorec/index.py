@@ -61,7 +61,7 @@ def build_index(vectors) -> RecIndex:
             )
     mat = np.stack(rows)
     norms = np.linalg.norm(mat, axis=1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # a NaN norm is off too
     if len(off) > 0:
         raise ValueError(
             f"vector for {ids[int(off[0])]!r} is not unit norm (|v|={norms[int(off[0])]:.8f})"

@@ -82,17 +82,10 @@ def l2_normalize_grad(
 
 
 class Adam:
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -117,7 +110,7 @@ class Adam:
         `p -= lr * m_hat / (sqrt(v_hat) + eps)`, so the bytes are those of the
         plain expressions."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for key in sorted(params):
             g = grads[key]
             if key not in self._m:  # the moments start at zero on a weight's first step
@@ -135,7 +128,7 @@ class Adam:
             a *= self.learning_rate
             np.divide(v, 1.0 - b2**self.t, out=g)  # v_hat, over the spent gradient
             np.sqrt(g, out=g)
-            g += self.eps
+            g += self.EPS
             a /= g
             params[key] -= a
             if not np.all(np.isfinite(params[key])):

@@ -24,7 +24,6 @@ from .data import (
     save_interactions,
     text_field,
     timeline_split,
-    truncate_history,
     user_segments,
 )
 from .evaluate import evaluate, holdout_rankings, tiered_metrics
@@ -71,14 +70,12 @@ class PathsConfig:
 class SplitSettings:
     holdout_days: int = 14
     split_time: int | None = None
-    history_days: int | None = None
 
 
 @dataclass
 class GraphSettings:
     min_co_users: int = 1
     relations: tuple[str, ...] = REL_KEYS
-    edges_from_all_signals: bool = False
 
 
 @dataclass
@@ -222,29 +219,45 @@ def _seed_of(config: PipelineConfig, stage: str) -> int:
     return int(config.seed)
 
 
+def _read_user_file(path: Path, keys: tuple[str, ...], value: Callable) -> dict:
+    """`{user_id: value(row, user_id)}` over the lines of a `paths.*` user
+    file. A user listed twice is refused naming both lines."""
+    first_line: dict[str, int] = {}
+
+    def parse(row: dict, line_no: int) -> tuple:
+        user = text_field(row, "user_id")
+        if user in first_line:
+            raise ValueError(f"duplicate user_id {user!r} (lines {first_line[user]} and {line_no})")
+        first_line[user] = line_no
+        return user, value(row, user)
+
+    return dict(io.read_jsonl(path, ("user_id", *keys), parse))
+
+
 def _load_music_vectors(path: Path | None) -> dict[str, np.ndarray]:
     if path is None:
         return {}
 
-    def parse(row: dict, line_no: int) -> tuple[str, np.ndarray]:
-        user = text_field(row, "user_id")
+    def vector(row: dict, user: str) -> np.ndarray:
         try:
-            return user, np.asarray(row["vector"], dtype=np.float64)
+            vec = np.asarray(row["vector"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"vector of user {user!r} is not a float array ({exc})") from exc
+        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+            raise ValueError(f"vector of user {user!r} is not a flat array of finite numbers")
+        return vec
 
-    return dict(io.read_jsonl(path, ("user_id", "vector"), parse))
+    return _read_user_file(path, ("vector",), vector)
 
 
 def _load_demographics(path: Path | None) -> dict[str, tuple[str, str]]:
     if path is None:
         return {}
-
-    def parse(row: dict, line_no: int) -> tuple[str, tuple[str, str]]:
-        demographics = (text_field(row, "country"), text_field(row, "age_bucket"))
-        return text_field(row, "user_id"), demographics
-
-    return dict(io.read_jsonl(path, ("user_id", "country", "age_bucket"), parse))
+    return _read_user_file(
+        path,
+        ("country", "age_bucket"),
+        lambda row, user: (text_field(row, "country"), text_field(row, "age_bucket")),
+    )
 
 
 def _split_time(files: Files) -> int:
@@ -293,11 +306,8 @@ def stage_split(config: PipelineConfig, files: Files) -> None:
             f"(first: line {first.line_no}: {first.message})",
             stacklevel=2,
         )
-    records = parsed.records
-    if config.split.history_days is not None:
-        records = truncate_history(records, config.split.history_days)
     split = timeline_split(
-        records,
+        parsed.records,
         split_time=config.split.split_time,
         holdout_days=config.split.holdout_days,
     )
@@ -322,7 +332,6 @@ def stage_build_graph(config: PipelineConfig, files: Files) -> None:
         catalog,
         min_co_users=config.graph.min_co_users,
         relations=config.graph.relations,
-        include_all_signals=config.graph.edges_from_all_signals,
     )
     save_graph(graph, files["graph"])
     stats = graph_stats(graph)
@@ -356,6 +365,9 @@ def stage_embed(config: PipelineConfig, files: Files) -> None:
 
 
 def stage_train_2t(config: PipelineConfig, files: Files) -> None:
+    # the user files are read first, so one that is refused leaves nothing written
+    music_vectors = _load_music_vectors(files.get("music_vectors"))
+    demographics = _load_demographics(files.get("demographics"))
     train = parse_interactions(files["train"]).records
     split_time = _split_time(files)
     catalog = parse_catalog(files["catalog"])
@@ -374,8 +386,8 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
         table,
         cfg,
         seed=_seed_of(config, "train-2t"),
-        music_vectors=_load_music_vectors(files.get("music_vectors")),
-        demographics=_load_demographics(files.get("demographics")),
+        music_vectors=music_vectors,
+        demographics=demographics,
     )
     params.save(files["tower_params"])
     io.write_jsonl(log, files["tower_log"])
@@ -772,9 +784,9 @@ def run_stage(stage: str, config: PipelineConfig, out_dir, **kwargs):
     return result
 
 
-def run_pipeline(config: PipelineConfig, out_dir, stages: tuple[str, ...] | None = None):
+def run_pipeline(config: PipelineConfig, out_dir):
     """Run the daily pipeline end to end (synth through evaluate)."""
     result = None
-    for stage in stages or DAILY:
+    for stage in DAILY:
         result = run_stage(stage, config, out_dir)
     return result

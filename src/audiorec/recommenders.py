@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CatalogItem, InteractionRecord, feature_window
+from .data import CatalogItem, InteractionRecord, feature_window, popularity_ranking
 from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
@@ -40,18 +40,11 @@ class PopularityRecommender:
         if not train_records:
             raise ValueError("popularity baseline needs a non-empty training log")
         window_start, as_of = feature_window(train_records, window_days, as_of)
-        counts = {
-            i: 0 for i, item in catalog.items() if item.item_type == target_type
-        }
-        for r in train_records:
-            if (
-                r.signal == "stream"
-                and r.item_type == target_type
-                and r.item_id in counts
-                and window_start <= r.timestamp < as_of
-            ):
-                counts[r.item_id] += 1
-        self.ranking = sorted(counts, key=lambda i: (-counts[i], i))
+        self.ranking = popularity_ranking(
+            (r for r in train_records if window_start <= r.timestamp < as_of),
+            (i for i, item in catalog.items() if item.item_type == target_type),
+            target_type,
+        )
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
         return self.ranking[:k]
@@ -147,16 +140,15 @@ class TwoTowerRecommender:
         train_records: list[InteractionRecord],
         embeddings: NodeEmbeddingTable,
         as_of: int | None = None,
-        music_vectors: dict[str, np.ndarray] | None = None,
-        demographics: dict[str, tuple[str, str]] | None = None,
     ):
         """The recommender over the table `train-2t` writes for
-        `train_records`: one row per user in them, as of `as_of`."""
+        `train_records`: one row per user in them, as of `as_of`, without
+        demographics or music vectors."""
         if not train_records:
             raise ValueError("two-tower recommender needs a non-empty training log")
         users = {r.user_id for r in train_records}
         histories = user_histories(users, train_records, embeddings, params.config, as_of)
-        self._setup(params, index, histories, music_vectors, demographics)
+        self._setup(params, index, histories, None, None)
 
     @classmethod
     def from_table(

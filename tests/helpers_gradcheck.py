@@ -195,8 +195,7 @@ def random_tower_instance(seed, n_pairs=4, d_c=3, d_embed=4, country=None, age_b
     params = TowerParams.init(config, vocabs, d_c, d_embed, seed)
     ab, pod, counts = (np.array(column) for column in zip(*histories))
     table = UserHistoryTable(users, ab, pod, counts)
-    flags = np.zeros(n_pairs, bool)
-    item_table = NodeEmbeddingTable(ids, np.array(embeddings), flags, flags)
+    item_table = NodeEmbeddingTable(ids, np.array(embeddings))
     w_raw = np.array([1.0 / freq[i] for i in ids])
     weights = w_raw / w_raw.mean()
     user_in = user_inputs(params, table, users, music, demographics)

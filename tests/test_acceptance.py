@@ -21,7 +21,7 @@ from audiorec.benchmark import (
 from audiorec.data import parse_catalog, parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
 from audiorec.graph import build_colisten_graph, load_graph
-from audiorec.hgnn import NodeEmbeddingTable, balanced_edge_sample
+from audiorec.hgnn import HgnnParams, NodeEmbeddingTable, balanced_edge_sample
 from audiorec.index import build_index, load_index, query_topk
 from audiorec.pipeline import PipelineConfig, run_pipeline
 from audiorec.recommenders import TwoTowerRecommender
@@ -29,7 +29,7 @@ from audiorec.two_tower import TowerParams, UserHistoryTable, user_tower_output
 
 from conftest import make_catalog, stream
 from helpers_gradcheck import check_hgnn_gradients, check_tower_gradients
-from oracles import scan_user_inputs
+from oracles import embed_inductive, scan_user_inputs
 from test_hgnn import graph_with_edge_counts
 
 
@@ -272,7 +272,9 @@ def test_criterion_7_inductive_path(full_pipeline):
     target = cold_items[0]
     assert target not in streamed_in_train
     row = table.index[target]
-    assert table.inductive[row]
+    hgnn_params = HgnnParams.load(out / "hgnn_params.bin")
+    z, _ = embed_inductive(hgnn_params, "audiobook", catalog[target].content_vector)
+    assert np.allclose(table.matrix[row], z, rtol=0, atol=1e-12)  # its content vector alone
     assert abs(np.linalg.norm(table.matrix[row]) - 1.0) < 1e-6
 
     index = load_index(out / "rec_index.bin")

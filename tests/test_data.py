@@ -13,7 +13,6 @@ from audiorec.data import (
     parse_interactions,
     save_interactions,
     timeline_split,
-    truncate_history,
     user_segments,
 )
 from audiorec import synth
@@ -394,10 +393,3 @@ class TestStreamCountBlocks:
             other = dense_catalog[item_id]
             assert np.array_equal(item.content_vector, other.content_vector)
             assert (item.item_type, item.language, item.genre) == (other.item_type, other.language, other.genre)
-
-
-def test_truncate_history():
-    catalog = make_catalog()
-    records = [stream("u1", "a0", catalog, t=0), stream("u1", "a1", catalog, t=100 * DAY_SECONDS)]
-    kept = truncate_history(records, history_days=30)
-    assert [r.item_id for r in kept] == ["a1"]

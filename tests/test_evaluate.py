@@ -213,7 +213,7 @@ class TestTiers:
                 train.append(stream(f"u{j}", f"a{j}", catalog, t=0))
         split = DatasetSplit(train=train, holdout=[stream("u0", "a1", catalog, t=99)], split_time=50)
         ids = set(catalog)
-        tiers = popularity_tiers(split, ids, "audiobook", n_tiers=5)
+        tiers = popularity_tiers(split, ids, "audiobook")
         assert [len(t) for t in tiers] == [2, 2, 2, 2, 2]
         assert tiers[0] == ["a0", "a1"]
 
@@ -224,7 +224,7 @@ class TestTiers:
             holdout=[stream("u1", "a0", catalog, t=99)],
             split_time=50,
         )
-        tiers = popularity_tiers(split, set(catalog), "audiobook", n_tiers=5)
+        tiers = popularity_tiers(split, set(catalog), "audiobook")
         assert tiers == [["a0"], ["a1"], ["a2"], ["a3"], ["a4"]]
 
     def test_user_counted_in_every_matching_tier(self):
@@ -281,6 +281,17 @@ class TestPopularityBaseline:
         train = [stream("u1", "a1", catalog, t=0), stream("u2", "a0", catalog, t=0)]
         rec = PopularityRecommender(train, catalog, "audiobook")
         assert rec.recommend("u")[:2] == ["a0", "a1"]
+
+    def test_tiers_cut_the_ranking_of_a_window_over_all_of_train(self):
+        catalog = make_catalog(n_audiobooks=10, n_podcasts=3)
+        items = sorted(catalog)
+        picks = np.random.default_rng(0).integers(0, len(items), 60)
+        train = [stream(f"u{j}", items[i], catalog, t=j) for j, i in enumerate(picks)]
+        train += [InteractionRecord("u0", "a9", "audiobook", "follow", 0)] * 5  # counts nothing
+        split = DatasetSplit(train=train, holdout=[], split_time=100)
+        audiobooks = {i for i in items if catalog[i].item_type == "audiobook"}
+        ranking = PopularityRecommender(train, catalog, "audiobook", 1, as_of=100).ranking
+        assert sum(popularity_tiers(split, audiobooks, "audiobook"), []) == ranking
 
     def test_coverage_is_100_over_catalog(self):
         catalog = make_catalog(n_audiobooks=500, n_podcasts=0)
@@ -370,8 +381,7 @@ class TestHgnnKnn:
     def test_equal_embedding_rows_tie_in_id_order(self, seed):
         ids, vectors, train = tied_pair_case(seed)
         catalog = make_catalog(n_audiobooks=10, n_podcasts=0)  # its content is not read
-        flags = np.zeros(10, dtype=bool)
-        table = NodeEmbeddingTable(ids, vectors, flags, flags)
+        table = NodeEmbeddingTable(ids, vectors)
         assert_tied_pair_in_id_order(hgnn_knn_baseline(train, catalog, table).recommend("u1"))
 
     def test_profile_in_embedding_space(self, small_split, small_synth, small_embeddings):

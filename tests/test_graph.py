@@ -81,8 +81,6 @@ class TestBuildGraph:
         g = build_colisten_graph(records, catalog)
         assert graph_edge_ids(g) == set()
         assert g.nodes["audiobook"] == []  # weak signals make no nodes either
-        g_all = build_colisten_graph(records, catalog, include_all_signals=True)
-        assert ("a1", "a2") in graph_edge_ids(g_all)
 
     def test_unknown_item_fatal(self):
         catalog = make_catalog()

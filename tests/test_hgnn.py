@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiorec.data import CatalogItem
 from audiorec.graph import Csr, HeteroGraph, build_colisten_graph
+from audiorec.io import read_pack
 from audiorec.hgnn import (
     HgnnConfig,
     HgnnParams,
@@ -31,9 +33,7 @@ from oracles import (
 
 
 def toy_params(d_c=2, hidden=2, out=2, layers=2, seed=0, margin=0.4):
-    config = HgnnConfig(
-        layers=layers, hidden_dim=hidden, out_dim=out, fanouts=(3,) * layers, margin=margin
-    )
+    config = HgnnConfig(hidden_dim=hidden, out_dim=out, fanouts=(3,) * layers, margin=margin)
     return HgnnParams.init(
         config, d_c, ("audiobook", "podcast"), ("aa", "ap", "pp"), seed=seed
     )
@@ -426,24 +426,38 @@ class TestEmbedding:
 
     def test_embed_catalog_covers_catalog(self, small_graph, small_synth, small_embeddings):
         _, catalog = small_synth
-        assert set(small_embeddings.item_ids) == set(catalog)
-        in_graph = {i for ids in small_graph.nodes.values() for i in ids}
-        for i, item_id in enumerate(small_embeddings.item_ids):
-            assert small_embeddings.inductive[i] == (item_id not in in_graph)
+        in_graph = [i for t in small_graph.node_types for i in small_graph.nodes[t]]
+        assert small_embeddings.item_ids[: len(in_graph)] == in_graph
+        assert set(small_embeddings.item_ids[len(in_graph) :]) == set(catalog) - set(in_graph)
 
     def test_unit_norms(self, small_embeddings):
         norms = np.linalg.norm(small_embeddings.matrix, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
-    def test_inductive_rows_match_content_only_oracle(self, small_synth, small_embeddings, trained_hgnn):
+    def test_inductive_rows_match_content_only_oracle(
+        self, small_graph, small_synth, small_embeddings, trained_hgnn
+    ):
         _, catalog = small_synth
-        rows = np.flatnonzero(small_embeddings.inductive)
+        in_graph = {i for ids in small_graph.nodes.values() for i in ids}
+        rows = [i for i, item_id in enumerate(small_embeddings.item_ids) if item_id not in in_graph]
         assert len(rows) > 0
         for i in rows:
             item = catalog[small_embeddings.item_ids[i]]
-            z, fell_back = embed_inductive(trained_hgnn.params, item.item_type, item.content_vector)
+            z, _ = embed_inductive(trained_hgnn.params, item.item_type, item.content_vector)
             assert np.allclose(small_embeddings.matrix[i], z, rtol=0, atol=1e-12)
-            assert small_embeddings.fallback[i] == fell_back
+
+    def test_zero_content_item_gets_the_fallback_row(self):
+        catalog = make_catalog(n_audiobooks=3, n_podcasts=2, d_c=4, seed=5)
+        catalog["a2"] = CatalogItem("a2", "audiobook", np.zeros(4), "en", "g0")
+        records = [stream("u1", i, catalog) for i in ("a0", "a1", "p0", "p1")]
+        g = build_colisten_graph(records, catalog)
+        params = HgnnParams.init(
+            HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2)), 4, g.node_types, g.relations, seed=2
+        )
+        table = embed_catalog(g, params, catalog)
+        z, fell_back = embed_inductive(params, "audiobook", catalog["a2"].content_vector)
+        assert fell_back and np.array_equal(z, [1.0, 0.0, 0.0])
+        assert np.allclose(table.get("a2"), z, rtol=0, atol=1e-12)
 
     def test_homogeneous_params_embed_every_type(self):
         catalog = make_catalog(n_audiobooks=3, n_podcasts=3, d_c=4, seed=5)
@@ -469,7 +483,7 @@ class TestEmbedding:
         loaded = NodeEmbeddingTable.load(p)
         assert loaded.item_ids == small_embeddings.item_ids
         assert np.array_equal(loaded.matrix, small_embeddings.matrix)
-        assert np.array_equal(loaded.inductive, small_embeddings.inductive)
+        assert set(read_pack(p, "embeddings")[1].shapes) == {"item_ids", "matrix"}
 
 
 class TestCheckpoint:

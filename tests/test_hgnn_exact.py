@@ -146,7 +146,7 @@ class TestPlans:
     def test_capped_inference_plan(self, small_graph, small_hgnn_config):
         cfg = HgnnConfig(**{**vars(small_hgnn_config), "full_neighborhood_cap": 2})
         assert max(np.diff(c.indptr).max() for c in small_graph.adj.values()) > 2
-        want = sample_plan_loop(small_graph, (2,), np.random.default_rng(cfg.inference_seed))
+        want = sample_plan_loop(small_graph, (2,), np.random.default_rng(0))
         got = _inference_plan(small_graph, cfg)
         assert_plans_equal(got, type(got)(want.layers * cfg.layers))
 

@@ -38,9 +38,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="shape"):
             build_index({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 0.0, 1.0])})
 
-    def test_non_unit_row_fatal(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            build_index({"a": np.array([1.0, 1.0])})
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [np.nan, 0.0]], ids=["long", "nan"])
+    def test_non_unit_row_fatal(self, row):
+        # a NaN row was indexed: its norm is no number, so no bound held it off
+        with pytest.raises(ValueError, match="'b' is not unit norm"):
+            build_index({"a": np.array([1.0, 0.0]), "b": np.array(row)})
 
     def test_empty_fatal(self):
         with pytest.raises(ValueError):

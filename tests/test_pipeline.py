@@ -126,6 +126,12 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig.from_dict({"hgnn": {"not_a_knob": 3}})
 
+    def test_readme_example_config_loads(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        config = PipelineConfig.from_dict(json.loads(block))
+        assert config.hgnn.layers == len(config.hgnn.fanouts)
+
     def test_hash_stable_and_sensitive(self):
         c1, c2 = tiny_config(), tiny_config()
         assert c1.hash() == c2.hash()
@@ -418,18 +424,6 @@ class TestStages:
             run_stage("split", config, tmp_path)
         meta = io.read_json(tmp_path / "split_meta.json")
         assert meta["n_malformed"] == 1
-
-    def test_history_days_truncation(self, tmp_path):
-        config = tiny_config()
-        config.split.history_days = 30
-        run_stage("synth", config, tmp_path)
-        run_stage("split", config, tmp_path)
-        from audiorec.data import DAY_SECONDS, parse_interactions
-
-        train = parse_interactions(tmp_path / "train.jsonl").records
-        holdout = parse_interactions(tmp_path / "holdout.jsonl").records
-        span = max(r.timestamp for r in holdout) - min(r.timestamp for r in train)
-        assert span <= 30 * DAY_SECONDS
 
     def test_podcast_target_mode(self, tmp_path):
         config = tiny_config()
@@ -1741,11 +1735,9 @@ class TestCli:
             ("learning_rate", {"learning_rate": 0.0}),
             ("val_fraction", {"val_fraction": 1.0}),
             ("val_fraction", {"val_fraction": -0.1}),
-            ("layers", {"layers": 0, "fanouts": []}),  # was exit 0, nothing trained
+            ("fanouts", {"fanouts": []}),  # no layer
             ("fanouts", {"fanouts": [0, 10]}),  # was exit 0, layer 1 blind to the graph
-            ("fanouts", {"fanouts": [15]}),
             ("full_neighborhood_cap", {"full_neighborhood_cap": 0}),
-            ("inference_seed", {"inference_seed": -3}),  # was numpy's error, no field named
         ],
     )
     def test_bad_hgnn_setting_is_one_json_line(
@@ -1765,6 +1757,56 @@ class TestCli:
         assert payload["stage"] == "train-hgnn"
         assert f"hgnn.{field} must be" in payload["error"]
         assert (run / "hgnn_params.bin").read_bytes() == params_before
+
+    @pytest.mark.parametrize("fanouts", [[4], [4, 4, 4]])
+    def test_one_layer_per_fanout(self, pipeline_run, tmp_path, fanouts):
+        config, out = pipeline_run
+        cfg = config.to_dict()
+        cfg["hgnn"]["fanouts"] = fanouts
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = shutil.copytree(out, tmp_path / "run")
+        for stage in ("train-hgnn", "embed"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(run)]) == 0
+        params = HgnnParams.load(run / "hgnn_params.bin")
+        assert params.config.layers == len(fanouts)
+        assert {int(name.split(".")[2]) for name in params.weights} == set(range(1, len(fanouts) + 1))
+        table = NodeEmbeddingTable.load(run / "embeddings.bin")
+        assert set(table.item_ids) == set(parse_catalog(run / "catalog.jsonl"))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("hgnn", "layers", 2),
+            ("hgnn", "inference_seed", 0),
+            ("graph", "edges_from_all_signals", False),
+            ("split", "history_days", 30),
+        ],
+    )
+    def test_removed_config_key_is_one_json_line(self, tmp_path, capsys, section, key, value):
+        cfg = PipelineConfig(seed=7).to_dict()
+        cfg[section][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        error = cli_error(["synth", "--config", str(cfg_path), "--out", str(run)], capsys)
+        assert f"unknown {section} config keys: ['{key}']" in error
+        assert not run.exists()
+
+    def test_checkpoint_that_sets_layers_and_inference_seed_refused(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        # the config a checkpoint stored before `layers` was derived from `fanouts`
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        header, payload = split_container((run / "hgnn_params.bin").read_bytes())
+        header["meta"]["config"].update(layers=2, inference_seed=0)
+        (run / "hgnn_params.bin").write_bytes(join_container(header, payload))
+        rerecord(run, "hgnn_params.bin")
+        before = tree_bytes(run)
+        error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
+        assert "hgnn_params.bin: unknown hgnn config keys: ['inference_seed', 'layers']" in error
+        assert tree_bytes(run) == before
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1902,7 +1944,7 @@ class TestCli:
             ("two_tower", "use_hgnn_features", "false"),  # was loaded, and truthy
             ("hgnn", "balanced_sampler", "no"),  # was loaded, and truthy
             ("hgnn", "max_epochs", 2.5),  # was a TypeError traceback in train-hgnn
-            ("hgnn", "layers", True),  # was loaded as one layer
+            ("hgnn", "patience", True),  # a bool is not an int
             ("hgnn", "margin", "0.4"),
             ("hgnn", "fanouts", [15, 1.5]),
             ("graph", "relations", "pp"),
@@ -1943,6 +1985,20 @@ class TestCli:
             ("demographics", json.dumps({**DEMO_ROW, "user_id": ["u1"]}), "user_id must be"),
             ("demographics", json.dumps({**DEMO_ROW, "country": ["SE"]}), "country must be"),
             ("music_vectors", json.dumps({"user_id": ["u1"], "vector": [0.5]}), "user_id must be"),
+            # was loaded: a NaN scored every item NaN, a nested vector failed without a line
+            ("music_vectors", '{"user_id": "u1", "vector": [NaN, 0.5]}', "not a flat array of finite"),
+            ("music_vectors", json.dumps({"user_id": "u1", "vector": [[0.5]]}), "not a flat array"),
+            # was loaded, the last line winning
+            (
+                "music_vectors",
+                "\n".join(json.dumps({"user_id": "u1", "vector": [v]}) for v in (0.5, 0.2)),
+                "duplicate user_id 'u1' (lines 1 and 2)",
+            ),
+            (
+                "demographics",
+                "\n".join([json.dumps(DEMO_ROW)] * 2),
+                "duplicate user_id 'u1' (lines 1 and 2)",
+            ),
         ],
     )
     def test_bad_input_line_is_one_json_line_naming_it(
@@ -1954,14 +2010,17 @@ class TestCli:
         path = tmp_path / f"{field}.jsonl"
         good = source.read_text() if source else ""
         path.write_text(good + line + "\n")
-        n_line = good.count("\n") + 1
+        n_line = (good + line).count("\n") + 1
         cfg = config.to_dict()
         cfg["paths"][field] = str(path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        stage = "build-graph" if field == "catalog" else "train-2t"
-        error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
-        assert error.startswith(f"{path}:{n_line}: ") and expected in error
+        # modification times, so that a rewrite with the same bytes shows too
+        mtimes = {p: p.stat().st_mtime_ns for p in run.rglob("*")}
+        for stage in ["build-graph"] if field == "catalog" else ["train-2t", "evaluate"]:
+            error = cli_error([stage, "--config", str(cfg_path), "--out", str(run)], capsys)
+            assert error.startswith(f"{path}:{n_line}: ") and expected in error
+            assert {p: p.stat().st_mtime_ns for p in run.rglob("*")} == mtimes
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -2109,6 +2168,30 @@ class TestCli:
                 "demo.jsonl:2: record is not an object",
                 id="demographics-row-not-an-object",
             ),
+            pytest.param(  # was served: three NaN scores, in id order
+                "music_vectors",
+                '{"user_id": "zz-new-user", "vector": [NaN, 0, 0, 0, 0, 0, 0, 0]}\n',
+                "music.jsonl:1: vector of user 'zz-new-user' is not a flat array of finite numbers",
+                id="music-vector-with-nan",
+            ),
+            pytest.param(
+                "music_vectors",
+                [{"user_id": "u0001", "vector": [[0.5] * 8]}],
+                "music.jsonl:1: vector of user 'u0001' is not a flat array",
+                id="music-vector-nested",
+            ),
+            pytest.param(
+                "music_vectors",
+                [{"user_id": "u0001", "vector": [0.5] * 8}, {"user_id": "u0001", "vector": [0.1] * 8}],
+                "music.jsonl:2: duplicate user_id 'u0001' (lines 1 and 2)",
+                id="music-user-listed-twice",
+            ),
+            pytest.param(
+                "demographics",
+                [{"user_id": "u0001", "country": "SE", "age_bucket": "25-34"}] * 2,
+                "demo.jsonl:2: duplicate user_id 'u0001' (lines 1 and 2)",
+                id="demographics-user-listed-twice",
+            ),
         ],
     )
     def test_recommend_on_malformed_user_file_names_the_line(
@@ -2116,7 +2199,10 @@ class TestCli:
     ):
         config, out = pipeline_run
         path = tmp_path / ("music.jsonl" if field == "music_vectors" else "demo.jsonl")
-        io.write_jsonl(rows, path)
+        if isinstance(rows, str):  # raw text: `io.write_jsonl` refuses NaN
+            path.write_text(rows)
+        else:
+            io.write_jsonl(rows, path)
         config = tiny_config()
         setattr(config.paths, field, str(path))
         assert expected in self._recommend_error(config, out, tmp_path, capsys)

@@ -37,8 +37,6 @@ def toy_table(rows: dict[str, np.ndarray]):
     return NodeEmbeddingTable(
         item_ids=ids,
         matrix=np.stack([np.asarray(rows[i], dtype=np.float64) for i in ids]),
-        inductive=np.zeros(len(ids), dtype=bool),
-        fallback=np.zeros(len(ids), dtype=bool),
     )
 
 
@@ -434,12 +432,12 @@ class TestExport:
         for k in v1:
             assert np.array_equal(v1[k], v2[k])
 
-    def test_inductive_items_use_their_table_rows(self, trained, small_embeddings):
+    def test_inductive_items_use_their_table_rows(self, trained, small_graph, small_embeddings):
         params, catalog = trained
         ids, _, dense = item_inputs(params, catalog, small_embeddings)
         assert ids == sorted(i for i, it in catalog.items() if it.item_type == "audiobook")
         rows = [small_embeddings.index[i] for i in ids]
-        assert small_embeddings.inductive[rows].any()  # the table embeds cold items inductively
+        assert set(ids) - set(small_graph.nodes["audiobook"])  # cold items, embedded inductively
         d_c = params.dims["d_c"]
         assert np.array_equal(dense[:, d_c:], small_embeddings.matrix[rows])
         assert np.array_equal(dense[:, :d_c], np.stack([catalog[i].content_vector for i in ids]))
