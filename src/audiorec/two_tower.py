@@ -50,7 +50,7 @@ _ITEM_CATS = ("language", "genre")
 
 @dataclass
 class TwoTowerConfig:
-    hidden: tuple[int, ...] = (512, 256, 128)
+    hidden: tuple[int, ...] = (256, 128, 64)
     cat_embed_dim: int = 8
     learning_rate: float = 1e-3
     batch_size: int = 128

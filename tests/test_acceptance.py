@@ -221,7 +221,7 @@ def full_pipeline(tmp_path_factory):
                 "max_epochs": 10,
                 "patience": 4,
             },
-            "two_tower": {"epochs": 4},  # default 512/256/128 towers
+            "two_tower": {"epochs": 4},  # default-width towers
             "seed": 1,
         }
     )
@@ -238,7 +238,7 @@ def test_criterion_6_normalization_invariants(full_pipeline):
     index = load_index(out / "rec_index.bin")
     idx_norms = np.linalg.norm(index.vectors, axis=1)
     assert np.all(np.abs(idx_norms - 1.0) < 1e-6)
-    assert index.dim == 128
+    assert index.dim == config.two_tower.hidden[-1]
 
     params = TowerParams.load(out / "tower_params.bin")
     train = parse_interactions(out / "train.jsonl").records

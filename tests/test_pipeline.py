@@ -115,7 +115,7 @@ class TestConfig:
     def test_defaults_load(self):
         config = PipelineConfig()
         assert config.hgnn.layers == 2
-        assert config.two_tower.hidden == (512, 256, 128)
+        assert config.two_tower.hidden == (256, 128, 64)
         assert config.seed is None
 
     def test_unknown_section_fatal(self):
@@ -129,8 +129,14 @@ class TestConfig:
     def test_readme_example_config_loads(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-        config = PipelineConfig.from_dict(json.loads(block))
+        example = json.loads(block)
+        config, defaults = PipelineConfig.from_dict(example), PipelineConfig()
         assert config.hgnn.layers == len(config.hgnn.fanouts)
+        # the example shows the defaults, not another setting
+        values = [(s, k) for s, keys in example.items() if s not in ("paths", "seed") for k in keys]
+        assert len(values) == 12
+        for section, key in values:
+            assert getattr(getattr(config, section), key) == getattr(getattr(defaults, section), key), key
 
     def test_hash_stable_and_sensitive(self):
         c1, c2 = tiny_config(), tiny_config()
@@ -1463,6 +1469,31 @@ class TestStaleInputs:
         result = sweep.sweep(tiny_config(), tmp_path)
         assert set(result["seeds"]) == {"12", "13"}
         assert io.read_json(tmp_path / "hgnn-13" / "manifests" / "train-hgnn.json")["seed"] == 13
+
+    def test_quality_sweep_intervals(self):
+        # paired over (data seed, HGNN seed) runs; values in 1/64 steps keep a shift exact
+        sweep = load_script(ROOT / "scripts" / "quality_sweep.py")
+        rng = np.random.default_rng(3)
+
+        def sweeps(values):
+            return {"data_seeds": {
+                str(d): {"seeds": {
+                    str(s): {"two_tower_hgnn": dict(zip(sweep.METRICS, values[d, s])), "popularity": None}
+                    for s in range(3)
+                }}
+                for d in range(2)
+            }}
+
+        base = rng.integers(0, 64, (2, 3, 2)) / 64
+        other = rng.integers(0, 64, (2, 3, 2)) / 64
+        want = sweeps(base)
+        for got, shift in ((sweeps(base), 0.0), (sweeps(base + 0.25), 0.25)):
+            result = sweep.intervals(got, want)
+            assert set(result) == {("two_tower_hgnn", m) for m in sweep.METRICS}
+            assert all(r == (6, shift, shift, shift) for r in result.values())
+        result = sweep.intervals(sweeps(other), want)
+        assert result == sweep.intervals(sweeps(other), want)
+        assert all(low < mean < high for _, mean, low, high in result.values())
 
 
     def test_query_scaling_runs(self, pipeline_run, capsys):
