@@ -13,7 +13,10 @@ of those artifacts. `--against FILE` prints every value that differs from an
 earlier sweep's JSON (for example one made on the parent commit), then a
 count, then per model a paired-bootstrap 95% interval of the warm HR@k and
 MRR differences (this sweep minus FILE) over the matched (data seed, HGNN
-seed) runs.
+seed) runs. The bootstrap has two levels: it draws data seeds with
+replacement, then HGNN seeds with replacement within each drawn data seed,
+because runs on one split share that split's noise. With one data seed it
+resamples the runs alone.
 """
 
 import argparse
@@ -81,8 +84,10 @@ def differences(got: dict, want: dict) -> list[str]:
 def intervals(got: dict, want: dict) -> dict:
     """{(model, metric): (runs, mean, low, high)}: the mean of got minus want
     over the runs both sweeps scored, with its percentile-bootstrap 95%
-    interval from RESAMPLES resamples of those paired runs, seeded with
-    BOOTSTRAP_SEED."""
+    interval from RESAMPLES resamples, seeded with BOOTSTRAP_SEED. A resample
+    draws as many data seeds as were scored, with replacement, then each
+    drawn data seed's scored HGNN seeds, with replacement, and takes the mean
+    over every run it drew."""
     got, want = runs(got), runs(want)
     keys = sorted(got.keys() & want.keys())
     result = {}
@@ -90,11 +95,22 @@ def intervals(got: dict, want: dict) -> dict:
         scored = [key for key in keys if got[key].get(model) and want[key].get(model)]
         if not scored:
             continue
+        data_seeds = sorted({data for data, _ in scored})
         for m in METRICS:
-            diffs = np.array([got[key][model][m] - want[key][model][m] for key in scored])
+            groups = [
+                np.array([got[key][model][m] - want[key][model][m] for key in scored if key[0] == data])
+                for data in data_seeds
+            ]
             rng = np.random.default_rng(BOOTSTRAP_SEED)
-            means = diffs[rng.integers(0, len(diffs), (RESAMPLES, len(diffs)))].mean(axis=1)
+            drawn = rng.integers(0, len(groups), (RESAMPLES, len(groups)))
+            sums, counts = np.zeros(drawn.shape), np.zeros(drawn.shape)
+            for g, group in enumerate(groups):
+                at = drawn == g
+                sums[at] = group[rng.integers(0, len(group), (at.sum(), len(group)))].sum(axis=1)
+                counts[at] = len(group)
+            means = sums.sum(axis=1) / counts.sum(axis=1)
             low, high = np.percentile(means, [2.5, 97.5])
+            diffs = np.concatenate(groups)
             result[model, m] = (len(diffs), float(diffs.mean()), float(low), float(high))
     return result
 

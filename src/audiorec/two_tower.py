@@ -9,7 +9,6 @@ then L2-normalizes. Gradients are closed-form reverse mode.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
@@ -535,11 +534,11 @@ def train_two_tower(
     Item weights are proportional to inverse training frequency,
     renormalized to mean one within each batch.
 
-    The item tower's forward, backward and Adam step run on one worker thread
-    while this thread runs the user tower's; the two join at the loss and at
-    the end of each step. The towers share no weight, each has its own Adam
-    and gradient buffers, and BLAS and large ufuncs release the GIL, so the
-    bytes are those of running the towers one after the other.
+    Each batch runs both towers' forward passes, the loss, both backward
+    passes into one set of gradient buffers, then one Adam step over both
+    towers' weights. The buffers are allocated once: a backward pass writes
+    over the dense layers' and adds into the embedding tables', which are
+    zeroed before it.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -570,87 +569,49 @@ def train_two_tower(
     pair_user = np.array([user_row[u] for u, _ in pairs], dtype=np.int64)
     pair_item = np.array([item_row[i] for _, i in pairs], dtype=np.int64)
     pair_inv_freq = np.array([1.0 / item_counts[i] for _, i in pairs])
-    user_step = _TowerStep(params, "user", u_cat, u_dense)
-    item_step = _TowerStep(params, "item", i_cat, i_dense)
+    adam = Adam(learning_rate=config.learning_rate)
+    grads = {k: np.zeros_like(w) for k, w in params.weights.items()}
+    tables = [g for k, g in grads.items() if ".emb." in k]
     log: list[dict] = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(pairs))
-            epoch_loss = 0.0
-            n_seen = 0
-            skipped = 0
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                if len(batch) < 2:  # a lone pair has no in-batch negative
-                    skipped += 1
-                    continue
-                users, items = pair_user[batch], pair_item[batch]
-                w_raw = pair_inv_freq[batch]
-                if np.all(w_raw == w_raw[0]):
-                    weights = np.ones_like(w_raw)  # exact neutrality for uniform items
-                else:
-                    weights = w_raw / w_raw.mean()
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(pairs))
+        epoch_loss = 0.0
+        n_seen = 0
+        skipped = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            if len(batch) < 2:  # a lone pair has no in-batch negative
+                skipped += 1
+                continue
+            users, items = pair_user[batch], pair_item[batch]
+            w_raw = pair_inv_freq[batch]
+            if np.all(w_raw == w_raw[0]):
+                weights = np.ones_like(w_raw)  # exact neutrality for uniform items
+            else:
+                weights = w_raw / w_raw.mean()
 
-                u_cache, i_cache = _side_by_side(
-                    worker, partial(user_step.forward, users), partial(item_step.forward, items)
+            u_cache = _tower_forward(params, "user", u_cat[users], u_dense[users])
+            i_cache = _tower_forward(params, "item", i_cat[items], i_dense[items])
+            loss, d_u, d_a = _batch_loss_and_douts(u_cache.out, i_cache.out, items, weights)
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite loss in epoch {epoch}, batch {start // config.batch_size}"
                 )
-                loss, d_u, d_a = _batch_loss_and_douts(u_cache.out, i_cache.out, items, weights)
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite loss in epoch {epoch}, batch {start // config.batch_size}"
-                    )
-                _side_by_side(
-                    worker,
-                    partial(user_step.backward, u_cache, d_u),
-                    partial(item_step.backward, i_cache, d_a),
-                )
-                epoch_loss += loss * len(batch)
-                n_seen += len(batch)
-            log.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": epoch_loss / max(1, n_seen),
-                    "skipped_batches": skipped,
-                }
-            )
+            for g in tables:
+                g.fill(0.0)
+            _tower_backward(params, "user", u_cache, d_u, grads)
+            _tower_backward(params, "item", i_cache, d_a, grads)
+            adam.step(params.weights, grads)
+            epoch_loss += loss * len(batch)
+            n_seen += len(batch)
+        log.append(
+            {
+                "epoch": epoch,
+                "train_loss": epoch_loss / max(1, n_seen),
+                "skipped_batches": skipped,
+            }
+        )
     return params, log
-
-
-class _TowerStep:
-    """One tower's share of a training step: its packed input rows, its own
-    Adam over its own weights, and one gradient buffer per weight. The
-    backward pass writes the dense layers' buffers; the embedding tables'
-    buffers, which it adds into, are zeroed in place before it."""
-
-    def __init__(self, params: TowerParams, tower: str, cat: np.ndarray, dense: np.ndarray):
-        self.params, self.tower, self.cat, self.dense = params, tower, cat, dense
-        self.weights = {k: w for k, w in params.weights.items() if k.startswith(f"{tower}.")}
-        self.grads = {k: np.zeros_like(w) for k, w in self.weights.items()}
-        self.tables = [g for k, g in self.grads.items() if k.startswith(f"{tower}.emb.")]
-        self.adam = Adam(learning_rate=params.config.learning_rate)
-
-    def forward(self, rows: np.ndarray) -> _TowerCache:
-        return _tower_forward(self.params, self.tower, self.cat[rows], self.dense[rows])
-
-    def backward(self, cache: _TowerCache, d_out: np.ndarray) -> None:
-        for g in self.tables:
-            g.fill(0.0)
-        _tower_backward(self.params, self.tower, cache, d_out, self.grads)
-        self.adam.step(self.weights, self.grads)
-
-
-def _side_by_side(worker: ThreadPoolExecutor, user_work, item_work):
-    """`(user_work(), item_work())`, the item work on `worker` while the user
-    work runs here. An item-tower error wins over a user-tower one, as the
-    item keys come first in the name order one optimizer over both towers
-    stepped them in."""
-    item = worker.submit(item_work)
-    try:
-        user_result = user_work()
-    except BaseException:
-        item.result()
-        raise
-    return user_result, item.result()
 
 
 def export_item_vectors(

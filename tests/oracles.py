@@ -11,9 +11,9 @@ what the batched training step replaced; it must match them bit for bit,
 random stream included; the per-node plan sampler draws each row by
 `floyd_choice`, Floyd's algorithm step by step. So must the plain-expression
 Adam step and the per-item `query_topk` result comprehension, which in-place
-and bulk-converted code replaced, and the serial two-tower loop, one Adam over
-both towers and a fresh gradient dict per batch, which the side-by-side tower
-training replaced. The comprehension sorts every row, where `query_topk`
+and bulk-converted code replaced, and the two-tower loop with a fresh
+gradient dict per batch, which gradient buffers kept across batches
+replaced. The comprehension sorts every row, where `query_topk`
 sorts only those it may keep, and `filtered_recommendations_full` asks for
 each user's whole ranking, where the harness asks for the part it can keep.
 `scan_user_inputs` packs one user's tower input from a scan of every train
@@ -494,9 +494,10 @@ def train_two_tower_serial(
     music_vectors: dict[str, np.ndarray] | None = None,
     demographics: dict[str, tuple[str, str]] | None = None,
 ) -> tuple[TowerParams, list[dict]]:
-    """`two_tower.train_two_tower` running the towers one after the other:
-    one Adam steps both towers' weights in name order, from a fresh gradient
-    dict per batch."""
+    """`two_tower.train_two_tower` with a fresh gradient dict per batch
+    where the library zeroes the embedding tables' buffers of one dict kept
+    across batches and writes over the dense layers'. Both step one Adam
+    over both towers' weights in name order."""
     if not pairs:
         raise ValueError("no training pairs")
     item_counts: dict[str, int] = {}

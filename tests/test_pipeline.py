@@ -1495,6 +1495,22 @@ class TestStaleInputs:
         assert result == sweep.intervals(sweeps(other), want)
         assert all(low < mean < high for _, mean, low, high in result.values())
 
+        # runs on one split share its noise: a data seed whose runs all moved
+        # +d beside one whose runs all moved -d gives an interval of [-d, +d]
+        d = 0.125
+
+        def split_sweeps(shift):
+            return {"data_seeds": {
+                str(data): {"seeds": {
+                    str(s): {"two_tower_hgnn": dict.fromkeys(sweep.METRICS, 0.5 + shift * sign)}
+                    for s in range(8)
+                }}
+                for data, sign in ((3, 1), (7, -1))
+            }}
+
+        result = sweep.intervals(split_sweeps(d), split_sweeps(0.0))
+        assert all(r == (16, 0.0, -d, d) for r in result.values())
+
 
     def test_query_scaling_runs(self, pipeline_run, capsys):
         # the script writes its tables through the UserHistoryTable constructor

@@ -1,4 +1,3 @@
-import sys
 import threading
 from collections import Counter
 from types import SimpleNamespace
@@ -333,9 +332,10 @@ class TestTraining:
         assert [e["skipped_batches"] for e in log] == [0, 0]
 
 
-class TestSideBySideTowers:
-    """`train_two_tower` trains the item tower on a worker thread beside the
-    user tower; it must give the serial loop's bytes, errors and threads."""
+class TestSerialReference:
+    """`train_two_tower` keeps its gradient buffers across batches where the
+    reference loop allocates fresh ones; it must give the reference's bytes
+    and errors, and start no thread."""
 
     @pytest.mark.parametrize("use_hgnn_features", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -349,12 +349,7 @@ class TestSideBySideTowers:
         pairs = pairs[: 4 * 16 + 1]  # a lone final batch each epoch
         assert len(set(Counter(i for _, i in pairs).values())) > 1  # non-uniform item weights
         threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads often
-        try:
-            got, got_log = train_two_tower(pairs, *inputs, config, seed=seed)
-        finally:
-            sys.setswitchinterval(interval)
+        got, got_log = train_two_tower(pairs, *inputs, config, seed=seed)
         assert threading.active_count() == threads
         want, want_log = train_two_tower_serial(pairs, *inputs, config, seed=seed)
         assert [e["skipped_batches"] for e in want_log] == [1, 1]
