@@ -6,6 +6,7 @@ HR@k and MRR per run as JSON.
     PYTHONPATH=src python scripts/quality_sweep.py --out out/sweep --json sweep.json
     PYTHONPATH=src python scripts/quality_sweep.py --out out/sweep --against sweep.json
     PYTHONPATH=src python scripts/quality_sweep.py --data-seeds 3 7 11 13 17 --json sweep.json
+    PYTHONPATH=src python scripts/quality_sweep.py --from a.json --against b.json
 
 For each data seed (default 7), `synth`, `split` and `build-graph` run once;
 each HGNN seed (1-8) then reruns the model stages, seeded with it, in a copy
@@ -16,7 +17,10 @@ MRR differences (this sweep minus FILE) over the matched (data seed, HGNN
 seed) runs. The bootstrap has two levels: it draws data seeds with
 replacement, then HGNN seeds with replacement within each drawn data seed,
 because runs on one split share that split's noise. With one data seed it
-resamples the runs alone.
+resamples the runs alone. `--from FILE` loads a sweep saved with `--json` in
+place of running one, so `--from A --against B` compares two saved sweeps
+(two configs, or two commits) without a rerun; `--out`, `--config` and
+`--data-seeds` are then not read.
 """
 
 import argparse
@@ -115,7 +119,7 @@ def intervals(got: dict, want: dict) -> dict:
     return result
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="out/quality_sweep", help="artifact directory")
     parser.add_argument("--config", help="optional JSON config file")
@@ -123,11 +127,16 @@ def main():
                         help="seeds of the synth/split/build-graph stages (default 7)")
     parser.add_argument("--json", help="write the sweep here")
     parser.add_argument("--against", help="an earlier sweep's JSON to compare with")
-    args = parser.parse_args()
+    parser.add_argument("--from", dest="saved", metavar="FILE",
+                        help="load this saved sweep's JSON instead of running a sweep")
+    args = parser.parse_args(argv)
 
-    config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    out = Path(args.out)
-    result = {"data_seeds": {str(d): sweep(config, out, d) for d in args.data_seeds}}
+    if args.saved:
+        result = json.loads(Path(args.saved).read_text())
+    else:
+        config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
+        out = Path(args.out)
+        result = {"data_seeds": {str(d): sweep(config, out, d) for d in args.data_seeds}}
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     if args.against:

@@ -3,9 +3,11 @@ warm/cold user segmentation."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 import numpy as np
@@ -120,7 +122,7 @@ def parse_interactions(path) -> ParsedInteractions:
     reported with their 1-based line number. A file that is not UTF-8 text
     raises ValueError naming it.
     """
-    from .io import not_utf8
+    from .io import not_utf8, scan_line
 
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
@@ -130,6 +132,22 @@ def parse_interactions(path) -> ParsedInteractions:
                 line = line.strip()
                 if not line:
                     continue
+                obj = scan_line(line)
+                if type(obj) is dict:
+                    user, item = obj.get("user_id"), obj.get("item_id")
+                    item_type, signal, ts = obj.get("item_type"), obj.get("signal"), obj.get("timestamp")
+                    # the record `_check_interaction` accepts, tested at once
+                    if (
+                        type(user) is str and type(item) is str and user and item
+                        and "\x00" not in user and "\x00" not in item
+                        and type(ts) is int and ts >= 0
+                        and (
+                            signal == "stream" and item_type in ITEM_TYPES
+                            or item_type == "audiobook" and signal in WEAK_SIGNALS
+                        )
+                    ):
+                        records.append(InteractionRecord(user, item, item_type, signal, ts))
+                        continue
                 parsed = _parse_line(line)
                 if isinstance(parsed, str):
                     diagnostics.append(ParseDiagnostic(line_no, parsed))
@@ -140,10 +158,30 @@ def parse_interactions(path) -> ParsedInteractions:
     return ParsedInteractions(records, diagnostics)
 
 
+def _record_line(rec: InteractionRecord) -> str:
+    """`io.canonical_json(record_to_dict(rec))`, formatted directly: the keys
+    in sorted order, each string escaped to ASCII as `json` escapes it. A
+    record whose timestamp is not an int or whose other fields are not all
+    strings goes through `canonical_json`."""
+    ts = rec.timestamp
+    if type(ts) is int:
+        try:
+            return (
+                f'{{"item_id":{_json_str(rec.item_id)},"item_type":{_json_str(rec.item_type)},'
+                f'"signal":{_json_str(rec.signal)},"timestamp":{ts},"user_id":{_json_str(rec.user_id)}}}'
+            )
+        except TypeError:  # a field that is not a string
+            pass
+    from .io import canonical_json
+
+    return canonical_json(record_to_dict(rec))
+
+
 def save_interactions(records: Iterable[InteractionRecord], path) -> None:
+    """One line per record: `io.canonical_json(record_to_dict(record))`."""
     from .io import write_jsonl
 
-    write_jsonl((record_to_dict(r) for r in records), path)
+    write_jsonl(records, path, _record_line)
 
 
 def text_field(obj: dict, key: str) -> str:
@@ -154,14 +192,59 @@ def text_field(obj: dict, key: str) -> str:
     return value
 
 
+CATALOG_KEYS = ("item_id", "item_type", "content_vector", "language", "genre")
+
+
 def parse_catalog(path) -> dict[str, CatalogItem]:
     """Parse a JSON-lines catalog file into a map keyed by item_id.
 
-    A malformed line, a duplicate id, an id holding a NUL character or a
-    content-vector dimension unlike the first line's raises ValueError
-    naming the file and the line.
+    A malformed line, a duplicate id, an id holding a NUL character, a
+    content vector that is not a flat, non-empty array of finite numbers or
+    whose dimension is unlike the first line's raises ValueError naming the
+    file and the line. The content vectors are rows of one matrix.
     """
     from .io import read_jsonl
+
+    try:
+        rows = read_jsonl(path, CATALOG_KEYS)
+    except ValueError:
+        rows = None
+    catalog = None if rows is None else _catalog_from_rows(rows)
+    # a fault anywhere: read line by line, which names the first faulty line
+    return _parse_catalog_lines(path) if catalog is None else catalog
+
+
+def _catalog_from_rows(rows: list[dict]) -> dict[str, CatalogItem] | None:
+    """The catalog of the objects of every catalog line, in file order, when
+    every line passes the checks `_parse_catalog_lines` makes; else None."""
+    if not rows:
+        return {}
+    ids, types, vectors, languages, genres = (
+        [row[key] for row in rows] for key in CATALOG_KEYS
+    )
+    if not (
+        all(type(v) is str and v for v in (*ids, *languages, *genres))
+        and not any("\x00" in i for i in ids)
+        and len(set(ids)) == len(ids)
+        and all(t in ITEM_TYPES for t in types)
+        and all(type(v) is list for v in vectors)
+        and len(set(map(len, vectors))) == 1
+        and vectors[0]
+        and set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}
+    ):
+        return None
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(matrix).all():
+        return None
+    return dict(zip(ids, map(CatalogItem, ids, types, matrix, languages, genres)))
+
+
+def _parse_catalog_lines(path) -> dict[str, CatalogItem]:
+    """`parse_catalog`, checking one line at a time."""
+    from .io import number_vector, read_jsonl
 
     first_line: dict[str, int] = {}
     dim: int | None = None
@@ -177,11 +260,7 @@ def parse_catalog(path) -> dict[str, CatalogItem]:
             )
         if obj["item_type"] not in ITEM_TYPES:
             raise ValueError(f"unknown item_type {obj['item_type']!r}")
-        vec = np.asarray(obj["content_vector"], dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("content_vector must be a flat array")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("content_vector has non-finite entries")
+        vec = number_vector("content_vector", obj["content_vector"])
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
@@ -197,9 +276,7 @@ def parse_catalog(path) -> dict[str, CatalogItem]:
             genre=text_field(obj, "genre"),
         )
 
-    items = read_jsonl(
-        path, ("item_id", "item_type", "content_vector", "language", "genre"), parse
-    )
+    items = read_jsonl(path, CATALOG_KEYS, parse)
     return {item.item_id: item for item in items}
 
 

@@ -118,60 +118,25 @@ def build_colisten_graph(
             raise ValueError(f"relation {rel!r} is listed twice")
     included_types = _types_for_relations(relations)
 
-    user_items: dict[str, set[str]] = {}
     for rec in train:
         if rec.item_id not in catalog:
             raise ValueError(
                 f"interaction references item {rec.item_id!r} absent from the catalog "
                 f"(user {rec.user_id!r}, t={rec.timestamp})"
             )
-        if rec.signal != "stream":
-            continue
-        if catalog[rec.item_id].item_type not in included_types:
-            continue
-        user_items.setdefault(rec.user_id, set()).add(rec.item_id)
+    streams = [
+        (rec.user_id, rec.item_id)
+        for rec in train
+        if rec.signal == "stream" and catalog[rec.item_id].item_type in included_types
+    ]
 
+    item_ids = sorted({item_id for _, item_id in streams})
     node_ids: dict[str, list[str]] = {t: [] for t in included_types}
-    seen: set[str] = set()
-    for items in user_items.values():
-        seen.update(items)
-    for item_id in sorted(seen):
+    for item_id in item_ids:
         node_ids[catalog[item_id].item_type].append(item_id)
+    is_podcast = np.array([catalog[i].item_type == "podcast" for i in item_ids], dtype=bool)
 
-    node_index = {
-        t: {item_id: i for i, item_id in enumerate(ids)} for t, ids in node_ids.items()
-    }
-
-    # Distinct supporting users per unordered item pair.
-    support: dict[tuple[str, str, str], int] = {}
-    for items in user_items.values():
-        ordered = sorted(items)
-        for i, id1 in enumerate(ordered):
-            t1 = catalog[id1].item_type
-            for id2 in ordered[i + 1 :]:
-                t2 = catalog[id2].item_type
-                rel = rel_key(t1, t2)
-                if rel not in relations:
-                    continue
-                if t1 == t2:
-                    key = (rel, id1, id2)
-                else:
-                    a_id, p_id = (id1, id2) if t1 == "audiobook" else (id2, id1)
-                    key = (rel, a_id, p_id)
-                support[key] = support.get(key, 0) + 1
-
-    edges: dict[str, list[tuple[int, int]]] = {rel: [] for rel in relations}
-    for (rel, id1, id2), n_users in sorted(support.items()):
-        if n_users < min_co_users:
-            continue
-        t1, t2 = rel_types(rel)
-        edges[rel].append((node_index[t1][id1], node_index[t2][id2]))
-
-    edge_arrays = {
-        rel: np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        for rel, pairs in edges.items()
-    }
-
+    edge_arrays = _colisten_edges(streams, item_ids, is_podcast, min_co_users, relations)
     adj: dict[tuple[str, str], Csr] = {}
     for rel in relations:
         t1, t2 = rel_types(rel)
@@ -199,6 +164,57 @@ def build_colisten_graph(
         edges=edge_arrays,
         relations=relations,
     )
+
+
+def _colisten_edges(
+    streams: list[tuple[str, str]],
+    item_ids: list[str],
+    is_podcast: np.ndarray,
+    min_co_users: int,
+    relations: tuple[str, ...],
+) -> dict[str, np.ndarray]:
+    """Each relation's `(E, 2)` node-index edges between the streamed items
+    `item_ids` (sorted, `is_podcast` flagging each) that at least
+    `min_co_users` distinct users of `streams` streamed both of, ordered by
+    the first endpoint, then the second: audiobook first in `ap`.
+
+    An item's code is its position in `item_ids`. The distinct (user, item)
+    stream pairs are sorted by user, then item code, so each user's items
+    are one run in id order. Every pair of positions within one run is a
+    co-listen; `np.unique` counts the users behind each oriented (relation,
+    item, item) key."""
+    n = len(item_ids)
+    code = {item_id: c for c, item_id in enumerate(item_ids)}
+    # an item's index among the nodes of its type, which follow id order too
+    local = np.where(is_podcast, np.cumsum(is_podcast), np.cumsum(~is_podcast)) - 1
+    users: dict[str, int] = {}
+    keys = np.array(
+        [users.setdefault(user, len(users)) * n + code[item] for user, item in streams],
+        dtype=np.int64,
+    )
+    keys = np.unique(keys)
+    user, item = np.divmod(keys, n)
+    # each position pairs with every later position of its user's run
+    starts = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])
+    ends = np.append(starts[1:], len(keys))
+    partners = np.repeat(ends, ends - starts) - np.arange(len(keys)) - 1
+    first = np.repeat(np.arange(len(keys)), partners)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners, partners) + first + 1
+    a, b = item[first], item[second]  # a < b: id order within a run
+    # orient `ap` audiobook first; rel codes 0, 1, 2 are "aa", "ap", "pp"
+    pod_a, pod_b = is_podcast[a], is_podcast[b]
+    swap = pod_a & ~pod_b
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    rel = pod_a.astype(np.int64) + pod_b
+    pair_keys, support = np.unique((rel * n + a) * n + b, return_counts=True)
+    pair_keys = pair_keys[support >= min_co_users]
+    rel, rest = np.divmod(pair_keys, n * n)
+    a, b = np.divmod(rest, n)
+    edges = {}
+    for r in relations:
+        at = rel == REL_KEYS.index(r)
+        edges[r] = np.stack([local[a[at]], local[b[at]]], axis=1)
+    return edges
 
 
 def _feature_dim(catalog: dict[str, CatalogItem]) -> int:

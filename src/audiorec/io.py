@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import json.scanner
 import math
 import os
 import struct
@@ -20,10 +21,19 @@ import numpy as np
 
 PACK_MAGIC = b"ARPK1\n"
 
+# `json.dumps` with keywords builds a new encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+# `_scan_json(text, 0)` is `(value, end)` for the JSON value at the start of
+# `text`; it raises StopIteration or JSONDecodeError where there is none. For
+# a stripped line it equals `json.loads(line)` when `end == len(line)`, without
+# the decoder lookup and whitespace passes `json.loads` makes on every call.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
 
 def canonical_json(obj) -> str:
     """Stable JSON text: sorted keys, compact separators, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -159,6 +169,27 @@ def check_rules(section: str, config, rules) -> None:
             raise ValueError(f"{section}.{name} must be {rule}, got {getattr(config, name)!r}")
 
 
+def number_vector(name: str, value) -> np.ndarray:
+    """`value` as a float64 vector when it is a flat, non-empty JSON array of
+    numbers (ints or floats, not bools), all finite; otherwise a ValueError
+    naming `name`."""
+    if type(value) is not list or not value:
+        raise ValueError(f"{name} is not a float array: got {value!r}")
+    kinds = set(map(type, value))
+    if not kinds <= {int, float}:
+        if list in kinds:
+            raise ValueError(f"{name} is not a flat array")
+        bad = next(x for x in value if type(x) not in (int, float))
+        raise ValueError(f"{name} is not a float array: could not convert {bad!r} to a number")
+    try:
+        vec = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        vec = None
+    if vec is None or not np.isfinite(vec).all():
+        raise ValueError(f"{name} is not a flat array of finite numbers")
+    return vec
+
+
 def write_json(obj, path) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
@@ -188,11 +219,21 @@ def read_json(path):
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def write_jsonl(records: Iterable[dict], path) -> None:
+def write_jsonl(records: Iterable, path, encode: Callable[..., str] = canonical_json) -> None:
+    """One line per record: `encode(record)`, by default its canonical JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(canonical_json(rec))
-            fh.write("\n")
+        fh.writelines(encode(rec) + "\n" for rec in records)
+
+
+def scan_line(line: str):
+    """The JSON value of a stripped line, or None when the line is not
+    exactly one JSON value (or is `null`); `json.loads(line)` then names the
+    fault."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        return None
+    return obj if end == len(line) else None
 
 
 def read_jsonl(path, required: tuple[str, ...] = (), parse: Callable | None = None) -> list:
@@ -209,7 +250,9 @@ def read_jsonl(path, required: tuple[str, ...] = (), parse: Callable | None = No
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = scan_line(line)
+                    if obj is None:  # a fault, which `json.loads` names, or `null`
+                        obj = json.loads(line)
                     if not isinstance(obj, dict):
                         raise ValueError("record is not an object")
                     for key in required:

@@ -238,16 +238,9 @@ def _load_music_vectors(path: Path | None) -> dict[str, np.ndarray]:
     if path is None:
         return {}
 
-    def vector(row: dict, user: str) -> np.ndarray:
-        try:
-            vec = np.asarray(row["vector"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"vector of user {user!r} is not a float array ({exc})") from exc
-        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-            raise ValueError(f"vector of user {user!r} is not a flat array of finite numbers")
-        return vec
-
-    return _read_user_file(path, ("vector",), vector)
+    return _read_user_file(
+        path, ("vector",), lambda row, user: io.number_vector(f"vector of user {user!r}", row["vector"])
+    )
 
 
 def _load_demographics(path: Path | None) -> dict[str, tuple[str, str]]:

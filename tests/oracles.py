@@ -27,6 +27,13 @@ time; the triples and the generator state must match exactly.
 every manifest records, whether a config field names it; the library works
 that set out once per walk. Both must resolve the same files and digests, or
 refuse with the same text.
+`parse_interactions_lines`, `read_jsonl_lines` and `parse_catalog_lines`
+decode and check one line at a time through `json.loads`, where the library
+scans each line once and tests a record's fields in one expression, and the
+catalog's vectors as one matrix. `build_colisten_graph_loop` counts every
+item pair of every user in a dict, where the library codes pairs as integers
+and counts them with `np.unique`. Both sides must give equal records and
+diagnostics, equal catalogs or the same error, and byte-equal graphs.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -37,14 +44,36 @@ for bit where every product and sum is exact.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from audiorec import io
-from audiorec.data import DAY_SECONDS, SIGNALS, WEAK_SIGNALS, InteractionRecord
-from audiorec.graph import Csr, HeteroGraph, rel_key, rel_types
+from audiorec.data import (
+    DAY_SECONDS,
+    ITEM_TYPES,
+    SIGNALS,
+    WEAK_SIGNALS,
+    CatalogItem,
+    InteractionRecord,
+    ParseDiagnostic,
+    ParsedInteractions,
+    _check_interaction,
+    text_field,
+)
+from audiorec.graph import (
+    REL_KEYS,
+    Csr,
+    HeteroGraph,
+    _build_csr,
+    _feature_dim,
+    _types_for_relations,
+    rel_key,
+    rel_types,
+)
 from audiorec.hgnn import (
     ExclusionIndex,
     ForwardCache,
@@ -823,3 +852,201 @@ def current_inputs(spec: Stage, config: PipelineConfig, out_dir: Path) -> tuple[
         files[key] = path
         digests[path.name] = digest
     return files, digests
+
+
+def parse_line(line: str) -> InteractionRecord | str:
+    """One stripped, non-blank line: the record, or why it is skipped."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    if not isinstance(obj, dict):
+        return "record is not an object"
+    problem = _check_interaction(obj)
+    if problem is not None:
+        return problem
+    return InteractionRecord(
+        user_id=obj["user_id"],
+        item_id=obj["item_id"],
+        item_type=obj["item_type"],
+        signal=obj["signal"],
+        timestamp=int(obj["timestamp"]),
+    )
+
+
+def parse_interactions_lines(path) -> ParsedInteractions:
+    """`data.parse_interactions`, one `json.loads` and one check per line."""
+    records: list[InteractionRecord] = []
+    diagnostics: list[ParseDiagnostic] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parsed = parse_line(line)
+                if isinstance(parsed, str):
+                    diagnostics.append(ParseDiagnostic(line_no, parsed))
+                else:
+                    records.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise io.not_utf8(path) from exc
+    return ParsedInteractions(records, diagnostics)
+
+
+def read_jsonl_lines(path, required: tuple[str, ...] = (), parse: Callable | None = None) -> list:
+    """`io.read_jsonl`, one `json.loads` per line."""
+    out = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    for key in required:
+                        if key not in obj:
+                            raise ValueError(f"missing key {key!r}")
+                    out.append(obj if parse is None else parse(obj, line_no))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise io.not_utf8(path) from exc
+    return out
+
+
+def parse_catalog_lines(path) -> dict[str, CatalogItem]:
+    """`data.parse_catalog`, checking and converting one line at a time."""
+    first_line: dict[str, int] = {}
+    dim: int | None = None
+
+    def parse(obj: dict, line_no: int) -> CatalogItem:
+        nonlocal dim
+        item_id = text_field(obj, "item_id")
+        if "\x00" in item_id:
+            raise ValueError(f"item_id {item_id!r} holds a NUL character")
+        if item_id in first_line:
+            raise ValueError(
+                f"duplicate item_id {item_id!r} (lines {first_line[item_id]} and {line_no})"
+            )
+        if obj["item_type"] not in ITEM_TYPES:
+            raise ValueError(f"unknown item_type {obj['item_type']!r}")
+        vec = io.number_vector("content_vector", obj["content_vector"])
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValueError(
+                f"content_vector dimension {vec.shape[0]} does not match earlier dimension {dim}"
+            )
+        first_line[item_id] = line_no
+        return CatalogItem(
+            item_id=item_id,
+            item_type=obj["item_type"],
+            content_vector=vec,
+            language=text_field(obj, "language"),
+            genre=text_field(obj, "genre"),
+        )
+
+    items = read_jsonl_lines(
+        path, ("item_id", "item_type", "content_vector", "language", "genre"), parse
+    )
+    return {item.item_id: item for item in items}
+
+
+def build_colisten_graph_loop(
+    train: list[InteractionRecord],
+    catalog: dict[str, CatalogItem],
+    min_co_users: int = 1,
+    relations: tuple[str, ...] = REL_KEYS,
+) -> HeteroGraph:
+    """`graph.build_colisten_graph`, counting each user's item pairs in a
+    dict. It checks no argument the library refuses."""
+    relations = tuple(sorted(relations))
+    included_types = _types_for_relations(relations)
+
+    user_items: dict[str, set[str]] = {}
+    for rec in train:
+        if rec.item_id not in catalog:
+            raise ValueError(
+                f"interaction references item {rec.item_id!r} absent from the catalog "
+                f"(user {rec.user_id!r}, t={rec.timestamp})"
+            )
+        if rec.signal != "stream":
+            continue
+        if catalog[rec.item_id].item_type not in included_types:
+            continue
+        user_items.setdefault(rec.user_id, set()).add(rec.item_id)
+
+    node_ids: dict[str, list[str]] = {t: [] for t in included_types}
+    seen: set[str] = set()
+    for items in user_items.values():
+        seen.update(items)
+    for item_id in sorted(seen):
+        node_ids[catalog[item_id].item_type].append(item_id)
+
+    node_index = {
+        t: {item_id: i for i, item_id in enumerate(ids)} for t, ids in node_ids.items()
+    }
+
+    # Distinct supporting users per unordered item pair.
+    support: dict[tuple[str, str, str], int] = {}
+    for items in user_items.values():
+        ordered = sorted(items)
+        for i, id1 in enumerate(ordered):
+            t1 = catalog[id1].item_type
+            for id2 in ordered[i + 1 :]:
+                t2 = catalog[id2].item_type
+                rel = rel_key(t1, t2)
+                if rel not in relations:
+                    continue
+                if t1 == t2:
+                    key = (rel, id1, id2)
+                else:
+                    a_id, p_id = (id1, id2) if t1 == "audiobook" else (id2, id1)
+                    key = (rel, a_id, p_id)
+                support[key] = support.get(key, 0) + 1
+
+    edges: dict[str, list[tuple[int, int]]] = {rel: [] for rel in relations}
+    for (rel, id1, id2), n_users in sorted(support.items()):
+        if n_users < min_co_users:
+            continue
+        t1, t2 = rel_types(rel)
+        edges[rel].append((node_index[t1][id1], node_index[t2][id2]))
+
+    edge_arrays = {
+        rel: np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        for rel, pairs in edges.items()
+    }
+
+    adj: dict[tuple[str, str], Csr] = {}
+    for rel in relations:
+        t1, t2 = rel_types(rel)
+        pairs = edge_arrays[rel]
+        if t1 == t2:
+            dst = np.concatenate([pairs[:, 0], pairs[:, 1]])
+            src = np.concatenate([pairs[:, 1], pairs[:, 0]])
+            adj[(t1, t1)] = _build_csr(len(node_ids[t1]), dst, src)
+        else:
+            adj[(t1, t2)] = _build_csr(len(node_ids[t1]), pairs[:, 0], pairs[:, 1])
+            adj[(t2, t1)] = _build_csr(len(node_ids[t2]), pairs[:, 1], pairs[:, 0])
+
+    features = {
+        t: (
+            np.stack([catalog[i].content_vector for i in ids])
+            if ids
+            else np.zeros((0, _feature_dim(catalog)))
+        )
+        for t, ids in node_ids.items()
+    }
+    return HeteroGraph(
+        nodes=node_ids,
+        features={t: f.astype(np.float64) for t, f in features.items()},
+        adj=adj,
+        edges=edge_arrays,
+        relations=relations,
+    )

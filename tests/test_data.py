@@ -1,8 +1,10 @@
 import json
+import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from audiorec.data import (
@@ -11,15 +13,16 @@ from audiorec.data import (
     feature_window,
     parse_catalog,
     parse_interactions,
+    record_to_dict,
     save_interactions,
     timeline_split,
     user_segments,
 )
-from audiorec import synth
+from audiorec import io, synth
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
 
 from conftest import make_catalog, stream
-from oracles import stream_counts_dense
+from oracles import parse_catalog_lines, parse_interactions_lines, read_jsonl_lines, stream_counts_dense
 
 
 def write_lines(path, lines):
@@ -91,6 +94,29 @@ def cat_line(item="a1", item_type="audiobook", vec=(1.0, 0.0, 0.0, 0.0), lang="e
     )
 
 
+# any string `json` can escape, lone surrogates included
+ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=4)
+
+
+class TestSaveInteractions:
+    @given(st.lists(st.builds(
+        InteractionRecord,
+        user_id=ANY_TEXT,
+        item_id=st.one_of(ANY_TEXT, st.none(), st.integers()),
+        item_type=st.sampled_from(["audiobook", "podcast", None]),
+        signal=st.one_of(st.sampled_from(["stream", "follow"]), ANY_TEXT),
+        timestamp=st.one_of(st.integers(-2**70, 2**70), st.booleans(), st.floats(), st.none()),
+    ), max_size=5))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_each_line_is_the_records_canonical_json(self, tmp_path, records):
+        def saved():
+            save_interactions(records, tmp_path / "x.jsonl")
+            return (tmp_path / "x.jsonl").read_text(encoding="utf-8")
+
+        want = outcome(lambda: "".join(io.canonical_json(record_to_dict(r)) + "\n" for r in records))
+        assert outcome(saved) == want
+
+
 class TestParseCatalog:
     def test_two_items(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -115,6 +141,241 @@ class TestParseCatalog:
         p = tmp_path / "c.jsonl"
         write_lines(p, [cat_line("a1", vec=(1, 0, 0, 0)), cat_line("a2", vec=(1, 0, 0, 0, 0))])
         with pytest.raises(ValueError, match="dimension"):
+            parse_catalog(p)
+
+
+# A field's values that a check refuses, or that only its type tells apart
+# from a valid one (a bool or float timestamp, a string or bool vector entry).
+BAD_INTERACTION_VALUES = {
+    "user_id": ["", "u\x00", 7, None, ["u1"]],
+    "item_id": ["", "\x00a", 3, True],
+    "item_type": ["ebook", 1, None],
+    "signal": ["purchase", "", None, "follow"],  # a weak signal is bad on a podcast
+    "timestamp": [-1, True, False, 1.0, 1.5, "5", None, float("nan"), float("inf"), 10**20],
+}
+
+
+def bad_catalog_values(dim: int) -> dict:
+    """Catalog field values a check refuses, the vectors otherwise `dim` wide."""
+    return {
+        "item_id": ["", "a\x00", 5, "i0"],  # "i0" repeats the first line's id
+        "item_type": ["ebook", None],
+        "content_vector": [
+            ["0.5"] + [1.0] * (dim - 1), [True] + [0.5] * (dim - 1), [False] * dim, [],
+            [[0.5]] * dim, [0.5] * (dim - 1) + [None], "0.5", 5, None, {"x": 1}, [10**400] * dim,
+            [float("nan")] * dim, [float("-inf")] + [1.0] * (dim - 1), [0.5] * (dim + 1),
+        ],
+        "language": ["", 3],
+        "genre": ["", ["g"]],
+    }
+
+
+# whole-line texts that are not one JSON object, or are blank
+ODD_LINES = [
+    "", "   ", "\t \x0c", "[1, 2]", "[]", "5", '"s"', "null", "true", "{not json", '{"a": ',
+    "[1", "2],{\"a\":1}", "{}",
+]
+
+
+def line_faults(valid: dict, bad_values: dict) -> list[tuple]:
+    """Every fault `jsonl_line` may give a line, each one entry."""
+    return [
+        *(("value", key, value) for key in sorted(bad_values) for value in bad_values[key]),
+        *(("missing", key) for key in sorted(valid)),
+        *(("dup", key, value) for key in sorted(bad_values) for value in bad_values[key][:2]),
+        *((kind,) for kind in ("pad", "second", "bom", "cut")),
+        *(("odd", text) for text in ODD_LINES),
+    ]
+
+
+def jsonl_line(valid: dict, fault: tuple, rng: random.Random) -> str:
+    """The line of `valid`, with `fault` (an entry of `line_faults`, or
+    `("none",)`): a bad or missing field, a repeated key, text around or after
+    the object, or an odd line. `rng` picks how it is written."""
+    obj = dict(valid)
+    if fault[0] == "odd":
+        return fault[1]
+    if fault[0] == "value":
+        obj[fault[1]] = fault[2]
+    elif fault[0] == "missing":
+        del obj[fault[1]]
+    text = json.dumps(obj, ensure_ascii=rng.random() < 0.5)
+    if fault[0] == "dup":  # the last value of a repeated key is the one read
+        pair = f"{json.dumps(fault[1])}: {json.dumps(fault[2])}"
+        if rng.random() < 0.5:  # the valid value last
+            text = "{" + pair + ", " + text[1:]
+        else:
+            text = text[:-1] + ", " + pair + "}"
+    elif fault[0] == "pad":
+        text = rng.choice([" ", "\t", "\x0c", "\u3000"]) + text + " "
+    elif fault[0] == "second":
+        text = text + rng.choice(["", " ", ","]) + rng.choice([text, "{}", "1", "]"])
+    elif fault[0] == "bom":
+        text = "\ufeff" + text
+    elif fault[0] == "cut":
+        text = text[: rng.randrange(1, len(text))]
+    return text
+
+
+def write_jsonl_file(path, lines, data) -> None:
+    """`lines` joined by newlines of one kind, with a byte that is not UTF-8
+    in one line, at times."""
+    sep = data.draw(st.sampled_from(["\n", "\r\n"]))
+    raw = [line.encode("utf-8") for line in lines]
+    if raw and data.draw(st.integers(0, 9)) == 0:
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] = raw[at] + b"\xff"
+    path.write_bytes(sep.encode().join(raw) + sep.encode())
+
+
+def outcome(call, *args):
+    """What `call(*args)` returns, or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_interactions_match(path) -> None:
+    """`parse_interactions` gives the records and diagnostics of the line loop,
+    or raises the same error."""
+    got, want = outcome(parse_interactions, path), outcome(parse_interactions_lines, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [vars(r) for r in got.records] == [vars(r) for r in want.records]
+    assert [type(r.timestamp) for r in got.records] == [type(r.timestamp) for r in want.records]
+    assert got.records == want.records
+    assert [(d.line_no, d.message) for d in got.diagnostics] == [
+        (d.line_no, d.message) for d in want.diagnostics
+    ]
+
+
+def assert_catalog_matches(path) -> None:
+    """`parse_catalog` and `read_jsonl` give what the line loops give, or
+    raise the same error."""
+    got, want = outcome(parse_catalog, path), outcome(parse_catalog_lines, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert list(got) == list(want)
+        for a, b in zip(got.values(), want.values()):
+            assert (a.item_id, a.item_type, a.language, a.genre) == (b.item_id, b.item_type, b.language, b.genre)
+            assert a.content_vector.dtype == b.content_vector.dtype == np.float64
+            assert a.content_vector.tobytes() == b.content_vector.tobytes()
+    for required in ((), ("item_id", "genre")):
+        # repr: a NaN entry equals itself only as text
+        assert repr(outcome(io.read_jsonl, path, required)) == repr(outcome(read_jsonl_lines, path, required))
+
+
+@st.composite
+def interaction_obj(draw) -> dict:
+    item_type = draw(st.sampled_from(["audiobook", "podcast"]))
+    signals = ["stream", "follow", "preview", "intent_to_pay"] if item_type == "audiobook" else ["stream"]
+    obj = {
+        "user_id": draw(st.sampled_from(["u1", "u2", "é", "\U0001f600"])),
+        "item_id": draw(st.sampled_from(["a1", "p1", "x y"])),
+        "item_type": item_type,
+        "signal": draw(st.sampled_from(signals)),
+        "timestamp": draw(st.integers(0, 2**40)),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        obj["extra"] = draw(st.sampled_from([1, "x", None, [1]]))
+    return obj
+
+
+class TestParsersMatchTheLineLoops:
+    """`parse_interactions`, `read_jsonl` and `parse_catalog` against the
+    line-by-line references, over files that mix valid lines with faulty
+    ones."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_interactions(self, tmp_path, data):
+        # faults drawn uniformly: `sampled_from` favours its first entries
+        rng = data.draw(st.randoms(use_true_random=False))
+        fault_percent = rng.choice([0, 10, 50])
+        lines = []
+        for obj in data.draw(st.lists(interaction_obj(), max_size=12)):
+            fault = ("none",)
+            if rng.randrange(100) < fault_percent:
+                fault = rng.choice(line_faults(obj, BAD_INTERACTION_VALUES))
+            lines.append(jsonl_line(obj, fault, rng))
+        path = tmp_path / "x.jsonl"
+        write_jsonl_file(path, lines, data)
+        assert_interactions_match(path)
+
+    def test_interactions_each_fault_alone(self, tmp_path):
+        rng = random.Random(0)
+        objs = [{"user_id": "u1", "item_id": "a1", "item_type": t, "signal": "stream", "timestamp": 5}
+                for t in ("audiobook", "podcast", "audiobook")]
+        for fault in line_faults(objs[1], BAD_INTERACTION_VALUES):
+            for _ in range(3):  # each way `jsonl_line` may write it
+                write_lines(tmp_path / "x.jsonl", [jsonl_line(obj, f, rng) for obj, f in zip(objs, [("none",), fault, ("none",)])])
+                assert_interactions_match(tmp_path / "x.jsonl")
+
+    @given(data=st.data(), dim=st.integers(1, 3))
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_catalog_and_read_jsonl(self, tmp_path, data, dim):
+        n = data.draw(st.integers(0, 8))
+        rows = [
+            {
+                "item_id": f"i{k}",
+                "item_type": data.draw(st.sampled_from(["audiobook", "podcast"])),
+                "content_vector": data.draw(st.lists(
+                    st.one_of(st.integers(-5, 5), st.floats(-1e300, 1e300)), min_size=dim, max_size=dim)),
+                "language": "en",
+                "genre": data.draw(st.sampled_from(["g", "é"])),
+            }
+            for k in range(n)
+        ]
+        # a fault on one or two lines, or one bad vector on every line, drawn
+        # uniformly: `sampled_from` favours its first entries
+        rng = data.draw(st.randoms(use_true_random=False))
+        bad = bad_catalog_values(dim)
+        faults = [("none",)] * n
+        mode = rng.choice(["none", "one", "one", "two", "every-vector"])
+        if mode == "every-vector":
+            faults = [("value", "content_vector", rng.choice(bad["content_vector"]))] * n
+        elif n and mode != "none":
+            for at in rng.sample(range(n), min(n, 1 if mode == "one" else 2)):
+                faults[at] = rng.choice(line_faults(rows[at], bad))
+        lines = [jsonl_line(row, fault, rng) for row, fault in zip(rows, faults)]
+        path = tmp_path / "c.jsonl"
+        write_jsonl_file(path, lines, data)
+        assert_catalog_matches(path)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_catalog_each_fault_alone_and_each_bad_vector_on_every_line(self, tmp_path, dim):
+        rng = random.Random(0)
+        bad = bad_catalog_values(dim)
+        rows = [
+            {"item_id": f"i{k}", "item_type": t, "content_vector": [0.5] * dim, "language": "en", "genre": "g"}
+            for k, t in enumerate(("audiobook", "podcast", "audiobook"))
+        ]
+        cases = [[("none",), fault, ("none",)] for fault in line_faults(rows[1], bad)]
+        cases += [[("value", "content_vector", vector)] * 3 for vector in bad["content_vector"]]
+        for faults in cases:
+            for _ in range(3):  # each way `jsonl_line` may write it
+                write_lines(tmp_path / "c.jsonl", [jsonl_line(row, f, rng) for row, f in zip(rows, faults)])
+                assert_catalog_matches(tmp_path / "c.jsonl")
+
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [
+            (["0.5", "1e3"], "could not convert '0.5' to a number"),
+            ([True, 0.5], "could not convert True to a number"),
+            ([], "content_vector is not a float array: got []"),
+            ([[0.5]], "content_vector is not a flat array"),
+            ([10**400], "content_vector is not a flat array of finite numbers"),
+        ],
+        ids=["strings", "bool", "empty", "nested", "beyond-float64"],
+    )
+    def test_catalog_vector_not_of_finite_numbers_names_the_line(self, tmp_path, vector, expected):
+        # strings, bools and [] were read as [0.5, 1000.0], [1.0, 0.5] and a 0-d content space
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [cat_line("a1"), cat_line("a2", vec=vector)])
+        with pytest.raises(ValueError, match=f"c.jsonl:2: .*{re.escape(expected)}"):
             parse_catalog(p)
 
 

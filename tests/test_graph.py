@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import InteractionRecord, timeline_split
+from audiorec.data import CatalogItem, InteractionRecord, timeline_split
 from audiorec.graph import build_colisten_graph, graph_stats, load_graph, save_graph
 from audiorec.index import build_index, save_index
 from audiorec.io import read_pack
 from audiorec.synth import SynthConfig, synth_generate
 
 from conftest import join_container, make_catalog, split_container, stream
+from oracles import build_colisten_graph_loop
 
 
 def brute_force_edges(records, catalog, min_co_users=1, streams_only=True):
@@ -154,6 +155,55 @@ class TestGraphProperties:
         min_co = int(rng.integers(1, 3))
         g = build_colisten_graph(records, catalog, min_co_users=min_co)
         assert graph_edge_ids(g) == brute_force_edges(records, catalog, min_co)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_pair_loop_byte_for_byte(self, seed):
+        # ids of both types interleave in id order, so `ap` pairs come both ways round
+        rng = np.random.default_rng(seed)
+        n_items = int(rng.integers(1, 14))
+        ids = [str(i) for i in rng.choice(200, size=n_items, replace=False)]
+        catalog = {
+            i: CatalogItem(i, str(rng.choice(["audiobook", "podcast"])), rng.normal(size=3), "en", "g")
+            for i in ids
+        }
+        records = []
+        for u in range(int(rng.integers(1, 12))):
+            for _ in range(int(rng.integers(1, 9))):  # repeats of one item by one user, too
+                item = str(rng.choice(ids))
+                weak = catalog[item].item_type == "audiobook" and rng.random() < 0.2
+                signal = str(rng.choice(["follow", "preview"])) if weak else "stream"
+                records.append(InteractionRecord(f"u{u}", item, catalog[item].item_type, signal, 0))
+        if rng.random() < 0.2:  # items absent from the catalog: the first one is named
+            for user, item in (("u9", "zz"), ("u8", "zy"))[: int(rng.integers(1, 3))]:
+                at = int(rng.integers(0, len(records) + 1))
+                records.insert(at, InteractionRecord(user, item, "podcast", "follow", 4))
+        subsets = (("aa",), ("ap",), ("pp",), ("aa", "ap"), ("aa", "pp"), ("ap", "pp"), ("aa", "ap", "pp"))
+        relations = subsets[int(rng.integers(len(subsets)))]
+        min_co = int(rng.integers(1, 4))
+
+        def build(fn):
+            try:
+                return fn(records, catalog, min_co_users=min_co, relations=relations)
+            except ValueError as exc:
+                return str(exc)
+
+        got, want = build(build_colisten_graph), build(build_colisten_graph_loop)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.nodes == want.nodes and got.relations == want.relations
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert list(got.edges) == list(want.edges)
+        assert all(same(got.edges[r], want.edges[r]) for r in want.edges)
+        assert list(got.adj) == list(want.adj)
+        for key, csr in want.adj.items():
+            assert same(got.adj[key].indptr, csr.indptr) and same(got.adj[key].indices, csr.indices)
+        assert list(got.features) == list(want.features)
+        assert all(same(got.features[t], want.features[t]) for t in want.features)
 
     def test_symmetry(self, small_graph):
         g = small_graph

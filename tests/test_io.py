@@ -1,9 +1,12 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
-from audiorec.io import check_rising, column_ids, id_column, read_pack, write_pack
+from audiorec.data import InteractionRecord, record_to_dict
+from audiorec.io import canonical_json, check_rising, column_ids, id_column, read_pack, write_pack
+from audiorec.pipeline import PipelineConfig
 
 
 def round_trip(tmp_path, ids) -> tuple[np.ndarray, np.ndarray]:
@@ -76,3 +79,27 @@ class TestIdColumn:
     def test_ids_that_do_not_rise_refused(self, ids, expected):
         with pytest.raises(ValueError, match=f"c.bin: {expected}"):
             check_rising("c.bin", "ids", np.array(ids))
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            record_to_dict(InteractionRecord("u\u00e9\x00", "a\U0001f600", "audiobook", "stream", 2**40)),
+            {"stage": "train-hgnn", "seed": 7, "inputs": {"graph.bin": "ab" * 32}, "blas": {"OMP": None}},
+            PipelineConfig().to_dict(),
+            {
+                "version": 1,
+                "meta": {"kind": "graph", "relations": ["aa", "ap"], "x": [0.1, -0.0, 1e-300, 3]},
+                "arrays": [{"name": "nodes.podcast", "shape": [3, 4], "dtype": "uint32"}],
+            },
+        ],
+        ids=["record", "manifest", "config", "pack-header"],
+    )
+    def test_equals_json_dumps_with_its_keywords(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_refused(self, value):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            canonical_json({"x": [1.0, value]})

@@ -1470,7 +1470,7 @@ class TestStaleInputs:
         assert set(result["seeds"]) == {"12", "13"}
         assert io.read_json(tmp_path / "hgnn-13" / "manifests" / "train-hgnn.json")["seed"] == 13
 
-    def test_quality_sweep_intervals(self):
+    def test_quality_sweep_intervals(self, tmp_path, monkeypatch, capsys):
         # paired over (data seed, HGNN seed) runs; values in 1/64 steps keep a shift exact
         sweep = load_script(ROOT / "scripts" / "quality_sweep.py")
         rng = np.random.default_rng(3)
@@ -1510,6 +1510,23 @@ class TestStaleInputs:
 
         result = sweep.intervals(split_sweeps(d), split_sweeps(0.0))
         assert all(r == (16, 0.0, -d, d) for r in result.values())
+
+        # `--from A --against B` compares two saved sweeps and runs nothing
+        saved = {}
+        for name, shift in (("a", d), ("b", 0.0)):
+            result = split_sweeps(shift)
+            for entry in result["data_seeds"].values():
+                entry["config_hash"] = "h"
+            saved[name] = tmp_path / f"{name}.json"
+            saved[name].write_text(json.dumps(result))
+        monkeypatch.setattr(sweep, "sweep", None)
+        sweep.main(["--from", str(saved["a"]), "--against", str(saved["b"])])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            f"32 warm-segment values differ from {saved['b']}",
+            "two_tower_hgnn hr_at_k: +0.0000 [-0.1250, +0.1250] over 16 paired runs",
+            "two_tower_hgnn mrr: +0.0000 [-0.1250, +0.1250] over 16 paired runs",
+        ]
 
 
     def test_query_scaling_runs(self, pipeline_run, capsys):
@@ -2035,6 +2052,19 @@ class TestCli:
             # was loaded: a NaN scored every item NaN, a nested vector failed without a line
             ("music_vectors", '{"user_id": "u1", "vector": [NaN, 0.5]}', "not a flat array of finite"),
             ("music_vectors", json.dumps({"user_id": "u1", "vector": [[0.5]]}), "not a flat array"),
+            # were loaded as [0.5, 1000.0, ...], [1.0, 0.5, ...] and a 0-d vector
+            *(
+                (field, json.dumps({**row, key: vector}), f"{name} is not a float array: {fault}")
+                for field, row, key, name in (
+                    ("catalog", CATALOG_ROW, "content_vector", "content_vector"),
+                    ("music_vectors", {"user_id": "u1"}, "vector", "vector of user 'u1'"),
+                )
+                for vector, fault in (
+                    (["0.5", "1e3"] + [0.0] * 6, "could not convert '0.5' to a number"),
+                    ([True] + [0.5] * 7, "could not convert True to a number"),
+                    ([], "got []"),
+                )
+            ),
             # was loaded, the last line winning
             (
                 "music_vectors",
