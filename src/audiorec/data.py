@@ -97,10 +97,14 @@ def _check_interaction(obj: dict) -> str | None:
 
 def _parse_line(line: str) -> InteractionRecord | str:
     """One stripped, non-blank line: the record, or why it is skipped."""
+    from .io import TOO_DEEP
+
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return TOO_DEEP
     if not isinstance(obj, dict):
         return "record is not an object"
     problem = _check_interaction(obj)

@@ -15,6 +15,12 @@ row that has one left, so each row sums its terms in loop order. Backward,
 each pooled gradient goes to the neighbor that achieved the max where the
 pooled value is positive: one bincount over every (segment, column), in which
 a dead entry adds +0.0.
+
+The training forward keeps only what backward reads: each layer's states,
+whose positive entries are the node update's ReLU mask, and per pooled
+(segment, column) the winner's slot within its segment and whether the pool
+is positive, one byte each. The relation transforms are rectified in place
+and dropped once pooled.
 """
 
 from __future__ import annotations
@@ -412,111 +418,112 @@ def _segment_max(
     values: np.ndarray,
     indptr: np.ndarray,
     indices: np.ndarray,
-    keep_argfirst: bool = True,
+    keep_winners: bool = True,
     order: PoolOrder | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-segment elementwise max with the first achieving row index.
+    """Per-segment elementwise max, and the slot of the first achieving row.
 
     Segment i pools rows `indptr[i]:indptr[i+1]` of `values[indices]` without
-    building that gathered matrix; argfirst counts positions in it, i.e. edge
-    positions of a CSR. Empty segments pool to zero and get argfirst -1. The
-    segments are walked slot by slot in the `PoolOrder` of `indptr` (derived
-    here when `order` is None): slot s folds the s-th row of every segment
-    longer than s into the running max with the same `np.maximum` a
-    sequential reduction applies. Where the s-th row is strictly greater than
-    the running max, slot s sets a one-byte flag. After the walk each
-    (segment, column) takes the last slot that rose, which is the first
-    maximizing row; a tie keeps the earlier row. With `keep_argfirst` false
-    the slot loop is only the gather and the max, and argfirst is None.
+    building that gathered matrix; a winner's slot counts rows within its
+    segment, so its edge position in a CSR is `indptr[i] + slot`. Empty
+    segments pool to zero and get slot 0. The segments are walked slot by
+    slot in the `PoolOrder` of `indptr` (derived here when `order` is None):
+    slot s folds the s-th row of every segment longer than s into the
+    running max with the same `np.maximum` a sequential reduction applies.
+    Where the s-th row is strictly greater than the running max, slot s sets
+    a one-byte flag. After the walk each (segment, column) takes the last
+    slot that rose, which is the first maximizing row; a tie keeps the
+    earlier row. The slots come in the smallest unsigned type that holds
+    them: one byte below 256 slots. With `keep_winners` false the slot loop
+    is only the gather and the max, and the slots are None.
     """
     if order is None:
         order = PoolOrder.of(indptr)
     n = len(indptr) - 1
     d = values.shape[1]
     pooled = np.zeros((n, d))
-    argfirst = np.full((n, d), -1, dtype=np.int64) if keep_argfirst else None
+    slots = order.bounds[1:]
+    rank_type = np.min_scalar_type(len(slots))
+    winners = np.zeros((n, d), dtype=rank_type) if keep_winners else None
     if not order.bounds:
-        return pooled, argfirst
+        return pooled, winners
     neighbors = indices[order.positions]
     best = values[neighbors[: len(order.order)]]
-    slots = order.bounds[1:]
-    if keep_argfirst:
+    if keep_winners:
         rose = np.zeros((len(slots), *best.shape), dtype=bool)
     for s, (lo, hi) in enumerate(slots):
         v = values[neighbors[lo:hi]]
         head = best[: hi - lo]
-        if keep_argfirst:
+        if keep_winners:
             np.greater(v, head, out=rose[s, : hi - lo])
         np.maximum(head, v, out=head)
     pooled[order.order] = best
-    if keep_argfirst:
-        # each flag times its slot number: one byte each below 256 slots
-        rank_type = np.min_scalar_type(len(slots))
+    if keep_winners:
+        # each flag times its slot number
         rank = rose.view(np.uint8) if rank_type == np.uint8 else rose.astype(rank_type)
         rank *= np.arange(1, len(slots) + 1, dtype=rank.dtype)[:, None, None]
-        argfirst[order.order] = order.starts[:, None] + rank.max(axis=0, initial=0)
-    return pooled, argfirst
+        winners[order.order] = rank.max(axis=0, initial=0)
+    return pooled, winners
 
 
 @dataclass
 class ForwardCache:
-    """Per layer k (list position k-1): `agg_pre[direction]` is every source
-    node's relation transform `h_src @ W.T + b`, one row per node, not per
-    edge; `argfirst[direction]` is the edge position of each (segment,
-    column)'s first maximizing neighbor, -1 for an empty segment, as
-    `_segment_max` finds it from its slot flags. Backward sends each
-    (segment, column) gradient to that neighbor where `pooled[direction]` is
-    positive, which is exactly where the neighbor's pre-activation is.
-    `argfirst` is an empty list when the forward pass did not keep it: only
-    training reads it, so validation and embedding forwards skip it."""
+    """What `backward_states` reads of a forward pass. Per layer k: the
+    states `h[k]` (`h[0]` is the content features), whose positive entries
+    are where the node update's ReLU passed a gradient. In a training
+    forward, per layer k (list position k-1) and direction, `winners` holds
+    two (segment, column) arrays in segment order: the slot of the first
+    maximizing neighbor within its segment, as `_segment_max` finds it, and
+    `live`, where the pooled value is positive, which is exactly where the
+    winner's rectified transform passes a gradient. That is one byte each
+    per entry below 256 slots; the relation transforms, the pooled values
+    and the node update's pre-activations are not kept. `winners` is an
+    empty list when the forward pass did not keep it: only training reads
+    it, so validation and embedding forwards skip it."""
 
     h: list[dict[str, np.ndarray]]
-    agg_pre: list[dict[tuple[str, str], np.ndarray]]
-    pooled: list[dict[tuple[str, str], np.ndarray]]
-    argfirst: list[dict[tuple[str, str], np.ndarray]]
-    upd_pre: list[dict[str, np.ndarray]]
+    winners: list[dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]]
     norms: dict[str, np.ndarray]
     z: dict[str, np.ndarray]
     fallback: dict[str, np.ndarray]
 
 
 def forward_states(
-    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_argfirst: bool = True
+    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_winners: bool = True
 ) -> ForwardCache:
     """Compute all node states through every layer of the plan; keep the
-    max-pool winners that `backward_states` reads only when `keep_argfirst`."""
+    max-pool winners that `backward_states` reads only when `keep_winners`."""
     features = {t: graph.features[t] for t in graph.node_types}
-    cache = ForwardCache([features], [], [], [], [], {}, {}, {})
+    cache = ForwardCache([features], [], {}, {}, {})
     for k in range(1, params.config.layers + 1):
         h = cache.h[-1]
-        agg_pre, pooled, argfirst = {}, {}, {}
+        winners = {}
         pool_sum: dict[str, np.ndarray] = {}
         for direction in graph.directions():
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
             csr = plan.layers[k - 1][direction]
-            p = h[src_type] @ params.agg_w(k, rel).T + params.agg_b(k, rel)
-            agg_pre[direction] = p
-            pooled[direction], argfirst[direction] = _segment_max(
-                np.maximum(p, 0.0),
+            p = h[src_type] @ params.agg_w(k, rel).T
+            p += params.agg_b(k, rel)
+            pooled, slots = _segment_max(
+                np.maximum(p, 0.0, out=p),
                 csr.indptr,
                 csr.indices,
-                keep_argfirst,
+                keep_winners,
                 plan.pool_order(k - 1, direction),
             )
+            if keep_winners:
+                winners[direction] = (slots, pooled > 0.0)
             if dst_type in pool_sum:
-                pool_sum[dst_type] = pool_sum[dst_type] + pooled[direction]
+                pool_sum[dst_type] += pooled
             else:
-                pool_sum[dst_type] = pooled[direction]
+                pool_sum[dst_type] = pooled
         upd_pre = {t: h[t] @ params.upd_w(k, t).T for t in graph.node_types}
         for t, total in pool_sum.items():
-            upd_pre[t] = upd_pre[t] + total
-        cache.h.append({t: np.maximum(pre, 0.0) for t, pre in upd_pre.items()})
-        cache.agg_pre.append(agg_pre)
-        cache.pooled.append(pooled)
-        if keep_argfirst:
-            cache.argfirst.append(argfirst)
-        cache.upd_pre.append(upd_pre)
+            upd_pre[t] += total
+        cache.h.append({t: np.maximum(pre, 0.0, out=pre) for t, pre in upd_pre.items()})
+        if keep_winners:
+            cache.winners.append(winners)
 
     for t, hf in cache.h[-1].items():
         cache.z[t], cache.norms[t], cache.fallback[t] = l2_normalize(hf)
@@ -617,28 +624,32 @@ def margin_batch_loss(
 
 
 def _route_pooled(
-    p: np.ndarray,
-    pooled: np.ndarray,
-    argfirst: np.ndarray,
+    indptr: np.ndarray,
     indices: np.ndarray,
+    slots: np.ndarray,
+    live: np.ndarray,
     grad: np.ndarray,
+    n_src: int,
 ) -> np.ndarray:
-    """d(loss)/d(p) of one direction's source pre-activations `p`, given
-    d(loss)/d(pooled) in `grad`: each (segment, column) gradient goes to its
-    first maximizing source node where the pooled value is positive, since
-    relu'(p) there is that of the winner's pre-activation.
+    """d(loss)/d(p) of one direction's `n_src` source pre-activations `p`,
+    given d(loss)/d(pooled) in `grad`: each (segment, column) gradient goes
+    to its first maximizing source node, at edge position `indptr[i] + slot`,
+    where the pooled value is positive (`live`), since relu'(p) there is that
+    of the winner's pre-activation.
 
     One bincount over every (segment, column), in row-major order: a dead
     entry (an empty segment, or a winner at or below 0) adds +0.0, which
-    changes no bin, as a bin starts at +0.0 and so never holds -0.0.
+    changes no bin, as a bin starts at +0.0 and so never holds -0.0. An empty
+    segment's position is clipped to the last edge: it may start past it.
     """
+    d = grad.shape[1]
     if not len(indices):
-        return np.zeros_like(p)
-    d = p.shape[1]
-    flat = indices[np.maximum(argfirst, 0)] * d
+        return np.zeros((n_src, d))
+    starts = np.minimum(indptr[:-1], len(indices) - 1)
+    flat = indices[starts[:, None] + slots] * d
     flat += np.arange(d)
-    weights = np.where(pooled > 0.0, grad, 0.0)
-    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=p.size).reshape(p.shape)
+    weights = np.where(live, grad, 0.0)
+    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n_src * d).reshape(n_src, d)
 
 
 def backward_states(
@@ -650,9 +661,9 @@ def backward_states(
 ) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar loss given d(loss)/d(z)."""
     n_layers = params.config.layers
-    if not cache.argfirst:
+    if not cache.winners:
         raise ValueError(
-            "forward cache holds no max-pool winners; build it with keep_argfirst=True"
+            "forward cache holds no max-pool winners; build it with keep_winners=True"
         )
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
 
@@ -664,25 +675,27 @@ def backward_states(
     for k in range(n_layers, 0, -1):
         # layer 1's input is the fixed content features: no gradient flows on
         inner = k > 1
-        d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types} if inner else {}
+        h_in = cache.h[k - 1]
+        d_prev = {t: np.zeros_like(h_in[t]) for t in graph.node_types} if inner else {}
         d_pool: dict[str, np.ndarray] = {}
         for t in graph.node_types:
-            r = d_h[t] * (cache.upd_pre[k - 1][t] > 0.0)
-            grads[f"upd.W.{k}.{t}"] += r.T @ cache.h[k - 1][t]
+            r = d_h[t] * (cache.h[k][t] > 0.0)
+            grads[f"upd.W.{k}.{t}"] += r.T @ h_in[t]
             if inner:
                 d_prev[t] += r @ params.upd_w(k, t)
             d_pool[t] = r
         for direction in graph.directions():
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
+            csr = plan.layers[k - 1][direction]
             d_p = _route_pooled(
-                cache.agg_pre[k - 1][direction],
-                cache.pooled[k - 1][direction],
-                cache.argfirst[k - 1][direction],
-                plan.layers[k - 1][direction].indices,
+                csr.indptr,
+                csr.indices,
+                *cache.winners[k - 1][direction],
                 d_pool[dst_type],
+                len(h_in[src_type]),
             )
-            grads[f"agg.W.{k}.{rel}"] += d_p.T @ cache.h[k - 1][src_type]
+            grads[f"agg.W.{k}.{rel}"] += d_p.T @ h_in[src_type]
             grads[f"agg.b.{k}.{rel}"] += d_p.sum(axis=0)
             if inner:
                 d_prev[src_type] += d_p @ params.agg_w(k, rel)
@@ -698,7 +711,7 @@ def batch_loss_and_grads(
     negatives: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss, parameter gradients and the active-hinge mask of one batch."""
-    cache = forward_states(graph, params, plan, keep_argfirst=True)
+    cache = forward_states(graph, params, plan, keep_winners=True)
     loss, dz, active = margin_batch_loss(cache, pairs, negatives, params.config.margin)
     grads = backward_states(graph, params, plan, cache, dz)
     return loss, grads, active
@@ -917,7 +930,7 @@ def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     """Embed every graph node: full neighborhoods up to the configured cap,
     deterministically subsampled past it."""
     cache = forward_states(
-        graph, params, _inference_plan(graph, params.config), keep_argfirst=False
+        graph, params, _inference_plan(graph, params.config), keep_winners=False
     )
     ids: list[str] = []
     mats: list[np.ndarray] = []
@@ -966,7 +979,7 @@ def embed_catalog(
         relations=(),
     )
     cache = forward_states(
-        isolated, params, NeighborPlan([{}] * params.config.layers), keep_argfirst=False
+        isolated, params, NeighborPlan([{}] * params.config.layers), keep_winners=False
     )
     refs = [isolated.node_ref(i) for i in weight_type]
     return NodeEmbeddingTable(
@@ -1031,7 +1044,7 @@ def _validate(
 ) -> tuple[float, int]:
     """Validation loss and the number of zero-norm (fallback) output rows; the
     whole-graph forward cache is dropped on return."""
-    cache = forward_states(graph, params, plan, keep_argfirst=False)
+    cache = forward_states(graph, params, plan, keep_winners=False)
     z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
     za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     slots = _slot_terms(z, za, zp, negatives, params.config.margin)

@@ -30,6 +30,10 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=F
 # the decoder lookup and whitespace passes `json.loads` makes on every call.
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
+# What a reader reports for JSON nested past the interpreter's recursion
+# limit, where both the scanner and `json.loads` raise RecursionError.
+TOO_DEEP = "invalid JSON: nested too deeply"
+
 
 def canonical_json(obj) -> str:
     """Stable JSON text: sorted keys, compact separators, no NaN."""
@@ -217,6 +221,8 @@ def read_json(path):
         raise not_utf8(path) from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: {TOO_DEEP}") from exc
 
 
 def write_jsonl(records: Iterable, path, encode: Callable[..., str] = canonical_json) -> None:
@@ -228,10 +234,10 @@ def write_jsonl(records: Iterable, path, encode: Callable[..., str] = canonical_
 def scan_line(line: str):
     """The JSON value of a stripped line, or None when the line is not
     exactly one JSON value (or is `null`); `json.loads(line)` then names the
-    fault."""
+    fault, or raises RecursionError for a value nested too deeply."""
     try:
         obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         return None
     return obj if end == len(line) else None
 
@@ -261,6 +267,8 @@ def read_jsonl(path, required: tuple[str, ...] = (), parse: Callable | None = No
                     out.append(obj if parse is None else parse(obj, line_no))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise ValueError(f"{path}:{line_no}: {TOO_DEEP}") from exc
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -35,6 +35,8 @@ from audiorec.two_tower import (
     user_inputs,
 )
 
+from oracles import forward_states_edge_first
+
 EPS = 1e-4
 # A 1e-4 parameter step can move pre-activations, pool gaps, and hinge terms
 # by roughly eps * |h|; with |h| up to ~30 on these instances, anything closer
@@ -113,14 +115,16 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
     """Reject instances on kinks: near-zero pre-activations, near-ties in the
     max pool, near-boundary hinge terms, or zero-norm fallback rows."""
     cache = forward_states(graph, params, plan)
-    for layer in cache.upd_pre:
+    # the library keeps no pre-activations; the edge-first oracle keeps them
+    # all, differing from the library's only in rounding, far below KINK_TOL
+    edge_first = forward_states_edge_first(graph, params, plan)
+    for layer in edge_first.upd_pre:
         for pre in layer.values():
             if pre.size and np.min(np.abs(pre)) < KINK_TOL:
                 return False
-    for k, layer in enumerate(cache.agg_pre):
-        for direction, node_pre in layer.items():
+    for k, layer in enumerate(edge_first.edge_pre):
+        for direction, pre in layer.items():  # one row per sampled edge
             csr = plan.layers[k][direction]
-            pre = node_pre[csr.indices]  # one row per sampled edge
             if pre.size and np.min(np.abs(pre)) < KINK_TOL:
                 return False
             act = np.maximum(pre, 0.0)

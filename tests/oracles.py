@@ -45,7 +45,7 @@ for bit where every product and sum is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -297,19 +297,55 @@ def route_pooled_nonzero(
     ).reshape(p.shape)
 
 
-@dataclass
-class EdgeFirstCache(ForwardCache):
-    """`ForwardCache` of `forward_states_edge_first`, whose `agg_pre` is
-    empty: it keeps each (layer, direction)'s pre-activations per edge row."""
+def argfirst_of(indptr: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The edge positions `indptr[i] + slot` of `_segment_max`'s winner
+    slots, -1 for an empty segment, as `segment_max_reduceat` gives them."""
+    indptr = np.asarray(indptr)
+    empty = (np.diff(indptr) == 0)[:, None]
+    return np.where(empty, -1, indptr[:-1, None] + slots.astype(np.int64))
 
-    edge_pre: list[dict[tuple[str, str], np.ndarray]] = field(default_factory=list)
+
+def route_pooled_by_slots(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    slots: np.ndarray,
+    live: np.ndarray,
+    grad: np.ndarray,
+    n_src: int,
+) -> np.ndarray:
+    """`route_pooled_nonzero` behind `hgnn._route_pooled`'s arguments. An
+    entry's liveness is its winner's pre-activation sign in that column, so
+    a stand-in `p` holding 1.0 at each live entry's (winner, column) and 0.0
+    elsewhere gives the oracle the same liveness."""
+    argfirst = argfirst_of(indptr, slots)
+    p = np.zeros((n_src, grad.shape[1]))
+    seg, col = np.nonzero(live)
+    p[indices[argfirst[seg, col]], col] = 1.0
+    return route_pooled_nonzero(p, None, argfirst, indices, grad)
+
+
+@dataclass
+class EdgeFirstCache:
+    """The cache of `forward_states_edge_first`: the states `h`, `z`, `norms`
+    and `fallback` as in `ForwardCache`; per (layer, direction) the
+    pre-activations `edge_pre`, one row per edge, the pooled values and
+    argfirst; per layer the node update's pre-activations `upd_pre`."""
+
+    h: list[dict[str, np.ndarray]]
+    edge_pre: list[dict[tuple[str, str], np.ndarray]]
+    pooled: list[dict[tuple[str, str], np.ndarray]]
+    argfirst: list[dict[tuple[str, str], np.ndarray]]
+    upd_pre: list[dict[str, np.ndarray]]
+    norms: dict[str, np.ndarray]
+    z: dict[str, np.ndarray]
+    fallback: dict[str, np.ndarray]
 
 
 def forward_states_edge_first(
-    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_argfirst: bool = True
+    graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_winners: bool = True
 ) -> EdgeFirstCache:
     """`forward_states` with every relation transform applied to gathered
-    edge rows and pooled by `segment_max_reduceat`. `keep_argfirst` is
+    edge rows and pooled by `segment_max_reduceat`. `keep_winners` is
     accepted so the oracle can stand in for `forward_states`, and ignored:
     the cache always holds argfirst."""
     n_layers = params.config.layers
@@ -345,9 +381,7 @@ def forward_states_edge_first(
         fallback[t] = norms[t] < NORM_FLOOR
         z[t] = h[n_layers][t] / np.where(fallback[t], 1.0, norms[t])[:, None]
         z[t][fallback[t]] = np.eye(1, z[t].shape[1])
-    return EdgeFirstCache(
-        h, [], pooled_all, argfirst_all, upd_pre_all, norms, z, fallback, edge_pre=edge_pre
-    )
+    return EdgeFirstCache(h, edge_pre, pooled_all, argfirst_all, upd_pre_all, norms, z, fallback)
 
 
 def backward_states_add_at(

@@ -2,6 +2,7 @@
 arrays, equal losses and the same random stream, checked through the
 generator's state after each call."""
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -35,11 +36,13 @@ from audiorec.pipeline import PipelineConfig, run_stage
 from helpers_gradcheck import random_hgnn_instance
 from oracles import (
     all_neighbors,
+    argfirst_of,
     backward_states_add_at,
     flat_node_list,
     floyd_choice,
     forward_states_edge_first,
     margin_batch_loss_loop,
+    route_pooled_by_slots,
     route_pooled_nonzero,
     sample_negative_refs_loop,
     sample_negatives_loop,
@@ -436,17 +439,23 @@ class TestNegatives:
 class TestSegmentMax:
     def check(self, values, indptr, indices=None):
         """`_segment_max` over `values[indices]` (every row in order when
-        `indices` is None) against `segment_max_reduceat` on the gathered rows."""
+        `indices` is None) against `segment_max_reduceat` on the gathered
+        rows, its winner slots through `indptr + slot`; returns the pooled
+        values and those edge positions."""
         indptr = np.asarray(indptr)
         indices = np.arange(indptr[-1]) if indices is None else np.asarray(indices)
-        got = _segment_max(values, indptr, indices)
+        pooled, slots = _segment_max(values, indptr, indices)
         want = segment_max_reduceat(values[indices], indptr)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        # the forward pass that skips argfirst pools the same bytes
-        pooled, argfirst = _segment_max(values, indptr, indices, keep_argfirst=False)
-        assert pooled.tobytes() == got[0].tobytes() and argfirst is None
-        return got
+        argfirst = argfirst_of(indptr, slots)
+        assert np.array_equal(pooled, want[0])
+        assert np.array_equal(argfirst, want[1])
+        assert not slots[np.diff(indptr) == 0].any()  # an empty segment's slot is 0
+        longest = int(np.diff(indptr).max(initial=0))
+        assert slots.dtype == np.min_scalar_type(max(longest - 1, 0))
+        # the forward pass that skips the winners pools the same bytes
+        skipped, no_slots = _segment_max(values, indptr, indices, keep_winners=False)
+        assert skipped.tobytes() == pooled.tobytes() and no_slots is None
+        return pooled, argfirst
 
     def test_ties_between_positive_values(self):
         values = np.array([[2.0, 1.0], [2.0, 3.0], [1.0, 3.0], [5.0, 5.0], [5.0, 4.0], [0.0, 5.0]])
@@ -523,24 +532,69 @@ class TestSegmentMax:
         pooled, argfirst = self.check(values, [0, n_rows, n_rows + 300])
         assert argfirst[0].tolist()[:2] == [n_rows - 1, 100]
 
-    def test_forward_without_argfirst_is_the_same_forward(self):
+    def test_forward_without_winners_is_the_same_forward(self):
         for seed in range(8):
             graph, params, plan, _, _ = random_hgnn_instance(seed)
-            got = forward_states(graph, params, plan, keep_argfirst=False)
+            got = forward_states(graph, params, plan, keep_winners=False)
             want = forward_states(graph, params, plan)
-            assert got.argfirst == [] and len(want.argfirst) == params.config.layers
-            for k in range(params.config.layers):
-                for direction in want.pooled[k]:
-                    assert got.pooled[k][direction].tobytes() == want.pooled[k][direction].tobytes()
-            for t in want.z:
-                assert got.z[t].tobytes() == want.z[t].tobytes()
+            assert got.winners == [] and len(want.winners) == params.config.layers
+            assert_states_equal(got, want)
 
-    def test_backward_refuses_a_cache_without_argfirst(self):
+    def test_backward_refuses_a_cache_without_winners(self):
         graph, params, plan, pairs, negs = random_hgnn_instance(0)
-        cache = forward_states(graph, params, plan, keep_argfirst=False)
+        cache = forward_states(graph, params, plan, keep_winners=False)
         _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-        with pytest.raises(ValueError, match="keep_argfirst"):
+        with pytest.raises(ValueError, match="keep_winners"):
             backward_states(graph, params, plan, cache, dz)
+
+
+def arrays_in(obj):
+    """Every array reachable from `obj` through dataclass fields, lists,
+    tuples and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from arrays_in(item)
+
+
+def test_training_cache_holds_states_and_one_byte_winners(tmp_path):
+    # Memory contract on the seed-7 default graph and config: beside the
+    # states, the training forward keeps at most 2 bytes per pooled
+    # (layer, direction, segment, column) and no per-direction float64 array
+    config = PipelineConfig(seed=7)
+    for stage in ("synth", "split", "build-graph"):
+        run_stage(stage, config, tmp_path)
+    graph = load_graph(tmp_path / "graph.bin")
+    feature_dim = int(next(iter(graph.features.values())).shape[1])
+    params = HgnnParams.init(config.hgnn, feature_dim, graph.node_types, graph.relations, seed=7)
+    plan = sample_plan(graph, config.hgnn.fanouts, np.random.default_rng(7))
+    dims = config.hgnn.layer_dims(feature_dim)
+
+    cache = forward_states(graph, params, plan)
+    states = sum(a.nbytes for a in arrays_in([cache.h, cache.z, cache.norms, cache.fallback]))
+    entries = 0
+    assert len(cache.winners) == config.hgnn.layers
+    for k, layer in enumerate(cache.winners):
+        assert layer.keys() == set(graph.directions())
+        for (dst_type, _), kept in layer.items():
+            shape = (len(graph.nodes[dst_type]), dims[k + 1])
+            entries += shape[0] * shape[1]
+            for a in arrays_in(kept):
+                assert a.shape == shape and a.dtype != np.float64
+    assert entries > 0
+    assert sum(a.nbytes for a in arrays_in(cache)) <= states + 2 * entries
+
+    # `backward_states` refuses such a cache (TestSegmentMax)
+    bare = forward_states(graph, params, plan, keep_winners=False)
+    assert bare.winners == []
+    assert sum(a.nbytes for a in arrays_in(bare)) == states
 
 
 class TestPoolOrder:
@@ -612,15 +666,15 @@ class TestPoolOrder:
         for seed in range(8):
             for graph, params, plan in self.plans(seed):
                 for keep in (True, False):
-                    got = forward_states(graph, params, plan, keep_argfirst=keep)
-                    want = forward_states(graph, params, self.plain(plan), keep_argfirst=keep)
-                    for k in range(params.config.layers):
-                        for d in plan.layers[k]:
-                            assert got.pooled[k][d].tobytes() == want.pooled[k][d].tobytes()
-                            if keep:
-                                assert np.array_equal(got.argfirst[k][d], want.argfirst[k][d])
-                    for t in want.z:
-                        assert got.z[t].tobytes() == want.z[t].tobytes()
+                    got = forward_states(graph, params, plan, keep_winners=keep)
+                    want = forward_states(graph, params, self.plain(plan), keep_winners=keep)
+                    assert_states_equal(got, want)
+                    assert len(got.winners) == len(want.winners)
+                    for got_layer, want_layer in zip(got.winners, want.winners):
+                        assert got_layer.keys() == want_layer.keys()
+                        for d, (slots, live) in want_layer.items():
+                            assert got_layer[d][0].tobytes() == slots.tobytes()
+                            assert got_layer[d][1].tobytes() == live.tobytes()
 
 
 class TestMarginLoss:
@@ -630,7 +684,7 @@ class TestMarginLoss:
         for t, n in (("audiobook", 7), ("podcast", 9)):
             m = rng.normal(size=(n, 6))
             z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
-        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        cache = ForwardCache([], [], {}, z, {})
         pairs = rng.integers(0, 16, size=(40, 2))  # nodes recur as anchors, positives, negatives
         negs = rng.integers(0, 16, size=(40, 5))
         shares = []
@@ -652,7 +706,7 @@ class TestMarginLoss:
         for t, n in (("audiobook", 140), ("podcast", 160)):
             m = rng.normal(size=(n, 6))
             z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
-        cache = ForwardCache([], [], [], [], [], {}, z, {})
+        cache = ForwardCache([], [], {}, z, {})
         pairs = rng.integers(1, 299, size=(150, 2))
         pairs[-1, 1] = 299
         negs = rng.integers(1, 299, size=(150, 4))
@@ -679,6 +733,18 @@ class TestMarginLoss:
             assert hgnn._validate(graph, params, plan, pairs, negs) == (want, n_fallback)
 
 
+def assert_states_equal(got: ForwardCache, want: ForwardCache) -> None:
+    """The same states in every layer, and the same output, in bytes."""
+    assert len(got.h) == len(want.h)
+    for got_layer, want_layer in zip(got.h, want.h):
+        assert got_layer.keys() == want_layer.keys()
+        for t, state in want_layer.items():
+            assert got_layer[t].tobytes() == state.tobytes()
+    for field in ("z", "norms", "fallback"):
+        for t, out in getattr(want, field).items():
+            assert getattr(got, field)[t].tobytes() == out.tobytes()
+
+
 def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
     """Rows of z spanning 1e-8..1e8, with signed-zero columns: any other
     summation order or any other starting value shows in the bytes."""
@@ -687,7 +753,7 @@ def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
         m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
         m[:, ::3] = -0.0
         z[t] = m
-    return ForwardCache([], [], [], [], [], {}, z, {})
+    return ForwardCache([], [], {}, z, {})
 
 
 def assert_scatter_matches_loop(cache, pairs, negs, margin) -> np.ndarray:
@@ -723,9 +789,10 @@ class TestRoutePooled:
     """`_route_pooled` against the `np.nonzero` routing it replaced, in bytes."""
 
     def check(self, p, indptr, indices, grad):
-        pooled, argfirst = _segment_max(np.maximum(p, 0.0), np.asarray(indptr), indices)
-        got = _route_pooled(p, pooled, argfirst, indices, grad)
-        want = route_pooled_nonzero(p, pooled, argfirst, indices, grad)
+        indptr = np.asarray(indptr)
+        pooled, slots = _segment_max(np.maximum(p, 0.0), indptr, indices)
+        got = _route_pooled(indptr, indices, slots, pooled > 0.0, grad, len(p))
+        want = route_pooled_nonzero(p, pooled, argfirst_of(indptr, slots), indices, grad)
         assert got.tobytes() == want.tobytes()
         assert not np.any(np.signbit(got) & (got == 0.0))  # no bin ends at -0.0
         return got
@@ -807,7 +874,7 @@ class TestBackward:
                 _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
                 got = backward_states(graph, params, plan, cache, dz)
                 with monkeypatch.context() as patch:
-                    patch.setattr(hgnn, "_route_pooled", route_pooled_nonzero)
+                    patch.setattr(hgnn, "_route_pooled", route_pooled_by_slots)
                     want = backward_states(graph, params, plan, cache, dz)
                 for key in want:
                     assert got[key].tobytes() == want[key].tobytes(), (seed, variant, key)
@@ -840,11 +907,13 @@ class TestBackward:
             got = forward_states(graph, params, plan)
             want = forward_states_edge_first(graph, params, plan)
             for k in range(params.config.layers):
+                for t in got.h[k + 1]:
+                    assert np.array_equal(got.h[k + 1][t], want.h[k + 1][t])
                 for direction, csr in plan.layers[k].items():
-                    assert np.array_equal(got.pooled[k][direction], want.pooled[k][direction])
-                    assert np.array_equal(got.argfirst[k][direction], want.argfirst[k][direction])
-                    edge_rows = got.agg_pre[k][direction][csr.indices]
-                    assert np.array_equal(edge_rows, want.edge_pre[k][direction])
+                    slots, live = got.winners[k][direction]
+                    argfirst = argfirst_of(csr.indptr, slots)
+                    assert np.array_equal(argfirst, want.argfirst[k][direction])
+                    assert np.array_equal(live, want.pooled[k][direction] > 0.0)
             for t in got.z:
                 assert np.array_equal(got.z[t], want.z[t])
                 assert np.array_equal(got.fallback[t], want.fallback[t])

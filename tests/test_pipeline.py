@@ -431,6 +431,22 @@ class TestStages:
         meta = io.read_json(tmp_path / "split_meta.json")
         assert meta["n_malformed"] == 1
 
+    def test_split_skips_a_line_nested_too_deeply(self, tmp_path, capsys):
+        # was a RecursionError that ended the whole read
+        config = tiny_config()
+        run_stage("synth", config, tmp_path)
+        first, *rest = (tmp_path / "interactions.jsonl").read_text().splitlines(keepends=True)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(first + "[" * 100_000 + "\n" + "".join(rest))
+        config.paths.interactions = str(edited)
+        argv = stage_argv("split", config, tmp_path, tmp_path)
+        with pytest.warns(UserWarning, match="skipped 1 malformed lines .first: line 2: invalid JSON"):
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        meta = io.read_json(tmp_path / "split_meta.json")
+        assert meta["n_malformed"] == 1
+        assert meta["n_train"] + meta["n_holdout"] == len(rest) + 1
+
     def test_podcast_target_mode(self, tmp_path):
         config = tiny_config()
         config.two_tower.target_type = "podcast"
@@ -2038,6 +2054,8 @@ class TestCli:
         [
             ("catalog", "5", "record is not an object"),
             ("catalog", '{"item_id": ', "invalid JSON"),
+            # was the interpreter's recursion error, naming no file
+            ("catalog", "[" * 100_000, "invalid JSON: nested too deeply"),
             ("catalog", json.dumps({**CATALOG_ROW, "item_id": ["x"]}), "item_id must be a non-empty"),
             ("catalog", json.dumps({**CATALOG_ROW, "content_vector": ["a"]}), "could not convert"),
             # was loaded as the genre "['x', 'y']"
@@ -2104,6 +2122,7 @@ class TestCli:
         [
             (b'{"seed": ', "invalid JSON: Expecting value: line 1 column 10 (char 9)"),
             (b'{"seed": 7,\n "graph": {"min_co_users": \xff}}', "2: not UTF-8 text"),
+            (b"[" * 100_000, "invalid JSON: nested too deeply"),
         ],
     )
     def test_unreadable_config_is_one_json_line_naming_it(self, tmp_path, capsys, text, expected):
