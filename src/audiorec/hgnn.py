@@ -20,7 +20,12 @@ The training forward keeps only what backward reads: each layer's states,
 whose positive entries are the node update's ReLU mask, and per pooled
 (segment, column) the winner's slot within its segment and whether the pool
 is positive, one byte each. The relation transforms are rectified in place
-and dropped once pooled.
+and dropped once pooled. Each layer's states are one array in flat-id order,
+so the output `z` is normalized without a copy, and the loss, validation
+and the embedding table read it as it is. `backward_states` consumes the
+cache: each array goes once it has been read for the last time. The
+neighbor-plan layouts, which live as long as their graph, hold the
+adjacency once and their positions as int32.
 """
 
 from __future__ import annotations
@@ -188,18 +193,24 @@ class HgnnParams:
 # ---------------------------------------------------------------------------
 
 
+def _index_type(n: int) -> type:
+    """int32 for values below `n` when they fit in it, else int64. numpy
+    casts an int32 index array to its own index type on use."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass
 class PoolOrder:
     """How `_segment_max` walks the segments of one CSR, which depends only
-    on its row lengths: the nonempty segments `order`, longest first (stable),
-    and where they start (`starts`); per slot s, the `bounds` (lo, hi) of its
-    rows in `positions`, which holds every edge position slot-major, slot s
-    of each segment longer than s in `order`. Segments longer than s form a
-    prefix of `order`, so slot s covers the first hi - lo of them."""
+    on its row lengths: the nonempty segments `order`, longest first
+    (stable); per slot s, the `bounds` (lo, hi) of its rows in `positions`,
+    which holds every edge position slot-major, slot s of each segment
+    longer than s in `order` (int32 where the edges fit). Segments longer
+    than s form a prefix of `order`, so slot s covers the first hi - lo of
+    them, and slot 0 holds where each segment starts."""
 
     indptr: np.ndarray  # the row pointers it was derived from
     order: np.ndarray
-    starts: np.ndarray
     positions: np.ndarray
     bounds: list[tuple[int, int]]
 
@@ -209,16 +220,15 @@ class PoolOrder:
         order = np.argsort(-seg_len, kind="stable")
         lens = seg_len[order]
         order = order[lens > 0]
-        starts = indptr[order]
+        starts = indptr[order].astype(_index_type(int(indptr[-1])))
         longest = int(lens[0]) if len(order) else 0
         counts = np.searchsorted(-lens, -np.arange(longest), side="left").tolist()
         ends = np.cumsum(counts).tolist()
         return cls(
             indptr=indptr,
             order=order,
-            starts=starts,
             positions=np.concatenate(
-                [np.zeros(0, dtype=np.int64)] + [starts[:k] + s for s, k in enumerate(counts)]
+                [starts[:0]] + [starts[:k] + s for s, k in enumerate(counts)]
             ),
             bounds=[(hi - k, hi) for k, hi in zip(counts, ends)],
         )
@@ -243,15 +253,17 @@ class NeighborPlan:
         return order
 
 
-@dataclass
-class _PlanLayout:
-    """What a `sample_plan` draw needs that depends only on the graph and the
-    fanouts, computed once per (graph, fanouts) by `_plan_layout`.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`starts[i] + arange(lengths[i])` for each i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
-    The (layer, direction) adjacencies `parts` are stacked into one CSR.
-    Rows longer than their layer's fanout f keep f neighbors, drawn uniformly
-    without replacement and sorted by neighbor id; shorter rows are kept
-    whole, so their entries sit in `template` from the start.
+
+@dataclass
+class _FloydDraws:
+    """The draw arrays of a `_PlanLayout` that has rows above their fanout:
+    one entry per draw, per Floyd step or per sampled slot, each position or
+    bound int32 where it fits.
 
     Stream contract: each oversized row of population `pop` (its degree)
     takes 2f - 1 draws from one `rng.integers(0, bounds)` call, in row order.
@@ -263,111 +275,154 @@ class _PlanLayout:
     call wherever numpy runs Floyd (`pop <= 10000` or `f <= pop // 50`).
     """
 
-    parts: list[Csr]
-    directions: list[tuple[str, str]]
-    stacked: np.ndarray  # the stacked CSR's indices
+    stacked: np.ndarray  # every direction's adjacency indices, once
     bounds: np.ndarray  # per draw: its exclusive upper bound
     floyd_at: np.ndarray  # which draws are Floyd steps
     step: np.ndarray  # per Floyd step: k
     base: np.ndarray  # per Floyd step: pop - f of its row
     row_start: np.ndarray  # per Floyd step: where its row starts in `stacked`
     j_at: np.ndarray  # per Floyd step: where j_k sits in `stacked`
+    row_key: np.ndarray  # per oversized row: the sum of the populations before it
     pos_bits: int  # bits of a Floyd step's position in the sort keys
     template: np.ndarray  # the sampled indices, kept-whole rows filled in
     slots: np.ndarray  # the positions in `template` that oversized rows fill
-    slot_row: np.ndarray  # per slot: its stacked row << 32
+    slot_row: np.ndarray  # per slot, and per Floyd step: the number of its oversized row
+
+    @classmethod
+    def build(
+        cls, stacked: np.ndarray, degrees: np.ndarray, row_at: np.ndarray, fanout: np.ndarray
+    ) -> "_FloydDraws":
+        """The draws of the rows with these `degrees`, starting at `row_at`
+        in `stacked`, each keeping at most its `fanout` neighbors."""
+        big = degrees > fanout
+        kept = np.where(big, fanout, degrees)
+        sizes, pops = kept[big], degrees[big]
+        n_draws = 2 * sizes - 1
+        pos = np.arange(int(n_draws.sum())) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
+        f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
+        floyd = pos < f
+        position = _index_type(len(stacked))  # degrees and bounds are below it too
+        bounds = np.where(floyd, base + pos + 1, 2 * f - pos).astype(position)
+        floyd_at = np.flatnonzero(floyd)
+        row_start = np.repeat(row_at[big], n_draws)[floyd_at]
+        pos, base = pos[floyd_at], base[floyd_at]
+        slot_in_big = np.repeat(big, kept)
+        template = np.empty(len(slot_in_big), dtype=np.int64)
+        template[~slot_in_big] = stacked[_ranges(row_at[~big], degrees[~big])]
+        return cls(
+            stacked=stacked,
+            bounds=bounds,
+            floyd_at=floyd_at.astype(_index_type(len(floyd))),
+            step=pos.astype(position),
+            base=base.astype(position),
+            row_start=row_start.astype(position),
+            j_at=(row_start + base + pos).astype(position),
+            row_key=np.cumsum(pops) - pops,
+            pos_bits=len(floyd_at).bit_length(),
+            template=template,
+            slots=np.flatnonzero(slot_in_big).astype(_index_type(len(template))),
+            slot_row=np.repeat(np.arange(len(sizes), dtype=_index_type(len(sizes))), sizes),
+        )
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw of every oversized row: the template with its slots
+        filled, each row's picks sorted by neighbor id."""
+        v = rng.integers(0, self.bounds)[self.floyd_at]
+        # Step k yields v_k, or j_k when v_k is already taken: when it
+        # repeats an earlier draw of the row, or equals j_t for an earlier
+        # t whose own draw was taken. Repeats show up as equal neighbors in
+        # sorted (row key + v, step position) keys. A row's key is its own
+        # (the layers share `stacked`); a row's f steps are its f slots.
+        key = np.sort((self.row_key[self.slot_row] + v) << self.pos_bits | np.arange(len(v)))
+        neighbor = key >> self.pos_bits
+        repeats = key[1:][neighbor[1:] == neighbor[:-1]]
+        seen = np.zeros(len(v), dtype=bool)
+        seen[repeats & ((1 << self.pos_bits) - 1)] = True
+        t = v - self.base
+        linked = np.flatnonzero((t >= 0) & (t < self.step))
+        target = linked - self.step[linked] + t[linked]
+        taken, seen_linked = seen.copy(), seen[linked]
+        while True:  # each pass settles one more link of every chain
+            again = seen_linked | taken[target]
+            if np.array_equal(again, taken[linked]):
+                break
+            taken[linked] = again
+        # node ids are below 2**32, so one sort orders by row, then id
+        key = np.left_shift(self.slot_row, 32, dtype=np.int64)
+        key |= self.stacked[np.where(taken, self.j_at, v + self.row_start)]
+        key.sort()
+        key &= 0xFFFFFFFF
+        indices = self.template.copy()
+        indices[self.slots] = key
+        return indices
+
+
+@dataclass
+class _PlanLayout:
+    """What a `sample_plan` draw needs that depends only on the graph and the
+    fanouts, computed once per (graph, fanouts) by `_plan_layout`.
+
+    `parts` holds per (layer, direction) the graph's adjacency, the same
+    objects in every layer. Rows longer than their layer's fanout f keep f
+    neighbors, drawn uniformly without replacement and sorted by neighbor
+    id; shorter rows are kept whole. A part with no oversized row comes back
+    from a draw as its adjacency; the others are drawn by `draws` (see
+    `_FloydDraws` for the stream) into one index array, part i at
+    `sampled[i]` = (its row pointers, lo, hi). A layout with no oversized row
+    holds only its parts and their `PoolOrder`s: `draws` is None. Each
+    direction kept whole shares one `PoolOrder` across the layers.
+    """
+
+    parts: list[Csr]
+    directions: list[tuple[str, str]]
+    draws: _FloydDraws | None
     sampled: list[tuple[np.ndarray, int, int] | None]  # per part: (indptr, lo, hi)
     orders: list[dict[tuple[str, str], PoolOrder]]  # per layer: each part's PoolOrder
 
     @classmethod
     def build(cls, graph: HeteroGraph, fanouts: tuple[int, ...]) -> "_PlanLayout":
         directions = graph.directions()
-        parts = [graph.adj[d] for _ in fanouts for d in directions]
-        n_rows = [len(csr.indptr) - 1 for csr in parts]
-        degrees = np.concatenate([np.zeros(0, dtype=np.int64), *(np.diff(c.indptr) for c in parts)])
-        indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-        stacked = np.concatenate([np.zeros(0, dtype=np.int64), *(c.indices for c in parts)])
-        fanout = np.repeat(np.repeat(np.asarray(fanouts, dtype=np.int64), len(directions)), n_rows)
-        big = degrees > fanout
-        kept = np.where(big, fanout, degrees)
-        sizes, pops = kept[big], degrees[big]
-
-        n_draws = 2 * sizes - 1
-        pos = np.arange(int(n_draws.sum())) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
-        f, base = np.repeat(sizes, n_draws), np.repeat(pops - sizes, n_draws)
-        floyd = pos < f
-        floyd_at = np.flatnonzero(floyd)
-        row_start = np.repeat(indptr[:-1][big], n_draws)
-
-        kept_ptr = np.concatenate(([0], np.cumsum(kept))).astype(np.int64)
-        slot_in_big = np.repeat(big, kept)
-        template = np.empty(int(kept_ptr[-1]), dtype=np.int64)
-        template[~slot_in_big] = stacked[np.repeat(~big, degrees)]
-        sampled, row = [], 0
-        for n in n_rows:
-            entry = None
-            if big[row : row + n].any():
-                lo, hi = int(kept_ptr[row]), int(kept_ptr[row + n])
-                part_ptr = kept_ptr[row : row + n + 1] - lo
+        adjacency = [graph.adj[d] for d in directions]
+        degrees = [np.diff(csr.indptr) for csr in adjacency]
+        # where each direction's indices start in the stacked adjacency
+        offsets = np.cumsum([0] + [len(csr.indices) for csr in adjacency]).tolist()
+        whole: dict[tuple[str, str], PoolOrder] = {}
+        drawn = []  # per drawn part: (degrees, row starts in the stack, fanout)
+        sampled, orders, lo = [], [], 0
+        for f in fanouts:
+            layer_orders = {}
+            for direction, csr, deg, offset in zip(directions, adjacency, degrees, offsets):
+                if deg.max(initial=0) <= f:
+                    sampled.append(None)
+                    if direction not in whole:
+                        whole[direction] = PoolOrder.of(csr.indptr)
+                    layer_orders[direction] = whole[direction]
+                    continue
+                part_ptr = np.concatenate(([0], np.cumsum(np.minimum(deg, f))))
                 part_ptr.setflags(write=False)  # every plan shares it
-                entry = (part_ptr, lo, hi)
-            sampled.append(entry)
-            row += n
-        orders = [
-            PoolOrder.of(part.indptr if entry is None else entry[0])
-            for part, entry in zip(parts, sampled)
-        ]
-        n_dir = len(directions)
+                hi = lo + int(part_ptr[-1])
+                sampled.append((part_ptr, lo, hi))
+                layer_orders[direction] = PoolOrder.of(part_ptr)
+                drawn.append((deg, offset + csr.indptr[:-1], np.full(len(deg), f)))
+                lo = hi
+            orders.append(layer_orders)
+        draws = None
+        if drawn:
+            n_nodes = sum(len(ids) for ids in graph.nodes.values())
+            stacked = np.concatenate([csr.indices for csr in adjacency]).astype(_index_type(n_nodes))
+            draws = _FloydDraws.build(stacked, *(np.concatenate(a) for a in zip(*drawn)))
         return cls(
-            parts=parts,
+            parts=adjacency * len(fanouts),
             directions=directions,
-            stacked=stacked,
-            bounds=np.where(floyd, base + pos + 1, 2 * f - pos),
-            floyd_at=floyd_at,
-            step=pos[floyd_at],
-            base=base[floyd_at],
-            row_start=row_start[floyd_at],
-            j_at=(row_start + base + pos)[floyd_at],
-            pos_bits=len(floyd_at).bit_length(),
-            template=template,
-            slots=np.flatnonzero(slot_in_big),
-            slot_row=np.repeat(np.flatnonzero(big), sizes) << 32,
+            draws=draws,
             sampled=sampled,
-            orders=[
-                dict(zip(directions, orders[i : i + n_dir]))
-                for i in range(0, len(orders), n_dir)
-            ],
+            orders=orders,
         )
 
     def draw(self, rng: np.random.Generator) -> NeighborPlan:
         """One plan: a part with no oversized row comes back as the same
         adjacency object, and a layout with none draws nothing."""
-        indices = self.template
-        if len(self.bounds):
-            v = rng.integers(0, self.bounds)[self.floyd_at]
-            # Step k yields v_k, or j_k when v_k is already taken: when it
-            # repeats an earlier draw of the row, or equals j_t for an earlier
-            # t whose own draw was taken. Repeats show up as equal neighbor
-            # positions in sorted (row start + v, step position) keys.
-            at = self.row_start + v
-            key = np.sort(at << self.pos_bits | np.arange(len(v)))
-            neighbor = key >> self.pos_bits
-            repeats = key[1:][neighbor[1:] == neighbor[:-1]]
-            seen = np.zeros(len(v), dtype=bool)
-            seen[repeats & ((1 << self.pos_bits) - 1)] = True
-            t = v - self.base
-            linked = np.flatnonzero((t >= 0) & (t < self.step))
-            target = linked - self.step[linked] + t[linked]
-            taken, seen_linked = seen.copy(), seen[linked]
-            while True:  # each pass settles one more link of every chain
-                again = seen_linked | taken[target]
-                if np.array_equal(again, taken[linked]):
-                    break
-                taken[linked] = again
-            chosen = self.stacked[np.where(taken, self.j_at, at)]
-            indices = self.template.copy()
-            # node ids are below 2**32, so one sort orders by row, then id
-            indices[self.slots] = np.sort(self.slot_row | chosen) & 0xFFFFFFFF
+        indices = None if self.draws is None else self.draws.draw(rng)
         csrs = [
             part if entry is None else Csr(entry[0], indices[entry[1] : entry[2]])
             for part, entry in zip(self.parts, self.sampled)
@@ -469,32 +524,46 @@ def _segment_max(
 @dataclass
 class ForwardCache:
     """What `backward_states` reads of a forward pass. Per layer k: the
-    states `h[k]` (`h[0]` is the content features), whose positive entries
-    are where the node update's ReLU passed a gradient. In a training
-    forward, per layer k (list position k-1) and direction, `winners` holds
-    two (segment, column) arrays in segment order: the slot of the first
+    states `h[k]` (`h[0]` is the content features; from layer 1 on, each
+    type's rows of one array in flat-id order), whose positive entries are
+    where the node update's ReLU passed a gradient. In a training forward,
+    per layer k (list position k-1) and direction, `winners` holds two
+    (segment, column) arrays in segment order: the slot of the first
     maximizing neighbor within its segment, as `_segment_max` finds it, and
     `live`, where the pooled value is positive, which is exactly where the
     winner's rectified transform passes a gradient. That is one byte each
     per entry below 256 slots; the relation transforms, the pooled values
     and the node update's pre-activations are not kept. `winners` is an
     empty list when the forward pass did not keep it: only training reads
-    it, so validation and embedding forwards skip it."""
+    it, so validation and embedding forwards skip it.
 
-    h: list[dict[str, np.ndarray]]
-    winners: list[dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]]
-    norms: dict[str, np.ndarray]
-    z: dict[str, np.ndarray]
-    fallback: dict[str, np.ndarray]
+    The output is flat: `z` holds every node's normalized output, one
+    (nodes, out_dim) array in flat-id order (see `flat_offsets`), with
+    `norms` and `fallback` (see `optim.l2_normalize`) per row; `rows` gives
+    each node type's rows of them, so `z[rows[t]]` is a view of type t's.
+    `backward_states` consumes the cache: it sets `z`, `norms`, `fallback`,
+    each dropped state and each routed layer's winners to None."""
+
+    h: list[dict[str, np.ndarray] | None]
+    winners: list[dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None]
+    rows: dict[str, slice]
+    z: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    fallback: np.ndarray | None = None
 
 
 def forward_states(
     graph: HeteroGraph, params: HgnnParams, plan: NeighborPlan, *, keep_winners: bool = True
 ) -> ForwardCache:
     """Compute all node states through every layer of the plan; keep the
-    max-pool winners that `backward_states` reads only when `keep_winners`."""
+    max-pool winners that `backward_states` reads only when `keep_winners`.
+    Each layer's states are written into one flat array, so the last one is
+    normalized without a copy."""
     features = {t: graph.features[t] for t in graph.node_types}
-    cache = ForwardCache([features], [], {}, {}, {})
+    sizes = np.cumsum([0] + [len(x) for x in features.values()]).tolist()
+    rows = {t: slice(lo, hi) for t, lo, hi in zip(features, sizes, sizes[1:])}
+    widths = params.config.layer_dims(params.feature_dim)
+    cache = ForwardCache([features], [], rows)
     for k in range(1, params.config.layers + 1):
         h = cache.h[-1]
         winners = {}
@@ -518,15 +587,18 @@ def forward_states(
                 pool_sum[dst_type] += pooled
             else:
                 pool_sum[dst_type] = pooled
-        upd_pre = {t: h[t] @ params.upd_w(k, t).T for t in graph.node_types}
-        for t, total in pool_sum.items():
-            upd_pre[t] += total
-        cache.h.append({t: np.maximum(pre, 0.0, out=pre) for t, pre in upd_pre.items()})
+        width = next((params.upd_w(k, t).shape[0] for t in rows), widths[k])
+        update = np.empty((sizes[-1], width))
+        for t, r in rows.items():
+            np.matmul(h[t], params.upd_w(k, t).T, out=update[r])
+            if t in pool_sum:
+                update[r] += pool_sum.pop(t)
+        np.maximum(update, 0.0, out=update)
+        cache.h.append({t: update[r] for t, r in rows.items()})
         if keep_winners:
             cache.winners.append(winners)
 
-    for t, hf in cache.h[-1].items():
-        cache.z[t], cache.norms[t], cache.fallback[t] = l2_normalize(hf)
+    cache.z, cache.norms, cache.fallback = l2_normalize(update)
     return cache
 
 
@@ -566,8 +638,7 @@ def margin_batch_loss(
     flat ids (see `flat_offsets`). Every sum adds its terms in the order of a
     loop over pairs and, within a pair, over its negatives.
     """
-    types = sorted(cache.z)
-    z = np.concatenate([cache.z[t] for t in types])
+    z = cache.z
     za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     n_pairs, n_neg = negatives.shape
     coef = 1.0 / (n_pairs * n_neg)
@@ -619,8 +690,7 @@ def margin_batch_loss(
     for hi in np.cumsum(np.bincount(rank)).tolist():
         dz[rows[lo:hi]] += sources[src[lo:hi]]
         lo = hi
-    starts = np.cumsum([len(cache.z[t]) for t in types])[:-1]
-    return loss, dict(zip(types, np.split(dz, starts))), active
+    return loss, {t: dz[r] for t, r in cache.rows.items()}, active
 
 
 def _route_pooled(
@@ -641,12 +711,16 @@ def _route_pooled(
     entry (an empty segment, or a winner at or below 0) adds +0.0, which
     changes no bin, as a bin starts at +0.0 and so never holds -0.0. An empty
     segment's position is clipped to the last edge: it may start past it.
+    The positions, their source ids and the bins are one int64 buffer.
     """
     d = grad.shape[1]
     if not len(indices):
         return np.zeros((n_src, d))
-    starts = np.minimum(indptr[:-1], len(indices) - 1)
-    flat = indices[starts[:, None] + slots] * d
+    flat = np.add(np.minimum(indptr[:-1], len(indices) - 1)[:, None], slots, dtype=np.int64)
+    # every position is an edge, so clipping changes none; unlike "raise",
+    # "clip" writes `out` directly, reading each position before its id
+    np.take(indices, flat, out=flat, mode="clip")
+    flat *= d
     flat += np.arange(d)
     weights = np.where(live, grad, 0.0)
     return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n_src * d).reshape(n_src, d)
@@ -659,31 +733,45 @@ def backward_states(
     cache: ForwardCache,
     dz: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss given d(loss)/d(z)."""
+    """Reverse-mode gradients of a scalar loss given d(loss)/d(z) per node
+    type.
+
+    Consumes `cache`, as `Adam.step` consumes its gradients, so the step
+    holds only what is still to be read: `z`, `norms` and `fallback` go once
+    the output gradient is formed; each layer's ReLU mask is applied in
+    place on its state gradient, and its states `h[k]` go once that mask is
+    read; its `winners` go once the layer is routed. The content features
+    `h[0]` stay. A consumed cache is refused: run `forward_states` again."""
     n_layers = params.config.layers
+    if cache.z is None:
+        raise ValueError(
+            "forward cache was consumed by an earlier backward_states; run forward_states again"
+        )
     if not cache.winners:
         raise ValueError(
             "forward cache holds no max-pool winners; build it with keep_winners=True"
         )
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
 
+    z, norms, fallback = cache.z, cache.norms, cache.fallback
+    cache.z = cache.norms = cache.fallback = None
     d_h = {
-        t: l2_normalize_grad(cache.z[t], cache.norms[t], cache.fallback[t], dz[t])
-        for t in graph.node_types
+        t: l2_normalize_grad(z[r], norms[r], fallback[r], dz[t]) for t, r in cache.rows.items()
     }
+    del z, norms, fallback
 
     for k in range(n_layers, 0, -1):
         # layer 1's input is the fixed content features: no gradient flows on
         inner = k > 1
         h_in = cache.h[k - 1]
         d_prev = {t: np.zeros_like(h_in[t]) for t in graph.node_types} if inner else {}
-        d_pool: dict[str, np.ndarray] = {}
         for t in graph.node_types:
-            r = d_h[t] * (cache.h[k][t] > 0.0)
+            r = d_h[t]
+            np.multiply(r, cache.h[k][t] > 0.0, out=r)
             grads[f"upd.W.{k}.{t}"] += r.T @ h_in[t]
             if inner:
                 d_prev[t] += r @ params.upd_w(k, t)
-            d_pool[t] = r
+        cache.h[k] = None
         for direction in graph.directions():
             dst_type, src_type = direction
             rel = rel_key(dst_type, src_type)
@@ -692,13 +780,14 @@ def backward_states(
                 csr.indptr,
                 csr.indices,
                 *cache.winners[k - 1][direction],
-                d_pool[dst_type],
+                d_h[dst_type],
                 len(h_in[src_type]),
             )
             grads[f"agg.W.{k}.{rel}"] += d_p.T @ h_in[src_type]
             grads[f"agg.b.{k}.{rel}"] += d_p.sum(axis=0)
             if inner:
                 d_prev[src_type] += d_p @ params.agg_w(k, rel)
+        cache.winners[k - 1] = None
         d_h = d_prev
     return grads
 
@@ -932,14 +1021,10 @@ def embed_all(graph: HeteroGraph, params: HgnnParams) -> NodeEmbeddingTable:
     cache = forward_states(
         graph, params, _inference_plan(graph, params.config), keep_winners=False
     )
-    ids: list[str] = []
-    mats: list[np.ndarray] = []
-    for t in graph.node_types:
-        ids.extend(graph.nodes[t])
-        mats.append(cache.z[t])
+    # `z` lists the nodes in flat-id order: each type's ids in turn
     return NodeEmbeddingTable(
-        item_ids=ids,
-        matrix=np.concatenate(mats) if mats else np.zeros((0, params.config.out_dim)),
+        item_ids=[item_id for t in graph.node_types for item_id in graph.nodes[t]],
+        matrix=cache.z,
     )
 
 
@@ -981,10 +1066,11 @@ def embed_catalog(
     cache = forward_states(
         isolated, params, NeighborPlan([{}] * params.config.layers), keep_winners=False
     )
-    refs = [isolated.node_ref(i) for i in weight_type]
+    offsets = flat_offsets(isolated)
+    flat = [offsets[t] + j for t, j in map(isolated.node_ref, weight_type)]
     return NodeEmbeddingTable(
         item_ids=table.item_ids + list(weight_type),
-        matrix=np.concatenate([table.matrix, np.stack([cache.z[t][j] for t, j in refs])]),
+        matrix=np.concatenate([table.matrix, cache.z[flat]]),
     )
 
 
@@ -1042,14 +1128,16 @@ def _validate(
     pairs: np.ndarray,
     negatives: np.ndarray,
 ) -> tuple[float, int]:
-    """Validation loss and the number of zero-norm (fallback) output rows; the
-    whole-graph forward cache is dropped on return."""
+    """Validation loss and the number of zero-norm (fallback) output rows.
+    The loss reads only the output, so the forward's states are dropped
+    before it."""
     cache = forward_states(graph, params, plan, keep_winners=False)
-    z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
+    z, n_fallback = cache.z, int(cache.fallback.sum())
+    del cache
     za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     slots = _slot_terms(z, za, zp, negatives, params.config.margin)
     loss, _ = _hinge_loss(np.column_stack([slot_terms for _, slot_terms in slots]))
-    return loss, int(sum(f.sum() for f in cache.fallback.values()))
+    return loss, n_fallback
 
 
 def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainResult:
@@ -1070,8 +1158,7 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
     # Fixed balanced validation set with fixed negatives, comparable across epochs.
     val_pairs = np.zeros((0, 2), dtype=np.int64)
     if any(len(p) > 0 for p in val_pool.values()):
-        val_edges = balanced_edge_sample(graph, rng, edge_pool=val_pool)
-        val_pairs, _ = _directed_pairs(val_edges, offsets)
+        val_pairs, _ = _directed_pairs(balanced_edge_sample(graph, rng, edge_pool=val_pool), offsets)
         val_negs = _sample_negative_refs(exclusion, val_pairs[:, 0], cfg.n_negatives, rng)
     val_plan = _inference_plan(graph, cfg)
 
@@ -1083,13 +1170,15 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
 
     for epoch in range(1, cfg.max_epochs + 1):
         t_start = time.perf_counter()
-        if cfg.balanced_sampler:
-            epoch_edges = balanced_edge_sample(graph, rng, edge_pool=train_pool)
-        else:
-            epoch_edges = _triples(train_pool)
-        edge_pairs, sampled_counts = _directed_pairs(epoch_edges, offsets)
-        edge_pairs = edge_pairs.reshape(-1, 2, 2)
-        order = rng.permutation(len(epoch_edges))
+        # the (rel, i, j) triples are dropped once they are pairs
+        edge_pairs, sampled_counts = _directed_pairs(
+            balanced_edge_sample(graph, rng, edge_pool=train_pool)
+            if cfg.balanced_sampler
+            else _triples(train_pool),
+            offsets,
+        )
+        edge_pairs = edge_pairs.reshape(-1, 2, 2)  # per edge: both directions
+        order = rng.permutation(len(edge_pairs))
         epoch_loss = 0.0
         n_active = n_terms = 0
         n_batches = 0
@@ -1107,7 +1196,7 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
             n_active += int(active.sum())
             n_terms += active.size
             n_batches += 1
-        epoch_loss /= max(1, 2 * len(epoch_edges))
+        epoch_loss /= max(1, 2 * len(edge_pairs))
 
         if len(val_pairs):
             val_loss, fallback_nodes = _validate(graph, params, val_plan, val_pairs, val_negs)

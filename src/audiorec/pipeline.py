@@ -371,6 +371,7 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
         raise PipelineError("no training pairs: no target-type streams in the train window")
     # every train user's history, for serving; the pairs' users train on theirs
     histories = user_histories({r.user_id for r in train}, train, table, cfg, as_of=split_time)
+    del train  # training reads only the pairs and the histories
     histories.save(files["user_features"])
     params, log = train_two_tower(
         pairs,

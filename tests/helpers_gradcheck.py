@@ -136,11 +136,10 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
                 close = (top2[1] - top2[0] < KINK_TOL) & (top2[1] > 0)
                 if np.any(close):
                     return False
-    for t in cache.fallback:
-        if np.any(cache.fallback[t]):
-            return False
+    if np.any(cache.fallback):
+        return False
     margin = params.config.margin
-    z = np.concatenate([cache.z[t] for t in sorted(cache.z)])
+    z = cache.z
     for (a, p), neg in zip(pairs, negs):
         for n in neg:
             if abs(z[n] @ z[a] - z[p] @ z[a] + margin) < KINK_TOL:

@@ -225,24 +225,22 @@ def margin_batch_loss_loop(
     cache: ForwardCache, pairs: np.ndarray, negatives: np.ndarray, margin: float
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Per-pair margin loss over flat ids, one negative at a time."""
-    types = sorted(cache.z)
-    refs = [(t, i) for t in types for i in range(len(cache.z[t]))]
+    refs = [(t, i) for t, r in cache.rows.items() for i in range(r.stop - r.start)]
     z = cache.z
-    dz = {t: np.zeros_like(mat) for t, mat in z.items()}
+    dz = {t: np.zeros_like(z[r]) for t, r in cache.rows.items()}
     n_pairs = len(pairs)
     active = np.zeros(negatives.shape, dtype=bool)
     total = 0.0
     for row, ((a, p), negs) in enumerate(zip(pairs, negatives)):
         a_ref, p_ref = refs[a], refs[p]
-        za = z[a_ref[0]][a_ref[1]]
-        zp = z[p_ref[0]][p_ref[1]]
+        za, zp = z[a], z[p]
         s_pos = za @ zp
         coef = 1.0 / (n_pairs * len(negs))
         d_za = np.zeros_like(za)
         d_sum = 0.0
         for j, n in enumerate(negs):
             n_ref = refs[n]
-            zn = z[n_ref[0]][n_ref[1]]
+            zn = z[n]
             term = zn @ za - s_pos + margin
             if term > 0.0:
                 active[row, j] = True
@@ -326,19 +324,21 @@ def route_pooled_by_slots(
 
 @dataclass
 class EdgeFirstCache:
-    """The cache of `forward_states_edge_first`: the states `h`, `z`, `norms`
-    and `fallback` as in `ForwardCache`; per (layer, direction) the
-    pre-activations `edge_pre`, one row per edge, the pooled values and
-    argfirst; per layer the node update's pre-activations `upd_pre`."""
+    """The cache of `forward_states_edge_first`: the states `h`, and the flat
+    `rows`, `z`, `norms` and `fallback`, as in `ForwardCache`; per (layer,
+    direction) the pre-activations `edge_pre`, one row per edge, the pooled
+    values and argfirst; per layer the node update's pre-activations
+    `upd_pre`."""
 
     h: list[dict[str, np.ndarray]]
     edge_pre: list[dict[tuple[str, str], np.ndarray]]
     pooled: list[dict[tuple[str, str], np.ndarray]]
     argfirst: list[dict[tuple[str, str], np.ndarray]]
     upd_pre: list[dict[str, np.ndarray]]
-    norms: dict[str, np.ndarray]
-    z: dict[str, np.ndarray]
-    fallback: dict[str, np.ndarray]
+    rows: dict[str, slice]
+    norms: np.ndarray
+    z: np.ndarray
+    fallback: np.ndarray
 
 
 def forward_states_edge_first(
@@ -375,13 +375,19 @@ def forward_states_edge_first(
         pooled_all.append(layer_pooled)
         argfirst_all.append(layer_argfirst)
         upd_pre_all.append(layer_upd_pre)
-    norms, z, fallback = {}, {}, {}
-    for t in graph.node_types:  # the library's normalization, unchanged
-        norms[t] = np.linalg.norm(h[n_layers][t], axis=1)
-        fallback[t] = norms[t] < NORM_FLOOR
+    # the library's normalization, one type at a time, then in flat-id order
+    norms = {t: np.linalg.norm(h[n_layers][t], axis=1) for t in graph.node_types}
+    fallback = {t: norms[t] < NORM_FLOOR for t in graph.node_types}
+    z = {}
+    for t in graph.node_types:
         z[t] = h[n_layers][t] / np.where(fallback[t], 1.0, norms[t])[:, None]
         z[t][fallback[t]] = np.eye(1, z[t].shape[1])
-    return EdgeFirstCache(h, edge_pre, pooled_all, argfirst_all, upd_pre_all, norms, z, fallback)
+    sizes = np.cumsum([0] + [len(z[t]) for t in graph.node_types]).tolist()
+    rows = {t: slice(lo, hi) for t, lo, hi in zip(graph.node_types, sizes, sizes[1:])}
+    return EdgeFirstCache(
+        h, edge_pre, pooled_all, argfirst_all, upd_pre_all, rows,
+        *(np.concatenate([part[t] for t in graph.node_types]) for part in (norms, z, fallback)),
+    )
 
 
 def backward_states_add_at(
@@ -397,11 +403,12 @@ def backward_states_add_at(
     grads = {key: np.zeros_like(val) for key, val in params.weights.items()}
     d_h = {t: np.zeros_like(cache.h[n_layers][t]) for t in graph.node_types}
     for t in graph.node_types:
-        ok = ~cache.fallback[t]
+        r = cache.rows[t]
+        ok = ~cache.fallback[r]
         if np.any(ok):
-            zt, g = cache.z[t], dz[t]
+            zt, g = cache.z[r], dz[t]
             inner = np.sum(zt[ok] * g[ok], axis=1, keepdims=True)
-            d_h[t][ok] = (g[ok] - zt[ok] * inner) / cache.norms[t][ok][:, None]
+            d_h[t][ok] = (g[ok] - zt[ok] * inner) / cache.norms[r][ok][:, None]
     for k in range(n_layers, 0, -1):
         d_prev = {t: np.zeros_like(cache.h[k - 1][t]) for t in graph.node_types}
         d_pool: dict[str, np.ndarray] = {}
@@ -894,6 +901,8 @@ def parse_line(line: str) -> InteractionRecord | str:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return io.TOO_DEEP
     if not isinstance(obj, dict):
         return "record is not an object"
     problem = _check_interaction(obj)
@@ -947,6 +956,8 @@ def read_jsonl_lines(path, required: tuple[str, ...] = (), parse: Callable | Non
                     out.append(obj if parse is None else parse(obj, line_no))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise ValueError(f"{path}:{line_no}: {io.TOO_DEEP}") from exc
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -173,7 +173,7 @@ def bad_catalog_values(dim: int) -> dict:
 # whole-line texts that are not one JSON object, or are blank
 ODD_LINES = [
     "", "   ", "\t \x0c", "[1, 2]", "[]", "5", '"s"', "null", "true", "{not json", '{"a": ',
-    "[1", "2],{\"a\":1}", "{}",
+    "[1", "2],{\"a\":1}", "{}", "[" * 100_000,  # the last nested past the recursion limit
 ]
 
 

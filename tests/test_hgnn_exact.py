@@ -547,6 +547,21 @@ class TestSegmentMax:
         with pytest.raises(ValueError, match="keep_winners"):
             backward_states(graph, params, plan, cache, dz)
 
+    def test_backward_consumes_the_cache(self):
+        # backward drops the output, every state but the features and every
+        # layer's winners; a second backward over the same cache is refused
+        # with a ValueError naming the cause
+        graph, params, plan, pairs, negs = random_hgnn_instance(0)
+        cache = forward_states(graph, params, plan)
+        features = cache.h[0]
+        _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
+        backward_states(graph, params, plan, cache, dz)
+        assert (cache.z, cache.norms, cache.fallback) == (None, None, None)
+        assert cache.h[0] is features and cache.h[1:] == [None] * params.config.layers
+        assert cache.winners == [None] * params.config.layers
+        with pytest.raises(ValueError, match="consumed by an earlier backward_states"):
+            backward_states(graph, params, plan, cache, dz)
+
 
 def arrays_in(obj):
     """Every array reachable from `obj` through dataclass fields, lists,
@@ -564,20 +579,32 @@ def arrays_in(obj):
             yield from arrays_in(item)
 
 
-def test_training_cache_holds_states_and_one_byte_winners(tmp_path):
+@pytest.fixture(scope="module")
+def default_graph(tmp_path_factory):
+    """The seed-7 default config and the graph its pipeline builds."""
+    config, out = PipelineConfig(seed=7), tmp_path_factory.mktemp("default")
+    for stage in ("synth", "split", "build-graph"):
+        run_stage(stage, config, out)
+    return config, load_graph(out / "graph.bin")
+
+
+def test_training_cache_holds_states_and_one_byte_winners(default_graph):
     # Memory contract on the seed-7 default graph and config: beside the
     # states, the training forward keeps at most 2 bytes per pooled
     # (layer, direction, segment, column) and no per-direction float64 array
-    config = PipelineConfig(seed=7)
-    for stage in ("synth", "split", "build-graph"):
-        run_stage(stage, config, tmp_path)
-    graph = load_graph(tmp_path / "graph.bin")
+    config, graph = default_graph
     feature_dim = int(next(iter(graph.features.values())).shape[1])
     params = HgnnParams.init(config.hgnn, feature_dim, graph.node_types, graph.relations, seed=7)
     plan = sample_plan(graph, config.hgnn.fanouts, np.random.default_rng(7))
     dims = config.hgnn.layer_dims(feature_dim)
 
     cache = forward_states(graph, params, plan)
+    # the output is one flat array, counted once; each type's rows are views
+    n_nodes = sum(len(ids) for ids in graph.nodes.values())
+    assert cache.z.shape == (n_nodes, dims[-1]) and cache.norms.shape == (n_nodes,)
+    assert list(cache.rows) == list(graph.node_types)
+    for t, rows in cache.rows.items():
+        assert len(cache.z[rows]) == len(graph.nodes[t])
     states = sum(a.nbytes for a in arrays_in([cache.h, cache.z, cache.norms, cache.fallback]))
     entries = 0
     assert len(cache.winners) == config.hgnn.layers
@@ -597,13 +624,75 @@ def test_training_cache_holds_states_and_one_byte_winners(tmp_path):
     assert sum(a.nbytes for a in arrays_in(bare)) == states
 
 
+def layout_arrays(layout) -> list[np.ndarray]:
+    """The arrays a `_PlanLayout` holds beside its parts, which are the
+    graph's own adjacency."""
+    return list(arrays_in([layout.draws, layout.sampled, layout.orders]))
+
+
+def test_layout_without_an_oversized_row_holds_only_pool_orders(default_graph):
+    # Memory contract: the validation and embedding layout (cap 500, largest
+    # degree 69) draws nothing, so it keeps no stacked adjacency, template or
+    # draw arrays: per direction one PoolOrder, its segment order (int64,
+    # one entry per nonempty row) and its edge positions (int32)
+    config, graph = default_graph
+    degrees = {d: np.diff(csr.indptr) for d, csr in graph.adj.items()}
+    cap = config.hgnn.full_neighborhood_cap
+    assert max(int(deg.max()) for deg in degrees.values()) <= cap
+    layout = _plan_layout(graph, (cap,))
+    assert layout.draws is None and layout.sampled == [None] * len(degrees)
+    assert layout.parts == [graph.adj[d] for d in graph.directions()]
+    orders = layout.orders[0]
+    for d, csr in graph.adj.items():
+        assert orders[d].indptr is csr.indptr
+        assert orders[d].positions.dtype == np.int32
+    want = sum(8 * int((deg > 0).sum()) + 4 * int(deg.sum()) for deg in degrees.values())
+    arrays = [a for a in layout_arrays(layout) if not any(a is csr.indptr for csr in graph.adj.values())]
+    assert sum(a.nbytes for a in arrays) == want
+
+
+def test_training_layout_holds_the_adjacency_once_with_int32_positions(default_graph):
+    # Memory contract: every layer's parts are the graph's adjacency objects,
+    # the stacked indices hold each adjacency entry once (int32 node ids), and
+    # every position, bound and per-step array is int32, so the draw arrays
+    # come to these bytes exactly
+    config, graph = default_graph
+    fanouts = config.hgnn.fanouts
+    layout = _plan_layout(graph, fanouts)
+    directions = graph.directions()
+    assert layout.parts == [graph.adj[d] for _ in fanouts for d in directions]
+    draws = layout.draws
+    adjacency = np.concatenate([graph.adj[d].indices for d in directions])
+    assert draws.stacked.dtype == np.int32 and np.array_equal(draws.stacked, adjacency)
+    int32 = ("bounds", "floyd_at", "step", "base", "row_start", "j_at", "slots", "slot_row")
+    for name in int32:
+        assert getattr(draws, name).dtype == np.int32, name
+    for layer in layout.orders:
+        for order in layer.values():
+            assert order.positions.dtype == np.int32
+
+    n_draws = n_steps = n_rows = template = 0
+    for f in fanouts:
+        for d in directions:
+            deg = np.diff(graph.adj[d].indptr)
+            big = deg > f
+            if big.any():
+                n_draws += int(big.sum()) * (2 * f - 1)
+                n_steps += int(big.sum()) * f
+                n_rows += int(big.sum())
+                template += int(np.minimum(deg, f).sum())
+    assert n_rows > 0
+    want = 4 * len(adjacency) + 4 * n_draws + 4 * n_steps * (len(int32) - 1) + 8 * n_rows + 8 * template
+    assert sum(a.nbytes for a in arrays_in(draws)) == want
+
+
 class TestPoolOrder:
     """The `PoolOrder` a layout hands its plans against the one derived from
     each CSR alone, and the forward over either."""
 
     @staticmethod
     def assert_orders_equal(got: PoolOrder, want: PoolOrder):
-        for name in ("order", "starts", "positions"):
+        for name in ("order", "positions"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert got.bounds == want.bounds
@@ -684,7 +773,7 @@ class TestMarginLoss:
         for t, n in (("audiobook", 7), ("podcast", 9)):
             m = rng.normal(size=(n, 6))
             z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
-        cache = ForwardCache([], [], {}, z, {})
+        cache = output_cache(z)
         pairs = rng.integers(0, 16, size=(40, 2))  # nodes recur as anchors, positives, negatives
         negs = rng.integers(0, 16, size=(40, 5))
         shares = []
@@ -706,7 +795,7 @@ class TestMarginLoss:
         for t, n in (("audiobook", 140), ("podcast", 160)):
             m = rng.normal(size=(n, 6))
             z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
-        cache = ForwardCache([], [], {}, z, {})
+        cache = output_cache(z)
         pairs = rng.integers(1, 299, size=(150, 2))
         pairs[-1, 1] = 299
         negs = rng.integers(1, 299, size=(150, 4))
@@ -729,8 +818,15 @@ class TestMarginLoss:
                 continue
             cache = forward_states(graph, params, plan)
             want, _, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-            n_fallback = int(sum(f.sum() for f in cache.fallback.values()))
+            n_fallback = int(cache.fallback.sum())
             assert hgnn._validate(graph, params, plan, pairs, negs) == (want, n_fallback)
+
+
+def output_cache(z: dict[str, np.ndarray]) -> ForwardCache:
+    """A cache holding only an output: the rows of `z`'s types, in order."""
+    sizes = np.cumsum([0] + [len(m) for m in z.values()]).tolist()
+    rows = {t: slice(lo, hi) for t, lo, hi in zip(z, sizes, sizes[1:])}
+    return ForwardCache([], [], rows, np.concatenate(list(z.values())))
 
 
 def assert_states_equal(got: ForwardCache, want: ForwardCache) -> None:
@@ -740,9 +836,9 @@ def assert_states_equal(got: ForwardCache, want: ForwardCache) -> None:
         assert got_layer.keys() == want_layer.keys()
         for t, state in want_layer.items():
             assert got_layer[t].tobytes() == state.tobytes()
+    assert got.rows == want.rows
     for field in ("z", "norms", "fallback"):
-        for t, out in getattr(want, field).items():
-            assert getattr(got, field)[t].tobytes() == out.tobytes()
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
@@ -753,14 +849,14 @@ def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
         m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
         m[:, ::3] = -0.0
         z[t] = m
-    return ForwardCache([], [], {}, z, {})
+    return output_cache(z)
 
 
 def assert_scatter_matches_loop(cache, pairs, negs, margin) -> np.ndarray:
     _, dz, active = margin_batch_loss(cache, pairs, negs, margin)
     _, want, want_active = margin_batch_loss_loop(cache, pairs, negs, margin)
     assert np.array_equal(active, want_active)
-    for t in cache.z:
+    for t in cache.rows:
         assert dz[t].tobytes() == want[t].tobytes()  # signed zeros included
     return active
 
@@ -873,6 +969,8 @@ class TestBackward:
                 cache = forward_states(graph, params, plan)
                 _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
                 got = backward_states(graph, params, plan, cache, dz)
+                # backward consumed that cache: the same forward again
+                cache = forward_states(graph, params, plan)
                 with monkeypatch.context() as patch:
                     patch.setattr(hgnn, "_route_pooled", route_pooled_by_slots)
                     want = backward_states(graph, params, plan, cache, dz)
@@ -914,9 +1012,9 @@ class TestBackward:
                     argfirst = argfirst_of(csr.indptr, slots)
                     assert np.array_equal(argfirst, want.argfirst[k][direction])
                     assert np.array_equal(live, want.pooled[k][direction] > 0.0)
-            for t in got.z:
-                assert np.array_equal(got.z[t], want.z[t])
-                assert np.array_equal(got.fallback[t], want.fallback[t])
+            assert got.rows == want.rows
+            assert np.array_equal(got.z, want.z)
+            assert np.array_equal(got.fallback, want.fallback)
 
 
 def test_training_draws_through_the_module_samplers(small_graph, monkeypatch):

@@ -10,6 +10,7 @@ import re
 import shutil
 import struct
 import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiorec import data, io, pipeline
+from audiorec import data, hgnn, io, pipeline
 from audiorec.cli import main
 from audiorec.data import parse_catalog, parse_interactions
 from audiorec.evaluate import holdout_rankings, streamed_items
@@ -1569,6 +1570,26 @@ class TestStaleInputs:
         wanted = {"tower_params.bin", "rec_index.bin", "manifests/train-2t.json", "recommend@10", "rankings"}
         assert wanted <= set(digests)
         assert "hgnn_train_log.jsonl" not in digests
+
+    def test_stage_memory_runs_and_unwraps_the_phases(self, tmp_path):
+        # one line per daily stage, then one per phase it entered; the
+        # wrapped hgnn functions and tracemalloc are left as they were
+        memory = load_script(ROOT / "scripts" / "stage_memory.py")
+        originals = {name: getattr(hgnn, name) for name in memory.PHASES.values()}
+        lines = [line.split() for line in memory.measure(tiny_config(), tmp_path)]
+        assert [line[0] for line in lines if line[1] == "peak"] == list(DAILY)
+        for line in lines:
+            if line[1] == "peak":
+                assert line[3:] == ["wall", line[4], "maxrss", line[6]]
+                assert float(line[2]) > 0 and float(line[4]) > 0 and float(line[6]) > 0
+        hgnn_lines = {line[1]: line for line in lines if line[0] == "train-hgnn"}
+        assert set(hgnn_lines) == {"peak", *memory.PHASES, "first-forward"}
+        phase_peaks = [float(hgnn_lines[phase][3]) for phase in memory.PHASES]
+        assert max(phase_peaks) <= float(hgnn_lines["peak"][2])
+        assert 0 < float(hgnn_lines["first-forward"][2]) < min(phase_peaks)
+        assert {line[1] for line in lines if line[0] == "embed"} == {"peak", "forward", "first-forward"}
+        assert {name: getattr(hgnn, name) for name in originals} == originals
+        assert not tracemalloc.is_tracing()
 
 # chains the manifest walk must judge as its oracle does: (damage, what it hits)
 CHAIN_CASES = [
