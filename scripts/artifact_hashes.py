@@ -12,10 +12,10 @@ The configs are the defaults, `graph.relations=["pp"]`, and the
 perfbench/workloads.py). Each line is `config file sha256`; manifests are
 listed under `manifests/`. The `recommend@10` line hashes the `recommend`
 stage's ids and scores (k=10) for the first 20 train users by id and two
-unseen ids. The `rankings` line hashes every `eval.models` model's
-`holdout_rankings`, built through `pipeline.MODELS` as `evaluate` builds
-them: each ranked list `evaluate` scores, not only the metrics, which can
-hide a change below a user's first hit. `hgnn_train_log.jsonl` is skipped: its
+unseen ids. The `rankings` line hashes what `pipeline.model_rankings`
+returns for `evaluate` to score: every `eval.models` model's filtered ranking
+of each holdout user, not only the metrics, which can hide a change below a
+user's first hit. `hgnn_train_log.jsonl` is skipped: its
 `wall_time` field differs from run to run. BLAS runs on `--blas-threads`
 threads, one by default as in the benchmark: the bytes of a large matrix
 product can depend on how many threads computed it, so compare runs made
@@ -39,11 +39,9 @@ if __name__ == "__main__":  # imported, it leaves the environment as it is
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
 
-from audiorec.data import DatasetSplit, parse_catalog, parse_interactions  # noqa: E402
-from audiorec.evaluate import holdout_rankings  # noqa: E402
-from audiorec.hgnn import NodeEmbeddingTable  # noqa: E402
-from audiorec.io import canonical_json, read_json, sha256_bytes  # noqa: E402
-from audiorec.pipeline import ARTIFACTS, DAILY, MODELS, PipelineConfig, run_stage  # noqa: E402
+from audiorec.data import parse_interactions  # noqa: E402
+from audiorec.io import canonical_json, sha256_bytes  # noqa: E402
+from audiorec.pipeline import ARTIFACTS, DAILY, PipelineConfig, model_rankings, run_stage  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import WORKLOADS  # noqa: E402
@@ -59,26 +57,10 @@ SERVED_USERS, UNSEEN = 20, ["unseen-0", "unseen-1"]
 
 
 def ranking_digest(config: PipelineConfig, out: Path) -> str:
-    """sha256 of each `eval.models` model's `holdout_rankings` over the
-    pipeline's files under `out`."""
+    """sha256 of the rankings `pipeline.model_rankings` gives `evaluate` over
+    the pipeline's files under `out`."""
     files = {key: out / name for key, name in ARTIFACTS.items()}
-    split = DatasetSplit(
-        train=parse_interactions(files["train"]).records,
-        holdout=parse_interactions(files["holdout"]).records,
-        split_time=read_json(files["split_meta"])["split_time"],
-    )
-    catalog = parse_catalog(files["catalog"])
-    table = NodeEmbeddingTable.load(files["embeddings"])
-    tower = config.two_tower
-    rankings = {
-        model: holdout_rankings(
-            MODELS[model](files, split, catalog, table, tower),
-            split,
-            tower.target_type,
-            config.eval.max_rank,
-        )
-        for model in config.eval.models
-    }
+    _, _, rankings = model_rankings(config, files)
     return sha256_bytes(canonical_json(rankings).encode("utf-8"))
 
 

@@ -328,15 +328,21 @@ def timeline_split(
     return DatasetSplit(train=train, holdout=holdout, split_time=int(split_time))
 
 
-def feature_window(
-    records: Iterable[InteractionRecord], window_days: int, as_of: int | None = None
-) -> tuple[int, int]:
-    """`(start, as_of)`: the records that feed features and baselines as of
-    `as_of` are those with `start <= timestamp < as_of`, the `window_days`
-    days before it. `as_of` defaults to one second after the last record."""
+def window_by_user(
+    records: list[InteractionRecord], window_days: int, as_of: int | None = None
+) -> dict[str, list[InteractionRecord]]:
+    """The feature window: each user's records with
+    `as_of - window_days days <= timestamp < as_of`, in log order, which is
+    what the tower features and the baselines read of a user's history.
+    `as_of` defaults to one second after the last record."""
     if as_of is None:
         as_of = max((r.timestamp for r in records), default=0) + 1
-    return as_of - window_days * DAY_SECONDS, as_of
+    start = as_of - window_days * DAY_SECONDS
+    window: dict[str, list[InteractionRecord]] = {}
+    for r in records:
+        if start <= r.timestamp < as_of:
+            window.setdefault(r.user_id, []).append(r)
+    return window
 
 
 def popularity_ranking(
@@ -352,9 +358,9 @@ def popularity_ranking(
 
 
 def user_segments(split: DatasetSplit) -> UserSegments:
-    """Warm users had at least one train-window audiobook interaction of any
-    signal type; cold users had none. Only users appearing in the holdout are
-    segmented."""
+    """Warm users had at least one audiobook interaction of any signal type
+    anywhere in train, not only in the feature window; cold users had none.
+    Only users appearing in the holdout are segmented."""
     holdout_users = {r.user_id for r in split.holdout}
     warm_pool = {
         r.user_id for r in split.train if r.item_type == "audiobook"

@@ -1,10 +1,12 @@
 """Offline ranking metrics over the holdout window, per user segment, plus the
 popularity-tier breakdown.
 
-Recommenders produce a ranked id list per user; the harness removes items the
-user already streamed in the training window, truncates to `eval.max_rank`
-(`MAX_RANK` by default), and scores hit rate, reciprocal rank, and catalog
-coverage.
+Recommenders produce a ranked id list per user; `filtered_recommendations`
+removes the target items the user streamed anywhere in train and truncates to
+`eval.max_rank` (`MAX_RANK` by default). `pipeline.model_rankings` builds
+these filtered rankings for every user with target-type holdout streams, and
+`evaluate` and `tiered_metrics` score them: hit rate, reciprocal rank, and
+catalog coverage.
 """
 
 from __future__ import annotations
@@ -117,16 +119,6 @@ def filtered_recommendations(
     return out
 
 
-def holdout_rankings(
-    recommender, split: DatasetSplit, target_type: str, max_rank: int = MAX_RANK
-) -> dict[str, list[str]]:
-    """The filtered ranking of every user with target-type holdout streams,
-    which both `evaluate` and `tiered_metrics` score."""
-    users = sorted(streamed_items(split.holdout, target_type))
-    consumed = streamed_items(split.train, target_type)
-    return filtered_recommendations(recommender, users, consumed, max_rank)
-
-
 def _score(
     rankings: dict[str, list[str]],
     groups: dict[str, tuple[dict[str, set[str]], set[str]]],
@@ -160,8 +152,8 @@ def evaluate(
     k: int = 10,
     max_rank: int = MAX_RANK,
 ) -> dict[str, MetricsReport]:
-    """Score a recommender's `holdout_rankings` on holdout streams of the
-    target type.
+    """Score a recommender's filtered rankings (`pipeline.model_rankings`)
+    on holdout streams of the target type.
 
     Returns one report per non-empty segment among warm / cold / all. Raises
     when no user is evaluable at all.
@@ -194,7 +186,7 @@ def tiered_metrics(
     k: int = 10,
     max_rank: int = MAX_RANK,
 ) -> dict[str, MetricsReport]:
-    """Per-popularity-tier metrics of a recommender's `holdout_rankings`;
+    """Per-popularity-tier metrics of a recommender's filtered rankings;
     users contribute to every tier containing at least one of their relevant
     items. Tiers 3-5 combine into the reported long tail."""
     relevant = streamed_items(split.holdout, target_type)

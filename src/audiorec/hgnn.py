@@ -38,6 +38,7 @@ import numpy as np
 from .graph import Csr, HeteroGraph, rel_key, rel_types
 from .index import row_dots
 from .io import (
+    PackEntries,
     check_rising,
     check_rows,
     check_rules,
@@ -166,7 +167,15 @@ class HgnnParams:
     def checksum(self) -> str:
         return checksum(self.weights)
 
+    def check(self, source) -> None:
+        """Refuse weights that `config` does not describe: a missing, extra or
+        misshaped weight raises ValueError naming `source` and the array, as
+        `load` refuses a container."""
+        shapes = PackEntries(source, "array", {name: w.shape for name, w in self.weights.items()})
+        check_layout(source, self.layout(), shapes)
+
     def save(self, path) -> None:
+        self.check(path)  # a config that does not describe the weights is not written
         meta = {
             "kind": "hgnn_params",
             "feature_dim": self.feature_dim,
@@ -1147,6 +1156,7 @@ def train_hgnn(graph: HeteroGraph, params: HgnnParams, seed: int) -> HgnnTrainRe
     negatives, then its neighbor plan. The best parameters by validation loss
     are kept; training stops after `patience` epochs without improvement.
     """
+    params.check("hgnn params")
     cfg = params.config
     rng = np.random.default_rng(seed)
     train_pool, val_pool = _split_validation_edges(graph, cfg.val_fraction, rng)

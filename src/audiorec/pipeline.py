@@ -25,8 +25,9 @@ from .data import (
     text_field,
     timeline_split,
     user_segments,
+    window_by_user,
 )
-from .evaluate import evaluate, holdout_rankings, tiered_metrics
+from .evaluate import evaluate, filtered_recommendations, streamed_items, tiered_metrics
 from .graph import REL_KEYS, build_colisten_graph, graph_stats, load_graph, save_graph
 from .hgnn import (
     HgnnConfig,
@@ -366,12 +367,13 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
     catalog = parse_catalog(files["catalog"])
     table = NodeEmbeddingTable.load(files["embeddings"])
     cfg = config.two_tower
-    pairs = build_training_pairs(train, cfg.target_type, cfg.window_days, as_of=split_time)
+    window = window_by_user(train, cfg.window_days, split_time)
+    pairs = build_training_pairs(window, cfg.target_type)
     if not pairs:
         raise PipelineError("no training pairs: no target-type streams in the train window")
     # every train user's history, for serving; the pairs' users train on theirs
-    histories = user_histories({r.user_id for r in train}, train, table, cfg, as_of=split_time)
-    del train  # training reads only the pairs and the histories
+    histories = user_histories({r.user_id for r in train}, window, table, cfg)
+    del train, window  # training reads only the pairs and the histories
     histories.save(files["user_features"])
     params, log = train_two_tower(
         pairs,
@@ -421,35 +423,52 @@ def stage_recommend(
     return _two_tower_recommender(files, user).recommend_scored(user, k)
 
 
-# Each `eval.models` name, with how `evaluate` builds its recommender from the
-# run's files, split, catalog, embedding table and two-tower settings.
+# Each `eval.models` name, with how `model_rankings` builds its recommender
+# from the run's files, catalog, embedding table, feature window and
+# popularity baseline over that window.
 MODELS: dict[str, Callable] = {
-    "two_tower_hgnn": lambda files, split, catalog, table, tower: _two_tower_recommender(files),
-    "popularity": lambda files, split, catalog, table, tower: PopularityRecommender(
-        split.train, catalog, tower.target_type, tower.window_days, split.split_time
+    "two_tower_hgnn": lambda files, catalog, table, window, popular: _two_tower_recommender(files),
+    "popularity": lambda files, catalog, table, window, popular: popular,
+    "content_knn": lambda files, catalog, table, window, popular: content_knn_baseline(
+        window, catalog, popular
     ),
-    "content_knn": lambda files, split, catalog, table, tower: content_knn_baseline(
-        split.train, catalog, tower.target_type, tower.window_days, split.split_time
-    ),
-    "hgnn_knn": lambda files, split, catalog, table, tower: hgnn_knn_baseline(
-        split.train, catalog, table, tower.target_type, tower.window_days, split.split_time
+    "hgnn_knn": lambda files, catalog, table, window, popular: hgnn_knn_baseline(
+        window, table, popular
     ),
 }
 
 
-def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
+def model_rankings(
+    config: PipelineConfig, files: Files
+) -> tuple[DatasetSplit, set[str], dict[str, dict[str, list[str]]]]:
+    """What `evaluate` scores: the split, the target-type catalog ids, and
+    each `eval.models` model's filtered ranking of every user with
+    target-type holdout streams. The feature window (as of the split time),
+    the popularity baseline over it, the users and their consumed items are
+    each built once and shared by every model."""
     catalog = parse_catalog(files["catalog"])
     split = _load_split(files)
-    segments = user_segments(split)
-    target = config.two_tower.target_type
-    catalog_ids = {i for i, it in catalog.items() if it.item_type == target}
+    if not split.train:
+        raise ValueError("popularity baseline needs a non-empty training log")
+    tower = config.two_tower
+    window = window_by_user(split.train, tower.window_days, split.split_time)
+    popular = PopularityRecommender(window, catalog, tower.target_type)
     table = NodeEmbeddingTable.load(files["embeddings"])
-
-    recommenders = {
-        model: MODELS[model](files, split, catalog, table, config.two_tower)
+    users = sorted(streamed_items(split.holdout, tower.target_type))
+    consumed = streamed_items(split.train, tower.target_type)
+    rankings = {
+        model: filtered_recommendations(
+            MODELS[model](files, catalog, table, window, popular), users, consumed, config.eval.max_rank
+        )
         for model in config.eval.models
     }
+    return split, set(popular.item_ids), rankings
 
+
+def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
+    split, catalog_ids, rankings = model_rankings(config, files)
+    segments = user_segments(split)
+    target = config.two_tower.target_type
     report = {
         "config_hash": config.hash(),
         "seed": config.seed,
@@ -457,10 +476,9 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
         "target_type": target,
         "models": {},
     }
-    for model, rec in recommenders.items():
-        rankings = holdout_rankings(rec, split, target, config.eval.max_rank)
+    for model, ranked in rankings.items():
         reports = evaluate(
-            rankings, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank
+            ranked, split, segments, target, catalog_ids, config.eval.k, config.eval.max_rank
         )
         entry = {seg: rep.to_dict() for seg, rep in reports.items()}
         for seg in ("warm", "cold", "all"):
@@ -469,7 +487,7 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
         if config.eval.tiers and model == "two_tower_hgnn":
             try:
                 tiers = tiered_metrics(
-                    rankings, split, target, catalog_ids, config.eval.k, config.eval.max_rank
+                    ranked, split, target, catalog_ids, config.eval.k, config.eval.max_rank
                 )
                 entry["tiers"] = {name: rep.to_dict() for name, rep in tiers.items()}
             except ValueError:

@@ -2,7 +2,10 @@
 and the popularity / content-profile / graph-profile baselines.
 
 Each one's `recommend(user_id, k=None)` returns the first k ids of its
-ranking for the user, the whole ranking when k is None."""
+ranking for the user, the whole ranking when k is None. The baselines read
+the feature window `data.window_by_user` cuts from the train log; the
+profile baselines take their candidate items and their fallback ranking from
+the popularity baseline over that window."""
 
 from __future__ import annotations
 
@@ -10,40 +13,33 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CatalogItem, InteractionRecord, feature_window, popularity_ranking
+from .data import CatalogItem, InteractionRecord, popularity_ranking, window_by_user
 from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
     TowerParams,
     UserHistoryTable,
-    records_by_user,
     user_histories,
     user_inputs,
     user_tower_output,
 )
 
+Window = dict[str, list[InteractionRecord]]  # `data.window_by_user`
+
 
 class PopularityRecommender:
-    """One global ranking by train-window stream count, ties by id, served to
-    every user. Zero-count catalog items trail in id order."""
+    """One global ranking of the target-type catalog items (`item_ids`, in id
+    order) by feature-window stream count, ties by id, served to every user.
+    Zero-count items trail in id order."""
 
     name = "popularity"
 
     def __init__(
-        self,
-        train_records: list[InteractionRecord],
-        catalog: dict[str, CatalogItem],
-        target_type: str = "audiobook",
-        window_days: int = 90,
-        as_of: int | None = None,
+        self, window: Window, catalog: dict[str, CatalogItem], target_type: str = "audiobook"
     ):
-        if not train_records:
-            raise ValueError("popularity baseline needs a non-empty training log")
-        window_start, as_of = feature_window(train_records, window_days, as_of)
+        self.item_ids = sorted(i for i, item in catalog.items() if item.item_type == target_type)
         self.ranking = popularity_ranking(
-            (r for r in train_records if window_start <= r.timestamp < as_of),
-            (i for i, item in catalog.items() if item.item_type == target_type),
-            target_type,
+            (r for records in window.values() for r in records), self.item_ids, target_type
         )
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
@@ -60,30 +56,20 @@ class _ProfileKnnRecommender:
         self,
         name: str,
         vector_of: Callable[[str], np.ndarray | None],
-        train_records: list[InteractionRecord],
-        catalog: dict[str, CatalogItem],
-        target_type: str,
-        window_days: int,
-        as_of: int | None,
+        window: Window,
+        popular: PopularityRecommender,
     ):
         self.name = name
-        window_start, as_of = feature_window(train_records, window_days, as_of)
         self.profiles: dict[str, np.ndarray] = {}
-        for user_id, records in records_by_user(train_records, window_start, as_of).items():
+        for user_id, records in window.items():
             items = sorted({r.item_id for r in records})
             rows = [row for row in map(vector_of, items) if row is not None]
             if rows:
                 self.profiles[user_id] = np.mean(rows, axis=0)
-        item_ids = sorted(
-            i
-            for i, it in catalog.items()
-            if it.item_type == target_type and vector_of(i) is not None
-        )
+        item_ids = [i for i in popular.item_ids if vector_of(i) is not None]
         # built directly: content vectors are not unit norm, as build_index demands
         self.index = RecIndex(np.array(item_ids), np.stack([vector_of(i) for i in item_ids]))
-        self.fallback_ranking = PopularityRecommender(
-            train_records, catalog, target_type, window_days, as_of
-        ).ranking
+        self.fallback_ranking = popular.ranking
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
         profile = self.profiles.get(user_id)
@@ -94,33 +80,20 @@ class _ProfileKnnRecommender:
 
 
 def content_knn_baseline(
-    train_records: list[InteractionRecord],
-    catalog: dict[str, CatalogItem],
-    target_type: str = "audiobook",
-    window_days: int = 90,
-    as_of: int | None = None,
+    window: Window, catalog: dict[str, CatalogItem], popular: PopularityRecommender
 ) -> _ProfileKnnRecommender:
     """Profiles and items in the catalog's content-vector space: only
     target-type catalog items have a vector."""
-    content = {i: it.content_vector for i, it in catalog.items() if it.item_type == target_type}
-    return _ProfileKnnRecommender(
-        "content_knn", content.get, train_records, catalog, target_type, window_days, as_of
-    )
+    content = {i: catalog[i].content_vector for i in popular.item_ids}
+    return _ProfileKnnRecommender("content_knn", content.get, window, popular)
 
 
 def hgnn_knn_baseline(
-    train_records: list[InteractionRecord],
-    catalog: dict[str, CatalogItem],
-    embeddings: NodeEmbeddingTable,
-    target_type: str = "audiobook",
-    window_days: int = 90,
-    as_of: int | None = None,
+    window: Window, embeddings: NodeEmbeddingTable, popular: PopularityRecommender
 ) -> _ProfileKnnRecommender:
     """Profiles and items in the graph embedding space: every item with a
     table row, of any type, has a vector."""
-    return _ProfileKnnRecommender(
-        "hgnn_knn", embeddings.get, train_records, catalog, target_type, window_days, as_of
-    )
+    return _ProfileKnnRecommender("hgnn_knn", embeddings.get, window, popular)
 
 
 class TwoTowerRecommender:
@@ -146,8 +119,9 @@ class TwoTowerRecommender:
         demographics or music vectors."""
         if not train_records:
             raise ValueError("two-tower recommender needs a non-empty training log")
+        window = window_by_user(train_records, params.config.window_days, as_of)
         users = {r.user_id for r in train_records}
-        histories = user_histories(users, train_records, embeddings, params.config, as_of)
+        histories = user_histories(users, window, embeddings, params.config)
         self._setup(params, index, histories, None, None)
 
     @classmethod

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord, feature_window
+from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord
 from .hgnn import NodeEmbeddingTable
 from .io import (
     PackEntries,
@@ -99,37 +99,22 @@ def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.nd
     return np.mean(rows, axis=0)
 
 
-def records_by_user(
-    train_records: list[InteractionRecord], window_start: int, as_of: int
-) -> dict[str, list[InteractionRecord]]:
-    """Each user's records with `window_start <= timestamp < as_of`, in log order:
-    what `user_histories` reads of a user's history."""
-    per_user: dict[str, list[InteractionRecord]] = {}
-    for r in train_records:
-        if window_start <= r.timestamp < as_of:
-            per_user.setdefault(r.user_id, []).append(r)
-    return per_user
-
-
 def user_histories(
     user_ids,
-    train_records: list[InteractionRecord],
+    window: dict[str, list[InteractionRecord]],
     embeddings: NodeEmbeddingTable,
     config: TwoTowerConfig,
-    as_of: int | None = None,
 ) -> "UserHistoryTable":
     """The part of each of `user_ids`' tower input that their interaction
     history fixes, one row per distinct id, for training and serving alike;
-    each row is built from that user's own records in the
-    `config.window_days` window.
+    each row is built from that user's own records in the feature window,
+    `data.window_by_user` over `config.window_days`.
 
     Mean audiobook embeddings cover every signal type inside the window (or
     streams only without `config.use_weak_signals`, which also leaves weak
     signals out of the counts); podcast means cover streams. Users with no
     qualifying history, and every user without `config.use_hgnn_features`,
     get zero mean vectors."""
-    window_start, as_of = feature_window(train_records, config.window_days, as_of)
-    per_user = records_by_user(train_records, window_start, as_of)
     ids = sorted(set(user_ids))
     table = UserHistoryTable(
         ids,
@@ -141,7 +126,7 @@ def user_histories(
         ab_items: set[str] = set()
         pod_items: set[str] = set()
         counts = dict.fromkeys(SIGNALS, 0)
-        for r in per_user.get(user, []):
+        for r in window.get(user, ()):
             if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
                 continue
             counts[r.signal] += 1
@@ -498,19 +483,14 @@ def _batch_loss_and_douts(
 
 
 def build_training_pairs(
-    train_records: list[InteractionRecord],
-    target_type: str = "audiobook",
-    window_days: int = 90,
-    as_of: int | None = None,
+    window: dict[str, list[InteractionRecord]], target_type: str = "audiobook"
 ) -> list[tuple[str, str]]:
-    """Distinct (user, streamed target item) pairs inside the feature window."""
-    window_start, as_of = feature_window(train_records, window_days, as_of)
+    """Distinct (user, streamed target item) pairs of the feature window."""
     pairs = {
-        (r.user_id, r.item_id)
-        for r in train_records
-        if r.signal == "stream"
-        and r.item_type == target_type
-        and window_start <= r.timestamp < as_of
+        (user, r.item_id)
+        for user, records in window.items()
+        for r in records
+        if r.signal == "stream" and r.item_type == target_type
     }
     return sorted(pairs)
 

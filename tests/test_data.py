@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from audiorec.data import (
     DAY_SECONDS,
     InteractionRecord,
-    feature_window,
     parse_catalog,
     parse_interactions,
     record_to_dict,
     save_interactions,
     timeline_split,
     user_segments,
+    window_by_user,
 )
 from audiorec import io, synth
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
@@ -431,15 +431,47 @@ class TestTimelineSplit:
         assert all(r.timestamp >= split_at for r in split.holdout)
 
 
-class TestFeatureWindow:
+class TestWindowByUser:
+    def test_start_is_inclusive_and_as_of_exclusive(self):
+        catalog = make_catalog()
+        as_of = 10 * DAY_SECONDS
+        start = as_of - 3 * DAY_SECONDS
+        records = [
+            stream("u1", "a0", catalog, t=start - 1),
+            stream("u1", "a1", catalog, t=start),
+            stream("u1", "a2", catalog, t=as_of - 1),
+            stream("u1", "a3", catalog, t=as_of),
+        ]
+        assert window_by_user(records, 3, as_of=as_of) == {"u1": records[1:3]}
+
     def test_defaults_to_one_second_after_the_last_record(self):
         catalog = make_catalog()
-        records = [stream("u1", "a1", catalog, t=5 * DAY_SECONDS), stream("u2", "a2", catalog, t=3)]
-        assert feature_window(records, 2) == (3 * DAY_SECONDS + 1, 5 * DAY_SECONDS + 1)
-        assert feature_window([], 1) == (1 - DAY_SECONDS, 1)
+        last = 5 * DAY_SECONDS
+        records = [
+            stream("u1", "a1", catalog, t=last),
+            stream("u2", "a2", catalog, t=3 * DAY_SECONDS),  # outside: the window starts at last + 1 - 2 days
+            stream("u3", "a3", catalog, t=3 * DAY_SECONDS + 1),
+        ]
+        assert window_by_user(records, 2) == {"u1": records[:1], "u3": records[2:]}
+        assert window_by_user(records, 2) == window_by_user(records, 2, as_of=last + 1)
 
-    def test_given_as_of_is_kept(self):
-        assert feature_window([], 3, as_of=10 * DAY_SECONDS) == (7 * DAY_SECONDS, 10 * DAY_SECONDS)
+    def test_keeps_log_order_within_a_user(self):
+        catalog = make_catalog()
+        records = [
+            stream("u1", "a2", catalog, t=50),
+            stream("u2", "a0", catalog, t=10),
+            stream("u1", "a0", catalog, t=20),
+            InteractionRecord("u1", "a1", "audiobook", "follow", 90),
+            stream("u1", "a2", catalog, t=20),
+        ]
+        window = window_by_user(records, 1, as_of=100)
+        assert list(window) == ["u1", "u2"]
+        assert window["u1"] == [records[0], records[2], records[3], records[4]]
+        assert window["u2"] == [records[1]]
+
+    def test_empty_input_gives_an_empty_window(self):
+        assert window_by_user([], 1) == {}
+        assert window_by_user([], 3, as_of=10 * DAY_SECONDS) == {}
 
 
 class TestUserSegments:

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import CatalogItem, DatasetSplit, InteractionRecord, user_segments
+from audiorec.data import (
+    DAY_SECONDS,
+    CatalogItem,
+    DatasetSplit,
+    InteractionRecord,
+    user_segments,
+    window_by_user,
+)
 from audiorec.evaluate import (
     coverage,
     evaluate,
+    filtered_recommendations,
     hit_rate_at_k,
-    holdout_rankings,
     mrr,
     popularity_tiers,
     streamed_items,
@@ -34,9 +41,37 @@ class FixedRecommender:
         return list(self.lists.get(user_id, self.default))[:k]
 
 
+def holdout_rankings(rec, split, target_type):
+    """The filtered ranking of every user with target-type holdout streams,
+    as `pipeline.model_rankings` builds it."""
+    users = sorted(streamed_items(split.holdout, target_type))
+    return filtered_recommendations(rec, users, streamed_items(split.train, target_type))
+
+
 def score(rec, split, segments, target_type, catalog_ids):
-    rankings = holdout_rankings(rec, split, target_type)
-    return evaluate(rankings, split, segments, target_type, catalog_ids)
+    return evaluate(holdout_rankings(rec, split, target_type), split, segments, target_type, catalog_ids)
+
+
+def windowed(train, catalog, target_type="audiobook", window_days=90, as_of=None):
+    """The feature window of `train` and the popularity baseline over it,
+    which the profile baselines share, as `pipeline.model_rankings` builds
+    them."""
+    window = window_by_user(train, window_days, as_of)
+    return window, PopularityRecommender(window, catalog, target_type)
+
+
+def popularity(train, catalog, **window):
+    return windowed(train, catalog, **window)[1]
+
+
+def content_knn(train, catalog):
+    window, popular = windowed(train, catalog)
+    return content_knn_baseline(window, catalog, popular)
+
+
+def hgnn_knn(train, catalog, table):
+    window, popular = windowed(train, catalog)
+    return hgnn_knn_baseline(window, table, popular)
 
 
 class TestHitRate:
@@ -145,7 +180,7 @@ class TestEvaluate:
         relevant = streamed_items(small_split.holdout, "audiobook")
         oracle = FixedRecommender({u: sorted(items) for u, items in relevant.items()})
         ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
-        pop = PopularityRecommender(small_split.train, catalog, "audiobook")
+        pop = popularity(small_split.train, catalog)
         oracle_rep = score(oracle, small_split, segments, "audiobook", ids)
         pop_rep = score(pop, small_split, segments, "audiobook", ids)
         assert oracle_rep["all"].hr_at_k > pop_rep["all"].hr_at_k
@@ -273,13 +308,13 @@ class TestPopularityBaseline:
             + [stream("u2", "a1", catalog, t=0)] * 3
             + [stream("u3", "a2", catalog, t=0)]
         )
-        rec = PopularityRecommender(train, catalog, "audiobook")
+        rec = popularity(train, catalog)
         assert rec.recommend("anyone")[:3] == ["a0", "a1", "a2"]
 
     def test_tie_by_id(self):
         catalog = make_catalog(n_audiobooks=2, n_podcasts=0)
         train = [stream("u1", "a1", catalog, t=0), stream("u2", "a0", catalog, t=0)]
-        rec = PopularityRecommender(train, catalog, "audiobook")
+        rec = popularity(train, catalog)
         assert rec.recommend("u")[:2] == ["a0", "a1"]
 
     def test_tiers_cut_the_ranking_of_a_window_over_all_of_train(self):
@@ -290,8 +325,31 @@ class TestPopularityBaseline:
         train += [InteractionRecord("u0", "a9", "audiobook", "follow", 0)] * 5  # counts nothing
         split = DatasetSplit(train=train, holdout=[], split_time=100)
         audiobooks = {i for i in items if catalog[i].item_type == "audiobook"}
-        ranking = PopularityRecommender(train, catalog, "audiobook", 1, as_of=100).ranking
+        ranking = popularity(train, catalog, window_days=1, as_of=100).ranking
         assert sum(popularity_tiers(split, audiobooks, "audiobook"), []) == ranking
+
+    def test_a_window_after_every_record_ranks_by_id_for_every_baseline(self):
+        # an empty window is not an empty log: nothing is refused
+        catalog = make_catalog(n_audiobooks=3, n_podcasts=2)
+        train = [stream("u1", "a2", catalog, t=0)] * 3 + [stream("u1", "p0", catalog, t=1)]
+        window, popular = windowed(train, catalog, window_days=1, as_of=10 * DAY_SECONDS)
+        assert window == {}
+        assert popular.item_ids == popular.ranking == ["a0", "a1", "a2"]
+        table = NodeEmbeddingTable(sorted(catalog), np.eye(len(catalog)))
+        for knn in (content_knn_baseline(window, catalog, popular), hgnn_knn_baseline(window, table, popular)):
+            assert knn.profiles == {}
+            assert knn.recommend("u1") == knn.recommend("stranger", 2) + ["a2"] == popular.ranking
+
+    def test_profile_baselines_rank_the_popularity_baselines_items(self):
+        catalog = make_catalog(n_audiobooks=4, n_podcasts=2)
+        train = [stream("u1", "a3", catalog, t=5), stream("u1", "p1", catalog, t=6)]
+        window, popular = windowed(train, catalog)
+        table = NodeEmbeddingTable(["a1", "a3", "p1"], np.eye(3))  # a0 and a2 have no row
+        hgnn = hgnn_knn_baseline(window, table, popular)
+        assert hgnn.index.ids.tolist() == ["a1", "a3"]
+        assert hgnn.fallback_ranking is popular.ranking
+        content = content_knn_baseline(window, catalog, popular)
+        assert content.index.ids.tolist() == popular.item_ids == ["a0", "a1", "a2", "a3"]
 
     def test_coverage_is_100_over_catalog(self):
         catalog = make_catalog(n_audiobooks=500, n_podcasts=0)
@@ -299,7 +357,7 @@ class TestPopularityBaseline:
         holdout = [stream(f"u{j}", f"a{j + 1}", catalog, t=99) for j in range(5)]
         split = DatasetSplit(train=train, holdout=holdout, split_time=50)
         segments = user_segments(split)
-        rec = PopularityRecommender(train, catalog, "audiobook")
+        rec = popularity(train, catalog)
         ids = set(catalog)
         reports = score(rec, split, segments, "audiobook", ids)
         # u1's consumed filter shifts its window by one item, so the union is
@@ -333,7 +391,7 @@ class TestContentKnn:
     def test_byte_identical_vectors_tie_in_id_order(self, seed):
         ids, vectors, train = tied_pair_case(seed)
         catalog = {i: CatalogItem(i, "audiobook", v, "en", "g0") for i, v in zip(ids, vectors)}
-        assert_tied_pair_in_id_order(content_knn_baseline(train, catalog).recommend("u1"))
+        assert_tied_pair_in_id_order(content_knn(train, catalog).recommend("u1"))
 
     def test_mean_profile_ranking(self):
         d = {"a0": [1.0, 0.0], "a1": [0.0, 1.0], "a2": [0.707, 0.707]}
@@ -341,7 +399,7 @@ class TestContentKnn:
             k: CatalogItem(k, "audiobook", np.array(v), "en", "g0") for k, v in d.items()
         }
         train = [stream("u1", "a0", catalog, t=0), stream("u1", "a1", catalog, t=1)]
-        rec = content_knn_baseline(train, catalog, "audiobook")
+        rec = content_knn(train, catalog)
         ranked = rec.recommend("u1")
         # profile [0.5, 0.5]: a2 scores 0.707, a0/a1 score 0.5
         assert ranked[0] == "a2"
@@ -355,7 +413,7 @@ class TestContentKnn:
         holdout = [stream("u1", "a1", catalog, t=99)]
         split = DatasetSplit(train=train, holdout=holdout, split_time=50)
         segments = user_segments(split)
-        rec = content_knn_baseline(train, catalog, "audiobook")
+        rec = content_knn(train, catalog)
         # raw ranking puts the consumed a0 first; score() must filter it
         assert rec.recommend("u1")[0] == "a0"
         reports = score(rec, split, segments, "audiobook", set(catalog))
@@ -370,7 +428,7 @@ class TestContentKnn:
             InteractionRecord("u1", "a1", "audiobook", "follow", 0),
             stream("u2", "a0", catalog, t=0),
         ]
-        rec = content_knn_baseline(train, catalog, "audiobook")
+        rec = content_knn(train, catalog)
         assert rec.recommend("u1")[0] == "a1"  # follow shapes the profile
         # zero-interaction user falls back to popularity order (a0 streamed)
         assert rec.recommend("stranger")[0] == "a0"
@@ -382,13 +440,11 @@ class TestHgnnKnn:
         ids, vectors, train = tied_pair_case(seed)
         catalog = make_catalog(n_audiobooks=10, n_podcasts=0)  # its content is not read
         table = NodeEmbeddingTable(ids, vectors)
-        assert_tied_pair_in_id_order(hgnn_knn_baseline(train, catalog, table).recommend("u1"))
+        assert_tied_pair_in_id_order(hgnn_knn(train, catalog, table).recommend("u1"))
 
     def test_profile_in_embedding_space(self, small_split, small_synth, small_embeddings):
         _, catalog = small_synth
-        rec = hgnn_knn_baseline(
-            small_split.train, catalog, small_embeddings, "audiobook"
-        )
+        rec = hgnn_knn(small_split.train, catalog, small_embeddings)
         out = rec.recommend(small_split.train[0].user_id)
         assert out
         assert all(catalog[i].item_type == "audiobook" for i in out)

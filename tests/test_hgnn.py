@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,20 +394,46 @@ class TestTraining:
         last = np.mean([e.train_loss for e in log[-2:]])
         assert last < first
 
-    def test_deterministic_checksum(self, small_graph, small_hgnn_config):
+    def test_deterministic_checksum(self, small_graph):
+        cfg_small = HgnnConfig(
+            hidden_dim=8, out_dim=8, fanouts=(4, 4), n_negatives=2,
+            batch_size=64, max_epochs=2, patience=2,
+        )
         runs = []
         for _ in range(2):
             params = HgnnParams.init(
-                small_hgnn_config, 8, small_graph.node_types, small_graph.relations, seed=7
+                cfg_small, 8, small_graph.node_types, small_graph.relations, seed=7
             )
-            cfg_small = HgnnConfig(
-                hidden_dim=8, out_dim=8, fanouts=(4, 4), n_negatives=2,
-                batch_size=64, max_epochs=2, patience=2,
-            )
-            params.config = cfg_small
             result = train_hgnn(small_graph, params, seed=7)
             runs.append(result.params.checksum())
         assert runs[0] == runs[1]
+
+    def test_weights_the_config_does_not_describe_are_refused(
+        self, small_graph, small_hgnn_config, tmp_path
+    ):
+        # 16-wide weights under a config of 8-wide layers
+        params = HgnnParams.init(
+            small_hgnn_config, 8, small_graph.node_types, small_graph.relations, seed=7
+        )
+        params.config = dataclasses.replace(small_hgnn_config, hidden_dim=8, out_dim=8)
+        first = params.layout()[0][0]
+        shape = re.escape("has shape [16, 8], expected [8, 8]")
+        with pytest.raises(ValueError, match=f"^hgnn params: array '{re.escape(first)}' {shape}"):
+            train_hgnn(small_graph, params, seed=7)
+        path = tmp_path / "hgnn_params.bin"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: array '{re.escape(first)}'"):
+            params.save(path)
+        assert not path.exists()
+        # a missing or an extra weight is refused as well
+        for weights in (
+            {k: v for k, v in params.weights.items() if k != first},
+            {**params.weights, "agg.W.9.aa": np.zeros(1)},
+        ):
+            described = HgnnParams(
+                small_hgnn_config, 8, small_graph.node_types, small_graph.relations, weights
+            )
+            with pytest.raises(ValueError, match="array 'agg.W"):
+                train_hgnn(small_graph, described, seed=7)
 
     def test_balanced_epoch_counts_logged(self, trained_hgnn):
         for entry in trained_hgnn.log:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from audiorec import data, hgnn, io, pipeline
 from audiorec.cli import main
 from audiorec.data import parse_catalog, parse_interactions
-from audiorec.evaluate import holdout_rankings, streamed_items
+from audiorec.evaluate import streamed_items
 from audiorec.graph import load_graph
 from audiorec.hgnn import HgnnParams, NodeEmbeddingTable
 from audiorec.index import load_index
@@ -34,7 +34,7 @@ from audiorec.pipeline import (
     run_pipeline,
     run_stage,
 )
-from audiorec.recommenders import TwoTowerRecommender
+from audiorec.recommenders import PopularityRecommender, TwoTowerRecommender
 from audiorec import two_tower
 from audiorec.two_tower import (
     TowerParams,
@@ -276,6 +276,60 @@ class TestStages:
         for metric in ("hr_at_k", "mrr", "coverage"):
             assert 0.0 <= warm[metric] <= 1.0
 
+    @pytest.mark.parametrize("stage", ["train-2t", "evaluate"])
+    def test_stage_cuts_the_feature_window_once(self, pipeline_run, tmp_path, monkeypatch, stage):
+        # every model, the training pairs and the histories share one window;
+        # the baselines share one popularity ranking
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "window_by_user", counted("window", data.window_by_user))
+        monkeypatch.setattr(
+            pipeline, "PopularityRecommender", counted("popularity", PopularityRecommender)
+        )
+        run_stage(stage, config, run)
+        assert calls == ({"window": 1} if stage == "train-2t" else {"window": 1, "popularity": 1})
+        for name in ("evaluation.json", "tower_params.bin", "user_features.bin"):
+            assert (run / name).read_bytes() == (out / name).read_bytes()
+
+    def test_perfbench_traces_the_evaluation_targets(self, pipeline_run, tmp_path):
+        # perfbench names what it times by `module:qualname`; these four must
+        # resolve and be what `evaluate` calls
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        spans = load_script(ROOT / "perfbench" / "spans.py")
+        workloads = load_script(ROOT / "perfbench" / "workloads.py")
+        wanted = {
+            "recommenders:PopularityRecommender.recommend",
+            "recommenders:_ProfileKnnRecommender.recommend",
+            "evaluate:filtered_recommendations",
+            "evaluate:evaluate",
+        }
+        targets = [t for t in workloads.TRACE_TARGETS if t[0] in wanted]
+        assert {t[0] for t in targets} == wanted
+        recorder = spans.Recorder()
+        try:
+            for target, name, hook in targets:
+                assert recorder.install(target, name, hook), target
+            report = run_stage("evaluate", config, run)
+        finally:
+            recorder.uninstall()
+        models = config.eval.models
+        calls = Counter(recorder.names[i] for i in recorder.name_id)
+        assert calls["evaluate.filtered_recommendations"] == calls["evaluate.evaluate"] == len(models)
+        n_users = report["models"]["popularity"]["all"]["n_users"]
+        for model in ("popularity", "content_knn", "hgnn_knn"):
+            assert recorder.counters[f"evaluate.recommend_calls.{model}"] == n_users
+        assert recorder.absent == []
+
     def test_evaluate_ranks_each_two_tower_user_once(self, pipeline_run, tmp_path, monkeypatch):
         # the segment metrics and the popularity tiers score the same rankings
         config, out = pipeline_run
@@ -306,14 +360,22 @@ class TestStages:
         )
         catalog = parse_catalog(files["catalog"])
         table = NodeEmbeddingTable.load(files["embeddings"])
-        rec = pipeline.MODELS[model](files, split, catalog, table, config.two_tower)
         target = config.two_tower.target_type
+        window = data.window_by_user(split.train, config.two_tower.window_days, split.split_time)
+        rec = pipeline.MODELS[model](
+            files, catalog, table, window, PopularityRecommender(window, catalog, target)
+        )
         users = sorted(streamed_items(split.holdout, target))
         consumed = streamed_items(split.train, target)
         # below, near and above the 24-audiobook catalog
         for max_rank in (1, 5, 20, config.eval.max_rank):
-            got = holdout_rankings(rec, split, target, max_rank)
-            assert got == filtered_recommendations_full(rec, users, consumed, max_rank)
+            limited = config.with_overrides(
+                {"eval": {"models": [model], "max_rank": max_rank, "k": min(config.eval.k, max_rank)}}
+            )
+            got_split, catalog_ids, rankings = pipeline.model_rankings(limited, files)
+            assert rankings == {model: filtered_recommendations_full(rec, users, consumed, max_rank)}
+        assert got_split == split
+        assert catalog_ids == {i for i, item in catalog.items() if item.item_type == target}
 
     def test_user_vector_is_the_tower_output_on_first_and_repeat_calls(self, pipeline_run):
         _, out = pipeline_run
@@ -410,7 +472,7 @@ class TestStages:
         # without graph features both towers see exactly 0.0 in every embedding column
         off = dataclasses.replace(params.config, use_hgnn_features=False)
         off_params = TowerParams(off, params.vocabs, params.dims, params.weights)
-        zeroed = user_histories(users, train, table, off, as_of=split_time)
+        zeroed = user_histories(users, data.window_by_user(train, off.window_days, split_time), table, off)
         _, u_dense = user_inputs(off_params, zeroed, users)
         _, _, i_dense = item_inputs(off_params, catalog, table)
         music, d_c, d = off.music_dim, params.dims["d_c"], table.dim
@@ -1810,6 +1872,55 @@ class TestCli:
         assert len(err_lines) == 1
         payload = json.loads(err_lines[0])
         assert "error" in payload and payload["stage"] == "evaluate"
+
+    def test_a_window_after_every_train_record(self, synth_run, tmp_path, capsys):
+        # an empty feature window is not an empty log: train-2t has no pairs
+        # to train on, but evaluate still scores every baseline
+        config, synth_dir = synth_run
+        records = parse_interactions(synth_dir / "interactions.jsonl").records
+        split_time = max(r.timestamp for r in records) - 14 * data.DAY_SECONDS
+        gap = 30 * data.DAY_SECONDS  # the holdout moves 30 days on, past a 20-day window
+        moved = [
+            r if r.timestamp < split_time else dataclasses.replace(r, timestamp=r.timestamp + gap)
+            for r in records
+        ]
+        data.save_interactions(moved, tmp_path / "interactions.jsonl")
+
+        def config_path(window_days: int) -> str:
+            cfg = config.to_dict()
+            cfg["paths"]["interactions"] = str(tmp_path / "interactions.jsonl")
+            cfg["paths"]["catalog"] = str(synth_dir / "catalog.jsonl")
+            cfg["split"]["split_time"] = split_time + gap
+            cfg["two_tower"]["window_days"] = window_days
+            path = tmp_path / f"window-{window_days}.json"
+            path.write_text(json.dumps(cfg))
+            return str(path)
+
+        narrow, wide = config_path(20), config_path(90)
+        out = str(tmp_path / "run")
+        for stage in ("split", "build-graph", "train-hgnn", "embed"):
+            assert main([stage, "--config", narrow, "--out", out]) == 0
+        error = cli_error(["train-2t", "--config", narrow, "--out", out], capsys)
+        assert error == "no training pairs: no target-type streams in the train window"
+        for stage in ("train-2t", "build-index"):
+            assert main([stage, "--config", wide, "--out", out]) == 0
+        assert main(["evaluate", "--config", narrow, "--out", out]) == 0
+
+        files = {key: pathlib.Path(out) / name for key, name in pipeline.ARTIFACTS.items()}
+        files["catalog"] = synth_dir / "catalog.jsonl"
+        split, catalog_ids, rankings = pipeline.model_rankings(PipelineConfig.load(narrow), files)
+        assert split.train and all(r.timestamp < split_time for r in split.train)
+        target = config.two_tower.target_type
+        users = sorted(streamed_items(split.holdout, target))
+        by_id = SimpleNamespace(recommend=lambda user, k=None: sorted(catalog_ids)[:k])
+        in_id_order = filtered_recommendations_full(
+            by_id, users, streamed_items(split.train, target), config.eval.max_rank
+        )
+        for model in ("popularity", "content_knn", "hgnn_knn"):
+            assert rankings[model] == in_id_order
+        report = io.read_json(files["evaluation"])["models"]
+        assert report["popularity"] == report["content_knn"] == report["hgnn_knn"]
+        assert report["popularity"]["all"]["n_users"] == len(users) > 0
 
     def test_missing_seed_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         _, out = pipeline_run
