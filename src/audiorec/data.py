@@ -3,7 +3,6 @@ warm/cold user segmentation."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -11,6 +10,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 import numpy as np
+
+from . import io
 
 ITEM_TYPES = ("audiobook", "podcast")
 SIGNALS = ("stream", "follow", "preview", "intent_to_pay")
@@ -97,14 +98,12 @@ def _check_interaction(obj: dict) -> str | None:
 
 def _parse_line(line: str) -> InteractionRecord | str:
     """One stripped, non-blank line: the record, or why it is skipped."""
-    from .io import TOO_DEEP
-
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON: {exc.msg}"
     except RecursionError:
-        return TOO_DEEP
+        return io.TOO_DEEP
     if not isinstance(obj, dict):
         return "record is not an object"
     problem = _check_interaction(obj)
@@ -126,8 +125,7 @@ def parse_interactions(path) -> ParsedInteractions:
     reported with their 1-based line number. A file that is not UTF-8 text
     raises ValueError naming it.
     """
-    from .io import not_utf8, scan_line
-
+    scan_line = io.scan_line  # bound once for the per-line loop
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
     try:
@@ -158,7 +156,7 @@ def parse_interactions(path) -> ParsedInteractions:
                 else:
                     records.append(parsed)
     except UnicodeDecodeError as exc:
-        raise not_utf8(path) from exc
+        raise io.not_utf8(path) from exc
     return ParsedInteractions(records, diagnostics)
 
 
@@ -176,16 +174,12 @@ def _record_line(rec: InteractionRecord) -> str:
             )
         except TypeError:  # a field that is not a string
             pass
-    from .io import canonical_json
-
-    return canonical_json(record_to_dict(rec))
+    return io.canonical_json(record_to_dict(rec))
 
 
 def save_interactions(records: Iterable[InteractionRecord], path) -> None:
     """One line per record: `io.canonical_json(record_to_dict(record))`."""
-    from .io import write_jsonl
-
-    write_jsonl(records, path, _record_line)
+    io.write_jsonl(records, path, _record_line)
 
 
 def text_field(obj: dict, key: str) -> str:
@@ -197,59 +191,19 @@ def text_field(obj: dict, key: str) -> str:
 
 
 CATALOG_KEYS = ("item_id", "item_type", "content_vector", "language", "genre")
+# the lists a `catalog.bin` header holds, one entry per item in catalog order
+_CATALOG_LISTS = ("item_id", "item_type", "language", "genre")
 
 
 def parse_catalog(path) -> dict[str, CatalogItem]:
-    """Parse a JSON-lines catalog file into a map keyed by item_id.
+    """Parse a JSON-lines catalog file into a map keyed by item_id, in file
+    order, checking one line at a time.
 
     A malformed line, a duplicate id, an id holding a NUL character, a
     content vector that is not a flat, non-empty array of finite numbers or
     whose dimension is unlike the first line's raises ValueError naming the
-    file and the line. The content vectors are rows of one matrix.
+    file and the line.
     """
-    from .io import read_jsonl
-
-    try:
-        rows = read_jsonl(path, CATALOG_KEYS)
-    except ValueError:
-        rows = None
-    catalog = None if rows is None else _catalog_from_rows(rows)
-    # a fault anywhere: read line by line, which names the first faulty line
-    return _parse_catalog_lines(path) if catalog is None else catalog
-
-
-def _catalog_from_rows(rows: list[dict]) -> dict[str, CatalogItem] | None:
-    """The catalog of the objects of every catalog line, in file order, when
-    every line passes the checks `_parse_catalog_lines` makes; else None."""
-    if not rows:
-        return {}
-    ids, types, vectors, languages, genres = (
-        [row[key] for row in rows] for key in CATALOG_KEYS
-    )
-    if not (
-        all(type(v) is str and v for v in (*ids, *languages, *genres))
-        and not any("\x00" in i for i in ids)
-        and len(set(ids)) == len(ids)
-        and all(t in ITEM_TYPES for t in types)
-        and all(type(v) is list for v in vectors)
-        and len(set(map(len, vectors))) == 1
-        and vectors[0]
-        and set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}
-    ):
-        return None
-    try:
-        matrix = np.array(vectors, dtype=np.float64)
-    except OverflowError:
-        return None
-    if not np.isfinite(matrix).all():
-        return None
-    return dict(zip(ids, map(CatalogItem, ids, types, matrix, languages, genres)))
-
-
-def _parse_catalog_lines(path) -> dict[str, CatalogItem]:
-    """`parse_catalog`, checking one line at a time."""
-    from .io import number_vector, read_jsonl
-
     first_line: dict[str, int] = {}
     dim: int | None = None
 
@@ -264,7 +218,7 @@ def _parse_catalog_lines(path) -> dict[str, CatalogItem]:
             )
         if obj["item_type"] not in ITEM_TYPES:
             raise ValueError(f"unknown item_type {obj['item_type']!r}")
-        vec = number_vector("content_vector", obj["content_vector"])
+        vec = io.number_vector("content_vector", obj["content_vector"])
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
@@ -280,13 +234,44 @@ def _parse_catalog_lines(path) -> dict[str, CatalogItem]:
             genre=text_field(obj, "genre"),
         )
 
-    items = read_jsonl(path, CATALOG_KEYS, parse)
+    items = io.read_jsonl(path, CATALOG_KEYS, parse)
     return {item.item_id: item for item in items}
 
 
-def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
-    from .io import write_jsonl
+def save_checked_catalog(catalog: dict[str, CatalogItem], path) -> None:
+    """Packed container of a non-empty catalog `parse_catalog` accepted: its
+    ids, types, languages and genres as header lists in catalog order, its
+    content vectors as the rows of one float64 matrix."""
+    items = catalog.values()
+    meta = {"kind": "catalog", **{key: [getattr(it, key) for it in items] for key in _CATALOG_LISTS}}
+    io.write_pack(path, meta, {"content_vectors": np.stack([it.content_vector for it in items])})
 
+
+def load_checked_catalog(path) -> dict[str, CatalogItem]:
+    """The catalog `save_checked_catalog` wrote, as `parse_catalog` returned
+    it: the same ids in the same order, the same strings and vector bytes.
+    A container of another kind or a damaged one, a header list whose length
+    is not the matrix's row count, a matrix not of float64, an unknown
+    item_type or a repeated id raises ValueError naming the file."""
+    meta, arrays = io.read_pack(path, "catalog")
+    lists = io.meta_values(path, meta, **dict.fromkeys(_CATALOG_LISTS, tuple[str, ...]))
+    io.check_rows(path, arrays.shapes["content_vectors"], **dict(zip(_CATALOG_LISTS, lists)))
+    ids, types, languages, genres = lists
+    vectors = arrays["content_vectors"]
+    if vectors.dtype != np.float64:
+        raise ValueError(f"{path}: content_vectors is {vectors.dtype}, not float64")
+    unknown = set(types) - set(ITEM_TYPES)
+    if unknown:
+        raise ValueError(f"{path}: unknown item_type {min(unknown)!r}")
+    catalog = dict(zip(ids, map(CatalogItem, ids, types, vectors, languages, genres)))
+    if len(catalog) != len(ids):
+        ordered = sorted(ids)
+        repeated = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        raise ValueError(f"{path}: item_id lists {repeated!r} twice")
+    return catalog
+
+
+def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
     rows = [
         {
             "item_id": item.item_id,
@@ -297,7 +282,7 @@ def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
         }
         for item in catalog.values()
     ]
-    write_jsonl(rows, path)
+    io.write_jsonl(rows, path)
 
 
 def timeline_split(

@@ -18,9 +18,11 @@ from . import io
 from .analysis import PAIRINGS, pair_similarity_probe, weak_signal_analysis
 from .data import (
     DatasetSplit,
+    load_checked_catalog,
     parse_catalog,
     parse_interactions,
     save_catalog,
+    save_checked_catalog,
     save_interactions,
     text_field,
     timeline_split,
@@ -180,6 +182,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 ARTIFACTS = {
     "interactions": "interactions.jsonl",
     "catalog": "catalog.jsonl",
+    "checked_catalog": "catalog.bin",
     "train": "train.jsonl",
     "holdout": "holdout.jsonl",
     "split_meta": "split_meta.json",
@@ -328,6 +331,7 @@ def stage_build_graph(config: PipelineConfig, files: Files) -> None:
         relations=config.graph.relations,
     )
     save_graph(graph, files["graph"])
+    save_checked_catalog(catalog, files["checked_catalog"])
     stats = graph_stats(graph)
     io.write_json(
         {
@@ -354,7 +358,7 @@ def stage_train_hgnn(config: PipelineConfig, files: Files) -> None:
 def stage_embed(config: PipelineConfig, files: Files) -> None:
     graph = load_graph(files["graph"])
     params = HgnnParams.load(files["hgnn_params"])
-    catalog = parse_catalog(files["catalog"])
+    catalog = load_checked_catalog(files["checked_catalog"])
     embed_catalog(graph, params, catalog).save(files["embeddings"])
 
 
@@ -364,7 +368,7 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
     demographics = _load_demographics(files.get("demographics"))
     train = parse_interactions(files["train"]).records
     split_time = _split_time(files)
-    catalog = parse_catalog(files["catalog"])
+    catalog = load_checked_catalog(files["checked_catalog"])
     table = NodeEmbeddingTable.load(files["embeddings"])
     cfg = config.two_tower
     window = window_by_user(train, cfg.window_days, split_time)
@@ -391,7 +395,7 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
 
 def stage_build_index(config: PipelineConfig, files: Files) -> None:
     params = TowerParams.load(files["tower_params"])
-    catalog = parse_catalog(files["catalog"])
+    catalog = load_checked_catalog(files["checked_catalog"])
     table = NodeEmbeddingTable.load(files["embeddings"])
     save_index(build_index(export_item_vectors(params, catalog, table)), files["index"])
 
@@ -446,7 +450,7 @@ def model_rankings(
     target-type holdout streams. The feature window (as of the split time),
     the popularity baseline over it, the users and their consumed items are
     each built once and shared by every model."""
-    catalog = parse_catalog(files["catalog"])
+    catalog = load_checked_catalog(files["checked_catalog"])
     split = _load_split(files)
     if not split.train:
         raise ValueError("popularity baseline needs a non-empty training log")
@@ -507,7 +511,7 @@ def stage_weak_signals(config: PipelineConfig, files: Files) -> dict:
 
 
 def stage_probe(config: PipelineConfig, files: Files) -> dict:
-    catalog = parse_catalog(files["catalog"])
+    catalog = load_checked_catalog(files["checked_catalog"])
     graph = load_graph(files["graph"])
     target = config.two_tower.target_type
     content = {
@@ -602,24 +606,29 @@ _USER_FILES = ("music_vectors", "demographics")
 STAGES = {
     "synth": Stage(stage_synth, outputs=("interactions", "catalog")),
     "split": Stage(stage_split, ("interactions",), outputs=("train", "holdout", "split_meta")),
-    "build-graph": Stage(stage_build_graph, ("train", "catalog"), outputs=("graph", "graph_stats")),
+    "build-graph": Stage(
+        stage_build_graph, ("train", "catalog"), outputs=("graph", "checked_catalog", "graph_stats")
+    ),
     "train-hgnn": Stage(
         stage_train_hgnn, ("graph",), outputs=("hgnn_params",), logs=("hgnn_log",)
     ),
-    "embed": Stage(stage_embed, ("graph", "hgnn_params", "catalog"), outputs=("embeddings",)),
+    "embed": Stage(stage_embed, ("graph", "hgnn_params", "checked_catalog"), outputs=("embeddings",)),
     "train-2t": Stage(
         stage_train_2t,
-        ("train", "split_meta", "catalog", "embeddings"),
+        ("train", "split_meta", "checked_catalog", "embeddings"),
         _USER_FILES,
         outputs=("tower_params", "user_features"),
         logs=("tower_log",),
     ),
     "build-index": Stage(
-        stage_build_index, ("tower_params", "catalog", "embeddings"), outputs=("index",)
+        stage_build_index, ("tower_params", "checked_catalog", "embeddings"), outputs=("index",)
     ),
     "evaluate": Stage(
         stage_evaluate,
-        ("catalog", "train", "holdout", "split_meta", "embeddings", "tower_params", "user_features", "index"),
+        (
+            "checked_catalog", "train", "holdout", "split_meta",
+            "embeddings", "tower_params", "user_features", "index",
+        ),
         _USER_FILES,
         outputs=("evaluation", "evaluation_csv"),
     ),
@@ -631,7 +640,7 @@ STAGES = {
         outputs=("ablation", "ablation_csv"),
     ),
     "weak-signals": Stage(stage_weak_signals, ("interactions",), outputs=("weak_signals",)),
-    "probe": Stage(stage_probe, ("catalog", "graph"), ("embeddings",), outputs=("probe",)),
+    "probe": Stage(stage_probe, ("checked_catalog", "graph"), ("embeddings",), outputs=("probe",)),
 }
 
 DAILY = tuple(STAGES)[: list(STAGES).index("evaluate") + 1]

@@ -49,8 +49,8 @@ class PopularityRecommender:
 class _ProfileKnnRecommender:
     """Rank the target-type items that `vector_of` gives a vector by dot
     product with the user's profile: the mean vector of the items they touched
-    in the window (streams plus weak signals) that have one. Users without a
-    profile get the popularity order."""
+    in the window (streams plus weak signals) that have one, built when the
+    user is ranked. Users without a profile get the popularity order."""
 
     def __init__(
         self,
@@ -60,23 +60,19 @@ class _ProfileKnnRecommender:
         popular: PopularityRecommender,
     ):
         self.name = name
-        self.profiles: dict[str, np.ndarray] = {}
-        for user_id, records in window.items():
-            items = sorted({r.item_id for r in records})
-            rows = [row for row in map(vector_of, items) if row is not None]
-            if rows:
-                self.profiles[user_id] = np.mean(rows, axis=0)
+        self.vector_of, self.window = vector_of, window
         item_ids = [i for i in popular.item_ids if vector_of(i) is not None]
         # built directly: content vectors are not unit norm, as build_index demands
         self.index = RecIndex(np.array(item_ids), np.stack([vector_of(i) for i in item_ids]))
         self.fallback_ranking = popular.ranking
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
-        profile = self.profiles.get(user_id)
-        if profile is None:
+        items = sorted({r.item_id for r in self.window.get(user_id, ())})
+        rows = [row for row in map(self.vector_of, items) if row is not None]
+        if not rows:
             return self.fallback_ranking[:k]
         k = len(self.index) if k is None else k
-        return [item_id for item_id, _ in query_topk(self.index, profile, k)]
+        return [item_id for item_id, _ in query_topk(self.index, np.mean(rows, axis=0), k)]
 
 
 def content_knn_baseline(

@@ -29,10 +29,9 @@ that set out once per walk. Both must resolve the same files and digests, or
 refuse with the same text.
 `parse_interactions_lines`, `read_jsonl_lines` and `parse_catalog_lines`
 decode and check one line at a time through `json.loads`, where the library
-scans each line once and tests a record's fields in one expression, and the
-catalog's vectors as one matrix. `build_colisten_graph_loop` counts every
-item pair of every user in a dict, where the library codes pairs as integers
-and counts them with `np.unique`. Both sides must give equal records and
+scans each line once and tests a record's fields in one expression.
+`build_colisten_graph_loop` counts every item pair of every user in a dict,
+where the library codes pairs as integers and counts them with `np.unique`. Both sides must give equal records and
 diagnostics, equal catalogs or the same error, and byte-equal graphs.
 
 The edge-first forward and its row-wise `np.add.at` backward run every

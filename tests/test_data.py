@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from audiorec.data import (
     DAY_SECONDS,
     InteractionRecord,
+    load_checked_catalog,
     parse_catalog,
     parse_interactions,
     record_to_dict,
+    save_checked_catalog,
     save_interactions,
     timeline_split,
     user_segments,
@@ -142,6 +144,72 @@ class TestParseCatalog:
         write_lines(p, [cat_line("a1", vec=(1, 0, 0, 0)), cat_line("a2", vec=(1, 0, 0, 0, 0))])
         with pytest.raises(ValueError, match="dimension"):
             parse_catalog(p)
+
+
+CATALOG_META = {
+    "kind": "catalog",
+    "item_id": ["a1", "p1"],
+    "item_type": ["audiobook", "podcast"],
+    "language": ["en", "sv"],
+    "genre": ["g0", "g1"],
+}
+
+
+class TestCheckedCatalog:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_round_trip_is_what_parse_catalog_returned(self, tmp_path, n):
+        lines = [cat_line("a2"), cat_line("p\u00e9", "podcast", (0.1, -2.5, 1e300, 3)), cat_line("a1", lang="sv")]
+        write_lines(tmp_path / "c.jsonl", lines[:n])
+        parsed = parse_catalog(tmp_path / "c.jsonl")
+        save_checked_catalog(parsed, tmp_path / "catalog.bin")
+        loaded = load_checked_catalog(tmp_path / "catalog.bin")
+        assert list(loaded) == list(parsed)
+        for a, b in zip(loaded.values(), parsed.values()):
+            assert (a.item_id, a.item_type, a.language, a.genre) == (b.item_id, b.item_type, b.language, b.genre)
+            assert {type(a.item_id), type(a.item_type), type(a.language), type(a.genre)} == {str}
+            assert a.content_vector.dtype == np.float64
+            assert a.content_vector.tobytes() == b.content_vector.tobytes()
+
+    def test_reads_into_buffers_it_owns(self, tmp_path):
+        write_lines(tmp_path / "c.jsonl", [cat_line("a1"), cat_line("a2")])
+        save_checked_catalog(parse_catalog(tmp_path / "c.jsonl"), tmp_path / "catalog.bin")
+        loaded = load_checked_catalog(tmp_path / "catalog.bin")
+        (tmp_path / "catalog.bin").write_bytes(b"")
+        assert [v.content_vector.tolist() for v in loaded.values()] == [[1.0, 0.0, 0.0, 0.0]] * 2
+        assert all(v.content_vector.base.flags.owndata for v in loaded.values())
+
+    @pytest.mark.parametrize(
+        "meta, vectors, expected",
+        [
+            ({"kind": "embeddings"}, None, "container kind is 'embeddings', expected 'catalog'"),
+            *(
+                ({key: CATALOG_META[key][:1]}, None, f"{key} has 1 entries for 2 matrix rows")
+                for key in ("item_id", "item_type", "language", "genre")
+            ),
+            ({"item_type": ["audiobook", "ebook"]}, None, "unknown item_type 'ebook'"),
+            ({"item_id": ["a1", "a1"]}, None, "item_id lists 'a1' twice"),
+            ({"genre": ["g0", 1]}, None, "meta 'genre' must be"),
+            ({}, np.ones((2, 2), np.float32), "content_vectors is float32, not float64"),
+            ({}, np.ones(2), "matrix has shape [2], not rows x columns"),
+        ],
+        ids=[
+            "kind", "short-item_id", "short-item_type", "short-language", "short-genre",
+            "unknown-type", "repeated-id", "not-a-string", "float32", "1-d",
+        ],
+    )
+    def test_damaged_container_refused_naming_it(self, tmp_path, meta, vectors, expected):
+        path = tmp_path / "catalog.bin"
+        vectors = np.array([[1.0, 0.5], [0.0, 2.0]]) if vectors is None else vectors
+        io.write_pack(path, {**CATALOG_META, **meta}, {"content_vectors": vectors})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
+            load_checked_catalog(path)
+
+    def test_truncated_container_refused_naming_it(self, tmp_path):
+        path = tmp_path / "catalog.bin"
+        io.write_pack(path, CATALOG_META, {"content_vectors": np.eye(2)})
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload for array 'content_vectors'")):
+            load_checked_catalog(path)
 
 
 # A field's values that a check refuses, or that only its type tells apart

@@ -337,7 +337,6 @@ class TestPopularityBaseline:
         assert popular.item_ids == popular.ranking == ["a0", "a1", "a2"]
         table = NodeEmbeddingTable(sorted(catalog), np.eye(len(catalog)))
         for knn in (content_knn_baseline(window, catalog, popular), hgnn_knn_baseline(window, table, popular)):
-            assert knn.profiles == {}
             assert knn.recommend("u1") == knn.recommend("stranger", 2) + ["a2"] == popular.ranking
 
     def test_profile_baselines_rank_the_popularity_baselines_items(self):

@@ -161,6 +161,7 @@ class TestStages:
             "catalog.jsonl",
             "train.jsonl",
             "holdout.jsonl",
+            "catalog.bin",
             "graph.bin",
             "hgnn_params.bin",
             "embeddings.bin",
@@ -201,7 +202,7 @@ class TestStages:
         _, out = pipeline_run
         manifest = io.read_json(out / "manifests" / "evaluate.json")
         assert set(manifest["inputs"]) == {
-            "catalog.jsonl",
+            "catalog.bin",
             "train.jsonl",
             "holdout.jsonl",
             "split_meta.json",
@@ -299,6 +300,49 @@ class TestStages:
         assert calls == ({"window": 1} if stage == "train-2t" else {"window": 1, "popularity": 1})
         for name in ("evaluation.json", "tower_params.bin", "user_features.bin"):
             assert (run / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("overrides", [{}, {"graph": {"relations": ["pp"]}}], ids=["default", "pp-only"])
+    def test_checked_catalog_is_what_parse_catalog_returns(self, synth_run, tmp_path, overrides):
+        config, synth_dir = synth_run
+        config = config.with_overrides(overrides)
+        run = shutil.copytree(synth_dir, tmp_path / "run")
+        for stage in ("split", "build-graph"):
+            run_stage(stage, config, run)
+        parsed = parse_catalog(run / "catalog.jsonl")
+        loaded = data.load_checked_catalog(run / "catalog.bin")
+        assert list(loaded) == list(parsed)
+        for a, b in zip(loaded.values(), parsed.values()):
+            assert (a.item_id, a.item_type, a.language, a.genre) == (b.item_id, b.item_type, b.language, b.genre)
+            assert a.content_vector.dtype == b.content_vector.dtype
+            assert np.array_equal(a.content_vector, b.content_vector)
+        assert "catalog.bin" in io.read_json(run / "manifests" / "build-graph.json")["outputs"]
+
+    def test_pipeline_parses_the_catalog_once(self, tmp_path, monkeypatch):
+        # build-graph checks catalog.jsonl; every later stage loads its checked copy
+        calls = []
+
+        def counted(path):
+            calls.append(pathlib.Path(path).name)
+            return parse_catalog(path)
+
+        monkeypatch.setattr(data, "parse_catalog", counted)
+        monkeypatch.setattr(pipeline, "parse_catalog", counted)
+        run_pipeline(tiny_config(), tmp_path)
+        assert calls == ["catalog.jsonl"]
+        run_stage("probe", tiny_config(), tmp_path)
+        assert calls == ["catalog.jsonl"]
+
+    def test_later_stages_run_without_catalog_jsonl(self, pipeline_run, tmp_path):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        (run / "catalog.jsonl").unlink()
+        written = ("embeddings.bin", "tower_params.bin", "rec_index.bin", "evaluation.json")
+        for name in written:
+            (run / name).unlink()
+        for stage in ("embed", "train-2t", "build-index", "evaluate"):
+            run_stage(stage, config, run)
+        for name in written:
+            assert (run / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_perfbench_traces_the_evaluation_targets(self, pipeline_run, tmp_path):
         # perfbench names what it times by `module:qualname`; these four must
@@ -556,6 +600,7 @@ class TestStages:
 
 
 BINARY_ARTIFACTS = {
+    "catalog.bin": data.load_checked_catalog,
     "embeddings.bin": NodeEmbeddingTable.load,
     "graph.bin": load_graph,
     "rec_index.bin": load_index,
@@ -885,9 +930,11 @@ class TestDamagedArtifacts:
         error = cli_error(stage_argv("train-hgnn", config, run, tmp_path), capsys)
         assert error == f"{run / 'graph.bin'}: {expected}"
 
-    @pytest.mark.parametrize("name", sorted(BINARY_ARTIFACTS))
+    @pytest.mark.parametrize("name", sorted(set(BINARY_ARTIFACTS) - {"catalog.bin"}))
     def test_meta_holds_no_list_with_one_entry_per_row(self, pipeline_run, name):
-        # per-row ids live in id columns; a header holds what the config sizes
+        # per-row ids live in id columns; a header holds what the config sizes.
+        # `catalog.bin` keeps its item lists in the header: it is read whole,
+        # by batch stages only, never by `recommend`
         _, out = pipeline_run
         header, _ = split_container((out / name).read_bytes())
         rows = {entry["shape"][0] for entry in header["arrays"] if entry["shape"]}
@@ -1494,6 +1541,28 @@ class TestStaleInputs:
         assert f"rerun the {pipeline._PRODUCER[key]!r} stage" in error
         assert {p.name: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_rewritten_catalog_bin_stales_embed(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        catalog = data.load_checked_catalog(run / "catalog.bin")
+        data.save_checked_catalog(dict(list(catalog.items())[1:]), run / "catalog.bin")
+        error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
+        assert error == (
+            "stale input 'catalog.bin': it changed after the 'build-graph' stage wrote it; "
+            "rerun the 'build-graph' stage"
+        )
+        assert (run / "embeddings.bin").read_bytes() == (out / "embeddings.bin").read_bytes()
+
+    def test_damaged_catalog_bin_recorded_as_current_is_one_json_line(self, pipeline_run, tmp_path, capsys):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        header, payload = split_container((run / "catalog.bin").read_bytes())
+        header["meta"]["item_id"][1] = header["meta"]["item_id"][0]
+        (run / "catalog.bin").write_bytes(join_container(header, payload))
+        rerecord(run, "catalog.bin")  # embed hashes its inputs
+        error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
+        assert error == f"{run / 'catalog.bin'}: item_id lists {header['meta']['item_id'][0]!r} twice"
+
     def test_user_features_rewritten_after_train_2t_stales_evaluate(self, pipeline_run, tmp_path, capsys):
         # evaluate scores the rows recommend serves, as train-2t wrote them
         config, out = pipeline_run
@@ -1681,7 +1750,7 @@ def damage_chain(run, tmp_path, damage: str, what) -> PipelineConfig:
         manifest.write_bytes(b'{"outputs": "\xff"}')
     elif damage == "not-json":
         manifest.write_text("{")
-    elif damage == "configured":  # a catalog other than the chain's, which the stages read
+    elif damage == "configured":  # a catalog other than the chain's, which build-graph reads
         catalog = tmp_path / "catalog.jsonl"
         catalog.write_bytes((run / "catalog.jsonl").read_bytes() + b"\n")
         for path in (run / "manifests").glob("*.json"):
@@ -1907,7 +1976,6 @@ class TestCli:
         assert main(["evaluate", "--config", narrow, "--out", out]) == 0
 
         files = {key: pathlib.Path(out) / name for key, name in pipeline.ARTIFACTS.items()}
-        files["catalog"] = synth_dir / "catalog.jsonl"
         split, catalog_ids, rankings = pipeline.model_rankings(PipelineConfig.load(narrow), files)
         assert split.train and all(r.timestamp < split_time for r in split.train)
         target = config.two_tower.target_type
