@@ -3,9 +3,11 @@ warm/cold user segmentation."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
@@ -16,6 +18,9 @@ from . import io
 ITEM_TYPES = ("audiobook", "podcast")
 SIGNALS = ("stream", "follow", "preview", "intent_to_pay")
 WEAK_SIGNALS = ("follow", "preview", "intent_to_pay")
+# the codes an `Interactions` log gives these
+STREAM = SIGNALS.index("stream")
+AUDIOBOOK, PODCAST = ITEM_TYPES.index("audiobook"), ITEM_TYPES.index("podcast")
 
 DAY_SECONDS = 86_400
 
@@ -75,47 +80,47 @@ def record_to_dict(rec: InteractionRecord) -> dict:
     }
 
 
+_INTERACTION_KEYS = ("user_id", "item_id", "item_type", "signal", "timestamp")
+# a record's values in `InteractionRecord` field order
+_record_fields = itemgetter(*_INTERACTION_KEYS)
+
+
 def _check_interaction(obj: dict) -> str | None:
-    for key in ("user_id", "item_id", "item_type", "signal", "timestamp"):
-        if key not in obj:
-            return f"missing key {key!r}"
-    for key in ("user_id", "item_id"):
-        if not isinstance(obj[key], str) or not obj[key]:
-            return f"{key} must be a non-empty string"
-        if "\x00" in obj[key]:
-            return f"{key} holds a NUL character"
-    if obj["item_type"] not in ITEM_TYPES:
-        return f"unknown item_type {obj['item_type']!r}"
-    if obj["signal"] not in SIGNALS:
-        return f"unknown signal {obj['signal']!r}"
-    if obj["signal"] in WEAK_SIGNALS and obj["item_type"] != "audiobook":
-        return f"signal {obj['signal']!r} is only valid for audiobooks"
-    ts = obj["timestamp"]
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+    """The first rule a decoded record breaks, or None for a valid one."""
+    try:
+        user, item, item_type, signal, ts = _record_fields(obj)
+    except KeyError:
+        return f"missing key {next(key for key in _INTERACTION_KEYS if key not in obj)!r}"
+    if type(user) is not str or not user:
+        return "user_id must be a non-empty string"
+    if "\x00" in user:
+        return "user_id holds a NUL character"
+    if type(item) is not str or not item:
+        return "item_id must be a non-empty string"
+    if "\x00" in item:
+        return "item_id holds a NUL character"
+    if item_type not in ITEM_TYPES:
+        return f"unknown item_type {item_type!r}"
+    if signal not in SIGNALS:
+        return f"unknown signal {signal!r}"
+    if signal in WEAK_SIGNALS and item_type != "audiobook":
+        return f"signal {signal!r} is only valid for audiobooks"
+    if type(ts) is not int or ts < 0:
         return "timestamp must be a non-negative integer"
     return None
 
 
-def _parse_line(line: str) -> InteractionRecord | str:
-    """One stripped, non-blank line: the record, or why it is skipped."""
+def _undecoded(line: str) -> str:
+    """Why a stripped, non-blank line that `io.scan_line` does not decode to
+    an object is skipped: the fault `json.loads` names, or that its value
+    (`null` included) is not an object."""
     try:
-        obj = json.loads(line)
+        json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON: {exc.msg}"
     except RecursionError:
         return io.TOO_DEEP
-    if not isinstance(obj, dict):
-        return "record is not an object"
-    problem = _check_interaction(obj)
-    if problem is not None:
-        return problem
-    return InteractionRecord(
-        user_id=obj["user_id"],
-        item_id=obj["item_id"],
-        item_type=obj["item_type"],
-        signal=obj["signal"],
-        timestamp=int(obj["timestamp"]),
-    )
+    return "record is not an object"
 
 
 def parse_interactions(path) -> ParsedInteractions:
@@ -135,26 +140,11 @@ def parse_interactions(path) -> ParsedInteractions:
                 if not line:
                     continue
                 obj = scan_line(line)
-                if type(obj) is dict:
-                    user, item = obj.get("user_id"), obj.get("item_id")
-                    item_type, signal, ts = obj.get("item_type"), obj.get("signal"), obj.get("timestamp")
-                    # the record `_check_interaction` accepts, tested at once
-                    if (
-                        type(user) is str and type(item) is str and user and item
-                        and "\x00" not in user and "\x00" not in item
-                        and type(ts) is int and ts >= 0
-                        and (
-                            signal == "stream" and item_type in ITEM_TYPES
-                            or item_type == "audiobook" and signal in WEAK_SIGNALS
-                        )
-                    ):
-                        records.append(InteractionRecord(user, item, item_type, signal, ts))
-                        continue
-                parsed = _parse_line(line)
-                if isinstance(parsed, str):
-                    diagnostics.append(ParseDiagnostic(line_no, parsed))
+                problem = _check_interaction(obj) if type(obj) is dict else _undecoded(line)
+                if problem is None:
+                    records.append(InteractionRecord(*_record_fields(obj)))
                 else:
-                    records.append(parsed)
+                    diagnostics.append(ParseDiagnostic(line_no, problem))
     except UnicodeDecodeError as exc:
         raise io.not_utf8(path) from exc
     return ParsedInteractions(records, diagnostics)
@@ -313,42 +303,237 @@ def timeline_split(
     return DatasetSplit(train=train, holdout=holdout, split_time=int(split_time))
 
 
-def window_by_user(
-    records: list[InteractionRecord], window_days: int, as_of: int | None = None
-) -> dict[str, list[InteractionRecord]]:
-    """The feature window: each user's records with
-    `as_of - window_days days <= timestamp < as_of`, in log order, which is
-    what the tower features and the baselines read of a user's history.
-    `as_of` defaults to one second after the last record."""
-    if as_of is None:
-        as_of = max((r.timestamp for r in records), default=0) + 1
-    start = as_of - window_days * DAY_SECONDS
-    window: dict[str, list[InteractionRecord]] = {}
-    for r in records:
-        if start <= r.timestamp < as_of:
-            window.setdefault(r.user_id, []).append(r)
-    return window
+# the per-record arrays of an `interactions` container, and their dtypes
+_RECORD_ARRAYS = {
+    "user": np.dtype(np.int32),
+    "item": np.dtype(np.int32),
+    "item_type": np.dtype(np.uint8),
+    "signal": np.dtype(np.uint8),
+    "timestamp": np.dtype(np.int64),
+}
 
 
-def popularity_ranking(
-    records: Iterable[InteractionRecord], item_ids: Iterable[str], target_type: str
-) -> list[str]:
-    """`item_ids` by their count of target-type streams in `records`,
+_FIELDS = attrgetter("user_id", "item_id", "item_type", "signal", "timestamp")
+
+
+def _coded(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, rising, and each of `ids` as its int32 position
+    among them."""
+    distinct = sorted(set(ids))
+    position = {i: c for c, i in enumerate(distinct)}
+    return np.array(distinct, dtype=str), np.fromiter(map(position.__getitem__, ids), np.int32, len(ids))
+
+
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """An interaction log as columns: its distinct user and item ids, each
+    rising strictly (code-point order, which is Python's string order), and
+    one entry per record in log order, naming its user and item by their
+    position among those ids, its item type and signal by their position in
+    `ITEM_TYPES` and `SIGNALS`, and its timestamp. A code's order is its id's
+    order, so sorting codes sorts ids."""
+
+    user_ids: np.ndarray
+    item_ids: np.ndarray
+    user: np.ndarray
+    item: np.ndarray
+    item_type: np.ndarray
+    signal: np.ndarray
+    timestamp: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> "Interactions":
+        """The columns of records `parse_interactions` accepted, in their
+        order. A timestamp past the int64 range raises ValueError."""
+        records = list(records)
+        users, items, types, signals, stamps = zip(*map(_FIELDS, records)) if records else ((),) * 5
+        try:
+            timestamp = np.array(stamps, dtype=np.int64)
+        except OverflowError:
+            late = max(records, key=lambda r: r.timestamp)
+            raise ValueError(
+                f"timestamp {late.timestamp} of user {late.user_id!r} on item {late.item_id!r} "
+                "is past the int64 range"
+            ) from None
+        (user_ids, user), (item_ids, item) = _coded(users), _coded(items)
+        type_code = {t: c for c, t in enumerate(ITEM_TYPES)}
+        signal_code = {s: c for c, s in enumerate(SIGNALS)}
+        return cls(
+            user_ids,
+            item_ids,
+            user,
+            item,
+            np.fromiter(map(type_code.__getitem__, types), np.uint8, len(records)),
+            np.fromiter(map(signal_code.__getitem__, signals), np.uint8, len(records)),
+            timestamp,
+        )
+
+    def save(self, path) -> None:
+        """Packed container: the type and signal orders in the header; the ids
+        as `io.id_column`s and the per-record arrays."""
+        arrays = {name: getattr(self, name) for name in _RECORD_ARRAYS}
+        arrays.update(user_ids=io.id_column(self.user_ids), item_ids=io.id_column(self.item_ids))
+        meta = {"kind": "interactions", "item_types": list(ITEM_TYPES), "signals": list(SIGNALS)}
+        io.write_pack(path, meta, arrays)
+
+    @classmethod
+    def load(cls, path) -> "Interactions":
+        """The log `save` wrote. A container of another kind or a damaged
+        one, type or signal orders unlike `ITEM_TYPES` and `SIGNALS`, a
+        per-record array of another dtype or of another length than the
+        others, ids that do not rise strictly or that no record names, a code
+        outside its ids or orders, a weak signal on an item that is not an
+        audiobook, or a negative timestamp raises ValueError naming the
+        file."""
+        meta, arrays = io.read_pack(path, "interactions")
+        for name, dtype in _RECORD_ARRAYS.items():
+            column = arrays[name]
+            if column.dtype != dtype or column.ndim != 1:
+                raise ValueError(f"{path}: {name} is a {column.ndim}-D {column.dtype} array, not 1-D {dtype}")
+        n_records = len(arrays["user"])
+        for name in _RECORD_ARRAYS:
+            column = arrays[name]
+            if len(column) != n_records:
+                raise ValueError(f"{path}: {name} has {len(column)} entries for {n_records} records")
+        ids = {}
+        for name in ("user", "item"):
+            ids[name] = io.column_ids(path, f"{name}_ids", arrays[f"{name}_ids"])
+            io.check_rising(path, f"{name}_ids", ids[name])
+            codes, n = arrays[name], len(ids[name])
+            if n_records and not (codes.min() >= 0 and codes.max() < n):
+                raise ValueError(
+                    f"{path}: {name}_ids has {n} entries for {name} codes "
+                    f"from {codes.min()} to {codes.max()}"
+                )
+            named = np.bincount(codes, minlength=n).astype(bool)
+            if not named.all():
+                raise ValueError(f"{path}: {name}_ids lists {str(ids[name][named.argmin()])!r}, which no record names")
+        orders = io.meta_values(path, meta, item_types=tuple[str, ...], signals=tuple[str, ...])
+        if orders != [list(ITEM_TYPES), list(SIGNALS)]:
+            raise ValueError(f"{path}: meta orders {orders} are not {[list(ITEM_TYPES), list(SIGNALS)]}")
+        log = cls(ids["user"], ids["item"], *(arrays[name] for name in _RECORD_ARRAYS))
+        for name, names in (("item_type", ITEM_TYPES), ("signal", SIGNALS)):
+            codes = getattr(log, name)
+            if n_records and codes.max() >= len(names):
+                raise ValueError(f"{path}: {name} holds a code outside {list(names)}")
+        weak = (log.signal != STREAM) & (log.item_type != AUDIOBOOK)
+        if weak.any():
+            at = int(weak.argmax())
+            raise ValueError(
+                f"{path}: record {at} gives signal {SIGNALS[log.signal[at]]!r} to a "
+                f"{ITEM_TYPES[log.item_type[at]]!r}; it is only valid for audiobooks"
+            )
+        if n_records and log.timestamp.min() < 0:
+            raise ValueError(f"{path}: record {int(log.timestamp.argmin())} has a negative timestamp")
+        return log
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def describe(self, at: int) -> str:
+        """Record `at` as an error message names it: its user and time."""
+        return f"user {str(self.user_ids[self.user[at]])!r}, t={int(self.timestamp[at])}"
+
+    def window(self, window_days: int, as_of: int | None = None) -> "Interactions":
+        """The feature window: the records with
+        `as_of - window_days days <= timestamp < as_of`, in log order, over
+        the log's id columns, which is what the tower features and the
+        baselines read of a user's history. `as_of` defaults to one second
+        after the last record."""
+        if as_of is None:
+            as_of = int(self.timestamp.max()) + 1 if len(self) else 1
+        start = as_of - window_days * DAY_SECONDS
+        keep = (self.timestamp >= start) & (self.timestamp < as_of)
+        return dataclasses.replace(self, **{name: getattr(self, name)[keep] for name in _RECORD_ARRAYS})
+
+    def streams(self, item_type: str) -> np.ndarray:
+        """Which records are streams of an item of `item_type`."""
+        return (self.signal == STREAM) & (self.item_type == ITEM_TYPES.index(item_type))
+
+    def user_items(self, mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (user, item) code pairs of the records `mask` selects
+        (every record by default), sorted by user, then item."""
+        n = max(1, len(self.item_ids))
+        user, item = (self.user, self.item) if mask is None else (self.user[mask], self.item[mask])
+        return np.divmod(np.unique(user.astype(np.int64) * n + item), n)
+
+
+def check_catalog(log: Interactions, catalog: dict[str, CatalogItem], what: str = "interaction") -> np.ndarray:
+    """Each item code's type code in the catalog. The first record, in log
+    order, whose item the catalog lacks raises ValueError naming its user,
+    item and time; then so does the first whose item type is not the
+    catalog's."""
+    listed = [catalog.get(i) for i in log.item_ids.tolist()]
+    known = np.array([item is not None for item in listed], dtype=bool)
+    if not known.all():
+        at = int(known[log.item].argmin())
+        raise ValueError(
+            f"{what} references item {str(log.item_ids[log.item[at]])!r} absent from the catalog "
+            f"({log.describe(at)})"
+        )
+    types = np.array([ITEM_TYPES.index(item.item_type) for item in listed], dtype=np.uint8)
+    wrong = types[log.item] != log.item_type
+    if wrong.any():
+        at = int(wrong.argmax())
+        raise ValueError(
+            f"{what} gives item {str(log.item_ids[log.item[at]])!r} type "
+            f"{ITEM_TYPES[log.item_type[at]]!r}, but the catalog lists it as "
+            f"{ITEM_TYPES[types[log.item[at]]]!r} ({log.describe(at)})"
+        )
+    return types
+
+
+def rows_of(ids: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """The row `index` gives each of `ids`, -1 for an id it lacks."""
+    return np.array([index.get(i, -1) for i in ids.tolist()], dtype=np.int64)
+
+
+def profile_means(
+    log: Interactions, mask: np.ndarray | None, row_of: np.ndarray, matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's mean of the `matrix` rows of the distinct items that their
+    records `mask` selects name and that have one (`row_of` by item code),
+    for the users with one or more. The rows are added in item-id order, one
+    at a time from zero, and divided by their count, as
+    `np.mean(rows, axis=0)` computes it, so each mean has its bytes. Returns
+    the users' codes and their means, one row each."""
+    users, items = log.user_items(mask)
+    rows = row_of[items]
+    users, rows = users[rows >= 0], rows[rows >= 0]
+    starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]]) if len(users) else users
+    counts = np.diff(np.r_[starts, len(users)])
+    sums = matrix[rows[starts]] + 0.0  # `np.add.reduce` starts from +0.0
+    # the k-th rows of every user with more than k, added at once
+    for k in range(1, counts.max(initial=1)):
+        more = np.flatnonzero(counts > k)
+        sums[more] += matrix[rows[starts[more] + k]]
+    return users[starts], sums / counts[:, None]
+
+
+def popularity_ranking(log: Interactions, item_ids: Iterable[str], target_type: str) -> list[str]:
+    """`item_ids` by their count of target-type streams in `log`,
     descending, ties by id."""
-    counts = dict.fromkeys(item_ids, 0)
-    for r in records:
-        if r.signal == "stream" and r.item_type == target_type and r.item_id in counts:
-            counts[r.item_id] += 1
-    return sorted(counts, key=lambda i: (-counts[i], i))
+    counts = np.bincount(log.item[log.streams(target_type)], minlength=len(log.item_ids))
+    count = dict(zip(log.item_ids.tolist(), counts.tolist()))
+    return sorted(set(item_ids), key=lambda i: (-count.get(i, 0), i))
 
 
-def user_segments(split: DatasetSplit) -> UserSegments:
+@dataclass
+class LogSplit:
+    """The train and holdout logs `split` wrote, as columns, and the time
+    between them."""
+
+    train: Interactions
+    holdout: Interactions
+    split_time: int
+
+
+def user_segments(split: LogSplit) -> UserSegments:
     """Warm users had at least one audiobook interaction of any signal type
     anywhere in train, not only in the feature window; cold users had none.
     Only users appearing in the holdout are segmented."""
-    holdout_users = {r.user_id for r in split.holdout}
-    warm_pool = {
-        r.user_id for r in split.train if r.item_type == "audiobook"
-    }
+    train = split.train
+    holdout_users = set(split.holdout.user_ids.tolist())
+    warm_pool = set(train.user_ids[np.unique(train.user[train.item_type == AUDIOBOOK])].tolist())
     warm = holdout_users & warm_pool
     return UserSegments(warm=warm, cold=holdout_users - warm)

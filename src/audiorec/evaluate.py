@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, InteractionRecord, UserSegments, popularity_ranking
+from .data import Interactions, LogSplit, UserSegments, popularity_ranking
 
 MAX_RANK = 100
 N_TIERS = 5  # tiers 3-5 form the reported long tail
@@ -91,13 +91,13 @@ def coverage(
     return len(recommended & catalog) / len(catalog)
 
 
-def streamed_items(records: list[InteractionRecord], target_type: str) -> dict[str, set[str]]:
+def streamed_items(log: Interactions, target_type: str) -> dict[str, set[str]]:
     """Each user's streamed target-type items: the relevant items of a
     holdout, or the consumed items of a train log."""
+    users, items = log.user_items(log.streams(target_type))
     streamed: dict[str, set[str]] = {}
-    for r in records:
-        if r.signal == "stream" and r.item_type == target_type:
-            streamed.setdefault(r.user_id, set()).add(r.item_id)
+    for user, item in zip(log.user_ids[users].tolist(), log.item_ids[items].tolist()):
+        streamed.setdefault(user, set()).add(item)
     return streamed
 
 
@@ -145,7 +145,7 @@ def _score(
 
 def evaluate(
     rankings: dict[str, list[str]],
-    split: DatasetSplit,
+    split: LogSplit,
     segments: UserSegments,
     target_type: str,
     catalog_ids: set[str],
@@ -170,7 +170,7 @@ def evaluate(
 
 
 def popularity_tiers(
-    split: DatasetSplit, catalog_ids: set[str], target_type: str
+    split: LogSplit, catalog_ids: set[str], target_type: str
 ) -> list[list[str]]:
     """Bucket target items into `N_TIERS` equal-count tiers by train stream
     count (descending, id ascending); tier 1 holds the most-streamed items."""
@@ -180,7 +180,7 @@ def popularity_tiers(
 
 def tiered_metrics(
     rankings: dict[str, list[str]],
-    split: DatasetSplit,
+    split: LogSplit,
     target_type: str,
     catalog_ids: set[str],
     k: int = 10,

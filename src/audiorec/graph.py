@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CatalogItem, InteractionRecord
+from .data import ITEM_TYPES, PODCAST, STREAM, CatalogItem, Interactions, check_catalog
 from .io import check_rising, check_rows, column_ids, id_column, meta_values, read_pack, write_pack
 
 REL_KEYS = ("aa", "ap", "pp")
@@ -93,7 +93,7 @@ def _types_for_relations(relations: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def build_colisten_graph(
-    train: list[InteractionRecord],
+    train: Interactions,
     catalog: dict[str, CatalogItem],
     min_co_users: int = 1,
     relations: tuple[str, ...] = REL_KEYS,
@@ -102,9 +102,10 @@ def build_colisten_graph(
 
     Only stream signals create nodes and edges. Edges supported by fewer
     than `min_co_users` distinct users are dropped. Node ordering is
-    lexicographic by item_id within each type.
+    lexicographic by item_id within each type. A record whose item the
+    catalog lacks, or gives another type, is refused (`data.check_catalog`).
     """
-    if not train:
+    if not len(train):
         raise ValueError("cannot build a graph from an empty training log")
     if min_co_users < 1:
         raise ValueError("min_co_users must be >= 1")
@@ -118,25 +119,24 @@ def build_colisten_graph(
             raise ValueError(f"relation {rel!r} is listed twice")
     included_types = _types_for_relations(relations)
 
-    for rec in train:
-        if rec.item_id not in catalog:
-            raise ValueError(
-                f"interaction references item {rec.item_id!r} absent from the catalog "
-                f"(user {rec.user_id!r}, t={rec.timestamp})"
-            )
-    streams = [
-        (rec.user_id, rec.item_id)
-        for rec in train
-        if rec.signal == "stream" and catalog[rec.item_id].item_type in included_types
-    ]
-
-    item_ids = sorted({item_id for _, item_id in streams})
+    types = check_catalog(train, catalog)
+    included = np.array([t in included_types for t in ITEM_TYPES])
+    streams = (train.signal == STREAM) & included[train.item_type]
+    # the streamed items, in id order: a node's code is its position here
+    codes = np.unique(train.item[streams])
+    item_ids = train.item_ids[codes].tolist()
+    node_types = types[codes]
     node_ids: dict[str, list[str]] = {t: [] for t in included_types}
-    for item_id in item_ids:
-        node_ids[catalog[item_id].item_type].append(item_id)
-    is_podcast = np.array([catalog[i].item_type == "podcast" for i in item_ids], dtype=bool)
+    for item_id, code in zip(item_ids, node_types.tolist()):
+        node_ids[ITEM_TYPES[code]].append(item_id)
 
-    edge_arrays = _colisten_edges(streams, item_ids, is_podcast, min_co_users, relations)
+    edge_arrays = _colisten_edges(
+        train.user[streams],
+        np.searchsorted(codes, train.item[streams]),
+        node_types == PODCAST,
+        min_co_users,
+        relations,
+    )
     adj: dict[tuple[str, str], Csr] = {}
     for rel in relations:
         t1, t2 = rel_types(rel)
@@ -167,32 +167,26 @@ def build_colisten_graph(
 
 
 def _colisten_edges(
-    streams: list[tuple[str, str]],
-    item_ids: list[str],
+    users: np.ndarray,
+    items: np.ndarray,
     is_podcast: np.ndarray,
     min_co_users: int,
     relations: tuple[str, ...],
 ) -> dict[str, np.ndarray]:
     """Each relation's `(E, 2)` node-index edges between the streamed items
-    `item_ids` (sorted, `is_podcast` flagging each) that at least
-    `min_co_users` distinct users of `streams` streamed both of, ordered by
-    the first endpoint, then the second: audiobook first in `ap`.
+    (by code in id order, `is_podcast` flagging each) that at least
+    `min_co_users` distinct users stream both of, from the streams' user and
+    item codes `users` and `items`, ordered by the first endpoint, then the
+    second: audiobook first in `ap`.
 
-    An item's code is its position in `item_ids`. The distinct (user, item)
-    stream pairs are sorted by user, then item code, so each user's items
-    are one run in id order. Every pair of positions within one run is a
-    co-listen; `np.unique` counts the users behind each oriented (relation,
-    item, item) key."""
-    n = len(item_ids)
-    code = {item_id: c for c, item_id in enumerate(item_ids)}
+    The distinct (user, item) stream pairs are sorted by user, then item
+    code, so each user's items are one run in id order. Every pair of
+    positions within one run is a co-listen; `np.unique` counts the users
+    behind each oriented (relation, item, item) key."""
+    n = len(is_podcast)
     # an item's index among the nodes of its type, which follow id order too
     local = np.where(is_podcast, np.cumsum(is_podcast), np.cumsum(~is_podcast)) - 1
-    users: dict[str, int] = {}
-    keys = np.array(
-        [users.setdefault(user, len(users)) * n + code[item] for user, item in streams],
-        dtype=np.int64,
-    )
-    keys = np.unique(keys)
+    keys = np.unique(users.astype(np.int64) * n + items)
     user, item = np.divmod(keys, n)
     # each position pairs with every later position of its user's run
     starts = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])

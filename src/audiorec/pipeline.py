@@ -17,7 +17,9 @@ import numpy as np
 from . import io
 from .analysis import PAIRINGS, pair_similarity_probe, weak_signal_analysis
 from .data import (
-    DatasetSplit,
+    Interactions,
+    LogSplit,
+    check_catalog,
     load_checked_catalog,
     parse_catalog,
     parse_interactions,
@@ -27,7 +29,6 @@ from .data import (
     text_field,
     timeline_split,
     user_segments,
-    window_by_user,
 )
 from .evaluate import evaluate, filtered_recommendations, streamed_items, tiered_metrics
 from .graph import REL_KEYS, build_colisten_graph, graph_stats, load_graph, save_graph
@@ -185,6 +186,8 @@ ARTIFACTS = {
     "checked_catalog": "catalog.bin",
     "train": "train.jsonl",
     "holdout": "holdout.jsonl",
+    "train_columns": "train.bin",
+    "holdout_columns": "holdout.bin",
     "split_meta": "split_meta.json",
     "graph": "graph.bin",
     "graph_stats": "graph_stats.json",
@@ -261,10 +264,10 @@ def _split_time(files: Files) -> int:
     return io.read_json(files["split_meta"])["split_time"]
 
 
-def _load_split(files: Files) -> DatasetSplit:
-    train = parse_interactions(files["train"]).records
-    holdout = parse_interactions(files["holdout"]).records
-    return DatasetSplit(train=train, holdout=holdout, split_time=_split_time(files))
+def _load_split(files: Files) -> LogSplit:
+    train = Interactions.load(files["train_columns"])
+    holdout = Interactions.load(files["holdout_columns"])
+    return LogSplit(train=train, holdout=holdout, split_time=_split_time(files))
 
 
 _CSV_METRICS = ("k", "n_users", "hr_at_k", "mrr", "coverage")
@@ -308,8 +311,12 @@ def stage_split(config: PipelineConfig, files: Files) -> None:
         split_time=config.split.split_time,
         holdout_days=config.split.holdout_days,
     )
+    # the checked records as columns, which every later stage reads
+    columns = Interactions.from_records(split.train), Interactions.from_records(split.holdout)
     save_interactions(split.train, files["train"])
     save_interactions(split.holdout, files["holdout"])
+    columns[0].save(files["train_columns"])
+    columns[1].save(files["holdout_columns"])
     io.write_json(
         {
             "split_time": split.split_time,
@@ -322,7 +329,7 @@ def stage_split(config: PipelineConfig, files: Files) -> None:
 
 
 def stage_build_graph(config: PipelineConfig, files: Files) -> None:
-    train = parse_interactions(files["train"]).records
+    train = Interactions.load(files["train_columns"])
     catalog = parse_catalog(files["catalog"])
     graph = build_colisten_graph(
         train,
@@ -366,17 +373,19 @@ def stage_train_2t(config: PipelineConfig, files: Files) -> None:
     # the user files are read first, so one that is refused leaves nothing written
     music_vectors = _load_music_vectors(files.get("music_vectors"))
     demographics = _load_demographics(files.get("demographics"))
-    train = parse_interactions(files["train"]).records
+    train = Interactions.load(files["train_columns"])
     split_time = _split_time(files)
     catalog = load_checked_catalog(files["checked_catalog"])
     table = NodeEmbeddingTable.load(files["embeddings"])
     cfg = config.two_tower
-    window = window_by_user(train, cfg.window_days, split_time)
+    # build-graph checked the log against the catalog, and the manifest
+    # chain holds this stage to the log it checked
+    window = train.window(cfg.window_days, split_time)
     pairs = build_training_pairs(window, cfg.target_type)
     if not pairs:
         raise PipelineError("no training pairs: no target-type streams in the train window")
     # every train user's history, for serving; the pairs' users train on theirs
-    histories = user_histories({r.user_id for r in train}, window, table, cfg)
+    histories = user_histories(window, table, cfg)
     del train, window  # training reads only the pairs and the histories
     histories.save(files["user_features"])
     params, log = train_two_tower(
@@ -444,18 +453,20 @@ MODELS: dict[str, Callable] = {
 
 def model_rankings(
     config: PipelineConfig, files: Files
-) -> tuple[DatasetSplit, set[str], dict[str, dict[str, list[str]]]]:
+) -> tuple[LogSplit, set[str], dict[str, dict[str, list[str]]]]:
     """What `evaluate` scores: the split, the target-type catalog ids, and
     each `eval.models` model's filtered ranking of every user with
-    target-type holdout streams. The feature window (as of the split time),
-    the popularity baseline over it, the users and their consumed items are
-    each built once and shared by every model."""
+    target-type holdout streams. A holdout record whose item the catalog
+    lacks or gives another type is refused. The feature window (as of the
+    split time), the popularity baseline over it, the users and their
+    consumed items are each built once and shared by every model."""
     catalog = load_checked_catalog(files["checked_catalog"])
     split = _load_split(files)
-    if not split.train:
+    check_catalog(split.holdout, catalog, "holdout interaction")
+    if not len(split.train):
         raise ValueError("popularity baseline needs a non-empty training log")
     tower = config.two_tower
-    window = window_by_user(split.train, tower.window_days, split.split_time)
+    window = split.train.window(tower.window_days, split.split_time)
     popular = PopularityRecommender(window, catalog, tower.target_type)
     table = NodeEmbeddingTable.load(files["embeddings"])
     users = sorted(streamed_items(split.holdout, tower.target_type))
@@ -605,9 +616,15 @@ _USER_FILES = ("music_vectors", "demographics")
 # In daily-pipeline order: `run_pipeline` runs synth through evaluate.
 STAGES = {
     "synth": Stage(stage_synth, outputs=("interactions", "catalog")),
-    "split": Stage(stage_split, ("interactions",), outputs=("train", "holdout", "split_meta")),
+    "split": Stage(
+        stage_split,
+        ("interactions",),
+        outputs=("train", "holdout", "train_columns", "holdout_columns", "split_meta"),
+    ),
     "build-graph": Stage(
-        stage_build_graph, ("train", "catalog"), outputs=("graph", "checked_catalog", "graph_stats")
+        stage_build_graph,
+        ("train_columns", "catalog"),
+        outputs=("graph", "checked_catalog", "graph_stats"),
     ),
     "train-hgnn": Stage(
         stage_train_hgnn, ("graph",), outputs=("hgnn_params",), logs=("hgnn_log",)
@@ -615,7 +632,7 @@ STAGES = {
     "embed": Stage(stage_embed, ("graph", "hgnn_params", "checked_catalog"), outputs=("embeddings",)),
     "train-2t": Stage(
         stage_train_2t,
-        ("train", "split_meta", "checked_catalog", "embeddings"),
+        ("train_columns", "split_meta", "checked_catalog", "embeddings"),
         _USER_FILES,
         outputs=("tower_params", "user_features"),
         logs=("tower_log",),
@@ -626,7 +643,7 @@ STAGES = {
     "evaluate": Stage(
         stage_evaluate,
         (
-            "checked_catalog", "train", "holdout", "split_meta",
+            "checked_catalog", "train_columns", "holdout_columns", "split_meta",
             "embeddings", "tower_params", "user_features", "index",
         ),
         _USER_FILES,

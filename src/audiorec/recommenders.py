@@ -3,17 +3,15 @@ and the popularity / content-profile / graph-profile baselines.
 
 Each one's `recommend(user_id, k=None)` returns the first k ids of its
 ranking for the user, the whole ranking when k is None. The baselines read
-the feature window `data.window_by_user` cuts from the train log; the
+the feature window `Interactions.window` cuts from the train log; the
 profile baselines take their candidate items and their fallback ranking from
 the popularity baseline over that window."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .data import CatalogItem, InteractionRecord, popularity_ranking, window_by_user
+from .data import CatalogItem, InteractionRecord, Interactions, popularity_ranking, profile_means, rows_of
 from .hgnn import NodeEmbeddingTable
 from .index import RecIndex, query_topk
 from .two_tower import (
@@ -24,8 +22,6 @@ from .two_tower import (
     user_tower_output,
 )
 
-Window = dict[str, list[InteractionRecord]]  # `data.window_by_user`
-
 
 class PopularityRecommender:
     """One global ranking of the target-type catalog items (`item_ids`, in id
@@ -35,61 +31,61 @@ class PopularityRecommender:
     name = "popularity"
 
     def __init__(
-        self, window: Window, catalog: dict[str, CatalogItem], target_type: str = "audiobook"
+        self, window: Interactions, catalog: dict[str, CatalogItem], target_type: str = "audiobook"
     ):
         self.item_ids = sorted(i for i, item in catalog.items() if item.item_type == target_type)
-        self.ranking = popularity_ranking(
-            (r for records in window.values() for r in records), self.item_ids, target_type
-        )
+        self.ranking = popularity_ranking(window, self.item_ids, target_type)
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
         return self.ranking[:k]
 
 
 class _ProfileKnnRecommender:
-    """Rank the target-type items that `vector_of` gives a vector by dot
-    product with the user's profile: the mean vector of the items they touched
-    in the window (streams plus weak signals) that have one, built when the
-    user is ranked. Users without a profile get the popularity order."""
+    """Rank the target-type items that have a row in `matrix` (`index` gives
+    an id's row) by dot product with the user's profile: the mean row of the
+    items they touched in the window (streams plus weak signals) that have
+    one. Users without a profile get the popularity order."""
 
     def __init__(
         self,
         name: str,
-        vector_of: Callable[[str], np.ndarray | None],
-        window: Window,
+        index: dict[str, int],
+        matrix: np.ndarray,
+        window: Interactions,
         popular: PopularityRecommender,
     ):
         self.name = name
-        self.vector_of, self.window = vector_of, window
-        item_ids = [i for i in popular.item_ids if vector_of(i) is not None]
+        item_ids = [i for i in popular.item_ids if i in index]
         # built directly: content vectors are not unit norm, as build_index demands
-        self.index = RecIndex(np.array(item_ids), np.stack([vector_of(i) for i in item_ids]))
+        self.index = RecIndex(np.array(item_ids), matrix[[index[i] for i in item_ids]])
         self.fallback_ranking = popular.ranking
+        users, profiles = profile_means(window, None, rows_of(window.item_ids, index), matrix)
+        self.profiles = dict(zip(window.user_ids[users].tolist(), profiles))
 
     def recommend(self, user_id: str, k: int | None = None) -> list[str]:
-        items = sorted({r.item_id for r in self.window.get(user_id, ())})
-        rows = [row for row in map(self.vector_of, items) if row is not None]
-        if not rows:
+        profile = self.profiles.get(user_id)
+        if profile is None:
             return self.fallback_ranking[:k]
         k = len(self.index) if k is None else k
-        return [item_id for item_id, _ in query_topk(self.index, np.mean(rows, axis=0), k)]
+        return [item_id for item_id, _ in query_topk(self.index, profile, k)]
 
 
 def content_knn_baseline(
-    window: Window, catalog: dict[str, CatalogItem], popular: PopularityRecommender
+    window: Interactions, catalog: dict[str, CatalogItem], popular: PopularityRecommender
 ) -> _ProfileKnnRecommender:
     """Profiles and items in the catalog's content-vector space: only
     target-type catalog items have a vector."""
-    content = {i: catalog[i].content_vector for i in popular.item_ids}
-    return _ProfileKnnRecommender("content_knn", content.get, window, popular)
+    index = {i: row for row, i in enumerate(popular.item_ids)}
+    matrix = np.array([catalog[i].content_vector for i in popular.item_ids])
+    return _ProfileKnnRecommender("content_knn", index, matrix, window, popular)
 
 
 def hgnn_knn_baseline(
-    window: Window, embeddings: NodeEmbeddingTable, popular: PopularityRecommender
+    window: Interactions, embeddings: NodeEmbeddingTable, popular: PopularityRecommender
 ) -> _ProfileKnnRecommender:
     """Profiles and items in the graph embedding space: every item with a
     table row, of any type, has a vector."""
-    return _ProfileKnnRecommender("hgnn_knn", embeddings.get, window, popular)
+    return _ProfileKnnRecommender("hgnn_knn", embeddings.index, embeddings.matrix, window, popular)
 
 
 class TwoTowerRecommender:
@@ -112,13 +108,12 @@ class TwoTowerRecommender:
     ):
         """The recommender over the table `train-2t` writes for
         `train_records`: one row per user in them, as of `as_of`, without
-        demographics or music vectors."""
+        demographics or music vectors. The records become the columns
+        `split` writes, and the rows are built as `train-2t` builds them."""
         if not train_records:
             raise ValueError("two-tower recommender needs a non-empty training log")
-        window = window_by_user(train_records, params.config.window_days, as_of)
-        users = {r.user_id for r in train_records}
-        histories = user_histories(users, window, embeddings, params.config)
-        self._setup(params, index, histories, None, None)
+        window = Interactions.from_records(train_records).window(params.config.window_days, as_of)
+        self._setup(params, index, user_histories(window, embeddings, params.config), None, None)
 
     @classmethod
     def from_table(

@@ -15,7 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ITEM_TYPES, SIGNALS, WEAK_SIGNALS, CatalogItem, InteractionRecord
+from .data import (
+    AUDIOBOOK,
+    ITEM_TYPES,
+    PODCAST,
+    SIGNALS,
+    STREAM,
+    CatalogItem,
+    Interactions,
+    profile_means,
+    rows_of,
+)
 from .hgnn import NodeEmbeddingTable
 from .io import (
     PackEntries,
@@ -91,53 +101,39 @@ class Vocab:
         return sorted(self._index)
 
 
-def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.ndarray:
-    rows = [embeddings.get(i) for i in sorted(item_ids)]
-    rows = [r for r in rows if r is not None]
-    if not rows:
-        return np.zeros(embeddings.dim)
-    return np.mean(rows, axis=0)
-
-
 def user_histories(
-    user_ids,
-    window: dict[str, list[InteractionRecord]],
-    embeddings: NodeEmbeddingTable,
-    config: TwoTowerConfig,
+    window: Interactions, embeddings: NodeEmbeddingTable, config: TwoTowerConfig
 ) -> "UserHistoryTable":
-    """The part of each of `user_ids`' tower input that their interaction
-    history fixes, one row per distinct id, for training and serving alike;
-    each row is built from that user's own records in the feature window,
-    `data.window_by_user` over `config.window_days`.
+    """The part of the user-tower input that interaction history fixes, for
+    training and serving alike: one row for every user of the log that the
+    feature window (`Interactions.window` over `config.window_days`) was cut
+    from, whether or not they have records in the window.
 
     Mean audiobook embeddings cover every signal type inside the window (or
     streams only without `config.use_weak_signals`, which also leaves weak
     signals out of the counts); podcast means cover streams. Users with no
     qualifying history, and every user without `config.use_hgnn_features`,
     get zero mean vectors."""
-    ids = sorted(set(user_ids))
+    n, n_signals = len(window.user_ids), len(SIGNALS)
+    counted = np.ones(len(window), dtype=bool) if config.use_weak_signals else window.signal == STREAM
+    user, signal = window.user[counted].astype(np.int64), window.signal[counted]
+    counts = np.bincount(user * n_signals + signal, minlength=n * n_signals).reshape(n, n_signals)
     table = UserHistoryTable(
-        ids,
-        np.zeros((len(ids), embeddings.dim)),
-        np.zeros((len(ids), embeddings.dim)),
-        np.zeros((len(ids), len(SIGNALS)), np.int64),
+        window.user_ids.tolist(),
+        np.zeros((n, embeddings.dim)),
+        np.zeros((n, embeddings.dim)),
+        counts.astype(np.int64),
     )
-    for row, user in enumerate(ids):
-        ab_items: set[str] = set()
-        pod_items: set[str] = set()
-        counts = dict.fromkeys(SIGNALS, 0)
-        for r in window.get(user, ()):
-            if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
-                continue
-            counts[r.signal] += 1
-            if r.item_type == "audiobook":
-                ab_items.add(r.item_id)
-            elif r.item_type == "podcast" and r.signal == "stream":
-                pod_items.add(r.item_id)
-        table.interaction_counts[row] = list(counts.values())
-        if config.use_hgnn_features:
-            table.mean_audiobook_embedding[row] = _mean_embedding(ab_items, embeddings)
-            table.mean_podcast_embedding[row] = _mean_embedding(pod_items, embeddings)
+    if config.use_hgnn_features:
+        row_of = rows_of(window.item_ids, embeddings.index)
+        audiobooks = counted & (window.item_type == AUDIOBOOK)
+        podcasts = counted & (window.item_type == PODCAST) & (window.signal == STREAM)
+        for mask, means in (
+            (audiobooks, table.mean_audiobook_embedding),
+            (podcasts, table.mean_podcast_embedding),
+        ):
+            users, rows = profile_means(window, mask, row_of, embeddings.matrix)
+            means[users] = rows
     return table
 
 
@@ -166,7 +162,7 @@ def _find_user(path, n: int, id_at: Callable[[int], str], user: str) -> int | No
 class UserHistoryTable:
     """The history part of the user-tower input, one row per user, ids
     rising strictly and counts in `SIGNALS` order: what `train-2t` writes to
-    `user_features.bin` for every user in `train.jsonl`, so that serving
+    `user_features.bin` for every user in `train.bin`, so that serving
     builds no history. `user_inputs` packs its rows."""
 
     user_ids: list[str]
@@ -482,17 +478,11 @@ def _batch_loss_and_douts(
     return loss, d_u, d_a
 
 
-def build_training_pairs(
-    window: dict[str, list[InteractionRecord]], target_type: str = "audiobook"
-) -> list[tuple[str, str]]:
-    """Distinct (user, streamed target item) pairs of the feature window."""
-    pairs = {
-        (user, r.item_id)
-        for user, records in window.items()
-        for r in records
-        if r.signal == "stream" and r.item_type == target_type
-    }
-    return sorted(pairs)
+def build_training_pairs(window: Interactions, target_type: str = "audiobook") -> list[tuple[str, str]]:
+    """Distinct (user, streamed target item) pairs of the feature window, in
+    id order."""
+    users, items = window.user_items(window.streams(target_type))
+    return list(zip(window.user_ids[users].tolist(), window.item_ids[items].tolist()))
 
 
 def train_two_tower(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from audiorec import io
-from audiorec.data import CatalogItem, InteractionRecord, timeline_split
+from audiorec.data import CatalogItem, DatasetSplit, InteractionRecord, Interactions, LogSplit, timeline_split
 from audiorec.graph import build_colisten_graph
 from audiorec.hgnn import HgnnConfig, HgnnParams, embed_catalog, train_hgnn
 from audiorec.synth import SynthConfig, synth_generate
@@ -23,6 +23,11 @@ def make_catalog(n_audiobooks=4, n_podcasts=3, d_c=4, seed=0):
 
 def stream(user, item, catalog, t=0):
     return InteractionRecord(user, item, catalog[item].item_type, "stream", t)
+
+
+def log_split(split: DatasetSplit) -> LogSplit:
+    """A split of records as the columns `split` writes of it."""
+    return LogSplit(Interactions.from_records(split.train), Interactions.from_records(split.holdout), split.split_time)
 
 
 def split_container(data: bytes) -> tuple[dict, bytes]:
@@ -78,7 +83,7 @@ def small_split(small_synth):
 @pytest.fixture(scope="session")
 def small_graph(small_synth, small_split):
     _, catalog = small_synth
-    return build_colisten_graph(small_split.train, catalog, min_co_users=2)
+    return build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ outcome.
 
 import numpy as np
 
-from audiorec.data import SIGNALS, CatalogItem, InteractionRecord
+from audiorec.data import SIGNALS, CatalogItem, InteractionRecord, Interactions
 from audiorec.graph import build_colisten_graph, rel_types
 from audiorec.hgnn import (
     ExclusionIndex,
@@ -86,7 +86,7 @@ def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4):
             records.append(
                 InteractionRecord(f"u{u}", str(item), catalog[str(item)].item_type, "stream", 0)
             )
-    graph = build_colisten_graph(records, catalog)
+    graph = build_colisten_graph(Interactions.from_records(records), catalog)
     config = HgnnConfig(
         hidden_dim=hidden, out_dim=out, fanouts=(3, 2), margin=0.4, n_negatives=3
     )

@@ -33,6 +33,11 @@ scans each line once and tests a record's fields in one expression.
 `build_colisten_graph_loop` counts every item pair of every user in a dict,
 where the library codes pairs as integers and counts them with `np.unique`. Both sides must give equal records and
 diagnostics, equal catalogs or the same error, and byte-equal graphs.
+`window_by_user`, `streamed_items`, `popularity_ranking`, `user_segments`,
+`build_training_pairs` and `user_histories_loop` walk a list of records,
+where the library computes the same from the columns of an `Interactions`
+log; both must give equal windows, pairs, sets, segments, rankings and
+history rows byte for byte.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -57,9 +62,12 @@ from audiorec.data import (
     SIGNALS,
     WEAK_SIGNALS,
     CatalogItem,
+    DatasetSplit,
     InteractionRecord,
+    Interactions,
     ParseDiagnostic,
     ParsedInteractions,
+    UserSegments,
     _check_interaction,
     text_field,
 )
@@ -1094,3 +1102,125 @@ def build_colisten_graph_loop(
         edges=edge_arrays,
         relations=relations,
     )
+
+
+def records_of(log: Interactions) -> list[InteractionRecord]:
+    """The records whose columns `log` holds, in log order."""
+    return [
+        InteractionRecord(user, item, ITEM_TYPES[t], SIGNALS[s], ts)
+        for user, item, t, s, ts in zip(
+            log.user_ids[log.user].tolist(),
+            log.item_ids[log.item].tolist(),
+            log.item_type.tolist(),
+            log.signal.tolist(),
+            log.timestamp.tolist(),
+        )
+    ]
+
+
+def by_user(records: list[InteractionRecord]) -> dict[str, list[InteractionRecord]]:
+    """Each user's records, in log order, users in order of first record."""
+    out: dict[str, list[InteractionRecord]] = {}
+    for r in records:
+        out.setdefault(r.user_id, []).append(r)
+    return out
+
+
+def window_by_user(
+    records: list[InteractionRecord], window_days: int, as_of: int | None = None
+) -> dict[str, list[InteractionRecord]]:
+    """`Interactions.window`, as each user's records with
+    `as_of - window_days days <= timestamp < as_of`, in log order. `as_of`
+    defaults to one second after the last record."""
+    if as_of is None:
+        as_of = max((r.timestamp for r in records), default=0) + 1
+    start = as_of - window_days * DAY_SECONDS
+    window: dict[str, list[InteractionRecord]] = {}
+    for r in records:
+        if start <= r.timestamp < as_of:
+            window.setdefault(r.user_id, []).append(r)
+    return window
+
+
+def popularity_ranking(records, item_ids, target_type: str) -> list[str]:
+    """`data.popularity_ranking`: `item_ids` by their count of target-type
+    streams in `records`, descending, ties by id."""
+    counts = dict.fromkeys(item_ids, 0)
+    for r in records:
+        if r.signal == "stream" and r.item_type == target_type and r.item_id in counts:
+            counts[r.item_id] += 1
+    return sorted(counts, key=lambda i: (-counts[i], i))
+
+
+def user_segments(split: DatasetSplit) -> UserSegments:
+    """`data.user_segments` over a split of records."""
+    holdout_users = {r.user_id for r in split.holdout}
+    warm_pool = {r.user_id for r in split.train if r.item_type == "audiobook"}
+    warm = holdout_users & warm_pool
+    return UserSegments(warm=warm, cold=holdout_users - warm)
+
+
+def streamed_items(records: list[InteractionRecord], target_type: str) -> dict[str, set[str]]:
+    """`evaluate.streamed_items`: each user's streamed target-type items."""
+    streamed: dict[str, set[str]] = {}
+    for r in records:
+        if r.signal == "stream" and r.item_type == target_type:
+            streamed.setdefault(r.user_id, set()).add(r.item_id)
+    return streamed
+
+
+def build_training_pairs(
+    window: dict[str, list[InteractionRecord]], target_type: str = "audiobook"
+) -> list[tuple[str, str]]:
+    """`two_tower.build_training_pairs`: the distinct (user, streamed target
+    item) pairs of a `window_by_user` window, sorted."""
+    pairs = {
+        (user, r.item_id)
+        for user, records in window.items()
+        for r in records
+        if r.signal == "stream" and r.item_type == target_type
+    }
+    return sorted(pairs)
+
+
+def _mean_embedding(item_ids: set[str], embeddings: NodeEmbeddingTable) -> np.ndarray:
+    rows = [embeddings.get(i) for i in sorted(item_ids)]
+    rows = [r for r in rows if r is not None]
+    if not rows:
+        return np.zeros(embeddings.dim)
+    return np.mean(rows, axis=0)
+
+
+def user_histories_loop(
+    user_ids,
+    window: dict[str, list[InteractionRecord]],
+    embeddings: NodeEmbeddingTable,
+    config: TwoTowerConfig,
+) -> UserHistoryTable:
+    """`two_tower.user_histories`, one row per distinct id of `user_ids`,
+    each built by a walk over that user's records in a `window_by_user`
+    window."""
+    ids = sorted(set(user_ids))
+    table = UserHistoryTable(
+        ids,
+        np.zeros((len(ids), embeddings.dim)),
+        np.zeros((len(ids), embeddings.dim)),
+        np.zeros((len(ids), len(SIGNALS)), np.int64),
+    )
+    for row, user in enumerate(ids):
+        ab_items: set[str] = set()
+        pod_items: set[str] = set()
+        counts = dict.fromkeys(SIGNALS, 0)
+        for r in window.get(user, ()):
+            if not config.use_weak_signals and r.signal in WEAK_SIGNALS:
+                continue
+            counts[r.signal] += 1
+            if r.item_type == "audiobook":
+                ab_items.add(r.item_id)
+            elif r.item_type == "podcast" and r.signal == "stream":
+                pod_items.add(r.item_id)
+        table.interaction_counts[row] = list(counts.values())
+        if config.use_hgnn_features:
+            table.mean_audiobook_embedding[row] = _mean_embedding(ab_items, embeddings)
+            table.mean_podcast_embedding[row] = _mean_embedding(pod_items, embeddings)
+    return table

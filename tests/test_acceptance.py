@@ -18,7 +18,7 @@ from audiorec.benchmark import (
     run_ordering_seed,
     run_weak_signal_seeds,
 )
-from audiorec.data import parse_catalog, parse_interactions
+from audiorec.data import Interactions, parse_catalog, parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
 from audiorec.graph import build_colisten_graph, load_graph
 from audiorec.hgnn import HgnnParams, NodeEmbeddingTable, balanced_edge_sample
@@ -159,7 +159,7 @@ def test_criterion_4_graph_oracle():
             for item in rng.choice(ids, size=k, replace=False):
                 records.append(stream(f"u{u}", str(item), catalog, int(rng.integers(0, 50))))
         min_co = int(rng.integers(1, 3))
-        graph = build_colisten_graph(records, catalog, min_co_users=min_co)
+        graph = build_colisten_graph(Interactions.from_records(records), catalog, min_co_users=min_co)
         assert graph_edge_ids(graph) == brute_force_edges(records, catalog, min_co)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -7,7 +7,7 @@ from audiorec.analysis import (
     pair_similarity_probe,
     weak_signal_analysis,
 )
-from audiorec.data import SIGNALS, InteractionRecord
+from audiorec.data import SIGNALS, InteractionRecord, Interactions
 
 from conftest import make_catalog, stream
 
@@ -230,7 +230,7 @@ class TestProbe:
 
         records, catalog = synth_generate(SynthConfig(), seed=0)
         split = timeline_split(records)
-        graph = build_colisten_graph(split.train, catalog, min_co_users=2)
+        graph = build_colisten_graph(Interactions.from_records(split.train), catalog, min_co_users=2)
         content = {
             i: it.content_vector for i, it in catalog.items() if it.item_type == "audiobook"
         }
@@ -260,7 +260,7 @@ class TestProbe:
         records = [stream("u1", "a0", catalog), stream("u1", "p0", catalog)]
         from audiorec.graph import build_colisten_graph
 
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         vectors = {i: catalog[i].content_vector for i in ("a0", "a1")}
         with pytest.raises(ValueError, match="no eligible"):
             pair_similarity_probe(vectors, "co-listened", 10, 0, g)

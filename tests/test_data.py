@@ -16,15 +16,16 @@ from audiorec.data import (
     record_to_dict,
     save_checked_catalog,
     save_interactions,
+    Interactions,
     timeline_split,
     user_segments,
-    window_by_user,
 )
 from audiorec import io, synth
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
 
-from conftest import make_catalog, stream
-from oracles import parse_catalog_lines, parse_interactions_lines, read_jsonl_lines, stream_counts_dense
+from conftest import log_split, make_catalog, stream
+import oracles
+from oracles import by_user, parse_catalog_lines, parse_interactions_lines, read_jsonl_lines, records_of, stream_counts_dense
 
 
 def write_lines(path, lines):
@@ -499,6 +500,22 @@ class TestTimelineSplit:
         assert all(r.timestamp >= split_at for r in split.holdout)
 
 
+def window_by_user(records, window_days, as_of=None):
+    """`Interactions.window` of `records`, grouped by user, after checking
+    it against the record walk in `oracles`."""
+    window = by_user(records_of(Interactions.from_records(records).window(window_days, as_of)))
+    assert window == oracles.window_by_user(records, window_days, as_of)
+    return window
+
+
+def user_segments_of(split):
+    """`user_segments` of a split of records, after checking it against the
+    record walk in `oracles`."""
+    segments = user_segments(log_split(split))
+    assert segments == oracles.user_segments(split)
+    return segments
+
+
 class TestWindowByUser:
     def test_start_is_inclusive_and_as_of_exclusive(self):
         catalog = make_catalog()
@@ -550,21 +567,21 @@ class TestUserSegments:
             stream("u1", "a1", catalog, t=100),
         ]
         split = timeline_split(records, split_time=50)
-        seg = user_segments(split)
+        seg = user_segments_of(split)
         assert seg.warm == {"u1"} and seg.cold == set()
 
     def test_podcast_only_history_is_cold(self):
         catalog = make_catalog()
         records = [stream("u1", "p0", catalog, t=10), stream("u1", "a1", catalog, t=100)]
         split = timeline_split(records, split_time=50)
-        seg = user_segments(split)
+        seg = user_segments_of(split)
         assert seg.cold == {"u1"}
 
     def test_train_only_user_not_segmented(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=10), stream("u2", "a1", catalog, t=100)]
         split = timeline_split(records, split_time=50)
-        seg = user_segments(split)
+        seg = user_segments_of(split)
         assert "u1" not in seg.warm | seg.cold
         assert seg.warm | seg.cold == {"u2"}
 
@@ -581,7 +598,7 @@ class TestUserSegments:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             split = timeline_split(records, split_time=500)
-        seg = user_segments(split)
+        seg = user_segments_of(split)
         holdout_users = {r.user_id for r in split.holdout}
         assert seg.warm & seg.cold == set()
         assert seg.warm | seg.cold == holdout_users

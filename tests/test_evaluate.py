@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from audiorec.data import (
     CatalogItem,
     DatasetSplit,
     InteractionRecord,
+    Interactions,
     user_segments,
-    window_by_user,
 )
 from audiorec.evaluate import (
     coverage,
@@ -28,7 +30,7 @@ from audiorec.recommenders import (
     hgnn_knn_baseline,
 )
 
-from conftest import make_catalog, stream
+from conftest import log_split, make_catalog, stream
 
 
 class FixedRecommender:
@@ -56,7 +58,7 @@ def windowed(train, catalog, target_type="audiobook", window_days=90, as_of=None
     """The feature window of `train` and the popularity baseline over it,
     which the profile baselines share, as `pipeline.model_rankings` builds
     them."""
-    window = window_by_user(train, window_days, as_of)
+    window = Interactions.from_records(train).window(window_days, as_of)
     return window, PopularityRecommender(window, catalog, target_type)
 
 
@@ -157,7 +159,7 @@ def toy_eval_setup():
         stream("w2", "a3", catalog, t=100),
         stream("c1", "a4", catalog, t=100),
     ]
-    split = DatasetSplit(train=train, holdout=holdout, split_time=50)
+    split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
     segments = user_segments(split)
     ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
     return catalog, split, segments, ids
@@ -176,13 +178,14 @@ class TestEvaluate:
 
     def test_oracle_dominates_popularity(self, small_split, small_synth):
         _, catalog = small_synth
-        segments = user_segments(small_split)
-        relevant = streamed_items(small_split.holdout, "audiobook")
+        split = log_split(small_split)
+        segments = user_segments(split)
+        relevant = streamed_items(split.holdout, "audiobook")
         oracle = FixedRecommender({u: sorted(items) for u, items in relevant.items()})
         ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
         pop = popularity(small_split.train, catalog)
-        oracle_rep = score(oracle, small_split, segments, "audiobook", ids)
-        pop_rep = score(pop, small_split, segments, "audiobook", ids)
+        oracle_rep = score(oracle, split, segments, "audiobook", ids)
+        pop_rep = score(pop, split, segments, "audiobook", ids)
         assert oracle_rep["all"].hr_at_k > pop_rep["all"].hr_at_k
 
     def test_consumed_items_filtered(self):
@@ -196,7 +199,7 @@ class TestEvaluate:
 
     def test_no_evaluable_users_fatal(self):
         catalog, split, segments, ids = toy_eval_setup()
-        empty_split = DatasetSplit(train=split.train, holdout=[], split_time=50)
+        empty_split = dataclasses.replace(split, holdout=Interactions.from_records([]))
         with pytest.raises(ValueError):
             score(FixedRecommender({}), empty_split, segments, "audiobook", ids)
 
@@ -246,7 +249,7 @@ class TestTiers:
         for j in range(10):
             for _ in range(10 - j):  # a0 most streamed
                 train.append(stream(f"u{j}", f"a{j}", catalog, t=0))
-        split = DatasetSplit(train=train, holdout=[stream("u0", "a1", catalog, t=99)], split_time=50)
+        split = log_split(DatasetSplit(train=train, holdout=[stream("u0", "a1", catalog, t=99)], split_time=50))
         ids = set(catalog)
         tiers = popularity_tiers(split, ids, "audiobook")
         assert [len(t) for t in tiers] == [2, 2, 2, 2, 2]
@@ -254,11 +257,11 @@ class TestTiers:
 
     def test_uniform_counts_tie_break_by_id(self):
         catalog = make_catalog(n_audiobooks=5, n_podcasts=0)
-        split = DatasetSplit(
+        split = log_split(DatasetSplit(
             train=[stream("u1", f"a{j}", catalog, t=0) for j in range(5)],
             holdout=[stream("u1", "a0", catalog, t=99)],
             split_time=50,
-        )
+        ))
         tiers = popularity_tiers(split, set(catalog), "audiobook")
         assert tiers == [["a0"], ["a1"], ["a2"], ["a3"], ["a4"]]
 
@@ -272,7 +275,7 @@ class TestTiers:
         holdout = [stream("u1", "a0", catalog, t=99), stream("u1", "a6", catalog, t=99)]
         for j in range(3, 8):  # make >=5 active items
             holdout.append(stream(f"other{j}", f"a{j}", catalog, t=99))
-        split = DatasetSplit(train=train, holdout=holdout, split_time=50)
+        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
         rec = FixedRecommender({}, default=sorted(catalog))
         reports = tiered_metrics(
             holdout_rankings(rec, split, "audiobook"), split, "audiobook", set(catalog)
@@ -286,11 +289,11 @@ class TestTiers:
 
     def test_too_few_active_items_fatal(self):
         catalog = make_catalog(n_audiobooks=6, n_podcasts=0)
-        split = DatasetSplit(
+        split = log_split(DatasetSplit(
             train=[stream("u1", "a0", catalog, t=0)],
             holdout=[stream("u2", "a1", catalog, t=99)],
             split_time=50,
-        )
+        ))
         with pytest.raises(ValueError):
             tiered_metrics(
                 holdout_rankings(FixedRecommender({}, default=sorted(catalog)), split, "audiobook"),
@@ -323,7 +326,7 @@ class TestPopularityBaseline:
         picks = np.random.default_rng(0).integers(0, len(items), 60)
         train = [stream(f"u{j}", items[i], catalog, t=j) for j, i in enumerate(picks)]
         train += [InteractionRecord("u0", "a9", "audiobook", "follow", 0)] * 5  # counts nothing
-        split = DatasetSplit(train=train, holdout=[], split_time=100)
+        split = log_split(DatasetSplit(train=train, holdout=[], split_time=100))
         audiobooks = {i for i in items if catalog[i].item_type == "audiobook"}
         ranking = popularity(train, catalog, window_days=1, as_of=100).ranking
         assert sum(popularity_tiers(split, audiobooks, "audiobook"), []) == ranking
@@ -333,7 +336,7 @@ class TestPopularityBaseline:
         catalog = make_catalog(n_audiobooks=3, n_podcasts=2)
         train = [stream("u1", "a2", catalog, t=0)] * 3 + [stream("u1", "p0", catalog, t=1)]
         window, popular = windowed(train, catalog, window_days=1, as_of=10 * DAY_SECONDS)
-        assert window == {}
+        assert len(window) == 0
         assert popular.item_ids == popular.ranking == ["a0", "a1", "a2"]
         table = NodeEmbeddingTable(sorted(catalog), np.eye(len(catalog)))
         for knn in (content_knn_baseline(window, catalog, popular), hgnn_knn_baseline(window, table, popular)):
@@ -354,7 +357,7 @@ class TestPopularityBaseline:
         catalog = make_catalog(n_audiobooks=500, n_podcasts=0)
         train = [stream("u1", "a0", catalog, t=0)]
         holdout = [stream(f"u{j}", f"a{j + 1}", catalog, t=99) for j in range(5)]
-        split = DatasetSplit(train=train, holdout=holdout, split_time=50)
+        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
         segments = user_segments(split)
         rec = popularity(train, catalog)
         ids = set(catalog)
@@ -410,7 +413,7 @@ class TestContentKnn:
         }
         train = [stream("u1", "a0", catalog, t=0)]
         holdout = [stream("u1", "a1", catalog, t=99)]
-        split = DatasetSplit(train=train, holdout=holdout, split_time=50)
+        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
         segments = user_segments(split)
         rec = content_knn(train, catalog)
         # raw ranking puts the consumed a0 first; score() must filter it

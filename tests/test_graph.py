@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import CatalogItem, InteractionRecord, timeline_split
+from audiorec.data import CatalogItem, InteractionRecord, Interactions, timeline_split
 from audiorec.graph import build_colisten_graph, graph_stats, load_graph, save_graph
 from audiorec.index import build_index, save_index
 from audiorec.io import read_pack
@@ -49,14 +49,14 @@ class TestBuildGraph:
             stream("u2", "p1", catalog),
             stream("u2", "p2", catalog),
         ]
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         assert graph_edge_ids(g) == {("a1", "p1"), ("p1", "p2")}
         st_ = graph_stats(g)
         assert st_.edge_counts == {"aa": 0, "ap": 1, "pp": 1}
 
     def test_single_item_user_no_edges(self):
         catalog = make_catalog()
-        g = build_colisten_graph([stream("u1", "a1", catalog)], catalog)
+        g = build_colisten_graph(Interactions.from_records([stream("u1", "a1", catalog)]), catalog)
         assert graph_edge_ids(g) == set()
 
     def test_min_co_users_threshold(self):
@@ -67,9 +67,9 @@ class TestBuildGraph:
             stream("u2", "a1", catalog),
             stream("u2", "a2", catalog),
         ]
-        g2 = build_colisten_graph(records, catalog, min_co_users=2)
+        g2 = build_colisten_graph(Interactions.from_records(records), catalog, min_co_users=2)
         assert graph_edge_ids(g2) == {("a1", "a2")}
-        g3 = build_colisten_graph(records, catalog, min_co_users=3)
+        g3 = build_colisten_graph(Interactions.from_records(records), catalog, min_co_users=3)
         assert graph_edge_ids(g3) == set()
 
     def test_weak_signals_make_no_edges(self):
@@ -79,7 +79,7 @@ class TestBuildGraph:
             InteractionRecord("u1", "a2", "audiobook", "preview", 0),
             stream("u1", "p1", catalog),
         ]
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         assert graph_edge_ids(g) == set()
         assert g.nodes["audiobook"] == []  # weak signals make no nodes either
 
@@ -87,11 +87,11 @@ class TestBuildGraph:
         catalog = make_catalog()
         records = [InteractionRecord("u1", "zz", "audiobook", "stream", 0)]
         with pytest.raises(ValueError, match="zz"):
-            build_colisten_graph(records, catalog)
+            build_colisten_graph(Interactions.from_records(records), catalog)
 
     def test_empty_train_fatal(self):
         with pytest.raises(ValueError):
-            build_colisten_graph([], make_catalog())
+            build_colisten_graph(Interactions.from_records([]), make_catalog())
 
     def test_relation_subset(self):
         catalog = make_catalog()
@@ -102,10 +102,10 @@ class TestBuildGraph:
             stream("u2", "p1", catalog),
             stream("u2", "p2", catalog),
         ]
-        g = build_colisten_graph(records, catalog, relations=("pp",))
+        g = build_colisten_graph(Interactions.from_records(records), catalog, relations=("pp",))
         assert set(g.nodes) == {"podcast"}
         assert graph_edge_ids(g) == {("p1", "p2")}
-        g2 = build_colisten_graph(records, catalog, relations=("aa", "ap"))
+        g2 = build_colisten_graph(Interactions.from_records(records), catalog, relations=("aa", "ap"))
         assert graph_edge_ids(g2) == {("a1", "a2"), ("a1", "p1"), ("a2", "p1")}
 
 
@@ -115,14 +115,14 @@ class TestStats:
         records = []
         for u, (x, y) in enumerate([("a1", "a2"), ("a2", "a3"), ("a1", "a3")]):
             records += [stream(f"u{u}", x, catalog), stream(f"u{u}", y, catalog)]
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         st_ = graph_stats(g)
         assert st_.edge_counts["aa"] == 3
         assert st_.degree_summary["aa"] == {"min": 2.0, "mean": 2.0, "max": 2.0}
 
     def test_empty_edge_graph(self):
         catalog = make_catalog()
-        g = build_colisten_graph([stream("u1", "a1", catalog)], catalog)
+        g = build_colisten_graph(Interactions.from_records([stream("u1", "a1", catalog)]), catalog)
         st_ = graph_stats(g)
         assert all(c == 0 for c in st_.edge_counts.values())
         assert st_.degree_summary["aa"]["max"] == 0.0
@@ -153,7 +153,7 @@ class TestGraphProperties:
             for item in rng.choice(ids, size=k, replace=False):
                 records.append(stream(f"u{u}", str(item), catalog, int(rng.integers(0, 100))))
         min_co = int(rng.integers(1, 3))
-        g = build_colisten_graph(records, catalog, min_co_users=min_co)
+        g = build_colisten_graph(Interactions.from_records(records), catalog, min_co_users=min_co)
         assert graph_edge_ids(g) == brute_force_edges(records, catalog, min_co)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -188,7 +188,8 @@ class TestGraphProperties:
             except ValueError as exc:
                 return str(exc)
 
-        got, want = build(build_colisten_graph), build(build_colisten_graph_loop)
+        got = build(lambda train, *args, **kwargs: build_colisten_graph(Interactions.from_records(train), *args, **kwargs))
+        want = build(build_colisten_graph_loop)
         if isinstance(want, str):
             assert got == want
             return
@@ -215,8 +216,8 @@ class TestGraphProperties:
 
     def test_idempotent_rebuild(self, small_split, small_synth, tmp_path):
         _, catalog = small_synth
-        g1 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
-        g2 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
+        g1 = build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
+        g2 = build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
         save_graph(g1, tmp_path / "g1.bin")
         save_graph(g2, tmp_path / "g2.bin")
         assert (tmp_path / "g1.bin").read_bytes() == (tmp_path / "g2.bin").read_bytes()
@@ -312,7 +313,7 @@ class TestEdgesFromAdjacency:
     )
     def test_seed_7_graphs(self, synth, settings, tmp_path):
         records, catalog = synth_generate(synth, seed=7)
-        graph = build_colisten_graph(timeline_split(records).train, catalog, **settings)
+        graph = build_colisten_graph(Interactions.from_records(timeline_split(records).train), catalog, **settings)
         assert all(len(pairs) for pairs in graph.edges.values())
         self.check(graph, tmp_path)
 
@@ -320,7 +321,7 @@ class TestEdgesFromAdjacency:
         catalog = make_catalog()
         records = [stream("u1", "a1", catalog), stream("u1", "p1", catalog)]
         records += [stream("u2", "p1", catalog), stream("u2", "p2", catalog)]
-        graph = build_colisten_graph(records, catalog)
+        graph = build_colisten_graph(Interactions.from_records(records), catalog)
         assert len(graph.edges["aa"]) == 0 and len(graph.edges["ap"]) == 1
         self.check(graph, tmp_path)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiorec.data import CatalogItem
+from audiorec.data import CatalogItem, Interactions
 from audiorec.graph import Csr, HeteroGraph, build_colisten_graph
 from audiorec.io import read_pack
 from audiorec.hgnn import (
@@ -158,7 +158,7 @@ def chain_graph():
         stream("u3", "p1", catalog),
         stream("u4", "a2", catalog),
     ]
-    return build_colisten_graph(records, catalog), catalog
+    return build_colisten_graph(Interactions.from_records(records), catalog), catalog
 
 
 class TestSampling:
@@ -322,7 +322,7 @@ class TestNegativeSampling:
     def test_dense_graph_fatal(self):
         catalog = make_catalog(n_audiobooks=2, n_podcasts=0)
         records = [stream("u1", "a0", catalog), stream("u1", "a1", catalog)]
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         with pytest.raises(RuntimeError):
             sample_negatives(g, "a0", 2, np.random.default_rng(0))
 
@@ -478,7 +478,7 @@ class TestEmbedding:
         catalog = make_catalog(n_audiobooks=3, n_podcasts=2, d_c=4, seed=5)
         catalog["a2"] = CatalogItem("a2", "audiobook", np.zeros(4), "en", "g0")
         records = [stream("u1", i, catalog) for i in ("a0", "a1", "p0", "p1")]
-        g = build_colisten_graph(records, catalog)
+        g = build_colisten_graph(Interactions.from_records(records), catalog)
         params = HgnnParams.init(
             HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2)), 4, g.node_types, g.relations, seed=2
         )
@@ -490,7 +490,7 @@ class TestEmbedding:
     def test_homogeneous_params_embed_every_type(self):
         catalog = make_catalog(n_audiobooks=3, n_podcasts=3, d_c=4, seed=5)
         records = [stream("u1", "p0", catalog), stream("u1", "p1", catalog)]
-        g = build_colisten_graph(records, catalog, relations=("pp",))
+        g = build_colisten_graph(Interactions.from_records(records), catalog, relations=("pp",))
         params = HgnnParams.init(
             HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2)), 4, g.node_types, g.relations, seed=2
         )

@@ -47,6 +47,7 @@ from audiorec.two_tower import (
 )
 
 from conftest import join_container, split_container
+import oracles
 from oracles import current_inputs, filtered_recommendations_full, scan_user_inputs
 
 
@@ -203,8 +204,8 @@ class TestStages:
         manifest = io.read_json(out / "manifests" / "evaluate.json")
         assert set(manifest["inputs"]) == {
             "catalog.bin",
-            "train.jsonl",
-            "holdout.jsonl",
+            "train.bin",
+            "holdout.bin",
             "split_meta.json",
             "embeddings.bin",
             "tower_params.bin",
@@ -292,7 +293,7 @@ class TestStages:
 
             return wrapper
 
-        monkeypatch.setattr(pipeline, "window_by_user", counted("window", data.window_by_user))
+        monkeypatch.setattr(data.Interactions, "window", counted("window", data.Interactions.window))
         monkeypatch.setattr(
             pipeline, "PopularityRecommender", counted("popularity", PopularityRecommender)
         )
@@ -331,6 +332,66 @@ class TestStages:
         assert calls == ["catalog.jsonl"]
         run_stage("probe", tiny_config(), tmp_path)
         assert calls == ["catalog.jsonl"]
+
+    def test_pipeline_parses_interactions_once(self, tmp_path, monkeypatch):
+        # split checks interactions.jsonl; every later stage loads the columns it wrote
+        calls = []
+
+        def counted(path):
+            calls.append(pathlib.Path(path).name)
+            return parse_interactions(path)
+
+        monkeypatch.setattr(data, "parse_interactions", counted)
+        monkeypatch.setattr(pipeline, "parse_interactions", counted)
+        run_pipeline(tiny_config(), tmp_path)
+        assert calls == ["interactions.jsonl"]
+
+    def test_later_stages_run_without_train_and_holdout_jsonl(self, pipeline_run, tmp_path):
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        for name in ("train.jsonl", "holdout.jsonl"):
+            (run / name).unlink()
+        written = ("graph.bin", "catalog.bin", "embeddings.bin", "user_features.bin", "tower_params.bin",
+                   "rec_index.bin", "evaluation.json", "evaluation.csv")
+        for name in written:
+            (run / name).unlink()
+        for stage in DAILY[2:]:
+            run_stage(stage, config, run)
+        for name in written:
+            assert (run / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_columns_hold_the_records_split_wrote(self, pipeline_run):
+        _, out = pipeline_run
+        for name in ("train", "holdout"):
+            records = parse_interactions(out / f"{name}.jsonl").records
+            assert oracles.records_of(data.Interactions.load(out / f"{name}.bin")) == records
+
+    def test_user_features_rows_equal_the_record_walk(self, pipeline_run):
+        config, out = pipeline_run
+        train = parse_interactions(out / "train.jsonl").records
+        split_time = io.read_json(out / "split_meta.json")["split_time"]
+        window = oracles.window_by_user(train, config.two_tower.window_days, split_time)
+        table = NodeEmbeddingTable.load(out / "embeddings.bin")
+        want = oracles.user_histories_loop({r.user_id for r in train}, window, table, config.two_tower)
+        stored = UserHistoryTable.load(out / "user_features.bin")
+        assert stored.user_ids == want.user_ids
+        for name in HISTORY_ARRAYS:
+            assert np.array_equal(getattr(stored, name), getattr(want, name)), name
+            assert getattr(stored, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_records_constructor_serves_what_the_table_serves(self, pipeline_run):
+        _, out = pipeline_run
+        train = parse_interactions(out / "train.jsonl").records
+        split_time = io.read_json(out / "split_meta.json")["split_time"]
+        params = TowerParams.load(out / "tower_params.bin", towers=("user",))
+        index = load_index(out / "rec_index.bin")
+        table = NodeEmbeddingTable.load(out / "embeddings.bin")
+        from_records = TwoTowerRecommender(params, index, train, table, as_of=split_time)
+        from_table = TwoTowerRecommender.from_table(params, index, UserHistoryTable.load(out / "user_features.bin"))
+        users = sorted({r.user_id for r in train})
+        assert users == from_table.histories.user_ids
+        for user in users:
+            assert from_records.recommend_scored(user, 10) == from_table.recommend_scored(user, 10)
 
     def test_later_stages_run_without_catalog_jsonl(self, pipeline_run, tmp_path):
         config, out = pipeline_run
@@ -405,12 +466,12 @@ class TestStages:
         catalog = parse_catalog(files["catalog"])
         table = NodeEmbeddingTable.load(files["embeddings"])
         target = config.two_tower.target_type
-        window = data.window_by_user(split.train, config.two_tower.window_days, split.split_time)
+        window = data.Interactions.from_records(split.train).window(config.two_tower.window_days, split.split_time)
         rec = pipeline.MODELS[model](
             files, catalog, table, window, PopularityRecommender(window, catalog, target)
         )
-        users = sorted(streamed_items(split.holdout, target))
-        consumed = streamed_items(split.train, target)
+        users = sorted(oracles.streamed_items(split.holdout, target))
+        consumed = oracles.streamed_items(split.train, target)
         # below, near and above the 24-audiobook catalog
         for max_rank in (1, 5, 20, config.eval.max_rank):
             limited = config.with_overrides(
@@ -418,7 +479,8 @@ class TestStages:
             )
             got_split, catalog_ids, rankings = pipeline.model_rankings(limited, files)
             assert rankings == {model: filtered_recommendations_full(rec, users, consumed, max_rank)}
-        assert got_split == split
+        assert [oracles.records_of(got_split.train), oracles.records_of(got_split.holdout)] == [split.train, split.holdout]
+        assert got_split.split_time == split.split_time
         assert catalog_ids == {i for i, item in catalog.items() if item.item_type == target}
 
     def test_user_vector_is_the_tower_output_on_first_and_repeat_calls(self, pipeline_run):
@@ -516,7 +578,7 @@ class TestStages:
         # without graph features both towers see exactly 0.0 in every embedding column
         off = dataclasses.replace(params.config, use_hgnn_features=False)
         off_params = TowerParams(off, params.vocabs, params.dims, params.weights)
-        zeroed = user_histories(users, data.window_by_user(train, off.window_days, split_time), table, off)
+        zeroed = user_histories(data.Interactions.from_records(train).window(off.window_days, split_time), table, off)
         _, u_dense = user_inputs(off_params, zeroed, users)
         _, _, i_dense = item_inputs(off_params, catalog, table)
         music, d_c, d = off.music_dim, params.dims["d_c"], table.dim
@@ -601,6 +663,8 @@ class TestStages:
 
 BINARY_ARTIFACTS = {
     "catalog.bin": data.load_checked_catalog,
+    "train.bin": data.Interactions.load,
+    "holdout.bin": data.Interactions.load,
     "embeddings.bin": NodeEmbeddingTable.load,
     "graph.bin": load_graph,
     "rec_index.bin": load_index,
@@ -1563,6 +1627,22 @@ class TestStaleInputs:
         error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
         assert error == f"{run / 'catalog.bin'}: item_id lists {header['meta']['item_id'][0]!r} twice"
 
+    @pytest.mark.parametrize("name, stage", [("train.bin", "build-graph"), ("holdout.bin", "evaluate")])
+    def test_damaged_columns_recorded_as_current_are_one_json_line(self, pipeline_run, tmp_path, capsys, name, stage):
+        # a weak signal on a podcast, which split never writes
+        config, out = pipeline_run
+        run = shutil.copytree(out, tmp_path / "run")
+        log = data.Interactions.load(run / name)
+        at = int(np.flatnonzero(log.item_type == data.PODCAST)[0])
+        signal = log.signal.copy()
+        signal[at] = data.SIGNALS.index("follow")
+        dataclasses.replace(log, signal=signal).save(run / name)
+        rerecord(run, name)  # the stage hashes its inputs
+        error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
+        assert error == (
+            f"{run / name}: record {at} gives signal 'follow' to a 'podcast'; it is only valid for audiobooks"
+        )
+
     def test_user_features_rewritten_after_train_2t_stales_evaluate(self, pipeline_run, tmp_path, capsys):
         # evaluate scores the rows recommend serves, as train-2t wrote them
         config, out = pipeline_run
@@ -1608,7 +1688,7 @@ class TestStaleInputs:
         run_stage("recommend", config, run, user="u0001", k=3)
         run_stage("synth", tiny_config(seed=12), run)
         error = cli_error(stage_argv("build-graph", config, run, tmp_path), capsys)
-        assert "stale input 'train.jsonl'" in error and "rerun the 'split' stage" in error
+        assert "stale input 'train.bin'" in error and "rerun the 'split' stage" in error
 
     def test_quality_sweep_layout(self, tmp_path, monkeypatch):
         # data stages run once, then each seed reruns the model stages in a copy
@@ -1942,6 +2022,45 @@ class TestCli:
         payload = json.loads(err_lines[0])
         assert "error" in payload and payload["stage"] == "evaluate"
 
+    def _run_on_records(self, synth_run, tmp_path, records) -> tuple[str, str]:
+        """A config reading `records` as its interaction log, and a run directory."""
+        config, synth_dir = synth_run
+        data.save_interactions(records, tmp_path / "interactions.jsonl")
+        cfg = config.to_dict()
+        cfg["paths"]["interactions"] = str(tmp_path / "interactions.jsonl")
+        cfg["paths"]["catalog"] = str(synth_dir / "catalog.jsonl")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return str(cfg_path), str(tmp_path / "run")
+
+    def test_holdout_item_absent_from_the_catalog_is_one_json_line(self, synth_run, tmp_path, capsys):
+        # a relevant item no model can rank used to lower every model's hit rate
+        _, synth_dir = synth_run
+        records = parse_interactions(synth_dir / "interactions.jsonl").records
+        last = max(r.timestamp for r in records)
+        records.append(data.InteractionRecord("u0001", "a9999", "audiobook", "stream", last))
+        cfg, out = self._run_on_records(synth_run, tmp_path, records)
+        for stage in DAILY[1:-1]:
+            assert main([stage, "--config", cfg, "--out", out]) == 0
+        error = cli_error(["evaluate", "--config", cfg, "--out", out], capsys)
+        assert error == f"holdout interaction references item 'a9999' absent from the catalog (user 'u0001', t={last})"
+        assert not (pathlib.Path(out) / "evaluation.json").exists()
+
+    def test_train_record_of_another_type_than_the_catalogs_is_one_json_line(self, synth_run, tmp_path, capsys):
+        # a podcast relabelled as an audiobook follow used to enter the user's audiobook mean
+        _, synth_dir = synth_run
+        records = parse_interactions(synth_dir / "interactions.jsonl").records
+        at = next(i for i, r in enumerate(records) if r.item_type == "podcast")
+        podcast = records[at]
+        records[at] = dataclasses.replace(podcast, item_type="audiobook", signal="follow")
+        cfg, out = self._run_on_records(synth_run, tmp_path, records)
+        assert main(["split", "--config", cfg, "--out", out]) == 0
+        error = cli_error(["build-graph", "--config", cfg, "--out", out], capsys)
+        assert error == (
+            f"interaction gives item {podcast.item_id!r} type 'audiobook', but the catalog lists it as "
+            f"'podcast' (user {podcast.user_id!r}, t={podcast.timestamp})"
+        )
+
     def test_a_window_after_every_train_record(self, synth_run, tmp_path, capsys):
         # an empty feature window is not an empty log: train-2t has no pairs
         # to train on, but evaluate still scores every baseline
@@ -1977,7 +2096,7 @@ class TestCli:
 
         files = {key: pathlib.Path(out) / name for key, name in pipeline.ARTIFACTS.items()}
         split, catalog_ids, rankings = pipeline.model_rankings(PipelineConfig.load(narrow), files)
-        assert split.train and all(r.timestamp < split_time for r in split.train)
+        assert len(split.train) and (split.train.timestamp < split_time).all()
         target = config.two_tower.target_type
         users = sorted(streamed_items(split.holdout, target))
         by_id = SimpleNamespace(recommend=lambda user, k=None: sorted(catalog_ids)[:k])
@@ -2395,9 +2514,15 @@ class TestCli:
         )
         assert main(argv) == 0  # recommend does not read train.jsonl
         assert capsys.readouterr().out == served
+        # nor does any later stage: they read the columns of train.bin
+        for stage in ("build-graph", "train-2t", "evaluate"):
+            assert main(stage_argv(stage, config, run, tmp_path)) == 0
+        # rewritten columns stale every stage that reads them
+        log = data.Interactions.load(run / "train.bin")
+        dataclasses.replace(log, timestamp=log.timestamp + 1).save(run / "train.bin")
         for stage in ("build-graph", "train-2t", "evaluate"):
             error = cli_error(stage_argv(stage, config, run, tmp_path), capsys)
-            assert "stale input 'train.jsonl'" in error and "rerun the 'split' stage" in error
+            assert "stale input 'train.bin'" in error and "rerun the 'split' stage" in error
 
     def test_recommend_on_user_features_of_another_width_is_one_json_line(self, pipeline_run, tmp_path, capsys):
         config, out = pipeline_run

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiorec import two_tower
-from audiorec.data import DAY_SECONDS, SIGNALS, InteractionRecord, window_by_user
+from audiorec.data import DAY_SECONDS, SIGNALS, InteractionRecord, Interactions
 from audiorec.hgnn import NodeEmbeddingTable
 from audiorec.two_tower import (
     OOV_TOKEN,
@@ -52,7 +52,8 @@ def user_row(user, records, table, config, *, as_of=None, music_vector=None, dem
     pack the same bytes."""
     params = profile_params(config)
     music = None if music_vector is None else {user: music_vector}
-    history = user_histories([user], window_by_user(records, config.window_days, as_of), table, config)
+    window = Interactions.from_records(records).window(config.window_days, as_of)
+    history = user_histories(window, table, config)
     cat, dense = user_inputs(params, history, [user], music, demographics)
     scanned = scan_user_inputs(
         params, user, records, table, as_of=as_of, music_vector=music_vector, demographics=demographics
@@ -138,7 +139,7 @@ class TestUserFeatures:
     def test_music_vector_dimension_mismatch_fatal(self):
         table = toy_table({"a1": [1.0, 0.0]})
         config = TwoTowerConfig(music_dim=3)
-        history = user_histories(["u1"], {}, table, config)
+        history = user_histories(Interactions.from_records([]), table, config)
         with pytest.raises(ValueError, match=r"music vector for 'u1' has shape \(1,\), expected \(3,\)"):
             user_inputs(profile_params(config), history, ["u1"], {"u1": [0.1]})
 
@@ -150,11 +151,12 @@ class TestUserHistoryTable:
             InteractionRecord("u2", "a1", "audiobook", "stream", 10),
             InteractionRecord("u2", "a2", "audiobook", "follow", 20),
             InteractionRecord("u1", "p1", "podcast", "stream", 30),
+            InteractionRecord("u3", "a1", "audiobook", "stream", 200),  # a train user with an empty window
         ]
         config = TwoTowerConfig()
         params = profile_params(config)
-        window = window_by_user(records, config.window_days, as_of=100)
-        histories = user_histories(["u2", "u1", "u3"], window, table, config)
+        window = Interactions.from_records(records).window(config.window_days, as_of=100)
+        histories = user_histories(window, table, config)
         path = tmp_path / "user_features.bin"
         histories.save(path)
         loaded = UserHistoryTable.load(path)
@@ -283,9 +285,9 @@ def small_training_setup(small_split, small_synth, small_embeddings, **cfg_overr
     kwargs = {"hidden": (32, 16, 8), "epochs": 3}
     kwargs.update(cfg_overrides)
     config = TwoTowerConfig(**kwargs)
-    window = window_by_user(small_split.train, config.window_days, as_of=small_split.split_time)
+    window = Interactions.from_records(small_split.train).window(config.window_days, as_of=small_split.split_time)
     pairs = build_training_pairs(window, "audiobook")
-    table = user_histories({u for u, _ in pairs}, window, small_embeddings, config)
+    table = user_histories(window, small_embeddings, config)
     return pairs, (table, catalog, small_embeddings), config
 
 
@@ -468,5 +470,5 @@ def test_build_training_pairs_dedup_and_window():
         InteractionRecord("u1", "a2", "audiobook", "follow", 30),
         InteractionRecord("u2", "p1", "podcast", "stream", 30),
     ]
-    pairs = build_training_pairs(window_by_user(records, 90, as_of=100), "audiobook")
+    pairs = build_training_pairs(Interactions.from_records(records).window(90, as_of=100), "audiobook")
     assert pairs == [("u1", "a1")]
