@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -261,18 +262,37 @@ def load_checked_catalog(path) -> dict[str, CatalogItem]:
     return catalog
 
 
-def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
-    rows = [
+def _catalog_line(item: CatalogItem) -> str:
+    """`io.canonical_json` of the item's row, its vector as a list of
+    floats, formatted directly: the keys in sorted order, each float as its
+    `repr` and each string escaped to ASCII, as `json` writes them. An item
+    whose vector is not all finite, which `canonical_json` refuses, or whose
+    other fields are not all strings goes through `canonical_json`."""
+    vector = [float(x) for x in item.content_vector]
+    if all(map(math.isfinite, vector)):
+        try:
+            return (
+                f'{{"content_vector":[{",".join(map(float.__repr__, vector))}],'
+                f'"genre":{_json_str(item.genre)},"item_id":{_json_str(item.item_id)},'
+                f'"item_type":{_json_str(item.item_type)},"language":{_json_str(item.language)}}}'
+            )
+        except TypeError:  # a field that is not a string
+            pass
+    return io.canonical_json(
         {
             "item_id": item.item_id,
             "item_type": item.item_type,
-            "content_vector": [float(x) for x in item.content_vector],
+            "content_vector": vector,
             "language": item.language,
             "genre": item.genre,
         }
-        for item in catalog.values()
-    ]
-    io.write_jsonl(rows, path)
+    )
+
+
+def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
+    """One line per item: `io.canonical_json` of its fields, its vector as a
+    list of floats."""
+    io.write_jsonl(catalog.values(), path, _catalog_line)
 
 
 def timeline_split(

@@ -12,6 +12,7 @@ catalog coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -56,24 +57,33 @@ def hit_rate_at_k(
     return float(hits.mean())
 
 
+def first_ranks(ranking: list[str], items: Iterable[str], max_rank: int) -> dict[str, int]:
+    """Each of `items` that the top `max_rank` of `ranking` holds, by the
+    1-based rank of its first place there."""
+    top = ranking[:max_rank]
+    return {item: top.index(item) + 1 for item in items if item in top}
+
+
 def mrr(
     recommendations: dict[str, list[str]],
     relevant: dict[str, set[str]],
     max_rank: int = MAX_RANK,
+    ranks: dict[str, dict[str, int]] | None = None,
 ) -> float:
     """Mean reciprocal rank of each user's first relevant item within the top
-    `max_rank`; users with no relevant item there contribute zero."""
+    `max_rank`; users with no relevant item there contribute zero. `ranks`
+    holds each user's `first_ranks` of their relevant items, or of more
+    items, when the caller has them already."""
     users = sorted(recommendations)
     if not users:
         raise ValueError("no users to evaluate")
+    if ranks is None:
+        ranks = {u: first_ranks(recommendations[u], relevant[u], max_rank) for u in users}
     values = []
     for u in users:
-        rr = 0.0
-        for rank, item in enumerate(recommendations[u][:max_rank], start=1):
-            if item in relevant[u]:
-                rr = 1.0 / rank
-                break
-        values.append(rr)
+        rank_of = ranks[u]
+        first = min((rank_of[i] for i in relevant[u] if i in rank_of), default=0)
+        values.append(1.0 / first if first else 0.0)
     return float(np.mean(values))
 
 
@@ -128,6 +138,12 @@ def _score(
     """One report per group with users. A group is its users' relevant items
     and the item set its coverage is over."""
     reports: dict[str, MetricsReport] = {}
+    # each user's relevant items over every group, ranked once
+    items_of: dict[str, set[str]] = {}
+    for relevant, _ in groups.values():
+        for u, items in relevant.items():
+            items_of.setdefault(u, set()).update(items)
+    ranks = {u: first_ranks(rankings[u], items, max_rank) for u, items in items_of.items()}
     for name, (relevant, items) in groups.items():
         if not relevant:
             continue
@@ -135,7 +151,7 @@ def _score(
         reports[name] = MetricsReport(
             segment=name,
             hr_at_k=hit_rate_at_k(recs, relevant, k),
-            mrr=mrr(recs, relevant, max_rank),
+            mrr=mrr(recs, relevant, max_rank, ranks),
             coverage=coverage(recs, items, max_rank),
             n_users=len(relevant),
             k=k,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DAY_SECONDS, CatalogItem, InteractionRecord
+from .data import DAY_SECONDS, SIGNALS, CatalogItem, InteractionRecord
 from .io import check_rules
 
 # Signal-type mixes: follows dominate pre-stream signals but are rarely
@@ -105,10 +105,29 @@ def _stream_counts(
     return np.concatenate(users), np.concatenate(items), np.concatenate(counts)
 
 
-def _draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:
+# Signals in string order; a record's signal code is its position here.
+_SIGNAL_NAMES = sorted(SIGNALS)
+_STREAM = _SIGNAL_NAMES.index("stream")
+
+
+def _signal_cdf(mix: dict[str, float]) -> tuple[list[int], np.ndarray]:
+    """The codes of the signals of `mix`, in name order, and the CDF
+    `Generator.choice` builds from their probabilities:
+    `cdf.searchsorted(rng.random(), side="right")` draws, from the same
+    random stream, the position `rng.choice(len(mix), p=...)` draws."""
     names = sorted(mix)
     probs = np.array([mix[n] for n in names])
-    return names[rng.choice(len(names), p=probs / probs.sum())]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return [_SIGNAL_NAMES.index(n) for n in names], cdf
+
+
+def _string_ranks(ids: list[str]) -> np.ndarray:
+    """Each id's position among `ids` in string order, so that sorting the
+    positions sorts the ids (`u10000` before `u9999`)."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
 def synth_generate(
@@ -127,7 +146,12 @@ def synth_generate_with_meta(
     config: SynthConfig, seed: int
 ) -> tuple[list[InteractionRecord], dict[str, CatalogItem], dict]:
     """As synth_generate, also returning the latent cluster assignments
-    (useful for validating planted structure)."""
+    (useful for validating planted structure).
+
+    Each kind of draw is one array call where the random stream allows it,
+    and the records are built as columns and sorted once; the loop that
+    drew them one record at a time, from the same stream, is kept as
+    `tests/oracles.py::synth_generate_loop`."""
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_SECONDS
 
@@ -146,22 +170,30 @@ def synth_generate_with_meta(
     pod_content = content_for(pod_cluster)
     ab_content = content_for(ab_cluster)
 
+    user_ids = [f"u{u:04d}" for u in range(config.n_users)]
     pod_ids = [f"p{i:04d}" for i in range(config.n_podcasts)]
     ab_ids = [f"a{i:04d}" for i in range(config.n_audiobooks)]
+    # an item's code is its position in catalog order: audiobooks, then podcasts
+    item_ids = ab_ids + pod_ids
+    item_types = ["audiobook"] * len(ab_ids) + ["podcast"] * len(pod_ids)
 
-    catalog: dict[str, CatalogItem] = {}
-    for ids, content, item_type in (
-        (ab_ids, ab_content, "audiobook"),
-        (pod_ids, pod_content, "podcast"),
-    ):
-        for i, item_id in enumerate(ids):
-            catalog[item_id] = CatalogItem(
-                item_id=item_id,
-                item_type=item_type,
-                content_vector=content[i],
-                language=str(rng.choice(list(config.languages))),
-                genre=str(rng.choice(list(config.genres))),
-            )
+    # A language, then a genre, per item: `rng.choice(names)` draws
+    # `rng.integers(0, len(names))`, and one call over the interleaved
+    # bounds draws them all in that order.
+    bounds = np.tile([len(config.languages), len(config.genres)], len(item_ids))
+    picks = rng.integers(0, bounds).reshape(-1, 2).tolist()
+    catalog = {
+        item_id: CatalogItem(
+            item_id=item_id,
+            item_type=item_type,
+            content_vector=content,
+            language=config.languages[language],
+            genre=config.genres[genre],
+        )
+        for item_id, item_type, content, (language, genre) in zip(
+            item_ids, item_types, [*ab_content, *pod_content], picks
+        )
+    }
 
     affinity = config.cluster_affinity
     pod_streams = _stream_counts(rng, user_cluster, pod_cluster, config.podcast_stream_rate, affinity, 0)
@@ -173,49 +205,39 @@ def synth_generate_with_meta(
     streamed = np.zeros((config.n_users, config.n_audiobooks), dtype=bool)
     streamed[ab_streams[0], ab_streams[1]] = True
 
-    records: list[InteractionRecord] = []
+    def stream_columns(streams: tuple, item_offset: int) -> tuple[tuple, np.ndarray]:
+        """The stream records of `(user, item, count)` triples as columns
+        (user, item code, signal code, time), each pair's `count` times drawn
+        pair after pair in one call; and each pair's first time."""
+        users, items, counts = streams
+        times = rng.integers(0, horizon, size=int(counts.sum()))
+        starts = np.cumsum(counts) - counts
+        first = np.minimum.reduceat(times, starts) if len(starts) else times
+        columns = (
+            np.repeat(users, counts), np.repeat(items, counts) + item_offset, np.full(len(times), _STREAM), times
+        )
+        return columns, first
 
-    def emit_streams(streams: tuple, ids: list[str], item_type: str) -> dict:
-        first_stream: dict[tuple[int, int], int] = {}
-        for u, i, count in zip(*(a.tolist() for a in streams)):
-            times = rng.integers(0, horizon, size=count)
-            first_stream[(u, i)] = int(times.min())
-            for t in times:
-                records.append(
-                    InteractionRecord(
-                        user_id=f"u{u:04d}",
-                        item_id=ids[i],
-                        item_type=item_type,
-                        signal="stream",
-                        timestamp=int(t),
-                    )
-                )
-        return first_stream
+    pod_columns, _ = stream_columns(pod_streams, len(ab_ids))
+    ab_columns, ab_first_stream = stream_columns(ab_streams, 0)
 
-    emit_streams(pod_streams, pod_ids, "podcast")
-    ab_first_stream = emit_streams(ab_streams, ab_ids, "audiobook")
-
-    # Pre-stream weak signals: a share of first audiobook streams is preceded,
-    # 1-14 days earlier, by one or more weak signals of a single type.
-    for (u, i), t0 in sorted(ab_first_stream.items()):
+    # Weak signals as (user, item code, signal code, times) per draw of a
+    # signal type. Pre-stream: a share of first audiobook streams, in
+    # (user, item) order, is preceded 1-14 days earlier by one or more weak
+    # signals of a single type.
+    weak: list[tuple[int, int, int, np.ndarray]] = []
+    pre_codes, pre_cdf = _signal_cdf(_PRE_STREAM_SIGNAL_P)
+    for u, i, t0 in zip(ab_streams[0].tolist(), ab_streams[1].tolist(), ab_first_stream.tolist()):
         if rng.random() >= config.weak_signal_prob:
             continue
-        signal = _draw_signal(rng, _PRE_STREAM_SIGNAL_P)
+        signal = pre_codes[pre_cdf.searchsorted(rng.random(), side="right")]
         n_events = 1 + rng.poisson(config.weak_extra_count)
-        for _ in range(n_events):
-            gap = int(rng.integers(3600, 14 * DAY_SECONDS))
-            records.append(
-                InteractionRecord(
-                    user_id=f"u{u:04d}",
-                    item_id=ab_ids[i],
-                    item_type="audiobook",
-                    signal=signal,
-                    timestamp=max(0, t0 - gap),
-                )
-            )
+        gaps = rng.integers(3600, 14 * DAY_SECONDS, size=n_events)
+        weak.append((u, i, signal, np.maximum(0, t0 - gaps)))
 
     # Abandoned weak signals on audiobooks the user never streams. Users
     # browse within their taste, so picks are cluster-affine too.
+    abandoned_codes, abandoned_cdf = _signal_cdf(_ABANDONED_SIGNAL_P)
     for u in range(config.n_users):
         n_abandoned = rng.poisson(config.abandoned_rate)
         if n_abandoned == 0:
@@ -230,26 +252,39 @@ def synth_generate_with_meta(
         picks = rng.choice(
             unstreamed, size=n_pick, replace=False, p=weights / weights.sum()
         )
-        for i in sorted(int(p) for p in picks):
-            signal = _draw_signal(rng, _ABANDONED_SIGNAL_P)
+        for i in sorted(picks.tolist()):
+            signal = abandoned_codes[abandoned_cdf.searchsorted(rng.random(), side="right")]
             n_events = 1 + rng.poisson(config.abandoned_extra_count)
-            for _ in range(n_events):
-                records.append(
-                    InteractionRecord(
-                        user_id=f"u{u:04d}",
-                        item_id=ab_ids[i],
-                        item_type="audiobook",
-                        signal=signal,
-                        timestamp=int(rng.integers(0, horizon)),
-                    )
-                )
+            weak.append((u, i, signal, rng.integers(0, horizon, size=n_events)))
 
-    records.sort(key=lambda r: (r.timestamp, r.user_id, r.item_id, r.signal))
+    blocks = [pod_columns, ab_columns]
+    if weak:
+        users, items, signals, times = zip(*weak)
+        counts = [len(t) for t in times]
+        blocks.append(
+            (np.repeat(users, counts), np.repeat(items, counts), np.repeat(signals, counts), np.concatenate(times))
+        )
+
+    # Records by (timestamp, user id, item id, signal), each id compared as a
+    # string: codes of the users, items and signals in string order.
+    user, item, signal, timestamp = (np.concatenate(c) for c in zip(*blocks))
+    order = np.lexsort((
+        signal, _string_ranks(item_ids)[item], _string_ranks(user_ids)[user], timestamp
+    ))
+    item = item[order].tolist()
+    records = list(map(
+        InteractionRecord,
+        map(user_ids.__getitem__, user[order].tolist()),
+        map(item_ids.__getitem__, item),
+        map(item_types.__getitem__, item),
+        map(_SIGNAL_NAMES.__getitem__, signal[order].tolist()),
+        timestamp[order].tolist(),
+    ))
     meta = {
-        "user_cluster": {f"u{u:04d}": int(c) for u, c in enumerate(user_cluster)},
+        "user_cluster": dict(zip(user_ids, user_cluster.tolist())),
         "item_cluster": {
-            **{ab_ids[i]: int(c) for i, c in enumerate(ab_cluster)},
-            **{pod_ids[i]: int(c) for i, c in enumerate(pod_cluster)},
+            **dict(zip(ab_ids, ab_cluster.tolist())),
+            **dict(zip(pod_ids, pod_cluster.tolist())),
         },
     }
     return records, catalog, meta

@@ -23,13 +23,24 @@ vector must equal the tower's output on the scanned row bit for bit.
 `stream_counts_dense` draws synth's stream counts in one call over the whole
 user x item array, where the generator draws them a block of users at a
 time; the triples and the generator state must match exactly.
+`synth_generate_loop` draws synth's records one at a time and sorts the
+record objects, where the generator draws each kind of value in one array
+call from the same random stream and sorts columns; `save_catalog_rows`
+writes each catalog item's row dict through `canonical_json`, where the
+library formats the line directly. Records, catalogs, meta and the written
+bytes must match exactly. `mrr_walk` walks each user's ranking to the
+first relevant item for every group it scores, where the library finds each
+user's relevant items in their ranking once per scoring call; the means must
+be equal.
 `current_inputs` walks the manifest chain asking the config, for every input
 every manifest records, whether a config field names it; the library works
 that set out once per walk. Both must resolve the same files and digests, or
 refuse with the same text.
 `parse_interactions_lines`, `read_jsonl_lines` and `parse_catalog_lines`
 decode and check one line at a time through `json.loads`, where the library
-scans each line once and tests a record's fields in one expression.
+scans each line once and tests a record's fields in one expression;
+`parse_catalog_lines` checks a content vector in plain Python, where the
+library converts it with numpy.
 `build_colisten_graph_loop` counts every item pair of every user in a dict,
 where the library codes pairs as integers and counts them with `np.unique`. Both sides must give equal records and
 diagnostics, equal catalogs or the same error, and byte-equal graphs.
@@ -49,13 +60,14 @@ for bit where every product and sum is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from audiorec import io
+from audiorec import io, synth
 from audiorec.data import (
     DAY_SECONDS,
     ITEM_TYPES,
@@ -69,7 +81,6 @@ from audiorec.data import (
     ParsedInteractions,
     UserSegments,
     _check_interaction,
-    text_field,
 )
 from audiorec.graph import (
     REL_KEYS,
@@ -561,6 +572,182 @@ def stream_counts_dense(
     return users, items, counts[users, items]
 
 
+def draw_signal(rng: np.random.Generator, mix: dict[str, float]) -> str:
+    """One signal name of `mix`, drawn by `Generator.choice` with its
+    probabilities."""
+    names = sorted(mix)
+    probs = np.array([mix[n] for n in names])
+    return names[rng.choice(len(names), p=probs / probs.sum())]
+
+
+def synth_generate_loop(
+    config: synth.SynthConfig, seed: int
+) -> tuple[list[InteractionRecord], dict[str, CatalogItem], dict]:
+    """`synth.synth_generate_with_meta` drawing one record at a time: a
+    `choice` per language and genre, an `integers` call per streamed
+    (user, item) and per weak signal, `choice(p=...)` per signal type, and
+    one keyed sort of the record objects."""
+    rng = np.random.default_rng(seed)
+    horizon = config.days * DAY_SECONDS
+
+    user_cluster = rng.integers(0, config.n_clusters, size=config.n_users)
+    pod_cluster = rng.integers(0, config.n_clusters, size=config.n_podcasts)
+    ab_cluster = rng.integers(0, config.n_clusters, size=config.n_audiobooks)
+
+    centroids = rng.normal(size=(config.n_clusters, config.d_c))
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+
+    def content_for(clusters: np.ndarray) -> np.ndarray:
+        return centroids[clusters] + config.content_noise * rng.normal(
+            size=(len(clusters), config.d_c)
+        )
+
+    pod_content = content_for(pod_cluster)
+    ab_content = content_for(ab_cluster)
+
+    pod_ids = [f"p{i:04d}" for i in range(config.n_podcasts)]
+    ab_ids = [f"a{i:04d}" for i in range(config.n_audiobooks)]
+
+    catalog: dict[str, CatalogItem] = {}
+    for ids, content, item_type in (
+        (ab_ids, ab_content, "audiobook"),
+        (pod_ids, pod_content, "podcast"),
+    ):
+        for i, item_id in enumerate(ids):
+            catalog[item_id] = CatalogItem(
+                item_id=item_id,
+                item_type=item_type,
+                content_vector=content[i],
+                language=str(rng.choice(list(config.languages))),
+                genre=str(rng.choice(list(config.genres))),
+            )
+
+    affinity = config.cluster_affinity
+    pod_streams = synth._stream_counts(rng, user_cluster, pod_cluster, config.podcast_stream_rate, affinity, 0)
+    # Designated audiobooks never get streamed, so they stay out of any
+    # co-listening graph and exercise the content-only embedding path.
+    ab_streams = synth._stream_counts(
+        rng, user_cluster, ab_cluster, config.audiobook_stream_rate, affinity, config.n_cold_items
+    )
+    streamed = np.zeros((config.n_users, config.n_audiobooks), dtype=bool)
+    streamed[ab_streams[0], ab_streams[1]] = True
+
+    records: list[InteractionRecord] = []
+
+    def emit_streams(streams: tuple, ids: list[str], item_type: str) -> dict:
+        first_stream: dict[tuple[int, int], int] = {}
+        for u, i, count in zip(*(a.tolist() for a in streams)):
+            times = rng.integers(0, horizon, size=count)
+            first_stream[(u, i)] = int(times.min())
+            for t in times:
+                records.append(
+                    InteractionRecord(
+                        user_id=f"u{u:04d}",
+                        item_id=ids[i],
+                        item_type=item_type,
+                        signal="stream",
+                        timestamp=int(t),
+                    )
+                )
+        return first_stream
+
+    emit_streams(pod_streams, pod_ids, "podcast")
+    ab_first_stream = emit_streams(ab_streams, ab_ids, "audiobook")
+
+    # Pre-stream weak signals: a share of first audiobook streams is preceded,
+    # 1-14 days earlier, by one or more weak signals of a single type.
+    for (u, i), t0 in sorted(ab_first_stream.items()):
+        if rng.random() >= config.weak_signal_prob:
+            continue
+        signal = draw_signal(rng, synth._PRE_STREAM_SIGNAL_P)
+        n_events = 1 + rng.poisson(config.weak_extra_count)
+        for _ in range(n_events):
+            gap = int(rng.integers(3600, 14 * DAY_SECONDS))
+            records.append(
+                InteractionRecord(
+                    user_id=f"u{u:04d}",
+                    item_id=ab_ids[i],
+                    item_type="audiobook",
+                    signal=signal,
+                    timestamp=max(0, t0 - gap),
+                )
+            )
+
+    # Abandoned weak signals on audiobooks the user never streams. Users
+    # browse within their taste, so picks are cluster-affine too.
+    for u in range(config.n_users):
+        n_abandoned = rng.poisson(config.abandoned_rate)
+        if n_abandoned == 0:
+            continue
+        unstreamed = np.flatnonzero(~streamed[u])
+        if len(unstreamed) == 0:
+            continue
+        weights = np.where(
+            ab_cluster[unstreamed] == user_cluster[u], config.cluster_affinity, 1.0
+        )
+        n_pick = min(n_abandoned, len(unstreamed))
+        picks = rng.choice(
+            unstreamed, size=n_pick, replace=False, p=weights / weights.sum()
+        )
+        for i in sorted(int(p) for p in picks):
+            signal = draw_signal(rng, synth._ABANDONED_SIGNAL_P)
+            n_events = 1 + rng.poisson(config.abandoned_extra_count)
+            for _ in range(n_events):
+                records.append(
+                    InteractionRecord(
+                        user_id=f"u{u:04d}",
+                        item_id=ab_ids[i],
+                        item_type="audiobook",
+                        signal=signal,
+                        timestamp=int(rng.integers(0, horizon)),
+                    )
+                )
+
+    records.sort(key=lambda r: (r.timestamp, r.user_id, r.item_id, r.signal))
+    meta = {
+        "user_cluster": {f"u{u:04d}": int(c) for u, c in enumerate(user_cluster)},
+        "item_cluster": {
+            **{ab_ids[i]: int(c) for i, c in enumerate(ab_cluster)},
+            **{pod_ids[i]: int(c) for i, c in enumerate(pod_cluster)},
+        },
+    }
+    return records, catalog, meta
+
+
+def save_catalog_rows(catalog: dict[str, CatalogItem], path) -> None:
+    """`data.save_catalog`, one `io.canonical_json` row dict per item."""
+    rows = [
+        {
+            "item_id": item.item_id,
+            "item_type": item.item_type,
+            "content_vector": [float(x) for x in item.content_vector],
+            "language": item.language,
+            "genre": item.genre,
+        }
+        for item in catalog.values()
+    ]
+    io.write_jsonl(rows, path)
+
+
+def mrr_walk(
+    recommendations: dict[str, list[str]], relevant: dict[str, set[str]], max_rank: int
+) -> float:
+    """`evaluate.mrr`, walking each user's top `max_rank` to their first
+    relevant item."""
+    users = sorted(recommendations)
+    if not users:
+        raise ValueError("no users to evaluate")
+    values = []
+    for u in users:
+        rr = 0.0
+        for rank, item in enumerate(recommendations[u][:max_rank], start=1):
+            if item in relevant[u]:
+                rr = 1.0 / rank
+                break
+        values.append(rr)
+    return float(np.mean(values))
+
+
 def train_two_tower_serial(
     pairs: list[tuple[str, str]],
     table: UserHistoryTable,
@@ -972,42 +1159,65 @@ def read_jsonl_lines(path, required: tuple[str, ...] = (), parse: Callable | Non
     return out
 
 
+def catalog_text(obj: dict, key: str) -> str:
+    value = obj[key]
+    if type(value) is not str or value == "":
+        raise ValueError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
+def catalog_vector(value) -> np.ndarray:
+    """A content vector checked element by element: a flat, non-empty list
+    of ints and floats (not bools), each finite as a float."""
+    if type(value) is not list or len(value) == 0:
+        raise ValueError(f"content_vector is not a float array: got {value!r}")
+    for x in value:
+        if type(x) is list:
+            raise ValueError("content_vector is not a flat array")
+    for x in value:
+        if type(x) is not int and type(x) is not float:
+            raise ValueError(f"content_vector is not a float array: could not convert {x!r} to a number")
+    floats = []
+    for x in value:
+        try:
+            f = float(x)
+        except OverflowError:
+            f = math.inf
+        if not math.isfinite(f):
+            raise ValueError("content_vector is not a flat array of finite numbers")
+        floats.append(f)
+    return np.array(floats, dtype=np.float64)
+
+
 def parse_catalog_lines(path) -> dict[str, CatalogItem]:
-    """`data.parse_catalog`, checking and converting one line at a time."""
-    first_line: dict[str, int] = {}
-    dim: int | None = None
+    """`data.parse_catalog`, one `json.loads` per line and each field
+    checked in plain Python."""
+    items: dict[str, CatalogItem] = {}
+    line_of: dict[str, int] = {}
+    dim = None
 
     def parse(obj: dict, line_no: int) -> CatalogItem:
         nonlocal dim
-        item_id = text_field(obj, "item_id")
+        item_id = catalog_text(obj, "item_id")
         if "\x00" in item_id:
             raise ValueError(f"item_id {item_id!r} holds a NUL character")
-        if item_id in first_line:
-            raise ValueError(
-                f"duplicate item_id {item_id!r} (lines {first_line[item_id]} and {line_no})"
-            )
-        if obj["item_type"] not in ITEM_TYPES:
+        if item_id in line_of:
+            raise ValueError(f"duplicate item_id {item_id!r} (lines {line_of[item_id]} and {line_no})")
+        if obj["item_type"] not in ("audiobook", "podcast"):
             raise ValueError(f"unknown item_type {obj['item_type']!r}")
-        vec = io.number_vector("content_vector", obj["content_vector"])
+        vector = catalog_vector(obj["content_vector"])
         if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ValueError(
-                f"content_vector dimension {vec.shape[0]} does not match earlier dimension {dim}"
-            )
-        first_line[item_id] = line_no
+            dim = len(vector)
+        if len(vector) != dim:
+            raise ValueError(f"content_vector dimension {len(vector)} does not match earlier dimension {dim}")
+        line_of[item_id] = line_no
         return CatalogItem(
-            item_id=item_id,
-            item_type=obj["item_type"],
-            content_vector=vec,
-            language=text_field(obj, "language"),
-            genre=text_field(obj, "genre"),
+            item_id, obj["item_type"], vector, catalog_text(obj, "language"), catalog_text(obj, "genre")
         )
 
-    items = read_jsonl_lines(
-        path, ("item_id", "item_type", "content_vector", "language", "genre"), parse
-    )
-    return {item.item_id: item for item in items}
+    for item in read_jsonl_lines(path, ("item_id", "item_type", "content_vector", "language", "genre"), parse):
+        items[item.item_id] = item
+    return items
 
 
 def build_colisten_graph_loop(

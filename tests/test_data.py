@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from audiorec.data import (
     DAY_SECONDS,
+    CatalogItem,
     InteractionRecord,
     load_checked_catalog,
     parse_catalog,
     parse_interactions,
     record_to_dict,
+    save_catalog,
     save_checked_catalog,
     save_interactions,
     Interactions,
@@ -718,6 +721,134 @@ class TestSynth:
         assert streamed & cold == set()
 
 
+# the synth section of the wide-catalog benchmark workload
+WIDE_SYNTH = SynthConfig(
+    n_users=2000,
+    n_podcasts=2000,
+    n_audiobooks=1000,
+    podcast_stream_rate=0.001,
+    audiobook_stream_rate=0.0005,
+    n_cold_items=50,
+)
+# the synth section of the pipeline tests' tiny config
+TINY_SYNTH = SynthConfig(
+    n_users=120,
+    n_podcasts=50,
+    n_audiobooks=24,
+    n_clusters=3,
+    d_c=8,
+    n_cold_items=2,
+    audiobook_stream_rate=0.02,
+    podcast_stream_rate=0.015,
+)
+SYNTH_CASES = {
+    "default": (SynthConfig(), (0, 7, 11)),
+    "wide": (WIDE_SYNTH, (7, 3)),
+    "tiny": (TINY_SYNTH, (0, 7, 11)),
+    # ids past four digits, where string order is not number order; one day
+    # of timestamps, so records share times and the id order decides (the
+    # weak signals, 1-14 days before a first stream, all fall on time 0)
+    "ids-past-four-digits": (
+        SynthConfig(
+            n_users=10_001, n_podcasts=1, n_audiobooks=1, n_clusters=1, n_cold_items=0, days=1,
+            podcast_stream_rate=0.5, audiobook_stream_rate=0.25,
+        ),
+        (0, 7),
+    ),
+    "no-weak-signals": (dataclasses.replace(TINY_SYNTH, weak_signal_prob=0.0), (0, 7)),
+    "always-weak-signals": (dataclasses.replace(TINY_SYNTH, weak_signal_prob=1.0), (0, 7)),
+    "never-abandoned": (dataclasses.replace(TINY_SYNTH, abandoned_rate=0.0), (0, 7)),
+    "no-streams": (dataclasses.replace(TINY_SYNTH, podcast_stream_rate=0.0, audiobook_stream_rate=0.0), (0, 7)),
+    "every-audiobook-cold": (dataclasses.replace(TINY_SYNTH, n_cold_items=TINY_SYNTH.n_audiobooks), (0, 7)),
+    # `choice` from one name draws nothing
+    "one-language-and-genre": (dataclasses.replace(TINY_SYNTH, languages=("en",), genres=("g0",)), (0, 7)),
+}
+
+
+class TestSynthMatchesTheLoop:
+    """The array-at-a-time generator against `oracles.synth_generate_loop`,
+    which draws one record at a time: the same records in the same order,
+    catalog, meta and written bytes."""
+
+    @pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+    def test_records_catalog_meta_and_bytes(self, tmp_path, case):
+        config, seeds = SYNTH_CASES[case]
+        for seed in seeds:
+            records, catalog, meta = synth_generate_with_meta(config, seed)
+            want_records, want_catalog, want_meta = oracles.synth_generate_loop(config, seed)
+            assert records == want_records
+            assert [tuple(map(type, vars(r).values())) for r in records] == [
+                tuple(map(type, vars(r).values())) for r in want_records
+            ]
+            assert meta == want_meta
+            assert list(catalog) == list(want_catalog)
+            for got, want in zip(catalog.values(), want_catalog.values()):
+                assert (got.item_id, got.item_type, got.language, got.genre) == (
+                    want.item_id, want.item_type, want.language, want.genre
+                )
+                assert type(got.language) is type(got.genre) is str
+                assert got.content_vector.dtype == want.content_vector.dtype
+                assert got.content_vector.tobytes() == want.content_vector.tobytes()
+
+            save_interactions(records, tmp_path / "interactions.jsonl")
+            save_catalog(catalog, tmp_path / "catalog.jsonl")
+            oracles.save_catalog_rows(want_catalog, tmp_path / "want_catalog.jsonl")
+            want_lines = "".join(io.canonical_json(record_to_dict(r)) + "\n" for r in want_records)
+            assert (tmp_path / "interactions.jsonl").read_bytes() == want_lines.encode("utf-8")
+            assert (tmp_path / "catalog.jsonl").read_bytes() == (tmp_path / "want_catalog.jsonl").read_bytes()
+        if case == "ids-past-four-digits":
+            # u10000 shares a time with other users: only string order places it
+            times = {r.timestamp for r in records if r.user_id == "u10000"}
+            assert {r.user_id for r in records if r.timestamp in times} > {"u10000"}
+        if case == "no-streams":
+            assert records and {r.signal for r in records} <= {"follow", "preview", "intent_to_pay"}
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            synth._PRE_STREAM_SIGNAL_P,
+            synth._ABANDONED_SIGNAL_P,
+            {"preview": 1.0},
+            {"follow": 0.0, "preview": 2.0, "stream": 1e-9},
+            {"follow": 1.0, "intent_to_pay": 3.0, "preview": 1.0, "stream": 0.0},
+        ],
+    )
+    def test_signal_cdf_picks_what_choice_picks(self, mix):
+        # a numpy whose `choice(p=...)` draws otherwise fails here, not
+        # silently in the generated data
+        codes, cdf = synth._signal_cdf(mix)
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [codes[cdf.searchsorted(got_rng.random(), side="right")] for _ in range(500)]
+            want = [synth._SIGNAL_NAMES.index(oracles.draw_signal(want_rng, mix)) for _ in range(500)]
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestSaveCatalog:
+    @given(st.lists(st.builds(
+        CatalogItem,
+        item_id=st.one_of(ANY_TEXT, st.none()),
+        item_type=st.sampled_from(["audiobook", "podcast", 3]),
+        content_vector=st.one_of(
+            st.lists(st.floats(), max_size=4).map(np.array),
+            st.lists(st.one_of(st.integers(-2**60, 2**60), st.floats(width=32)), max_size=3),
+        ),
+        language=ANY_TEXT,
+        genre=st.one_of(ANY_TEXT, st.lists(ANY_TEXT, max_size=1)),
+    ), max_size=4))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_each_line_is_the_rows_canonical_json(self, tmp_path, items):
+        # a non-finite vector is refused with `canonical_json`'s error
+        catalog = dict(enumerate(items))
+
+        def saved(write):
+            write(catalog, tmp_path / "c.jsonl")
+            return (tmp_path / "c.jsonl").read_text(encoding="utf-8")
+
+        assert outcome(saved, save_catalog) == outcome(saved, oracles.save_catalog_rows)
+
+
 class TestStreamCountBlocks:
     @pytest.mark.parametrize("block", [1, 7, synth._STREAM_BLOCK_USERS])
     @pytest.mark.parametrize(
@@ -745,21 +876,7 @@ class TestStreamCountBlocks:
         if n_zero == n_items or base_rate == 0:
             assert len(got[0]) == 0
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            SynthConfig(),
-            SynthConfig(  # the synth section of the wide-catalog benchmark workload
-                n_users=2000,
-                n_podcasts=2000,
-                n_audiobooks=1000,
-                podcast_stream_rate=0.001,
-                audiobook_stream_rate=0.0005,
-                n_cold_items=50,
-            ),
-        ],
-        ids=["default", "wide"],
-    )
+    @pytest.mark.parametrize("config", [SynthConfig(), WIDE_SYNTH], ids=["default", "wide"])
     def test_generated_data_equals_the_dense_path(self, monkeypatch, config):
         records, catalog, meta = synth_generate_with_meta(config, seed=7)
         monkeypatch.setattr(synth, "_stream_counts", stream_counts_dense)

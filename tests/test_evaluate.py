@@ -17,6 +17,7 @@ from audiorec.evaluate import (
     coverage,
     evaluate,
     filtered_recommendations,
+    first_ranks,
     hit_rate_at_k,
     mrr,
     popularity_tiers,
@@ -31,6 +32,7 @@ from audiorec.recommenders import (
 )
 
 from conftest import log_split, make_catalog, stream
+import oracles
 
 
 class FixedRecommender:
@@ -127,6 +129,30 @@ class TestMrr:
     def test_first_relevant_counts(self):
         recs = {"u1": ["x", "r2", "r1"]}
         assert mrr(recs, {"u1": {"r1", "r2"}}) == 0.5
+
+    def test_matches_the_ranking_walk(self):
+        # rankings with repeated items, relevant items past `max_rank` or
+        # absent, and users with no hit; given or worked-out rank lookups
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            items = [f"i{j}" for j in range(int(rng.integers(1, 30)))]
+            recs = {
+                f"u{u}": [str(x) for x in rng.choice(items, size=int(rng.integers(0, 40)))]
+                for u in range(int(rng.integers(1, 12)))
+            }
+            rel = {u: {str(x) for x in rng.choice(items + ["never"], size=int(rng.integers(1, 4)))} for u in recs}
+            max_rank = int(rng.integers(1, 45))
+            want = oracles.mrr_walk(recs, rel, max_rank)
+            # ranks of more items than the relevant ones, as `_score` gives
+            ranks = {u: first_ranks(r, items + ["never"], max_rank) for u, r in recs.items()}
+            assert mrr(recs, rel, max_rank) == want
+            assert mrr(recs, rel, max_rank, ranks) == want
+        assert mrr({"u1": ["a", "b"], "u2": ["c"]}, {"u1": {"z"}, "u2": {"y"}}) == 0.0
+
+    def test_first_ranks_keep_the_first_of_repeats(self):
+        assert first_ranks(["a", "b", "a", "c", "b"], ["a", "b", "c", "z"], 4) == {"a": 1, "b": 2, "c": 4}
+        assert first_ranks(["a", "b", "c"], ["c"], 2) == {}
+        assert first_ranks([], ["a"], 3) == {}
 
 
 class TestCoverage:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiorec import data, hgnn, io, pipeline
+from audiorec import data, hgnn, io, pipeline, synth
 from audiorec.cli import main
 from audiorec.data import parse_catalog, parse_interactions
 from audiorec.evaluate import streamed_items
@@ -1800,6 +1800,30 @@ class TestStaleInputs:
         assert 0 < float(hgnn_lines["first-forward"][2]) < min(phase_peaks)
         assert {line[1] for line in lines if line[0] == "embed"} == {"peak", "forward", "first-forward"}
         assert {name: getattr(hgnn, name) for name in originals} == originals
+        assert not tracemalloc.is_tracing()
+
+    def test_scale_curve_runs_at_scale_one(self, tmp_path):
+        # one row of the fixed-activity scale curve on the tiny config; the
+        # timed and traced functions are left as they were
+        curve = load_script(ROOT / "scripts" / "scale_curve.py")
+        originals = {name: getattr(hgnn, name) for name in (*curve.PHASES.values(), "batch_loss_and_grads")}
+        stream_counts = synth._stream_counts
+        config = tiny_config()
+        twice = curve.scaled(config, 2)
+        assert (twice.synth.n_users, twice.synth.n_audiobooks) == (2 * config.synth.n_users, 2 * config.synth.n_audiobooks)
+        assert twice.synth.podcast_stream_rate == config.synth.podcast_stream_rate / 2
+        assert twice.hgnn.max_epochs == 1
+        row = curve.measure(config, 1, tmp_path)
+        graph = load_graph(tmp_path / pipeline.ARTIFACTS["graph"])
+        assert row["nodes"] == sum(len(ids) for ids in graph.nodes.values()) > 0
+        assert set(row["edges"]) == set(graph.relations)
+        assert row["synth_s"] > row["dense_s"] > 0
+        assert row["epoch_s"] > 0 and row["batches"] >= 1
+        assert set(row["phase_mib"]) == set(curve.PHASES) and min(row["phase_mib"].values()) > 0
+        fields = curve.format_row(row).split()
+        assert len(fields) == len(curve.HEADER.split()) and fields[:2] == ["1", str(row["nodes"])]
+        assert {name: getattr(hgnn, name) for name in originals} == originals
+        assert synth._stream_counts is stream_counts
         assert not tracemalloc.is_tracing()
 
 # chains the manifest walk must judge as its oracle does: (damage, what it hits)
