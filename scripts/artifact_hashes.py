@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Run the daily pipeline (`synth` through `evaluate`) at seed 7 on three
-configs and print one sha256 per artifact, and one of what `rec recommend`
-serves, so a change meant to keep every result byte-identical can be checked
-against its parent with one `diff`.
+"""Run the daily pipeline (`synth` through `evaluate`) and `weak-signals` at
+seed 7 on three configs and print one sha256 per artifact, and one of what
+`rec recommend` serves, so a change meant to keep every result
+byte-identical can be checked against its parent with one `diff`.
 
     PYTHONPATH=src python scripts/artifact_hashes.py > after.txt
     PYTHONPATH=src python scripts/artifact_hashes.py --configs default wide
@@ -39,7 +39,7 @@ if __name__ == "__main__":  # imported, it leaves the environment as it is
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = str(_early.parse_known_args()[0].blas_threads)
 
-from audiorec.data import parse_interactions  # noqa: E402
+from audiorec.data import Interactions  # noqa: E402
 from audiorec.io import canonical_json, sha256_bytes  # noqa: E402
 from audiorec.pipeline import ARTIFACTS, DAILY, PipelineConfig, model_rankings, run_stage  # noqa: E402
 
@@ -65,19 +65,18 @@ def ranking_digest(config: PipelineConfig, out: Path) -> str:
 
 
 def artifact_hashes(overrides: dict, out: Path) -> dict[str, str]:
-    """sha256 of every file the daily pipeline writes under `out`, by path
-    relative to it, except the skipped logs; then of the served rankings and
-    of the rankings `evaluate` scores."""
+    """sha256 of every file the daily pipeline and `weak-signals` write under
+    `out`, by path relative to it, except the skipped logs; then of the served
+    rankings and of the rankings `evaluate` scores."""
     config = PipelineConfig().with_overrides({**overrides, "seed": SEED})
-    for stage in DAILY:
+    for stage in (*DAILY, "weak-signals"):
         run_stage(stage, config, out)
     digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name not in SKIPPED
     }
-    train = parse_interactions(out / ARTIFACTS["train"]).records
-    users = sorted({r.user_id for r in train})[:SERVED_USERS] + UNSEEN
+    users = Interactions.load(out / ARTIFACTS["train_columns"]).user_ids.tolist()[:SERVED_USERS] + UNSEEN
     served = {user: run_stage("recommend", config, out, user=user, k=10) for user in users}
     digests["recommend@10"] = sha256_bytes(canonical_json(served).encode("utf-8"))
     digests["rankings"] = ranking_digest(config, out)

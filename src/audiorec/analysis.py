@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SIGNALS, WEAK_SIGNALS, InteractionRecord
+from .data import AUDIOBOOK, SIGNALS, STREAM, WEAK_SIGNALS, Interactions
 from .graph import HeteroGraph
 
 
@@ -122,56 +122,46 @@ def logistic_fit(signal: str, x: np.ndarray, y: np.ndarray) -> LogisticFit:
     return LogisticFit(signal, 0.0, 0.0, 1.0, len(x), len(pos), False, reason)
 
 
-def _audiobook_pair_events(
-    records: list[InteractionRecord],
-) -> dict[tuple[str, str], dict[str, list[int]]]:
-    pairs: dict[tuple[str, str], dict[str, list[int]]] = {}
-    for r in records:
-        if r.item_type != "audiobook":
-            continue
-        key = (r.user_id, r.item_id)
-        pairs.setdefault(key, {}).setdefault(r.signal, []).append(r.timestamp)
-    return pairs
-
-
-def weak_signal_analysis(records: list[InteractionRecord]) -> WeakSignalReport:
+def weak_signal_analysis(log: Interactions) -> WeakSignalReport:
     """Co-occurrence of signals over (user, audiobook) pairs, plus one
     logistic regression per weak-signal type predicting whether the pair gets
     streamed from the count of that signal seen before the first stream.
 
     Rows for signals with no occurrences keep a unit diagonal and zero
     off-diagonal entries. `logistic_fit` skips each fit that has no unique
-    finite slope, and says why.
+    finite slope, and says why. The pairs are examples in order of their
+    first record, which fixes the order of Newton's sums.
     """
-    pairs = _audiobook_pair_events(records)
-    present = {s for events in pairs.values() for s in events}
-    if len(present) < 2:
+    ab = log.item_type == AUDIOBOOK
+    signal, timestamp = log.signal[ab], log.timestamp[ab]
+    _, first, pair = np.unique(
+        log.user[ab].astype(np.int64) * len(log.item_ids) + log.item[ab], return_index=True, return_inverse=True
+    )
+    pair = np.argsort(np.argsort(first))[pair]  # pairs coded in order of first appearance
+    n_pairs = len(first)
+    has = np.zeros((n_pairs, len(SIGNALS)), dtype=np.int64)
+    has[pair, signal] = 1
+    with_signal = has.sum(axis=0)
+    if np.count_nonzero(with_signal) < 2:
         raise ValueError("weak-signal analysis needs at least two signal types")
 
-    n = len(SIGNALS)
-    matrix = np.zeros((n, n))
-    for i, si in enumerate(SIGNALS):
-        with_i = [events for events in pairs.values() if si in events]
-        if not with_i:
-            matrix[i, i] = 1.0
-            continue
-        for j, sj in enumerate(SIGNALS):
-            matrix[i, j] = sum(1 for events in with_i if sj in events) / len(with_i)
+    # [i][j] = pairs showing both i and j over pairs showing i
+    matrix = np.eye(len(SIGNALS))
+    seen = with_signal > 0
+    matrix[seen] = (has.T @ has)[seen] / with_signal[seen, None]
 
-    fits: dict[str, LogisticFit] = {}
-    for signal in WEAK_SIGNALS:
-        xs, ys = [], []
-        for events in pairs.values():
-            streams = events.get("stream")
-            first_stream = min(streams) if streams else None
-            times = events.get(signal, [])
-            if first_stream is None:
-                count = len(times)
-            else:
-                count = sum(1 for t in times if t < first_stream)
-            xs.append(count)
-            ys.append(1 if streams else 0)
-        fits[signal] = logistic_fit(signal, np.array(xs), np.array(ys))
+    streamed = has[:, STREAM]
+    is_stream = signal == STREAM
+    first_stream = np.full(n_pairs, np.iinfo(np.int64).max)
+    np.minimum.at(first_stream, pair[is_stream], timestamp[is_stream])
+    # a pair's weak signals before its first stream, or all of them if it has none
+    counted = (streamed[pair] == 0) | (timestamp < first_stream[pair])
+    fits = {
+        name: logistic_fit(
+            name, np.bincount(pair[counted & (signal == SIGNALS.index(name))], minlength=n_pairs), streamed
+        )
+        for name in WEAK_SIGNALS
+    }
     return WeakSignalReport(signals=SIGNALS, cooccurrence=matrix, fits=fits)
 
 

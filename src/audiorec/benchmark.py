@@ -100,8 +100,8 @@ def run_weak_signal_seeds(seeds) -> list[dict]:
     """Follow-signal logistic fit per seed on freshly generated data."""
     out = []
     for seed in seeds:
-        records, _ = synth_generate(SynthConfig(), seed)
-        report = weak_signal_analysis(records)
+        log, _ = synth_generate(SynthConfig(), seed)
+        report = weak_signal_analysis(log)
         fit = report.fits["follow"]
         out.append(
             {

@@ -1,5 +1,11 @@
 """Interaction and catalog data contracts, file parsing, the timeline split, and
-warm/cold user segmentation."""
+warm/cold user segmentation.
+
+An interaction log is an `Interactions`: checked columns, from `synth`
+through `split` to `evaluate`. Record objects remain only as what
+`parse_interactions` returns and `Interactions.from_records` takes, the one
+way from a JSON-lines file into columns, and as the input of
+`TwoTowerRecommender`'s records constructor."""
 
 from __future__ import annotations
 
@@ -59,26 +65,9 @@ class ParsedInteractions:
 
 
 @dataclass
-class DatasetSplit:
-    train: list[InteractionRecord]
-    holdout: list[InteractionRecord]
-    split_time: int
-
-
-@dataclass
 class UserSegments:
     warm: set[str]
     cold: set[str]
-
-
-def record_to_dict(rec: InteractionRecord) -> dict:
-    return {
-        "user_id": rec.user_id,
-        "item_id": rec.item_id,
-        "item_type": rec.item_type,
-        "signal": rec.signal,
-        "timestamp": rec.timestamp,
-    }
 
 
 _INTERACTION_KEYS = ("user_id", "item_id", "item_type", "signal", "timestamp")
@@ -149,28 +138,6 @@ def parse_interactions(path) -> ParsedInteractions:
     except UnicodeDecodeError as exc:
         raise io.not_utf8(path) from exc
     return ParsedInteractions(records, diagnostics)
-
-
-def _record_line(rec: InteractionRecord) -> str:
-    """`io.canonical_json(record_to_dict(rec))`, formatted directly: the keys
-    in sorted order, each string escaped to ASCII as `json` escapes it. A
-    record whose timestamp is not an int or whose other fields are not all
-    strings goes through `canonical_json`."""
-    ts = rec.timestamp
-    if type(ts) is int:
-        try:
-            return (
-                f'{{"item_id":{_json_str(rec.item_id)},"item_type":{_json_str(rec.item_type)},'
-                f'"signal":{_json_str(rec.signal)},"timestamp":{ts},"user_id":{_json_str(rec.user_id)}}}'
-            )
-        except TypeError:  # a field that is not a string
-            pass
-    return io.canonical_json(record_to_dict(rec))
-
-
-def save_interactions(records: Iterable[InteractionRecord], path) -> None:
-    """One line per record: `io.canonical_json(record_to_dict(record))`."""
-    io.write_jsonl(records, path, _record_line)
 
 
 def text_field(obj: dict, key: str) -> str:
@@ -293,34 +260,6 @@ def save_catalog(catalog: dict[str, CatalogItem], path) -> None:
     """One line per item: `io.canonical_json` of its fields, its vector as a
     list of floats."""
     io.write_jsonl(catalog.values(), path, _catalog_line)
-
-
-def timeline_split(
-    records: list[InteractionRecord],
-    split_time: int | None = None,
-    holdout_days: int = 14,
-) -> DatasetSplit:
-    """Partition records at a single global time point.
-
-    Records with timestamp >= split_time land in the holdout. The default
-    split point is the maximum timestamp minus `holdout_days` days.
-    """
-    if not records:
-        raise ValueError("cannot split an empty record list")
-    ts = [r.timestamp for r in records]
-    lo, hi = min(ts), max(ts)
-    if split_time is None:
-        split_time = hi - holdout_days * DAY_SECONDS
-    train = [r for r in records if r.timestamp < split_time]
-    holdout = [r for r in records if r.timestamp >= split_time]
-    if not train or not holdout:
-        side = "train" if not train else "holdout"
-        warnings.warn(
-            f"split_time {split_time} leaves the {side} side empty "
-            f"(timestamps span [{lo}, {hi}])",
-            stacklevel=2,
-        )
-    return DatasetSplit(train=train, holdout=holdout, split_time=int(split_time))
 
 
 # the per-record arrays of an `interactions` container, and their dtypes
@@ -458,13 +397,30 @@ class Interactions:
         """The feature window: the records with
         `as_of - window_days days <= timestamp < as_of`, in log order, over
         the log's id columns, which is what the tower features and the
-        baselines read of a user's history. `as_of` defaults to one second
-        after the last record."""
+        baselines read of a user's history. The ids stay, unlike `select`'s,
+        because `user_histories` gives every train user a row, those with an
+        empty window too. `as_of` defaults to one second after the last
+        record."""
         if as_of is None:
             as_of = int(self.timestamp.max()) + 1 if len(self) else 1
         start = as_of - window_days * DAY_SECONDS
         keep = (self.timestamp >= start) & (self.timestamp < as_of)
         return dataclasses.replace(self, **{name: getattr(self, name)[keep] for name in _RECORD_ARRAYS})
+
+    def select(self, keep: np.ndarray) -> "Interactions":
+        """The records `keep` picks (a mask, which keeps log order, or record
+        positions, in their order) over only the ids they name, re-coded in
+        the same id order: the log `from_records` builds of those records.
+        `window` keeps every id instead, as `user_histories` needs."""
+        columns = {name: getattr(self, name)[keep] for name in _RECORD_ARRAYS}
+        ids = {}
+        for name in ("user", "item"):
+            named = np.bincount(columns[name], minlength=len(getattr(self, f"{name}_ids"))) > 0
+            kept = getattr(self, f"{name}_ids")[named]
+            # at the width of the longest kept id, as `from_records` and `load` give them
+            ids[name] = kept.astype(f"U{np.char.str_len(kept).max(initial=1)}")
+            columns[name] = (np.cumsum(named, dtype=np.int32) - 1)[columns[name]]
+        return Interactions(ids["user"], ids["item"], **columns)
 
     def streams(self, item_type: str) -> np.ndarray:
         """Which records are streams of an item of `item_type`."""
@@ -476,6 +432,28 @@ class Interactions:
         n = max(1, len(self.item_ids))
         user, item = (self.user, self.item) if mask is None else (self.user[mask], self.item[mask])
         return np.divmod(np.unique(user.astype(np.int64) * n + item), n)
+
+
+_LINE = '{"item_id":%s,"item_type":%s,"signal":%s,"timestamp":%d,"user_id":%s}'
+
+
+def save_interactions(log: Interactions, path) -> None:
+    """One line per record, in log order: `io.canonical_json` of its
+    user_id, item_id, item_type, signal and timestamp, formatted from the
+    columns with the keys in sorted order and each distinct id escaped to
+    ASCII once, as `json` escapes it."""
+    users, items, types, signals = (
+        [_json_str(name) for name in names]
+        for names in (log.user_ids.tolist(), log.item_ids.tolist(), ITEM_TYPES, SIGNALS)
+    )
+    fields = zip(
+        map(items.__getitem__, log.item.tolist()),
+        map(types.__getitem__, log.item_type.tolist()),
+        map(signals.__getitem__, log.signal.tolist()),
+        log.timestamp.tolist(),
+        map(users.__getitem__, log.user.tolist()),
+    )
+    io.write_jsonl(fields, path, _LINE.__mod__)
 
 
 def check_catalog(log: Interactions, catalog: dict[str, CatalogItem], what: str = "interaction") -> np.ndarray:
@@ -546,6 +524,31 @@ class LogSplit:
     train: Interactions
     holdout: Interactions
     split_time: int
+
+
+def timeline_split(log: Interactions, split_time: int | None = None, holdout_days: int = 14) -> LogSplit:
+    """Partition the log at a single global time point.
+
+    Records with timestamp >= split_time land in the holdout; each side keeps
+    log order and only the ids its records name (`Interactions.select`). The
+    default split point is the maximum timestamp minus `holdout_days` days.
+    """
+    if not len(log):
+        raise ValueError("cannot split an empty record list")
+    lo, hi = int(log.timestamp.min()), int(log.timestamp.max())
+    if split_time is None:
+        split_time = hi - holdout_days * DAY_SECONDS
+    # compared with a time inside the log's range only: numpy 1 compares an
+    # int past the int64 range inexactly
+    holdout = log.timestamp >= max(split_time, lo) if split_time <= hi else np.zeros(len(log), bool)
+    train, held = log.select(~holdout), log.select(holdout)
+    if not len(train) or not len(held):
+        warnings.warn(
+            f"split_time {split_time} leaves the {'holdout' if len(train) else 'train'} side empty "
+            f"(timestamps span [{lo}, {hi}])",
+            stacklevel=2,
+        )
+    return LogSplit(train=train, holdout=held, split_time=int(split_time))
 
 
 def user_segments(split: LogSplit) -> UserSegments:

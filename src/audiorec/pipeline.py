@@ -75,6 +75,13 @@ class SplitSettings:
     holdout_days: int = 14
     split_time: int | None = None
 
+    def __post_init__(self):
+        rules = (
+            ("holdout_days", ">= 0", self.holdout_days >= 0),
+            ("split_time", ">= 0 when set", self.split_time is None or self.split_time >= 0),
+        )
+        io.check_rules("split", self, rules)
+
 
 @dataclass
 class GraphSettings:
@@ -291,38 +298,39 @@ def _write_segment_csv(path: Path, first_column: str, entries: dict[str, dict]) 
 
 
 def stage_synth(config: PipelineConfig, files: Files) -> None:
-    records, catalog = synth_generate(config.synth, _seed_of(config, "synth"))
-    save_interactions(records, files["interactions"])
+    log, catalog = synth_generate(config.synth, _seed_of(config, "synth"))
+    save_interactions(log, files["interactions"])
     save_catalog(catalog, files["catalog"])
 
 
-def stage_split(config: PipelineConfig, files: Files) -> None:
-    src = files["interactions"]
-    parsed = parse_interactions(src)
+def _read_interactions(path: Path) -> tuple[Interactions, int]:
+    """The checked columns of an interaction file and how many malformed
+    lines it skipped, which it warns about, naming the first."""
+    parsed = parse_interactions(path)
     if parsed.diagnostics:
         first = parsed.diagnostics[0]
         warnings.warn(
-            f"{src}: skipped {len(parsed.diagnostics)} malformed lines "
+            f"{path}: skipped {len(parsed.diagnostics)} malformed lines "
             f"(first: line {first.line_no}: {first.message})",
-            stacklevel=2,
+            stacklevel=3,
         )
-    split = timeline_split(
-        parsed.records,
-        split_time=config.split.split_time,
-        holdout_days=config.split.holdout_days,
-    )
-    # the checked records as columns, which every later stage reads
-    columns = Interactions.from_records(split.train), Interactions.from_records(split.holdout)
+    return Interactions.from_records(parsed.records), len(parsed.diagnostics)
+
+
+def stage_split(config: PipelineConfig, files: Files) -> None:
+    log, n_malformed = _read_interactions(files["interactions"])
+    split = timeline_split(log, split_time=config.split.split_time, holdout_days=config.split.holdout_days)
     save_interactions(split.train, files["train"])
     save_interactions(split.holdout, files["holdout"])
-    columns[0].save(files["train_columns"])
-    columns[1].save(files["holdout_columns"])
+    # the columns are what every later stage reads
+    split.train.save(files["train_columns"])
+    split.holdout.save(files["holdout_columns"])
     io.write_json(
         {
             "split_time": split.split_time,
             "n_train": len(split.train),
             "n_holdout": len(split.holdout),
-            "n_malformed": len(parsed.diagnostics),
+            "n_malformed": n_malformed,
         },
         files["split_meta"],
     )
@@ -515,8 +523,8 @@ def stage_evaluate(config: PipelineConfig, files: Files) -> dict:
 
 
 def stage_weak_signals(config: PipelineConfig, files: Files) -> dict:
-    records = parse_interactions(files["interactions"]).records
-    report = weak_signal_analysis(records).to_dict()
+    log, _ = _read_interactions(files["interactions"])
+    report = weak_signal_analysis(log).to_dict()
     io.write_json(report, files["weak_signals"])
     return report
 

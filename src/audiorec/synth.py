@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DAY_SECONDS, SIGNALS, CatalogItem, InteractionRecord
+from .data import AUDIOBOOK, DAY_SECONDS, PODCAST, SIGNALS, CatalogItem, Interactions
 from .io import check_rules
 
 # Signal-type mixes: follows dominate pre-stream signals but are rarely
@@ -108,6 +108,8 @@ def _stream_counts(
 # Signals in string order; a record's signal code is its position here.
 _SIGNAL_NAMES = sorted(SIGNALS)
 _STREAM = _SIGNAL_NAMES.index("stream")
+# each signal code's code in an `Interactions` log
+_LOG_SIGNAL = np.array([SIGNALS.index(n) for n in _SIGNAL_NAMES], dtype=np.uint8)
 
 
 def _signal_cdf(mix: dict[str, float]) -> tuple[list[int], np.ndarray]:
@@ -130,28 +132,24 @@ def _string_ranks(ids: list[str]) -> np.ndarray:
     return ranks
 
 
-def synth_generate(
-    config: SynthConfig, seed: int
-) -> tuple[list[InteractionRecord], dict[str, CatalogItem]]:
+def synth_generate(config: SynthConfig, seed: int) -> tuple[Interactions, dict[str, CatalogItem]]:
     """Generate a seeded interaction log and catalog.
 
     Identical (config, seed) pairs produce identical output, record order
     included.
     """
-    records, catalog, _ = synth_generate_with_meta(config, seed)
-    return records, catalog
+    log, catalog, _ = synth_generate_with_meta(config, seed)
+    return log, catalog
 
 
-def synth_generate_with_meta(
-    config: SynthConfig, seed: int
-) -> tuple[list[InteractionRecord], dict[str, CatalogItem], dict]:
+def synth_generate_with_meta(config: SynthConfig, seed: int) -> tuple[Interactions, dict[str, CatalogItem], dict]:
     """As synth_generate, also returning the latent cluster assignments
     (useful for validating planted structure).
 
     Each kind of draw is one array call where the random stream allows it,
-    and the records are built as columns and sorted once; the loop that
-    drew them one record at a time, from the same stream, is kept as
-    `tests/oracles.py::synth_generate_loop`."""
+    and the log is built from the codes as columns and sorted once, no
+    record objects; the loop that drew the records one at a time, from the
+    same stream, is kept as `tests/oracles.py::synth_generate_loop`."""
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_SECONDS
 
@@ -266,20 +264,14 @@ def synth_generate_with_meta(
         )
 
     # Records by (timestamp, user id, item id, signal), each id compared as a
-    # string: codes of the users, items and signals in string order.
+    # string: codes of the users, items and signals in string order, which
+    # `select` compacts to the ids the records name.
     user, item, signal, timestamp = (np.concatenate(c) for c in zip(*blocks))
-    order = np.lexsort((
-        signal, _string_ranks(item_ids)[item], _string_ranks(user_ids)[user], timestamp
-    ))
-    item = item[order].tolist()
-    records = list(map(
-        InteractionRecord,
-        map(user_ids.__getitem__, user[order].tolist()),
-        map(item_ids.__getitem__, item),
-        map(item_types.__getitem__, item),
-        map(_SIGNAL_NAMES.__getitem__, signal[order].tolist()),
-        timestamp[order].tolist(),
-    ))
+    item_type = np.where(item < len(ab_ids), AUDIOBOOK, PODCAST).astype(np.uint8)
+    user, item = _string_ranks(user_ids)[user].astype(np.int32), _string_ranks(item_ids)[item].astype(np.int32)
+    log = Interactions(
+        np.array(sorted(user_ids)), np.array(sorted(item_ids)), user, item, item_type, _LOG_SIGNAL[signal], timestamp
+    ).select(np.lexsort((signal, item, user, timestamp)))
     meta = {
         "user_cluster": dict(zip(user_ids, user_cluster.tolist())),
         "item_cluster": {
@@ -287,4 +279,4 @@ def synth_generate_with_meta(
             **dict(zip(pod_ids, pod_cluster.tolist())),
         },
     }
-    return records, catalog, meta
+    return log, catalog, meta

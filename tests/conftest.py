@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from audiorec import io
-from audiorec.data import CatalogItem, DatasetSplit, InteractionRecord, Interactions, LogSplit, timeline_split
+from audiorec.data import CatalogItem, InteractionRecord, Interactions, timeline_split
 from audiorec.graph import build_colisten_graph
 from audiorec.hgnn import HgnnConfig, HgnnParams, embed_catalog, train_hgnn
 from audiorec.synth import SynthConfig, synth_generate
@@ -25,9 +26,12 @@ def stream(user, item, catalog, t=0):
     return InteractionRecord(user, item, catalog[item].item_type, "stream", t)
 
 
-def log_split(split: DatasetSplit) -> LogSplit:
-    """A split of records as the columns `split` writes of it."""
-    return LogSplit(Interactions.from_records(split.train), Interactions.from_records(split.holdout), split.split_time)
+def same_log(a: Interactions, b: Interactions) -> bool:
+    """Whether two logs hold equal columns of equal dtypes."""
+    return all(
+        getattr(a, f.name).dtype == getattr(b, f.name).dtype and np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(Interactions)
+    )
 
 
 def split_container(data: bytes) -> tuple[dict, bytes]:
@@ -70,20 +74,20 @@ def small_synth_config():
 
 @pytest.fixture(scope="session")
 def small_synth(small_synth_config):
-    records, catalog = synth_generate(small_synth_config, seed=7)
-    return records, catalog
+    log, catalog = synth_generate(small_synth_config, seed=7)
+    return log, catalog
 
 
 @pytest.fixture(scope="session")
 def small_split(small_synth):
-    records, _ = small_synth
-    return timeline_split(records)
+    log, _ = small_synth
+    return timeline_split(log)
 
 
 @pytest.fixture(scope="session")
 def small_graph(small_synth, small_split):
     _, catalog = small_synth
-    return build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
+    return build_colisten_graph(small_split.train, catalog, min_co_users=2)
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,13 @@ diagnostics, equal catalogs or the same error, and byte-equal graphs.
 `build_training_pairs` and `user_histories_loop` walk a list of records,
 where the library computes the same from the columns of an `Interactions`
 log; both must give equal windows, pairs, sets, segments, rankings and
-history rows byte for byte.
+history rows byte for byte. So do the record split `timeline_split_records`
+into a `DatasetSplit` of record lists, the record line `record_to_dict`
+gives `canonical_json`, and `weak_signal_analysis_records`, which groups
+each (user, audiobook) pair's times by signal in a dict of lists, where the
+library cuts, writes and analyses the columns: `from_records` of each side
+must equal the library's side, the lines must be equal, and so must the
+reports.
 
 The edge-first forward and its row-wise `np.add.at` backward run every
 relation's dense layer on gathered edge rows, `h_src[indices] @ W.T + b`,
@@ -61,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -68,13 +75,13 @@ from typing import Callable
 import numpy as np
 
 from audiorec import io, synth
+from audiorec.analysis import LogisticFit, WeakSignalReport, logistic_fit
 from audiorec.data import (
     DAY_SECONDS,
     ITEM_TYPES,
     SIGNALS,
     WEAK_SIGNALS,
     CatalogItem,
-    DatasetSplit,
     InteractionRecord,
     Interactions,
     ParseDiagnostic,
@@ -1360,6 +1367,96 @@ def popularity_ranking(records, item_ids, target_type: str) -> list[str]:
         if r.signal == "stream" and r.item_type == target_type and r.item_id in counts:
             counts[r.item_id] += 1
     return sorted(counts, key=lambda i: (-counts[i], i))
+
+
+@dataclass
+class DatasetSplit:
+    """A split of records: each side in log order."""
+
+    train: list[InteractionRecord]
+    holdout: list[InteractionRecord]
+    split_time: int
+
+
+def timeline_split_records(
+    records: list[InteractionRecord], split_time: int | None = None, holdout_days: int = 14
+) -> DatasetSplit:
+    """`data.timeline_split` over a list of records: those with timestamp >=
+    split_time in the holdout, the rest in train."""
+    if not records:
+        raise ValueError("cannot split an empty record list")
+    ts = [r.timestamp for r in records]
+    lo, hi = min(ts), max(ts)
+    if split_time is None:
+        split_time = hi - holdout_days * DAY_SECONDS
+    train = [r for r in records if r.timestamp < split_time]
+    holdout = [r for r in records if r.timestamp >= split_time]
+    if not train or not holdout:
+        side = "train" if not train else "holdout"
+        warnings.warn(
+            f"split_time {split_time} leaves the {side} side empty "
+            f"(timestamps span [{lo}, {hi}])",
+            stacklevel=2,
+        )
+    return DatasetSplit(train=train, holdout=holdout, split_time=int(split_time))
+
+
+def record_to_dict(rec: InteractionRecord) -> dict:
+    """The row `data.save_interactions` writes of a record, as a dict."""
+    return {
+        "user_id": rec.user_id,
+        "item_id": rec.item_id,
+        "item_type": rec.item_type,
+        "signal": rec.signal,
+        "timestamp": rec.timestamp,
+    }
+
+
+def _audiobook_pair_events(
+    records: list[InteractionRecord],
+) -> dict[tuple[str, str], dict[str, list[int]]]:
+    pairs: dict[tuple[str, str], dict[str, list[int]]] = {}
+    for r in records:
+        if r.item_type != "audiobook":
+            continue
+        key = (r.user_id, r.item_id)
+        pairs.setdefault(key, {}).setdefault(r.signal, []).append(r.timestamp)
+    return pairs
+
+
+def weak_signal_analysis_records(records: list[InteractionRecord]) -> WeakSignalReport:
+    """`analysis.weak_signal_analysis` over a list of records, each
+    (user, audiobook) pair's times grouped by signal in a dict of lists."""
+    pairs = _audiobook_pair_events(records)
+    present = {s for events in pairs.values() for s in events}
+    if len(present) < 2:
+        raise ValueError("weak-signal analysis needs at least two signal types")
+
+    n = len(SIGNALS)
+    matrix = np.zeros((n, n))
+    for i, si in enumerate(SIGNALS):
+        with_i = [events for events in pairs.values() if si in events]
+        if not with_i:
+            matrix[i, i] = 1.0
+            continue
+        for j, sj in enumerate(SIGNALS):
+            matrix[i, j] = sum(1 for events in with_i if sj in events) / len(with_i)
+
+    fits: dict[str, LogisticFit] = {}
+    for signal in WEAK_SIGNALS:
+        xs, ys = [], []
+        for events in pairs.values():
+            streams = events.get("stream")
+            first_stream = min(streams) if streams else None
+            times = events.get(signal, [])
+            if first_stream is None:
+                count = len(times)
+            else:
+                count = sum(1 for t in times if t < first_stream)
+            xs.append(count)
+            ys.append(1 if streams else 0)
+        fits[signal] = logistic_fit(signal, np.array(xs), np.array(ys))
+    return WeakSignalReport(signals=SIGNALS, cooccurrence=matrix, fits=fits)
 
 
 def user_segments(split: DatasetSplit) -> UserSegments:

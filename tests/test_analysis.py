@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from audiorec import analysis
+from audiorec import analysis, io
 from audiorec.analysis import (
     logistic_fit,
     pair_similarity_probe,
     weak_signal_analysis,
 )
 from audiorec.data import SIGNALS, InteractionRecord, Interactions
+from audiorec.synth import SynthConfig, synth_generate
 
+import oracles
 from conftest import make_catalog, stream
 
 
@@ -16,16 +20,20 @@ def ev(user, item, signal, t):
     return InteractionRecord(user, item, "audiobook", signal, t)
 
 
+def analyse(records):
+    return weak_signal_analysis(Interactions.from_records(records))
+
+
 class TestCooccurrence:
     def test_diagonal_is_one(self, small_synth):
-        records, _ = small_synth
-        report = weak_signal_analysis(records)
+        log, _ = small_synth
+        report = weak_signal_analysis(log)
         for i in range(len(SIGNALS)):
             assert report.cooccurrence[i, i] == 1.0
 
     def test_rows_are_fractions(self, small_synth):
-        records, _ = small_synth
-        report = weak_signal_analysis(records)
+        log, _ = small_synth
+        report = weak_signal_analysis(log)
         assert np.all(report.cooccurrence >= 0.0)
         assert np.all(report.cooccurrence <= 1.0)
 
@@ -36,7 +44,7 @@ class TestCooccurrence:
             ev("u2", "a2", "stream", 5),
             ev("u3", "a3", "preview", 1),
         ]
-        report = weak_signal_analysis(records)
+        report = analyse(records)
         s = {name: i for i, name in enumerate(report.signals)}
         # two stream pairs, one of which also has a follow
         assert report.cooccurrence[s["stream"], s["follow"]] == 0.5
@@ -48,7 +56,72 @@ class TestCooccurrence:
 
     def test_single_signal_type_fatal(self):
         with pytest.raises(ValueError):
-            weak_signal_analysis([ev("u1", "a1", "stream", 0)])
+            analyse([ev("u1", "a1", "stream", 0)])
+
+
+def report_or_error(analyse_log, log):
+    try:
+        report = analyse_log(log)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return io.canonical_json(report.to_dict()), report.cooccurrence.tobytes(), report.fits
+
+
+class TestMatchesTheRecordAnalysis:
+    """The column analysis against `oracles.weak_signal_analysis_records`,
+    which groups each pair's times by signal in a dict of lists: the same
+    report, bit for bit, or the same error."""
+
+    @given(st.lists(
+        st.one_of(
+            st.builds(
+                InteractionRecord,
+                user_id=st.sampled_from(["u1", "u2", "u10", "ué"]),
+                item_id=st.sampled_from(["a1", "a2", "a\U0001f4da"]),
+                item_type=st.just("audiobook"),
+                signal=st.sampled_from(SIGNALS),
+                timestamp=st.integers(0, 6),  # a few seconds: weak signals share a first stream's
+            ),
+            st.builds(
+                InteractionRecord,
+                user_id=st.sampled_from(["u1", "u3"]),
+                item_id=st.sampled_from(["p1", "p2"]),
+                item_type=st.just("podcast"),
+                signal=st.just("stream"),
+                timestamp=st.integers(0, 6),
+            ),
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_random_logs(self, records):
+        got = report_or_error(weak_signal_analysis, Interactions.from_records(records))
+        assert got == report_or_error(oracles.weak_signal_analysis_records, records)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synth_logs(self, seed):
+        # thousands of pairs: the order of Newton's sums shows in the last bits
+        log, _ = synth_generate(SynthConfig(), seed)
+        got = report_or_error(weak_signal_analysis, log)
+        assert got == report_or_error(oracles.weak_signal_analysis_records, oracles.records_of(log))
+
+    def test_a_weak_signal_in_the_first_streams_second_is_not_counted(self):
+        records = [
+            ev("u1", "a1", "follow", 5), ev("u1", "a1", "stream", 5), ev("u1", "a1", "follow", 4),
+            ev("u2", "a1", "follow", 3),  # a pair with no stream: every follow counts
+            ev("u3", "a2", "preview", 1), ev("u3", "a2", "stream", 9), ev("u3", "a2", "stream", 2),
+        ]
+        got = report_or_error(weak_signal_analysis, Interactions.from_records(records))
+        assert got == report_or_error(oracles.weak_signal_analysis_records, records)
+        fit = analyse(records).fits["follow"]
+        assert (fit.n_examples, fit.n_positive) == (3, 2)
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    def test_one_signal_type_raises_the_same_error(self, signal):
+        records = [ev("u1", "a1", signal, 0), ev("u2", "a2", signal, 3)]
+        got = report_or_error(weak_signal_analysis, Interactions.from_records(records))
+        assert got == report_or_error(oracles.weak_signal_analysis_records, records)
+        assert got == "ValueError: weak-signal analysis needs at least two signal types"
 
 
 class TestLogisticFit:
@@ -153,7 +226,7 @@ class TestWeakSignalFits:
             records.append(ev(f"v{j}", f"a{j}", "preview", 0))
         for j in range(4):
             records.append(ev(f"w{j}", f"b{j}", "stream", 5))
-        report = weak_signal_analysis(records)
+        report = analyse(records)
         fit = report.fits["follow"]
         # only streamed pairs have follows: the direction is positive, but
         # the data are separated, so there is no finite slope to report
@@ -161,7 +234,7 @@ class TestWeakSignalFits:
         assert (fit.coefficient, fit.odds_ratio) == (0.0, 1.0)
         # one abandoned follow makes the classes overlap: a finite fit
         records.append(ev("v0", "a0", "follow", 0))
-        fit = weak_signal_analysis(records).fits["follow"]
+        fit = analyse(records).fits["follow"]
         assert fit.skipped_reason is None and fit.converged
         assert fit.coefficient > 0
         assert fit.odds_ratio > 1
@@ -172,7 +245,7 @@ class TestWeakSignalFits:
         for j in range(4):
             records.append(ev(f"u{j}", f"a{j}", "follow", 0))
             records.append(ev(f"u{j}", f"a{j}", "stream", 10))
-        report = weak_signal_analysis(records)
+        report = analyse(records)
         assert report.fits["follow"].skipped_reason is not None
 
     def test_absent_signal_skipped(self):
@@ -182,7 +255,7 @@ class TestWeakSignalFits:
             ev("u2", "a2", "stream", 5),
             ev("u3", "a3", "intent_to_pay", 0),
         ]
-        report = weak_signal_analysis(records)
+        report = analyse(records)
         assert report.fits["follow"].skipped_reason.startswith("no pre-stream occurrences")
         # preview: u1 (x=1, y=1), u2 (x=0, y=1), u3 (x=0, y=0) is quasi-separated
         assert report.fits["preview"].skipped_reason.startswith("positive separation")
@@ -196,7 +269,7 @@ class TestWeakSignalFits:
             ev("u2", "a2", "stream", 10),
             ev("u3", "a3", "preview", 0),
         ]
-        report = weak_signal_analysis(records)
+        report = analyse(records)
         fit = report.fits["follow"]
         # pairs: u1 (x=0,y=1), u2 (x=1,y=1), u3 (x=0,y=0)
         assert fit.n_examples == 3
@@ -226,11 +299,9 @@ class TestProbe:
         # tiny dense graphs, so this clause is checked at the default scale
         from audiorec.data import timeline_split
         from audiorec.graph import build_colisten_graph
-        from audiorec.synth import SynthConfig, synth_generate
 
-        records, catalog = synth_generate(SynthConfig(), seed=0)
-        split = timeline_split(records)
-        graph = build_colisten_graph(Interactions.from_records(split.train), catalog, min_co_users=2)
+        log, catalog = synth_generate(SynthConfig(), seed=0)
+        graph = build_colisten_graph(timeline_split(log).train, catalog, min_co_users=2)
         content = {
             i: it.content_vector for i, it in catalog.items() if it.item_type == "audiobook"
         }

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from audiorec.data import (
     DAY_SECONDS,
+    ITEM_TYPES,
+    SIGNALS,
     CatalogItem,
     InteractionRecord,
     load_checked_catalog,
     parse_catalog,
     parse_interactions,
-    record_to_dict,
     save_catalog,
     save_checked_catalog,
     save_interactions,
@@ -26,9 +27,17 @@ from audiorec.data import (
 from audiorec import io, synth
 from audiorec.synth import SynthConfig, synth_generate, synth_generate_with_meta
 
-from conftest import log_split, make_catalog, stream
+from conftest import make_catalog, same_log, stream
 import oracles
-from oracles import by_user, parse_catalog_lines, parse_interactions_lines, read_jsonl_lines, records_of, stream_counts_dense
+from oracles import (
+    by_user,
+    parse_catalog_lines,
+    parse_interactions_lines,
+    read_jsonl_lines,
+    record_to_dict,
+    records_of,
+    stream_counts_dense,
+)
 
 
 def write_lines(path, lines):
@@ -104,23 +113,25 @@ def cat_line(item="a1", item_type="audiobook", vec=(1.0, 0.0, 0.0, 0.0), lang="e
 ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=4)
 
 
+# ids `parse_interactions` accepts, with quotes, backslashes, control,
+# non-ASCII and astral characters and lone surrogates among them
+AN_ID = st.text(st.characters(blacklist_categories=(), blacklist_characters="\x00"), min_size=1, max_size=4)
+
+
 class TestSaveInteractions:
     @given(st.lists(st.builds(
         InteractionRecord,
-        user_id=ANY_TEXT,
-        item_id=st.one_of(ANY_TEXT, st.none(), st.integers()),
-        item_type=st.sampled_from(["audiobook", "podcast", None]),
-        signal=st.one_of(st.sampled_from(["stream", "follow"]), ANY_TEXT),
-        timestamp=st.one_of(st.integers(-2**70, 2**70), st.booleans(), st.floats(), st.none()),
-    ), max_size=5))
+        user_id=st.one_of(AN_ID, st.sampled_from(['u"', "u\\", "u\n\x1f", "u\u00e9", "u\U0001f600"])),
+        item_id=st.one_of(AN_ID, st.sampled_from(['"', "\\a", "\x7f", "\u2028", "\U0001f4da"])),
+        item_type=st.sampled_from(ITEM_TYPES),
+        signal=st.sampled_from(SIGNALS),
+        timestamp=st.integers(0, 2**63 - 1),
+    ), max_size=6))
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_each_line_is_the_records_canonical_json(self, tmp_path, records):
-        def saved():
-            save_interactions(records, tmp_path / "x.jsonl")
-            return (tmp_path / "x.jsonl").read_text(encoding="utf-8")
-
-        want = outcome(lambda: "".join(io.canonical_json(record_to_dict(r)) + "\n" for r in records))
-        assert outcome(saved) == want
+        save_interactions(Interactions.from_records(records), tmp_path / "x.jsonl")
+        want = "".join(io.canonical_json(record_to_dict(r)) + "\n" for r in records)
+        assert (tmp_path / "x.jsonl").read_text(encoding="utf-8") == want
 
 
 class TestParseCatalog:
@@ -451,37 +462,42 @@ class TestParsersMatchTheLineLoops:
             parse_catalog(p)
 
 
+def split_of(records, split_time=None, holdout_days=14):
+    """`timeline_split` of the records' columns."""
+    return timeline_split(Interactions.from_records(records), split_time, holdout_days)
+
+
 class TestTimelineSplit:
     def test_example_90_days(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=(d - 1) * DAY_SECONDS) for d in range(1, 91)]
-        split = timeline_split(records, split_time=76 * DAY_SECONDS)
-        assert max(r.timestamp for r in split.train) == 75 * DAY_SECONDS  # day 76
-        assert min(r.timestamp for r in split.holdout) == 76 * DAY_SECONDS  # day 77
+        split = split_of(records, split_time=76 * DAY_SECONDS)
+        assert split.train.timestamp.max() == 75 * DAY_SECONDS  # day 76
+        assert split.holdout.timestamp.min() == 76 * DAY_SECONDS  # day 77
         assert len(split.train) == 76 and len(split.holdout) == 14
 
     def test_default_split_time_is_max_minus_14_days(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=t) for t in (0, 100 * DAY_SECONDS)]
-        split = timeline_split(records)
+        split = split_of(records)
         assert split.split_time == 100 * DAY_SECONDS - 14 * DAY_SECONDS
 
     def test_all_before_split_warns(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=5)]
         with pytest.warns(UserWarning, match="holdout"):
-            split = timeline_split(records, split_time=100)
-        assert split.holdout == []
+            split = split_of(records, split_time=100)
+        assert len(split.holdout) == 0
 
     def test_record_at_split_time_lands_in_holdout(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=50), stream("u1", "a1", catalog, t=100)]
-        split = timeline_split(records, split_time=100)
-        assert [r.item_id for r in split.holdout] == ["a1"]
+        split = split_of(records, split_time=100)
+        assert split.holdout.item_ids.tolist() == ["a1"]
 
     def test_empty_is_fatal(self):
-        with pytest.raises(ValueError):
-            timeline_split([])
+        with pytest.raises(ValueError, match="cannot split an empty record list"):
+            split_of([])
 
     @given(
         ts=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60),
@@ -495,12 +511,48 @@ class TestTimelineSplit:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split = timeline_split(records, split_time=split_at)
-        assert sorted(split.train + split.holdout, key=lambda r: (r.timestamp, r.user_id)) == sorted(
-            records, key=lambda r: (r.timestamp, r.user_id)
-        )
-        assert all(r.timestamp < split_at for r in split.train)
-        assert all(r.timestamp >= split_at for r in split.holdout)
+            split = split_of(records, split_time=split_at)
+        key = lambda r: (r.timestamp, r.user_id)  # noqa: E731
+        assert sorted(records_of(split.train) + records_of(split.holdout), key=key) == sorted(records, key=key)
+        assert all(split.train.timestamp < split_at)
+        assert all(split.holdout.timestamp >= split_at)
+
+    @given(
+        records=st.lists(st.builds(
+            InteractionRecord,
+            user_id=st.sampled_from(["u1", "u10", "u2", "ué"]),
+            item_id=st.sampled_from(["a", "ab", "\U0001f4da"]),
+            item_type=st.just("audiobook"),
+            signal=st.sampled_from(SIGNALS),
+            timestamp=st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1)),
+        ), max_size=12),
+        split_time=st.one_of(
+            st.none(),
+            st.integers(-5, 45),  # below, at and above the range of the small times
+            st.integers(-2**70, 2**70),
+            st.sampled_from([2**63 - 1, 2**63, 2**64, -2**63 - 1]),  # the int64 bounds and past them
+        ),
+        holdout_days=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_columns_equal_the_record_split(self, records, split_time, holdout_days):
+        import warnings
+
+        def cut(split, log):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = outcome(split, log, split_time, holdout_days)
+            return result, [str(w.message) for w in caught]
+
+        got, got_warnings = cut(timeline_split, Interactions.from_records(records))
+        want, want_warnings = cut(oracles.timeline_split_records, records)
+        assert got_warnings == want_warnings
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.split_time == want.split_time and type(got.split_time) is int
+        assert same_log(got.train, Interactions.from_records(want.train))
+        assert same_log(got.holdout, Interactions.from_records(want.holdout))
 
 
 def window_by_user(records, window_days, as_of=None):
@@ -512,10 +564,12 @@ def window_by_user(records, window_days, as_of=None):
 
 
 def user_segments_of(split):
-    """`user_segments` of a split of records, after checking it against the
-    record walk in `oracles`."""
-    segments = user_segments(log_split(split))
-    assert segments == oracles.user_segments(split)
+    """`user_segments` of a split, after checking it against the record walk
+    in `oracles`."""
+    segments = user_segments(split)
+    assert segments == oracles.user_segments(
+        oracles.DatasetSplit(records_of(split.train), records_of(split.holdout), split.split_time)
+    )
     return segments
 
 
@@ -569,21 +623,21 @@ class TestUserSegments:
             InteractionRecord("u1", "a0", "audiobook", "follow", 10),
             stream("u1", "a1", catalog, t=100),
         ]
-        split = timeline_split(records, split_time=50)
+        split = split_of(records, split_time=50)
         seg = user_segments_of(split)
         assert seg.warm == {"u1"} and seg.cold == set()
 
     def test_podcast_only_history_is_cold(self):
         catalog = make_catalog()
         records = [stream("u1", "p0", catalog, t=10), stream("u1", "a1", catalog, t=100)]
-        split = timeline_split(records, split_time=50)
+        split = split_of(records, split_time=50)
         seg = user_segments_of(split)
         assert seg.cold == {"u1"}
 
     def test_train_only_user_not_segmented(self):
         catalog = make_catalog()
         records = [stream("u1", "a0", catalog, t=10), stream("u2", "a1", catalog, t=100)]
-        split = timeline_split(records, split_time=50)
+        split = split_of(records, split_time=50)
         seg = user_segments_of(split)
         assert "u1" not in seg.warm | seg.cold
         assert seg.warm | seg.cold == {"u2"}
@@ -600,9 +654,9 @@ class TestUserSegments:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split = timeline_split(records, split_time=500)
+            split = split_of(records, split_time=500)
         seg = user_segments_of(split)
-        holdout_users = {r.user_id for r in split.holdout}
+        holdout_users = set(split.holdout.user_ids.tolist())
         assert seg.warm & seg.cold == set()
         assert seg.warm | seg.cold == holdout_users
 
@@ -613,7 +667,7 @@ class TestSynth:
         for seed in range(10):
             r1, c1 = synth_generate(cfg, seed)
             r2, c2 = synth_generate(cfg, seed)
-            assert r1 == r2
+            assert same_log(r1, r2)
             assert set(c1) == set(c2)
             for k in c1:
                 assert np.array_equal(c1[k].content_vector, c2[k].content_vector)
@@ -627,7 +681,8 @@ class TestSynth:
         cfg = SynthConfig(n_users=80, n_podcasts=40, n_audiobooks=20, n_clusters=3, d_c=4)
         assert cfg.cluster_affinity >= 5
         for seed in range(10):
-            records, catalog, meta = synth_generate_with_meta(cfg, seed)
+            log, catalog, meta = synth_generate_with_meta(cfg, seed)
+            records = records_of(log)
             within = cross = 0
             within_pairs = cross_pairs = 0
             uc, ic = meta["user_cluster"], meta["item_cluster"]
@@ -649,7 +704,8 @@ class TestSynth:
     def test_colistened_content_similarity_exceeds_random(self, small_synth):
         # Exhaustive enumeration over audiobook pairs, independent of the
         # graph builder.
-        records, catalog = small_synth
+        log, catalog = small_synth
+        records = records_of(log)
         per_user: dict[str, set[str]] = {}
         for r in records:
             if r.signal == "stream" and r.item_type == "audiobook":
@@ -675,7 +731,8 @@ class TestSynth:
 
     def test_single_cluster_has_no_content_structure(self):
         cfg = SynthConfig(n_users=80, n_podcasts=30, n_audiobooks=16, n_clusters=1, d_c=4)
-        records, catalog = synth_generate(cfg, seed=3)
+        log, catalog = synth_generate(cfg, seed=3)
+        records = records_of(log)
         per_user: dict[str, set[str]] = {}
         for r in records:
             if r.signal == "stream" and r.item_type == "audiobook":
@@ -697,7 +754,7 @@ class TestSynth:
         assert abs(co_mean - all_mean) < 0.05
 
     def test_weak_signals_precede_first_streams(self, small_synth):
-        records, _ = small_synth
+        records = records_of(small_synth[0])
         pairs: dict[tuple[str, str], dict] = {}
         for r in records:
             if r.item_type != "audiobook":
@@ -714,7 +771,8 @@ class TestSynth:
         assert 0.3 < preceded / streamed <= 1.0
 
     def test_cold_items_have_no_streams(self, small_synth, small_synth_config):
-        records, catalog = small_synth
+        log, catalog = small_synth
+        records = records_of(log)
         ab_ids = sorted(i for i in catalog if catalog[i].item_type == "audiobook")
         cold = set(ab_ids[-small_synth_config.n_cold_items :])
         streamed = {r.item_id for r in records if r.signal == "stream"}
@@ -767,19 +825,16 @@ SYNTH_CASES = {
 
 class TestSynthMatchesTheLoop:
     """The array-at-a-time generator against `oracles.synth_generate_loop`,
-    which draws one record at a time: the same records in the same order,
-    catalog, meta and written bytes."""
+    which draws one record at a time: the log `from_records` builds of the
+    loop's records, catalog, meta and written bytes."""
 
     @pytest.mark.parametrize("case", sorted(SYNTH_CASES))
     def test_records_catalog_meta_and_bytes(self, tmp_path, case):
         config, seeds = SYNTH_CASES[case]
         for seed in seeds:
-            records, catalog, meta = synth_generate_with_meta(config, seed)
+            log, catalog, meta = synth_generate_with_meta(config, seed)
             want_records, want_catalog, want_meta = oracles.synth_generate_loop(config, seed)
-            assert records == want_records
-            assert [tuple(map(type, vars(r).values())) for r in records] == [
-                tuple(map(type, vars(r).values())) for r in want_records
-            ]
+            assert same_log(log, Interactions.from_records(want_records))
             assert meta == want_meta
             assert list(catalog) == list(want_catalog)
             for got, want in zip(catalog.values(), want_catalog.values()):
@@ -790,12 +845,13 @@ class TestSynthMatchesTheLoop:
                 assert got.content_vector.dtype == want.content_vector.dtype
                 assert got.content_vector.tobytes() == want.content_vector.tobytes()
 
-            save_interactions(records, tmp_path / "interactions.jsonl")
+            save_interactions(log, tmp_path / "interactions.jsonl")
             save_catalog(catalog, tmp_path / "catalog.jsonl")
             oracles.save_catalog_rows(want_catalog, tmp_path / "want_catalog.jsonl")
             want_lines = "".join(io.canonical_json(record_to_dict(r)) + "\n" for r in want_records)
             assert (tmp_path / "interactions.jsonl").read_bytes() == want_lines.encode("utf-8")
             assert (tmp_path / "catalog.jsonl").read_bytes() == (tmp_path / "want_catalog.jsonl").read_bytes()
+        records = records_of(log)
         if case == "ids-past-four-digits":
             # u10000 shares a time with other users: only string order places it
             times = {r.timestamp for r in records if r.user_id == "u10000"}
@@ -878,10 +934,10 @@ class TestStreamCountBlocks:
 
     @pytest.mark.parametrize("config", [SynthConfig(), WIDE_SYNTH], ids=["default", "wide"])
     def test_generated_data_equals_the_dense_path(self, monkeypatch, config):
-        records, catalog, meta = synth_generate_with_meta(config, seed=7)
+        log, catalog, meta = synth_generate_with_meta(config, seed=7)
         monkeypatch.setattr(synth, "_stream_counts", stream_counts_dense)
-        dense_records, dense_catalog, dense_meta = synth_generate_with_meta(config, seed=7)
-        assert records == dense_records
+        dense_log, dense_catalog, dense_meta = synth_generate_with_meta(config, seed=7)
+        assert same_log(log, dense_log)
         assert meta == dense_meta
         assert list(catalog) == list(dense_catalog)
         for item_id, item in catalog.items():

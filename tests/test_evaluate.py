@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from audiorec.data import (
     DAY_SECONDS,
     CatalogItem,
-    DatasetSplit,
     InteractionRecord,
     Interactions,
+    LogSplit,
     user_segments,
 )
 from audiorec.evaluate import (
@@ -31,7 +31,7 @@ from audiorec.recommenders import (
     hgnn_knn_baseline,
 )
 
-from conftest import log_split, make_catalog, stream
+from conftest import make_catalog, stream
 import oracles
 
 
@@ -185,7 +185,7 @@ def toy_eval_setup():
         stream("w2", "a3", catalog, t=100),
         stream("c1", "a4", catalog, t=100),
     ]
-    split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
+    split = LogSplit(Interactions.from_records(train), Interactions.from_records(holdout), 50)
     segments = user_segments(split)
     ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
     return catalog, split, segments, ids
@@ -204,12 +204,12 @@ class TestEvaluate:
 
     def test_oracle_dominates_popularity(self, small_split, small_synth):
         _, catalog = small_synth
-        split = log_split(small_split)
+        split = small_split
         segments = user_segments(split)
         relevant = streamed_items(split.holdout, "audiobook")
         oracle = FixedRecommender({u: sorted(items) for u, items in relevant.items()})
         ids = {i for i, it in catalog.items() if it.item_type == "audiobook"}
-        pop = popularity(small_split.train, catalog)
+        pop = popularity(oracles.records_of(small_split.train), catalog)
         oracle_rep = score(oracle, split, segments, "audiobook", ids)
         pop_rep = score(pop, split, segments, "audiobook", ids)
         assert oracle_rep["all"].hr_at_k > pop_rep["all"].hr_at_k
@@ -275,7 +275,8 @@ class TestTiers:
         for j in range(10):
             for _ in range(10 - j):  # a0 most streamed
                 train.append(stream(f"u{j}", f"a{j}", catalog, t=0))
-        split = log_split(DatasetSplit(train=train, holdout=[stream("u0", "a1", catalog, t=99)], split_time=50))
+        holdout = [stream("u0", "a1", catalog, t=99)]
+        split = LogSplit(Interactions.from_records(train), Interactions.from_records(holdout), 50)
         ids = set(catalog)
         tiers = popularity_tiers(split, ids, "audiobook")
         assert [len(t) for t in tiers] == [2, 2, 2, 2, 2]
@@ -283,11 +284,11 @@ class TestTiers:
 
     def test_uniform_counts_tie_break_by_id(self):
         catalog = make_catalog(n_audiobooks=5, n_podcasts=0)
-        split = log_split(DatasetSplit(
-            train=[stream("u1", f"a{j}", catalog, t=0) for j in range(5)],
-            holdout=[stream("u1", "a0", catalog, t=99)],
-            split_time=50,
-        ))
+        split = LogSplit(
+            Interactions.from_records([stream("u1", f"a{j}", catalog, t=0) for j in range(5)]),
+            Interactions.from_records([stream("u1", "a0", catalog, t=99)]),
+            50,
+        )
         tiers = popularity_tiers(split, set(catalog), "audiobook")
         assert tiers == [["a0"], ["a1"], ["a2"], ["a3"], ["a4"]]
 
@@ -301,7 +302,7 @@ class TestTiers:
         holdout = [stream("u1", "a0", catalog, t=99), stream("u1", "a6", catalog, t=99)]
         for j in range(3, 8):  # make >=5 active items
             holdout.append(stream(f"other{j}", f"a{j}", catalog, t=99))
-        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
+        split = LogSplit(Interactions.from_records(train), Interactions.from_records(holdout), 50)
         rec = FixedRecommender({}, default=sorted(catalog))
         reports = tiered_metrics(
             holdout_rankings(rec, split, "audiobook"), split, "audiobook", set(catalog)
@@ -315,11 +316,11 @@ class TestTiers:
 
     def test_too_few_active_items_fatal(self):
         catalog = make_catalog(n_audiobooks=6, n_podcasts=0)
-        split = log_split(DatasetSplit(
-            train=[stream("u1", "a0", catalog, t=0)],
-            holdout=[stream("u2", "a1", catalog, t=99)],
-            split_time=50,
-        ))
+        split = LogSplit(
+            Interactions.from_records([stream("u1", "a0", catalog, t=0)]),
+            Interactions.from_records([stream("u2", "a1", catalog, t=99)]),
+            50,
+        )
         with pytest.raises(ValueError):
             tiered_metrics(
                 holdout_rankings(FixedRecommender({}, default=sorted(catalog)), split, "audiobook"),
@@ -352,7 +353,7 @@ class TestPopularityBaseline:
         picks = np.random.default_rng(0).integers(0, len(items), 60)
         train = [stream(f"u{j}", items[i], catalog, t=j) for j, i in enumerate(picks)]
         train += [InteractionRecord("u0", "a9", "audiobook", "follow", 0)] * 5  # counts nothing
-        split = log_split(DatasetSplit(train=train, holdout=[], split_time=100))
+        split = LogSplit(Interactions.from_records(train), Interactions.from_records([]), 100)
         audiobooks = {i for i in items if catalog[i].item_type == "audiobook"}
         ranking = popularity(train, catalog, window_days=1, as_of=100).ranking
         assert sum(popularity_tiers(split, audiobooks, "audiobook"), []) == ranking
@@ -383,7 +384,7 @@ class TestPopularityBaseline:
         catalog = make_catalog(n_audiobooks=500, n_podcasts=0)
         train = [stream("u1", "a0", catalog, t=0)]
         holdout = [stream(f"u{j}", f"a{j + 1}", catalog, t=99) for j in range(5)]
-        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
+        split = LogSplit(Interactions.from_records(train), Interactions.from_records(holdout), 50)
         segments = user_segments(split)
         rec = popularity(train, catalog)
         ids = set(catalog)
@@ -439,7 +440,7 @@ class TestContentKnn:
         }
         train = [stream("u1", "a0", catalog, t=0)]
         holdout = [stream("u1", "a1", catalog, t=99)]
-        split = log_split(DatasetSplit(train=train, holdout=holdout, split_time=50))
+        split = LogSplit(Interactions.from_records(train), Interactions.from_records(holdout), 50)
         segments = user_segments(split)
         rec = content_knn(train, catalog)
         # raw ranking puts the consumed a0 first; score() must filter it
@@ -472,7 +473,7 @@ class TestHgnnKnn:
 
     def test_profile_in_embedding_space(self, small_split, small_synth, small_embeddings):
         _, catalog = small_synth
-        rec = hgnn_knn(small_split.train, catalog, small_embeddings)
-        out = rec.recommend(small_split.train[0].user_id)
+        rec = hgnn_knn(oracles.records_of(small_split.train), catalog, small_embeddings)
+        out = rec.recommend(str(small_split.train.user_ids[small_split.train.user[0]]))
         assert out
         assert all(catalog[i].item_type == "audiobook" for i in out)

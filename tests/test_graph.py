@@ -216,8 +216,8 @@ class TestGraphProperties:
 
     def test_idempotent_rebuild(self, small_split, small_synth, tmp_path):
         _, catalog = small_synth
-        g1 = build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
-        g2 = build_colisten_graph(Interactions.from_records(small_split.train), catalog, min_co_users=2)
+        g1 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
+        g2 = build_colisten_graph(small_split.train, catalog, min_co_users=2)
         save_graph(g1, tmp_path / "g1.bin")
         save_graph(g2, tmp_path / "g2.bin")
         assert (tmp_path / "g1.bin").read_bytes() == (tmp_path / "g2.bin").read_bytes()
@@ -312,8 +312,8 @@ class TestEdgesFromAdjacency:
         ids=["default", "pp-only", "min-co-users-2", "wide"],
     )
     def test_seed_7_graphs(self, synth, settings, tmp_path):
-        records, catalog = synth_generate(synth, seed=7)
-        graph = build_colisten_graph(Interactions.from_records(timeline_split(records).train), catalog, **settings)
+        log, catalog = synth_generate(synth, seed=7)
+        graph = build_colisten_graph(timeline_split(log).train, catalog, **settings)
         assert all(len(pairs) for pairs in graph.edges.values())
         self.check(graph, tmp_path)
 

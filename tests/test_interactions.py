@@ -15,12 +15,11 @@ from audiorec.data import (
     ITEM_TYPES,
     SIGNALS,
     CatalogItem,
-    DatasetSplit,
     InteractionRecord,
     Interactions,
+    LogSplit,
     check_catalog,
     popularity_ranking,
-    timeline_split,
     user_segments,
 )
 from audiorec.evaluate import streamed_items
@@ -31,7 +30,7 @@ from audiorec.synth import SynthConfig, synth_generate
 from audiorec.two_tower import TwoTowerConfig, build_training_pairs, user_histories
 
 import oracles
-from conftest import join_container, log_split, split_container
+from conftest import join_container, same_log, split_container
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import WIDE_SYNTH  # noqa: E402
@@ -59,9 +58,10 @@ def same_table(got, want) -> None:
         assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
 
 
-def assert_helpers_match(split: DatasetSplit, catalog, window_days: int, as_of: int, relations) -> None:
-    """Every column helper over `split` against its record walk."""
-    logs = log_split(split)
+def assert_helpers_match(split: oracles.DatasetSplit, catalog, window_days: int, as_of: int, relations) -> LogSplit:
+    """Every column helper over the columns of a split of records against
+    its record walk; returns those columns."""
+    logs = LogSplit(Interactions.from_records(split.train), Interactions.from_records(split.holdout), split.split_time)
     window = logs.train.window(window_days, as_of)
     records = oracles.window_by_user(split.train, window_days, as_of)
     assert oracles.by_user(oracles.records_of(window)) == records
@@ -98,19 +98,20 @@ def assert_helpers_match(split: DatasetSplit, catalog, window_days: int, as_of: 
             want = np.mean(rows, axis=0).tobytes() if rows else None
             got = knn.profiles.get(user)
             assert (None if got is None else got.tobytes()) == want
+    return logs
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_column_helpers_equal_the_record_walks(name):
     synth, relations = CONFIGS[name]
-    records, catalog = synth_generate(synth, seed=7)
-    split = timeline_split(records)
+    log, catalog = synth_generate(synth, seed=7)
+    split = oracles.timeline_split_records(oracles.records_of(log))
     window_days = 30
     # records on both window boundaries: the first is in, the second out
     start = split.split_time - window_days * DAY_SECONDS
     a_stream = next(r for r in split.train if r.item_type == "audiobook" and r.signal == "stream")
     edge = [dataclasses.replace(a_stream, timestamp=start), dataclasses.replace(a_stream, timestamp=split.split_time)]
-    split = DatasetSplit(split.train + edge[:1], split.holdout + edge[1:], split.split_time)
+    split = oracles.DatasetSplit(split.train + edge[:1], split.holdout + edge[1:], split.split_time)
     window = Interactions.from_records(split.train).window(window_days, split.split_time)
     assert start in window.timestamp and split.split_time not in window.timestamp
     assert_helpers_match(split, catalog, window_days, split.split_time, relations)
@@ -141,9 +142,7 @@ def test_edge_cases_equal_the_record_walks():
         rec("\U0001f600", "pa", "stream", 21), rec("ué", "aé", "stream", 22),
     ]
     holdout = [rec("u", "abc", "stream", 100), rec("\U0001f600", "a", "stream", 101)]
-    split = DatasetSplit(train, holdout, 100)
-    assert_helpers_match(split, catalog, 1, 100, ("aa", "ap", "pp"))
-    logs = log_split(split)
+    logs = assert_helpers_match(oracles.DatasetSplit(train, holdout, 100), catalog, 1, 100, ("aa", "ap", "pp"))
     assert logs.train.user_ids.tolist() == sorted({r.user_id for r in train})
     assert logs.train.item_ids.tolist() == sorted({r.item_id for r in train})
     segments = user_segments(logs)
@@ -195,13 +194,6 @@ def sample_log() -> Interactions:
             InteractionRecord("u1", "p1", "podcast", "stream", 3),
             InteractionRecord("u1", "a10", "audiobook", "stream", 2**40),
         ]
-    )
-
-
-def same_log(a: Interactions, b: Interactions) -> bool:
-    return all(
-        getattr(a, f.name).dtype == getattr(b, f.name).dtype and np.array_equal(getattr(a, f.name), getattr(b, f.name))
-        for f in dataclasses.fields(Interactions)
     )
 
 

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from audiorec.data import InteractionRecord, record_to_dict
 from audiorec.io import canonical_json, check_rising, column_ids, id_column, read_pack, write_pack
 from audiorec.pipeline import PipelineConfig
 
@@ -85,7 +84,13 @@ class TestCanonicalJson:
     @pytest.mark.parametrize(
         "obj",
         [
-            record_to_dict(InteractionRecord("u\u00e9\x00", "a\U0001f600", "audiobook", "stream", 2**40)),
+            {
+                "user_id": "u\u00e9\x00",
+                "item_id": "a\U0001f600",
+                "item_type": "audiobook",
+                "signal": "stream",
+                "timestamp": 2**40,
+            },
             {"stage": "train-hgnn", "seed": 7, "inputs": {"graph.bin": "ab" * 32}, "blas": {"OMP": None}},
             PipelineConfig().to_dict(),
             {

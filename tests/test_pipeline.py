@@ -458,7 +458,7 @@ class TestStages:
         # evaluate asks each model for only the part of its ranking it can keep
         config, out = pipeline_run
         files = {key: out / name for key, name in pipeline.ARTIFACTS.items()}
-        split = data.DatasetSplit(
+        split = oracles.DatasetSplit(
             parse_interactions(files["train"]).records,
             parse_interactions(files["holdout"]).records,
             io.read_json(files["split_meta"])["split_time"],
@@ -615,6 +615,22 @@ class TestStages:
         meta = io.read_json(tmp_path / "split_meta.json")
         assert meta["n_malformed"] == 1
         assert meta["n_train"] + meta["n_holdout"] == len(rest) + 1
+
+    def test_weak_signals_warns_about_skipped_lines(self, tmp_path, capsys):
+        # the skipped lines were dropped without a word
+        config = tiny_config()
+        run_stage("synth", config, tmp_path)
+        want = run_stage("weak-signals", config, tmp_path)
+        first, *rest = (tmp_path / "interactions.jsonl").read_text().splitlines(keepends=True)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(first + '{"user_id": "ux", "signal": "purchase"}\n' + "".join(rest))
+        config.paths.interactions = str(edited)
+        run = tmp_path / "run"
+        argv = stage_argv("weak-signals", config, run, tmp_path)
+        with pytest.warns(UserWarning, match="skipped 1 malformed lines .first: line 2: missing key 'item_id'"):
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert io.read_json(run / "weak_signals.json") == want
 
     def test_podcast_target_mode(self, tmp_path):
         config = tiny_config()
@@ -2049,7 +2065,7 @@ class TestCli:
     def _run_on_records(self, synth_run, tmp_path, records) -> tuple[str, str]:
         """A config reading `records` as its interaction log, and a run directory."""
         config, synth_dir = synth_run
-        data.save_interactions(records, tmp_path / "interactions.jsonl")
+        data.save_interactions(data.Interactions.from_records(records), tmp_path / "interactions.jsonl")
         cfg = config.to_dict()
         cfg["paths"]["interactions"] = str(tmp_path / "interactions.jsonl")
         cfg["paths"]["catalog"] = str(synth_dir / "catalog.jsonl")
@@ -2096,7 +2112,7 @@ class TestCli:
             r if r.timestamp < split_time else dataclasses.replace(r, timestamp=r.timestamp + gap)
             for r in records
         ]
-        data.save_interactions(moved, tmp_path / "interactions.jsonl")
+        data.save_interactions(data.Interactions.from_records(moved), tmp_path / "interactions.jsonl")
 
         def config_path(window_days: int) -> str:
             cfg = config.to_dict()
@@ -2304,6 +2320,8 @@ class TestCli:
             ("synth", "synth", "weak_signal_prob", -0.1),
             ("synth", "synth", "languages", []),
             ("synth", "synth", "genres", []),
+            ("split", "split", "holdout_days", -1),  # was an empty holdout, then "no evaluable users"
+            ("split", "split", "split_time", -1),  # was an empty train side, then "empty training log"
         ],
     )
     def test_out_of_range_setting_is_one_json_line(

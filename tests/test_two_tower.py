@@ -285,7 +285,7 @@ def small_training_setup(small_split, small_synth, small_embeddings, **cfg_overr
     kwargs = {"hidden": (32, 16, 8), "epochs": 3}
     kwargs.update(cfg_overrides)
     config = TwoTowerConfig(**kwargs)
-    window = Interactions.from_records(small_split.train).window(config.window_days, as_of=small_split.split_time)
+    window = small_split.train.window(config.window_days, as_of=small_split.split_time)
     pairs = build_training_pairs(window, "audiobook")
     table = user_histories(window, small_embeddings, config)
     return pairs, (table, catalog, small_embeddings), config
@@ -413,7 +413,7 @@ class TestExport:
         params, catalog = trained
         vectors = export_item_vectors(params, catalog, small_embeddings)
         streamed = {
-            r.item_id for r in small_split.train if r.signal == "stream"
+            r.item_id for r in oracles.records_of(small_split.train) if r.signal == "stream"
         }
         cold = set(vectors) - streamed
         assert cold  # generator plants never-streamed audiobooks
