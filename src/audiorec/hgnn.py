@@ -9,6 +9,13 @@ final state is L2-normalized. Training walks relation-balanced edge batches
 with uniformly resampled neighborhoods. All gradients are computed in closed
 form (reverse mode) and checked against finite differences in the test suite.
 
+The model runs in one dtype, `hgnn.dtype`: float32 by default, or float64.
+The weights are drawn in float64 and cast once, the content features are
+cast once per graph, and the states, pools, loss, gradients and Adam's
+moments all stay in that dtype; only the pooled-gradient bincount sums in
+float64, then rounds once. The checkpoint records the dtype, and the
+embedding table is written in float64 whatever it is.
+
 The gradient scatters are byte-exact against per-pair and per-entry loops.
 The loss adds its gradient to the output rows in rounds, one term to every
 row that has one left, so each row sums its terms in loop order. Backward,
@@ -23,9 +30,9 @@ is positive, one byte each. The relation transforms are rectified in place
 and dropped once pooled. Each layer's states are one array in flat-id order,
 so the output `z` is normalized without a copy, and the loss, validation
 and the embedding table read it as it is. `backward_states` consumes the
-cache: each array goes once it has been read for the last time. The
-neighbor-plan layouts, which live as long as their graph, hold the
-adjacency once and their positions as int32.
+cache and the output gradient: each array goes once it has been read for
+the last time. The neighbor-plan layouts, which live as long as their
+graph, hold the adjacency once and their positions as int32.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ from .optim import (
 )
 
 
+DTYPES = ("float32", "float64")  # what `hgnn.dtype` may name
+
+
 @dataclass
 class HgnnConfig:
     hidden_dim: int = 64
@@ -76,6 +86,7 @@ class HgnnConfig:
     val_fraction: float = 0.1
     full_neighborhood_cap: int = 500
     balanced_sampler: bool = True
+    dtype: str = "float32"
 
     def __post_init__(self):
         rules = (
@@ -90,6 +101,7 @@ class HgnnConfig:
             ("max_epochs", ">= 1", self.max_epochs >= 1),
             ("patience", ">= 1", self.patience >= 1),
             ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
+            ("dtype", f"one of {list(DTYPES)}", self.dtype in DTYPES),
         )
         check_rules("hgnn", self, rules)
 
@@ -104,7 +116,7 @@ class HgnnConfig:
 
 class HgnnParams:
     """Trainable state: per (layer, relation) aggregation weights and bias,
-    per (layer, node type) update weights."""
+    per (layer, node type) update weights, every array in `config.dtype`."""
 
     def __init__(
         self,
@@ -129,9 +141,16 @@ class HgnnParams:
         relations: tuple[str, ...],
         seed: int,
     ) -> "HgnnParams":
+        """Weights drawn in float64 whatever the dtype, then cast once, so
+        every dtype starts from the same draw, rounded."""
         params = cls(config, feature_dim, node_types, relations, {})
-        params.weights = init_weights(params.layout(), np.random.default_rng(seed))
+        drawn = init_weights(params.layout(), np.random.default_rng(seed))
+        params.weights = {name: w.astype(config.dtype, copy=False) for name, w in drawn.items()}
         return params
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(self.config.dtype)
 
     def layout(self) -> Layout:
         """Per layer: each relation's aggregation weights and bias, then each
@@ -167,12 +186,19 @@ class HgnnParams:
     def checksum(self) -> str:
         return checksum(self.weights)
 
-    def check(self, source) -> None:
+    def check(self, source, note: str = "") -> None:
         """Refuse weights that `config` does not describe: a missing, extra or
-        misshaped weight raises ValueError naming `source` and the array, as
-        `load` refuses a container."""
+        misshaped weight, or one not in `config.dtype`, raises ValueError
+        naming `source` and the array (then `note`), as `load` refuses a
+        container."""
         shapes = PackEntries(source, "array", {name: w.shape for name, w in self.weights.items()})
         check_layout(source, self.layout(), shapes)
+        for name in sorted(self.weights):
+            if self.weights[name].dtype != self.dtype:
+                raise ValueError(
+                    f"{source}: array {name!r} is {self.weights[name].dtype}, expected "
+                    f"hgnn.dtype {self.config.dtype}{note}"
+                )
 
     def save(self, path) -> None:
         self.check(path)  # a config that does not describe the weights is not written
@@ -193,7 +219,9 @@ class HgnnParams:
         )
         config = config_from_meta(HgnnConfig, path, meta, "hgnn")
         params = cls(config, feature_dim, node_types, relations, arrays)
-        check_layout(path, params.layout(), arrays.shapes)
+        # a checkpoint written before `dtype` was a setting loads with its default
+        undated = "dtype" not in meta["config"]
+        params.check(path, "; it was written before hgnn.dtype: rerun train-hgnn" if undated else "")
         return params
 
 
@@ -505,7 +533,7 @@ def _segment_max(
         order = PoolOrder.of(indptr)
     n = len(indptr) - 1
     d = values.shape[1]
-    pooled = np.zeros((n, d))
+    pooled = np.zeros((n, d), dtype=values.dtype)
     slots = order.bounds[1:]
     rank_type = np.min_scalar_type(len(slots))
     winners = np.zeros((n, d), dtype=rank_type) if keep_winners else None
@@ -528,6 +556,20 @@ def _segment_max(
         rank *= np.arange(1, len(slots) + 1, dtype=rank.dtype)[:, None, None]
         winners[order.order] = rank.max(axis=0, initial=0)
     return pooled, winners
+
+
+def _features(graph: HeteroGraph, dtype: np.dtype) -> dict[str, np.ndarray]:
+    """The graph's content features by node type, in `node_types` order and
+    in `dtype`: the arrays themselves when they are in it, else a cast made
+    once and memoized on the graph while it holds the same feature arrays."""
+    features = {t: graph.features[t] for t in graph.node_types}
+    if all(x.dtype == dtype for x in features.values()):
+        return features
+    key = ("features", np.dtype(dtype).str)
+    held = graph.memo.get(key)
+    if held is None or any(held[0].get(t) is not x for t, x in features.items()):
+        held = graph.memo[key] = (features, {t: x.astype(dtype) for t, x in features.items()})
+    return held[1]
 
 
 @dataclass
@@ -568,7 +610,7 @@ def forward_states(
     max-pool winners that `backward_states` reads only when `keep_winners`.
     Each layer's states are written into one flat array, so the last one is
     normalized without a copy."""
-    features = {t: graph.features[t] for t in graph.node_types}
+    features = _features(graph, params.dtype)
     sizes = np.cumsum([0] + [len(x) for x in features.values()]).tolist()
     rows = {t: slice(lo, hi) for t, lo, hi in zip(features, sizes, sizes[1:])}
     widths = params.config.layer_dims(params.feature_dim)
@@ -597,7 +639,7 @@ def forward_states(
             else:
                 pool_sum[dst_type] = pooled
         width = next((params.upd_w(k, t).shape[0] for t in rows), widths[k])
-        update = np.empty((sizes[-1], width))
+        update = np.empty((sizes[-1], width), dtype=params.dtype)
         for t, r in rows.items():
             np.matmul(h[t], params.upd_w(k, t).T, out=update[r])
             if t in pool_sum:
@@ -650,14 +692,14 @@ def margin_batch_loss(
     z = cache.z
     za, zp = z[pairs[:, 0]], z[pairs[:, 1]]
     n_pairs, n_neg = negatives.shape
-    coef = 1.0 / (n_pairs * n_neg)
+    coef = z.dtype.type(1.0 / (n_pairs * n_neg))
     # The scatter's row sources, stacked: coef * za, d_za, -d_sum * za.
-    sources = np.empty((3, n_pairs, z.shape[1]))
+    sources = np.empty((3, n_pairs, z.shape[1]), dtype=z.dtype)
     np.multiply(za, coef, out=sources[0])
     d_za = sources[1]
     d_za.fill(0.0)
-    d_sum = np.zeros(n_pairs)
-    terms = np.empty((n_pairs, n_neg))
+    d_sum = np.zeros(n_pairs, dtype=z.dtype)
+    terms = np.empty((n_pairs, n_neg), dtype=z.dtype)
     # One negative slot at a time, so d_za and d_sum add coef once per active
     # term (k * coef is not coef added k times). Skipping an inactive term, or
     # adding +0.0 for it, changes nothing: a sum from +0.0 never becomes -0.0.
@@ -721,10 +763,14 @@ def _route_pooled(
     changes no bin, as a bin starts at +0.0 and so never holds -0.0. An empty
     segment's position is clipped to the last edge: it may start past it.
     The positions, their source ids and the bins are one int64 buffer.
+
+    `np.bincount` sums every bin in float64, whatever the dtype of `grad`;
+    the result is cast to that dtype once, so a float32 bin sums in float64,
+    then rounds once.
     """
     d = grad.shape[1]
     if not len(indices):
-        return np.zeros((n_src, d))
+        return np.zeros((n_src, d), dtype=grad.dtype)
     flat = np.add(np.minimum(indptr[:-1], len(indices) - 1)[:, None], slots, dtype=np.int64)
     # every position is an edge, so clipping changes none; unlike "raise",
     # "clip" writes `out` directly, reading each position before its id
@@ -732,7 +778,8 @@ def _route_pooled(
     flat *= d
     flat += np.arange(d)
     weights = np.where(live, grad, 0.0)
-    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n_src * d).reshape(n_src, d)
+    pooled = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n_src * d)
+    return pooled.reshape(n_src, d).astype(grad.dtype, copy=False)
 
 
 def backward_states(
@@ -743,14 +790,16 @@ def backward_states(
     dz: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar loss given d(loss)/d(z) per node
-    type.
+    type, in the weights' dtype.
 
-    Consumes `cache`, as `Adam.step` consumes its gradients, so the step
-    holds only what is still to be read: `z`, `norms` and `fallback` go once
-    the output gradient is formed; each layer's ReLU mask is applied in
-    place on its state gradient, and its states `h[k]` go once that mask is
-    read; its `winners` go once the layer is routed. The content features
-    `h[0]` stay. A consumed cache is refused: run `forward_states` again."""
+    Consumes `cache` and `dz`, as `Adam.step` consumes its gradients, so the
+    step holds only what is still to be read: each type's `dz` is taken out
+    of the dict once that type's state gradient is formed from it, and `z`,
+    `norms` and `fallback` go once every type's is; each layer's ReLU mask
+    is applied in place on its state gradient, and its states `h[k]` go once
+    that mask is read; its `winners` go once the layer is routed. The
+    content features `h[0]` stay. A consumed cache is refused: run
+    `forward_states` again."""
     n_layers = params.config.layers
     if cache.z is None:
         raise ValueError(
@@ -765,7 +814,7 @@ def backward_states(
     z, norms, fallback = cache.z, cache.norms, cache.fallback
     cache.z = cache.norms = cache.fallback = None
     d_h = {
-        t: l2_normalize_grad(z[r], norms[r], fallback[r], dz[t]) for t, r in cache.rows.items()
+        t: l2_normalize_grad(z[r], norms[r], fallback[r], dz.pop(t)) for t, r in cache.rows.items()
     }
     del z, norms, fallback
 
@@ -808,11 +857,11 @@ def batch_loss_and_grads(
     pairs: np.ndarray,
     negatives: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, parameter gradients and the active-hinge mask of one batch."""
+    """Loss, parameter gradients and the active-hinge mask of one batch. The
+    output gradient goes to `backward_states`, which consumes it."""
     cache = forward_states(graph, params, plan, keep_winners=True)
     loss, dz, active = margin_batch_loss(cache, pairs, negatives, params.config.margin)
-    grads = backward_states(graph, params, plan, cache, dz)
-    return loss, grads, active
+    return loss, backward_states(graph, params, plan, cache, dz), active
 
 
 # ---------------------------------------------------------------------------

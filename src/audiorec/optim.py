@@ -92,15 +92,16 @@ class Adam:
         self._scratch = np.empty(0)
 
     def _buffer(self, like: np.ndarray) -> np.ndarray:
-        """A scratch array shaped like `like`, a view of one buffer kept
-        across steps and grown to the largest parameter, so a step allocates
-        no temporaries."""
-        if self._scratch.size < like.size:
-            self._scratch = np.empty(like.size)
+        """A scratch array shaped like `like` and in its dtype, a view of one
+        buffer kept across steps and grown to the largest parameter, so a
+        step allocates no temporaries."""
+        if self._scratch.size < like.size or self._scratch.dtype != like.dtype:
+            self._scratch = np.empty(max(like.size, self._scratch.size), dtype=like.dtype)
         return self._scratch[: like.size].reshape(like.shape)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update params in place. Raises if any parameter becomes non-finite.
+        """Update params in place, each in its own dtype. Raises if any
+        parameter becomes non-finite.
 
         Consumes `grads`: once `g * g` is formed, each gradient array is
         overwritten with `sqrt(v_hat) + eps`, so a caller must not read it

@@ -69,7 +69,10 @@ def max_rel_error(loss_fn, params_weights, analytic, eps=EPS):
 # ---------------------------------------------------------------------------
 
 
-def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4):
+def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4, dtype="float64"):
+    """A small random graph, float64-drawn weights in `dtype`, a plan, and
+    some pairs with their negatives. The finite-difference checks run in
+    float64, the dtype their step and tolerances are set for."""
     rng = np.random.default_rng(seed)
     n_ab = int(rng.integers(3, max(4, n_nodes_max // 2)))
     n_pod = int(rng.integers(3, max(4, n_nodes_max - n_ab)))
@@ -88,7 +91,7 @@ def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4):
             )
     graph = build_colisten_graph(Interactions.from_records(records), catalog)
     config = HgnnConfig(
-        hidden_dim=hidden, out_dim=out, fanouts=(3, 2), margin=0.4, n_negatives=3
+        hidden_dim=hidden, out_dim=out, fanouts=(3, 2), margin=0.4, n_negatives=3, dtype=dtype
     )
     params = HgnnParams.init(config, d_c, graph.node_types, graph.relations, seed=seed + 1)
     plan_rng = np.random.default_rng(seed + 2)
@@ -148,8 +151,8 @@ def hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
 
 
 def check_hgnn_gradients(seed):
-    """Returns (screened_ok, max_rel_error_or_None)."""
-    graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+    """Returns (screened_ok, max_rel_error_or_None), in float64."""
+    graph, params, plan, pairs, negs = random_hgnn_instance(seed, dtype="float64")
     if not len(pairs) or not hgnn_instance_is_smooth(graph, params, plan, pairs, negs):
         return False, None
     _, grads, _ = batch_loss_and_grads(graph, params, plan, pairs, negs)

@@ -249,7 +249,8 @@ def sample_negatives(
 def margin_batch_loss_loop(
     cache: ForwardCache, pairs: np.ndarray, negatives: np.ndarray, margin: float
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Per-pair margin loss over flat ids, one negative at a time."""
+    """Per-pair margin loss over flat ids, one negative at a time, in the
+    dtype of `cache.z`."""
     refs = [(t, i) for t, r in cache.rows.items() for i in range(r.stop - r.start)]
     z = cache.z
     dz = {t: np.zeros_like(z[r]) for t, r in cache.rows.items()}
@@ -260,9 +261,9 @@ def margin_batch_loss_loop(
         a_ref, p_ref = refs[a], refs[p]
         za, zp = z[a], z[p]
         s_pos = za @ zp
-        coef = 1.0 / (n_pairs * len(negs))
+        coef = z.dtype.type(1.0 / (n_pairs * len(negs)))
         d_za = np.zeros_like(za)
-        d_sum = 0.0
+        d_sum = z.dtype.type(0.0)
         for j, n in enumerate(negs):
             n_ref = refs[n]
             zn = z[n]
@@ -280,10 +281,10 @@ def margin_batch_loss_loop(
 
 def segment_max_reduceat(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_segment_max` through `np.maximum.reduceat`, argfirst as the smallest
-    row index equal to the pooled value."""
+    row index equal to the pooled value; pooled in the dtype of `values`."""
     n = len(indptr) - 1
     d = values.shape[1]
-    pooled = np.zeros((n, d))
+    pooled = np.zeros((n, d), dtype=values.dtype)
     argfirst = np.full((n, d), -1, dtype=np.int64)
     seg_len = np.diff(indptr)
     nz = np.flatnonzero(seg_len > 0)
@@ -309,7 +310,9 @@ def route_pooled_nonzero(
     """`hgnn._route_pooled` over the `np.nonzero` list of (segment, column)
     entries that have a maximizing neighbor: each looks up its source's
     pre-activation in `p` and, where that is positive, adds its gradient to
-    the source's row, in row-major entry order. `pooled` is not read."""
+    the source's row, in row-major entry order. `pooled` is not read. Each
+    bin sums in float64, as `np.bincount` does, then rounds once to the
+    dtype of `grad`."""
     seg, col = np.nonzero(argfirst >= 0)
     src = indices[argfirst[seg, col]]
     live = p[src, col] > 0.0
@@ -317,7 +320,7 @@ def route_pooled_nonzero(
         src[live] * p.shape[1] + col[live],
         weights=grad[seg[live], col[live]],
         minlength=p.size,
-    ).reshape(p.shape)
+    ).reshape(p.shape).astype(grad.dtype)
 
 
 def argfirst_of(indptr: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -372,9 +375,9 @@ def forward_states_edge_first(
     """`forward_states` with every relation transform applied to gathered
     edge rows and pooled by `segment_max_reduceat`. `keep_winners` is
     accepted so the oracle can stand in for `forward_states`, and ignored:
-    the cache always holds argfirst."""
+    the cache always holds argfirst. It runs in the weights' dtype."""
     n_layers = params.config.layers
-    h = [{t: graph.features[t] for t in graph.node_types}]
+    h = [{t: graph.features[t].astype(params.dtype, copy=False) for t in graph.node_types}]
     edge_pre, pooled_all, argfirst_all, upd_pre_all = [], [], [], []
     for k in range(1, n_layers + 1):
         layer_pre, layer_pooled, layer_argfirst = {}, {}, {}
@@ -904,17 +907,17 @@ def embed_inductive(
     """Content-only embedding: every layer's update with all pools zero.
 
     For homogeneous parameter sets, items of the missing type are embedded
-    with the single trained type's weights.
+    with the single trained type's weights. It runs in the weights' dtype.
     """
     if node_type not in params.node_types:
         if len(params.node_types) == 1:
             node_type = params.node_types[0]
         else:
             raise ValueError(f"no trained weights for node type {node_type!r}")
-    h = np.asarray(content_vector, dtype=np.float64)
+    h = np.asarray(content_vector, dtype=params.dtype)
     for k in range(1, params.config.layers + 1):
         pooled = {
-            rel: np.zeros(params.agg_w(k, rel).shape[0])
+            rel: np.zeros(params.agg_w(k, rel).shape[0], dtype=params.dtype)
             for rel in incident_relations(params, node_type)
         }
         h = update_node(k, node_type, params, h, pooled)

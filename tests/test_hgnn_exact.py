@@ -19,18 +19,25 @@ from audiorec.hgnn import (
     HgnnConfig,
     HgnnParams,
     NeighborPlan,
+    NodeEmbeddingTable,
     PoolOrder,
+    _directed_pairs,
     _inference_plan,
     _plan_layout,
     _route_pooled,
     _sample_negative_refs,
     _segment_max,
     backward_states,
+    balanced_edge_sample,
+    embed_catalog,
+    flat_offsets,
     forward_states,
     margin_batch_loss,
     sample_plan,
     train_hgnn,
 )
+from audiorec.io import read_pack
+from audiorec.optim import Adam
 from audiorec.pipeline import PipelineConfig, run_stage
 
 from helpers_gradcheck import random_hgnn_instance
@@ -49,6 +56,13 @@ from oracles import (
     sample_plan_loop,
     segment_max_reduceat,
 )
+
+
+@pytest.fixture(params=["float64", "float32"])
+def dtype(request) -> np.dtype:
+    """Each dtype the HGNN runs in (`hgnn.dtype`): the byte-exact contracts
+    hold in both."""
+    return np.dtype(request.param)
 
 
 def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
@@ -437,16 +451,23 @@ class TestNegatives:
 
 
 class TestSegmentMax:
+    @pytest.fixture(autouse=True)
+    def in_dtype(self, dtype):
+        self.dtype = dtype
+
     def check(self, values, indptr, indices=None):
         """`_segment_max` over `values[indices]` (every row in order when
-        `indices` is None) against `segment_max_reduceat` on the gathered
-        rows, its winner slots through `indptr + slot`; returns the pooled
-        values and those edge positions."""
+        `indices` is None), cast to the test's dtype, against
+        `segment_max_reduceat` on the gathered rows, its winner slots through
+        `indptr + slot`; returns the pooled values and those edge positions."""
+        values = values.astype(self.dtype)
         indptr = np.asarray(indptr)
         indices = np.arange(indptr[-1]) if indices is None else np.asarray(indices)
         pooled, slots = _segment_max(values, indptr, indices)
         want = segment_max_reduceat(values[indices], indptr)
         argfirst = argfirst_of(indptr, slots)
+        assert pooled.dtype == want[0].dtype == self.dtype
+        assert pooled.tobytes() == want[0].tobytes()
         assert np.array_equal(pooled, want[0])
         assert np.array_equal(argfirst, want[1])
         assert not slots[np.diff(indptr) == 0].any()  # an empty segment's slot is 0
@@ -534,28 +555,29 @@ class TestSegmentMax:
 
     def test_forward_without_winners_is_the_same_forward(self):
         for seed in range(8):
-            graph, params, plan, _, _ = random_hgnn_instance(seed)
+            graph, params, plan, _, _ = random_hgnn_instance(seed, dtype=self.dtype)
             got = forward_states(graph, params, plan, keep_winners=False)
             want = forward_states(graph, params, plan)
             assert got.winners == [] and len(want.winners) == params.config.layers
             assert_states_equal(got, want)
 
     def test_backward_refuses_a_cache_without_winners(self):
-        graph, params, plan, pairs, negs = random_hgnn_instance(0)
+        graph, params, plan, pairs, negs = random_hgnn_instance(0, dtype=self.dtype)
         cache = forward_states(graph, params, plan, keep_winners=False)
         _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
         with pytest.raises(ValueError, match="keep_winners"):
             backward_states(graph, params, plan, cache, dz)
 
     def test_backward_consumes_the_cache(self):
-        # backward drops the output, every state but the features and every
-        # layer's winners; a second backward over the same cache is refused
-        # with a ValueError naming the cause
-        graph, params, plan, pairs, negs = random_hgnn_instance(0)
+        # backward drops the output gradient, the output, every state but the
+        # features and every layer's winners; a second backward over the same
+        # cache is refused with a ValueError naming the cause
+        graph, params, plan, pairs, negs = random_hgnn_instance(0, dtype=self.dtype)
         cache = forward_states(graph, params, plan)
         features = cache.h[0]
         _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
         backward_states(graph, params, plan, cache, dz)
+        assert dz == {}
         assert (cache.z, cache.norms, cache.fallback) == (None, None, None)
         assert cache.h[0] is features and cache.h[1:] == [None] * params.config.layers
         assert cache.winners == [None] * params.config.layers
@@ -767,12 +789,16 @@ class TestPoolOrder:
 
 
 class TestMarginLoss:
+    @pytest.fixture(autouse=True)
+    def in_dtype(self, dtype):
+        self.dtype = dtype
+
     def test_loss_dz_and_mask_match_per_pair_loop(self):
         rng = np.random.default_rng(5)
         z = {}
         for t, n in (("audiobook", 7), ("podcast", 9)):
             m = rng.normal(size=(n, 6))
-            z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
+            z[t] = (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(self.dtype)
         cache = output_cache(z)
         pairs = rng.integers(0, 16, size=(40, 2))  # nodes recur as anchors, positives, negatives
         negs = rng.integers(0, 16, size=(40, 5))
@@ -783,6 +809,7 @@ class TestMarginLoss:
             assert loss == want_loss
             assert np.array_equal(active, want_active)
             for t in z:
+                assert dz[t].dtype == self.dtype
                 assert np.array_equal(dz[t], want_dz[t])
             shares.append(active.mean())
         assert 0 < shares[0] < shares[1] < shares[2] == 1.0
@@ -794,7 +821,7 @@ class TestMarginLoss:
         z = {}
         for t, n in (("audiobook", 140), ("podcast", 160)):
             m = rng.normal(size=(n, 6))
-            z[t] = m / np.linalg.norm(m, axis=1, keepdims=True)
+            z[t] = (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(self.dtype)
         cache = output_cache(z)
         pairs = rng.integers(1, 299, size=(150, 2))
         pairs[-1, 1] = 299
@@ -813,7 +840,7 @@ class TestMarginLoss:
     def test_validation_loss_is_the_batch_loss(self):
         # `_validate` takes the loss without building the gradient
         for seed in range(4):
-            graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+            graph, params, plan, pairs, negs = random_hgnn_instance(seed, dtype=self.dtype)
             if not len(pairs):
                 continue
             cache = forward_states(graph, params, plan)
@@ -841,14 +868,14 @@ def assert_states_equal(got: ForwardCache, want: ForwardCache) -> None:
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
-def wide_range_cache(rng: np.random.Generator) -> ForwardCache:
-    """Rows of z spanning 1e-8..1e8, with signed-zero columns: any other
-    summation order or any other starting value shows in the bytes."""
+def wide_range_cache(rng: np.random.Generator, dtype=np.float64) -> ForwardCache:
+    """Rows of z spanning 1e-8..1e8 in `dtype`, with signed-zero columns: any
+    other summation order or any other starting value shows in the bytes."""
     z = {}
     for t, n in (("audiobook", 11), ("podcast", 13)):
         m = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
         m[:, ::3] = -0.0
-        z[t] = m
+        z[t] = m.astype(dtype)
     return output_cache(z)
 
 
@@ -857,6 +884,7 @@ def assert_scatter_matches_loop(cache, pairs, negs, margin) -> np.ndarray:
     _, want, want_active = margin_batch_loss_loop(cache, pairs, negs, margin)
     assert np.array_equal(active, want_active)
     for t in cache.rows:
+        assert dz[t].dtype == want[t].dtype == cache.z.dtype
         assert dz[t].tobytes() == want[t].tobytes()  # signed zeros included
     return active
 
@@ -882,13 +910,20 @@ def edit_instance(params: HgnnParams, plan, variant: str) -> None:
 
 
 class TestRoutePooled:
-    """`_route_pooled` against the `np.nonzero` routing it replaced, in bytes."""
+    """`_route_pooled` against the `np.nonzero` routing it replaced, in bytes:
+    in float32 each bin sums in float64, then rounds once."""
+
+    @pytest.fixture(autouse=True)
+    def in_dtype(self, dtype):
+        self.dtype = dtype
 
     def check(self, p, indptr, indices, grad):
+        p, grad = p.astype(self.dtype), grad.astype(self.dtype)
         indptr = np.asarray(indptr)
         pooled, slots = _segment_max(np.maximum(p, 0.0), indptr, indices)
         got = _route_pooled(indptr, indices, slots, pooled > 0.0, grad, len(p))
         want = route_pooled_nonzero(p, pooled, argfirst_of(indptr, slots), indices, grad)
+        assert got.dtype == want.dtype == self.dtype
         assert got.tobytes() == want.tobytes()
         assert not np.any(np.signbit(got) & (got == 0.0))  # no bin ends at -0.0
         return got
@@ -932,21 +967,21 @@ class TestRoutePooled:
 
 
 class TestBackward:
-    def test_scatter_matches_row_wise_add_at(self):
+    def test_scatter_matches_row_wise_add_at(self, dtype):
         # `margin_batch_loss` scatters dz in rounds, one term per row per
         # round; the loop oracle adds row by row in loop order.
         rng = np.random.default_rng(2)
-        cache = wide_range_cache(rng)
+        cache = wide_range_cache(rng, dtype)
         pairs = rng.integers(0, 24, size=(200, 2))
         negs = rng.integers(0, 24, size=(200, 4))
         active = assert_scatter_matches_loop(cache, pairs, negs, 0.5)
         assert 0 < active.mean() < 1
 
-    def test_scatter_with_a_row_of_many_terms_and_a_row_of_one(self):
+    def test_scatter_with_a_row_of_many_terms_and_a_row_of_one(self, dtype):
         # node 0 is the first two negatives of every pair, so it takes over a
         # hundred rounds; node 23 is only the last pair's positive
         rng = np.random.default_rng(3)
-        cache = wide_range_cache(rng)
+        cache = wide_range_cache(rng, dtype)
         pairs = rng.integers(1, 23, size=(150, 2))
         pairs[-1, 1] = 23
         negs = rng.integers(1, 23, size=(150, 4))
@@ -956,25 +991,26 @@ class TestBackward:
         assert terms[0] > 100 and terms[23] == 1
         assert 0 < active.mean() < 1
 
-    def test_gradients_match_nonzero_routing(self, monkeypatch):
+    def test_gradients_match_nonzero_routing(self, monkeypatch, dtype):
         # every gradient byte-equal to routing through the old `np.nonzero`
         # entry list, on random instances and on each with an edgeless
         # direction, emptied segments, or a column dead in every relation
         for seed in range(8):
             for variant in ("as drawn", "no edges", "empty segments", "dead column"):
-                graph, params, plan, pairs, negs = random_hgnn_instance(seed)
+                graph, params, plan, pairs, negs = random_hgnn_instance(seed, dtype=dtype)
                 if not len(pairs):
                     continue
                 edit_instance(params, plan, variant)
                 cache = forward_states(graph, params, plan)
                 _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-                got = backward_states(graph, params, plan, cache, dz)
+                got = backward_states(graph, params, plan, cache, dict(dz))
                 # backward consumed that cache: the same forward again
                 cache = forward_states(graph, params, plan)
                 with monkeypatch.context() as patch:
                     patch.setattr(hgnn, "_route_pooled", route_pooled_by_slots)
                     want = backward_states(graph, params, plan, cache, dz)
                 for key in want:
+                    assert got[key].dtype == want[key].dtype == dtype, key
                     assert got[key].tobytes() == want[key].tobytes(), (seed, variant, key)
 
     def test_gradients_match_add_at_backward(self):
@@ -986,7 +1022,7 @@ class TestBackward:
                 continue
             cache = forward_states(graph, params, plan)
             _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-            got = backward_states(graph, params, plan, cache, dz)
+            got = backward_states(graph, params, plan, cache, dict(dz))
             edge_cache = forward_states_edge_first(graph, params, plan)
             want = backward_states_add_at(graph, params, plan, edge_cache, dz)
             for key in want:
@@ -1048,9 +1084,11 @@ def test_training_matches_loop_oracles(small_graph, monkeypatch):
     # Tolerance contract: the random stream matches exactly, so both runs see
     # the same batches, negatives and plans; the edge-first layers round
     # differently, so the weights agree within 1e-12 and the losses within a
-    # relative 1e-12, while the hinge and fallback counts agree exactly.
+    # relative 1e-12, while the hinge and fallback counts agree exactly. The
+    # tolerances compare two orders of arithmetic in float64.
     config = HgnnConfig(
-        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2,
+        dtype="float64",
     )
 
     def run():
@@ -1073,3 +1111,135 @@ def test_training_matches_loop_oracles(small_graph, monkeypatch):
         np.testing.assert_allclose(
             [a.train_loss, a.val_loss], [b.train_loss, b.val_loss], rtol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# The HGNN in float32 (`hgnn.dtype`).
+# ---------------------------------------------------------------------------
+
+
+def params_in(dtype: str, config: HgnnConfig, graph: HeteroGraph, seed: int) -> HgnnParams:
+    feature_dim = int(next(iter(graph.features.values())).shape[1])
+    config = dataclasses.replace(config, dtype=dtype)
+    return HgnnParams.init(config, feature_dim, graph.node_types, graph.relations, seed=seed)
+
+
+def test_float32_step_agrees_with_float64(default_graph):
+    # Tolerance contract: on the seed-7 default graph and config, the
+    # float64-drawn weights and the same weights cast to float32 run one
+    # forward, loss and backward over the same batch, plan and negatives.
+    # `z` agrees within rtol 1e-4 (atol 1e-6), the loss within a relative
+    # 1e-4, and every gradient within 1e-3 of its largest float64 entry.
+    config, graph = default_graph
+    p64 = params_in("float64", config.hgnn, graph, seed=7)
+    p32 = params_in("float32", config.hgnn, graph, seed=7)
+    for key, w in p64.weights.items():  # one draw, cast once
+        assert p32.weights[key].tobytes() == w.astype(np.float32).tobytes(), key
+    rng = np.random.default_rng(7)
+    pairs, _ = _directed_pairs(balanced_edge_sample(graph, rng), flat_offsets(graph))
+    pairs = pairs[: config.hgnn.batch_size]
+    negs = _sample_negative_refs(ExclusionIndex.build(graph), pairs[:, 0], config.hgnn.n_negatives, rng)
+    plan = sample_plan(graph, config.hgnn.fanouts, rng)
+    got = {}
+    for params in (p64, p32):
+        cache = forward_states(graph, params, plan)
+        z = cache.z.copy()
+        loss, dz, active = margin_batch_loss(cache, pairs, negs, config.hgnn.margin)
+        grads = backward_states(graph, params, plan, cache, dz)
+        got[params.config.dtype] = z, loss, active, grads
+    (z64, loss64, active64, g64), (z32, loss32, active32, g32) = got["float64"], got["float32"]
+    assert z32.dtype == np.float32 and z64.dtype == np.float64
+    np.testing.assert_allclose(z32, z64, rtol=1e-4, atol=1e-6)
+    assert abs(loss32 - loss64) <= 1e-4 * abs(loss64)
+    assert np.array_equal(active32, active64)  # at init every hinge term is active
+    assert g32.keys() == g64.keys()
+    for key, want in g64.items():
+        assert g32[key].dtype == np.float32, key
+        scale = np.abs(want).max()
+        assert scale > 0, key
+        assert np.abs(g32[key] - want).max() <= 1e-3 * scale, key
+
+
+def float_dtypes(obj) -> set:
+    """The dtypes of every floating array reachable from `obj`."""
+    return {a.dtype for a in arrays_in(obj) if np.issubdtype(a.dtype, np.floating)}
+
+
+def test_float32_training_keeps_float32(small_graph, small_synth, tmp_path, monkeypatch):
+    # No silent upcast: in a float32 `train_hgnn` epoch, every forward's
+    # features, states and output, the output gradient, every pool and
+    # routed gradient, every weight gradient, both Adam moments and the
+    # saved checkpoint stay float32; the embedding table is written float64.
+    seen = Counter()
+
+    def watch(name, of=lambda out: out):
+        real = getattr(hgnn, name)
+
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            for dt in float_dtypes(of(out)):
+                seen[name, str(dt)] += 1
+            return out
+
+        monkeypatch.setattr(hgnn, name, call)
+
+    watch("forward_states", lambda cache: [cache.h, cache.z, cache.norms])
+    watch("margin_batch_loss", lambda out: out[1])
+    watch("backward_states")
+    watch("_segment_max", lambda out: out[0])
+    watch("_route_pooled")
+    moments = []
+
+    class WatchedAdam(Adam):
+        def step(self, params, grads):
+            for dt in float_dtypes(grads):
+                seen["grads", str(dt)] += 1
+            super().step(params, grads)
+            moments.append(float_dtypes([self._m, self._v, self._scratch, params]))
+
+    monkeypatch.setattr(hgnn, "Adam", WatchedAdam)
+    config = HgnnConfig(
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=1,
+        dtype="float32",
+    )
+    params = params_in("float32", config, small_graph, seed=7)
+    result = train_hgnn(small_graph, params, seed=7)
+    names = {"forward_states", "margin_batch_loss", "backward_states", "_segment_max", "_route_pooled", "grads"}
+    assert {name for name, _ in seen} == names
+    assert {dt for _, dt in seen} == {"float32"}, seen
+    assert len(moments) > 1 and all(m == {np.dtype(np.float32)} for m in moments)
+
+    path = tmp_path / "hgnn_params.bin"
+    result.params.save(path)
+    _, arrays = read_pack(path, "hgnn_params")
+    assert {arrays[name].dtype for name in arrays} == {np.dtype(np.float32)}
+    loaded = HgnnParams.load(path)
+    assert loaded.config.dtype == "float32" and loaded.checksum() == result.params.checksum()
+    _, catalog = small_synth
+    table = embed_catalog(small_graph, loaded, catalog)
+    table.save(tmp_path / "embeddings.bin")
+    assert NodeEmbeddingTable.load(tmp_path / "embeddings.bin").matrix.dtype == np.float64
+
+
+class TestCheckpointDtype:
+    def test_init_casts_the_float64_draw(self, small_graph):
+        p64 = params_in("float64", HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+        p32 = params_in("float32", HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+        assert p64.dtype == np.float64 and p32.dtype == np.float32
+        for key, w in p64.weights.items():
+            assert w.dtype == np.float64
+            assert p32.weights[key].tobytes() == w.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("dtype, other", [("float64", np.float32), ("float32", np.float64)])
+    def test_weight_off_the_config_dtype_is_refused(self, small_graph, tmp_path, dtype, other):
+        params = params_in(dtype, HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+        path = tmp_path / "hgnn_params.bin"
+        params.save(path)
+        assert HgnnParams.load(path).config.dtype == dtype
+        params.weights["upd.W.2.podcast"] = params.weights["upd.W.2.podcast"].astype(other)
+        expected = f"array 'upd.W.2.podcast' is {np.dtype(other)}, expected hgnn.dtype {dtype}"
+        with pytest.raises(ValueError, match=f"^{tmp_path / 'other.bin'}: {expected}$"):
+            params.save(tmp_path / "other.bin")
+        assert not (tmp_path / "other.bin").exists()
+        with pytest.raises(ValueError, match=f"^hgnn params: {expected}$"):
+            train_hgnn(small_graph, params, seed=3)

@@ -1,6 +1,6 @@
 """`optim.Adam`'s in-place step against the plain expressions it replaced:
-the same bytes after every step, for both trainers' weight shapes, with each
-weight's moments allocated on its first step only."""
+the same bytes after every step, for both trainers' weight shapes and both
+HGNN dtypes, with each weight's moments allocated on its first step only."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,13 @@ from audiorec.two_tower import TowerParams, TwoTowerConfig, Vocab
 from oracles import AdamExpression
 
 
-def hgnn_weights() -> dict[str, np.ndarray]:
-    return HgnnParams.init(HgnnConfig(), 16, ("audiobook", "podcast"), REL_KEYS, seed=3).weights
+def hgnn_weights(dtype: str = "float64") -> dict[str, np.ndarray]:
+    config = HgnnConfig(dtype=dtype)
+    return HgnnParams.init(config, 16, ("audiobook", "podcast"), REL_KEYS, seed=3).weights
+
+
+def hgnn_weights_float32() -> dict[str, np.ndarray]:
+    return hgnn_weights("float32")
 
 
 def tower_weights() -> dict[str, np.ndarray]:
@@ -29,7 +34,7 @@ def tower_weights() -> dict[str, np.ndarray]:
     return TowerParams.init(config, vocabs, 16, 64, seed=3).weights
 
 
-@pytest.mark.parametrize("make_weights", [hgnn_weights, tower_weights])
+@pytest.mark.parametrize("make_weights", [hgnn_weights, hgnn_weights_float32, tower_weights])
 def test_in_place_steps_match_expressions(make_weights):
     got, want = make_weights(), make_weights()
     adam, oracle = Adam(learning_rate=5e-3), AdamExpression(learning_rate=5e-3)
@@ -39,10 +44,11 @@ def test_in_place_steps_match_expressions(make_weights):
         for key, w in want.items():
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=w.shape)
             g[rng.random(w.shape) < 0.2] = 0.0  # rows and columns without gradient
-            grads[key] = g
+            grads[key] = g.astype(w.dtype)  # a gradient comes in its weight's dtype
         oracle.step(want, grads)
         adam.step(got, grads)  # last: the in-place step consumes `grads`
         for key in want:
+            assert got[key].dtype == want[key].dtype
             assert got[key].tobytes() == want[key].tobytes(), (step, key)
 
 

@@ -136,7 +136,7 @@ class TestConfig:
         assert config.hgnn.layers == len(config.hgnn.fanouts)
         # the example shows the defaults, not another setting
         values = [(s, k) for s, keys in example.items() if s not in ("paths", "seed") for k in keys]
-        assert len(values) == 12
+        assert len(values) == 13
         for section, key in values:
             assert getattr(getattr(config, section), key) == getattr(getattr(defaults, section), key), key
 
@@ -2177,6 +2177,7 @@ class TestCli:
             ("fanouts", {"fanouts": []}),  # no layer
             ("fanouts", {"fanouts": [0, 10]}),  # was exit 0, layer 1 blind to the graph
             ("full_neighborhood_cap", {"full_neighborhood_cap": 0}),
+            ("dtype", {"dtype": "float16"}),
         ],
     )
     def test_bad_hgnn_setting_is_one_json_line(
@@ -2245,6 +2246,27 @@ class TestCli:
         before = tree_bytes(run)
         error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
         assert "hgnn_params.bin: unknown hgnn config keys: ['inference_seed', 'layers']" in error
+        assert tree_bytes(run) == before
+
+    def test_checkpoint_from_before_the_dtype_setting_is_one_json_line(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        # a checkpoint written before `hgnn.dtype`: float64 weights and no
+        # `dtype` in its config, which then loads with the float32 default
+        config, out = pipeline_run
+        assert config.hgnn.dtype == "float32"
+        run = shutil.copytree(out, tmp_path / "run")
+        meta, arrays = io.read_pack(run / "hgnn_params.bin", "hgnn_params")
+        del meta["config"]["dtype"]
+        old = {name: arrays[name].astype(np.float64) for name in arrays}
+        io.write_pack(run / "hgnn_params.bin", dict(meta), old)
+        rerecord(run, "hgnn_params.bin")
+        before = tree_bytes(run)
+        error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
+        assert error == (
+            f"{run / 'hgnn_params.bin'}: array 'agg.W.1.aa' is float64, expected hgnn.dtype "
+            "float32; it was written before hgnn.dtype: rerun train-hgnn"
+        )
         assert tree_bytes(run) == before
 
     @pytest.mark.parametrize(
