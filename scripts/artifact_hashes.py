@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the daily pipeline (`synth` through `evaluate`) and `weak-signals` at
-seed 7 on four configs and print one sha256 per artifact, and one of what
+seed 7 on three configs and print one sha256 per artifact, and one of what
 `rec recommend` serves, so a change meant to keep every result
 byte-identical can be checked against its parent with one `diff`.
 
     PYTHONPATH=src python scripts/artifact_hashes.py > after.txt
     PYTHONPATH=src python scripts/artifact_hashes.py --configs default wide
 
-The configs are the defaults, the defaults with the HGNN in float64
-(`hgnn.dtype`), `graph.relations=["pp"]`, and the `wide-catalog` benchmark
-workload (its synth sizes and 3 HGNN epochs, from perfbench/workloads.py). Each line is `config file sha256`; manifests are
+The configs are the defaults, `graph.relations=["pp"]`, and the
+`wide-catalog` benchmark workload (its synth sizes and 3 HGNN epochs, from
+perfbench/workloads.py). Each line is `config file sha256`; manifests are
 listed under `manifests/`. The `recommend@10` line hashes the `recommend`
 stage's ids and scores (k=10) for the first 20 train users by id and two
 unseen ids. The `rankings` line hashes what `pipeline.model_rankings`
@@ -49,7 +49,6 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 SEED = 7
 CONFIGS = {
     "default": {},
-    "default-f64": {"hgnn": {"dtype": "float64"}},
     "pp-only": {"graph": {"relations": ["pp"]}},
     "wide": WORKLOADS["wide-catalog"].overrides,
 }
@@ -88,7 +87,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS),
-        help="configs to run (default: all four)",
+        help="configs to run (default: all three)",
     )
     parser.add_argument(
         "--blas-threads", type=int, default=1,

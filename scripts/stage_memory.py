@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the daily pipeline (`synth` through `evaluate`) in one process at
-seed 7 on the configs of `scripts/artifact_hashes.py` (default,
-`default-f64`, `pp`-only, `wide`) and print, per stage, the `tracemalloc` peak of what the stage
+seed 7 on the configs of `scripts/artifact_hashes.py` (default, `pp`-only,
+`wide`) and print, per stage, the `tracemalloc` peak of what the stage
 allocates, its wall time and the process's `ru_maxrss` after it.
 
     PYTHONPATH=src python scripts/stage_memory.py
@@ -128,7 +128,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS),
-        help="configs to run (default: all four)",
+        help="configs to run (default: all three)",
     )
     parser.add_argument(
         "--blas-threads", type=int, default=1,

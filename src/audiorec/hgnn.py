@@ -9,12 +9,13 @@ final state is L2-normalized. Training walks relation-balanced edge batches
 with uniformly resampled neighborhoods. All gradients are computed in closed
 form (reverse mode) and checked against finite differences in the test suite.
 
-The model runs in one dtype, `hgnn.dtype`: float32 by default, or float64.
-The weights are drawn in float64 and cast once, the content features are
-cast once per graph, and the states, pools, loss, gradients and Adam's
-moments all stay in that dtype; only the pooled-gradient bincount sums in
-float64, then rounds once. The checkpoint records the dtype, and the
-embedding table is written in float64 whatever it is.
+The model runs in the dtype of its weights, float32 or float64:
+`train-hgnn` casts its float64 draw to float32 (`TRAIN_DTYPE`) once. The
+content features are cast once per graph, and the states, pools, loss,
+gradients and Adam's moments all stay in the weights' dtype; only the
+pooled-gradient bincount sums in float64, then rounds once. A checkpoint's
+dtype is its arrays', `embed` runs in it, and the embedding table is
+written in float64 whatever it is.
 
 The gradient scatters are byte-exact against per-pair and per-entry loops.
 The loss adds its gradient to the output rows in rounds, one term to every
@@ -30,9 +31,9 @@ is positive, one byte each. The relation transforms are rectified in place
 and dropped once pooled. Each layer's states are one array in flat-id order,
 so the output `z` is normalized without a copy, and the loss, validation
 and the embedding table read it as it is. `backward_states` consumes the
-cache and the output gradient: each array goes once it has been read for
-the last time. The neighbor-plan layouts, which live as long as their
-graph, hold the adjacency once and their positions as int32.
+cache: each array goes once it has been read for the last time. The
+neighbor-plan layouts, which live as long as their graph, hold the
+adjacency once and their positions as int32.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ from .optim import (
 )
 
 
-DTYPES = ("float32", "float64")  # what `hgnn.dtype` may name
+# the dtype `train-hgnn` trains in, chosen by the quality sweep (README)
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -86,7 +88,6 @@ class HgnnConfig:
     val_fraction: float = 0.1
     full_neighborhood_cap: int = 500
     balanced_sampler: bool = True
-    dtype: str = "float32"
 
     def __post_init__(self):
         rules = (
@@ -101,7 +102,6 @@ class HgnnConfig:
             ("max_epochs", ">= 1", self.max_epochs >= 1),
             ("patience", ">= 1", self.patience >= 1),
             ("val_fraction", "in [0, 1)", 0 <= self.val_fraction < 1),
-            ("dtype", f"one of {list(DTYPES)}", self.dtype in DTYPES),
         )
         check_rules("hgnn", self, rules)
 
@@ -116,7 +116,7 @@ class HgnnConfig:
 
 class HgnnParams:
     """Trainable state: per (layer, relation) aggregation weights and bias,
-    per (layer, node type) update weights, every array in `config.dtype`."""
+    per (layer, node type) update weights, every array in one dtype."""
 
     def __init__(
         self,
@@ -141,16 +141,21 @@ class HgnnParams:
         relations: tuple[str, ...],
         seed: int,
     ) -> "HgnnParams":
-        """Weights drawn in float64 whatever the dtype, then cast once, so
-        every dtype starts from the same draw, rounded."""
+        """Weights drawn in float64; `astype` casts them."""
         params = cls(config, feature_dim, node_types, relations, {})
-        drawn = init_weights(params.layout(), np.random.default_rng(seed))
-        params.weights = {name: w.astype(config.dtype, copy=False) for name, w in drawn.items()}
+        params.weights = init_weights(params.layout(), np.random.default_rng(seed))
         return params
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(self.config.dtype)
+        """The weights' dtype, which every pass runs in."""
+        return next(iter(self.weights.values())).dtype
+
+    def astype(self, dtype) -> "HgnnParams":
+        """A copy with every weight cast to `dtype` once, so float32 weights
+        cast from a float64 draw are that draw, rounded."""
+        weights = {k: v.astype(dtype) for k, v in self.weights.items()}
+        return HgnnParams(self.config, self.feature_dim, self.node_types, self.relations, weights)
 
     def layout(self) -> Layout:
         """Per layer: each relation's aggregation weights and bias, then each
@@ -186,18 +191,20 @@ class HgnnParams:
     def checksum(self) -> str:
         return checksum(self.weights)
 
-    def check(self, source, note: str = "") -> None:
-        """Refuse weights that `config` does not describe: a missing, extra or
-        misshaped weight, or one not in `config.dtype`, raises ValueError
-        naming `source` and the array (then `note`), as `load` refuses a
+    def check(self, source) -> None:
+        """Refuse weights that `config` does not describe or that no pass
+        runs in: a missing, extra or misshaped weight, or one not in the
+        first weight's dtype, or weights neither float32 nor float64, raises
+        ValueError naming `source` and the array, as `load` refuses a
         container."""
         shapes = PackEntries(source, "array", {name: w.shape for name, w in self.weights.items()})
         check_layout(source, self.layout(), shapes)
-        for name in sorted(self.weights):
-            if self.weights[name].dtype != self.dtype:
+        dtype = self.dtype
+        for name, w in self.weights.items():
+            if w.dtype != dtype or dtype not in (np.float32, np.float64):
                 raise ValueError(
-                    f"{source}: array {name!r} is {self.weights[name].dtype}, expected "
-                    f"hgnn.dtype {self.config.dtype}{note}"
+                    f"{source}: array {name!r} is {w.dtype}; the weights must be all "
+                    "float32 or all float64"
                 )
 
     def save(self, path) -> None:
@@ -219,9 +226,7 @@ class HgnnParams:
         )
         config = config_from_meta(HgnnConfig, path, meta, "hgnn")
         params = cls(config, feature_dim, node_types, relations, arrays)
-        # a checkpoint written before `dtype` was a setting loads with its default
-        undated = "dtype" not in meta["config"]
-        params.check(path, "; it was written before hgnn.dtype: rerun train-hgnn" if undated else "")
+        params.check(path)
         return params
 
 
@@ -792,14 +797,12 @@ def backward_states(
     """Reverse-mode gradients of a scalar loss given d(loss)/d(z) per node
     type, in the weights' dtype.
 
-    Consumes `cache` and `dz`, as `Adam.step` consumes its gradients, so the
-    step holds only what is still to be read: each type's `dz` is taken out
-    of the dict once that type's state gradient is formed from it, and `z`,
-    `norms` and `fallback` go once every type's is; each layer's ReLU mask
-    is applied in place on its state gradient, and its states `h[k]` go once
-    that mask is read; its `winners` go once the layer is routed. The
-    content features `h[0]` stay. A consumed cache is refused: run
-    `forward_states` again."""
+    Consumes `cache`, as `Adam.step` consumes its gradients, so the step
+    holds only what is still to be read: `z`, `norms` and `fallback` go once
+    the output gradient is formed; each layer's ReLU mask is applied in
+    place on its state gradient, and its states `h[k]` go once that mask is
+    read; its `winners` go once the layer is routed. The content features
+    `h[0]` stay. A consumed cache is refused: run `forward_states` again."""
     n_layers = params.config.layers
     if cache.z is None:
         raise ValueError(
@@ -814,7 +817,7 @@ def backward_states(
     z, norms, fallback = cache.z, cache.norms, cache.fallback
     cache.z = cache.norms = cache.fallback = None
     d_h = {
-        t: l2_normalize_grad(z[r], norms[r], fallback[r], dz.pop(t)) for t, r in cache.rows.items()
+        t: l2_normalize_grad(z[r], norms[r], fallback[r], dz[t]) for t, r in cache.rows.items()
     }
     del z, norms, fallback
 
@@ -857,11 +860,11 @@ def batch_loss_and_grads(
     pairs: np.ndarray,
     negatives: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, parameter gradients and the active-hinge mask of one batch. The
-    output gradient goes to `backward_states`, which consumes it."""
+    """Loss, parameter gradients and the active-hinge mask of one batch."""
     cache = forward_states(graph, params, plan, keep_winners=True)
     loss, dz, active = margin_batch_loss(cache, pairs, negatives, params.config.margin)
-    return loss, backward_states(graph, params, plan, cache, dz), active
+    grads = backward_states(graph, params, plan, cache, dz)
+    return loss, grads, active
 
 
 # ---------------------------------------------------------------------------

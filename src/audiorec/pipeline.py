@@ -33,6 +33,7 @@ from .data import (
 from .evaluate import evaluate, filtered_recommendations, streamed_items, tiered_metrics
 from .graph import REL_KEYS, build_colisten_graph, graph_stats, load_graph, save_graph
 from .hgnn import (
+    TRAIN_DTYPE,
     HgnnConfig,
     HgnnParams,
     NodeEmbeddingTable,
@@ -364,7 +365,7 @@ def stage_train_hgnn(config: PipelineConfig, files: Files) -> None:
     seed = _seed_of(config, "train-hgnn")
     params = HgnnParams.init(
         config.hgnn, int(feature_dim), graph.node_types, graph.relations, seed=seed
-    )
+    ).astype(TRAIN_DTYPE)
     result = train_hgnn(graph, params, seed=seed)
     result.params.save(files["hgnn_params"])
     io.write_jsonl((asdict(e) for e in result.log), files["hgnn_log"])

@@ -101,7 +101,6 @@ def small_hgnn_config():
         batch_size=64,
         max_epochs=8,
         patience=3,
-        dtype="float64",  # the module tests' tolerances compare arithmetic orders in float64
     )
 
 

@@ -70,8 +70,8 @@ def max_rel_error(loss_fn, params_weights, analytic, eps=EPS):
 
 
 def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4, dtype="float64"):
-    """A small random graph, float64-drawn weights in `dtype`, a plan, and
-    some pairs with their negatives. The finite-difference checks run in
+    """A small random graph, float64-drawn weights cast to `dtype`, a plan,
+    and some pairs with their negatives. The finite-difference checks run in
     float64, the dtype their step and tolerances are set for."""
     rng = np.random.default_rng(seed)
     n_ab = int(rng.integers(3, max(4, n_nodes_max // 2)))
@@ -91,9 +91,9 @@ def random_hgnn_instance(seed, n_nodes_max=20, d_c=5, hidden=6, out=4, dtype="fl
             )
     graph = build_colisten_graph(Interactions.from_records(records), catalog)
     config = HgnnConfig(
-        hidden_dim=hidden, out_dim=out, fanouts=(3, 2), margin=0.4, n_negatives=3, dtype=dtype
+        hidden_dim=hidden, out_dim=out, fanouts=(3, 2), margin=0.4, n_negatives=3
     )
-    params = HgnnParams.init(config, d_c, graph.node_types, graph.relations, seed=seed + 1)
+    params = HgnnParams.init(config, d_c, graph.node_types, graph.relations, seed=seed + 1).astype(dtype)
     plan_rng = np.random.default_rng(seed + 2)
     plan = sample_plan(graph, config.fanouts, plan_rng)
     offsets = flat_offsets(graph)

@@ -21,7 +21,7 @@ from audiorec.benchmark import (
 from audiorec.data import Interactions, parse_catalog, parse_interactions
 from audiorec.evaluate import coverage, hit_rate_at_k, mrr
 from audiorec.graph import build_colisten_graph, load_graph
-from audiorec.hgnn import HgnnParams, NodeEmbeddingTable, balanced_edge_sample
+from audiorec.hgnn import HgnnParams, NodeEmbeddingTable, balanced_edge_sample, embed_catalog
 from audiorec.index import build_index, load_index, query_topk
 from audiorec.pipeline import PipelineConfig, run_pipeline
 from audiorec.recommenders import TwoTowerRecommender
@@ -273,12 +273,17 @@ def test_criterion_7_inductive_path(full_pipeline):
     assert target not in streamed_in_train
     row = table.index[target]
     hgnn_params = HgnnParams.load(out / "hgnn_params.bin")
+    # its content vector alone, on the trained weights in float64
+    params64 = hgnn_params.astype(np.float64)
+    table64 = embed_catalog(graph, params64, catalog)
+    z, _ = embed_inductive(params64, "audiobook", catalog[target].content_vector)
+    assert np.allclose(table64.matrix[table64.index[target]], z, rtol=0, atol=1e-12)
+    # and in the float32 the pipeline trains and embeds in: the oracle takes
+    # one vector at a time, so it rounds differently from the batched rows
+    # by a float32 rounding or two
+    assert hgnn_params.dtype == np.float32
     z, _ = embed_inductive(hgnn_params, "audiobook", catalog[target].content_vector)
-    # its content vector alone: the oracle runs in the checkpoint's dtype, one
-    # vector at a time, so it differs from the batched rows by rounding only,
-    # within 1e-12 in float64 and a few float32 roundings (1e-6) in float32
-    atol = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}[hgnn_params.dtype]
-    assert np.allclose(table.matrix[row], z, rtol=0, atol=atol)
+    assert np.allclose(table.matrix[row], z, rtol=0, atol=1e-6)
     assert abs(np.linalg.norm(table.matrix[row]) - 1.0) < 1e-6
 
     index = load_index(out / "rec_index.bin")

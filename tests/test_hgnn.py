@@ -491,9 +491,9 @@ class TestEmbedding:
         catalog = make_catalog(n_audiobooks=3, n_podcasts=3, d_c=4, seed=5)
         records = [stream("u1", "p0", catalog), stream("u1", "p1", catalog)]
         g = build_colisten_graph(Interactions.from_records(records), catalog, relations=("pp",))
-        # float64: the 1e-12 below compares two orders of arithmetic in it
-        config = HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2), dtype="float64")
-        params = HgnnParams.init(config, 4, g.node_types, g.relations, seed=2)
+        params = HgnnParams.init(
+            HgnnConfig(hidden_dim=3, out_dim=3, fanouts=(2, 2)), 4, g.node_types, g.relations, seed=2
+        )
         table = embed_catalog(g, params, catalog)
         assert table.item_ids == ["p0", "p1", "a0", "a1", "a2", "p2"]
         types = [catalog[i].item_type for i in table.item_ids]

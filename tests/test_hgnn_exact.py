@@ -60,8 +60,7 @@ from oracles import (
 
 @pytest.fixture(params=["float64", "float32"])
 def dtype(request) -> np.dtype:
-    """Each dtype the HGNN runs in (`hgnn.dtype`): the byte-exact contracts
-    hold in both."""
+    """Each dtype the HGNN runs in: the byte-exact contracts hold in both."""
     return np.dtype(request.param)
 
 
@@ -569,15 +568,14 @@ class TestSegmentMax:
             backward_states(graph, params, plan, cache, dz)
 
     def test_backward_consumes_the_cache(self):
-        # backward drops the output gradient, the output, every state but the
-        # features and every layer's winners; a second backward over the same
-        # cache is refused with a ValueError naming the cause
+        # backward drops the output, every state but the features and every
+        # layer's winners; a second backward over the same cache is refused
+        # with a ValueError naming the cause
         graph, params, plan, pairs, negs = random_hgnn_instance(0, dtype=self.dtype)
         cache = forward_states(graph, params, plan)
         features = cache.h[0]
         _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
         backward_states(graph, params, plan, cache, dz)
-        assert dz == {}
         assert (cache.z, cache.norms, cache.fallback) == (None, None, None)
         assert cache.h[0] is features and cache.h[1:] == [None] * params.config.layers
         assert cache.winners == [None] * params.config.layers
@@ -1003,7 +1001,7 @@ class TestBackward:
                 edit_instance(params, plan, variant)
                 cache = forward_states(graph, params, plan)
                 _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-                got = backward_states(graph, params, plan, cache, dict(dz))
+                got = backward_states(graph, params, plan, cache, dz)
                 # backward consumed that cache: the same forward again
                 cache = forward_states(graph, params, plan)
                 with monkeypatch.context() as patch:
@@ -1022,7 +1020,7 @@ class TestBackward:
                 continue
             cache = forward_states(graph, params, plan)
             _, dz, _ = margin_batch_loss(cache, pairs, negs, params.config.margin)
-            got = backward_states(graph, params, plan, cache, dict(dz))
+            got = backward_states(graph, params, plan, cache, dz)
             edge_cache = forward_states_edge_first(graph, params, plan)
             want = backward_states_add_at(graph, params, plan, edge_cache, dz)
             for key in want:
@@ -1084,11 +1082,9 @@ def test_training_matches_loop_oracles(small_graph, monkeypatch):
     # Tolerance contract: the random stream matches exactly, so both runs see
     # the same batches, negatives and plans; the edge-first layers round
     # differently, so the weights agree within 1e-12 and the losses within a
-    # relative 1e-12, while the hinge and fallback counts agree exactly. The
-    # tolerances compare two orders of arithmetic in float64.
+    # relative 1e-12, while the hinge and fallback counts agree exactly.
     config = HgnnConfig(
-        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2,
-        dtype="float64",
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=2
     )
 
     def run():
@@ -1114,14 +1110,14 @@ def test_training_matches_loop_oracles(small_graph, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The HGNN in float32 (`hgnn.dtype`).
+# The HGNN in float32, as `train-hgnn` runs it.
 # ---------------------------------------------------------------------------
 
 
-def params_in(dtype: str, config: HgnnConfig, graph: HeteroGraph, seed: int) -> HgnnParams:
+def params_in(dtype, config: HgnnConfig, graph: HeteroGraph, seed: int) -> HgnnParams:
     feature_dim = int(next(iter(graph.features.values())).shape[1])
-    config = dataclasses.replace(config, dtype=dtype)
-    return HgnnParams.init(config, feature_dim, graph.node_types, graph.relations, seed=seed)
+    params = HgnnParams.init(config, feature_dim, graph.node_types, graph.relations, seed=seed)
+    return params.astype(dtype)
 
 
 def test_float32_step_agrees_with_float64(default_graph):
@@ -1146,7 +1142,7 @@ def test_float32_step_agrees_with_float64(default_graph):
         z = cache.z.copy()
         loss, dz, active = margin_batch_loss(cache, pairs, negs, config.hgnn.margin)
         grads = backward_states(graph, params, plan, cache, dz)
-        got[params.config.dtype] = z, loss, active, grads
+        got[params.dtype.name] = z, loss, active, grads
     (z64, loss64, active64, g64), (z32, loss32, active32, g32) = got["float64"], got["float32"]
     assert z32.dtype == np.float32 and z64.dtype == np.float64
     np.testing.assert_allclose(z32, z64, rtol=1e-4, atol=1e-6)
@@ -1199,8 +1195,7 @@ def test_float32_training_keeps_float32(small_graph, small_synth, tmp_path, monk
 
     monkeypatch.setattr(hgnn, "Adam", WatchedAdam)
     config = HgnnConfig(
-        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=1,
-        dtype="float32",
+        hidden_dim=8, out_dim=8, fanouts=(4, 3), n_negatives=3, batch_size=64, max_epochs=1
     )
     params = params_in("float32", config, small_graph, seed=7)
     result = train_hgnn(small_graph, params, seed=7)
@@ -1214,7 +1209,7 @@ def test_float32_training_keeps_float32(small_graph, small_synth, tmp_path, monk
     _, arrays = read_pack(path, "hgnn_params")
     assert {arrays[name].dtype for name in arrays} == {np.dtype(np.float32)}
     loaded = HgnnParams.load(path)
-    assert loaded.config.dtype == "float32" and loaded.checksum() == result.params.checksum()
+    assert loaded.dtype == np.float32 and loaded.checksum() == result.params.checksum()
     _, catalog = small_synth
     table = embed_catalog(small_graph, loaded, catalog)
     table.save(tmp_path / "embeddings.bin")
@@ -1222,22 +1217,31 @@ def test_float32_training_keeps_float32(small_graph, small_synth, tmp_path, monk
 
 
 class TestCheckpointDtype:
-    def test_init_casts_the_float64_draw(self, small_graph):
-        p64 = params_in("float64", HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
-        p32 = params_in("float32", HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+    def test_astype_casts_the_float64_draw(self, small_graph):
+        p64 = params_in(np.float64, HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+        p32 = p64.astype(np.float32)
         assert p64.dtype == np.float64 and p32.dtype == np.float32
         for key, w in p64.weights.items():
             assert w.dtype == np.float64
             assert p32.weights[key].tobytes() == w.astype(np.float32).tobytes()
 
-    @pytest.mark.parametrize("dtype, other", [("float64", np.float32), ("float32", np.float64)])
-    def test_weight_off_the_config_dtype_is_refused(self, small_graph, tmp_path, dtype, other):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_checkpoint_loads_in_its_arrays_dtype(self, small_graph, tmp_path, dtype):
         params = params_in(dtype, HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
-        path = tmp_path / "hgnn_params.bin"
-        params.save(path)
-        assert HgnnParams.load(path).config.dtype == dtype
-        params.weights["upd.W.2.podcast"] = params.weights["upd.W.2.podcast"].astype(other)
-        expected = f"array 'upd.W.2.podcast' is {np.dtype(other)}, expected hgnn.dtype {dtype}"
+        params.save(tmp_path / "hgnn_params.bin")
+        loaded = HgnnParams.load(tmp_path / "hgnn_params.bin")
+        assert loaded.dtype == dtype and loaded.checksum() == params.checksum()
+
+    @pytest.mark.parametrize(
+        "dtype, other", [(np.float64, np.float32), (np.float32, np.float64), (np.float16, np.float16)]
+    )
+    def test_weights_in_another_dtype_are_refused(self, small_graph, tmp_path, dtype, other):
+        # one weight off the others' dtype, or every weight in a dtype no
+        # pass runs in, is refused at save and by `train_hgnn`
+        params = params_in(dtype, HgnnConfig(hidden_dim=8, out_dim=8), small_graph, seed=3)
+        odd = "upd.W.2.podcast" if dtype != other else next(iter(params.weights))
+        params.weights[odd] = params.weights[odd].astype(other)
+        expected = f"array {odd!r} is {np.dtype(other)}; the weights must be all float32 or all float64"
         with pytest.raises(ValueError, match=f"^{tmp_path / 'other.bin'}: {expected}$"):
             params.save(tmp_path / "other.bin")
         assert not (tmp_path / "other.bin").exists()

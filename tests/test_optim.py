@@ -14,13 +14,13 @@ from audiorec.two_tower import TowerParams, TwoTowerConfig, Vocab
 from oracles import AdamExpression
 
 
-def hgnn_weights(dtype: str = "float64") -> dict[str, np.ndarray]:
-    config = HgnnConfig(dtype=dtype)
-    return HgnnParams.init(config, 16, ("audiobook", "podcast"), REL_KEYS, seed=3).weights
+def hgnn_weights(dtype=np.float64) -> dict[str, np.ndarray]:
+    params = HgnnParams.init(HgnnConfig(), 16, ("audiobook", "podcast"), REL_KEYS, seed=3)
+    return params.astype(dtype).weights
 
 
 def hgnn_weights_float32() -> dict[str, np.ndarray]:
-    return hgnn_weights("float32")
+    return hgnn_weights(np.float32)
 
 
 def tower_weights() -> dict[str, np.ndarray]:

@@ -136,7 +136,7 @@ class TestConfig:
         assert config.hgnn.layers == len(config.hgnn.fanouts)
         # the example shows the defaults, not another setting
         values = [(s, k) for s, keys in example.items() if s not in ("paths", "seed") for k in keys]
-        assert len(values) == 13
+        assert len(values) == 12
         for section, key in values:
             assert getattr(getattr(config, section), key) == getattr(getattr(defaults, section), key), key
 
@@ -2177,7 +2177,6 @@ class TestCli:
             ("fanouts", {"fanouts": []}),  # no layer
             ("fanouts", {"fanouts": [0, 10]}),  # was exit 0, layer 1 blind to the graph
             ("full_neighborhood_cap", {"full_neighborhood_cap": 0}),
-            ("dtype", {"dtype": "float16"}),
         ],
     )
     def test_bad_hgnn_setting_is_one_json_line(
@@ -2248,24 +2247,42 @@ class TestCli:
         assert "hgnn_params.bin: unknown hgnn config keys: ['inference_seed', 'layers']" in error
         assert tree_bytes(run) == before
 
-    def test_checkpoint_from_before_the_dtype_setting_is_one_json_line(
+    def write_checkpoint(self, run, cast) -> HgnnParams:
+        """Rewrite `run`'s checkpoint with the weights `cast` returns and
+        record it as current; return the params as rewritten."""
+        params = HgnnParams.load(run / "hgnn_params.bin")
+        meta, _ = io.read_pack(run / "hgnn_params.bin", "hgnn_params")
+        params.weights = cast(params.weights)
+        io.write_pack(run / "hgnn_params.bin", dict(meta), params.weights)
+        rerecord(run, "hgnn_params.bin")
+        return params
+
+    def test_float64_checkpoint_embeds_in_float64(self, pipeline_run, tmp_path):
+        # `train-hgnn` writes float32 weights; a float64 checkpoint, as one
+        # written before it trained in float32, embeds in float64
+        config, out = pipeline_run
+        assert HgnnParams.load(out / "hgnn_params.bin").dtype == np.float32
+        run = shutil.copytree(out, tmp_path / "run")
+        params = self.write_checkpoint(run, lambda w: {k: v.astype(np.float64) for k, v in w.items()})
+        assert main(stage_argv("embed", config, run, tmp_path)) == 0
+        got = NodeEmbeddingTable.load(run / "embeddings.bin")
+        want = hgnn.embed_catalog(load_graph(run / "graph.bin"), params, parse_catalog(run / "catalog.jsonl"))
+        assert got.item_ids == want.item_ids
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_checkpoint_with_a_weight_in_another_dtype_is_one_json_line(
         self, pipeline_run, tmp_path, capsys
     ):
-        # a checkpoint written before `hgnn.dtype`: float64 weights and no
-        # `dtype` in its config, which then loads with the float32 default
         config, out = pipeline_run
-        assert config.hgnn.dtype == "float32"
         run = shutil.copytree(out, tmp_path / "run")
-        meta, arrays = io.read_pack(run / "hgnn_params.bin", "hgnn_params")
-        del meta["config"]["dtype"]
-        old = {name: arrays[name].astype(np.float64) for name in arrays}
-        io.write_pack(run / "hgnn_params.bin", dict(meta), old)
-        rerecord(run, "hgnn_params.bin")
+        self.write_checkpoint(
+            run, lambda w: {k: v.astype(np.float64) if k == "upd.W.2.podcast" else v for k, v in w.items()}
+        )
         before = tree_bytes(run)
         error = cli_error(stage_argv("embed", config, run, tmp_path), capsys)
         assert error == (
-            f"{run / 'hgnn_params.bin'}: array 'agg.W.1.aa' is float64, expected hgnn.dtype "
-            "float32; it was written before hgnn.dtype: rerun train-hgnn"
+            f"{run / 'hgnn_params.bin'}: array 'upd.W.2.podcast' is float64; the weights must be "
+            "all float32 or all float64"
         )
         assert tree_bytes(run) == before
 
